@@ -565,8 +565,9 @@ def bench_population(iters: int) -> dict:
     The timed step is a full ``run_population_smoke`` pass — registry
     construction (descriptor arrays for 100 000 clients), one sync
     round over a 20-client cohort with regenerate-mode eviction, and
-    the O(k) reservoir spot-check — so the number gates the whole
-    O(active) machinery, not just the registry dict.
+    the reservoir spot-check (O(k) memory, O(k·log(n/k)) generator
+    draws) — so the number gates the whole O(active) machinery, not
+    just the registry dict.
 
     ``meta`` carries the peak-RSS proxy from the registry's own
     accounting: peak live clients/bytes versus the estimated cost of
@@ -789,10 +790,11 @@ SECTIONS = {
 }
 
 
-def run_suite(iters_scale: float = 1.0) -> dict:
-    """Run every section and return the JSON-serialisable result."""
+def run_suite(iters_scale: float = 1.0, only: tuple[str, ...] = ()) -> dict:
+    """Run every section (or just ``only``) and return the JSON result."""
     sections = {}
-    for name, (fn, iters) in SECTIONS.items():
+    for name in only or SECTIONS:
+        fn, iters = SECTIONS[name]
         scaled = max(1, int(round(iters * iters_scale)))
         sections[name] = fn(scaled)
     return {

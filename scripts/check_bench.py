@@ -11,6 +11,12 @@ Usage::
 
     PYTHONPATH=src python scripts/check_bench.py            # compare
     PYTHONPATH=src python scripts/check_bench.py --update   # refresh baseline
+    PYTHONPATH=src python scripts/check_bench.py --update --section population
+
+``--section NAME`` (repeatable) runs only the named sections.  With
+``--update`` it rewrites just those entries of the baseline and leaves
+every other section's anchor byte-for-byte as committed, so one
+measured change cannot re-baseline the drift of twelve others.
 
 The comparison uses ``min_s`` because the per-iteration minimum is the
 most noise-robust statistic on a shared machine.
@@ -65,7 +71,15 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> list[str]:
     return failures
 
 
+def merge_sections(baseline: dict, fresh: dict) -> dict:
+    """``baseline`` with only the freshly run sections replaced."""
+    merged = dict(baseline)
+    merged["sections"] = {**baseline.get("sections", {}), **fresh["sections"]}
+    return merged
+
+
 def main(argv: list[str] | None = None) -> int:
+    suite = _load_suite()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--update", action="store_true",
@@ -79,13 +93,22 @@ def main(argv: list[str] | None = None) -> int:
         "--iters-scale", type=float, default=1.0,
         help="multiply every section's iteration count",
     )
+    parser.add_argument(
+        "--section", action="append", default=[], metavar="NAME",
+        choices=sorted(suite.SECTIONS),
+        help="run only this section (repeatable); with --update, rewrite "
+             "only these sections of the baseline",
+    )
     args = parser.parse_args(argv)
 
-    suite = _load_suite()
-    print("running hot-path suite ...")
-    fresh = suite.run_suite(args.iters_scale)
+    if args.section and not BASELINE.exists():
+        parser.error(f"--section needs an existing baseline at {BASELINE}")
+    print(f"running hot-path suite ({', '.join(args.section) or 'all sections'}) ...")
+    fresh = suite.run_suite(args.iters_scale, only=tuple(args.section))
 
     if args.update:
+        if args.section:
+            fresh = merge_sections(json.loads(BASELINE.read_text()), fresh)
         BASELINE.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
         print(f"baseline updated: {BASELINE}")
         return 0
@@ -95,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     baseline = json.loads(BASELINE.read_text())
+    if args.section:  # sections not asked for are not "missing from the suite"
+        anchors = baseline.get("sections", {})
+        baseline["sections"] = {n: anchors[n] for n in args.section if n in anchors}
     failures = compare(baseline, fresh, args.threshold)
     if failures:
         print("\nperformance regressions detected:", file=sys.stderr)

@@ -45,10 +45,11 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         """Dataset restricted to ``indices`` (copied, order preserved)."""
+        # Indexing with an integer array always allocates: no .copy().
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
-            x=self.x[indices].copy(),
-            y=self.y[indices].copy(),
+            x=self.x[indices],
+            y=self.y[indices],
             num_classes=self.num_classes,
             name=self.name,
         )

@@ -17,11 +17,13 @@ the CLI ``scalability --population`` path report.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from repro.core.adafl import AdaFLSync
 from repro.core.selection import reservoir_sample
+from repro.data.dataset import Dataset
 from repro.data.synthetic import make_image_classification
 from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
@@ -130,6 +132,33 @@ _SMOKE_SHAPE = (1, 6, 6)
 _SMOKE_CLASSES = 4
 
 
+@lru_cache(maxsize=8)
+def _base_shard(
+    samples_per_client: int,
+    num_classes: int,
+    image_shape: tuple[int, int, int],
+    seed: int,
+) -> Dataset:
+    """The shard every client of one factory subsets, built once.
+
+    A pure function of its literal arguments, so memoising it per
+    process cannot change any rebuild; the arrays are frozen and
+    clients only ever receive ``subset`` copies.  Living at module
+    level keeps it out of the factory's pickle (and so of snapshots).
+    """
+    shard = make_image_classification(
+        n_train=samples_per_client,
+        n_test=num_classes,
+        num_classes=num_classes,
+        image_shape=image_shape,
+        noise_std=0.4,
+        seed=seed,  # shared prototypes across the factory's clients
+    )[0]
+    shard.x.setflags(write=False)
+    shard.y.setflags(write=False)
+    return shard
+
+
 @dataclass(frozen=True)
 class SyntheticShardFactory:
     """Picklable ``client_fn`` for virtual populations.
@@ -172,17 +201,15 @@ class SyntheticShardFactory:
     def __call__(self, cid: int) -> Client:
         if not 0 <= cid < self.num_clients:
             raise ValueError(f"client id {cid} out of range")
-        shard = make_image_classification(
-            n_train=self.samples_per_client,
-            n_test=self.num_classes,
-            num_classes=self.num_classes,
-            image_shape=self.image_shape,
-            noise_std=0.4,
-            seed=self.seed,  # shared prototypes ...
-        )[0]
-        # ... but a per-client sample draw: subsetting a per-seed
-        # permutation keeps shards distinct without per-client dataset
-        # generation cost beyond the tiny shard itself.
+        shard = _base_shard(
+            self.samples_per_client,
+            self.num_classes,
+            tuple(self.image_shape),
+            self.seed,
+        )
+        # Shared base shard, per-client sample draw: subsetting (a
+        # copy) by a per-seed permutation keeps shards distinct and
+        # mutation-isolated at no per-client generation cost.
         rng = np.random.default_rng(self.seed * 1_000_003 + cid)
         order = rng.permutation(len(shard))
         return Client(
@@ -258,9 +285,13 @@ def run_population_smoke(
         )
     # Spot-check regeneration determinism on a uniform reservoir sample
     # of ids — O(sample) memory, never an O(population) candidate list.
-    sampled = reservoir_sample(
-        population.ids(), min(sample_check, num_clients),
-        np.random.default_rng(seed + 1),
+    sampled = (
+        reservoir_sample(
+            population.ids(), min(sample_check, num_clients),
+            np.random.default_rng(seed + 1),
+        )
+        if sample_check > 0
+        else []
     )
     rebuilds_verified = 0
     for cid in sampled:

@@ -194,9 +194,14 @@ class ClientPopulation:
         return self._all_ids
 
     def all_ids_array(self) -> np.ndarray:
-        """Cached int64 array of every id; callers must not mutate it."""
+        """Cached read-only int64 array of every id.
+
+        Full-registry uniform selection draws from this array, so a
+        round over 100k clients never converts an id list.
+        """
         if self._all_ids_array is None:
             self._all_ids_array = np.arange(self._num, dtype=np.int64)
+            self._all_ids_array.setflags(write=False)
         return self._all_ids_array
 
     def initial_ids(self, limit: int | None) -> range:
@@ -367,6 +372,9 @@ class ClientPopulation:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_evict_watchers"] = []
+        # Derived id caches are rebuilt on demand, never snapshotted.
+        state["_all_ids"] = None
+        state["_all_ids_array"] = None
         if not self.always_live:
             # Snapshot cost is O(retained + live), never O(population):
             # live clients collapse to their extracted cross-round

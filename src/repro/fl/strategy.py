@@ -231,13 +231,21 @@ class SyncStrategy:
 
         Default: uniform random sample of ``ceil(rate * num_clients)``
         clients, capped by availability — the fixed-``r_p`` scheme all
-        baselines in the paper use.
+        baselines in the paper use.  When every client is available
+        (``available`` is then ``0..n-1`` in order, by construction of
+        the registry) the draw reads the registry's cached id array, so
+        a round never converts an O(population) Python list.
         """
         if not available:
             return []
         want = math.ceil(self.participation_rate * len(context.clients))
         take = min(want, len(available))
-        picked = rng.choice(np.asarray(available), size=take, replace=False)
+        ids_array = getattr(context.clients, "all_ids_array", None)
+        if ids_array is not None and len(available) == len(context.clients):
+            candidates = ids_array()
+        else:
+            candidates = np.asarray(available)
+        picked = rng.choice(candidates, size=take, replace=False)
         return sorted(int(i) for i in picked)
 
     # -- local training config -----------------------------------------

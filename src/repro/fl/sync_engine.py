@@ -298,6 +298,9 @@ class SyncEngine:
         The fault-free fast path returns the registry's cached id list
         — O(1), never an O(population) Python loop; descriptor checks
         only run when churn/crash/fault models are actually attached.
+        Either way the ids come back ascending, so a full-length list
+        is exactly ``0..n-1`` — what lets ``SyncStrategy.select`` draw
+        from ``all_ids_array()`` instead of converting this list.
         """
         if (
             self._churn is None

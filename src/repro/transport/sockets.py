@@ -681,6 +681,7 @@ class RemoteClientPopulation:
     def all_ids_array(self) -> np.ndarray:
         if self._all_ids_arr is None:
             self._all_ids_arr = np.arange(self._num, dtype=np.int64)
+            self._all_ids_arr.setflags(write=False)
         return self._all_ids_arr
 
     def initial_ids(self, limit: int | None) -> range:

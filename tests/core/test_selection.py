@@ -130,10 +130,53 @@ class TestArrayPath:
         assert via_array == via_dict
 
 
+class _CountingRng:
+    """Generator proxy counting every method call made through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class _OneShot:
+    """Iterator (no ``len``, no restart) counting the items it hands out."""
+
+    def __init__(self, n):
+        self._it = iter(range(n))
+        self.pulled = 0
+        self.exhausted = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        try:
+            item = next(self._it)
+        except StopIteration:
+            self.exhausted = True
+            raise
+        self.pulled += 1
+        return item
+
+
 class TestReservoirSample:
     def test_returns_all_when_k_covers_stream(self):
-        rng = np.random.default_rng(0)
+        rng = _CountingRng(np.random.default_rng(0))
         assert reservoir_sample(range(4), 10, rng) == [0, 1, 2, 3]
+        assert rng.calls == 0  # short stream: nothing to draw
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_returns_stream_in_order_when_k_equals_n(self, n):
+        assert reservoir_sample(range(n), n, np.random.default_rng(0)) == list(range(n))
 
     def test_deterministic_given_rng(self):
         a = reservoir_sample(range(1000), 5, np.random.default_rng(42))
@@ -141,10 +184,11 @@ class TestReservoirSample:
         assert a == b
         assert len(a) == 5
         assert len(set(a)) == 5
+        assert all(0 <= cid < 1000 for cid in a)
 
     def test_uniform_ish_coverage(self):
-        # Algorithm R: every element equally likely. With 200 draws of
-        # 10 from 40, each id appears ~50 times; assert a loose band.
+        # Every element equally likely. With 200 draws of 10 from 40,
+        # each id appears ~50 times; assert a loose band.
         counts = np.zeros(40, dtype=np.int64)
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -152,6 +196,58 @@ class TestReservoirSample:
                 counts[cid] += 1
         assert counts.min() > 20
         assert counts.max() < 90
+
+    @pytest.mark.parametrize("n, k", [(40, 10), (9, 8), (200, 1)])
+    def test_uniform_inclusion_chi_square(self, n, k):
+        # Every element is included with probability k/n.  Inclusions
+        # within one draw are negatively correlated (exactly k are
+        # kept), which only shrinks the statistic, so the chi-square
+        # 0.999 quantile at n-1 degrees of freedom is a safe ceiling.
+        draws = 6000
+        counts = np.zeros(n, dtype=np.int64)
+        rng = np.random.default_rng(7)
+        for _ in range(draws):
+            sample = reservoir_sample(iter(range(n)), k, rng)
+            assert len(set(sample)) == k
+            counts[sample] += 1
+        expected = draws * k / n
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        ceiling = {40: 72.1, 9: 26.1, 200: 266.4}[n]  # chi2.ppf(0.999, n-1)
+        assert chi2 < ceiling
+
+    def test_slot_positions_are_uniform_too(self):
+        # Not just *which* ids survive: each late id lands in every
+        # reservoir slot equally often (Algorithm L's random slot).
+        slots = np.zeros(4, dtype=np.int64)
+        rng = np.random.default_rng(11)
+        for _ in range(4000):
+            sample = reservoir_sample(range(50), 4, rng)
+            for pos, cid in enumerate(sample):
+                if cid >= 4:
+                    slots[pos] += 1
+        assert slots.min() / slots.max() > 0.9
+
+    def test_one_shot_generator_consumed_exactly_once(self):
+        stream = _OneShot(5000)
+        sample = reservoir_sample(stream, 6, np.random.default_rng(3))
+        assert len(sample) == 6 and len(set(sample)) == 6
+        assert stream.exhausted
+        assert stream.pulled == 5000  # one pass, every item pulled once
+        assert reservoir_sample(stream, 6, np.random.default_rng(3)) == []
+
+    def test_plain_generator_expression(self):
+        sample = reservoir_sample((i * 3 for i in range(100)), 5, np.random.default_rng(1))
+        assert len(sample) == 5
+        assert all(cid % 3 == 0 and 0 <= cid < 300 for cid in sample)
+
+    @pytest.mark.parametrize("n, k", [(100_000, 8), (100_000, 1), (5_000, 64), (65, 64)])
+    def test_generator_calls_are_skip_ahead_bounded(self, n, k):
+        # Algorithm R made n - k draws; Algorithm L makes three per
+        # replacement and E[replacements] = k * ln(n / k).
+        for seed in range(5):
+            rng = _CountingRng(np.random.default_rng(seed))
+            reservoir_sample(range(n), k, rng)
+            assert rng.calls <= 6 * k * (1 + np.log(n / k))
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,29 @@ class TestSubset:
         sub.x[0] = 99.0
         assert ds.x[1, 0, 0, 0] != 99.0  # no aliasing
 
+    @pytest.mark.parametrize(
+        "indices",
+        [np.arange(10), np.array([4]), np.array([2, 2, 7]), [0, 9], np.arange(3, 8)],
+    )
+    def test_never_shares_memory_with_parent(self, indices):
+        # Integer-array indexing allocates by itself; subset must stay a
+        # copy for every index shape without a second .copy().
+        ds = make_ds(10)
+        sub = ds.subset(indices)
+        assert not np.shares_memory(sub.x, ds.x)
+        assert not np.shares_memory(sub.y, ds.y)
+        assert sub.x.flags.owndata and sub.y.flags.owndata
+        np.testing.assert_array_equal(sub.x, ds.x[np.asarray(indices)])
+
+    def test_subset_of_read_only_parent_is_writable(self):
+        ds = make_ds(6)
+        ds.x.setflags(write=False)
+        ds.y.setflags(write=False)
+        sub = ds.subset(np.array([0, 5]))
+        sub.x[:] = 0.0
+        sub.y[:] = 0
+        assert ds.x.any()
+
 
 class TestBatches:
     def test_covers_all_samples(self):

@@ -124,6 +124,21 @@ class TestRegistry:
         assert list(pop.initial_ids(2)) == [0, 1]
         assert list(pop.initial_ids(99)) == [0, 1, 2, 3, 4]
 
+    def test_id_array_is_cached_frozen_and_never_pickled(self):
+        pop = _virtual(3000)
+        cold = len(pickle.dumps(pop))
+        ids = pop.all_ids_array()
+        assert ids is pop.all_ids_array()
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 7
+        pop.all_ids()
+        # Derived caches stay out of snapshots: O(retained), not O(n).
+        assert len(pickle.dumps(pop)) == cold
+        loaded = pickle.loads(pickle.dumps(pop))
+        assert np.array_equal(loaded.all_ids_array(), ids)
+        assert loaded.all_ids() == pop.all_ids()
+
     def test_out_of_range_and_wrong_factory_id(self):
         pop = _virtual(2)
         with pytest.raises(KeyError):

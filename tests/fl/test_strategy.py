@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fl.client import ClientUpdate
 from repro.fl.strategy import RoundContext, SyncStrategy, weighted_average
@@ -105,3 +107,77 @@ class TestSyncStrategySelection:
         SyncStrategy().aggregate(server, [], RoundContext(0, 0.0, server, []))
         np.testing.assert_array_equal(server.params, before)
         assert server.version == 0
+
+
+class _Registry:
+    """The slice of the population surface ``select`` consults."""
+
+    def __init__(self, n):
+        self._ids = np.arange(n, dtype=np.int64)
+        self._ids.setflags(write=False)
+        self.array_reads = 0
+
+    def __len__(self):
+        return self._ids.size
+
+    def all_ids_array(self):
+        self.array_reads += 1
+        return self._ids
+
+
+def _select(clients, available, rate, seed):
+    ctx = RoundContext(round_index=0, sim_time_s=0.0, server=None, clients=clients)
+    rng = np.random.default_rng(seed)
+    picked = SyncStrategy(participation_rate=rate).select(available, rng, ctx)
+    return picked, rng.bit_generator.state
+
+
+class TestArrayNativeSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        rate=st.floats(0.001, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_full_registry_matches_list_path(self, n, rate, seed):
+        # A list has no all_ids_array: that is the pre-change list path.
+        want, want_state = _select([None] * n, list(range(n)), rate, seed)
+        registry = _Registry(n)
+        got, got_state = _select(registry, list(range(n)), rate, seed)
+        assert got == want
+        assert got_state == want_state  # same draws: later rounds agree too
+        assert registry.array_reads == 1
+        assert all(type(cid) is int for cid in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        rate=st.floats(0.001, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_partial_availability_takes_list_path(self, n, rate, seed, data):
+        missing = data.draw(st.integers(0, n - 1))
+        available = [cid for cid in range(n) if cid != missing]
+        want, _ = _select([None] * n, available, rate, seed)
+        registry = _Registry(n)
+        got, _ = _select(registry, available, rate, seed)
+        assert got == want
+        assert missing not in got
+        assert registry.array_reads == 0
+
+    def test_real_populations_expose_the_cached_array(self):
+        from repro.experiments.scalability import SyntheticShardFactory
+        from repro.fl.population import ClientPopulation, RetentionPolicy
+
+        pop = ClientPopulation(
+            num_clients=50,
+            client_fn=SyntheticShardFactory(num_clients=50),
+            policy=RetentionPolicy(mode="regenerate", max_live=4),
+        )
+        want, _ = _select([None] * 50, list(range(50)), 0.2, 9)
+        got, _ = _select(pop, pop.all_ids(), 0.2, 9)
+        assert got == want
+        assert pop.stats.materializations == 0  # selection touches no client
+        ids = pop.all_ids_array()
+        assert ids is pop.all_ids_array() and not ids.flags.writeable
