@@ -173,6 +173,7 @@ class LintConfig:
     population_module: str = "repro.fl.population"
     population_restricted_modules: frozenset[str] = frozenset(
         {
+            "repro.fl.engine",
             "repro.fl.sync_engine",
             "repro.fl.async_engine",
             "repro.fl.batched",

@@ -15,18 +15,12 @@ data-loss faults destroy delivered uploads in transit.  Every
 occurrence is published on the trace bus, and results are read back
 from the attached :class:`~repro.fl.metrics.MetricsReducer`.
 
-Chaos extensions (all off by default; the legacy event sequence and
-trajectories stay bit-identical): a :class:`~repro.sim.FaultPlan`
-crashes devices (losing in-progress training), corrupts uploaded
-payloads, delays/duplicates uploads, and takes the server itself
-offline; ``config.downlink_retry`` / ``config.uplink_retry`` replace
-the hard-coded retry behaviour with :class:`~repro.sim.RetryPolicy`
-schedules (the default downlink policy reproduces the historical
-constant backoff exactly, but is now *capped* — a client whose model
-broadcast fails ``max_attempts`` times is terminally dropped instead
-of retrying forever); ``config.validation`` screens updates at the
-server before they touch the model.  ``snapshot_path`` makes the run
-crash-safe (see :mod:`repro.fl.snapshot`).
+The per-client leg itself — session, downlink, train, encode, uplink,
+snapshots and the resilience hooks riding on them — is
+:class:`repro.fl.engine._EngineBase`, shared with the synchronous
+engine.  This module owns what makes the protocol *reactive*: the
+event loop, admission gating and halting, the order in which a
+finished upload meets its fate, and the per-arrival server step.
 
 Staleness is measured in server model versions: an update trained from
 version ``v`` arriving when the server is at ``V`` has staleness
@@ -41,28 +35,11 @@ import numpy as np
 
 from repro.fl.batched import train_clients_batched
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.config import FederationConfig
-from repro.fl.faults import FaultInjector
-from repro.fl.metrics import MetricsReducer, RunResult
-from repro.fl.population import ClientPopulation
-from repro.fl.server import Server
-from repro.fl.strategy import AsyncStrategy
-from repro.fl.validation import UpdateValidator, verify_frame
-from repro.network.conditions import NetworkConditions
-from repro.transport.base import PeerGone
-from repro.sim import (
-    AGGREGATED,
-    DROPPED,
-    EVALUATED,
-    EventTrace,
-    FaultPlan,
-    HALTED,
-    RetryPolicy,
-    RUN_END,
-    RUN_START,
-    SimKernel,
-    WOKEN,
-)
+from repro.fl.engine import _EngineBase
+from repro.fl.metrics import RunResult
+from repro.fl.validation import verify_frame
+from repro.sim import AGGREGATED, DROPPED, EVALUATED, HALTED, RUN_END, WOKEN
+from repro.sim import RetryPolicy
 
 __all__ = ["AsyncEngine", "DOWNLINK_RETRY_BACKOFF"]
 
@@ -71,13 +48,6 @@ __all__ = ["AsyncEngine", "DOWNLINK_RETRY_BACKOFF"]
 # lands at ``(1 + backoff) * duration`` after the original dispatch.
 # Each retry re-rolls the link and is charged its own bytes.
 DOWNLINK_RETRY_BACKOFF = 1.0
-
-# The historical downlink schedule as a policy: constant backoff, one
-# drop event per failed attempt — but now capped so a dead link cannot
-# spin a client forever.
-_DEFAULT_DOWNLINK_RETRY = RetryPolicy(
-    max_attempts=8, backoff_frac=DOWNLINK_RETRY_BACKOFF, multiplier=1.0
-)
 
 _MODEL_ARRIVAL = "model_arrival"
 _MODEL_RETRY = "model_retry"
@@ -92,130 +62,35 @@ class _InFlight:
     delta: np.ndarray
     num_bytes: int
     base_version: int
-    frame_bytes: bytes = b""
+    frame_bytes: bytes
 
 
-class AsyncEngine:
-    """Runs an asynchronous federated training session."""
+class AsyncEngine(_EngineBase):
+    """Runs an asynchronous federated training session.
 
-    def __init__(
-        self,
-        server: Server,
-        clients: "list[Client] | ClientPopulation",
-        strategy: AsyncStrategy,
-        config: FederationConfig,
-        network: NetworkConditions | None = None,
-        device_flops: np.ndarray | None = None,
-        churn=None,
-        faults: FaultInjector | None = None,
-        chaos: FaultPlan | None = None,
-        trace: EventTrace | None = None,
-        snapshot_path=None,
-        snapshot_every: int | None = None,
-        on_snapshot=None,
-        transport=None,
-    ):
-        # A remote transport owns the client processes; its population
-        # facade replaces any clients argument.  In-memory transports
-        # (None or InMemoryTransport) keep the historical path exactly.
-        self._transport = transport
-        self._remote = bool(transport is not None and getattr(transport, "remote", False))
-        if self._remote:
-            if snapshot_path is not None:
-                raise ValueError(
-                    "snapshots are not supported over a remote transport "
-                    "(worker-side client state is not reachable)"
-                )
-            self.clients = ClientPopulation.ensure(transport.population())
-        else:
-            if clients is None or not len(clients):
-                raise ValueError("need at least one client")
-            # The engine resolves every client through the population
-            # registry; a plain list becomes the always-live compat wrapper.
-            self.clients = ClientPopulation.ensure(clients)
-        self.server = server
-        self.strategy = strategy
-        self.config = config
-        self.faults = faults if faults is not None else FaultInjector()
-        # Availability churn (repro.network.churn); None = always on.
-        self._churn = churn
-        self._chaos = chaos
-        if chaos is not None:
-            chaos.bind(config.seed, len(self.clients))
-        self._validator = (
-            UpdateValidator(config.validation) if config.validation is not None else None
-        )
-        self._dl_policy = config.downlink_retry or _DEFAULT_DOWNLINK_RETRY
-        self._ul_policy = config.uplink_retry or RetryPolicy.single()
-        self._kernel = SimKernel(
-            seed=config.seed,
-            num_clients=len(self.clients),
-            network=network,
-            device_flops=device_flops,
-            trace=trace,
-        )
-        self.network = self._kernel.network
-        self.device_flops = self._kernel.device_flops
-        self._rng = self._kernel.rng
-        self._trace = self._kernel.trace
-        self._reducer = self._trace.add_sink(MetricsReducer())
-        if transport is not None:
-            # Reconnect jitter draws from the kernel's named streams
-            # and drops surface on the engine's trace bus.
-            transport.bind_kernel(self._kernel, self._trace)
-        self._halted: list[int] = []
-        self._total_updates = 0
-        self.snapshot_path = snapshot_path
-        self.snapshot_every = snapshot_every if snapshot_every is not None else 1
-        self._on_snapshot = on_snapshot
-        self._last_snapshot_at = -1
-        # Reused MultiClientTrainer instances, keyed by cohort+config
-        # (see repro.fl.batched).  Session-local: deliberately excluded
-        # from snapshot_state, a resumed engine rebuilds on first use.
-        self._batched_cache: dict = {}
-        # The trainer cache holds references into client models; when
-        # the registry evicts a client those references go stale, so
-        # the eviction watcher drops the affected cohorts.  Watchers
-        # are transient — re-registered here on every (re)construction.
-        self.clients.on_evict(self._on_client_evicted)
+    The constructor is the shared session's, with an
+    :class:`~repro.fl.strategy.AsyncStrategy` as ``strategy``.
+    """
 
-    def _on_client_evicted(self, cid: int) -> None:
-        if self._batched_cache:
-            dead = [k for k in self._batched_cache if cid in k[0]]
-            for k in dead:
-                del self._batched_cache[k]
+    mode = "async"
+    # The historical downlink schedule as a policy: constant backoff,
+    # one drop event per failed attempt — but capped, so a dead link
+    # terminally drops the client instead of spinning it forever.
+    default_downlink = RetryPolicy(
+        max_attempts=8, backoff_frac=DOWNLINK_RETRY_BACKOFF, multiplier=1.0
+    )
+    fresh_extra = {"halted": [], "total_updates": 0, "last_snapshot_at": -1}
 
-    @property
-    def sim_time_s(self) -> float:
-        """Simulated seconds elapsed (the kernel clock)."""
-        return self._kernel.now
-
-    @property
-    def trace(self) -> EventTrace:
-        """The engine's telemetry bus (attach sinks before ``run``)."""
-        return self._trace
-
-    # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        """Simulate until ``max_sim_time_s`` (or ``max_updates``) and report."""
-        return self._run(resume=False)
+        """Simulate until ``max_sim_time_s`` (or ``max_updates``) and report.
 
-    def resume(self) -> RunResult:
-        """Finish a snapshotted run; the result covers the *whole* run."""
-        return self._run(resume=True)
-
-    def _run(self, resume: bool) -> RunResult:
+        On a snapshotted engine (``resume``) that finishes the run; the
+        result covers the *whole* run either way.
+        """
         local_cfg = self.strategy.local_config(self.config.local)
-        if not resume:
+        if self._total_updates == 0:  # snapshots are only written after an update
             self.strategy.prepare(self.server, self.clients)
-            self._trace.emit(
-                RUN_START,
-                self._kernel.now,
-                mode="async",
-                method=self.strategy.name,
-                num_clients=len(self.clients),
-                model_bytes=self.strategy.encode_model(self.server).payload_nbytes,
-            )
+            self._emit_run_start()
             # Boot the reactive loop: every client (or the capped
             # cohort at population scale) receives the initial model.
             for cid in self.clients.initial_ids(self.config.async_cohort):
@@ -225,10 +100,7 @@ class AsyncEngine:
         # A snapshot can land exactly at the update budget (the run
         # finished right after writing it); resuming such a run must
         # not process the still-queued in-flight arrivals.
-        done = (
-            self.config.max_updates is not None
-            and self._total_updates >= self.config.max_updates
-        )
+        done = self._budget_spent()
         while not done:
             for event in self._kernel.queue.drain_until(horizon):
                 if event.kind == _MODEL_ARRIVAL:
@@ -247,11 +119,7 @@ class AsyncEngine:
                             payloads.append(queue.pop().payload)
                     self._on_model_arrivals(payloads, local_cfg)
                 elif event.kind == _MODEL_RETRY:
-                    self._dispatch_model(
-                        event.payload["cid"],
-                        forced=event.payload["forced"],
-                        attempt=event.payload.get("attempt", 1),
-                    )
+                    self._dispatch_model(**event.payload)
                 elif event.kind == _UPDATE_ARRIVAL:
                     self._on_update_arrival(event.payload)
                     if (
@@ -261,10 +129,8 @@ class AsyncEngine:
                         and self._total_updates != self._last_snapshot_at
                     ):
                         self._write_snapshot()
-                    if (
-                        self.config.max_updates is not None
-                        and self._total_updates >= self.config.max_updates
-                    ):
+                        self._last_snapshot_at = self._total_updates
+                    if self._budget_spent():
                         done = True
                         break
                 else:  # pragma: no cover - defensive
@@ -288,114 +154,38 @@ class AsyncEngine:
         self._trace.emit(RUN_END, self._kernel.now, updates=self._total_updates)
         return self._reducer.result()
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def _write_snapshot(self) -> None:
-        from repro.fl.snapshot import save_snapshot
+    resume = run
 
-        save_snapshot(self, self.snapshot_path)
-        self._last_snapshot_at = self._total_updates
-        if self._on_snapshot is not None:
-            self._on_snapshot(self)
-
-    def snapshot_state(self) -> dict:
-        """Everything needed to rebuild this engine mid-run (pickle-safe)."""
-        from repro.fl.snapshot import kernel_state
-
-        return {
-            "mode": "async",
-            "server": self.server,
-            "clients": self.clients,
-            "strategy": self.strategy,
-            "config": self.config,
-            "faults": self.faults,
-            "chaos": self._chaos,
-            "churn": self._churn,
-            "network": self.network,
-            "device_flops": self.device_flops,
-            "validator": self._validator,
-            "kernel": kernel_state(self._kernel),
-            "trace_seq": self._trace._seq,
-            "reducer": self._reducer,
-            "extra": {
-                "halted": list(self._halted),
-                "total_updates": self._total_updates,
-                "last_snapshot_at": self._last_snapshot_at,
-            },
-        }
-
-    def restore_extra(self, extra: dict) -> None:
-        """Engine-specific state counterpart of ``snapshot_state``."""
-        self._halted = list(extra["halted"])
-        self._total_updates = int(extra["total_updates"])
-        self._last_snapshot_at = int(extra["last_snapshot_at"])
-
-    # ------------------------------------------------------------------
-    def _retry_rng(self, cid: int, policy: RetryPolicy):
-        """Jitter stream for retries; None keeps the schedule exact."""
-        if policy.jitter_frac <= 0.0:
-            return None
-        return self._kernel.stream("retry", cid)
+    def _budget_spent(self) -> bool:
+        budget = self.config.max_updates
+        return budget is not None and self._total_updates >= budget
 
     def _dispatch_model(self, cid: int, forced: bool = False, attempt: int = 1) -> None:
         """Send the current global model to a client."""
         now = self._kernel.now
-        outage = self._chaos.outage if self._chaos is not None else None
+        outage = self._chaos.outage
         if outage is not None and outage.is_down(now):
             # The server cannot broadcast while it is dark; the client
             # re-requests as soon as it comes back.
             resume = outage.next_up(now)
             self._trace.emit(HALTED, now, cid, cause="server_down", until=resume)
-            self._kernel.queue.push(
-                resume, _MODEL_RETRY, {"cid": cid, "forced": forced, "attempt": attempt}
-            )
+            self._retry_dispatch(resume, cid, forced, attempt)
             return
-        model_frame = self.strategy.encode_model(self.server)
-        nbytes = self.strategy.downlink_bytes(self.server)
-        payload = {"cid": cid, "forced": forced}
-        leg = self._kernel.downlink(
-            cid,
-            nbytes,
-            now,
-            extra={
-                "codec": "none",
-                "frame_len": len(model_frame) + (nbytes - model_frame.payload_nbytes),
-            },
+        received, down_s, backoff_s = self._downlink_attempt(cid, now, attempt=attempt)
+        if received:
+            payload = {"cid": cid, "forced": forced}
+            self._kernel.queue.push(now + down_s, _MODEL_ARRIVAL, payload)
+        elif backoff_s is not None:
+            # Lost broadcast: back off, then retry from scratch.  Out
+            # of attempts (no backoff) the client sits the rest of the
+            # run out.
+            self._retry_dispatch(now + down_s + backoff_s, cid, forced, attempt + 1)
+
+    def _retry_dispatch(self, t: float, cid: int, forced=False, attempt=1) -> None:
+        """Queue a fresh ``_dispatch_model`` for ``cid`` at ``t``."""
+        self._kernel.queue.push(
+            t, _MODEL_RETRY, {"cid": cid, "forced": forced, "attempt": attempt}
         )
-        if not leg.delivered:
-            # Lost broadcast: back off, then retry from scratch.  The
-            # failed attempt was already charged by the kernel.
-            if self._dl_policy.exhausted(attempt):
-                # Out of attempts: the client never receives a model
-                # and sits the rest of the run out (terminal drop).
-                self._trace.emit(
-                    DROPPED,
-                    now + leg.duration_s,
-                    cid,
-                    reason="downlink_lost",
-                    terminal=True,
-                    attempts=attempt,
-                )
-                return
-            self._trace.emit(
-                DROPPED,
-                now + leg.duration_s,
-                cid,
-                reason="downlink_lost",
-                attempt=attempt,
-            )
-            retry_at = (
-                now
-                + leg.duration_s
-                + self._dl_policy.backoff_s(
-                    attempt, leg.duration_s, self._retry_rng(cid, self._dl_policy)
-                )
-            )
-            payload["attempt"] = attempt + 1
-            self._kernel.queue.push(retry_at, _MODEL_RETRY, payload)
-            return
-        self._kernel.queue.push(now + leg.duration_s, _MODEL_ARRIVAL, payload)
 
     def _on_model_arrivals(self, payloads: list[dict], local_cfg) -> None:
         """Handle one or more same-instant model arrivals.
@@ -418,39 +208,23 @@ class AsyncEngine:
         ids = [c.client_id for c in trainees]
         if len(trainees) > 1 and len(set(ids)) == len(ids) and not self._remote:
             batched = train_clients_batched(
-                trainees,
-                self.server.params,
-                local_cfg,
-                round_index=self.server.version,
-                cache=self._batched_cache,
+                trainees, self.server.params, local_cfg,
+                round_index=self.server.version, cache=self._batched_cache,
             )
         elif self._remote and len(trainees) > 1:
             # Remote analogue of the opportunistic fusion: pipeline the
             # burst's train requests so the owning worker processes run
             # in parallel; replies are consumed in serial order below.
-            self._transport.prefetch_train(
-                ids, self.server.params, self.server.version, {}
-            )
+            version = self.server.version
+            self._transport.prefetch_train(ids, self.server.params, version, {})
         for client in trainees:
             if batched is not None:
                 update = batched[client.client_id]
             else:
-                try:
-                    update = client.local_train(
-                        self.server.params, local_cfg, round_index=self.server.version
-                    )
-                except PeerGone as exc:
-                    # The owning worker process died: terminal for this
-                    # client — no restart event will ever revive it.
-                    self._trace.emit(
-                        DROPPED,
-                        self._kernel.now,
-                        client.client_id,
-                        reason="crash",
-                        cause="transport",
-                        terminal=True,
-                        attempts=exc.attempts,
-                    )
+                update = self._train_one(
+                    client, local_cfg, self.server.version, self._kernel.now
+                )
+                if update is None:
                     continue
             self._finish_model_arrival(client, update)
         # The arrival burst is fully processed: trim materialised
@@ -471,9 +245,7 @@ class AsyncEngine:
             # The owning worker process is dead; the model arrival is
             # undeliverable and the client sits the rest of the run out
             # (UNCOUNTED, like a device that never came online).
-            self._trace.emit(
-                DROPPED, now, cid, reason="offline", cause="transport"
-            )
+            self._trace.emit(DROPPED, now, cid, reason="offline", cause="transport")
             return None
         if payload.pop("resumed", False):
             self._trace.emit(WOKEN, now, cid, cause="online")
@@ -487,7 +259,7 @@ class AsyncEngine:
             payload["resumed"] = True
             self._kernel.queue.push(resume, _MODEL_ARRIVAL, payload)
             return None
-        crash = self._chaos.crash if self._chaos is not None else None
+        crash = self._chaos.crash
         if crash is not None and crash.is_down(cid, now):
             # The device is crashed right now; it restarts with the
             # model it already holds and picks the work back up.
@@ -496,22 +268,20 @@ class AsyncEngine:
             payload["restarted"] = True
             self._kernel.queue.push(restart, _MODEL_ARRIVAL, payload)
             return None
-        if not payload["forced"] and not self.faults.available(
-            cid, self.server.version
-        ):
+        cause = None
+        if payload["forced"]:
+            pass  # the deadlock guard overrides both parking gates
+        elif not self.faults.available(cid, self.server.version):
             # Dropout fault: the device is dark; park it until the next
             # global model version, like a strategy halt.
-            self._trace.emit(HALTED, now, cid, cause="fault")
-            client.halted = True
-            self._halted.append(cid)
-            return None
-        if not payload["forced"] and not self.strategy.should_train(
-            client, self.server, now
-        ):
+            cause = "fault"
+        elif not self.strategy.should_train(client, self.server, now):
             # AdaFL halting: park the client until the next global
             # model version (paper §V, Q3 — halted clients save the
             # training *and* communication cost).
-            self._trace.emit(HALTED, now, cid, cause="strategy")
+            cause = "strategy"
+        if cause is not None:
+            self._trace.emit(HALTED, now, cid, cause=cause)
             client.halted = True
             self._halted.append(cid)
             return None
@@ -520,167 +290,87 @@ class AsyncEngine:
         return client
 
     def _finish_model_arrival(self, client: Client, update: ClientUpdate) -> None:
-        """Post-training half of a model arrival: compute/crash
-        accounting, upload encoding, uplink legs, and re-queue."""
+        """Post-training half of a model arrival: encode, upload, and
+        schedule what the outcome calls for."""
         cid = client.client_id
         now = self._kernel.now
-        crash = self._chaos.crash if self._chaos is not None else None
+        chaos = self._chaos
         update.extras["base_params"] = self.server.params.copy()
-        compute_s = self._kernel.compute(cid, update.flops, now)
-        if crash is not None:
-            crash_t = crash.crash_in(cid, now, now + compute_s)
-            if crash_t is not None:
-                # Crash mid-training: the in-progress work is lost; the
-                # device refetches a fresh model once it restarts.
-                restart = crash.next_up(cid, crash_t)
-                self._trace.emit(DROPPED, crash_t, cid, reason="crash", until=restart)
-                self._kernel.queue.push(
-                    restart,
-                    _MODEL_RETRY,
-                    {"cid": cid, "forced": False, "attempt": 1},
-                )
-                return
-        try:
-            packet = self.strategy.process_upload(client, update, now + compute_s)
-        except PeerGone as exc:
-            # The worker died between training and upload encoding
-            # (compression is a worker-side RPC for remote clients).
-            self._trace.emit(
-                DROPPED,
-                now + compute_s,
-                cid,
-                reason="crash",
-                cause="transport",
-                terminal=True,
-                attempts=exc.attempts,
-            )
+        enc = self._encode_upload(client, update, now, now)
+        if enc.packet is None:
+            if enc.restart_at is not None:
+                # Crash mid-training: the device refetches a fresh
+                # model once it restarts.
+                self._retry_dispatch(enc.restart_at, cid)
             return
-        if self._validator is not None:
-            self._validator.stamp(update)
-        delta = packet.delta
-        frame_bytes = packet.frame.to_bytes()
-        nbytes = packet.nbytes
-        up_extra = {"codec": packet.frame_codec, "frame_len": packet.wire_nbytes}
-        if packet.subspace is not None:
-            # Record the covered coordinates for subspace-aware folds.
-            update.extras["subspace"] = packet.subspace
+        ready = now + enc.compute_s
+        delivered, attempts, up_s, extra_s = self._uplink(cid, enc.packet, ready)
+        arrival = ready + extra_s + up_s
 
-        # -- uplink (policy-driven retries; default is one attempt) --
-        attempt = 1
-        up_start = now + compute_s
-        while True:
-            leg = self._kernel.uplink(cid, nbytes, up_start, extra=up_extra)
-            arrival = up_start + leg.duration_s
-            if leg.delivered or self._ul_policy.exhausted(attempt):
-                break
-            self._trace.emit(
-                DROPPED, arrival, cid, reason="uplink_lost", attempt=attempt
-            )
-            up_start = arrival + self._ul_policy.backoff_s(
-                attempt, leg.duration_s, self._retry_rng(cid, self._ul_policy)
-            )
-            attempt += 1
-        delivered = leg.delivered
+        # The upload's fate, in reactive order: lost -> fault ->
+        # ACK/NACK -> stale -> corrupt (verify happens on arrival).
         if not delivered:
-            data = (
-                {"terminal": True, "attempts": attempt}
-                if self._ul_policy.max_attempts > 1
-                else {}
-            )
-            self._trace.emit(DROPPED, arrival, cid, reason="uplink_lost", **data)
+            self._drop_uplink_lost(arrival, cid, attempts)
         elif self.faults.upload_lost(cid, self._rng):
             # Data-loss fault: the update made it across the link but
             # is destroyed in transit.
             delivered = False
             self._trace.emit(DROPPED, arrival, cid, reason="fault")
-        try:
-            self.strategy.on_upload_result(client, delivered, now + compute_s)
-        except PeerGone:
-            # NACK restore against a dead worker: its residual state is
-            # gone with it; the death itself surfaces as drops through
-            # the down-worker gate, so don't double-count here.
-            pass
-        if delivered:
-            stale = self._chaos.stale if self._chaos is not None else None
-            duplicate = False
-            if stale is not None:
-                extra_delay, duplicate = stale.upload_effects(cid)
-                arrival += extra_delay
-            corruption = (
-                self._chaos.corruption if self._chaos is not None else None
-            )
-            if corruption is not None:
-                delta, tampered = corruption.corrupt_upload(cid, delta, frame_bytes)
-                if tampered is not None:
-                    frame_bytes = tampered
-            inflight = _InFlight(
-                update=update,
-                delta=delta,
-                num_bytes=nbytes,
-                base_version=update.round_index,
-                frame_bytes=frame_bytes,
-            )
-            self._kernel.queue.push(arrival, _UPDATE_ARRIVAL, inflight)
-            if duplicate:
-                # The transport delivered the same upload twice; the
-                # copy shares the original's serial stamp, so the
-                # validator (if any) refuses it on arrival.
-                self._kernel.queue.push(arrival, _UPDATE_ARRIVAL, inflight)
-        else:
+        self._upload_result(client, delivered, ready)
+        if not delivered:
             # Update lost in transit: client fetches a fresh model and
             # goes again (wasted compute, exactly as on real links).
-            self._kernel.queue.push(
-                arrival, _MODEL_ARRIVAL, {"cid": cid, "forced": False}
-            )
+            payload = {"cid": cid, "forced": False}
+            self._kernel.queue.push(arrival, _MODEL_ARRIVAL, payload)
+            return
+        duplicate = False
+        if chaos.stale is not None:
+            extra_delay, duplicate = chaos.stale.upload_effects(cid)
+            arrival += extra_delay
+        delta, frame_bytes = self._tamper(cid, enc.packet.delta, enc.frame_bytes)
+        nbytes, version = enc.packet.nbytes, update.round_index
+        inflight = _InFlight(update, delta, nbytes, version, frame_bytes)
+        # A duplicated delivery (the transport delivered the same upload
+        # twice) shares the original's serial stamp, so the validator
+        # (if any) refuses the copy on arrival.
+        for _ in range(2 if duplicate else 1):
+            self._kernel.queue.push(arrival, _UPDATE_ARRIVAL, inflight)
 
     def _on_update_arrival(self, payload: _InFlight) -> None:
         now = self._kernel.now
         cid = payload.update.client_id
-        outage = self._chaos.outage if self._chaos is not None else None
+        outage = self._chaos.outage
         if outage is not None and outage.is_down(now):
             # The update arrived at a dark server: it is lost, and the
             # client re-requests a model once the server returns.
             resume = outage.next_up(now)
-            self._trace.emit(
-                DROPPED, now, cid, reason="server_down", until=resume
-            )
-            self._kernel.queue.push(
-                resume, _MODEL_RETRY, {"cid": cid, "forced": False, "attempt": 1}
-            )
+            self._trace.emit(DROPPED, now, cid, reason="server_down", until=resume)
+            self._retry_dispatch(resume, cid)
             return
         # Server receipt: the frame's CRC-32 is checked before the
         # payload is trusted — unconditionally, whatever the validation
         # config says (a damaged frame is never decodable).
-        if payload.frame_bytes and verify_frame(payload.frame_bytes) is not None:
-            self._trace.emit(DROPPED, now, cid, reason="corrupt_frame")
-            self._dispatch_model(cid)
-            return
+        reason = verify_frame(payload.frame_bytes)
         staleness = max(0, self.server.version - payload.base_version)
-        if self._validator is not None:
-            if self._validator.check_replay(payload.update) is not None:
+        validator = self._validator
+        if reason is None and validator is not None:
+            if validator.check_replay(payload.update) is not None:
                 # A duplicate delivery: refuse it and stop — the
                 # original already triggered the client's next cycle.
                 self._trace.emit(DROPPED, now, cid, reason="stale", duplicate=True)
                 return
-            reason = self._validator.check_staleness(staleness)
-            if reason is None:
-                reason = self._validator.screen(payload.delta)
-            if reason is not None:
-                self._trace.emit(DROPPED, now, cid, reason=reason)
-                self._dispatch_model(cid)
-                return
-        changed = self.strategy.on_update(
-            self.server, payload.update, payload.delta, staleness
-        )
+            reason = validator.check_staleness(staleness)
+            reason = reason or validator.screen(payload.delta)
+        if reason is not None:
+            self._trace.emit(DROPPED, now, cid, reason=reason)
+            self._dispatch_model(cid)
+            return
+        update, delta = payload.update, payload.delta
+        changed = self.strategy.on_update(self.server, update, delta, staleness)
         self._total_updates += 1
         self._trace.emit(
-            AGGREGATED,
-            now,
-            cid,
-            update=self._total_updates - 1,
-            staleness=staleness,
-            applied=bool(changed),
-            nbytes=payload.num_bytes,
+            AGGREGATED, now, cid, update=self._total_updates - 1, staleness=staleness,
+            applied=bool(changed), nbytes=payload.num_bytes,
         )
         if self._total_updates % self.config.eval_every == 0:
             accuracy, loss = self.server.evaluate()

@@ -206,7 +206,31 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     return out
 
 
-class SyncStrategy:
+class _ModelBroadcast:
+    """The model-broadcast half of the wire format, shared by both
+    strategy families (subclasses may override either method)."""
+
+    def encode_model(
+        self, server: Server, subspace: ParamSubspace | None = None
+    ) -> Frame:
+        """The model broadcast frame (cached per version and subspace).
+
+        ``subspace=None`` (or a full subspace) is the legacy dense
+        broadcast; a partial subspace yields a masked frame carrying
+        only the covered coordinates — the sub-model downlink of
+        Adaptive Federated Dropout.
+        """
+        cache = getattr(self, "_model_frames", None)
+        if cache is None:
+            cache = self._model_frames = _ModelFrameCache()
+        return cache.get(server, subspace)
+
+    def downlink_bytes(self, server: Server) -> int:
+        """Bytes of the model broadcast each participant downloads."""
+        return self.encode_model(server).payload_nbytes
+
+
+class SyncStrategy(_ModelBroadcast):
     """Base synchronous strategy: random selection, dense uploads, FedAvg-style hooks."""
 
     name = "sync-base"
@@ -269,25 +293,6 @@ class SyncStrategy:
         del client
         return _dense_upload(update, context.server.version)
 
-    def encode_model(
-        self, server: Server, subspace: ParamSubspace | None = None
-    ) -> Frame:
-        """The model broadcast frame (cached per version and subspace).
-
-        ``subspace=None`` (or a full subspace) is the legacy dense
-        broadcast; a partial subspace yields a masked frame carrying
-        only the covered coordinates — the sub-model downlink of
-        Adaptive Federated Dropout.
-        """
-        cache = getattr(self, "_model_frames", None)
-        if cache is None:
-            cache = self._model_frames = _ModelFrameCache()
-        return cache.get(server, subspace)
-
-    def downlink_bytes(self, server: Server) -> int:
-        """Bytes of the model broadcast each participant downloads."""
-        return self.encode_model(server).payload_nbytes
-
     def on_upload_result(
         self, client: Client, delivered: bool, context: RoundContext
     ) -> None:
@@ -308,7 +313,7 @@ class SyncStrategy:
         server.apply_delta(weighted_average(updates))
 
 
-class AsyncStrategy:
+class AsyncStrategy(_ModelBroadcast):
     """Base asynchronous strategy: server reacts to one update at a time."""
 
     name = "async-base"
@@ -325,18 +330,6 @@ class AsyncStrategy:
         """Encode one upload into an :class:`UploadPacket`."""
         del client, sim_time_s
         return _dense_upload(update, update.extras.get("base_version", 0))
-
-    def encode_model(
-        self, server: Server, subspace: ParamSubspace | None = None
-    ) -> Frame:
-        """The model broadcast frame (cached per version and subspace)."""
-        cache = getattr(self, "_model_frames", None)
-        if cache is None:
-            cache = self._model_frames = _ModelFrameCache()
-        return cache.get(server, subspace)
-
-    def downlink_bytes(self, server: Server) -> int:
-        return self.encode_model(server).payload_nbytes
 
     def on_upload_result(self, client: Client, delivered: bool, sim_time_s: float) -> None:
         """Delivery feedback (ACK/NACK) for the client's last upload."""

@@ -109,6 +109,46 @@ class TestBitflipCaughtByCrc:
         assert result.total_rejected > 0
 
 
+class _TruncatingCorruption(PayloadCorruptionModel):
+    """Every upload arrives cut down to its first ``keep`` bytes."""
+
+    def __init__(self, keep: int):
+        super().__init__(prob=1.0, kind="bitflip")
+        self.keep = keep
+
+    def corrupt_upload(self, client_id, delta, frame_bytes):
+        return delta, frame_bytes[: self.keep]
+
+
+class TestTruncatedFrameFailsClosed:
+    """An upload truncated to nothing — or to its bare header — must be
+    refused at receipt by both engines, never aggregated unchecked."""
+
+    @pytest.mark.parametrize("keep", [0, FRAME_OVERHEAD], ids=["empty", "header_only"])
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_rejected_as_corrupt_frame(self, mode, keep):
+        chaos = FaultPlan(_TruncatingCorruption(keep))
+        sink = RingBufferSink()
+        if mode == "sync":
+            server, clients = _federation(10)
+            engine = SyncEngine(
+                server, clients, FedAvg(participation_rate=1.0), _sync_config(2),
+                chaos=chaos, trace=EventTrace([sink]),
+            )
+        else:
+            server, clients = _federation(20)
+            engine = AsyncEngine(
+                server, clients, FedAsync(),
+                replace(_async_config(6), max_sim_time_s=0.002),
+                chaos=chaos, trace=EventTrace([sink]),
+            )
+        result = engine.run()
+        drops = _drops_by_reason(sink.events())
+        assert set(drops) == {"corrupt_frame"} and drops["corrupt_frame"] > 0
+        assert result.total_uploads == 0  # neither engine counts the update
+        assert server.version == 0
+
+
 class TestFrameMetadataOnEveryLeg:
     def _assert_framed(self, events):
         legs = [ev for ev in events if ev.type in (UPLINK_END, DOWNLINK_END)]

@@ -1,0 +1,264 @@
+"""Pinned full-trace digests for the resilience paths of both engines.
+
+``equivalence_baseline.json`` pins six trajectories, none of which
+reaches a :class:`~repro.sim.FaultPlan`, a retry policy with jitter,
+update validation, the round deadline under a lossy uplink, or a
+``FaultInjector`` combined with churn.  Each case here drives one of
+those paths on every engine that supports it, and is pinned much
+harder than a trajectory: the sha256 of the complete JSONL trace
+(every event, timestamp and data field) plus the run's records.
+
+``python -m tests.fl.trace_digest_cases`` rewrites
+``data/trace_digests.json``.  The committed file was generated on the
+commit *before* the shared engine base (``repro.fl.engine``) existed,
+so ``test_trace_digests.py`` proves that refactor moved no event.
+
+One case is not digested: an asynchronous run whose ``uplink_retry``
+allows several attempts.  The shared uplink loop accumulates failed
+attempt time relative to the leg's start (``s + (d + b)``) where the
+old async loop chained absolute times (``(s + d) + b``), so retried
+upload times may move by one ulp.  That case stores its full event
+list and is compared on sequence, taxonomy and bytes exactly, and on
+times at ``rel=1e-12``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from repro.fl.async_engine import AsyncEngine
+from repro.fl.baselines import FedAsync, FedAvg
+from repro.fl.faults import FaultInjector
+from repro.fl.metrics import RunResult
+from repro.fl.sync_engine import SyncEngine
+from repro.fl.validation import ValidationConfig
+from repro.network.churn import ChurnModel
+from repro.network.conditions import ClientNetwork, NetworkConditions
+from repro.network.link import LinkModel
+from repro.sim import (
+    ClientCrashModel,
+    EventTrace,
+    FaultPlan,
+    JsonlSink,
+    PayloadCorruptionModel,
+    RetryPolicy,
+    ServerOutageModel,
+    StaleUploadModel,
+)
+from tests.fl.equiv_cases import (
+    NUM_CLIENTS,
+    _async_config,
+    _federation,
+    _sync_config,
+    trajectory,
+)
+
+DIGEST_PATH = Path(__file__).parent / "data" / "trace_digests.json"
+
+# Devices slow enough that local training takes tens of milliseconds —
+# the same scale as a transfer — so crashes can land mid-training.
+_SLOW_DEVICES = np.full(NUM_CLIENTS, 2e6)
+
+_JITTERY_RETRY = RetryPolicy(max_attempts=3, backoff_frac=0.5, jitter_frac=0.3)
+
+
+def _net(uplink_loss: float = 0.0, downlink_loss: float = 0.0) -> NetworkConditions:
+    """Jittered links, so every transfer draws from the root RNG."""
+    up = LinkModel(bandwidth_mbps=8.0, latency_ms=5.0, jitter_ms=2.0,
+                   loss_rate=uplink_loss)
+    down = LinkModel(bandwidth_mbps=20.0, latency_ms=5.0, jitter_ms=2.0,
+                     loss_rate=downlink_loss)
+    return NetworkConditions(
+        clients=[ClientNetwork(uplink=up, downlink=down) for _ in range(NUM_CLIENTS)]
+    )
+
+
+def _chaos_plan() -> FaultPlan:
+    return FaultPlan(
+        ClientCrashModel(mtbf_s=0.15, mean_downtime_s=0.03),
+        StaleUploadModel(delay_prob=0.4, mean_delay_s=0.02, duplicate_prob=0.3),
+        PayloadCorruptionModel(prob=0.25, kind="bitflip"),
+        ServerOutageModel(windows=[(0.06, 0.1), (0.12, 0.2), (0.45, 0.5)]),
+    )
+
+
+_ENGINE_KWARGS = ("network", "faults", "churn", "chaos", "device_flops")
+
+
+def _split(kwargs: dict) -> tuple[dict, dict]:
+    """``(engine kwargs, FederationConfig overrides)``."""
+    engine = {k: kwargs.pop(k) for k in _ENGINE_KWARGS if k in kwargs}
+    return engine, kwargs
+
+
+def _sync(rounds: int, *, rate: float = 1.0, trace=None,
+          deadline: float | None = None, **kwargs) -> RunResult:
+    server, clients = _federation(10)
+    engine_kwargs, overrides = _split(kwargs)
+    config = replace(_sync_config(rounds, deadline=deadline), **overrides)
+    return SyncEngine(server, clients, FedAvg(participation_rate=rate), config,
+                      trace=trace, **engine_kwargs).run()
+
+
+def _async(max_updates: int, *, trace=None, **kwargs) -> RunResult:
+    server, clients = _federation(20)
+    engine_kwargs, overrides = _split(kwargs)
+    config = replace(_async_config(max_updates), **overrides)
+    return AsyncEngine(server, clients, FedAsync(), config, trace=trace,
+                       **engine_kwargs).run()
+
+
+# -- FaultPlan: crash + stale/duplicate + bitflip + server outage ------
+def run_sync_chaos(trace=None) -> RunResult:
+    return _sync(10, network=_net(uplink_loss=0.1), chaos=_chaos_plan(),
+                 device_flops=_SLOW_DEVICES, validation=ValidationConfig(),
+                 trace=trace)
+
+
+def run_async_chaos(trace=None) -> RunResult:
+    return _async(30, network=_net(uplink_loss=0.1), chaos=_chaos_plan(),
+                  device_flops=_SLOW_DEVICES, validation=ValidationConfig(),
+                  trace=trace)
+
+
+# -- downlink_retry with jitter ----------------------------------------
+def run_sync_downlink_retry(trace=None) -> RunResult:
+    return _sync(6, network=_net(downlink_loss=0.5),
+                 downlink_retry=_JITTERY_RETRY, trace=trace)
+
+
+def run_async_downlink_retry(trace=None) -> RunResult:
+    return _async(20, network=_net(downlink_loss=0.7, uplink_loss=0.2),
+                  downlink_retry=_JITTERY_RETRY, trace=trace)
+
+
+# -- uplink_retry with jitter ------------------------------------------
+def run_sync_uplink_retry(trace=None) -> RunResult:
+    return _sync(6, network=_net(uplink_loss=0.5), uplink_retry=_JITTERY_RETRY,
+                 trace=trace)
+
+
+def run_async_uplink_retry(trace=None) -> RunResult:
+    """Not digested: compared event by event, times at rel=1e-12."""
+    return _async(20, network=_net(uplink_loss=0.5), uplink_retry=_JITTERY_RETRY,
+                  trace=trace)
+
+
+# -- validation against NaN-poisoned uploads ---------------------------
+def run_sync_validation_trimmed(trace=None) -> RunResult:
+    return _sync(
+        6, network=_net(),
+        chaos=FaultPlan(PayloadCorruptionModel(prob=0.3, kind="nan")),
+        validation=ValidationConfig(trimmed_mean_fallback=True), trace=trace,
+    )
+
+
+def run_async_validation(trace=None) -> RunResult:
+    rates = np.full(NUM_CLIENTS, 1e9)
+    rates[0] /= 50.0  # one straggler, so the staleness gate fires too
+    return _async(
+        25, network=_net(), device_flops=rates,
+        chaos=FaultPlan(PayloadCorruptionModel(prob=0.3, kind="nan")),
+        validation=ValidationConfig(max_staleness=3), trace=trace,
+    )
+
+
+# -- round deadline (sync only) ----------------------------------------
+def run_sync_deadline(trace=None) -> RunResult:
+    rates = np.full(NUM_CLIENTS, 1e9)
+    rates[2] = 1e6  # the straggler trains past the deadline
+    return _sync(6, network=_net(uplink_loss=0.5), device_flops=rates,
+                 deadline=0.04, uplink_retry=_JITTERY_RETRY, trace=trace)
+
+
+# -- FaultInjector data loss + availability churn ----------------------
+def _churn() -> ChurnModel:
+    return ChurnModel(NUM_CLIENTS, mean_on_s=0.08, mean_off_s=0.03, seed=5)
+
+
+def run_sync_dataloss_churn(trace=None) -> RunResult:
+    faults = FaultInjector(mode="dataloss", straggler_ids={1, 3}, loss_prob=0.5)
+    return _sync(10, rate=0.8, network=_net(uplink_loss=0.2), faults=faults,
+                 churn=_churn(), trace=trace)
+
+
+def run_async_dataloss_churn(trace=None) -> RunResult:
+    faults = FaultInjector(mode="dataloss", straggler_ids={1, 3}, loss_prob=0.5)
+    return _async(25, network=_net(uplink_loss=0.2), faults=faults,
+                  churn=_churn(), trace=trace)
+
+
+DIGEST_CASES = {
+    "sync_chaos": run_sync_chaos,
+    "async_chaos": run_async_chaos,
+    "sync_downlink_retry": run_sync_downlink_retry,
+    "async_downlink_retry": run_async_downlink_retry,
+    "sync_uplink_retry": run_sync_uplink_retry,
+    "sync_validation_trimmed": run_sync_validation_trimmed,
+    "async_validation": run_async_validation,
+    "sync_deadline": run_sync_deadline,
+    "sync_dataloss_churn": run_sync_dataloss_churn,
+    "async_dataloss_churn": run_async_dataloss_churn,
+}
+
+# Compared event by event (see the module docstring).
+EVENT_CASES = {"async_uplink_retry": run_async_uplink_retry}
+
+
+def _records(result: RunResult) -> list[dict]:
+    rows = trajectory(result)
+    for row, record in zip(rows, result.records):
+        row["rejected_uploads"] = record.rejected_uploads
+    return rows
+
+
+def run_traced(fn) -> tuple[str, RunResult]:
+    """Run one case; returns its complete JSONL trace and its result."""
+    buffer = io.StringIO()
+    with EventTrace([JsonlSink(buffer)]) as trace:
+        result = fn(trace=trace)
+        text = buffer.getvalue()
+    return text, result
+
+
+def digest(fn) -> dict:
+    """What the digest file pins for one case."""
+    text, result = run_traced(fn)
+    return {
+        "events": text.count("\n"),
+        "trace_sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "records_sha256": hashlib.sha256(
+            json.dumps(_records(result), sort_keys=True).encode()
+        ).hexdigest(),
+    }
+
+
+def event_rows(fn) -> dict:
+    """The event-by-event form: ``[type, client, t, data]`` per event."""
+    text, result = run_traced(fn)
+    events = [json.loads(line) for line in text.splitlines()]
+    return {
+        "events": [[e["type"], e.get("client"), e["t"], e.get("data", {})]
+                   for e in events],
+        "records": _records(result),
+    }
+
+
+def main() -> None:
+    pinned = {
+        "digests": {name: digest(fn) for name, fn in DIGEST_CASES.items()},
+        "event_cases": {name: event_rows(fn) for name, fn in EVENT_CASES.items()},
+    }
+    DIGEST_PATH.parent.mkdir(parents=True, exist_ok=True)
+    DIGEST_PATH.write_text(json.dumps(pinned, indent=1) + "\n")
+    print(f"wrote {DIGEST_PATH}")
+
+
+if __name__ == "__main__":
+    main()
