@@ -244,7 +244,7 @@ class Client:
                 model.zero_grad()
                 logits = model.forward(xb, training=True)
                 loss = self._loss_fn.forward(logits, yb)
-                model.backward(self._loss_fn.backward())
+                model.backward(self._loss_fn.backward(), need_input=False)
 
                 if config.prox_mu > 0.0:
                     # FedProx: grad += mu * (w - w_global), applied flat.
@@ -309,7 +309,7 @@ class Client:
         model.zero_grad()
         logits = model.forward(xb, training=True)
         self._loss_fn.forward(logits, yb)
-        model.backward(self._loss_fn.backward())
+        model.backward(self._loss_fn.backward(), need_input=False)
         probe = -config.lr * model.get_flat_grads()
         self.last_delta = probe
         return probe

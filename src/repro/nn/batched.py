@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.conv_utils import conv_output_size
+from repro.nn.conv_utils import ConvWorkspace, col2im, conv_output_size, im2col
 from repro.nn.layers import (
     AvgPool2d,
     Conv2d,
@@ -122,119 +122,6 @@ def _carve(buf: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
     if not np.shares_memory(view, buf):  # pragma: no cover - defensive
         raise UnsupportedModelError("stacked parameter carve copied")
     return view
-
-
-# ----------------------------------------------------------------------
-# Fused im2col / col2im
-# ----------------------------------------------------------------------
-class _ColWorkspace:
-    """Column/scatter scratch for the fused conv and pooling handlers.
-
-    Like :class:`repro.nn.conv_utils.ConvWorkspace` but without the
-    intermediate 6-D window buffer: the fused gather writes receptive
-    fields straight into the column matrix, so the only large buffers
-    are the columns themselves and the padded images.  At ``K*batch``
-    rows the shared helper's two-pass gather-then-repack no longer fits
-    in cache; halving the passes is what keeps the fused kernel ahead
-    of the serial loop on convolutional models.
-    """
-
-    __slots__ = ("_key", "_cols", "_pad_in", "_pad_out")
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._cols: np.ndarray | None = None
-        self._pad_in: np.ndarray | None = None
-        self._pad_out: np.ndarray | None = None
-
-    def prepare(self, x_shape, k: int, stride: int, padding: int,
-                dtype) -> tuple[int, int]:
-        n, c, h, w = x_shape
-        out_h = conv_output_size(h, k, stride, padding)
-        out_w = conv_output_size(w, k, stride, padding)
-        key = (x_shape, k, stride, padding, np.dtype(dtype))
-        if key != self._key:
-            self._key = key
-            self._cols = np.empty((n * out_h * out_w, c * k * k), dtype=dtype)
-            padded = (n, c, h + 2 * padding, w + 2 * padding)
-            self._pad_in = np.zeros(padded, dtype=dtype) if padding > 0 else None
-            self._pad_out = np.empty(padded, dtype=dtype)
-        return out_h, out_w
-
-
-def _im2col_packed(x: np.ndarray, k: int, stride: int, padding: int,
-                   ws: _ColWorkspace) -> np.ndarray:
-    """Single-pass im2col, bit-identical to ``conv_utils.im2col``.
-
-    A gather moves the same values whatever the staging, so skipping
-    the shared helper's ``(N, C, kh, kw, oh, ow)`` window buffer
-    changes nothing downstream: a zero-cost strided *view* of every
-    receptive field feeds ONE ``np.copyto`` into the column matrix —
-    a single pass with a single numpy dispatch, where the shared
-    helper pays ``kh * kw`` slice copies plus a repack.
-    """
-    n, c, h, w = x.shape
-    out_h, out_w = ws.prepare(x.shape, k, stride, padding, x.dtype)
-    if padding > 0:
-        ws._pad_in[:, :, padding:-padding, padding:-padding] = x
-        x = ws._pad_in
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, shape=(n, out_h, out_w, c, k, k),
-        strides=(sn, stride * sh, stride * sw, sc, sh, sw),
-    )
-    np.copyto(ws._cols.reshape(n, out_h, out_w, c, k, k), windows)
-    return ws._cols
-
-
-def _col2im_packed(cols: np.ndarray, x_shape: tuple[int, int, int, int],
-                   k: int, stride: int, padding: int,
-                   ws: _ColWorkspace) -> np.ndarray:
-    """Scatter-add columns back to images, bit-identical to
-    ``conv_utils.col2im``: the same zero-initialised target and the
-    same ``(i, j)`` accumulation order (so overlapping receptive
-    fields sum in the serial order, and ``+0`` absorbs signed zeros),
-    reading window slices straight from the column matrix.
-    """
-    n, c, h, w = x_shape
-    out_h, out_w = ws.prepare(x_shape, k, stride, padding, cols.dtype)
-    padded = ws._pad_out
-    padded.fill(0.0)
-    c6 = cols.reshape(n, out_h, out_w, c, k, k)
-    if stride >= k:
-        # Non-overlapping windows (pooling): every target element is
-        # hit at most once, so the whole scatter-add is one strided
-        # ``+=`` into a window view — no aliasing, and adding into the
-        # zero fill keeps the serial path's signed-zero absorption.
-        sn, sc, sh, sw = padded.strides
-        windows = np.lib.stride_tricks.as_strided(
-            padded, shape=(n, out_h, out_w, c, k, k),
-            strides=(sn, stride * sh, stride * sw, sc, sh, sw),
-        )
-        windows += c6
-        if padding > 0:
-            return padded[:, :, padding:-padding, padding:-padding]
-        return padded
-    for i in range(k):
-        i_max = i + stride * out_h
-        for j in range(k):
-            j_max = j + stride * out_w
-            padded[:, :, i:i_max:stride, j:j_max:stride] += (
-                c6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
-
-
-def _workspace(cache: dict, key: tuple) -> _ColWorkspace:
-    """Memoised per-geometry column workspace for a handler."""
-    ws = cache.get(key)
-    if ws is None:
-        ws = _ColWorkspace()
-        # reprolint: allow[R403] dict memo insert, not an ndarray scatter
-        cache[key] = ws
-    return ws
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +215,7 @@ class _Conv2dH(_Handler):
             self.B = _carve(tr._P, offset + self.param_size, (self.out_c,))
             self.Gb = _carve(tr._G, offset + self.param_size, (self.out_c,))
             self.param_size += self.out_c
-        self._ws: dict[tuple, _ColWorkspace] = {}
+        self._ws = ConvWorkspace()
         self._cols3 = None
         self._x_shape = None
         self._geom = None
@@ -338,8 +225,7 @@ class _Conv2dH(_Handler):
         n, _, h, w = x.shape
         oh = conv_output_size(h, self.k, self.s, self.p)
         ow = conv_output_size(w, self.k, self.s, self.p)
-        cols = _im2col_packed(x, self.k, self.s, self.p,
-                              _workspace(self._ws, x.shape))
+        cols = im2col(x, self.k, self.k, self.s, self.p, self._ws)
         cols3 = cols.reshape(m, bsz * oh * ow, self.ckk)
         o3 = self.tr._buf(self.li, "o3", (m, bsz * oh * ow, self.out_c))
         np.matmul(cols3, self.W[a:b].transpose(0, 2, 1), out=o3)
@@ -368,9 +254,9 @@ class _Conv2dH(_Handler):
         if need_input:
             gc = self.tr._buf(self.li, "gc", (m, bsz * oh * ow, self.ckk))
             np.matmul(gm3, self.W[a:b], out=gc)
-            grad_in = _col2im_packed(
+            grad_in = col2im(
                 gc.reshape(m * bsz * oh * ow, self.ckk), self._x_shape,
-                self.k, self.s, self.p, _workspace(self._ws, self._x_shape),
+                self.k, self.k, self.s, self.p, self._ws,
             )
         self._cols3 = None
         self._x_shape = None
@@ -382,7 +268,7 @@ class _MaxPoolH(_Handler):
         super().__init__(tr, li, rows)
         self.k = rows[0].kernel_size
         self.s = rows[0].stride
-        self._ws: dict[tuple, _ColWorkspace] = {}
+        self._ws = ConvWorkspace()
         self._first = None
         self._x_shape = None
         self._geom = None
@@ -391,9 +277,8 @@ class _MaxPoolH(_Handler):
         n, c, h, w = x.shape
         oh = conv_output_size(h, self.k, self.s, 0)
         ow = conv_output_size(w, self.k, self.s, 0)
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = _im2col_packed(reshaped, self.k, self.s, 0,
-                              _workspace(self._ws, (n * c, 1, h, w)))
+        cols = im2col(x.reshape(n * c, 1, h, w), self.k, self.k, self.s, 0,
+                      self._ws)
         rows_n = cols.shape[0]
         ob = self.tr._buf(self.li, "ob", (rows_n,))
         np.max(cols, axis=1, out=ob)
@@ -418,8 +303,8 @@ class _MaxPoolH(_Handler):
         # zeros, which the +0-initialised col2im scatter absorbs.
         # reprolint: allow[R403] first-max scatter: one write per pooling window
         gcols[ar, self._first] = g.reshape(-1)
-        grad_in = _col2im_packed(gcols, (n * c, 1, h, w), self.k, self.s, 0,
-                                 _workspace(self._ws, (n * c, 1, h, w)))
+        grad_in = col2im(gcols, (n * c, 1, h, w), self.k, self.k, self.s, 0,
+                         self._ws)
         self._first = None
         self._x_shape = None
         return grad_in.reshape(n, c, h, w)
@@ -430,15 +315,15 @@ class _AvgPoolH(_Handler):
         super().__init__(tr, li, rows)
         self.k = rows[0].kernel_size
         self.s = rows[0].stride
-        self._ws: dict[tuple, _ColWorkspace] = {}
+        self._ws = ConvWorkspace()
         self._x_shape = None
 
     def forward(self, x, a, b, bsz):
         n, c, h, w = x.shape
         oh = conv_output_size(h, self.k, self.s, 0)
         ow = conv_output_size(w, self.k, self.s, 0)
-        cols = _im2col_packed(x.reshape(n * c, 1, h, w), self.k, self.s, 0,
-                              _workspace(self._ws, (n * c, 1, h, w)))
+        cols = im2col(x.reshape(n * c, 1, h, w), self.k, self.k, self.s, 0,
+                      self._ws)
         ob = self.tr._buf(self.li, "ob", (cols.shape[0],))
         np.mean(cols, axis=1, out=ob)
         self._x_shape = (n, c, h, w)
@@ -454,8 +339,8 @@ class _AvgPoolH(_Handler):
         np.divide(g.reshape(-1, 1), window, out=gd)
         gcols = self.tr._buf(self.li, "gcols", (gd.shape[0], window))
         gcols[:, :] = gd
-        grad_in = _col2im_packed(gcols, (n * c, 1, h, w), self.k, self.s, 0,
-                                 _workspace(self._ws, (n * c, 1, h, w)))
+        grad_in = col2im(gcols, (n * c, 1, h, w), self.k, self.k, self.s, 0,
+                         self._ws)
         self._x_shape = None
         return grad_in.reshape(n, c, h, w)
 

@@ -10,10 +10,13 @@ All layers share the :class:`Layer` interface:
 
 ``forward(x, training=False)``
     Run the layer, caching intermediates when ``training`` is true.
-``backward(grad_out)``
+``backward(grad_out, need_input=True)``
     Given the loss gradient w.r.t. the layer output, accumulate
     parameter gradients into ``Parameter.grad`` and return the gradient
-    w.r.t. the layer input.
+    w.r.t. the layer input.  ``need_input=False`` tells the layer that
+    nobody reads that gradient (it is the first trainable layer of a
+    training step): layers that pay for it (``Linear``, ``Conv2d``)
+    skip the work and return ``None``; the rest ignore the flag.
 ``parameters()``
     The layer's trainable :class:`Parameter` objects, in a stable
     order.
@@ -86,7 +89,9 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         raise NotImplementedError
 
     def parameters(self) -> list[Parameter]:
@@ -145,15 +150,18 @@ class Linear(Layer):
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward(training=True)")
         self.weight.grad += grad_out.T @ self._x
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight.data
         self._x = None
-        return grad_in
+        if not need_input:
+            return None
+        return grad_out @ self.weight.data
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -224,28 +232,30 @@ class Conv2d(Layer):
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        n, _, out_h, out_w = grad_out.shape
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ w_mat
-        grad_in = col2im(
-            grad_cols,
-            self._x_shape,
+        x_shape = self._x_shape
+        self._cols = None
+        self._x_shape = None
+        if not need_input:
+            return None
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
+        return col2im(
+            grad_mat @ w_mat,
+            x_shape,
             self.kernel_size,
             self.kernel_size,
             self.stride,
             self.padding,
             self._ws_train,
         )
-        self._cols = None
-        self._x_shape = None
-        return grad_in
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -267,70 +277,67 @@ class Conv2d(Layer):
         return per_output * self.out_channels * out_h * out_w
 
 
-class MaxPool2d(Layer):
-    """Max pooling with a square window; window must tile exactly or floor."""
+def _window_planes(
+    x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
+) -> list[np.ndarray]:
+    """The ``kernel * kernel`` strided views ``x[:, :, i::s, j::s]``.
 
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        if kernel_size <= 0:
-            raise ValueError("kernel_size must be positive")
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._mask: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-        # Backward only needs the boolean mask (cached separately), so
-        # one workspace safely serves train forward, eval forward, and
-        # the col2im scatter in backward.
-        self._ws = ConvWorkspace()
+    Plane ``(i, j)`` holds element ``(i, j)`` of every pooling window,
+    shaped like the pooled output; the list is in ``(i, j)`` order, the
+    column order of an im2col expansion.  Rows/columns past the last
+    whole window (floor tiling) belong to no plane.
+    """
+    h_span, w_span = stride * out_h, stride * out_w
+    return [
+        x[:, :, i:i + h_span:stride, j:j + w_span:stride]
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        # Treat channels as extra batch entries so im2col windows stay
-        # single-channel.
-        reshaped = x.reshape(n * c, 1, h, w)
-        cols = im2col(reshaped, k, k, s, 0, self._ws)
-        out = cols.max(axis=1)
-        if training:
-            mask = cols == out[:, None]
-            # Break ties: keep only the first maximal element per window
-            # so the backward pass routes each gradient exactly once.
-            first = np.argmax(mask, axis=1)
-            mask = np.zeros_like(mask)
-            mask[np.arange(mask.shape[0], dtype=np.intp), first] = True
-            self._mask = mask
-            self._x_shape = (n, c, h, w)
-        return out.reshape(n, c, out_h, out_w)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w = self._x_shape
-        grad_flat = grad_out.reshape(-1, 1)
-        grad_cols = self._mask * grad_flat
-        grad_in = col2im(
-            grad_cols,
-            (n * c, 1, h, w),
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            0,
-            self._ws,
+def _sum_planes(planes: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """Sum equal-shape arrays into ``out`` in numpy's reduction order.
+
+    ``np.add.reduce`` along a contiguous axis of length ``n`` uses
+    pairwise summation — sequential below 8 terms, eight interleaved
+    accumulators up to 128, halves rounded down to a multiple of 8
+    above.  Replaying that association here keeps plane-wise average
+    pooling bit-equal to a ``mean`` over im2col columns, which is what
+    the fused kernel (and every earlier commit) computes.
+    """
+    n = len(planes)
+    if n < 8:
+        np.copyto(out, planes[0])
+        for plane in planes[1:]:
+            out += plane
+    elif n <= 128:
+        body = n - n % 8
+        acc = planes[:8]
+        for start in range(8, body, 8):
+            acc = [a + p for a, p in zip(acc, planes[start:start + 8])]
+        np.add(
+            (acc[0] + acc[1]) + (acc[2] + acc[3]),
+            (acc[4] + acc[5]) + (acc[6] + acc[7]),
+            out=out,
         )
-        self._mask = None
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
+        for plane in planes[body:]:
+            out += plane
+    else:
+        half = n // 2
+        half -= half % 8
+        _sum_planes(planes[:half], out)
+        out += _sum_planes(planes[half:], np.empty_like(out))
+    return out
 
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
-        return (c, out_h, out_w)
 
+class _Pool2d(Layer):
+    """Square-window pooling geometry shared by max and average pooling.
 
-class AvgPool2d(Layer):
-    """Average pooling with a square window."""
+    Both layers work on the window planes of :func:`_window_planes`
+    with exact elementwise ops — no column expansion — and write
+    C-contiguous outputs whatever the input strides.  The workspace
+    only supplies the zero-filled input-gradient buffer of backward.
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
         if kernel_size <= 0:
@@ -340,40 +347,102 @@ class AvgPool2d(Layer):
         self._x_shape: tuple[int, int, int, int] | None = None
         self._ws = ConvWorkspace()
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _planes_and_out(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
-        cols = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0, self._ws)
-        out = cols.mean(axis=1)
-        if training:
-            self._x_shape = (n, c, h, w)
-        return out.reshape(n, c, out_h, out_w)
+        out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+        return _window_planes(x, k, s, out_h, out_w), out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _grad_planes(self, grad_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Zero-filled input gradient and its window planes; ends the step."""
         if self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
         n, c, h, w = self._x_shape
-        window = self.kernel_size * self.kernel_size
-        grad_cols = np.repeat(grad_out.reshape(-1, 1) / window, window, axis=1)
-        grad_in = col2im(
-            grad_cols,
-            (n * c, 1, h, w),
-            self.kernel_size,
-            self.kernel_size,
-            self.stride,
-            0,
-            self._ws,
-        )
         self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
+        k, s = self.kernel_size, self.stride
+        self._ws.bind((c, h, w), k, k, s, 0, grad_out.dtype)
+        grad_in = self._ws.scatter_target(n)
+        planes = _window_planes(grad_in, k, s, grad_out.shape[2], grad_out.shape[3])
+        return planes, grad_in
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, h, w = input_shape
         out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
         out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
         return (c, out_h, out_w)
+
+
+class MaxPool2d(_Pool2d):
+    """Max pooling with a square window; window must tile exactly or floor."""
+
+    def __init__(self, kernel_size: int, stride: int | None = None):
+        super().__init__(kernel_size, stride)
+        self._masks: np.ndarray | None = None
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        planes, out = self._planes_and_out(x)
+        np.copyto(out, planes[0])
+        for plane in planes[1:]:
+            np.maximum(out, plane, out=out)
+        if training:
+            # Break ties: keep only the first maximal element per window
+            # (in (i, j) order) so the backward pass routes each
+            # gradient exactly once.
+            masks = np.empty((len(planes),) + out.shape, dtype=np.bool_)
+            seen = masks[0]  # running "an element so far is maximal"
+            np.equal(planes[0], out, out=seen)
+            for plane, mask in zip(planes[1:], masks[1:]):
+                np.equal(plane, out, out=mask)
+                # On booleans ``a > b`` is ``a & ~b``: maximal here and
+                # not at any earlier element.
+                np.greater(mask, seen, out=mask)
+                np.logical_or(seen, mask, out=seen)
+            # Element 0 wins wherever no later element did — also in a
+            # window whose maximum is NaN and equals nothing, as an
+            # argmax over an all-False row would pick it.
+            np.logical_or.reduce(masks[1:], axis=0, out=seen)
+            np.logical_not(seen, out=seen)
+            self._masks = masks
+            self._x_shape = x.shape
+        return out
+
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
+        masks = self._masks
+        self._masks = None
+        planes, grad_in = self._grad_planes(grad_out)
+        # ``0 + mask * grad`` per element, planes in (i, j) order: the
+        # zero fill absorbs signed zeros, a non-finite gradient times
+        # False stays NaN, overlapping windows accumulate in order.
+        routed = np.empty(grad_out.shape, dtype=grad_out.dtype)
+        for mask, plane in zip(masks, planes):
+            np.multiply(mask, grad_out, out=routed)
+            plane += routed
+        return grad_in
+
+
+class AvgPool2d(_Pool2d):
+    """Average pooling with a square window."""
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        planes, out = self._planes_and_out(x)
+        _sum_planes(planes, out)
+        out /= len(planes)
+        if training:
+            self._x_shape = x.shape
+        return out
+
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
+        planes, grad_in = self._grad_planes(grad_out)
+        share = grad_out / len(planes)
+        for plane in planes:
+            plane += share
+        return grad_in
 
 
 class GlobalAvgPool2d(Layer):
@@ -387,7 +456,9 @@ class GlobalAvgPool2d(Layer):
             self._x_shape = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
         n, c, h, w = self._x_shape
@@ -414,7 +485,9 @@ class ReLU(Layer):
             self._mask = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._mask is None:
             raise RuntimeError("backward called before forward(training=True)")
         grad_in = grad_out * self._mask
@@ -437,7 +510,9 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._out is None:
             raise RuntimeError("backward called before forward(training=True)")
         grad_in = grad_out * (1.0 - self._out**2)
@@ -470,7 +545,9 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._mask is None:
             return grad_out
         grad_in = grad_out * self._mask
@@ -492,7 +569,9 @@ class Flatten(Layer):
             self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
         grad_in = grad_out.reshape(self._x_shape)
@@ -525,11 +604,15 @@ class ResidualBlock(Layer):
         out = self.conv2.forward(out, training)
         return self.relu2.forward(out + x, training)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         grad = self.relu2.backward(grad_out)
         grad_branch = self.conv2.backward(grad)
         grad_branch = self.relu1.backward(grad_branch)
-        grad_branch = self.conv1.backward(grad_branch)
+        grad_branch = self.conv1.backward(grad_branch, need_input)
+        if not need_input:
+            return None
         return grad_branch + grad
 
     def parameters(self) -> list[Parameter]:

@@ -73,7 +73,9 @@ class BatchNorm2d(Layer):
             self._cache = (x_hat, inv_std, x.shape)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         x_hat, inv_std, shape = self._cache
@@ -82,6 +84,9 @@ class BatchNorm2d(Layer):
 
         self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))
+        if not need_input:
+            self._cache = None
+            return None
 
         # Standard batch-norm input gradient.
         g = grad_out * self.gamma.data[None, :, None, None]
@@ -157,7 +162,9 @@ class GroupNorm(Layer):
             self._cache = (x_hat, inv_std, x.shape)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         x_hat, inv_std, shape = self._cache
@@ -166,6 +173,9 @@ class GroupNorm(Layer):
 
         self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))
+        if not need_input:
+            self._cache = None
+            return None
 
         g = (grad_out * self.gamma.data[None, :, None, None])
         g_grouped = self._grouped(g)

@@ -50,6 +50,10 @@ class Sequential:
         self._params: list[Parameter] = []
         for layer in self.layers:
             self._params.extend(layer.parameters())
+        # Where backward may stop when nobody reads the input gradient.
+        self._first_trainable = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()), 0
+        )
         d = sum(p.size for p in self._params)
         self._param_buf = np.empty(d, dtype=np.float64)
         self._grad_buf = np.zeros(d, dtype=np.float64)
@@ -98,17 +102,27 @@ class Sequential:
             out = layer.forward(out, training)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, need_input: bool = True
+    ) -> np.ndarray | None:
         """Backpropagate through all layers, accumulating parameter grads.
 
         The returned input gradient may be a view into a layer's
         internal workspace; it is only valid until the next
         forward/backward call through the model.
+
+        A training step reads parameter gradients only.  With
+        ``need_input=False`` the pass ends at the first layer that has
+        parameters, which skips its own input gradient (for ``Conv2d``
+        a GEMM plus a col2im scatter); the parameter-free layers ahead
+        of it are not visited, and the result is ``None``.  The flat
+        gradient buffer is bit-equal either way.
         """
+        stop = 0 if need_input else self._first_trainable
         grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        for index in range(len(self.layers) - 1, stop, -1):
+            grad = self.layers[index].backward(grad)
+        return self.layers[stop].backward(grad, need_input)
 
     def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """Class predictions (argmax over the final axis).

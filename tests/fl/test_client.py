@@ -186,3 +186,49 @@ class TestHoistedOptimizer:
         update = clone.local_train(global_params, CFG, round_index=1)
         expected = client.local_train(global_params, CFG, round_index=1)
         assert np.array_equal(update.delta, expected.delta)
+
+
+class TestScratchStaysOutOfPickles:
+    """im2col/col2im workspaces are megabytes of scratch per conv/pool
+    layer; a by-value client pickle (live-population snapshots, spill
+    blobs) must not carry them."""
+
+    CNN_CFG = LocalTrainingConfig(local_epochs=1, batch_size=20, lr=0.02)
+
+    @staticmethod
+    def _cnn_client():
+        from repro.data.synthetic import make_image_classification
+        from repro.nn.models import build_mnist_cnn
+
+        def model_fn():
+            return build_mnist_cnn((1, 14, 14), 10, channels=(8, 16), hidden=64, seed=5)
+
+        train, _ = make_image_classification(
+            n_train=47, n_test=10, num_classes=10, image_shape=(1, 14, 14), seed=3
+        )
+        return Client(0, train, model_fn, seed=1), model_fn().get_flat_params().copy()
+
+    def test_trained_cnn_client_pickles_without_workspaces(self):
+        import pickle
+
+        client, params = self._cnn_client()
+        fresh = len(pickle.dumps(client))
+        client.local_train(params, self.CNN_CFG)
+        # The cached delta is real cross-round state, not scratch.
+        allowance = client.last_delta.nbytes
+        assert len(pickle.dumps(client)) - allowance <= 1.05 * fresh
+
+    def test_unpickled_client_trains_bit_identically(self):
+        import pickle
+
+        client, params = self._cnn_client()
+        client.local_train(params, self.CNN_CFG)  # 20 + 20 + 7: ragged tail
+        clone = pickle.loads(pickle.dumps(client))
+        want = client.local_train(params, self.CNN_CFG, round_index=1)
+        got = clone.local_train(params, self.CNN_CFG, round_index=1)
+        assert np.array_equal(got.delta, want.delta)
+        assert got.train_loss == want.train_loss
+        assert np.array_equal(
+            clone.probe_delta(params, self.CNN_CFG),
+            client.probe_delta(params, self.CNN_CFG),
+        )

@@ -1,11 +1,90 @@
 """Tests for im2col / col2im."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.conv_utils import ConvWorkspace, col2im, conv_output_size, im2col
+from tests.nn.window_reference import (
+    assert_bit_equal,
+    col2im_reference,
+    im2col_reference,
+    signed_values,
+)
+
+
+@st.composite
+def window_geometries(draw):
+    """(N, C, H, W, kh, kw, stride, padding): stride 1..4 against kernels
+    1..3 covers overlap, exact tiling, stride > kernel and floor tiling
+    (sizes are drawn independently of the kernel)."""
+    kernel_h, kernel_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kernel_h - 2 * padding), 9))
+    w = draw(st.integers(max(1, kernel_w - 2 * padding), 9))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w,
+            kernel_h, kernel_w, draw(st.integers(1, 4)), padding)
+
+
+class TestPackedKernelContract:
+    """The single-pass kernel against the reference it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(geom=window_geometries(), seed=st.integers(0, 2**16),
+           nhwc=st.booleans(), reuse=st.booleans())
+    def test_im2col_bit_equal_to_reference(self, geom, seed, nhwc, reuse):
+        n, c, h, w, kernel_h, kernel_w, stride, padding = geom
+        if nhwc:
+            # What Conv2d.forward emits: NHWC memory behind an NCHW view.
+            x = signed_values(seed, (n, h, w, c)).transpose(0, 3, 1, 2)
+        else:
+            x = signed_values(seed, (n, c, h, w))
+        ws = ConvWorkspace() if reuse else None
+        if reuse:  # a dirty, larger-capacity workspace must not leak through
+            im2col(signed_values(seed + 1, (n + 2, c, h, w)), kernel_h, kernel_w,
+                   stride, padding, ws)
+        got = im2col(x, kernel_h, kernel_w, stride, padding, ws)
+        assert got.flags.c_contiguous
+        assert_bit_equal(got, im2col_reference(x, kernel_h, kernel_w, stride, padding))
+
+    @settings(max_examples=120, deadline=None)
+    @given(geom=window_geometries(), seed=st.integers(0, 2**16),
+           strided=st.booleans(), reuse=st.booleans())
+    def test_col2im_bit_equal_to_reference(self, geom, seed, strided, reuse):
+        n, c, h, w, kernel_h, kernel_w, stride, padding = geom
+        x_shape = (n, c, h, w)
+        rows, width = im2col_reference(
+            np.zeros(x_shape), kernel_h, kernel_w, stride, padding
+        ).shape
+        if strided:
+            cols = signed_values(seed, (rows, 2 * width))[:, ::2]
+        else:
+            cols = signed_values(seed, (rows, width))
+        ws = ConvWorkspace() if reuse else None
+        if reuse:
+            col2im(signed_values(seed + 1, ((rows // n) * (n + 2), width)),
+                   (n + 2, c, h, w), kernel_h, kernel_w, stride, padding, ws)
+        got = col2im(cols, x_shape, kernel_h, kernel_w, stride, padding, ws)
+        assert_bit_equal(
+            got, col2im_reference(cols, x_shape, kernel_h, kernel_w, stride, padding)
+        )
+
+    def test_negative_zero_columns_land_as_positive_zero(self):
+        cols = np.full((4, 4), -0.0)
+        back = col2im(cols, (1, 1, 4, 4), 2, 2, stride=2)
+        assert not np.signbit(back).any()
+
+    def test_non_finite_columns_propagate(self):
+        cols = np.zeros((4, 4))
+        cols[1, 2] = np.inf
+        cols[2, 0] = np.nan
+        assert_bit_equal(
+            col2im(cols, (1, 1, 4, 4), 2, 2, stride=2),
+            col2im_reference(cols, (1, 1, 4, 4), 2, 2, stride=2),
+        )
 
 
 class TestConvOutputSize:
@@ -140,6 +219,63 @@ class TestConvWorkspace:
             np.testing.assert_array_equal(
                 im2col(x, 3, 3, 1, 2, ws), im2col(x, 3, 3, 1, 2)
             )
+
+    def test_ragged_batches_share_one_allocation(self, rng):
+        """N = 20, 7, 20 (a shard that is no multiple of the batch size)
+        keeps every buffer where it is and stays bit-correct."""
+        ws = ConvWorkspace()
+        where = []
+        for n in (20, 7, 20, 7):
+            x = rng.normal(size=(n, 3, 6, 6))
+            cols = im2col(x, 3, 3, 1, 1, ws)
+            assert cols.flags.c_contiguous
+            np.testing.assert_array_equal(cols, im2col(x, 3, 3, 1, 1))
+            y = rng.normal(size=cols.shape)
+            back = col2im(y, x.shape, 3, 3, 1, 1, ws)
+            np.testing.assert_array_equal(back, col2im(y, x.shape, 3, 3, 1, 1))
+            where.append(tuple(
+                buf.__array_interface__["data"][0]
+                for buf in (ws._cols, ws._pad_in, ws._pad_out)
+            ))
+        assert len(set(where)) == 1
+
+    def test_larger_batch_grows_capacity_once(self, rng):
+        ws = ConvWorkspace()
+        im2col(rng.normal(size=(2, 1, 5, 5)), 3, 3, 1, 1, ws)
+        small = ws._cols
+        x = rng.normal(size=(5, 1, 5, 5))
+        np.testing.assert_array_equal(im2col(x, 3, 3, 1, 1, ws), im2col(x, 3, 3, 1, 1))
+        assert ws._cols is not small and ws._cols.shape[0] == 5 * 25
+        grown = ws._cols
+        im2col(rng.normal(size=(3, 1, 5, 5)), 3, 3, 1, 1, ws)
+        assert ws._cols is grown
+
+    def test_pad_border_stays_zero_across_batch_sizes(self, rng):
+        ws = ConvWorkspace()
+        for n in (4, 1, 3, 6, 2):
+            x = rng.normal(size=(n, 2, 4, 4))
+            np.testing.assert_array_equal(
+                im2col(x, 3, 3, 1, 2, ws), im2col(x, 3, 3, 1, 2)
+            )
+
+    def test_buffers_allocated_on_first_use_only(self, rng):
+        ws = ConvWorkspace()
+        im2col(rng.normal(size=(2, 1, 4, 4)), 2, 2, 2, 0, ws)
+        assert ws._cols is not None
+        assert ws._pad_in is None and ws._pad_out is None
+
+    def test_pickles_as_empty(self, rng):
+        ws = ConvWorkspace()
+        x = rng.normal(size=(8, 3, 6, 6))
+        cols = im2col(x, 3, 3, 1, 1, ws)
+        col2im(cols, x.shape, 3, 3, 1, 1, ws)
+        blob = pickle.dumps(ws)
+        assert len(blob) < 200
+        clone = pickle.loads(blob)
+        assert clone._cols is None and clone._pad_in is None and clone._pad_out is None
+        np.testing.assert_array_equal(
+            im2col(x, 3, 3, 1, 1, clone), im2col_reference(x, 3, 3, 1, 1)
+        )
 
     def test_workspace_steady_state_in_training_loop(self, rng):
         """Conv2d forward/backward with workspaces == fresh-allocation math."""

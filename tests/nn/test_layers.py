@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.gradcheck import max_relative_error, numerical_gradient
 from repro.nn.layers import (
@@ -16,6 +18,15 @@ from repro.nn.layers import (
     ReLU,
     ResidualBlock,
     Tanh,
+)
+
+from tests.nn.window_reference import (
+    assert_bit_equal,
+    avgpool_columns,
+    avgpool_columns_backward,
+    maxpool_columns,
+    maxpool_columns_backward,
+    signed_values,
 )
 
 GRAD_TOL = 1e-6
@@ -153,6 +164,166 @@ class TestAvgPool2d:
 
     def test_gradcheck(self, rng):
         layer_gradcheck(AvgPool2d(2), rng.normal(size=(2, 3, 4, 4)), rng)
+
+
+@st.composite
+def pool_cases(draw):
+    """(input, kernel, stride): overlap, exact and floor tiling, stride
+    past the kernel; values from a 3-level grid so windows tie often;
+    optionally the NHWC-memory view a Conv2d + ReLU hands to a pool."""
+    kernel = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 5))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(kernel, 9)), draw(st.integers(kernel, 9))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        values = rng.integers(-1, 2, size=(n, h, w, c)).astype(np.float64)
+    else:
+        values = signed_values(seed, (n, h, w, c))
+    if draw(st.booleans()):
+        x = values.transpose(0, 3, 1, 2)
+    else:
+        x = np.ascontiguousarray(values.transpose(0, 3, 1, 2))
+    return x, kernel, stride
+
+
+class TestPoolingLaws:
+    """Plane-wise pooling against the column-expansion layers it replaced
+    (kept in ``tests/nn/window_reference.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pool_cases(), seed=st.integers(0, 2**16))
+    def test_maxpool_matches_column_oracle(self, case, seed):
+        x, kernel, stride = case
+        layer = MaxPool2d(kernel, stride)
+        out = layer.forward(x, training=True)
+        want_out, mask = maxpool_columns(x, kernel, stride)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(layer.forward(x), want_out)
+        grad_out = signed_values(seed, out.shape)
+        grad_in = layer.backward(grad_out)
+        assert grad_in.flags.c_contiguous
+        assert_bit_equal(
+            grad_in, maxpool_columns_backward(mask, grad_out, x.shape, kernel, stride)
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pool_cases(), seed=st.integers(0, 2**16))
+    def test_avgpool_matches_column_oracle(self, case, seed):
+        x, kernel, stride = case
+        layer = AvgPool2d(kernel, stride)
+        out = layer.forward(x, training=True)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, avgpool_columns(x, kernel, stride))
+        grad_out = signed_values(seed, out.shape)
+        assert_bit_equal(
+            layer.backward(grad_out),
+            avgpool_columns_backward(grad_out, x.shape, kernel, stride),
+        )
+
+    @pytest.mark.parametrize("kernel", [3, 12])
+    def test_avgpool_sums_in_numpy_reduction_order(self, kernel):
+        # 9 and 144 window elements: the eight-accumulator and the
+        # recursive branch of numpy's pairwise summation.
+        rng = np.random.default_rng(kernel)
+        x = rng.normal(size=(2, 2, 2 * kernel, 2 * kernel)) * 10.0 ** rng.integers(
+            -3, 4, size=(2, 2, 2 * kernel, 2 * kernel)
+        )
+        np.testing.assert_array_equal(
+            AvgPool2d(kernel).forward(x), avgpool_columns(x, kernel, kernel)
+        )
+
+    @given(value=st.floats(-5, 5), kernel=st.integers(1, 3))
+    def test_constant_window_routes_to_first_element(self, value, kernel):
+        layer = MaxPool2d(kernel)
+        layer.forward(np.full((1, 1, kernel, kernel), value), training=True)
+        grad = layer.backward(np.array([[[[7.0]]]]))
+        want = np.zeros((kernel, kernel))
+        want[0, 0] = 7.0
+        np.testing.assert_array_equal(grad[0, 0], want)
+
+    def test_partial_tie_routes_to_first_maximal_in_ij_order(self):
+        x = np.array([[[[1.0, 3.0, 0.0], [3.0, 3.0, 0.0], [0.0, 0.0, 0.0]]]])
+        layer = MaxPool2d(2, stride=1)
+        layer.forward(x, training=True)
+        grad = layer.backward(np.array([[[[1.0, 10.0], [100.0, 1000.0]]]]))
+        # Window maxima are all 3.0; the first 3.0 in (i, j) order is
+        # (0, 1) for the top-left window, (0, 0) for the others.
+        want = np.array([[0.0, 11.0, 0.0], [100.0, 1000.0, 0.0], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(grad[0, 0], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=pool_cases())
+    def test_each_output_gradient_lands_on_exactly_one_input(self, case):
+        x, kernel, stride = case
+        layer = MaxPool2d(kernel, stride)
+        out = layer.forward(x, training=True)
+        masks = layer._masks
+        assert masks.shape == (kernel * kernel,) + out.shape
+        np.testing.assert_array_equal(masks.sum(axis=0), np.ones(out.shape))
+        # Powers of two: the input gradient's sum is exact.
+        grad_out = np.exp2(np.arange(out.size, dtype=np.float64) % 40).reshape(out.shape)
+        assert layer.backward(grad_out).sum() == grad_out.sum()
+
+    def test_negative_zero_upstream_lands_as_positive_zero(self):
+        layer = MaxPool2d(2)
+        layer.forward(np.arange(16.0).reshape(1, 1, 4, 4), training=True)
+        grad = layer.backward(np.full((1, 1, 2, 2), -0.0))
+        assert not grad.any() and not np.signbit(grad).any()
+        layer = AvgPool2d(2)
+        layer.forward(np.arange(16.0).reshape(1, 1, 4, 4), training=True)
+        grad = layer.backward(np.full((1, 1, 2, 2), -0.0))
+        assert not grad.any() and not np.signbit(grad).any()
+
+    def test_inf_upstream_is_nan_at_masked_out_positions(self):
+        x = np.array([[[[1.0, 2.0], [4.0, 3.0]]]])
+        layer = MaxPool2d(2)
+        layer.forward(x, training=True)
+        grad_out = np.array([[[[np.inf]]]])
+        grad = layer.backward(grad_out)
+        _, mask = maxpool_columns(x, 2, 2)
+        assert_bit_equal(grad, maxpool_columns_backward(mask, grad_out, x.shape, 2, 2))
+        # False * inf is nan everywhere but the winner.
+        np.testing.assert_array_equal(np.isnan(grad[0, 0]), [[True, True], [False, True]])
+        assert grad[0, 0, 1, 0] == np.inf
+
+    def test_nan_window_routes_like_the_oracle(self):
+        x = np.array([[[[1.0, 5.0], [np.nan, 3.0]]]])
+        layer = MaxPool2d(2)
+        out = layer.forward(x, training=True)
+        want_out, mask = maxpool_columns(x, 2, 2)
+        np.testing.assert_array_equal(out, want_out)
+        grad_out = np.array([[[[2.0]]]])
+        np.testing.assert_array_equal(
+            layer.backward(grad_out),
+            maxpool_columns_backward(mask, grad_out, x.shape, 2, 2),
+        )
+
+    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    def test_floor_tiled_trailing_rows_get_positive_zero(self, layer_type, rng):
+        layer = layer_type(2)
+        layer.forward(rng.normal(size=(2, 2, 5, 7)), training=True)
+        grad = layer.backward(-np.abs(rng.normal(size=(2, 2, 2, 3))))
+        for edge in (grad[:, :, 4:, :], grad[:, :, :, 6:]):
+            assert not edge.any() and not np.signbit(edge).any()
+
+    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    def test_ragged_batches_reuse_the_gradient_buffer(self, layer_type, rng):
+        layer = layer_type(2)
+        where = set()
+        for n in (20, 7, 20):
+            layer.forward(rng.normal(size=(n, 3, 6, 6)), training=True)
+            grad = layer.backward(rng.normal(size=(n, 3, 3, 3)))
+            assert grad.shape == (n, 3, 6, 6) and grad.flags.c_contiguous
+            where.add(grad.__array_interface__["data"][0])
+        assert len(where) == 1
+
+    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    def test_backward_before_forward_raises(self, layer_type):
+        with pytest.raises(RuntimeError):
+            layer_type(2).backward(np.zeros((1, 1, 1, 1)))
 
 
 class TestGlobalAvgPool2d:

@@ -18,10 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.adafl import AdaFLSync
+from repro.experiments.comparison import default_adafl_config
+from repro.experiments.presets import FAST
+from repro.experiments.runner import FederationSpec, run_sync
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.sync_engine import SyncEngine
 from repro.fl.validation import ValidationConfig
+from repro.network.conditions import NetworkConditions
 from tests.fl.equiv_cases import _async_config, _federation, _sync_config
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "spans.py"
@@ -63,3 +68,32 @@ def test_real_table_sees_both_engines(spans):
                  "sim.kernel.downlink", "sim.kernel.uplink"):
         assert calls.get(span, 0) >= 1, f"span {span!r} had no hits"
     assert recorder.counts["fl.batched.fused"] > 0
+
+
+def test_real_table_sees_the_serial_nn_path(spans):
+    """A network model forces every client through the serial
+    ``Sequential`` passes; the table must still time them (and read the
+    batch off ``forward``'s positional ``x``) whatever keywords
+    ``backward`` grows."""
+    # Two warm-up rounds select everyone unprobed; the third one scores.
+    spec = FederationSpec(model="mnist_cnn", distribution="shard",
+                          scale=replace(FAST, num_rounds=3), seed=0)
+    recorder = spans.Recorder()
+    spans.install(recorder)
+    try:
+        with recorder.root():
+            run_sync(
+                spec,
+                AdaFLSync(default_adafl_config(spec.scale)),
+                network=NetworkConditions.uniform(spec.scale.num_clients, "wifi"),
+            )
+    finally:
+        spans.uninstall(recorder)
+    calls = {
+        name: entry["calls"]
+        for name, entry in spans.self_times(recorder.spans, recorder.names).items()
+    }
+    for span in ("nn.forward", "nn.backward", "fl.client.train", "fl.client.probe"):
+        assert calls.get(span, 0) >= 1, f"span {span!r} had no hits"
+    assert calls.get("nn.batched", 0) == 0  # nothing fused behind a network
+    assert recorder.counts["nn.samples"] > 0
