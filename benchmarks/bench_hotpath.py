@@ -532,7 +532,7 @@ def bench_batched_train(iters: int) -> dict:
     config = LocalTrainingConfig(
         local_epochs=1, batch_size=2, lr=0.05, momentum=0.9
     )
-    global_params = serial[0]._model.get_flat_params().copy()
+    global_params = serial[0].replica.model.get_flat_params().copy()
     cache: dict = {}
 
     def fused_round() -> None:

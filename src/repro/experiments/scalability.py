@@ -163,7 +163,7 @@ def _base_shard(
 class SyntheticShardFactory:
     """Picklable ``client_fn`` for virtual populations.
 
-    Each client's tiny synthetic shard and model replica are derived
+    Each client's tiny synthetic shard and shuffling RNG are derived
     from literal seeds, so any client can be rebuilt bit-identically at
     any time — the regenerate retention mode's contract.  The factory
     travels inside snapshots (it is the population's ``client_fn``), so
@@ -295,10 +295,14 @@ def run_population_smoke(
     )
     rebuilds_verified = 0
     for cid in sampled:
+        # Everything a rebuilt client owns: its shard and its RNG (the
+        # model it trains on is the population's, not the client's).
         a, b = factory(cid), factory(cid)
-        if np.array_equal(
-            a._model.get_flat_params(), b._model.get_flat_params()
-        ) and np.array_equal(a.dataset.x, b.dataset.x):
+        if (
+            np.array_equal(a.dataset.x, b.dataset.x)
+            and np.array_equal(a.dataset.y, b.dataset.y)
+            and a.extract_state()["rng"] == b.extract_state()["rng"]
+        ):
             rebuilds_verified += 1
     if rebuilds_verified != len(sampled):
         raise AssertionError("client regeneration is not deterministic")

@@ -8,10 +8,11 @@ losses, same SCAFFOLD control-variate evolution, bit for bit.
 
 The function returns ``None`` whenever the cohort cannot be fused
 (fewer than two clients, strategy kwargs beyond SCAFFOLD's
-``server_control``, mixed scaffold/non-scaffold cohorts, or a model
-outside the kernel's layer support); the engines then fall back to the
-serial oracle path.  Unsupported cohorts are negatively cached so the
-construction cost is paid once, not per round.
+``server_control``, mixed scaffold/non-scaffold cohorts, clients of
+different architectures, shards or a model outside the kernel's
+support); the engines then fall back to the serial oracle path.  An
+unsupported model is negatively cached so the construction cost is
+paid once, not per round.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import numpy as np
 
 from repro.fl.client import _TRAIN_FLOP_FACTOR, Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
-from repro.nn.batched import MultiClientTrainer, UnsupportedModelError
+from repro.nn.batched import MultiClientTrainer, UnsupportedModelError, architecture
 
 __all__ = ["train_clients_batched"]
 
-# Negative-cache sentinel: this cohort/model combination cannot batch.
+# Negative-cache sentinel: this model cannot batch.
 _UNSUPPORTED = object()
 
 
@@ -43,8 +44,10 @@ def train_clients_batched(
     ``kwargs_by_cid`` carries each client's ``client_train_kwargs`` from
     the strategy; only SCAFFOLD's ``server_control`` is batchable.  When
     a ``cache`` dict is supplied, the trainer (parameter stacks, scratch
-    buffers, conv workspaces) is reused across rounds for the same
-    cohort and config.
+    buffers, conv workspaces) is reused across rounds by every cohort
+    of the same architecture, size and config — it is keyed by what it
+    is built from, never by who trains, and keeps nothing of a cohort
+    after the call.
     """
     if len(cohort) < 2:
         return None
@@ -59,17 +62,24 @@ def train_clients_batched(
     if any((sc is not None) != use_scaffold for sc in controls):
         return None
 
-    key = (tuple(c.client_id for c in cohort), config, use_scaffold)
+    # Clients of one population borrow one replica; standalone clients
+    # each hold a private one, which must be of the same architecture.
+    replica = cohort[0].replica
+    replicas = {id(c.replica): c.replica for c in cohort}
+    archs = {architecture(r.model) for r in replicas.values()}
+    if len(archs) != 1:
+        return None
+    (arch,) = archs
+
+    key = (arch, len(cohort), config, use_scaffold)
     trainer = cache.get(key) if cache is not None else None
     if trainer is _UNSUPPORTED:
         return None
     if trainer is None:
         try:
             trainer = MultiClientTrainer(
-                [c._model for c in cohort],
-                [c.dataset.x for c in cohort],
-                [c.dataset.y for c in cohort],
-                [c._rng for c in cohort],
+                replica.model,
+                len(cohort),
                 local_epochs=config.local_epochs,
                 batch_size=config.batch_size,
                 lr=config.lr,
@@ -95,11 +105,24 @@ def train_clients_batched(
             sc - c.control_variate for c, sc in zip(cohort, controls)
         ]
 
-    results = trainer.run(global_params, corrections=corrections)
+    try:
+        results = trainer.run(
+            global_params,
+            [c.dataset.x for c in cohort],
+            [c.dataset.y for c in cohort],
+            [c._rng for c in cohort],
+            runtimes=(
+                [c.runtime_state() for c in cohort] if replica.stateful else None
+            ),
+            corrections=corrections,
+        )
+    except UnsupportedModelError:  # a shard the kernel cannot take
+        return None
 
+    flops_per_sample = replica.model.flops_per_sample()
     updates: dict[int, ClientUpdate] = {}
     for c, sc, res in zip(cohort, controls, results):
-        local_params = c._model.get_flat_params()
+        local_params = res.params
         delta = local_params - global_params
         c.last_delta = delta
         extras: dict[str, Any] = {}
@@ -112,7 +135,7 @@ def train_clients_batched(
             )
             extras["control_delta"] = new_control - c.control_variate
             c.control_variate = new_control
-        flops = _TRAIN_FLOP_FACTOR * c._model.flops_per_sample() * res.samples_seen
+        flops = _TRAIN_FLOP_FACTOR * flops_per_sample * res.samples_seen
         updates[c.client_id] = ClientUpdate(
             client_id=c.client_id,
             round_index=round_index,

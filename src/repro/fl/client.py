@@ -1,9 +1,13 @@
 """The FL client: local training, deltas, and cached gradients.
 
-A client owns a private model replica (rebuilt from the shared
-architecture), its local dataset shard, and any stateful machinery a
-strategy attaches (SCAFFOLD control variates, a DGC compressor for
-AdaFL).  ``local_train`` returns a :class:`ClientUpdate` whose
+A client owns its local dataset shard, its shuffling RNG, the per-layer
+runtime state of its model (Dropout RNGs, BatchNorm running statistics)
+and any stateful machinery a strategy attaches (SCAFFOLD control
+variates, a DGC compressor for AdaFL).  The model itself — parameters,
+gradients, optimiser momentum, conv workspaces — is scratch it *borrows*
+from a :class:`~repro.fl.replica.ModelReplica` shared by every client of
+the architecture (see that module for the borrow contract).
+``local_train`` returns a :class:`ClientUpdate` whose
 ``delta = w_local - w_global`` is the pseudo-gradient every
 aggregation rule in this package consumes.
 
@@ -22,8 +26,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.config import LocalTrainingConfig
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.optim import SGD
+from repro.fl.replica import ModelReplica, export_runtime, import_runtime
 from repro.nn.sequential import Sequential
 from repro.nn.subspace import ParamSubspace
 
@@ -61,26 +64,66 @@ class Client:
             raise ValueError(f"client {client_id} has an empty dataset")
         self.client_id = client_id
         self.dataset = dataset
-        self._model = model_fn()
+        self._model_fn = model_fn
+        # The scratch model this client borrows: adopted from the pool
+        # of whoever runs it, or a private one built on first use.
+        self._replica: ModelReplica | None = None
+        # Live per-layer runtime state; None until the first borrow of
+        # a stateful architecture, and for good on a stateless one.
+        self._runtime: list[dict | None] | None = None
         self._rng = np.random.default_rng(seed)
-        self._loss_fn = SoftmaxCrossEntropy()
         # Strategy-attached state ----------------------------------------
         self.control_variate: np.ndarray | None = None  # SCAFFOLD c_i
         self.compressor = None  # AdaFL attaches a DGCCompressor
         self.last_delta: np.ndarray | None = None  # cached local direction
         self.halted = False  # AdaFL async: paused until next global model
-        # Hoisted local optimiser: built once over the model's flat
-        # parameter and reconfigured per round, so repeated rounds
-        # reuse the momentum buffers instead of reallocating them.
-        self._optimizer: SGD | None = None
 
     def __getstate__(self) -> dict:
-        # The hoisted optimiser wraps live views into the model's
-        # backing buffers; pickling it would materialise detached copies and
-        # break the aliasing, so it is dropped and lazily rebuilt.
+        # ``model_fn`` is often a lambda, so the pickle carries the
+        # built replica instead — once per pickle, however many clients
+        # share it.
         state = self.__dict__.copy()
-        state["_optimizer"] = None
+        state["_replica"] = self.replica
+        state["_model_fn"] = None
         return state
+
+    # ------------------------------------------------------------------
+    # The borrowed model
+    # ------------------------------------------------------------------
+    @property
+    def replica(self) -> ModelReplica:
+        """The scratch replica this client borrows."""
+        replica = self._replica
+        if replica is None:
+            replica = self._replica = ModelReplica(self._model_fn)
+        return replica
+
+    def adopt_replica(self, pool: list[ModelReplica]) -> None:
+        """Borrow from ``pool``'s replica of this client's architecture.
+
+        The pool is whoever-runs-the-clients' list of scratch replicas,
+        one per architecture (``model_fn`` equality); the client's own
+        replica joins it when none matches.
+        """
+        own, model_fn = self._replica, self._model_fn
+        for replica in pool:
+            if replica is own or (model_fn is not None and replica.model_fn == model_fn):
+                self._replica = replica
+                return
+        pool.append(self.replica)
+
+    def runtime_state(self) -> list[dict | None] | None:
+        """This client's live per-layer runtime state (None: stateless)."""
+        if self._runtime is None and self.replica.stateful:
+            self._runtime = self.replica.fresh_runtime()
+        return self._runtime
+
+    def _borrow(self) -> ModelReplica:
+        """The replica with this client's runtime state installed."""
+        replica = self.replica
+        if replica.stateful:
+            replica.install(self.runtime_state())
+        return replica
 
     # ------------------------------------------------------------------
     # Eviction support (repro.fl.population)
@@ -93,10 +136,11 @@ class Client:
         runtime state (dropout RNGs, batch-norm running stats),
         strategy attachments (SCAFFOLD variate, cached delta, halt
         flag), and compressor residual/momentum buffers.  Model
-        parameters and optimiser momentum are deliberately excluded:
-        ``local_train`` overwrites the parameters from the broadcast at
-        entry and resets the optimiser state every round, so neither
-        carries information across rounds.
+        parameters and optimiser momentum are not the client's to
+        keep: they live in the borrowed replica, and ``local_train``
+        overwrites the parameters from the broadcast at entry and
+        resets the optimiser state every round, so neither carries
+        information across rounds.
         """
         compressor = self.compressor
         return {
@@ -105,11 +149,11 @@ class Client:
             "control_variate": self.control_variate,
             "last_delta": self.last_delta,
             "compressor": None if compressor is None else compressor.export_state(),
-            "layers": _layer_runtime_state(self._model),
+            "layers": export_runtime(self._runtime),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Restore :meth:`extract_state` output onto a fresh replica.
+        """Restore :meth:`extract_state` output onto a fresh client.
 
         A compressor already attached by a materialization hook is
         refilled in place; otherwise one is rebuilt from the exported
@@ -132,21 +176,17 @@ class Client:
                     f"cannot rebuild compressor kind {comp_state.get('kind')!r}; "
                     "attach one via a population materialization hook"
                 )
-        _restore_layer_runtime_state(self._model, state["layers"])
+        self._runtime = import_runtime(state["layers"])
 
     def state_nbytes(self) -> int:
-        """Approximate heavy bytes this materialised client holds.
+        """Approximate heavy bytes this materialised client owns.
 
-        Counts the dominant O(d)/O(data) arrays — flat parameter and
-        gradient buffers, optimiser momentum, the dataset shard, and
+        Counts the dominant O(d)/O(data) arrays — the dataset shard and
         strategy attachments — which is what the population registry's
-        peak-RSS proxy accounts.
+        peak-RSS proxy accounts.  The borrowed replica is not the
+        client's: the registry counts it once (``ModelReplica.nbytes``).
         """
-        d = self._model.num_params
-        total = 2 * 8 * d  # flat parameter + gradient buffers
-        total += self.dataset.x.nbytes + self.dataset.y.nbytes
-        if self._optimizer is not None:
-            total += 8 * d  # hoisted momentum buffer
+        total = self.dataset.x.nbytes + self.dataset.y.nbytes
         for arr in (self.control_variate, self.last_delta):
             if arr is not None:
                 total += arr.nbytes
@@ -160,7 +200,7 @@ class Client:
 
     @property
     def model_dim(self) -> int:
-        return self._model.num_params
+        return self.replica.model.num_params
 
     # ------------------------------------------------------------------
     def local_train(
@@ -185,29 +225,10 @@ class Client:
         movement like weight decay — so the server can trust the
         packet's mask.
         """
-        model = self._model
+        replica = self._borrow()
+        model, loss_fn = replica.model, replica.loss_fn
         model.set_flat_params(global_params)
-        # The whole model is optimised as one flat parameter over the
-        # backing buffers — bit-identical to per-layer updates, minus
-        # the Python loop over layers.  The optimiser object (and its
-        # momentum buffer) is reused across rounds; reconfiguring and
-        # zeroing its state in place matches a fresh build bit for bit.
-        optimizer = self._optimizer
-        if optimizer is None:
-            optimizer = SGD(
-                [model.flat_parameter()],
-                lr=config.lr,
-                momentum=config.momentum,
-                weight_decay=config.weight_decay,
-            )
-            self._optimizer = optimizer
-        else:
-            optimizer.configure(
-                config.lr,
-                momentum=config.momentum,
-                weight_decay=config.weight_decay,
-            )
-            optimizer.reset_state()
+        optimizer = replica.optimizer(config)
 
         use_scaffold = server_control is not None
         if use_scaffold and self.control_variate is None:
@@ -243,8 +264,8 @@ class Client:
                     break
                 model.zero_grad()
                 logits = model.forward(xb, training=True)
-                loss = self._loss_fn.forward(logits, yb)
-                model.backward(self._loss_fn.backward(), need_input=False)
+                loss = loss_fn.forward(logits, yb)
+                model.backward(loss_fn.backward(), need_input=False)
 
                 if config.prox_mu > 0.0:
                     # FedProx: grad += mu * (w - w_global), applied flat.
@@ -303,13 +324,14 @@ class Client:
         to a pseudo-delta (``-lr * g``) so it is directly comparable to
         cached training deltas.  Updates ``last_delta`` and returns it.
         """
-        model = self._model
+        replica = self._borrow()
+        model, loss_fn = replica.model, replica.loss_fn
         model.set_flat_params(global_params)
         xb, yb = next(self.dataset.batches(config.batch_size, self._rng))
         model.zero_grad()
         logits = model.forward(xb, training=True)
-        self._loss_fn.forward(logits, yb)
-        model.backward(self._loss_fn.backward(), need_input=False)
+        loss_fn.forward(logits, yb)
+        model.backward(loss_fn.backward(), need_input=False)
         probe = -config.lr * model.get_flat_grads()
         self.last_delta = probe
         return probe
@@ -320,7 +342,7 @@ class Client:
         if config.max_batches is not None:
             per_epoch = min(per_epoch, config.max_batches * config.batch_size)
         samples = per_epoch * config.local_epochs
-        return _TRAIN_FLOP_FACTOR * self._model.flops_per_sample() * samples
+        return _TRAIN_FLOP_FACTOR * self.replica.model.flops_per_sample() * samples
 
     def evaluate(
         self, global_params: np.ndarray, dataset: Dataset, batch_size: int = 256
@@ -332,45 +354,7 @@ class Client:
         predictions are independent, so results are identical to a
         single full-dataset forward.
         """
-        self._model.set_flat_params(global_params)
-        preds = self._model.predict(dataset.x, batch_size=batch_size)
+        model = self._borrow().model
+        model.set_flat_params(global_params)
+        preds = model.predict(dataset.x, batch_size=batch_size)
         return float((preds == dataset.y).mean())
-
-
-def _layer_runtime_state(model: Sequential) -> list[dict | None]:
-    """Per-layer non-parameter state: dropout RNGs, batch-norm stats.
-
-    Parameters live in the flat buffers and are overwritten from the
-    broadcast, but a Dropout layer owns a persistent RNG and BatchNorm
-    accumulates running statistics — both must survive eviction for
-    re-materialised replicas to be bit-identical.
-    """
-    entries: list[dict | None] = []
-    for layer in model.layers:
-        entry: dict = {}
-        rng = getattr(layer, "_rng", None)
-        if isinstance(rng, np.random.Generator):
-            entry["rng"] = rng.bit_generator.state
-        mean = getattr(layer, "running_mean", None)
-        if isinstance(mean, np.ndarray):
-            # Eviction-time capture, not per-step work: the snapshot
-            # must own its arrays so later training can't mutate it.
-            entry["running_mean"] = mean.copy()  # reprolint: allow[R402]
-            entry["running_var"] = layer.running_var.copy()  # reprolint: allow[R402]
-        entries.append(entry or None)
-    return entries
-
-
-def _restore_layer_runtime_state(
-    model: Sequential, entries: list[dict | None]
-) -> None:
-    if len(entries) != len(model.layers):
-        raise ValueError("layer state does not match the model architecture")
-    for layer, entry in zip(model.layers, entries):
-        if not entry:
-            continue
-        if "rng" in entry:
-            layer._rng.bit_generator.state = entry["rng"]
-        if "running_mean" in entry:
-            layer.running_mean[...] = entry["running_mean"]
-            layer.running_var[...] = entry["running_var"]

@@ -8,7 +8,7 @@ per-arrival step).  :class:`_EngineBase` owns that loop once:
 * the **session** — population resolution (in memory or behind a
   remote transport), fault/churn/chaos binding, validator, retry
   policies, kernel + trace bus + metrics reducer, the batched-trainer
-  cache with its eviction watcher, and crash-safe snapshots;
+  cache, and crash-safe snapshots;
 * the **leg primitives** — ``_downlink_attempt``, ``_train_one``,
   ``_encode_upload``, ``_uplink``.  Each makes its kernel calls, emits
   its own ``DROPPED`` events and returns a small outcome; the engine
@@ -156,22 +156,14 @@ class _EngineBase:
         self.snapshot_path = snapshot_path
         self.snapshot_every = snapshot_every if snapshot_every is not None else 1
         self._on_snapshot = on_snapshot
-        # Reused MultiClientTrainer instances, keyed by cohort+config
-        # (see repro.fl.batched).  Session-local: deliberately excluded
-        # from snapshot_state, a resumed engine rebuilds on first use.
+        # Reused MultiClientTrainer instances, keyed by architecture,
+        # cohort size and config (see repro.fl.batched) — never by who
+        # is in the cohort, so the cache is bounded by the distinct
+        # cohort sizes and holds no reference to any client.
+        # Session-local: deliberately excluded from snapshot_state, a
+        # resumed engine rebuilds on first use.
         self._batched_cache: dict = {}
-        # The trainer cache holds references into client models; when
-        # the registry evicts a client those references go stale, so
-        # the eviction watcher drops the affected cohorts.  Watchers
-        # are transient — re-registered here on every (re)construction.
-        self.clients.on_evict(self._on_client_evicted)
         self.restore_extra(self.fresh_extra)
-
-    def _on_client_evicted(self, cid: int) -> None:
-        if self._batched_cache:
-            dead = [k for k in self._batched_cache if cid in k[0]]
-            for k in dead:
-                del self._batched_cache[k]
 
     @property
     def sim_time_s(self) -> float:

@@ -1,8 +1,8 @@
 """Virtual client population: a registry with lazy materialization.
 
 The paper targets fleets of embedded devices, but a naive simulation
-materialises every :class:`~repro.fl.client.Client` eagerly — a full
-model replica, optimizer buffers, and (for AdaFL) ~O(d) of DGC
+materialises every :class:`~repro.fl.client.Client` eagerly — a
+dataset shard, an O(d) cached delta and (for AdaFL) ~O(d) of DGC
 residual + momentum state per client.  That caps runs at a few dozen
 clients while real federations have thousands to millions.
 
@@ -11,10 +11,14 @@ clients while real federations have thousands to millions.
 * every client always has a cheap **descriptor** — its id plus scalar
   metadata kept in preallocated numpy arrays (utility score, last
   upload round, last seen round), a few bytes per client;
-* the heavy **state** (the ``Client`` object: model replica, dataset
-  shard, SCAFFOLD variate, DGC residuals, hoisted SGD momentum) exists
-  only while the client is *materialised* — typically just the active
-  cohort of a round.
+* the heavy **state** (the ``Client`` object: dataset shard, SCAFFOLD
+  variate, cached delta, DGC residuals) exists only while the client is
+  *materialised* — typically just the active cohort of a round;
+* the **scratch model** those clients train on — parameters, gradients,
+  hoisted SGD momentum, conv workspaces — belongs to the registry, one
+  :class:`~repro.fl.replica.ModelReplica` per architecture that every
+  materialised client borrows, so its cost never scales with the
+  cohort.
 
 Eviction follows a :class:`RetentionPolicy`:
 
@@ -27,7 +31,7 @@ Eviction follows a :class:`RetentionPolicy`:
   sealed into a :mod:`repro.wire` blob frame on disk; RAM cost per
   evicted client is O(1).
 * ``"regenerate"`` — everything derivable from the client factory
-  (model, optimizer, dataset shard) is dropped and rebuilt from seed
+  (the dataset shard) is dropped and rebuilt from seed
   on the next materialization; only the irreducible cross-round state
   stays in RAM.  For stateless strategies (FedAvg/FedAsync without
   compressors) that is just an RNG state — a few hundred bytes.
@@ -40,11 +44,7 @@ and the pinned equivalence suite asserts it.
 
 Materialization hooks let strategies attach per-client machinery
 (AdaFL's DGC compressors) without ever iterating the full population;
-eviction watchers let engines invalidate caches keyed on client
-identity (the batched-compute trainer cache).  Watchers are
-deliberately transient — they are dropped on pickling and re-registered
-by the engine constructor on snapshot resume — while materialization
-hooks (bound strategy methods) travel with the snapshot.
+they are bound strategy methods and travel with the snapshot.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.fl.client import Client
+from repro.fl.replica import ModelReplica
 from repro.wire.frame import seal, unseal
 
 __all__ = ["RetentionPolicy", "ClientPopulation", "PopulationStats"]
@@ -127,6 +128,9 @@ class ClientPopulation:
         client_fn: Callable[[int], Client] | None = None,
         policy: RetentionPolicy | None = None,
     ):
+        # The scratch models materialised clients borrow, one per
+        # architecture (see repro.fl.replica).
+        self._replicas: list[ModelReplica] = []
         if clients is not None:
             if num_clients is not None or client_fn is not None:
                 raise ValueError("pass either clients or num_clients/client_fn")
@@ -142,6 +146,8 @@ class ClientPopulation:
             self._client_fn = None
             self._num = len(clients)
             self._live: dict[int, Client] = {c.client_id: c for c in clients}
+            for c in clients:
+                c.adopt_replica(self._replicas)
         else:
             if num_clients is None or client_fn is None:
                 raise ValueError("virtual populations need num_clients and client_fn")
@@ -164,7 +170,6 @@ class ClientPopulation:
         self.last_upload_round = np.full(self._num, -1, dtype=np.int64)
         self.last_seen_round = np.full(self._num, -1, dtype=np.int64)
         self._materialize_hooks: list[Callable[[Client], None]] = []
-        self._evict_watchers: list[Callable[[int], None]] = []
         self.stats = PopulationStats()
         self._all_ids: list[int] | None = None
         self._all_ids_array: np.ndarray | None = None
@@ -234,6 +239,7 @@ class ClientPopulation:
             raise ValueError(
                 f"client_fn({cid}) built a client with id {c.client_id}"
             )
+        c.adopt_replica(self._replicas)
         for hook in self._materialize_hooks:
             hook(c)
         state = self._take_state(cid)
@@ -281,9 +287,9 @@ class ClientPopulation:
             return
         live = self._live
         if live:
-            # Clients gain weight after materialization (optimizer
-            # buffers, attached compressors), so re-sample the byte
-            # peak at trim time, when the cohort is fully loaded.
+            # Clients gain weight after materialization (cached
+            # deltas, compressor buffers), so re-sample the byte peak
+            # at trim time, when the cohort is fully loaded.
             self.stats.peak_live_nbytes = max(
                 self.stats.peak_live_nbytes, self.live_nbytes()
             )
@@ -309,8 +315,6 @@ class ClientPopulation:
         else:
             self._retained[cid] = state
         self.stats.evictions += 1
-        for watcher in self._evict_watchers:
-            watcher(cid)
 
     # -- hooks ---------------------------------------------------------
     def on_materialize(self, hook: Callable[[Client], None]) -> None:
@@ -327,14 +331,6 @@ class ClientPopulation:
                 hook(self._live[cid])
             return
         self._materialize_hooks.append(hook)
-
-    def on_evict(self, watcher: Callable[[int], None]) -> None:
-        """Run ``watcher(cid)`` after each eviction.
-
-        Watchers are transient (dropped on pickling): engines use them
-        for session-local caches and re-register at construction.
-        """
-        self._evict_watchers.append(watcher)
 
     # -- metadata ------------------------------------------------------
     def note_seen(self, ids, round_index: int) -> None:
@@ -353,8 +349,11 @@ class ClientPopulation:
         return iter(self._live)
 
     def live_nbytes(self) -> int:
-        """Heavy bytes held by materialised clients (peak-RSS proxy)."""
-        return sum(c.state_nbytes() for c in self._live.values())
+        """Heavy bytes held for materialised clients (peak-RSS proxy):
+        what each client owns, plus the scratch replicas counted once."""
+        return sum(c.state_nbytes() for c in self._live.values()) + sum(
+            r.nbytes() for r in self._replicas
+        )
 
     def retained_nbytes(self) -> int:
         """Bytes of evicted cross-round state kept in RAM."""
@@ -371,7 +370,6 @@ class ClientPopulation:
     # -- snapshots -----------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_evict_watchers"] = []
         # Derived id caches are rebuilt on demand, never snapshotted.
         state["_all_ids"] = None
         state["_all_ids_array"] = None
@@ -384,6 +382,8 @@ class ClientPopulation:
                 retained[cid] = c.extract_state()
             state["_retained"] = retained
             state["_live"] = {}
+            # Scratch: rebuilt by the first client to re-materialise.
+            state["_replicas"] = []
             state["_spilled"] = set(state["_spilled"]) - set(retained)
         return state
 

@@ -55,6 +55,7 @@ __all__ = [
     "MultiClientTrainer",
     "TaskResult",
     "UnsupportedModelError",
+    "architecture",
     "supports",
 ]
 
@@ -70,6 +71,10 @@ class TaskResult:
     losses: list[float] = field(default_factory=list)
     steps: int = 0
     samples_seen: int = 0
+    # The client's row of the trainer's parameter / gradient stacks:
+    # views, valid until the trainer's next ``run``.
+    params: np.ndarray | None = None
+    grads: np.ndarray | None = None
 
 
 # ----------------------------------------------------------------------
@@ -106,11 +111,22 @@ def _signature(layer) -> tuple | None:
     return None
 
 
+def architecture(model: Sequential) -> tuple | None:
+    """Hashable identity of a batchable architecture, else ``None``.
+
+    Two models with equal values can share one :class:`MultiClientTrainer`.
+    """
+    if len(model.output_shape) != 1:
+        return None
+    sigs = tuple(_signature(layer) for layer in model.layers)
+    if None in sigs:
+        return None
+    return (sigs, model.input_shape, model.num_params)
+
+
 def supports(model: Sequential) -> bool:
     """Whether every layer of ``model`` has a batched implementation."""
-    if len(model.output_shape) != 1:
-        return False
-    return all(_signature(layer) is not None for layer in model.layers)
+    return architecture(model) is not None
 
 
 def _carve(buf: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -130,17 +146,23 @@ def _carve(buf: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
 class _Handler:
     """Batched forward/backward for one layer position.
 
-    ``rows`` holds the K clients' live layer instances (sorted order)
-    so stateful layers (dropout RNGs, batch-norm running stats) mutate
-    the real per-client objects exactly as the serial path would.
+    Built from the reference model's layer at that position (its
+    configuration only).  Stateful layers (dropout RNGs, batch-norm
+    running stats) reach the K clients' own runtime-state objects
+    through :meth:`state`, bound per ``run`` in sorted-row order, and
+    mutate them exactly as the serial path would.
     """
 
     param_size = 0
+    stateful = False  # reads per-client runtime state through ``state``
 
-    def __init__(self, tr: "MultiClientTrainer", li: int, rows: list):
+    def __init__(self, tr: "MultiClientTrainer", li: int):
         self.tr = tr
         self.li = li
-        self.rows = rows
+
+    def state(self, row: int) -> dict:
+        """Row ``row``'s runtime state for this layer position."""
+        return self.tr._runtimes[row][self.li]
 
     def forward(self, x, a, b, bsz):
         raise NotImplementedError
@@ -150,12 +172,11 @@ class _Handler:
 
 
 class _LinearH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        lay = rows[0]
-        self.in_f = lay.in_features
-        self.out_f = lay.out_features
-        self.has_bias = lay.bias is not None
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.in_f = layer.in_features
+        self.out_f = layer.out_features
+        self.has_bias = layer.bias is not None
         self.W = _carve(tr._P, offset, (self.out_f, self.in_f))
         self.Gw = _carve(tr._G, offset, (self.out_f, self.in_f))
         self.param_size = self.out_f * self.in_f
@@ -197,15 +218,14 @@ class _LinearH(_Handler):
 
 
 class _Conv2dH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        lay = rows[0]
-        self.in_c = lay.in_channels
-        self.out_c = lay.out_channels
-        self.k = lay.kernel_size
-        self.s = lay.stride
-        self.p = lay.padding
-        self.has_bias = lay.bias is not None
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.in_c = layer.in_channels
+        self.out_c = layer.out_channels
+        self.k = layer.kernel_size
+        self.s = layer.stride
+        self.p = layer.padding
+        self.has_bias = layer.bias is not None
         ckk = self.in_c * self.k * self.k
         self.ckk = ckk
         self.W = _carve(tr._P, offset, (self.out_c, ckk))
@@ -264,10 +284,10 @@ class _Conv2dH(_Handler):
 
 
 class _MaxPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.k = rows[0].kernel_size
-        self.s = rows[0].stride
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.k = layer.kernel_size
+        self.s = layer.stride
         self._ws = ConvWorkspace()
         self._first = None
         self._x_shape = None
@@ -311,10 +331,10 @@ class _MaxPoolH(_Handler):
 
 
 class _AvgPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.k = rows[0].kernel_size
-        self.s = rows[0].stride
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.k = layer.kernel_size
+        self.s = layer.stride
         self._ws = ConvWorkspace()
         self._x_shape = None
 
@@ -346,8 +366,8 @@ class _AvgPoolH(_Handler):
 
 
 class _GlobalAvgPoolH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
         self._x_shape = None
 
     def forward(self, x, a, b, bsz):
@@ -371,8 +391,8 @@ class _GlobalAvgPoolH(_Handler):
 
 
 class _ReLUH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
         self._mask = None
 
     def forward(self, x, a, b, bsz):
@@ -394,8 +414,8 @@ class _ReLUH(_Handler):
 
 
 class _TanhH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
         self._out = None
 
     def forward(self, x, a, b, bsz):
@@ -418,9 +438,10 @@ class _TanhH(_Handler):
 
 
 class _DropoutH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.rate = rows[0].rate
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.rate = layer.rate
+        self.stateful = self.rate > 0.0
         self._mask = None
 
     def forward(self, x, a, b, bsz):
@@ -433,7 +454,7 @@ class _DropoutH(_Handler):
             # Each client's mask comes off its own layer RNG, exactly
             # one draw per step — the serial stream order.
             mask[i * bsz:(i + 1) * bsz] = (
-                self.rows[a + i]._rng.random((bsz,) + feat) < keep
+                self.state(a + i)["rng"].random((bsz,) + feat) < keep
             ) / keep
         ob = self.tr._buf(self.li, "ob", x.shape)
         np.multiply(x, mask, out=ob)
@@ -453,8 +474,8 @@ class _DropoutH(_Handler):
 
 
 class _FlattenH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
         self._x_shape = None
 
     def forward(self, x, a, b, bsz):
@@ -470,9 +491,13 @@ class _FlattenH(_Handler):
 
 
 class _BatchNormH(_Handler):
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.c = rows[0].num_channels
+    stateful = True
+
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.c = layer.num_channels
+        self.momentum = layer.momentum
+        self.eps = layer.eps
         self.Pg = _carve(tr._P, offset, (self.c,))
         self.Gg = _carve(tr._G, offset, (self.c,))
         self.Pb = _carve(tr._P, offset + self.c, (self.c,))
@@ -487,16 +512,16 @@ class _BatchNormH(_Handler):
         invs = self.tr._buf(self.li, "invs", (m, c))
         xh = self.tr._buf(self.li, "xh", (n, c, h, w))
         for i in range(m):
-            lay = self.rows[a + i]
+            st = self.state(a + i)
             xs = x[i * bsz:(i + 1) * bsz]
             mean = xs.mean(axis=(0, 2, 3))
             var = xs.var(axis=(0, 2, 3))
-            lay.running_mean *= 1.0 - lay.momentum
-            lay.running_mean += lay.momentum * mean
-            lay.running_var *= 1.0 - lay.momentum
-            lay.running_var += lay.momentum * var
+            st["running_mean"] *= 1.0 - self.momentum
+            st["running_mean"] += self.momentum * mean
+            st["running_var"] *= 1.0 - self.momentum
+            st["running_var"] += self.momentum * var
             means[i, :] = mean
-            invs[i, :] = 1.0 / np.sqrt(var + lay.eps)
+            invs[i, :] = 1.0 / np.sqrt(var + self.eps)
             np.subtract(xs, mean[None, :, None, None],
                         out=xh[i * bsz:(i + 1) * bsz])
         xh5 = xh.reshape(m, bsz, c, h, w)
@@ -560,11 +585,11 @@ class _GroupNormH(_Handler):
     the serial expressions verbatim over the stacked batch; only the
     per-client affine parameters need row-wise treatment."""
 
-    def __init__(self, tr, li, rows, offset):
-        super().__init__(tr, li, rows)
-        self.groups = rows[0].num_groups
-        self.c = rows[0].num_channels
-        self.eps = rows[0].eps
+    def __init__(self, tr, li, layer, offset):
+        super().__init__(tr, li)
+        self.groups = layer.num_groups
+        self.c = layer.num_channels
+        self.eps = layer.eps
         self.Pg = _carve(tr._P, offset, (self.c,))
         self.Gg = _carve(tr._G, offset, (self.c,))
         self.Pb = _carve(tr._P, offset + self.c, (self.c,))
@@ -645,24 +670,23 @@ _HANDLER_TYPES: dict[type, type] = {
 class MultiClientTrainer:
     """Fused local SGD for K clients sharing one architecture.
 
-    Construction validates that all models are architecturally
-    identical and batchable, allocates the ``(K, d)`` parameter /
-    gradient / optimizer-state stacks, and carves per-layer weight
-    views.  :meth:`run` then executes one full local-training round
-    (``local_epochs`` over every shard) and writes the resulting
-    parameters and gradients back into the client models.
+    Construction takes the architecture from one reference model (its
+    layer configuration only — the model is not kept), checks it is
+    batchable, allocates the ``(K, d)`` parameter / gradient /
+    optimizer-state stacks, and carves per-layer weight views.
+    :meth:`run` binds K clients' shards, shuffling RNGs and runtime
+    state for one full local-training round (``local_epochs`` over
+    every shard); the rows of the stack are the result.
 
-    Instances are reusable across rounds as long as the client models,
-    datasets, and RNG objects stay the same (the engines key a cache on
-    exactly that).
+    An instance depends on the architecture, K and the hyperparameters,
+    never on who the K clients are, so it is reusable for any cohort of
+    that size.
     """
 
     def __init__(
         self,
-        models: list[Sequential],
-        xs: list[np.ndarray],
-        ys: list[np.ndarray],
-        rngs: list[np.random.Generator],
+        model: Sequential,
+        k: int,
         *,
         local_epochs: int,
         batch_size: int,
@@ -673,68 +697,29 @@ class MultiClientTrainer:
         max_batches: int | None = None,
         use_corrections: bool = False,
     ):
-        k = len(models)
-        if k < 1 or not (len(xs) == len(ys) == len(rngs) == k):
-            raise ValueError("models/xs/ys/rngs must be equal-length, K >= 1")
+        if k < 1:
+            raise ValueError("K must be at least 1")
         if local_epochs < 1 or batch_size < 1 or lr <= 0:
             raise ValueError("invalid training hyperparameters")
         if not 0.0 <= momentum < 1.0 or weight_decay < 0.0 or prox_mu < 0.0:
             raise ValueError("invalid training hyperparameters")
         if max_batches is not None and max_batches < 1:
             raise ValueError("max_batches must be positive or None")
-
-        ref = models[0]
-        sigs = tuple(_signature(layer) for layer in ref.layers)
-        if any(s is None for s in sigs) or len(ref.output_shape) != 1:
+        if architecture(model) is None:
             raise UnsupportedModelError("model contains unbatchable layers")
-        for model in models[1:]:
-            if (
-                tuple(_signature(layer) for layer in model.layers) != sigs
-                or model.input_shape != ref.input_shape
-                or model.num_params != ref.num_params
-            ):
-                raise UnsupportedModelError("client models differ")
-        num_classes = ref.output_shape[0]
-        for x, y in zip(xs, ys):
-            if x.dtype != np.float64 or x.shape[1:] != ref.input_shape:
-                raise UnsupportedModelError("shard features not float64/shape")
-            if (
-                x.shape[0] == 0
-                or y.shape != (x.shape[0],)
-                or not np.issubdtype(y.dtype, np.integer)
-                or y.min() < 0
-                or y.max() >= num_classes
-            ):
-                raise UnsupportedModelError("shard labels out of range")
-
-        # Rows sorted by descending shard size (stable) so the active
-        # set at any step is a prefix and equal-batch runs contiguous.
-        self._order = sorted(range(k), key=lambda i: (-len(ys[i]), i))
-        self._models = [models[i] for i in self._order]
-        self._xs = [xs[i] for i in self._order]
-        self._ys = [ys[i] for i in self._order]
-        self._rngs = [rngs[i] for i in self._order]
-        self._n = [len(y) for y in self._ys]
 
         self.k = k
-        self.d = ref.num_params
-        self.num_classes = num_classes
+        self.d = model.num_params
+        self.input_shape = model.input_shape
+        self.num_classes = model.output_shape[0]
         self.local_epochs = local_epochs
         self.batch_size = batch_size
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.prox_mu = prox_mu
+        self.max_batches = max_batches
         self.use_corrections = use_corrections
-
-        bs = batch_size
-        self._steps = []
-        for n in self._n:
-            steps = -(-n // bs)
-            if max_batches is not None:
-                steps = min(steps, max_batches)
-            self._steps.append(steps)
-        self.max_steps = self._steps[0]
 
         self._P = np.empty((k, self.d), dtype=np.float64)
         self._G = np.zeros((k, self.d), dtype=np.float64)
@@ -753,13 +738,18 @@ class MultiClientTrainer:
 
         self.handlers: list[_Handler] = []
         offset = 0
-        for li, layer in enumerate(ref.layers):
-            rows = [m.layers[li] for m in self._models]
-            handler = _HANDLER_TYPES[type(layer)](self, li, rows, offset)
+        for li, layer in enumerate(model.layers):
+            handler = _HANDLER_TYPES[type(layer)](self, li, layer, offset)
             offset += handler.param_size
             self.handlers.append(handler)
         if offset != self.d:
             raise UnsupportedModelError("parameter layout mismatch")
+        self._stateful = any(h.stateful for h in self.handlers)
+
+        # Bound by ``run`` for its duration, in sorted-row order.
+        self._xs: list[np.ndarray] = []
+        self._ys: list[np.ndarray] = []
+        self._runtimes: list[list[dict | None]] | None = None
 
     # ------------------------------------------------------------------
     def _buf(self, li: int, tag: str, shape: tuple[int, ...],
@@ -802,57 +792,108 @@ class MultiClientTrainer:
         return ar
 
     # ------------------------------------------------------------------
+    def _check_shards(self, xs: list[np.ndarray], ys: list[np.ndarray]) -> None:
+        for x, y in zip(xs, ys):
+            if x.dtype != np.float64 or x.shape[1:] != self.input_shape:
+                raise UnsupportedModelError("shard features not float64/shape")
+            if (
+                x.shape[0] == 0
+                or y.shape != (x.shape[0],)
+                or not np.issubdtype(y.dtype, np.integer)
+                or y.min() < 0
+                or y.max() >= self.num_classes
+            ):
+                raise UnsupportedModelError("shard labels out of range")
+
     def run(
         self,
         global_params: np.ndarray,
+        xs: list[np.ndarray],
+        ys: list[np.ndarray],
+        rngs: list[np.random.Generator],
+        runtimes: list[list[dict | None]] | None = None,
         corrections: list[np.ndarray] | None = None,
     ) -> list[TaskResult]:
-        """One fused local-training round; returns per-client results
-        in the ORIGINAL (caller) client order."""
+        """One fused local-training round over K clients.
+
+        ``xs``/``ys``/``rngs`` are the clients' shards and shuffling
+        generators; ``runtimes`` their per-layer runtime state (the
+        live ``{"rng": ...}`` / ``{"running_mean": ..., "running_var":
+        ...}`` entries of ``repro.fl.replica``), required iff the
+        architecture has Dropout or BatchNorm layers.  Results come
+        back in the caller's client order; each one's ``params`` /
+        ``grads`` are rows of the trainer's stacks, valid until the
+        next ``run``.  Shards the kernel cannot take raise
+        :class:`UnsupportedModelError` before any RNG is drawn from.
+        """
+        k = self.k
         if global_params.shape != (self.d,):
             raise ValueError("global_params has wrong dimension")
+        if not (len(xs) == len(ys) == len(rngs) == k):
+            raise ValueError(f"xs/ys/rngs must each have K = {k} entries")
+        if self._stateful and (runtimes is None or len(runtimes) != k):
+            raise ValueError("runtimes required: the model has stateful layers")
+        if self.use_corrections and (corrections is None or len(corrections) != k):
+            raise ValueError("corrections required with use_corrections")
+        self._check_shards(xs, ys)
+
+        # Rows sorted by descending shard size (stable) so the active
+        # set at any step is a prefix and equal-batch runs contiguous.
+        order = sorted(range(k), key=lambda i: (-len(ys[i]), i))
+        rngs = [rngs[i] for i in order]
+        n = [len(ys[i]) for i in order]
+        bs = self.batch_size
+        steps = [-(-size // bs) for size in n]
+        if self.max_batches is not None:
+            steps = [min(count, self.max_batches) for count in steps]
+        max_steps = steps[0]
+
         if self.use_corrections:
-            if corrections is None or len(corrections) != self.k:
-                raise ValueError("corrections required with use_corrections")
-            for r in range(self.k):
-                self._C[r, :] = corrections[self._order[r]]
+            for r in range(k):
+                self._C[r, :] = corrections[order[r]]
         self._P[:, :] = global_params
         if self._V is not None:
             self._V.fill(0.0)
 
-        losses: list[list[float]] = [[] for _ in range(self.k)]
-        bs = self.batch_size
-        for _ in range(self.local_epochs):
-            perms = []
-            for r in range(self.k):
-                # Same shuffle draw as Dataset.batches: permute an
-                # arange on the client's own generator.
-                perm = np.arange(self._n[r], dtype=np.intp)
-                self._rngs[r].shuffle(perm)
-                perms.append(perm)
-            for s in range(self.max_steps):
-                m_act = 0
-                while m_act < self.k and self._steps[m_act] > s:
-                    m_act += 1
-                a = 0
-                while a < m_act:
-                    bsz = min(bs, self._n[a] - s * bs)
-                    b = a + 1
-                    while b < m_act and min(bs, self._n[b] - s * bs) == bsz:
-                        b += 1
-                    self._train_step(a, b, bsz, s, perms, global_params,
-                                     losses)
-                    a = b
+        self._xs = [xs[i] for i in order]
+        self._ys = [ys[i] for i in order]
+        self._runtimes = [runtimes[i] for i in order] if self._stateful else None
+        losses: list[list[float]] = [[] for _ in range(k)]
+        try:
+            for _ in range(self.local_epochs):
+                perms = []
+                for r in range(k):
+                    # Same shuffle draw as Dataset.batches: permute an
+                    # arange on the client's own generator.
+                    perm = np.arange(n[r], dtype=np.intp)
+                    rngs[r].shuffle(perm)
+                    perms.append(perm)
+                for s in range(max_steps):
+                    m_act = 0
+                    while m_act < k and steps[m_act] > s:
+                        m_act += 1
+                    a = 0
+                    while a < m_act:
+                        bsz = min(bs, n[a] - s * bs)
+                        b = a + 1
+                        while b < m_act and min(bs, n[b] - s * bs) == bsz:
+                            b += 1
+                        self._train_step(a, b, bsz, s, perms, global_params,
+                                         losses)
+                        a = b
+        finally:
+            # The trainer outlives the cohort: keep no client's data.
+            self._xs, self._ys, self._runtimes = [], [], None
 
-        results: list[TaskResult] = [TaskResult() for _ in range(self.k)]
-        for r in range(self.k):
-            self._models[r].set_flat_params(self._P[r])
-            self._models[r].set_flat_grads(self._G[r])
-            seen = min(self._n[r], self._steps[r] * bs)
-            results[self._order[r]] = TaskResult(
+        results: list[TaskResult] = [TaskResult() for _ in range(k)]
+        for r in range(k):
+            seen = min(n[r], steps[r] * bs)
+            results[order[r]] = TaskResult(
                 losses=losses[r],
-                steps=self.local_epochs * self._steps[r],
+                steps=self.local_epochs * steps[r],
                 samples_seen=self.local_epochs * seen,
+                params=self._P[r],
+                grads=self._G[r],
             )
         return results
 
@@ -861,7 +902,7 @@ class MultiClientTrainer:
         m = b - a
         n_total = m * bsz
         bs = self.batch_size
-        xb = self._buf(-1, "xb", (n_total,) + self._models[0].input_shape)
+        xb = self._buf(-1, "xb", (n_total,) + self.input_shape)
         yb = self._buf(-1, "yb", (n_total,), dtype=np.intp)
         for i in range(m):
             r = a + i

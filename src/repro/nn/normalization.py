@@ -5,12 +5,14 @@ with exact backward-pass gradients and running statistics for
 evaluation.  Note for federated use: the learnable affine parameters
 (gamma, beta) participate in ``Sequential.get_flat_params`` and are
 therefore aggregated like any weight, while the running mean/var are
-*local buffers* that stay on each replica — the FedBN convention,
+*local buffers* that stay with each client — the FedBN convention,
 which is also what keeps flat-parameter round-trips architecture-pure.
+(A client installs its own pair into the model it borrows, see
+``repro.fl.replica``.)
 
 ``GroupNorm`` is the FL-preferred alternative: it normalises per
 sample (no cross-batch statistics at all), so nothing desynchronises
-between replicas and evaluation behaves identically to training.
+between clients and evaluation behaves identically to training.
 """
 
 from __future__ import annotations

@@ -307,7 +307,15 @@ class SocketTransport:
         self._trace = trace
 
     def wait_ready(self, timeout_s: float | None = None) -> None:
-        """Block until every worker slot has handshaken."""
+        """Block until every worker slot has handshaken.
+
+        "Handshaken" means the worker was sent its ``welcome``; it
+        builds its replica of the federation *after* that
+        (``Worker._build``: import the experiment stack, synthesise the
+        data).  The first request it is sent — normally the first
+        round's ``heartbeat`` — waits out that build, a few hundred
+        milliseconds once per run; every later ping is sub-millisecond.
+        """
         budget = timeout_s if timeout_s is not None else self.config.connect_timeout_s
         deadline = time.monotonic() + budget
         for link in self._links:
@@ -713,9 +721,6 @@ class RemoteClientPopulation:
 
     def on_materialize(self, hook) -> None:
         """No-op: workers attach per-client machinery themselves."""
-
-    def on_evict(self, watcher) -> None:
-        """No-op: remote clients are never evicted server-side."""
 
 
 class RemoteClient:

@@ -56,7 +56,7 @@ def _same_client(a: Client, b: Client) -> bool:
         and np.array_equal(a.dataset.x, b.dataset.x)
         and np.array_equal(a.dataset.y, b.dataset.y)
         and a.dataset.name == b.dataset.name
-        and np.array_equal(a._model.get_flat_params(), b._model.get_flat_params())
+        and np.array_equal(a.replica.model.get_flat_params(), b.replica.model.get_flat_params())
         and a.extract_state().keys() == b.extract_state().keys()
     )
 

@@ -52,7 +52,7 @@ class TestGlue:
     def test_matches_serial_updates(self):
         _, serial = _federation(10)
         _, fused = _federation(10)
-        gp = serial[0]._model.get_flat_params().copy()
+        gp = serial[0].replica.model.get_flat_params().copy()
         cache: dict = {}
         for rnd in range(2):
             expected = [c.local_train(gp, CFG, round_index=rnd) for c in serial]
@@ -72,7 +72,7 @@ class TestGlue:
 
     def test_trainer_cached_across_rounds(self):
         _, clients = _federation(10)
-        gp = clients[0]._model.get_flat_params().copy()
+        gp = clients[0].replica.model.get_flat_params().copy()
         cache: dict = {}
         train_clients_batched(clients, gp, CFG, cache=cache)
         assert len(cache) == 1
@@ -82,18 +82,18 @@ class TestGlue:
 
     def test_single_client_falls_back(self):
         _, clients = _federation(10)
-        gp = clients[0]._model.get_flat_params().copy()
+        gp = clients[0].replica.model.get_flat_params().copy()
         assert train_clients_batched(clients[:1], gp, CFG) is None
 
     def test_unknown_kwarg_falls_back(self):
         _, clients = _federation(10)
-        gp = clients[0]._model.get_flat_params().copy()
+        gp = clients[0].replica.model.get_flat_params().copy()
         kw = {clients[0].client_id: {"custom_knob": 1}}
         assert train_clients_batched(clients, gp, CFG, kwargs_by_cid=kw) is None
 
     def test_mixed_scaffold_cohort_falls_back(self):
         _, clients = _federation(10)
-        gp = clients[0]._model.get_flat_params().copy()
+        gp = clients[0].replica.model.get_flat_params().copy()
         kw = {clients[0].client_id: {"server_control": np.zeros_like(gp)}}
         assert train_clients_batched(clients, gp, CFG, kwargs_by_cid=kw) is None
 
@@ -106,7 +106,7 @@ class TestGlue:
             Client(i, template[i].dataset, model_fn, seed=10 + i)
             for i in range(3)
         ]
-        gp = clients[0]._model.get_flat_params().copy()
+        gp = clients[0].replica.model.get_flat_params().copy()
         cache: dict = {}
         assert train_clients_batched(clients, gp, CFG, cache=cache) is None
         assert len(cache) == 1  # negative entry: cost paid once
@@ -201,3 +201,62 @@ class TestPinnedCasesEngage:
         monkeypatch.setattr(async_mod, "train_clients_batched", counting)
         run_async_fedasync_nonet()
         assert any(hits)
+
+
+# ---------------------------------------------------------------------------
+# The trainer cache is bounded by cohort shapes, not by who was drawn
+# ---------------------------------------------------------------------------
+
+class TestTrainerCacheIsBounded:
+    """``FedAvg(participation_rate=0.5)`` draws a different half of the
+    federation every round.  The fused trainer is keyed by what it is
+    built from — architecture, cohort size, config — so forty rounds
+    reuse one trainer; keyed by the cohort's ids it kept one per round
+    (and the ``(K, d)`` stacks and conv workspaces of each) for as long
+    as the engine lived."""
+
+    ROUNDS = 40
+
+    def _engine(self):
+        from repro.experiments.presets import get_scale
+        from repro.experiments.runner import (
+            FederationSpec,
+            _federation_config,
+            build_federation,
+        )
+
+        fast = get_scale("fast")
+        scale = dataclasses.replace(
+            fast, num_clients=20, train_samples=2 * fast.train_samples,
+            num_rounds=self.ROUNDS,
+        )
+        spec = FederationSpec(
+            dataset="mnist", model="mnist_cnn", distribution="shard",
+            scale=scale, seed=0,
+        )
+        fed = build_federation(spec)
+        assert len(fed.clients) == 20
+        return SyncEngine(
+            fed.server, fed.clients, FedAvg(participation_rate=0.5),
+            _federation_config(spec),
+        )
+
+    def test_forty_half_cohort_rounds_keep_one_trainer_and_flat_memory(self):
+        import tracemalloc
+
+        engine = self._engine()
+        cohorts, peaks = set(), []
+        tracemalloc.start()
+        try:
+            for record in engine.iter_rounds():
+                cohorts.add(tuple(sorted(record.participants)))
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(cohorts) > self.ROUNDS // 2  # the draw really varies
+        assert len(engine._batched_cache) <= 2
+        # Warm by round 5 (trainer, scratch buffers, every client's
+        # cached delta); nothing accumulates afterwards.
+        assert max(peaks[5:]) <= 1.1 * max(peaks[:5])

@@ -124,26 +124,26 @@ class TestTrainingFlops:
 
 
 class TestHoistedOptimizer:
-    """The per-client SGD is built once and reused across rounds."""
+    """The SGD over the borrowed replica is built once and reused."""
 
     def test_optimizer_and_buffers_persist_across_rounds(self, client, global_params):
         momentum_cfg = LocalTrainingConfig(
             local_epochs=1, batch_size=16, lr=0.1, momentum=0.9
         )
         client.local_train(global_params, momentum_cfg)
-        opt = client._optimizer
+        opt = client.replica._optimizer
         assert opt is not None
         velocity = opt._velocity[0]
         client.local_train(global_params, momentum_cfg, round_index=1)
         # Same optimiser object, same velocity backing buffer: no
         # per-round reallocation.
-        assert client._optimizer is opt
+        assert client.replica._optimizer is opt
         assert opt._velocity[0] is velocity
 
     def test_optimizer_aliases_model_backing_buffer(self, client, global_params):
         client.local_train(global_params, CFG)
-        flat = client._model.get_flat_params()
-        assert np.shares_memory(client._optimizer.params[0].data, flat)
+        flat = client.replica.model.get_flat_params()
+        assert np.shares_memory(client.replica._optimizer.params[0].data, flat)
 
     def test_reuse_bit_identical_to_fresh_client(
         self, tiny_train, tiny_model_fn, global_params
@@ -181,7 +181,7 @@ class TestHoistedOptimizer:
 
         client.local_train(global_params, CFG)
         clone = pickle.loads(pickle.dumps(client))
-        assert clone._optimizer is None
+        assert clone.replica._optimizer is None
         # The clone lazily rebuilds it and still trains identically.
         update = clone.local_train(global_params, CFG, round_index=1)
         expected = client.local_train(global_params, CFG, round_index=1)

@@ -3,7 +3,7 @@
 Three layers of guarantees are pinned here:
 
 * **registry mechanics** — LRU touch order, spill/regenerate round
-  trips, lifecycle accounting, hook/watcher semantics, pickling;
+  trips, lifecycle accounting, hook semantics, pickling;
 * **eviction determinism** (the tentpole's acceptance bar) — all six
   committed equivalence trajectories stay bit-identical when the same
   federation is rebuilt as a virtual population under heavy eviction
@@ -194,7 +194,7 @@ class TestLifecycle:
             spill_dir=tmp_path if mode == "spill" else None,
         )
         c0 = pop[0]
-        gp = c0._model.get_flat_params().copy()
+        gp = c0.replica.model.get_flat_params().copy()
         c0.local_train(gp, LOCAL)
         before = c0.extract_state()
         pop[1]
@@ -241,27 +241,18 @@ class TestLifecycle:
         pop.on_materialize(lambda c: seen.append(c.client_id))
         assert seen == [0, 1, 2]  # applied immediately, in id order
 
-    def test_evict_watcher_fires(self):
-        pop = _virtual(3, max_live=1)
-        evicted = []
-        pop.on_evict(evicted.append)
-        pop[0], pop[1]
-        pop.evict_to_cap()
-        assert evicted == [0]
-
 
 class TestPickling:
     def test_snapshot_collapses_live_clients(self, tmp_path):
         pop = _virtual(3, mode="spill", max_live=2, spill_dir=tmp_path)
-        pop.on_evict(lambda cid: None)  # unpicklable? no — but must be dropped
         c0 = pop[0]
-        c0.local_train(c0._model.get_flat_params().copy(), LOCAL)
+        c0.local_train(c0.replica.model.get_flat_params().copy(), LOCAL)
         before = c0.extract_state()
         pop[1], pop[2]
         pop.evict_to_cap()  # client 0 spills to disk
         loaded = pickle.loads(pickle.dumps(pop))
         assert loaded.live_count == 0  # nothing materialised by loading
-        assert loaded._evict_watchers == []
+        assert loaded._replicas == []  # scratch: rebuilt on demand
         rebuilt = loaded[0]  # restored from the spill blob on disk
         _assert_state_equal(before, rebuilt.extract_state())
 
@@ -274,7 +265,7 @@ class TestPickling:
         pop[1]
         pop.evict_to_cap()  # spills 0
         c0 = pop[0]  # restore 0 (evicts nothing yet; cap trims below)
-        c0.local_train(c0._model.get_flat_params().copy(), LOCAL)
+        c0.local_train(c0.replica.model.get_flat_params().copy(), LOCAL)
         current = c0.extract_state()
         loaded = pickle.loads(pickle.dumps(pop))
         _assert_state_equal(current, loaded[0].extract_state())

@@ -80,10 +80,10 @@ class TestSubspaceLocalTraining:
 
     def test_delta_zero_off_subspace(self, tiny_train, tiny_model_fn):
         client = self._client(tiny_train, tiny_model_fn)
-        dim = client._model.num_params
-        params = client._model.get_flat_params().copy()
+        dim = client.replica.model.num_params
+        params = client.replica.model.get_flat_params().copy()
         sub = ParamSubspace.sample(
-            client._model.param_layout(), 0.4, np.random.default_rng(3)
+            client.replica.model.param_layout(), 0.4, np.random.default_rng(3)
         )
         config = LocalTrainingConfig(
             local_epochs=1, batch_size=8, lr=0.1, weight_decay=0.01
@@ -98,16 +98,16 @@ class TestSubspaceLocalTraining:
     def test_full_subspace_matches_plain_training(self, tiny_train, tiny_model_fn):
         config = LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1)
         plain = self._client(tiny_train, tiny_model_fn)
-        params = plain._model.get_flat_params().copy()
+        params = plain.replica.model.get_flat_params().copy()
         base = plain.local_train(params.copy(), config)
         routed = self._client(tiny_train, tiny_model_fn)
-        full = routed._model.full_subspace()
+        full = routed.replica.model.full_subspace()
         via = routed.local_train(params.copy(), config, subspace=full)
         assert np.array_equal(base.delta, via.delta)
 
     def test_dim_mismatch_rejected(self, tiny_train, tiny_model_fn):
         client = self._client(tiny_train, tiny_model_fn)
-        params = client._model.get_flat_params().copy()
+        params = client.replica.model.get_flat_params().copy()
         bad = ParamSubspace.from_indices(params.size + 1, [0])
         with pytest.raises(ValueError):
             client.local_train(

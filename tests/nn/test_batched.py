@@ -35,6 +35,7 @@ from repro.nn.layers import (
 from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini
 from repro.nn.normalization import BatchNorm2d, GroupNorm
 from repro.nn.sequential import Sequential
+from tests.fl.test_population import _assert_state_equal
 
 pytestmark = pytest.mark.batched
 
@@ -61,37 +62,45 @@ def _cohorts(model_fn, n_train: int, num_clients: int, seed_base: int = 30):
 def _assert_rounds_equal(serial, fused, cfg: LocalTrainingConfig,
                          rounds: int = 2, scaffold: bool = False) -> None:
     """Serial vs fused trajectories must agree bitwise for ``rounds``."""
-    gp = serial[0]._model.get_flat_params().copy()
+    gp = serial[0].replica.model.get_flat_params().copy()
     sc = np.zeros_like(gp) if scaffold else None
     kw = {"server_control": sc} if scaffold else {}
+    # One trainer for every round: it is bound to the architecture, K
+    # and the config, and takes the cohort per ``run``.
+    trainer = MultiClientTrainer(
+        fused[0].replica.model, len(fused),
+        local_epochs=cfg.local_epochs, batch_size=cfg.batch_size,
+        lr=cfg.lr, momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay, prox_mu=cfg.prox_mu,
+        max_batches=cfg.max_batches, use_corrections=scaffold,
+    )
     for rnd in range(rounds):
-        updates = [c.local_train(gp, cfg, round_index=rnd, **kw) for c in serial]
+        # Serial clients are standalone (a private replica each), so
+        # their final gradients can be read back per client.
+        updates, serial_grads = [], []
+        for c in serial:
+            updates.append(c.local_train(gp, cfg, round_index=rnd, **kw))
+            serial_grads.append(c.replica.model.get_flat_grads().copy())
 
-        trainer = MultiClientTrainer(
-            [c._model for c in fused],
-            [c.dataset.x for c in fused],
-            [c.dataset.y for c in fused],
-            [c._rng for c in fused],
-            local_epochs=cfg.local_epochs, batch_size=cfg.batch_size,
-            lr=cfg.lr, momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay, prox_mu=cfg.prox_mu,
-            max_batches=cfg.max_batches, use_corrections=scaffold,
-        )
         corrections = None
         if scaffold:
             for c in fused:
                 if c.control_variate is None:
                     c.control_variate = np.zeros_like(gp)
             corrections = [sc - c.control_variate for c in fused]
-        results = trainer.run(gp, corrections=corrections)
+        results = trainer.run(
+            gp,
+            [c.dataset.x for c in fused],
+            [c.dataset.y for c in fused],
+            [c._rng for c in fused],
+            runtimes=[c.runtime_state() for c in fused],
+            corrections=corrections,
+        )
 
         for i, (u, res) in enumerate(zip(updates, results)):
-            local = fused[i]._model.get_flat_params()
+            local = res.params
             assert np.array_equal(u.delta, local - gp), (rnd, i, "delta")
-            assert np.array_equal(
-                serial[i]._model.get_flat_grads(),
-                fused[i]._model.get_flat_grads(),
-            ), (rnd, i, "grads")
+            assert np.array_equal(serial_grads[i], res.grads), (rnd, i, "grads")
             fused_loss = float(np.mean(res.losses)) if res.losses else 0.0
             assert u.train_loss == fused_loss, (rnd, i, "loss")
             if scaffold:
@@ -104,10 +113,12 @@ def _assert_rounds_equal(serial, fused, cfg: LocalTrainingConfig,
                     new_control - fused[i].control_variate,
                 ), (rnd, i, "control")
                 fused[i].control_variate = new_control
-            for ls, lf in zip(serial[i]._model.layers, fused[i]._model.layers):
-                if hasattr(ls, "running_mean"):
-                    assert np.array_equal(ls.running_mean, lf.running_mean)
-                    assert np.array_equal(ls.running_var, lf.running_var)
+            # Dropout RNG position and BN running statistics, layer by layer.
+            _assert_state_equal(
+                serial[i].extract_state()["layers"],
+                fused[i].extract_state()["layers"],
+                f"round {rnd} client {i} runtime state",
+            )
         gp = gp - 0.3 * np.mean([u.delta for u in updates], axis=0)
 
 
