@@ -6,8 +6,7 @@ guarantees the runtime suites only verify after the fact:
 * **R1 determinism** — all randomness/time flows through seeded
   kernel streams (no ``np.random.*`` legacy API, stdlib ``random``,
   or wall-clock reads);
-* **R2 layering** — the package DAG holds, no import cycles, no new
-  importers of deprecated shims;
+* **R2 layering** — the package DAG holds, no import cycles;
 * **R3 trace taxonomy** — every emitted event type / drop reason is
   declared in :mod:`repro.sim.trace`, the drop-reason partition is
   closed, and the consumers still dispatch on it;

@@ -7,7 +7,6 @@ the shipped defaults stay in one reviewable place:
 
 * which package layers may import which (:data:`ALLOWED_DEPS` — the
   DAG behind rule R201);
-* which modules are deprecated shims (R203);
 * where the trace taxonomy is declared and who must consume it
   (R301-R304);
 * which modules are benchmark-pinned hot paths (R4);
@@ -46,7 +45,7 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
     "sim": frozenset({"wire"}),
     "data": frozenset(),
     "analysis": frozenset(),
-    "network": frozenset({"sim"}),
+    "network": frozenset(),
     "embedded": frozenset({"nn"}),
     "transport": frozenset({"compression", "sim", "wire"}),
     "fl": frozenset(
@@ -129,9 +128,6 @@ class LintConfig:
     # R2
     allowed_deps: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(ALLOWED_DEPS)
-    )
-    deprecated_modules: Mapping[str, str] = field(
-        default_factory=lambda: {"repro.network.events": "repro.sim.events"}
     )
     # R3: where the taxonomy lives and which consumers must reference
     # which of its names.

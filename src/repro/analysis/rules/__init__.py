@@ -4,8 +4,8 @@ Eleven families ship with the repo:
 
 * :mod:`repro.analysis.rules.determinism` — R1xx: no legacy global
   RNG or wall-clock reads outside the kernel's seeded streams;
-* :mod:`repro.analysis.rules.layering` — R2xx: the package DAG, cycle
-  freedom, and deprecated-shim imports;
+* :mod:`repro.analysis.rules.layering` — R2xx: the package DAG and
+  cycle freedom;
 * :mod:`repro.analysis.rules.taxonomy` — R3xx: the event/drop-reason
   taxonomy is closed and consumed consistently;
 * :mod:`repro.analysis.rules.hotpath` — R4xx: allocation and copy

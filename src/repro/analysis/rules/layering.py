@@ -1,9 +1,8 @@
 """R2: layering — the package DAG stays a DAG.
 
 ``repro.sim`` is deliberately FL-agnostic, the numeric substrate
-(``nn``/``compression``/``data``) knows nothing about federation, and
-the deprecated ``repro.network.events`` shim must not gain new
-importers.  The allowed dependency table lives in
+(``nn``/``compression``/``data``) knows nothing about federation.
+The allowed dependency table lives in
 :data:`repro.analysis.config.ALLOWED_DEPS`.
 
 * **R201** — a package imports one it may not depend on (checked for
@@ -12,9 +11,7 @@ importers.  The allowed dependency table lives in
 * **R202** — a module-level import cycle inside the root package
   (strongly connected components of the top-level import graph;
   function-local imports are exempt because deferral is the sanctioned
-  way to break a would-be cycle);
-* **R203** — an import of a deprecated shim module outside the shim
-  itself.
+  way to break a would-be cycle).
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Iterator
 from repro.analysis.core import ProjectRule, Violation, register_rule
 from repro.analysis.project import Project
 
-__all__ = ["PackageDagRule", "ImportCycleRule", "DeprecatedShimRule"]
+__all__ = ["PackageDagRule", "ImportCycleRule"]
 
 
 def _package_of(module: str, root: str) -> str | None:
@@ -178,31 +175,3 @@ def _find_cycles(adjacency: dict[str, list[str]]) -> list[list[str]]:
                 if len(component) > 1 or node in adjacency.get(node, ()):
                     sccs.append(_cycle_path(component, adjacency))
     return sorted(sccs)
-
-
-@register_rule
-class DeprecatedShimRule(ProjectRule):
-    """R203: deprecated shim modules must not gain importers."""
-
-    id = "R203"
-    summary = "import of a deprecated shim module"
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        deprecated = project.config.deprecated_modules
-        if not deprecated:
-            return
-        for source in project.files:
-            for edge in source.imports():
-                replacement = deprecated.get(edge.target)
-                if replacement is None:
-                    continue
-                if source.module == edge.target:
-                    continue  # the shim's own body / self-reference
-                yield Violation(
-                    rule=self.id,
-                    path=source.rel,
-                    line=edge.line,
-                    message=f"'{edge.target}' is a deprecated shim; "
-                    f"import '{replacement}' instead",
-                    snippet=source.snippet(edge.line),
-                )

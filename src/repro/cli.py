@@ -29,7 +29,7 @@ from repro.experiments.empirical import run_fig1
 from repro.experiments.overhead import run_overhead_study
 from repro.experiments.presets import get_scale
 from repro.experiments.reporting import format_bytes, format_series, format_table
-from repro.experiments.runner import FederationSpec, run_async, run_sync
+from repro.experiments.runner import FederationSpec, format_panels, run_async, run_sync
 from repro.experiments.scalability import run_scalability
 from repro.experiments.tables import render_table, run_table1, run_table2
 from repro.fl.baselines import ASYNC_BASELINES, SYNC_BASELINES
@@ -211,26 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--verbose", action="store_true", help="list baselined hits too")
     return parser
-
-
-def _cmd_fig1(scale, seed) -> str:
-    panels = run_fig1(scale=scale, seed=seed)
-    out = []
-    for panel in panels:
-        out.append(panel.title)
-        for label, (x, y) in panel.series.items():
-            out.append(format_series(f"  {label}", x, y, x_name=panel.x_name))
-    return "\n".join(out)
-
-
-def _cmd_fig3(scale, seed) -> str:
-    panels = run_fig3(scale=scale, seed=seed)
-    out = []
-    for panel in panels:
-        out.append(panel.title)
-        for label, (x, y) in panel.series.items():
-            out.append(format_series(f"  {label}", x, y, x_name=panel.x_name))
-    return "\n".join(out)
 
 
 def _cmd_overhead(scale, seed) -> str:
@@ -670,9 +650,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_cmd_serve(args, scale))
         return 0
     if args.command == "fig1":
-        print(_cmd_fig1(scale, args.seed))
+        print(format_panels(run_fig1(scale=scale, seed=args.seed)))
     elif args.command == "fig3":
-        print(_cmd_fig3(scale, args.seed))
+        print(format_panels(run_fig3(scale=scale, seed=args.seed)))
     elif args.command == "table1":
         rows = run_table1(scale=scale, seed=args.seed)
         print(render_table(rows, "Table I (synchronous)"))

@@ -94,9 +94,9 @@ class QSGDCompressor(Compressor):
         if norm == 0.0:
             return np.zeros(payload.dim, dtype=np.float64)
         # The payload carries its own level count (set per call by
-        # adaptive-bit-width policies); the constructor default is only
-        # a fallback for legacy payload dicts.
-        num_levels = int(payload.data.get("num_levels", self.num_levels))
+        # adaptive-bit-width policies).  One without it is a KeyError:
+        # decoding with another count would silently rescale the gradient.
+        num_levels = int(payload.data["num_levels"])
         levels = payload.data["levels"].astype(np.float64)
         signs = payload.data["signs"].astype(np.float64)
         return signs * levels * (norm / num_levels)

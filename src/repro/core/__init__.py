@@ -16,7 +16,6 @@ from repro.core.fairness import coverage, fairness_report, jain_index, participa
 from repro.core.selection import (
     SelectionResult,
     reservoir_sample,
-    select_clients,
     select_from_scores,
 )
 from repro.core.utility import (
@@ -42,7 +41,6 @@ __all__ = [
     "SIMILARITY_METRICS",
     "UtilityScorer",
     "SelectionResult",
-    "select_clients",
     "select_from_scores",
     "reservoir_sample",
     "AdaptiveCompressionPolicy",

@@ -8,17 +8,13 @@ threshold ``tau``, rank the rest by score descending, and keep at most
 * every selected client has ``S_i >= tau``;
 * no unselected client outscores a selected one.
 
-Two entry points share one implementation:
+:func:`select_from_scores` takes parallel ``ids``/``scores`` arrays
+straight from the client registry's metadata and ranks them with
+``np.argpartition``, so the cost is O(n + K log K), never a full
+O(n log n) sort of the population; ties break deterministically by
+ascending client id.
 
-* :func:`select_from_scores` — the population-scale path: parallel
-  ``ids``/``scores`` arrays straight from the client registry's
-  metadata, ranked with ``np.argpartition`` so the cost is
-  O(n + K log K), never a full O(n log n) sort of the population;
-* :func:`select_clients` — the historical ``{client_id: S_i}`` dict
-  API, now a thin adapter over the array path (bit-identical results,
-  including the deterministic tie-break by ascending client id).
-
-:func:`reservoir_sample` complements them for *uniform* choice: a
+:func:`reservoir_sample` complements it for *uniform* choice: a
 single-pass skip-ahead (Algorithm L) sample over an id stream in O(k)
 memory, for samplers that must never materialise an O(population)
 candidate list.
@@ -35,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "SelectionResult",
-    "select_clients",
     "select_from_scores",
     "reservoir_sample",
 ]
@@ -125,22 +120,6 @@ def select_from_scores(
     else:
         truncated = _EMPTY
     return SelectionResult(selected, filtered_out, truncated)
-
-
-def select_clients(
-    scores: dict[int, float],
-    k: int,
-    tau: float,
-) -> SelectionResult:
-    """Run Algorithm 1 over a ``{client_id: S_i}`` score map.
-
-    Thin adapter over :func:`select_from_scores`; kept for callers
-    holding per-round score dicts rather than registry arrays.
-    """
-    n = len(scores)
-    ids = np.fromiter(scores.keys(), dtype=np.int64, count=n)
-    vals = np.fromiter(scores.values(), dtype=np.float64, count=n)
-    return select_from_scores(ids, vals, k, tau)
 
 
 def reservoir_sample(

@@ -14,7 +14,6 @@ on the CIFAR-like sets).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import Dataset
 
@@ -27,6 +26,42 @@ __all__ = [
     "DATASET_BUILDERS",
     "make_dataset",
 ]
+
+
+def _axis_taps(n_in: int, n_out: int):
+    """Per output index: the two input taps, their weights, and whether
+    the coordinate fell outside the input."""
+    coord = np.arange(n_out) * ((n_in - 1) / max(n_out - 1, 1))
+    lo = np.floor(coord).astype(np.intp)
+    w_lo = 1.0 - (coord - lo)
+    # Rounding can push the last coordinate past ``n_in - 1``; such an
+    # output is 0 (constant fill), not the edge — see _bilinear_zoom.
+    outside = coord > n_in - 1
+    # The tap past the last sample is mirrored; its weight is 0 there.
+    hi = np.where(lo + 1 > n_in - 1, n_in - 2, lo + 1)
+    return lo, hi, w_lo, 1.0 - w_lo, outside
+
+
+def _bilinear_zoom(field: np.ndarray, zoom_h: float, zoom_w: float) -> np.ndarray:
+    """Bilinear upsampling of a 2-D field, corner-aligned.
+
+    Bit-equal — same coordinates, same tap order in the sum, same
+    constant fill and C layout — to the ``ndimage.zoom(order=1)`` call
+    that generated every pinned trajectory and was this package's one
+    use of a second dependency; tests/data/test_synthetic.py keeps that
+    routine as the oracle where it is installed.
+    """
+    n_h, n_w = field.shape
+    r_lo, r_hi, wh_lo, wh_hi, out_h = _axis_taps(n_h, int(round(n_h * zoom_h)))
+    c_lo, c_hi, ww_lo, ww_hi, out_w = _axis_taps(n_w, int(round(n_w * zoom_w)))
+    r_lo, r_hi, wh_lo, wh_hi = r_lo[:, None], r_hi[:, None], wh_lo[:, None], wh_hi[:, None]
+    out = (
+        field[r_lo, c_lo] * wh_lo * ww_lo + field[r_lo, c_hi] * wh_lo * ww_hi
+        + field[r_hi, c_lo] * wh_hi * ww_lo + field[r_hi, c_hi] * wh_hi * ww_hi
+    )
+    out[out_h, :] = 0.0
+    out[:, out_w] = 0.0
+    return out
 
 
 def make_prototypes(
@@ -52,7 +87,7 @@ def make_prototypes(
         for k in range(prototypes_per_class):
             for ch in range(c):
                 field = rng.normal(size=(coarse, coarse))
-                smooth = ndimage.zoom(field, (zoom_h, zoom_w), order=1)
+                smooth = _bilinear_zoom(field, zoom_h, zoom_w)
                 smooth = smooth[:h, :w]
                 std = smooth.std()
                 if std < 1e-9:

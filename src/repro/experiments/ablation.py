@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.core.adafl import AdaFLConfig, AdaFLSync
 from repro.core.utility import UtilityScorer
 from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_sync
+from repro.experiments.runner import FederationSpec, run_sync, straggler_network
 from repro.fl.metrics import RunResult
-from repro.network.conditions import NetworkConditions
 
 __all__ = ["AblationPoint", "run_ablation", "ablation_variants"]
 
@@ -75,13 +72,7 @@ def run_ablation(
 ) -> list[AblationPoint]:
     """Run each AdaFL variant on the same federation and compare."""
     variants = variants if variants is not None else ablation_variants(scale)
-    network = NetworkConditions.with_stragglers(
-        scale.num_clients,
-        straggler_fraction=0.2,
-        good_preset="wifi",
-        bad_preset="constrained",
-        rng=np.random.default_rng(seed + 17),
-    )
+    network = straggler_network(scale.num_clients, seed)
     points = []
     for name, config in variants.items():
         spec = FederationSpec(

@@ -15,16 +15,18 @@ AdaFL selects adaptively with ``k <= 5``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.adafl import AdaFLAsync, AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
-from repro.embedded.cluster import compute_rates, make_heterogeneous_cluster
 from repro.experiments.empirical import PanelResult
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_async, run_sync
+from repro.experiments.runner import (
+    FederationSpec,
+    run_async,
+    run_sync,
+    slow_pi_rates,
+    straggler_network,
+)
 from repro.fl.baselines import FedAdam, FedAsync, FedAvg, FedBuff, FedProx, Scaffold
-from repro.network.conditions import NetworkConditions
 
 __all__ = [
     "default_adafl_config",
@@ -69,17 +71,6 @@ def default_adafl_config(scale: ExperimentScale, async_mode: bool = False) -> Ad
     )
 
 
-def _network(scale: ExperimentScale, seed: int) -> NetworkConditions:
-    """The evaluation's fixed-bandwidth network with a slow minority."""
-    return NetworkConditions.with_stragglers(
-        scale.num_clients,
-        straggler_fraction=0.2,
-        good_preset="wifi",
-        bad_preset="constrained",
-        rng=np.random.default_rng(seed + 17),
-    )
-
-
 def run_fig3_sync_panel(
     distribution: str = "iid",
     scale: ExperimentScale = BENCH,
@@ -93,7 +84,7 @@ def run_fig3_sync_panel(
         title=f"Sync comparison, {dataset}, {distribution}",
         x_name="round",
     )
-    network = _network(scale, seed)
+    network = straggler_network(scale.num_clients, seed)
     methods = [
         FedAvg(participation_rate=0.5),
         FedAdam(participation_rate=0.5),
@@ -128,15 +119,8 @@ def run_fig3_async_panel(
         title=f"Async comparison, {dataset}, {distribution}",
         x_name="time_s",
     )
-    network = _network(scale, seed)
-    cluster = make_heterogeneous_cluster(
-        scale.num_clients,
-        ["pi4"],
-        rng=np.random.default_rng(seed + 23),
-        slow_fraction=0.2,
-        slow_factor=3.0,
-    )
-    rates = compute_rates(cluster)
+    network = straggler_network(scale.num_clients, seed)
+    rates = slow_pi_rates(scale.num_clients, seed)
     max_updates = scale.num_rounds * max(1, scale.num_clients // 2)
     methods = [
         FedAsync(),

@@ -23,8 +23,13 @@ from repro.embedded.cluster import compute_rates, make_heterogeneous_cluster
 from repro.experiments.presets import BENCH, ExperimentScale
 from repro.experiments.runner import FederationSpec, run_async, run_sync
 from repro.fl.baselines import FedAsync, FedAvg
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
+from repro.sim.faults import (
+    FaultPlan,
+    StragglerDropoutModel,
+    UploadLossModel,
+    straggler_ids,
+)
 
 __all__ = ["PanelResult", "run_fig1_sync_panel", "run_fig1_async_panel", "run_fig1",
            "STRAGGLER_FRACTIONS"]
@@ -84,13 +89,11 @@ def run_fig1_sync_panel(
             participation_rate=1.0,  # the study isolates faults, not sampling
         )
         rng = np.random.default_rng(seed + int(fraction * 100))
-        faults = FaultInjector.from_fraction(
-            mode if fraction > 0 else "none",
-            scale.num_clients,
-            fraction,
-            rng,
-        )
-        result = run_sync(spec, FedAvg(participation_rate=1.0), faults=faults)
+        # At fraction 0 the model covers nobody and never fires.
+        stragglers = straggler_ids(scale.num_clients, fraction, rng)
+        fault = StragglerDropoutModel if mode == "dropout" else UploadLossModel
+        chaos = FaultPlan(fault(client_ids=stragglers))
+        result = run_sync(spec, FedAvg(participation_rate=1.0), chaos=chaos)
         label = f"{int(fraction * 100)}%"
         panel.series[label] = result.accuracy_curve()
         panel.runs[label] = result

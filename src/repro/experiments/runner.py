@@ -3,7 +3,8 @@
 Every figure/table runner builds on :func:`run_sync` / :func:`run_async`
 so that the only thing an experiment module describes is *what varies*
 (strategy, faults, network mix) — dataset synthesis, partitioning,
-model construction, and engine wiring stay in one place.
+model construction, engine wiring, the evaluation's straggler network
+and slow-Pi cluster, and the figure-panel printer stay in one place.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import make_image_classification
+from repro.embedded.cluster import compute_rates, make_heterogeneous_cluster
 from repro.experiments.presets import BENCH, ExperimentScale
+from repro.experiments.reporting import format_series
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
 from repro.fl.replica import ModelReplica
 from repro.fl.server import Server
@@ -32,7 +34,8 @@ from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini, build
 from repro.nn.sequential import Sequential
 
 __all__ = ["DatasetProfile", "DATASET_PROFILES", "FederationSpec", "Federation",
-           "build_federation", "run_sync", "run_async"]
+           "build_federation", "run_sync", "run_async", "straggler_network",
+           "slow_pi_rates", "format_panels"]
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,43 @@ def build_federation(spec: FederationSpec) -> Federation:
     return Federation(server=server, clients=clients, test_set=test, model_fn=model_fn, spec=spec)
 
 
+def straggler_network(num_clients: int, seed: int) -> NetworkConditions:
+    """The evaluation's fixed-bandwidth network (Tables I/II, Fig. 3, the
+    ablation, the sweep's ``constrained`` profile): 80% wifi links and a
+    random 20% minority on constrained edge links."""
+    return NetworkConditions.with_stragglers(
+        num_clients,
+        straggler_fraction=0.2,
+        good_preset="wifi",
+        bad_preset="constrained",
+        rng=np.random.default_rng(seed + 17),
+    )
+
+
+def slow_pi_rates(num_clients: int, seed: int) -> np.ndarray:
+    """Compute rates of the asynchronous evaluation's Pi 4 cluster, a
+    random 20% of it 3x slower (Table II, Fig. 3 c/d)."""
+    cluster = make_heterogeneous_cluster(
+        num_clients,
+        ["pi4"],
+        rng=np.random.default_rng(seed + 23),
+        slow_fraction=0.2,
+        slow_factor=3.0,
+    )
+    return compute_rates(cluster)
+
+
+def format_panels(panels) -> str:
+    """Figure panels (``PanelResult``) as text: a title, then one row
+    set per labelled curve."""
+    out = []
+    for panel in panels:
+        out.append(panel.title)
+        for label, (x, y) in panel.series.items():
+            out.append(format_series(f"  {label}", x, y, x_name=panel.x_name))
+    return "\n".join(out)
+
+
 def _federation_config(
     spec: FederationSpec,
     max_updates: int | None = None,
@@ -191,9 +231,7 @@ def run_sync(
     spec: FederationSpec,
     strategy: SyncStrategy,
     network: NetworkConditions | None = None,
-    faults: FaultInjector | None = None,
     device_flops: np.ndarray | None = None,
-    churn=None,
     chaos=None,
     validation=None,
     downlink_retry=None,
@@ -204,8 +242,7 @@ def run_sync(
 ) -> RunResult:
     """Build a federation and run it synchronously.
 
-    ``churn`` is an availability model (``repro.network.churn``);
-    ``chaos`` a :class:`~repro.sim.FaultPlan`, ``validation`` a
+    ``chaos`` is a :class:`~repro.sim.FaultPlan`, ``validation`` a
     :class:`~repro.fl.validation.ValidationConfig`, and
     ``downlink_retry``/``uplink_retry`` per-leg
     :class:`~repro.sim.RetryPolicy` overrides; ``snapshot_path`` makes
@@ -225,9 +262,7 @@ def run_sync(
             uplink_retry=uplink_retry,
         ),
         network=network,
-        faults=faults,
         device_flops=device_flops,
-        churn=churn,
         chaos=chaos,
         trace=trace,
         snapshot_path=snapshot_path,
@@ -243,8 +278,6 @@ def run_async(
     device_flops: np.ndarray | None = None,
     max_updates: int | None = None,
     max_sim_time_s: float | None = None,
-    churn=None,
-    faults: FaultInjector | None = None,
     chaos=None,
     validation=None,
     downlink_retry=None,
@@ -258,8 +291,8 @@ def run_async(
     ``max_updates`` caps the number of delivered client updates;
     ``max_sim_time_s`` overrides the scale's simulated-time budget
     (the paper's Table II compares methods over an equal time budget).
-    ``churn``/``faults``/``chaos``/``validation``/retry/``trace``/
-    snapshot parameters mirror :func:`run_sync`.
+    ``chaos``/``validation``/retry/``trace``/snapshot parameters
+    mirror :func:`run_sync`.
     """
     fed = build_federation(spec)
     engine = AsyncEngine(
@@ -276,8 +309,6 @@ def run_async(
         ),
         network=network,
         device_flops=device_flops,
-        churn=churn,
-        faults=faults,
         chaos=chaos,
         trace=trace,
         snapshot_path=snapshot_path,

@@ -25,13 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from repro.core.adafl import AdaFLSync
 from repro.core.zoo import AdaGQQuantization, AdaptiveFederatedDropout
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.experiments.reporting import format_bytes, format_table
-from repro.experiments.runner import FederationSpec, run_sync
+from repro.experiments.runner import FederationSpec, run_sync, straggler_network
 from repro.fl.baselines import FedAvg, FedProx, Scaffold
 from repro.fl.metrics import RunResult
 from repro.fl.strategy import SyncStrategy
@@ -71,13 +69,7 @@ NETWORK_PROFILES: dict[
 ] = {
     "none": lambda n, seed: None,
     "wifi": lambda n, seed: NetworkConditions.uniform(n, "wifi"),
-    "constrained": lambda n, seed: NetworkConditions.with_stragglers(
-        n,
-        straggler_fraction=0.2,
-        good_preset="wifi",
-        bad_preset="constrained",
-        rng=np.random.default_rng(seed + 17),
-    ),
+    "constrained": straggler_network,
 }
 
 # name -> factory(seed) -> FaultPlan | None.  "crashy" models flaky

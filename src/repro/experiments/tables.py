@@ -21,17 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.adafl import AdaFLAsync, AdaFLSync
-from repro.embedded.cluster import compute_rates, make_heterogeneous_cluster
 from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
 from repro.experiments.reporting import format_bytes, format_table
-from repro.experiments.runner import FederationSpec, run_async, run_sync
+from repro.experiments.runner import (
+    FederationSpec,
+    run_async,
+    run_sync,
+    slow_pi_rates,
+    straggler_network,
+)
 from repro.fl.baselines import FedAdam, FedAsync, FedAvg, FedBuff, FedProx, Scaffold
 from repro.fl.metrics import RunResult
-from repro.network.conditions import NetworkConditions
 
 __all__ = ["TableRow", "run_table1", "run_table2", "render_table"]
 
@@ -57,16 +59,6 @@ class TableRow:
         return self.accuracies[(dataset, distribution)]
 
 
-def _network(scale: ExperimentScale, seed: int) -> NetworkConditions:
-    return NetworkConditions.with_stragglers(
-        scale.num_clients,
-        straggler_fraction=0.2,
-        good_preset="wifi",
-        bad_preset="constrained",
-        rng=np.random.default_rng(seed + 17),
-    )
-
-
 def _fill_comm_columns(row: TableRow, reference: RunResult, ideal_updates: int) -> None:
     row.update_freq = reference.total_uploads
     row.cost_reduction = reference.update_cost_reduction(ideal_updates)
@@ -82,7 +74,7 @@ def run_table1(
     distributions: tuple[str, ...] = ("iid", "shard"),
 ) -> list[TableRow]:
     """Table I: synchronous methods."""
-    network = _network(scale, seed)
+    network = straggler_network(scale.num_clients, seed)
     ideal = scale.num_rounds * scale.num_clients
 
     def make_strategies():
@@ -141,17 +133,10 @@ def run_table2(
     AdaFL's lower update frequency within the same time window is then
     entirely due to utility-gated halting, not a shorter run.
     """
-    network = _network(scale, seed)
+    network = straggler_network(scale.num_clients, seed)
     ideal = scale.num_rounds * scale.num_clients
     baseline_updates = scale.num_rounds * max(1, scale.num_clients // 2)
-    cluster = make_heterogeneous_cluster(
-        scale.num_clients,
-        ["pi4"],
-        rng=np.random.default_rng(seed + 23),
-        slow_fraction=0.2,
-        slow_factor=3.0,
-    )
-    rates = compute_rates(cluster)
+    rates = slow_pi_rates(scale.num_clients, seed)
 
     # Pass 1: FedAsync sets the per-workload time budget.
     time_budget: dict[tuple[str, str], float] = {}

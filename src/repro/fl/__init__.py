@@ -14,7 +14,6 @@ from repro.fl.baselines import (
 )
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.faults import FaultInjector
 from repro.fl.fedat import FedAT, assign_tiers
 from repro.fl.metrics import RoundRecord, RunResult
 from repro.fl.persist import (
@@ -52,7 +51,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "RunResult",
-    "FaultInjector",
     "FedAT",
     "assign_tiers",
     "SyncStrategy",

@@ -9,9 +9,10 @@ expressed through per-client compute rates, and all transfer times
 come from the per-client :class:`~repro.network.conditions.ClientNetwork`.
 
 The engine's main loop drains the kernel's event queue up to the
-simulation horizon; availability churn defers work while a device is
-offline, dropout faults park it until the next model version, and
-data-loss faults destroy delivered uploads in transit.  Every
+simulation horizon; the fault plan's availability models defer work
+while a device is offline or crashed and park a dropped-out one until
+the next model version, and its upload-loss model destroys delivered
+uploads in transit.  Every
 occurrence is published on the trace bus, and results are read back
 from the attached :class:`~repro.fl.metrics.MetricsReducer`.
 
@@ -191,8 +192,8 @@ class AsyncEngine(_EngineBase):
         """Handle one or more same-instant model arrivals.
 
         Each payload is gated exactly as the serial handler gates it
-        (churn, crashes, dropout faults, strategy halts — all
-        deterministic, no shared-RNG draws); the survivors train
+        (availability models, strategy halts — all deterministic, no
+        shared-RNG draws); the survivors train
         together through the batched kernel when the cohort allows it,
         then complete their upload legs in arrival order so every
         shared-RNG draw happens in the serial sequence.
@@ -235,8 +236,9 @@ class AsyncEngine(_EngineBase):
         """Admission control for one model arrival.
 
         Returns the client if it should train now, None if the arrival
-        was deferred (churn/crash re-queue) or parked (fault/strategy
-        halt).  Deterministic: no draws from the shared kernel RNG.
+        was deferred (re-queued for when the device is back) or parked
+        (until the next model version).  Deterministic: no draws from
+        the shared kernel RNG.
         """
         cid = payload["cid"]
         client = self.clients[cid]
@@ -247,41 +249,34 @@ class AsyncEngine(_EngineBase):
             # (UNCOUNTED, like a device that never came online).
             self._trace.emit(DROPPED, now, cid, reason="offline", cause="transport")
             return None
-        if payload.pop("resumed", False):
-            self._trace.emit(WOKEN, now, cid, cause="online")
-        if payload.pop("restarted", False):
-            self._trace.emit(WOKEN, now, cid, cause="restart")
-        if self._churn is not None and not self._churn.is_online(cid, now):
-            # Device is offline: the work resumes (with a fresh model)
-            # once it comes back.
-            resume = self._churn.next_online(cid, now)
-            self._trace.emit(HALTED, now, cid, cause="churn", until=resume)
-            payload["resumed"] = True
+        woken = payload.pop("woken", None)
+        if woken is not None:
+            self._trace.emit(WOKEN, now, cid, cause=woken)
+        parked = None  # cause of a gate that parks rather than defers
+        for model in self._chaos.availability:
+            if not model.is_down(cid, now, self.server.version):
+                continue
+            resume = model.next_up(cid, now)
+            if resume is None:
+                # No instant of return (a dropout fault): park it until
+                # the next global model version, like a strategy halt.
+                parked = parked or model.cause
+                continue
+            # The device is offline or crashed right now: it picks the
+            # work back up, with the model it already holds, once back.
+            self._trace.emit(HALTED, now, cid, cause=model.cause, until=resume)
+            payload["woken"] = model.woken
             self._kernel.queue.push(resume, _MODEL_ARRIVAL, payload)
             return None
-        crash = self._chaos.crash
-        if crash is not None and crash.is_down(cid, now):
-            # The device is crashed right now; it restarts with the
-            # model it already holds and picks the work back up.
-            restart = crash.next_up(cid, now)
-            self._trace.emit(HALTED, now, cid, cause="crash", until=restart)
-            payload["restarted"] = True
-            self._kernel.queue.push(restart, _MODEL_ARRIVAL, payload)
-            return None
-        cause = None
         if payload["forced"]:
-            pass  # the deadlock guard overrides both parking gates
-        elif not self.faults.available(cid, self.server.version):
-            # Dropout fault: the device is dark; park it until the next
-            # global model version, like a strategy halt.
-            cause = "fault"
-        elif not self.strategy.should_train(client, self.server, now):
+            parked = None  # the deadlock guard overrides both parking gates
+        elif parked is None and not self.strategy.should_train(client, self.server, now):
             # AdaFL halting: park the client until the next global
             # model version (paper §V, Q3 — halted clients save the
             # training *and* communication cost).
-            cause = "strategy"
-        if cause is not None:
-            self._trace.emit(HALTED, now, cid, cause=cause)
+            parked = "strategy"
+        if parked is not None:
+            self._trace.emit(HALTED, now, cid, cause=parked)
             client.halted = True
             self._halted.append(cid)
             return None
@@ -309,9 +304,10 @@ class AsyncEngine(_EngineBase):
 
         # The upload's fate, in reactive order: lost -> fault ->
         # ACK/NACK -> stale -> corrupt (verify happens on arrival).
+        loss = chaos.upload_loss
         if not delivered:
             self._drop_uplink_lost(arrival, cid, attempts)
-        elif self.faults.upload_lost(cid, self._rng):
+        elif loss is not None and loss.lost(cid, self._rng):
             # Data-loss fault: the update made it across the link but
             # is destroyed in transit.
             delivered = False

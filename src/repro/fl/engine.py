@@ -6,7 +6,7 @@ only in when the server folds arrivals in (Eq. 3's barrier vs Eq. 5's
 per-arrival step).  :class:`_EngineBase` owns that loop once:
 
 * the **session** — population resolution (in memory or behind a
-  remote transport), fault/churn/chaos binding, validator, retry
+  remote transport), fault-plan binding, validator, retry
   policies, kernel + trace bus + metrics reducer, the batched-trainer
   cache, and crash-safe snapshots;
 * the **leg primitives** — ``_downlink_attempt``, ``_train_one``,
@@ -21,10 +21,11 @@ server-receipt CRC check, which look shareable but *are* the
 scheduling difference (docs/architecture.md says why).
 
 Resilience hooks (all off by default, preserving bit-identical
-trajectories): ``chaos``, a :class:`~repro.sim.FaultPlan` — crashed
-devices lose in-progress work, server outages stall dispatch and
-reject arrivals, stale/duplicate effects delay uploads, corruption
-damages payloads; ``config.downlink_retry`` / ``config.uplink_retry``,
+trajectories): ``chaos``, a :class:`~repro.sim.FaultPlan` — churned,
+crashed or dropped-out devices sit out, crashed ones lose in-progress
+work, server outages stall dispatch and reject arrivals, uploads are
+lost, delayed or duplicated in transit, corruption damages payloads;
+``config.downlink_retry`` / ``config.uplink_retry``,
 per-leg :class:`~repro.sim.RetryPolicy` schedules (uplinks default to
 one attempt, each engine names its ``default_downlink``) whose
 exhaustion is a *terminal* drop; ``config.validation``, server-side
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import FederationConfig
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import MetricsReducer
 from repro.fl.population import ClientPopulation
 from repro.fl.server import Server
@@ -92,8 +92,6 @@ class _EngineBase:
         config: FederationConfig,
         network: NetworkConditions | None = None,
         device_flops: np.ndarray | None = None,
-        churn=None,
-        faults: FaultInjector | None = None,
         chaos: FaultPlan | None = None,
         trace: EventTrace | None = None,
         snapshot_path=None,
@@ -122,9 +120,6 @@ class _EngineBase:
         self.server = server
         self.strategy = strategy
         self.config = config
-        self.faults = faults if faults is not None else FaultInjector()
-        # Availability churn (repro.network.churn); None = always on.
-        self._churn = churn
         # Always a plan (an empty one has no model of any kind), so no
         # caller distinguishes "no chaos" from "no such fault".
         self._chaos = chaos if chaos is not None else FaultPlan()
@@ -201,9 +196,7 @@ class _EngineBase:
             "clients": self.clients,
             "strategy": self.strategy,
             "config": self.config,
-            "faults": self.faults,
             "chaos": self._chaos,
-            "churn": self._churn,
             "network": self.network,
             "device_flops": self.device_flops,
             "validator": self._validator,

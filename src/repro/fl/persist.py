@@ -16,7 +16,7 @@ import numpy as np
 from repro.fl.metrics import RoundRecord, RunResult
 from repro.nn.sequential import Sequential
 from repro.wire.codecs import decode_frame, encode_frame
-from repro.wire.frame import Frame
+from repro.wire.frame import Frame, FrameError
 
 __all__ = [
     "run_result_to_dict",
@@ -129,16 +129,16 @@ def save_checkpoint(
 def load_checkpoint(model: Sequential, path: str | Path) -> dict:
     """Load parameters into ``model``; returns the stored metadata.
 
-    Framed checkpoints are CRC-verified before any weight is restored
-    (a :class:`repro.wire.frame.FrameCorruptionError` propagates);
-    pre-frame checkpoints storing a bare ``params`` array still load.
+    The parameters are CRC-verified before any weight is restored (a
+    :class:`repro.wire.frame.FrameCorruptionError` propagates); a file
+    without the frame — the pre-frame format's bare ``params`` array,
+    which nothing checks — is refused with a ``FrameError``.
     """
     with np.load(Path(path), allow_pickle=False) as archive:
-        if "frame" in archive:
-            _, data = decode_frame(Frame.from_bytes(archive["frame"].tobytes()))
-            params = np.asarray(data["values"], dtype=np.float64)
-        else:
-            params = archive["params"]
+        if "frame" not in archive:
+            raise FrameError(f"{path}: checkpoint holds no CRC-framed parameters")
+        _, data = decode_frame(Frame.from_bytes(archive["frame"].tobytes()))
+        params = np.asarray(data["values"], dtype=np.float64)
         meta = json.loads(str(archive["metadata"]))
     model.set_flat_params(params)
     return meta

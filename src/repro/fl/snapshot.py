@@ -3,7 +3,7 @@
 A snapshot is a single pickle of everything a run needs to continue
 exactly where it stopped: the global model vector, every client's
 local state (model buffers, shuffling RNG, control variates), the
-strategy, the fault/chaos models, the kernel clock with its pending
+strategy, the fault plan, the kernel clock with its pending
 event queue, and the exact state of every RNG stream.  Because the
 whole state is one ``pickle.dump``, shared references inside the run
 (e.g. a delta aliased by two queued duplicate deliveries) survive the
@@ -34,11 +34,13 @@ import pickle
 from pathlib import Path
 
 from repro.sim import EventTrace, SimKernel
-from repro.wire.frame import MAGIC, seal, unseal
+from repro.wire.frame import seal, unseal
 
 __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
 
-SNAPSHOT_VERSION = 1
+# 2: one fault plan (``chaos``) where version 1 carried ``faults`` and
+# ``churn`` beside it.
+SNAPSHOT_VERSION = 2
 
 
 def kernel_state(kernel: SimKernel) -> dict:
@@ -92,11 +94,9 @@ def load_snapshot(path, trace: EventTrace | None = None, keep_snapshotting: bool
     future snapshots back to the same file.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] == MAGIC:
-        state = pickle.loads(unseal(raw))
-    else:  # pre-envelope snapshot: a bare pickle stream
-        state = pickle.loads(raw)
+    # Only a sealed envelope is unpickled: a file no CRC covers (the
+    # pre-envelope format included) is refused before pickle sees it.
+    state = pickle.loads(unseal(path.read_bytes()))
     version = state.get("snapshot_version")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version!r}")
@@ -108,8 +108,6 @@ def load_snapshot(path, trace: EventTrace | None = None, keep_snapshotting: bool
         config=state["config"],
         network=state["network"],
         device_flops=state["device_flops"],
-        churn=state["churn"],
-        faults=state["faults"],
         chaos=state["chaos"],
         trace=trace,
         snapshot_path=path if keep_snapshotting else None,

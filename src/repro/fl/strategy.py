@@ -52,9 +52,6 @@ class UploadPacket:
     what the link is charged, and :attr:`wire_nbytes` adds the frame
     header for the honest on-the-wire total.
 
-    Unpacks as ``delta, nbytes = packet`` for callers written against
-    the historical tuple interface.
-
     ``subspace`` records which coordinates the delta actually covers
     (Adaptive Federated Dropout sub-model updates); ``None`` means the
     legacy full-width contract.  Engines copy it into
@@ -81,10 +78,6 @@ class UploadPacket:
     def frame_codec(self) -> str:
         """Method name of the codec the frame was encoded with."""
         return codec_for_id(self.frame.codec_id).method
-
-    def __iter__(self):
-        yield self.delta
-        yield self.nbytes
 
 
 def _dense_upload(update: ClientUpdate, model_version: int) -> UploadPacket:

@@ -5,7 +5,7 @@ selects participants, each participant downloads the global model,
 trains locally, and uploads its (possibly compressed) delta; the
 server waits for all transfers, so the round takes
 ``max_i (download_i + compute_i + upload_i)`` seconds (Eq. 3).
-Network loss, injected faults, and availability churn turn uploads
+Network loss and the run's fault plan turn uploads
 into *dropped* updates — the server aggregates whatever arrived.
 
 The per-client leg itself — session, downlink, train, encode, uplink,
@@ -26,57 +26,31 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.fl.batched import train_clients_batched
-from repro.fl.client import Client, ClientUpdate
-from repro.fl.config import FederationConfig
+from repro.fl.client import ClientUpdate
 from repro.fl.engine import _EngineBase
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
-from repro.fl.population import ClientPopulation
-from repro.fl.server import Server
-from repro.fl.strategy import RoundContext, SyncStrategy
+from repro.fl.strategy import RoundContext
 from repro.fl.validation import trimmed_mean, verify_frame
-from repro.network.conditions import NetworkConditions
 from repro.transport.base import PeerGone
 from repro.sim import AGGREGATED, DROPPED, EVALUATED, HALTED, RUN_END, SELECTED
-from repro.sim import EventTrace, FaultPlan, RetryPolicy
+from repro.sim import RetryPolicy
 
 __all__ = ["SyncEngine"]
 
 
 class SyncEngine(_EngineBase):
-    """Runs a synchronous federated training session."""
+    """Runs a synchronous federated training session.
+
+    The constructor is the shared session's, with a
+    :class:`~repro.fl.strategy.SyncStrategy` as ``strategy``.
+    """
 
     mode = "sync"
     # The historical barrier behaviour: a client whose model broadcast
     # is lost sits the round out.
     default_downlink = RetryPolicy.single()
     fresh_extra = {"next_round": 0}  # first round iter_rounds() will execute
-
-    def __init__(
-        self,
-        server: Server,
-        clients: "list[Client] | ClientPopulation",
-        strategy: SyncStrategy,
-        config: FederationConfig,
-        network: NetworkConditions | None = None,
-        faults: FaultInjector | None = None,
-        device_flops: np.ndarray | None = None,
-        churn=None,
-        chaos: FaultPlan | None = None,
-        trace: EventTrace | None = None,
-        snapshot_path=None,
-        snapshot_every: int | None = None,
-        on_snapshot=None,
-        transport=None,
-    ):
-        # The base's session; only the positional order differs.
-        super().__init__(
-            server, clients, strategy, config, network, device_flops, churn, faults,
-            chaos, trace, snapshot_path, snapshot_every, on_snapshot, transport,
-        )
 
     def run(self) -> RunResult:
         """Execute the rounds still to run and return the metrics.
@@ -121,35 +95,33 @@ class SyncEngine(_EngineBase):
         self._trace.emit(RUN_END, self.sim_time_s, rounds=self.config.num_rounds)
 
     # -- who takes part -------------------------------------------------
-    def _available_ids(self, round_index: int, t0: float, crash) -> list[int]:
+    def _available_ids(self, round_index: int, t0: float) -> list[int]:
         """Ids that can open this round (availability gates only).
 
-        The fault-free fast path returns the registry's cached id list
-        — O(1), never an O(population) Python loop; descriptor checks
-        only run when churn/crash/fault models are actually attached.
-        Either way the ids come back ascending, so a full-length list
-        is exactly ``0..n-1`` — what lets ``SyncStrategy.select`` draw
-        from ``all_ids_array()`` instead of converting this list.
+        A plan with no availability model returns the registry's cached
+        id list — O(1), never an O(population) Python loop.  Either way
+        the ids come back ascending, so a full-length list is exactly
+        ``0..n-1`` — what lets ``SyncStrategy.select`` draw from
+        ``all_ids_array()`` instead of converting this list.
         """
-        if self._churn is None and crash is None and self.faults.trivially_available:
+        models = self._chaos.availability
+        if not models:
             return self.clients.all_ids()
         available = []
         for cid in self.clients.ids():
-            if self._churn is not None and not self._churn.is_online(cid, t0):
-                self._trace.emit(DROPPED, t0, cid, reason="offline", cause="churn")
-                continue
-            if crash is not None and crash.is_down(cid, t0):
-                self._trace.emit(DROPPED, t0, cid, reason="offline", cause="crash")
-                continue
-            if not self.faults.available(cid, round_index):
-                self._trace.emit(DROPPED, t0, cid, reason="offline", cause="fault")
-                continue
-            available.append(cid)
+            for model in models:
+                if model.is_down(cid, t0, round_index):
+                    self._trace.emit(
+                        DROPPED, t0, cid, reason="offline", cause=model.cause
+                    )
+                    break
+            else:
+                available.append(cid)
         return available
 
     def _select_cohort(self, round_index: int, t0: float, context: RoundContext):
         """``(selected, available)`` for the round opening at ``t0``."""
-        available = self._available_ids(round_index, t0, self._chaos.crash)
+        available = self._available_ids(round_index, t0)
         if self._remote:
             # Liveness sweep before selection: clients owned by dead
             # worker processes are unreachable this round (UNCOUNTED —
@@ -323,10 +295,10 @@ class SyncEngine(_EngineBase):
             return deadline
 
         arrival = t0 + total_s
-        outage = chaos.outage
+        loss, outage = chaos.upload_loss, chaos.outage
         if not sent:
             self._drop_uplink_lost(arrival, cid, tries)
-        elif self.faults.upload_lost(cid, self._rng):
+        elif loss is not None and loss.lost(cid, self._rng):
             sent = False
             self._trace.emit(DROPPED, arrival, cid, reason="fault")
         elif outage is not None and outage.is_down(arrival):

@@ -1,9 +1,7 @@
-"""Network emulation substrate: links, traces, schedules, events."""
+"""Network emulation substrate: links, traces, schedules."""
 
-from repro.network.churn import AlwaysOn, ChurnModel
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.estimator import BandwidthEstimator
-from repro.sim.events import Event, EventQueue
 from repro.network.link import LINK_PRESETS, LinkModel, TransferResult, link_preset
 from repro.network.tracefile import load_trace_csv, load_trace_dir, save_trace_csv
 from repro.network.traces import (
@@ -17,9 +15,7 @@ from repro.network.traces import (
 )
 
 __all__ = [
-    "Event",
     "BandwidthEstimator",
-    "EventQueue",
     "LinkModel",
     "TransferResult",
     "LINK_PRESETS",
@@ -35,7 +31,5 @@ __all__ = [
     "generate_trace",
     "TRACE_GENERATORS",
     "ClientNetwork",
-    "ChurnModel",
-    "AlwaysOn",
     "NetworkConditions",
 ]

@@ -2,16 +2,16 @@
 
 ``repro.sim`` is the substrate both FL engines run on:
 
-* :mod:`repro.sim.events` — the deterministic event queue (moved here
-  from ``repro.network.events``, which remains as a re-export);
+* :mod:`repro.sim.events` — the deterministic event queue;
 * :mod:`repro.sim.kernel` — :class:`SimKernel`: clock, event queue,
   root + per-client RNG streams, and the transfer/compute accounting
   both engines share;
 * :mod:`repro.sim.trace` — the typed :class:`EventTrace` telemetry bus
   with pluggable sinks (ring buffer, JSONL writer, streaming summary);
-* :mod:`repro.sim.faults` — composable fault models (client crashes,
-  payload corruption, stale/duplicate uploads, server outages) grouped
-  into a :class:`FaultPlan`, all driven by kernel-derived RNG streams;
+* :mod:`repro.sim.faults` — the one fault vocabulary: availability
+  (churn, client crashes, Fig. 1 straggler dropout), upload fate
+  (Fig. 1 data loss, stale/duplicate deliveries), payload corruption
+  and server outages, grouped into a :class:`FaultPlan`;
 * :mod:`repro.sim.retry` — :class:`RetryPolicy`, the deterministic
   backoff/max-attempt schedule both engines use for transfer legs;
 * :mod:`repro.sim.analysis` — per-client timelines, drop-reason
@@ -31,11 +31,16 @@ from repro.sim.analysis import (
 )
 from repro.sim.events import Event, EventQueue
 from repro.sim.faults import (
+    AvailabilityModel,
+    ChurnModel,
     ClientCrashModel,
     FaultPlan,
     PayloadCorruptionModel,
     ServerOutageModel,
     StaleUploadModel,
+    StragglerDropoutModel,
+    UploadLossModel,
+    straggler_ids,
 )
 from repro.sim.kernel import LegResult, SimKernel
 from repro.sim.retry import RetryPolicy
@@ -71,7 +76,12 @@ __all__ = [
     "LegResult",
     "RetryPolicy",
     "FaultPlan",
+    "AvailabilityModel",
+    "ChurnModel",
     "ClientCrashModel",
+    "StragglerDropoutModel",
+    "UploadLossModel",
+    "straggler_ids",
     "PayloadCorruptionModel",
     "StaleUploadModel",
     "ServerOutageModel",

@@ -3,9 +3,6 @@
 A minimal priority-queue simulator: events carry a timestamp, a kind,
 and an arbitrary payload.  Ties are broken by insertion order so runs
 are fully deterministic.
-
-(Historically ``repro.network.events``; that module now re-exports
-from here.)
 """
 
 from __future__ import annotations

@@ -1,29 +1,25 @@
-"""Composable fault models for chaos-style resilience studies.
+"""The fault vocabulary: every way a run describes unavailability and loss.
 
-The §III empirical study keeps its original two special cases
-(:class:`repro.fl.faults.FaultInjector` — deterministic dropout and
-stochastic data loss); this module generalises the failure model into
-independent, composable pieces an engine consults through one
-:class:`FaultPlan`:
+An engine consults one :class:`FaultPlan`; each model in it gates one
+part of a client leg:
 
-* :class:`ClientCrashModel` — a device crashes (losing any in-progress
-  round) and restarts after a downtime; exponential time-between-
-  failures and downtime, per-client lazy schedules exactly like
-  :class:`repro.network.churn.ChurnModel`;
-* :class:`PayloadCorruptionModel` — an uploaded flat vector arrives
-  damaged: NaN-poisoned, a single flipped mantissa/exponent bit, or a
-  norm blow-up;
-* :class:`StaleUploadModel` — an upload is delayed in transit (arriving
-  stale) and/or duplicated (the server sees it twice);
-* :class:`ServerOutageModel` — the aggregation server itself is
-  unreachable during outage windows (explicit or stochastic).
+* availability — :class:`ChurnModel`, :class:`ClientCrashModel` (which
+  also voids in-progress work) and Fig. 1's
+  :class:`StragglerDropoutModel`, all behind the one protocol the
+  engines' gates speak, :class:`AvailabilityModel`;
+* upload fate — Fig. 1's :class:`UploadLossModel` and
+  :class:`StaleUploadModel` (delayed / duplicated deliveries);
+* payload — :class:`PayloadCorruptionModel`;
+* server — :class:`ServerOutageModel`.
 
-Determinism contract: every model draws only from kernel-derived
-streams (``default_rng((seed, crc32("fault"), crc32(name), index))``),
-never from the engine's root RNG — so attaching a plan whose models
-never fire, or no plan at all, leaves trajectories bit-identical.
-Models hold plain generators and float lists, so a bound plan pickles
-cleanly into run snapshots.
+Determinism contract: models draw only from streams derived from the
+kernel seed (``default_rng((seed, crc32("fault"), crc32(name),
+index))``) or, for churn, from the model's own seed — never from the
+engine's root RNG — so attaching a plan whose models never fire, or no
+plan at all, leaves trajectories bit-identical.  The one exception is
+:class:`UploadLossModel`, which draws from the stream its caller passes
+(see its docstring).  Models hold plain generators and float lists, so
+a bound plan pickles cleanly into run snapshots.
 """
 
 from __future__ import annotations
@@ -37,10 +33,15 @@ from repro.wire.frame import FRAME_OVERHEAD
 
 __all__ = [
     "FaultPlan",
+    "AvailabilityModel",
+    "ChurnModel",
     "ClientCrashModel",
+    "StragglerDropoutModel",
+    "UploadLossModel",
     "PayloadCorruptionModel",
     "StaleUploadModel",
     "ServerOutageModel",
+    "straggler_ids",
 ]
 
 _FAULT_NAMESPACE = zlib.crc32(b"fault")
@@ -53,24 +54,50 @@ def _fault_stream(seed: int, name: str, index: int) -> np.random.Generator:
     )
 
 
+def straggler_ids(
+    num_clients: int, fraction: float, rng: np.random.Generator
+) -> frozenset[int]:
+    """``round(fraction * num_clients)`` random client ids (Fig. 1's stragglers).
+
+    A positive fraction always yields at least one: tiny fleets would
+    otherwise round down to zero and silently inject nothing.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    num_bad = int(round(num_clients * fraction))
+    if fraction > 0.0 and num_bad == 0:
+        num_bad = 1
+    ids = rng.choice(num_clients, size=num_bad, replace=False)
+    return frozenset(int(i) for i in ids)
+
+
 class _ToggleSchedule:
-    """Lazy alternating up/down schedule; the subject starts up at t=0.
+    """Lazy alternating up/down schedule from t=0.
 
     Up and down periods are exponential with the given means; toggle
     times are generated on demand, so lookups are deterministic for a
-    given stream regardless of query order (same contract as
-    :class:`~repro.network.churn.ChurnModel`).
+    given stream regardless of query order.
     """
 
-    def __init__(self, rng: np.random.Generator, mean_up_s: float, mean_down_s: float):
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        mean_up_s: float,
+        mean_down_s: float,
+        starts_up: bool = True,
+    ):
         self._rng = rng
         self.mean_up_s = mean_up_s
         self.mean_down_s = mean_down_s
+        self.starts_up = starts_up
         self._toggles: list[float] = []
+
+    def _up_after(self, num_toggles: int) -> bool:
+        return self.starts_up == (num_toggles % 2 == 0)
 
     def _extend(self, until: float) -> None:
         toggles = self._toggles
-        up = len(toggles) % 2 == 0
+        up = self._up_after(len(toggles))
         last = toggles[-1] if toggles else 0.0
         while last <= until:
             mean = self.mean_up_s if up else self.mean_down_s
@@ -85,19 +112,19 @@ class _ToggleSchedule:
         return int(np.searchsorted(self._toggles, t, side="right"))
 
     def is_up(self, t: float) -> bool:
-        return self._index(t) % 2 == 0
+        return self._up_after(self._index(t))
 
     def next_up(self, t: float) -> float:
         """Earliest time >= ``t`` at which the subject is up."""
         idx = self._index(t)
-        if idx % 2 == 0:
+        if self._up_after(idx):
             return t
         return self._toggles[idx]
 
     def next_down_in(self, t0: float, t1: float) -> float | None:
         """First down transition in ``[t0, t1)``; ``t0`` if already down."""
         idx = self._index(t0)
-        if idx % 2 == 1:
+        if not self._up_after(idx):
             return t0
         self._extend(t1)
         toggle = self._toggles[idx]
@@ -131,18 +158,112 @@ class _FaultModel:
         self._setup(seed, ids)
         self._bound = True
 
-    def _setup(self, seed: int, ids) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
+    def _setup(self, seed: int, ids) -> None:
+        """Derive per-client state for ``ids``; stateless models have none."""
+
+    def _covers(self, client_id: int) -> bool:
+        return self.client_ids is None or client_id in self.client_ids
 
     def _require_bound(self) -> None:
         if not self._bound:
             raise RuntimeError(f"{type(self).__name__} is not bound to a kernel seed")
 
 
-class ClientCrashModel(_FaultModel):
+class AvailabilityModel(_FaultModel):
+    """A reason a client cannot take part at some instant.
+
+    Both engines' gates consult every such model of the plan the same
+    way — which also makes this the seam a test plugs a fake into.  A
+    client that :meth:`is_down` when a synchronous round opens is left
+    out (``dropped``/``offline`` with the model's ``cause``); an
+    asynchronous one is ``halted`` with that ``cause`` and re-queued
+    for :meth:`next_up`, where a ``woken`` event labelled
+    :attr:`woken` announces it — or, when no instant of return is
+    known, parked until the next global model version.
+    """
+
+    cause: str
+    woken: str | None = None
+
+    def is_down(self, client_id: int, t: float, round_index: int) -> bool:
+        """Is the client unavailable at time ``t`` / in round ``round_index``
+        (the server's model version in an asynchronous run)?"""
+        raise NotImplementedError
+
+    def next_up(self, client_id: int, t: float) -> float | None:
+        """Earliest time >= ``t`` the client is back; None if not knowable."""
+        return None
+
+
+class _ScheduledAvailability(AvailabilityModel):
+    """Availability read off one lazy :class:`_ToggleSchedule` per client."""
+
+    def __init__(self, client_ids: Iterable[int] | None = None):
+        super().__init__(client_ids)
+        self._schedules: dict[int, _ToggleSchedule] = {}
+
+    def _schedule(self, seed: int, client_id: int) -> _ToggleSchedule:
+        raise NotImplementedError  # pragma: no cover - interface
+
+    def _setup(self, seed: int, ids) -> None:
+        for cid in ids:
+            self._schedules[cid] = self._schedule(seed, cid)
+
+    def is_down(self, client_id: int, t: float, round_index: int | None = None) -> bool:
+        del round_index  # a schedule is indexed by time alone
+        self._require_bound()
+        sched = self._schedules.get(client_id)
+        return sched is not None and not sched.is_up(t)
+
+    def next_up(self, client_id: int, t: float) -> float:
+        self._require_bound()
+        sched = self._schedules.get(client_id)
+        return t if sched is None else sched.next_up(t)
+
+
+class ChurnModel(_ScheduledAvailability):
+    """Devices sleep, move out of coverage, or yield to foreground work.
+
+    Each client alternates exponential on- and off-periods and starts
+    online with probability ``start_online_prob``.  Streams come from
+    the model's own ``seed`` (``seed * 1_000_003 + client_id``), not
+    the kernel's: the pinned traces fix them, and one fleet's
+    availability can be replayed under different training seeds.
+    """
+
+    name = cause = "churn"
+    woken = "online"
+
+    def __init__(
+        self,
+        mean_on_s: float = 300.0,
+        mean_off_s: float = 60.0,
+        seed: int = 0,
+        start_online_prob: float = 0.8,
+        client_ids: Iterable[int] | None = None,
+    ):
+        super().__init__(client_ids)
+        if mean_on_s <= 0 or mean_off_s <= 0:
+            raise ValueError("mean periods must be positive")
+        if not 0.0 <= start_online_prob <= 1.0:
+            raise ValueError("start_online_prob must be in [0, 1]")
+        self.mean_on_s = mean_on_s
+        self.mean_off_s = mean_off_s
+        self.seed = seed
+        self.start_online_prob = start_online_prob
+
+    def _schedule(self, seed: int, client_id: int) -> _ToggleSchedule:
+        del seed
+        rng = np.random.default_rng(self.seed * 1_000_003 + client_id)
+        starts_online = bool(rng.random() < self.start_online_prob)
+        return _ToggleSchedule(rng, self.mean_on_s, self.mean_off_s, starts_online)
+
+
+class ClientCrashModel(_ScheduledAvailability):
     """Devices crash (losing in-progress work) and restart later."""
 
-    name = "crash"
+    name = cause = "crash"
+    woken = "restart"
 
     def __init__(
         self,
@@ -155,33 +276,64 @@ class ClientCrashModel(_FaultModel):
             raise ValueError("mtbf_s and mean_downtime_s must be positive")
         self.mtbf_s = mtbf_s
         self.mean_downtime_s = mean_downtime_s
-        self._schedules: dict[int, _ToggleSchedule] = {}
 
-    def _setup(self, seed: int, ids) -> None:
-        for cid in ids:
-            self._schedules[cid] = _ToggleSchedule(
-                _fault_stream(seed, self.name, cid),
-                self.mtbf_s,
-                self.mean_downtime_s,
-            )
-
-    def is_down(self, client_id: int, t: float) -> bool:
-        """Is the device in a crash-downtime window at ``t``?"""
-        self._require_bound()
-        sched = self._schedules.get(client_id)
-        return sched is not None and not sched.is_up(t)
-
-    def next_up(self, client_id: int, t: float) -> float:
-        """Earliest time >= ``t`` the device has restarted."""
-        self._require_bound()
-        sched = self._schedules.get(client_id)
-        return t if sched is None else sched.next_up(t)
+    def _schedule(self, seed: int, client_id: int) -> _ToggleSchedule:
+        return _ToggleSchedule(
+            _fault_stream(seed, self.name, client_id), self.mtbf_s, self.mean_downtime_s
+        )
 
     def crash_in(self, client_id: int, t0: float, t1: float) -> float | None:
         """Crash instant inside ``[t0, t1)`` — the window's work is lost."""
         self._require_bound()
         sched = self._schedules.get(client_id)
         return None if sched is None else sched.next_down_in(t0, t1)
+
+
+class StragglerDropoutModel(AvailabilityModel):
+    """Fig. 1 *dropout*: a straggler reaches the server only every
+    ``period``-th round (§III-B).
+
+    Deterministic — no stream at all.  Phases are staggered by client
+    id so stragglers do not all skip the same rounds.  Indexed by round,
+    not by time, so no instant of return is known.
+    """
+
+    cause = "fault"
+
+    def __init__(self, period: int = 2, client_ids: Iterable[int] | None = None):
+        super().__init__(client_ids)
+        if period < 2:
+            raise ValueError("period must be >= 2")
+        self.period = period
+
+    def is_down(self, client_id: int, t: float, round_index: int) -> bool:
+        del t
+        return self._covers(client_id) and (round_index + client_id) % self.period != 0
+
+
+class UploadLossModel(_FaultModel):
+    """Fig. 1 *data loss*: an upload that crossed the link is destroyed
+    in transit with probability ``prob``.
+
+    The plan's one exception to "derived streams only": :meth:`lost`
+    draws from the generator its caller passes — the engine's root RNG,
+    at the point of each engine's fate order where the seed's injector
+    drew — because the pinned trajectories (``sync_fedavg_net_faults``)
+    fix that sequence.  A client the model does not cover, or a zero
+    ``prob``, costs no draw, so a model that cannot fire is inert.
+    """
+
+    def __init__(self, prob: float = 0.5, client_ids: Iterable[int] | None = None):
+        super().__init__(client_ids)
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError("prob must be in [0, 1]")
+        self.prob = prob
+
+    def lost(self, client_id: int, rng: np.random.Generator) -> bool:
+        """Is this client's delivered upload destroyed in transit?"""
+        if self.prob <= 0.0 or not self._covers(client_id):
+            return False
+        return bool(rng.random() < self.prob)
 
 
 class PayloadCorruptionModel(_FaultModel):
@@ -192,10 +344,9 @@ class PayloadCorruptionModel(_FaultModel):
     (so the server's CRC-32 integrity check catches it as a
     ``corrupt_frame`` rejection), and ``"blowup"`` scales the whole
     vector by ``magnitude``.  ``nan``/``blowup`` tamper the decoded
-    vector and exercise the numeric screen instead — the engines call
-    :meth:`corrupt_upload`, which routes each kind to the right
-    representation.  :meth:`corrupt` is the legacy vector-only entry
-    point (bitflip there flips one float64 bit in place).
+    vector and exercise the numeric screen instead;
+    :meth:`corrupt_upload` routes each kind to the right
+    representation.
     """
 
     name = "corrupt"
@@ -223,21 +374,6 @@ class PayloadCorruptionModel(_FaultModel):
     def _setup(self, seed: int, ids) -> None:
         for cid in ids:
             self._rngs[cid] = _fault_stream(seed, self.name, cid)
-
-    def corrupt(self, client_id: int, delta: np.ndarray) -> np.ndarray | None:
-        """A corrupted copy of ``delta``, or None if this upload is clean."""
-        self._require_bound()
-        rng = self._rngs.get(client_id)
-        if rng is None or rng.random() >= self.prob:
-            return None
-        out = np.array(delta, dtype=np.float64, copy=True)
-        if self.kind == "bitflip":
-            idx = int(rng.integers(0, out.size))
-            bit = int(rng.integers(0, 64))
-            bits = out.view(np.uint64)
-            bits[idx] ^= np.uint64(1) << np.uint64(bit)
-            return out
-        return self._tamper_vector(rng, out)
 
     def corrupt_upload(
         self, client_id: int, delta: np.ndarray, frame_bytes: bytes
@@ -267,16 +403,12 @@ class PayloadCorruptionModel(_FaultModel):
             buf[pos] ^= 1 << bit
             return delta, bytes(buf)
         out = np.array(delta, dtype=np.float64, copy=True)
-        return self._tamper_vector(rng, out), None
-
-    def _tamper_vector(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """NaN-poison or blow up ``out`` in place (non-bitflip kinds)."""
         if self.kind == "nan":
             k = max(1, out.size // 1000)
             out[rng.integers(0, out.size, size=k)] = np.nan
         else:  # blowup
             out *= self.magnitude
-        return out
+        return out, None
 
 
 class StaleUploadModel(_FaultModel):
@@ -383,25 +515,42 @@ class FaultPlan:
     """The set of fault models active in one run.
 
     At most one model of each kind; engines consult the typed
-    accessors (``plan.crash``/``corruption``/``stale``/``outage``) so a
-    plan is free to carry any subset.  :meth:`bind` derives every
-    model's RNG streams from the kernel seed; binding is idempotent so
-    a plan restored from a snapshot keeps its advanced stream states.
+    accessors (``plan.churn``/``crash``/``dropout``/``upload_loss``/
+    ``corruption``/``stale``/``outage``) and, for the availability
+    gates, :attr:`availability`, so a plan is free to carry any subset.
+    :meth:`bind` derives every model's RNG streams from the kernel
+    seed; binding is idempotent so a plan restored from a snapshot
+    keeps its advanced stream states.
     """
 
     def __init__(self, *models: _FaultModel):
         self.models = list(models)
+        self.churn: ChurnModel | None = self._find(ChurnModel)
         self.crash: ClientCrashModel | None = self._find(ClientCrashModel)
+        self.dropout: StragglerDropoutModel | None = self._find(StragglerDropoutModel)
+        self.upload_loss: UploadLossModel | None = self._find(UploadLossModel)
         self.corruption: PayloadCorruptionModel | None = self._find(
             PayloadCorruptionModel
         )
         self.stale: StaleUploadModel | None = self._find(StaleUploadModel)
         self.outage: ServerOutageModel | None = self._find(ServerOutageModel)
-        known = (ClientCrashModel, PayloadCorruptionModel, StaleUploadModel,
-                 ServerOutageModel)
+        known = (AvailabilityModel, UploadLossModel, PayloadCorruptionModel,
+                 StaleUploadModel, ServerOutageModel)
         for m in self.models:
             if not isinstance(m, known):
                 raise TypeError(f"unknown fault model {type(m).__name__}")
+        # Gate order is fixed — churn, crash, dropout, then any other
+        # availability model (a test's fake) — so which cause labels a
+        # client down for two reasons never depends on how the plan
+        # was spelled.
+        builtin = (self.churn, self.crash, self.dropout)
+        others = [
+            m for m in self.models
+            if isinstance(m, AvailabilityModel) and m not in builtin
+        ]
+        self.availability: tuple[AvailabilityModel, ...] = (
+            *(m for m in builtin if m is not None), *others
+        )
         self._bound = False
 
     def _find(self, cls):

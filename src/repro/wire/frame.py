@@ -280,8 +280,7 @@ def unseal(buf: bytes) -> bytes:
     """Verify a :func:`seal` envelope and return the enclosed bytes.
 
     Raises :class:`FrameError` (or :class:`FrameCorruptionError` on a
-    CRC mismatch) — callers that must read legacy unwrapped files catch
-    it and fall back.
+    CRC mismatch); no caller falls back to reading the bytes unchecked.
     """
     frame = Frame.from_bytes(buf)
     if frame.codec_id != BLOB_CODEC_ID:

@@ -52,7 +52,7 @@ def test_cli_lint_json_reports_coverage(capsys):
 def test_cli_lint_select_single_family(capsys):
     assert main(["lint", "--select", "R2"]) == 0
     out = capsys.readouterr().out
-    assert "3 rules" in out
+    assert "2 rules" in out
 
 
 def test_cli_lint_select_flow_families(capsys):

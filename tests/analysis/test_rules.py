@@ -56,13 +56,6 @@ class TestR2Layering:
         assert "repro.sim.fixture_cycle_a" in message
         assert "repro.sim.fixture_cycle_b" in message
 
-    def test_deprecated_shim_import_offends(self):
-        result = lint_fixture(
-            [("r2_shim_offending.py", "repro.fl.fixture_shim")], select=["R203"]
-        )
-        assert rule_ids(result) == ["R203"]
-        assert "repro.sim.events" in result.violations[0].message
-
 
 class TestR3Taxonomy:
     def test_broken_partition(self):

@@ -50,6 +50,15 @@ class TestQSGD:
         with pytest.raises(ValueError):
             QSGDCompressor(10, num_levels=0, rng=np.random.default_rng(0))
 
+    def test_payload_without_its_level_count_is_refused(self, rng):
+        """Not decoded with the constructor's count: that would rescale
+        a gradient quantised at another width without a trace."""
+        comp = QSGDCompressor(20, num_levels=4, rng=rng)
+        payload = comp.compress(rng.normal(size=20), num_levels=16)
+        del payload.data["num_levels"]
+        with pytest.raises(KeyError):
+            comp.decompress(payload)
+
 
 class TestTernGrad:
     def test_values_are_ternary(self, rng):

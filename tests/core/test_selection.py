@@ -5,57 +5,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selection import reservoir_sample, select_clients, select_from_scores
+from repro.core.selection import reservoir_sample, select_from_scores
+
+
+def _select(scores: dict, k: int, tau: float):
+    """Algorithm 1 over a ``{client_id: S_i}`` map, as the tests state it."""
+    ids = np.fromiter(scores, dtype=np.int64, count=len(scores))
+    vals = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
+    return select_from_scores(ids, vals, k, tau)
 
 
 class TestBasics:
     def test_selects_top_k(self):
         scores = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6}
-        result = select_clients(scores, k=2, tau=0.0)
+        result = _select(scores, k=2, tau=0.0)
         assert result.selected == (0, 1)
         assert result.truncated == (2, 3)
 
     def test_threshold_filters(self):
         scores = {0: 0.9, 1: 0.3, 2: 0.7}
-        result = select_clients(scores, k=3, tau=0.5)
+        result = _select(scores, k=3, tau=0.5)
         assert set(result.selected) == {0, 2}
         assert result.filtered_out == (1,)
 
     def test_all_below_threshold(self):
-        result = select_clients({0: 0.1, 1: 0.2}, k=2, tau=0.9)
+        result = _select({0: 0.1, 1: 0.2}, k=2, tau=0.9)
         assert result.selected == ()
         assert result.num_selected == 0
 
     def test_k_larger_than_filtered(self):
-        result = select_clients({0: 0.9, 1: 0.8}, k=10, tau=0.5)
+        result = _select({0: 0.9, 1: 0.8}, k=10, tau=0.5)
         assert set(result.selected) == {0, 1}
 
     def test_ordered_by_score_descending(self):
         scores = {0: 0.5, 1: 0.9, 2: 0.7}
-        result = select_clients(scores, k=3, tau=0.0)
+        result = _select(scores, k=3, tau=0.0)
         assert result.selected == (1, 2, 0)
 
     def test_tie_broken_by_id(self):
-        result = select_clients({5: 0.5, 2: 0.5, 9: 0.5}, k=2, tau=0.0)
+        result = _select({5: 0.5, 2: 0.5, 9: 0.5}, k=2, tau=0.0)
         assert result.selected == (2, 5)
 
     def test_boundary_score_passes(self):
-        result = select_clients({0: 0.5}, k=1, tau=0.5)
+        result = _select({0: 0.5}, k=1, tau=0.5)
         assert result.selected == (0,)
 
     def test_empty_scores(self):
-        result = select_clients({}, k=3, tau=0.5)
+        result = _select({}, k=3, tau=0.5)
         assert result.selected == ()
 
 
 class TestValidation:
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            select_clients({0: 0.5}, k=0, tau=0.5)
+            _select({0: 0.5}, k=0, tau=0.5)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            select_clients({0: 0.5}, k=1, tau=1.5)
+            _select({0: 0.5}, k=1, tau=1.5)
 
 
 class TestAlgorithmConstraints:
@@ -70,7 +77,7 @@ class TestAlgorithmConstraints:
         tau=st.floats(0.0, 1.0),
     )
     def test_property_constraints_hold(self, scores, k, tau):
-        result = select_clients(scores, k=k, tau=tau)
+        result = _select(scores, k=k, tau=tau)
         selected = set(result.selected)
         # |C_selected| <= K
         assert len(selected) <= k
@@ -87,8 +94,8 @@ class TestAlgorithmConstraints:
 
 
 class TestArrayPath:
-    """``select_from_scores`` is the O(n + K log K) array-native core;
-    the dict adapter must agree with it exactly."""
+    """``select_from_scores`` is O(n + K log K): it never sorts more
+    than the selected set, yet must rank exactly as a full sort would."""
 
     def test_nan_scores_fail_threshold(self):
         ids = np.array([0, 1, 2], dtype=np.int64)
@@ -122,12 +129,17 @@ class TestArrayPath:
         k=st.integers(1, 10),
         tau=st.floats(0.0, 1.0),
     )
-    def test_dict_and_array_paths_agree(self, scores, k, tau):
-        via_dict = select_clients(scores, k=k, tau=tau)
-        ids = np.fromiter(scores, dtype=np.int64, count=len(scores))
-        vals = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-        via_array = select_from_scores(ids, vals, k=k, tau=tau)
-        assert via_array == via_dict
+    def test_property_matches_full_sort_reference(self, scores, k, tau):
+        passing = sorted(
+            (cid for cid, s in scores.items() if s >= tau),
+            key=lambda cid: (-scores[cid], cid),
+        )
+        result = _select(scores, k=k, tau=tau)
+        assert result.selected == tuple(passing[:k])
+        assert result.truncated == tuple(sorted(passing[k:]))
+        assert result.filtered_out == tuple(
+            sorted(cid for cid, s in scores.items() if not s >= tau)
+        )
 
 
 class _CountingRng:

@@ -1,10 +1,13 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data.synthetic import (
     DATASET_BUILDERS,
+    _bilinear_zoom,
     make_cifar10_like,
     make_cifar100_like,
     make_dataset,
@@ -28,6 +31,65 @@ class TestPrototypes:
     def test_classes_differ(self, rng):
         protos = make_prototypes(2, (1, 8, 8), 1, rng)
         assert np.linalg.norm(protos[0] - protos[1]) > 0.5
+
+
+class TestBilinearZoom:
+    """The numpy zoom that replaced ``scipy.ndimage.zoom(order=1)``."""
+
+    def test_equals_scipy_over_geometries(self, rng):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        sizes = [*range(2, 70), 97, 128, 188, 224, 299]
+        checked = 0
+        for coarse in range(2, 9):
+            for h in sizes:
+                for w in {h, h + 3, max(2, h - 5)}:
+                    field = rng.normal(size=(coarse, coarse))
+                    want = ndimage.zoom(field, (h / coarse, w / coarse), order=1)
+                    got = _bilinear_zoom(field, h / coarse, w / coarse)
+                    # Values, zero signs and layout: the prototypes'
+                    # mean/std sum in memory order.
+                    assert got.shape == want.shape, (coarse, h, w)
+                    assert np.array_equal(got, want), (coarse, h, w)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    assert got.flags["C_CONTIGUOUS"]
+                    checked += 1
+        assert checked > 1500
+
+    def test_coordinate_rounded_past_the_edge_is_zero(self, rng):
+        # 8 -> 26: 25 * (7 / 25) > 7, which scipy's mode="constant"
+        # (and therefore every pinned trajectory) maps to 0.0.
+        out = _bilinear_zoom(rng.normal(size=(8, 8)), 26 / 8, 26 / 8)
+        assert np.all(out[-1] == 0.0) and np.all(out[:, -1] == 0.0)
+        assert np.all(out[:-1, :-1] != 0.0)
+
+    def test_corners_are_the_input_corners(self, rng):
+        field = rng.normal(size=(4, 4))
+        out = _bilinear_zoom(field, 14 / 4, 14 / 4)
+        assert out.shape == (14, 14)
+        assert out[0, 0] == field[0, 0] and out[-1, -1] == field[-1, -1]
+        assert out[0, -1] == field[0, -1] and out[-1, 0] == field[-1, 0]
+
+
+# The image shapes the experiment presets, the benchmark's wide MLP and
+# the population smoke synthesise.
+_PINNED_SHAPES = (
+    (1, 10, 10), (3, 10, 10), (1, 14, 14), (3, 14, 14), (1, 28, 28), (1, 6, 6),
+)
+
+
+def test_dataset_bytes_pinned():
+    """Generated with the scipy-backed zoom on the parent commit: guards
+    the numpy replacement where scipy is not installed."""
+    digest = hashlib.sha256()
+    for shape in _PINNED_SHAPES:
+        for part in make_image_classification(
+            40, 12, 4, shape, noise_std=0.7, prototypes_per_class=2, seed=3
+        ):
+            digest.update(np.ascontiguousarray(part.x).tobytes())
+            digest.update(np.ascontiguousarray(part.y).tobytes())
+    assert digest.hexdigest() == (
+        "ee5c1a1119585afb6fa455dbdce4f3ff5c871b7e5268f33bdca3b37bacd9bd10"
+    )
 
 
 class TestMakeImageClassification:

@@ -37,7 +37,6 @@ from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg, FedBuff
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
 from repro.fl.population import ClientPopulation, RetentionPolicy
 from repro.fl.server import Server
@@ -45,6 +44,7 @@ from repro.fl.sync_engine import SyncEngine
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.nn.models import build_mlp
+from repro.sim import FaultPlan, UploadLossModel
 
 BASELINE_PATH = Path(__file__).parent / "data" / "equivalence_baseline.json"
 
@@ -139,11 +139,11 @@ def run_sync_fedavg_nonet(trace=None, policy=None) -> RunResult:
 
 def run_sync_fedavg_net_faults(trace=None, policy=None) -> RunResult:
     server, clients = _federation(10, policy)
-    faults = FaultInjector(mode="dataloss", straggler_ids={1}, loss_prob=0.5)
+    chaos = FaultPlan(UploadLossModel(prob=0.5, client_ids={1}))
     return SyncEngine(
         server, clients, FedAvg(participation_rate=0.8),
         _sync_config(4, deadline=5.0), network=_jittery_net(uplink_loss=0.2),
-        faults=faults, trace=trace,
+        chaos=chaos, trace=trace,
     ).run()
 
 

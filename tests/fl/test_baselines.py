@@ -105,8 +105,7 @@ class TestScaffold:
         strat = Scaffold()
         ctx = RoundContext(0, 0.0, server, [])
         u = make_update(0, np.ones(server.dim))
-        _, nbytes = strat.process_upload(None, u, ctx)
-        assert nbytes == 2 * 4 * server.dim
+        assert strat.process_upload(None, u, ctx).nbytes == 2 * 4 * server.dim
         assert strat.downlink_bytes(server) == 2 * 4 * server.dim
 
     def test_aggregate_updates_control(self, server):

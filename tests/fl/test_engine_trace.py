@@ -2,36 +2,50 @@
 
 These tests pin the tentpole contracts of the ``repro.sim`` refactor:
 
-* both engines accept ``FaultInjector`` *and* a churn model, and every
-  resulting drop/halt is visible in the trace with its cause;
+* both engines consult every availability / upload-loss model of the
+  fault plan — a test's own fake included — and every resulting
+  drop/halt is visible in the trace with its cause;
 * the async engine charges lost downlink attempts individually and
   retries with the named backoff;
-* the same spec + seed writes byte-identical JSONL traces;
+* the same spec + seed writes byte-identical JSONL traces — and so
+  does a plan made only of models that cannot fire;
 * replaying a recorded trace through the metrics reducer reproduces
   the engine's own ``RunResult`` exactly.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fl.async_engine import DOWNLINK_RETRY_BACKOFF, AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import run_result_from_trace
 from repro.fl.sync_engine import SyncEngine
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.sim import (
     AGGREGATED,
+    AvailabilityModel,
+    ChurnModel,
+    ClientCrashModel,
     DOWNLINK_END,
     DROPPED,
     EventTrace,
+    FaultPlan,
     HALTED,
     JsonlSink,
+    PayloadCorruptionModel,
     RingBufferSink,
     RUN_START,
     SELECTED,
+    ServerOutageModel,
+    StaleUploadModel,
+    StragglerDropoutModel,
+    UploadLossModel,
     WOKEN,
     load_trace,
 )
@@ -44,22 +58,25 @@ from tests.fl.equiv_cases import (
     _sync_config,
     trajectory,
 )
+from tests.fl.trace_digest_cases import _async, _net, _sync, run_traced
 
 
-class FixedOffline:
-    """A minimal churn model: the given clients are offline until ``until``."""
+class FixedOffline(AvailabilityModel):
+    """A minimal availability fake: the given clients are offline until
+    ``until``, labelled the way churn labels it."""
+
+    cause = "churn"
+    woken = "online"
 
     def __init__(self, offline_ids, until: float = 1e9):
-        self.offline_ids = set(offline_ids)
+        super().__init__(offline_ids)
         self.until = until
 
-    def is_online(self, client_id: int, t: float) -> bool:
-        return client_id not in self.offline_ids or t >= self.until
+    def is_down(self, client_id: int, t: float, round_index: int) -> bool:
+        return client_id in self.client_ids and t < self.until
 
-    def next_online(self, client_id: int, t: float) -> float:
-        if self.is_online(client_id, t):
-            return t
-        return self.until
+    def next_up(self, client_id: int, t: float) -> float:
+        return self.until if self.is_down(client_id, t, 0) else t
 
 
 def _ring_engine(engine_cls, *args, **kwargs):
@@ -81,10 +98,10 @@ def _events(sink, etype, **match):
 class TestSyncTrace:
     def test_fault_drops_traced(self):
         server, clients = _federation(10)
-        faults = FaultInjector(mode="dataloss", straggler_ids={1}, loss_prob=1.0)
+        chaos = FaultPlan(UploadLossModel(prob=1.0, client_ids={1}))
         engine, sink = _ring_engine(
             SyncEngine, server, clients, FedAvg(participation_rate=1.0),
-            _sync_config(2), faults=faults,
+            _sync_config(2), chaos=chaos,
         )
         result = engine.run()
         drops = _events(sink, DROPPED, reason="fault")
@@ -95,10 +112,10 @@ class TestSyncTrace:
 
     def test_dropout_fault_absentees_traced_offline(self):
         server, clients = _federation(10)
-        faults = FaultInjector(mode="dropout", straggler_ids={2}, dropout_period=2)
+        chaos = FaultPlan(StragglerDropoutModel(period=2, client_ids={2}))
         engine, sink = _ring_engine(
             SyncEngine, server, clients, FedAvg(participation_rate=1.0),
-            _sync_config(2), faults=faults,
+            _sync_config(2), chaos=chaos,
         )
         result = engine.run()
         offline = _events(sink, DROPPED, reason="offline", cause="fault")
@@ -111,7 +128,7 @@ class TestSyncTrace:
         server, clients = _federation(10)
         engine, sink = _ring_engine(
             SyncEngine, server, clients, FedAvg(participation_rate=1.0),
-            _sync_config(3), churn=FixedOffline({0, 3}),
+            _sync_config(3), chaos=FaultPlan(FixedOffline({0, 3})),
         )
         result = engine.run()
         offline = _events(sink, DROPPED, reason="offline", cause="churn")
@@ -145,10 +162,10 @@ class TestSyncTrace:
 class TestAsyncTrace:
     def test_dataloss_faults_under_async_engine(self):
         server, clients = _federation(20)
-        faults = FaultInjector(mode="dataloss", straggler_ids={0}, loss_prob=1.0)
+        chaos = FaultPlan(UploadLossModel(prob=1.0, client_ids={0}))
         engine, sink = _ring_engine(
             AsyncEngine, server, clients, FedAsync(), _async_config(8),
-            faults=faults,
+            chaos=chaos,
         )
         result = engine.run()
         drops = _events(sink, DROPPED, reason="fault")
@@ -161,10 +178,10 @@ class TestAsyncTrace:
     def test_dropout_faults_halt_until_version_change(self):
         server, clients = _federation(20)
         # Version 0: (0 + 1) % 2 == 1 -> client 1 parks immediately.
-        faults = FaultInjector(mode="dropout", straggler_ids={1}, dropout_period=2)
+        chaos = FaultPlan(StragglerDropoutModel(period=2, client_ids={1}))
         engine, sink = _ring_engine(
             AsyncEngine, server, clients, FedAsync(), _async_config(8),
-            faults=faults,
+            chaos=chaos,
         )
         engine.run()
         halts = _events(sink, HALTED, cause="fault")
@@ -179,7 +196,7 @@ class TestAsyncTrace:
         resume = 1.5e-5
         engine, sink = _ring_engine(
             AsyncEngine, server, clients, FedAsync(), _async_config(6),
-            churn=FixedOffline({2}, until=resume),
+            chaos=FaultPlan(FixedOffline({2}, until=resume)),
         )
         engine.run()
         halted = _events(sink, HALTED, cause="churn")
@@ -277,6 +294,72 @@ class TestDeterminismAndReplay:
         assert [r.dropped_uploads for r in replayed.records] == [
             r.dropped_uploads for r in direct.records
         ]
+
+
+# Models that cannot fire, one list per kind (a plan holds at most one
+# of each): probability 0, nobody covered, or a first period far beyond
+# any run's horizon.
+_INERT_MODELS = [
+    [lambda: ChurnModel(mean_on_s=1e12, start_online_prob=1.0),
+     lambda: ChurnModel(start_online_prob=0.0, client_ids=())],
+    [lambda: ClientCrashModel(mtbf_s=1e12, mean_downtime_s=1.0),
+     lambda: ClientCrashModel(mtbf_s=1e-3, mean_downtime_s=1.0, client_ids=())],
+    [lambda: StragglerDropoutModel(client_ids=())],
+    [lambda: UploadLossModel(prob=0.0),
+     lambda: UploadLossModel(prob=1.0, client_ids=())],
+    [lambda: PayloadCorruptionModel(prob=0.0, kind="bitflip"),
+     lambda: PayloadCorruptionModel(prob=1.0, kind="nan", client_ids=())],
+    [lambda: StaleUploadModel(),
+     lambda: StaleUploadModel(delay_prob=1.0, duplicate_prob=1.0, client_ids=())],
+    [lambda: ServerOutageModel(windows=[(1e9, 2e9)])],
+]
+_INERT_CHOICES = [
+    (kind, make) for kind, makers in enumerate(_INERT_MODELS) for make in makers
+]
+
+
+def _lossy_run(engine: str, chaos):
+    """A short run whose every leg draws from the root RNG."""
+    net = _net(uplink_loss=0.2, downlink_loss=0.1)
+    if engine == "sync":
+        return lambda trace: _sync(4, rate=0.8, network=net, chaos=chaos, trace=trace)
+    return lambda trace: _async(12, network=net, chaos=chaos, trace=trace)
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_trace(engine: str) -> str:
+    return run_traced(_lossy_run(engine, None))[0]
+
+
+class TestInertPlan:
+    """The plan's inertness contract, adopted models included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        engine=st.sampled_from(["sync", "async"]),
+        picks=st.lists(
+            st.sampled_from(_INERT_CHOICES), min_size=1, unique_by=lambda p: p[0]
+        ),
+    )
+    def test_models_that_cannot_fire_leave_the_trace_bytes_alone(self, engine, picks):
+        plan = FaultPlan(*(make() for _, make in picks))
+        text, _ = run_traced(_lossy_run(engine, plan))
+        assert text == _plain_trace(engine)
+
+    def test_no_availability_model_keeps_the_cached_id_list(self):
+        """O(1) at population scale: payload / fate / server models do
+        not put the round on the per-client availability loop."""
+        server, clients = _federation(10)
+        chaos = FaultPlan(
+            PayloadCorruptionModel(prob=0.5), StaleUploadModel(delay_prob=0.5),
+            ServerOutageModel(windows=[(1.0, 2.0)]), UploadLossModel(),
+        )
+        for plan in (None, chaos):
+            engine = SyncEngine(
+                server, clients, FedAvg(participation_rate=1.0), _sync_config(1),
+                chaos=plan,
+            )
+            assert engine._available_ids(0, 0.0) is engine.clients.all_ids()
 
 
 class TestRunHeader:

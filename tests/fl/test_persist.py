@@ -103,6 +103,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(other, tmp_path / "m.npz")
 
+    def test_unframed_checkpoint_is_refused(self, tiny_model_fn, tmp_path):
+        """The pre-frame format stored a bare ``params`` array no CRC
+        covers; it fails closed instead of restoring unchecked weights."""
+        from repro.wire import FrameError
+
+        model = tiny_model_fn()
+        before = model.get_flat_params().copy()
+        np.savez(
+            tmp_path / "old.npz",
+            params=np.zeros(model.num_params),
+            metadata=np.array("{}"),
+        )
+        with pytest.raises(FrameError, match="CRC-framed"):
+            load_checkpoint(model, tmp_path / "old.npz")
+        np.testing.assert_array_equal(model.get_flat_params(), before)
+
 
 class TestFormatVersions:
     """v2 adds per-round rejected_uploads; v1 files must still load."""

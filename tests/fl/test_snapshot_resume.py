@@ -16,7 +16,7 @@ import pytest
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.persist import run_result_to_dict
-from repro.fl.snapshot import load_snapshot
+from repro.fl.snapshot import SNAPSHOT_VERSION, load_snapshot
 from repro.fl.sync_engine import SyncEngine
 from repro.fl.validation import ValidationConfig
 from repro.sim import (
@@ -32,6 +32,16 @@ from tests.fl.equiv_cases import (
     _jittery_net,
     _sync_config,
 )
+
+
+class _Tripwire:
+    """Unpickling this touches ``path``: proof that pickle ran."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return type(self.path).touch, (self.path,)
 
 
 class _Killed(RuntimeError):
@@ -171,13 +181,15 @@ class TestSnapshotFile:
         assert snap.exists()
         assert not (tmp_path / "run.snapshot.tmp").exists()
         state = pickle.loads(unseal(snap.read_bytes()))
-        assert state["snapshot_version"] == 1
+        assert state["snapshot_version"] == SNAPSHOT_VERSION
         assert state["mode"] == "sync"
+        # One fault vocabulary: the plan is the only fault state aboard.
+        assert "chaos" in state and not {"faults", "churn"} & set(state)
 
     def test_unknown_version_rejected(self, tmp_path):
         import pickle
 
-        from repro.wire import unseal
+        from repro.wire import FrameError, seal, unseal
 
         server, clients = _federation(10)
         snap = tmp_path / "run.snapshot"
@@ -186,12 +198,19 @@ class TestSnapshotFile:
             snapshot_path=snap, snapshot_every=1,
         ).run()
         state = pickle.loads(unseal(snap.read_bytes()))
-        state["snapshot_version"] = 99
-        # A bare pickle stream is the pre-envelope format; it must
-        # still load (after the version gate rejects it).
-        snap.write_bytes(pickle.dumps(state))
-        with pytest.raises(ValueError, match="snapshot"):
+        # 1 is the format that carried ``faults``/``churn`` beside the plan.
+        for version in (99, 1, None):
+            state["snapshot_version"] = version
+            snap.write_bytes(seal(pickle.dumps(state)))
+            with pytest.raises(ValueError, match="snapshot version"):
+                load_snapshot(snap)
+        # A bare pickle stream is the pre-envelope format, which no CRC
+        # covers: it is refused before pickle sees it.
+        tripped = tmp_path / "tripped"
+        snap.write_bytes(pickle.dumps(_Tripwire(tripped)))
+        with pytest.raises(FrameError):
             load_snapshot(snap)
+        assert not tripped.exists()
 
     def test_resumed_engine_can_keep_snapshotting(self, tmp_path):
         server, clients = _federation(10)

@@ -84,9 +84,9 @@ class TestSyncStrategySelection:
         strat = SyncStrategy()
         ctx = self._context(2, tiny_model_fn, tiny_test)
         u = update(0, np.ones(10), 5)
-        delta, nbytes = strat.process_upload(None, u, ctx)
-        np.testing.assert_array_equal(delta, u.delta)
-        assert nbytes == 40
+        packet = strat.process_upload(None, u, ctx)
+        np.testing.assert_array_equal(packet.delta, u.delta)
+        assert packet.nbytes == 40
 
     def test_default_aggregate_applies_average(self, tiny_model_fn, tiny_test):
         from repro.fl.server import Server

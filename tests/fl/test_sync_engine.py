@@ -6,12 +6,12 @@ import pytest
 from repro.fl.baselines import FedAvg, Scaffold
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
 from repro.fl.server import Server
 from repro.fl.sync_engine import SyncEngine
 from repro.network.conditions import NetworkConditions
 from repro.network.link import LinkModel
+from repro.sim import FaultPlan, StragglerDropoutModel, UploadLossModel
 
 
 NUM_CLIENTS = 5
@@ -133,18 +133,18 @@ class TestNetworkEffects:
 class TestFaults:
     def test_dropout_reduces_participation(self, federation):
         server, clients = federation
-        faults = FaultInjector(mode="dropout", straggler_ids={0, 1}, dropout_period=2)
+        chaos = FaultPlan(StragglerDropoutModel(period=2, client_ids={0, 1}))
         result = SyncEngine(
-            server, clients, FedAvg(participation_rate=1.0), config(4), faults=faults
+            server, clients, FedAvg(participation_rate=1.0), config(4), chaos=chaos
         ).run()
         # Two stragglers miss every other round: 4*5 - 2*2 = 16 uploads.
         assert result.total_uploads == 16
 
     def test_dataloss_drops_uploads(self, federation):
         server, clients = federation
-        faults = FaultInjector(mode="dataloss", straggler_ids={0}, loss_prob=1.0)
+        chaos = FaultPlan(UploadLossModel(prob=1.0, client_ids={0}))
         result = SyncEngine(
-            server, clients, FedAvg(participation_rate=1.0), config(4), faults=faults
+            server, clients, FedAvg(participation_rate=1.0), config(4), chaos=chaos
         ).run()
         assert result.total_uploads == 4 * (NUM_CLIENTS - 1)
         assert result.total_dropped == 4

@@ -2,8 +2,8 @@
 
 ``equivalence_baseline.json`` pins six trajectories, none of which
 reaches a :class:`~repro.sim.FaultPlan`, a retry policy with jitter,
-update validation, the round deadline under a lossy uplink, or a
-``FaultInjector`` combined with churn.  Each case here drives one of
+update validation, the round deadline under a lossy uplink, or
+several availability models at once.  Each case here drives one of
 those paths on every engine that supports it, and is pinned much
 harder than a trajectory: the sha256 of the complete JSONL trace
 (every event, timestamp and data field) plus the run's records.
@@ -11,7 +11,11 @@ harder than a trajectory: the sha256 of the complete JSONL trace
 ``python -m tests.fl.trace_digest_cases`` rewrites
 ``data/trace_digests.json``.  The committed file was generated on the
 commit *before* the shared engine base (``repro.fl.engine``) existed,
-so ``test_trace_digests.py`` proves that refactor moved no event.
+so ``test_trace_digests.py`` proves that refactor moved no event; the
+two ``*_dropout_crash_churn`` entries were generated on the commit
+before churn and the Fig. 1 injector became :class:`FaultPlan` models
+(then spelled ``faults=FaultInjector(...)``, ``churn=ChurnModel(...)``),
+so they prove the same of that fold.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
@@ -34,14 +38,13 @@ import numpy as np
 
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
-from repro.fl.faults import FaultInjector
 from repro.fl.metrics import RunResult
 from repro.fl.sync_engine import SyncEngine
 from repro.fl.validation import ValidationConfig
-from repro.network.churn import ChurnModel
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.sim import (
+    ChurnModel,
     ClientCrashModel,
     EventTrace,
     FaultPlan,
@@ -50,6 +53,8 @@ from repro.sim import (
     RetryPolicy,
     ServerOutageModel,
     StaleUploadModel,
+    StragglerDropoutModel,
+    UploadLossModel,
 )
 from tests.fl.equiv_cases import (
     NUM_CLIENTS,
@@ -88,7 +93,7 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-_ENGINE_KWARGS = ("network", "faults", "churn", "chaos", "device_flops")
+_ENGINE_KWARGS = ("network", "chaos", "device_flops")
 
 
 def _split(kwargs: dict) -> tuple[dict, dict]:
@@ -177,21 +182,43 @@ def run_sync_deadline(trace=None) -> RunResult:
                  deadline=0.04, uplink_retry=_JITTERY_RETRY, trace=trace)
 
 
-# -- FaultInjector data loss + availability churn ----------------------
+# -- Fig. 1 data loss + availability churn ------------------------------
 def _churn() -> ChurnModel:
-    return ChurnModel(NUM_CLIENTS, mean_on_s=0.08, mean_off_s=0.03, seed=5)
+    return ChurnModel(mean_on_s=0.08, mean_off_s=0.03, seed=5)
+
+
+def _dataloss_churn_plan() -> FaultPlan:
+    return FaultPlan(UploadLossModel(prob=0.5, client_ids={1, 3}), _churn())
 
 
 def run_sync_dataloss_churn(trace=None) -> RunResult:
-    faults = FaultInjector(mode="dataloss", straggler_ids={1, 3}, loss_prob=0.5)
-    return _sync(10, rate=0.8, network=_net(uplink_loss=0.2), faults=faults,
-                 churn=_churn(), trace=trace)
+    return _sync(10, rate=0.8, network=_net(uplink_loss=0.2),
+                 chaos=_dataloss_churn_plan(), trace=trace)
 
 
 def run_async_dataloss_churn(trace=None) -> RunResult:
-    faults = FaultInjector(mode="dataloss", straggler_ids={1, 3}, loss_prob=0.5)
-    return _async(25, network=_net(uplink_loss=0.2), faults=faults,
-                  churn=_churn(), trace=trace)
+    return _async(25, network=_net(uplink_loss=0.2),
+                  chaos=_dataloss_churn_plan(), trace=trace)
+
+
+# -- all three availability gates at once: precedence and cause labels --
+def _three_gate_plan() -> FaultPlan:
+    # Spelled in the reverse of gate order: the plan's order decides.
+    return FaultPlan(
+        StragglerDropoutModel(period=2, client_ids={1, 3}),
+        ClientCrashModel(mtbf_s=0.05, mean_downtime_s=0.04),
+        _churn(),
+    )
+
+
+def run_sync_dropout_crash_churn(trace=None) -> RunResult:
+    return _sync(10, rate=0.8, network=_net(uplink_loss=0.2),
+                 chaos=_three_gate_plan(), device_flops=_SLOW_DEVICES, trace=trace)
+
+
+def run_async_dropout_crash_churn(trace=None) -> RunResult:
+    return _async(25, network=_net(uplink_loss=0.2), chaos=_three_gate_plan(),
+                  device_flops=_SLOW_DEVICES, trace=trace)
 
 
 DIGEST_CASES = {
@@ -205,6 +232,8 @@ DIGEST_CASES = {
     "sync_deadline": run_sync_deadline,
     "sync_dataloss_churn": run_sync_dataloss_churn,
     "async_dataloss_churn": run_async_dataloss_churn,
+    "sync_dropout_crash_churn": run_sync_dropout_crash_churn,
+    "async_dropout_crash_churn": run_async_dropout_crash_churn,
 }
 
 # Compared event by event (see the module docstring).

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 class TestEventQueue:

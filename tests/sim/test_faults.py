@@ -1,21 +1,31 @@
-"""Tests for the composable chaos fault models."""
+"""Tests for the composable fault models and the plan that groups them.
+
+(The Fig. 1 models are tested in ``tests/fl/test_faults.py``, churn in
+``tests/network/test_churn.py``.)
+"""
 
 import numpy as np
 import pytest
 
 from repro.sim import (
+    AvailabilityModel,
+    ChurnModel,
     ClientCrashModel,
     FaultPlan,
     PayloadCorruptionModel,
     ServerOutageModel,
     StaleUploadModel,
+    StragglerDropoutModel,
+    UploadLossModel,
 )
 from repro.sim.faults import _fault_stream, _ToggleSchedule
+from repro.fl.validation import verify_frame
+from repro.wire import FRAME_OVERHEAD, encode_frame
 
 
 class TestToggleSchedule:
-    def _sched(self, seed=0, up=5.0, down=2.0):
-        return _ToggleSchedule(np.random.default_rng(seed), up, down)
+    def _sched(self, seed=0, up=5.0, down=2.0, starts_up=True):
+        return _ToggleSchedule(np.random.default_rng(seed), up, down, starts_up)
 
     def test_starts_up_at_zero(self):
         assert self._sched().is_up(0.0)
@@ -53,6 +63,23 @@ class TestToggleSchedule:
         first = sched._toggles[0]
         assert sched.is_up(np.nextafter(first, 0.0))
         assert not sched.is_up(first)
+
+    def test_starts_down_when_told_to(self):
+        sched = self._sched(seed=6, starts_up=False)
+        assert not sched.is_up(0.0)
+        first = sched._toggles[0]
+        # Down on [0, first), up from first: next_up is that toggle.
+        assert sched.next_up(0.0) == first
+        assert sched.is_up(first)
+        assert sched.next_down_in(0.0, first) == 0.0
+
+    def test_first_period_uses_the_mean_of_the_starting_state(self):
+        """Draw order: a schedule that starts down draws its first
+        period with the *down* mean (churn's off-period)."""
+        up_first = self._sched(seed=8, up=1.0, down=1000.0)
+        down_first = self._sched(seed=8, up=1.0, down=1000.0, starts_up=False)
+        up_first.is_up(0.0), down_first.is_up(0.0)
+        assert down_first._toggles[0] == pytest.approx(1000.0 * up_first._toggles[0])
 
     def test_next_down_in_semantics(self):
         sched = self._sched(seed=5, up=10.0, down=10.0)
@@ -125,34 +152,62 @@ class TestPayloadCorruptionModel:
         with pytest.raises(ValueError):
             PayloadCorruptionModel(prob=0.5, magnitude=0.0)
 
+    @staticmethod
+    def _frame(delta) -> bytes:
+        return encode_frame("dense64", delta.size, {"values": delta}).to_bytes()
+
     def test_zero_prob_never_corrupts(self):
         model = self._bound(prob=0.0)
         delta = np.ones(100)
-        assert all(model.corrupt(0, delta) is None for _ in range(50))
+        frame = self._frame(delta)
+        for _ in range(50):
+            out, tampered = model.corrupt_upload(0, delta, frame)
+            assert out is delta and tampered is None
 
     def test_nan_poisoning_leaves_original_untouched(self):
         model = self._bound(prob=1.0, kind="nan")
         delta = np.ones(4000)
-        out = model.corrupt(0, delta)
-        assert out is not None
+        out, tampered = model.corrupt_upload(0, delta, self._frame(delta))
+        assert tampered is None  # damaged before encoding: the frame is sound
         assert np.isnan(out).sum() >= 1
-        assert np.all(delta == 1.0)  # corrupt() returns a copy
+        assert np.all(delta == 1.0)  # the vector handed back is a copy
 
     def test_bitflip_changes_exactly_one_coordinate(self):
         model = self._bound(prob=1.0, kind="bitflip")
         delta = np.full(256, 0.5)
-        out = model.corrupt(0, delta)
-        changed = out.view(np.uint64) != delta.view(np.uint64)
-        assert int(changed.sum()) == 1
+        frame = self._frame(delta)
+        out, tampered = model.corrupt_upload(0, delta, frame)
+        assert out is delta  # the flip is in the frame, not the vector
+        assert len(tampered) == len(frame)
+        assert tampered[:FRAME_OVERHEAD] == frame[:FRAME_OVERHEAD]
+        diff = np.frombuffer(tampered, np.uint8) ^ np.frombuffer(frame, np.uint8)
+        assert int(np.unpackbits(diff).sum()) == 1
+        # One payload bit of a dense64 frame is one coordinate ...
+        payload = np.frombuffer(tampered[FRAME_OVERHEAD:], np.uint64)
+        assert int((payload != delta.view(np.uint64)).sum()) == 1
+        # ... which the server never sees: the CRC refuses the frame.
+        assert verify_frame(frame) is None
+        assert verify_frame(tampered) == "corrupt_frame"
+
+    def test_bitflip_passes_a_header_only_frame_through(self):
+        model = self._bound(prob=1.0, kind="bitflip")
+        delta = np.zeros(0)
+        frame = self._frame(delta)
+        assert len(frame) == FRAME_OVERHEAD
+        assert model.corrupt_upload(0, delta, frame) == (delta, None)
 
     def test_blowup_scales_by_magnitude(self):
         model = self._bound(prob=1.0, kind="blowup", magnitude=1e3)
         delta = np.full(10, 2.0)
-        np.testing.assert_array_equal(model.corrupt(0, delta), np.full(10, 2000.0))
+        out, tampered = model.corrupt_upload(0, delta, self._frame(delta))
+        assert tampered is None
+        np.testing.assert_array_equal(out, np.full(10, 2000.0))
 
     def test_unknown_client_is_clean(self):
         model = self._bound(prob=1.0, client_ids={0})
-        assert model.corrupt(1, np.ones(5)) is None
+        delta = np.ones(5)
+        out, tampered = model.corrupt_upload(1, delta, self._frame(delta))
+        assert out is delta and tampered is None
 
 
 class TestStaleUploadModel:
@@ -232,6 +287,28 @@ class TestFaultPlan:
         assert plan.outage is outage
         assert plan.corruption is None
         assert plan.stale is None
+        assert plan.churn is plan.dropout is plan.upload_loss is None
+
+    def test_typed_accessors_for_the_adopted_models(self):
+        churn, dropout, loss = ChurnModel(), StragglerDropoutModel(), UploadLossModel()
+        plan = FaultPlan(loss, dropout, churn)
+        assert (plan.churn, plan.dropout, plan.upload_loss) == (churn, dropout, loss)
+
+    def test_availability_gate_order_ignores_spelling(self):
+        churn, dropout = ChurnModel(), StragglerDropoutModel()
+        crash = ClientCrashModel(mtbf_s=1.0, mean_downtime_s=1.0)
+        for spelled in ((dropout, crash, churn), (churn, crash, dropout)):
+            assert FaultPlan(*spelled).availability == (churn, crash, dropout)
+        assert FaultPlan(UploadLossModel(), StaleUploadModel()).availability == ()
+
+    def test_any_availability_model_plugs_in(self):
+        class Fake(AvailabilityModel):
+            cause = "fake"
+
+        fake, churn = Fake(), ChurnModel()
+        plan = FaultPlan(fake, churn).bind(seed=0, num_clients=2)
+        assert plan.availability == (churn, fake)
+        assert fake.bound
 
     def test_rejects_duplicate_kinds(self):
         with pytest.raises(ValueError):

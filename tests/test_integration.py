@@ -16,7 +16,7 @@ from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.experiments.presets import FAST
 from repro.experiments.runner import FederationSpec, run_async, run_sync
 from repro.fl.baselines import FedAsync, FedAvg
-from repro.fl.faults import FaultInjector
+from repro.sim import FaultPlan, StragglerDropoutModel, straggler_ids
 
 SCALE = replace(
     FAST,
@@ -40,6 +40,11 @@ def adafl_config(warmup=2, tau=0.45, k_max=5):
     )
 
 
+def _dropout_plan(fraction, rng):
+    stragglers = straggler_ids(SCALE.num_clients, fraction, rng)
+    return FaultPlan(StragglerDropoutModel(client_ids=stragglers))
+
+
 def spec(distribution="iid", seed=0, model="mlp"):
     return FederationSpec(
         dataset="mnist",
@@ -57,14 +62,14 @@ class TestInsight1DropoutTolerance:
     def test_moderate_dropout_within_tolerance(self):
         base = run_sync(spec(), FedAvg(participation_rate=1.0))
         rng = np.random.default_rng(0)
-        faults = FaultInjector.from_fraction("dropout", SCALE.num_clients, 0.2, rng)
-        dropped = run_sync(spec(), FedAvg(participation_rate=1.0), faults=faults)
+        chaos = _dropout_plan(0.2, rng)
+        dropped = run_sync(spec(), FedAvg(participation_rate=1.0), chaos=chaos)
         assert dropped.final_accuracy >= base.final_accuracy - 0.10
 
     def test_heavy_dropout_costs_updates(self):
         rng = np.random.default_rng(0)
-        faults = FaultInjector.from_fraction("dropout", SCALE.num_clients, 0.5, rng)
-        dropped = run_sync(spec(), FedAvg(participation_rate=1.0), faults=faults)
+        chaos = _dropout_plan(0.5, rng)
+        dropped = run_sync(spec(), FedAvg(participation_rate=1.0), chaos=chaos)
         base = run_sync(spec(), FedAvg(participation_rate=1.0))
         assert dropped.total_uploads < base.total_uploads
 
