@@ -12,6 +12,7 @@ Examples::
     python -m repro quickrun --dataset mnist --distribution shard \
         --method adafl --rounds 20 --out run.json
     python -m repro quickrun --engine async --method fedbuff --trace run.jsonl
+    python -m repro run examples/specs/adafl_sync_stragglers.json --out run.json
     python -m repro trace run.jsonl
     python -m repro sweep --strategies fedavg afd adagq \
         --networks constrained --rounds 20 --out sweep.json
@@ -21,18 +22,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
+from pathlib import Path
 
-from repro.core.adafl import AdaFLSync
 from repro.experiments.ablation import run_ablation
-from repro.experiments.comparison import default_adafl_config, run_fig3
+from repro.experiments.comparison import run_fig3
 from repro.experiments.empirical import run_fig1
 from repro.experiments.overhead import run_overhead_study
 from repro.experiments.presets import get_scale
 from repro.experiments.reporting import format_bytes, format_series, format_table
-from repro.experiments.runner import FederationSpec, format_panels, run_async, run_sync
+from repro.experiments.runner import DATASET_PROFILES, DISTRIBUTIONS, MODELS, format_panels
 from repro.experiments.scalability import run_scalability
+from repro.experiments.spec import STRATEGIES, RunSpec, run
 from repro.experiments.tables import render_table, run_table1, run_table2
-from repro.fl.baselines import ASYNC_BASELINES, SYNC_BASELINES
 from repro.fl.persist import save_run_result
 
 __all__ = ["main", "build_parser"]
@@ -48,16 +51,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("fig1", help="Figure 1: empirical resiliency study")
-    sub.add_parser("fig3", help="Figure 3: AdaFL vs SOTA curves")
-    sub.add_parser("table1", help="Table I: synchronous results")
-    sub.add_parser("table2", help="Table II: asynchronous results")
-    sub.add_parser("overhead", help="Q3: Pi-cluster cycle overhead")
-    sub.add_parser("scalability", help="20-100 client sweep")
-    sub.add_parser("ablation", help="AdaFL design-choice ablation")
+    # Flags several commands share, each stated once.
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", default="mnist", choices=tuple(DATASET_PROFILES))
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--engine", default="sync", choices=("sync", "async"))
+    federation = argparse.ArgumentParser(add_help=False, parents=[dataset])
+    federation.add_argument("--model", default="mnist_cnn", choices=MODELS)
+    federation.add_argument("--distribution", default="iid", choices=DISTRIBUTIONS)
+    federation.add_argument("--rounds", type=int, default=None, help="override the scale's rounds")
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", default=None, help="write run JSON here")
+    outputs.add_argument("--trace", default=None, help="record the event trace as JSONL here")
+    one_run = argparse.ArgumentParser(add_help=False, parents=[federation, engine, outputs])
+    one_run.add_argument("--method", default="adafl", choices=tuple(STRATEGIES))
+
+    for name, (summary, _) in _STUDIES.items():
+        sub.add_parser(name, help=summary)
 
     pop = sub.add_parser(
         "population",
+        parents=[engine],
         help="virtual-population smoke: a 100k-client round in O(active) memory",
     )
     pop.add_argument("--clients", type=int, default=100_000)
@@ -65,30 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
     pop.add_argument("--cohort", type=int, default=20)
     pop.add_argument("--mode", default="regenerate", choices=("regenerate", "spill"))
     pop.add_argument("--spill-dir", default=None, help="blob directory for spill mode")
-    pop.add_argument("--engine", default="sync", choices=("sync", "async"))
 
     report = sub.add_parser("report", help="build an HTML report from saved runs")
     report.add_argument("--runs", nargs="+", required=True, help="run JSON files")
     report.add_argument("--out", default="report.html")
     report.add_argument("--artifacts", default=None, help="benchmarks/results dir to embed")
 
-    quick = sub.add_parser("quickrun", help="one federated run (sync or async)")
-    quick.add_argument("--dataset", default="mnist", choices=("mnist", "cifar10", "cifar100"))
-    quick.add_argument("--model", default="mnist_cnn")
-    quick.add_argument("--distribution", default="iid", choices=("iid", "shard", "dirichlet", "label_skew", "quantity_skew"))
-    quick.add_argument(
-        "--method",
-        default="adafl",
-        choices=("adafl", *sorted(SYNC_BASELINES), *sorted(ASYNC_BASELINES)),
+    quick = sub.add_parser(
+        "quickrun", parents=[one_run], help="one federated run (sync or async)"
     )
-    quick.add_argument("--engine", default="sync", choices=("sync", "async"))
-    quick.add_argument("--rounds", type=int, default=None)
-    quick.add_argument("--out", default=None, help="write run JSON here")
-    quick.add_argument("--trace", default=None, help="record the event trace as JSONL here")
-    quick.add_argument(
-        "--snapshot", default=None,
-        help="write crash-safe run snapshots here (resume with `repro resume`)",
-    )
+    snapshot_help = "write crash-safe run snapshots here (resume with `repro resume`)"
+    quick.add_argument("--snapshot", default=None, help=snapshot_help)
     quick.add_argument(
         "--snapshot-every", type=int, default=1,
         help="snapshot period in rounds (sync) or updates (async)",
@@ -103,25 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker process count for --transport tcp",
     )
 
+    spec_run = sub.add_parser(
+        "run", parents=[outputs],
+        help="run a RunSpec JSON file (a sweep cell, a quickrun, a fuzzer failure)",
+    )
+    spec_run.add_argument("spec", help="file written by RunSpec.to_json()")
+    spec_run.add_argument("--snapshot", default=None, help=snapshot_help)
+
     serve = sub.add_parser(
         "serve",
+        parents=[one_run],
         help="federated server over sockets; workers dial in with `repro worker`",
     )
     serve.add_argument("--listen", default="127.0.0.1:0", help="host:port or unix:/path")
     serve.add_argument("--workers", type=int, default=4, help="worker slots to wait for")
-    serve.add_argument("--dataset", default="mnist", choices=("mnist", "cifar10", "cifar100"))
-    serve.add_argument("--model", default="mnist_cnn")
-    serve.add_argument("--distribution", default="iid", choices=("iid", "shard", "dirichlet", "label_skew", "quantity_skew"))
-    serve.add_argument(
-        "--method",
-        default="adafl",
-        choices=("adafl", *sorted(SYNC_BASELINES), *sorted(ASYNC_BASELINES)),
-    )
-    serve.add_argument("--engine", default="sync", choices=("sync", "async"))
-    serve.add_argument("--rounds", type=int, default=None)
     serve.add_argument("--quorum", type=float, default=None, help="quorum fraction (sync)")
-    serve.add_argument("--out", default=None, help="write run JSON here")
-    serve.add_argument("--trace", default=None, help="record the event trace as JSONL here")
     serve.add_argument(
         "--ready-timeout-s", type=float, default=300.0,
         help="how long to wait for all workers to dial in",
@@ -146,22 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
+        parents=[federation],
         help="strategy × network × fault grid with a comparison artifact",
     )
     sweep.add_argument(
         "--strategies", nargs="+", default=None,
-        help="strategy names to sweep (see repro.experiments.sweep registries)",
+        help="strategy names to sweep (rows of repro.experiments.spec.STRATEGIES)",
     )
     sweep.add_argument("--networks", nargs="+", default=None, help="network profile names")
-    sweep.add_argument("--faults", nargs="+", default=None, help="fault plan names")
-    sweep.add_argument("--dataset", default="mnist", choices=("mnist", "cifar10", "cifar100"))
-    sweep.add_argument("--model", default="mnist_cnn")
-    sweep.add_argument(
-        "--distribution", default="iid",
-        choices=("iid", "shard", "dirichlet", "label_skew", "quantity_skew"),
-    )
+    sweep.add_argument("--faults", nargs="+", default=None, help="fault model names")
     sweep.add_argument("--reference", default="fedavg", help="baseline strategy per cell")
-    sweep.add_argument("--rounds", type=int, default=None, help="override the scale's rounds")
     sweep.add_argument(
         "--max-sim-time-s", type=float, default=None,
         help="override the scale's simulated-time budget",
@@ -169,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--eval-every", type=int, default=None)
     sweep.add_argument("--out", default=None, help="write the JSON comparison artifact here")
 
-    chaos = sub.add_parser("chaos", help="fault-matrix smoke study + resilience report")
-    chaos.add_argument("--engine", default="sync", choices=("sync", "async"))
-    chaos.add_argument("--dataset", default="mnist", choices=("mnist", "cifar10", "cifar100"))
+    sub.add_parser(
+        "chaos", parents=[engine, dataset], help="fault-matrix smoke study + resilience report"
+    )
 
-    resume = sub.add_parser("resume", help="finish a snapshotted run (crash recovery)")
+    resume = sub.add_parser(
+        "resume", parents=[outputs], help="finish a snapshotted run (crash recovery)"
+    )
     resume.add_argument("--snapshot", required=True, help="snapshot file written by a run")
-    resume.add_argument("--out", default=None, help="write the completed run JSON here")
-    resume.add_argument("--trace", default=None, help="record post-resume events as JSONL here")
 
     lint = sub.add_parser("lint", help="reprolint: static repo-invariant checks")
     lint.add_argument(
@@ -236,7 +227,7 @@ def _cmd_scalability(scale, seed) -> str:
     return format_table(["N", "AdaFL acc", "FedAvg acc", "AdaFL updates", "bytes saved"], rows)
 
 
-def _cmd_population(args, seed) -> str:
+def _cmd_population(args) -> str:
     import tempfile
 
     from repro.experiments.scalability import run_population_smoke
@@ -251,7 +242,7 @@ def _cmd_population(args, seed) -> str:
         mode=args.mode,
         spill_dir=spill_dir,
         engine=args.engine,
-        seed=seed,
+        seed=args.seed,
     )
     lines = [
         f"{args.engine} run over {stats['num_clients']:,} virtual clients "
@@ -280,150 +271,105 @@ def _cmd_ablation(scale, seed) -> str:
     return format_table(["variant", "accuracy", "updates", "uplink"], rows)
 
 
-def _quickrun_strategy(args, scale):
-    """Resolve ``--method``/``--engine`` into a strategy instance."""
-    if args.engine == "async":
-        if args.method == "adafl":
-            from repro.core.adafl import AdaFLAsync
+# The paper's figures / tables and the extension studies: name ->
+# (help, render(scale, seed)).
+_STUDIES = {
+    "fig1": ("Figure 1: empirical resiliency study",
+             lambda scale, seed: format_panels(run_fig1(scale=scale, seed=seed))),
+    "fig3": ("Figure 3: AdaFL vs SOTA curves",
+             lambda scale, seed: format_panels(run_fig3(scale=scale, seed=seed))),
+    "table1": ("Table I: synchronous results", lambda scale, seed: render_table(
+        run_table1(scale=scale, seed=seed), "Table I (synchronous)")),
+    "table2": ("Table II: asynchronous results", lambda scale, seed: render_table(
+        run_table2(scale=scale, seed=seed), "Table II (asynchronous)")),
+    "overhead": ("Q3: Pi-cluster cycle overhead", _cmd_overhead),
+    "scalability": ("20-100 client sweep", _cmd_scalability),
+    "ablation": ("AdaFL design-choice ablation", _cmd_ablation),
+}
 
-            return AdaFLAsync(default_adafl_config(scale, async_mode=True))
-        if args.method in ASYNC_BASELINES:
-            return ASYNC_BASELINES[args.method]()
-        raise SystemExit(f"method {args.method!r} is synchronous; use --engine sync")
-    if args.method in ASYNC_BASELINES:
-        raise SystemExit(f"method {args.method!r} is asynchronous; use --engine async")
-    if args.method == "adafl":
-        return AdaFLSync(default_adafl_config(scale))
-    return SYNC_BASELINES[args.method]()
+
+def _jsonl_trace(path):
+    """A context yielding an event trace that writes JSONL to ``path``
+    (``None`` when there is no path)."""
+    if not path:
+        return nullcontext()
+    from repro.sim import EventTrace, JsonlSink
+
+    return EventTrace([JsonlSink(path)])
 
 
-def _run_summary(args, result) -> str:
-    """The quickrun/serve result block: curve, totals, output paths."""
-    if args.out:
-        save_run_result(result, args.out)
+def _run_summary(result, label, out=None, trace=None) -> str:
+    """The run result block: curve, totals, output paths."""
+    if out:
+        save_run_result(result, out)
     rounds, accs = result.accuracy_curve()
     lines = [
-        format_series(args.method, rounds, accs),
+        format_series(label, rounds, accs),
         f"final accuracy: {result.final_accuracy:.3f}",
         f"client updates: {result.total_uploads}",
         f"uplink volume : {format_bytes(result.total_bytes_up)}",
     ]
-    if args.trace:
-        lines.append(f"trace written : {args.trace}")
+    if trace:
+        lines.append(f"trace written : {trace}")
     return "\n".join(lines)
 
 
-def _cmd_quickrun(args, scale) -> str:
-    from dataclasses import replace
+def _compile(args, scale):
+    """Flags -> what the command runs: a :class:`RunSpec` (``quickrun``,
+    ``serve``, ``run``) or a ``SweepConfig``.  A ``ValueError`` from here
+    is a usage error, reported the way argparse reports its own."""
+    if args.command == "sweep":
+        from repro.experiments.sweep import SweepConfig
 
-    if args.rounds is not None:
-        scale = replace(scale, num_rounds=args.rounds)
-    remote = args.transport == "tcp"
-    if remote and args.snapshot:
-        raise SystemExit("--transport tcp does not support --snapshot")
-    spec = FederationSpec(
-        dataset=args.dataset,
-        model=args.model,
-        distribution=args.distribution,
-        scale=scale,
-        seed=args.seed,
-    )
-    strategy = _quickrun_strategy(args, scale)
-    trace = None
-    if args.trace:
-        from repro.sim import EventTrace, JsonlSink
-
-        trace = EventTrace([JsonlSink(args.trace)])
-    try:
+        axes = {
+            axis: tuple(getattr(args, axis))
+            for axis in ("strategies", "networks", "faults")
+            if getattr(args, axis)
+        }
+        return SweepConfig(
+            scale=args.scale, dataset=args.dataset, model=args.model,
+            distribution=args.distribution, seed=args.seed, reference=args.reference,
+            rounds=args.rounds, max_sim_time_s=args.max_sim_time_s,
+            eval_every=args.eval_every, **axes,
+        )
+    if args.command == "run":
+        spec = RunSpec.from_json(Path(args.spec).read_text())
+    else:
+        if args.rounds is not None:
+            scale = replace(scale, num_rounds=args.rounds)
+        if args.command == "serve":
+            how = {"transport": "tcp", "num_workers": args.workers, "quorum_frac": args.quorum}
+        else:
+            how = {"transport": args.transport, "num_workers": args.workers}
         if args.engine == "async":
             # Same total update budget a full-participation sync run
             # would have, so --rounds bounds async runs too.
-            budget = scale.num_rounds * scale.num_clients
-            if remote:
-                from repro.experiments.socket_run import run_async_sockets
-
-                result = run_async_sockets(
-                    spec, strategy, max_updates=budget, trace=trace,
-                    num_workers=args.workers,
-                )
-            else:
-                result = run_async(
-                    spec, strategy, max_updates=budget, trace=trace,
-                    snapshot_path=args.snapshot, snapshot_every=args.snapshot_every,
-                )
-        else:
-            if remote:
-                from repro.experiments.socket_run import run_sync_sockets
-
-                result = run_sync_sockets(
-                    spec, strategy, trace=trace, num_workers=args.workers
-                )
-            else:
-                result = run_sync(
-                    spec, strategy, trace=trace,
-                    snapshot_path=args.snapshot, snapshot_every=args.snapshot_every,
-                )
-    finally:
-        if trace is not None:
-            trace.close()
-    return _run_summary(args, result)
-
-
-def _cmd_serve(args, scale) -> str:
-    """Open a socket server, wait for external workers, run the federation."""
-    import dataclasses
-
-    from repro.experiments.runner import _federation_config, build_federation
-    from repro.fl.async_engine import AsyncEngine
-    from repro.fl.sync_engine import SyncEngine
-    from repro.transport import SocketTransport, WorkerSetup
-
-    if args.rounds is not None:
-        scale = dataclasses.replace(scale, num_rounds=args.rounds)
-    spec = FederationSpec(
-        dataset=args.dataset,
-        model=args.model,
-        distribution=args.distribution,
-        scale=scale,
-        seed=args.seed,
-    )
-    strategy = _quickrun_strategy(args, scale)
-    budget = scale.num_rounds * scale.num_clients if args.engine == "async" else None
-    config = _federation_config(spec, max_updates=budget)
-    if args.quorum is not None:
-        config = dataclasses.replace(config, quorum_frac=args.quorum)
-    setup = WorkerSetup(
-        builder=build_federation, builder_arg=spec, strategy=strategy, config=config
-    )
-    transport = SocketTransport(
-        args.listen,
-        num_workers=args.workers,
-        num_clients=scale.num_clients,
-        setup=setup,
-    )
-    trace = None
-    if args.trace:
-        from repro.sim import EventTrace, JsonlSink
-
-        trace = EventTrace([JsonlSink(args.trace)])
-    try:
-        print(f"listening on {transport.address}")
-        print(
-            f"waiting for {args.workers} worker(s): "
-            f"repro worker --connect {transport.address}"
+            how["max_updates"] = scale.num_rounds * scale.num_clients
+        spec = RunSpec.of(
+            scale, args.seed, dataset=args.dataset, model=args.model,
+            distribution=args.distribution, engine=args.engine, strategy=args.method, **how,
         )
-        transport.wait_ready(args.ready_timeout_s)
-        fed = build_federation(spec)
-        engine_cls = AsyncEngine if args.engine == "async" else SyncEngine
-        engine = engine_cls(
-            fed.server, None, strategy, config, trace=trace, transport=transport
-        )
-        result = engine.run()
-    finally:
-        transport.close()
-        if trace is not None:
-            trace.close()
-    return _run_summary(args, result)
+    if spec.transport == "tcp" and getattr(args, "snapshot", None):
+        raise ValueError("transport tcp does not support --snapshot")
+    return spec
+
+
+def _cmd_run(args, spec) -> str:
+    """``quickrun``, ``run`` and ``serve``: one spec, start to finish."""
+    if args.command == "serve":  # wait for external workers instead of spawning them
+
+        def announce(address: str) -> None:
+            print(f"listening on {address}")
+            print(f"waiting for {args.workers} worker(s): repro worker --connect {address}")
+
+        how = {"address": args.listen, "ready_timeout_s": args.ready_timeout_s,
+               "external": announce}
+    else:
+        how = {"snapshot_path": args.snapshot,
+               "snapshot_every": getattr(args, "snapshot_every", None)}
+    with _jsonl_trace(args.trace) as trace:
+        result = run(spec, trace=trace, **how)
+    return _run_summary(result, spec.strategy.name, args.out, args.trace)
 
 
 def _cmd_worker(args) -> int:
@@ -434,27 +380,9 @@ def _cmd_worker(args) -> int:
     return worker.run()
 
 
-def _cmd_sweep(args) -> str:
-    from repro.experiments.sweep import SweepConfig, render_sweep, run_sweep
+def _cmd_sweep(args, config) -> str:
+    from repro.experiments.sweep import render_sweep, run_sweep
 
-    kwargs: dict = {
-        "scale": args.scale,
-        "dataset": args.dataset,
-        "model": args.model,
-        "distribution": args.distribution,
-        "seed": args.seed,
-        "reference": args.reference,
-        "rounds": args.rounds,
-        "max_sim_time_s": args.max_sim_time_s,
-        "eval_every": args.eval_every,
-    }
-    if args.strategies:
-        kwargs["strategies"] = tuple(args.strategies)
-    if args.networks:
-        kwargs["networks"] = tuple(args.networks)
-    if args.faults:
-        kwargs["faults"] = tuple(args.faults)
-    config = SweepConfig(**kwargs)
     result = run_sweep(config, progress=print)
     if args.out:
         result.save(args.out)
@@ -464,41 +392,30 @@ def _cmd_sweep(args) -> str:
     return out
 
 
-def _cmd_chaos(args, scale) -> str:
+def _cmd_chaos(args) -> str:
     from repro.experiments.chaos import format_chaos_report, run_chaos_study
 
     outcomes = run_chaos_study(
-        scale=scale, seed=args.seed, engine=args.engine, dataset=args.dataset
+        scale=get_scale(args.scale), seed=args.seed, engine=args.engine, dataset=args.dataset
     )
     return format_chaos_report(outcomes)
 
 
+def _cmd_report(args) -> str:
+    from repro.experiments.report_html import write_report
+    from repro.fl.persist import load_run_result
+
+    runs = {Path(p).stem: load_run_result(p) for p in args.runs}
+    return f"wrote {write_report(runs, args.out, artifacts_dir=args.artifacts)}"
+
+
 def _cmd_resume(args) -> str:
-    from repro.experiments.reporting import format_bytes, format_series
     from repro.fl.snapshot import load_snapshot
 
-    trace = None
-    if args.trace:
-        from repro.sim import EventTrace, JsonlSink
-
-        trace = EventTrace([JsonlSink(args.trace)])
-    try:
-        engine = load_snapshot(args.snapshot, trace=trace)
-        result = engine.resume()
-    finally:
-        if trace is not None:
-            trace.close()
-    if args.out:
-        save_run_result(result, args.out)
-    rounds, accs = result.accuracy_curve()
-    lines = [
-        f"resumed {result.method} from {args.snapshot}",
-        format_series(result.method, rounds, accs),
-        f"final accuracy: {result.final_accuracy:.3f}",
-        f"client updates: {result.total_uploads}",
-        f"uplink volume : {format_bytes(result.total_bytes_up)}",
-    ]
-    return "\n".join(lines)
+    with _jsonl_trace(args.trace) as trace:
+        result = load_snapshot(args.snapshot, trace=trace).resume()
+    summary = _run_summary(result, result.method, args.out)
+    return f"resumed {result.method} from {args.snapshot}\n{summary}"
 
 
 def _cmd_trace(args) -> str:
@@ -581,8 +498,6 @@ def _cmd_wire(args) -> str:
 
 
 def _cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.analysis import (
         default_baseline_path,
         default_lint_paths,
@@ -640,56 +555,23 @@ def _cmd_lint(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("lint", "worker"):
+        return {"lint": _cmd_lint, "worker": _cmd_worker}[args.command](args)
     scale = get_scale(args.scale)
-    if args.command == "serve":
-        print(_cmd_serve(args, scale))
-        return 0
-    if args.command == "fig1":
-        print(format_panels(run_fig1(scale=scale, seed=args.seed)))
-    elif args.command == "fig3":
-        print(format_panels(run_fig3(scale=scale, seed=args.seed)))
-    elif args.command == "table1":
-        rows = run_table1(scale=scale, seed=args.seed)
-        print(render_table(rows, "Table I (synchronous)"))
-    elif args.command == "table2":
-        rows = run_table2(scale=scale, seed=args.seed)
-        print(render_table(rows, "Table II (asynchronous)"))
-    elif args.command == "overhead":
-        print(_cmd_overhead(scale, args.seed))
-    elif args.command == "scalability":
-        print(_cmd_scalability(scale, args.seed))
-    elif args.command == "population":
-        print(_cmd_population(args, args.seed))
-    elif args.command == "ablation":
-        print(_cmd_ablation(scale, args.seed))
-    elif args.command == "report":
-        from pathlib import Path
-
-        from repro.experiments.report_html import write_report
-        from repro.fl.persist import load_run_result
-
-        runs = {Path(p).stem: load_run_result(p) for p in args.runs}
-        path = write_report(runs, args.out, artifacts_dir=args.artifacts)
-        print(f"wrote {path}")
-    elif args.command == "quickrun":
-        print(_cmd_quickrun(args, scale))
-    elif args.command == "trace":
-        print(_cmd_trace(args))
-    elif args.command == "wire":
-        print(_cmd_wire(args))
-    elif args.command == "sweep":
-        print(_cmd_sweep(args))
-    elif args.command == "chaos":
-        print(_cmd_chaos(args, scale))
-    elif args.command == "resume":
-        print(_cmd_resume(args))
-    else:  # pragma: no cover - argparse enforces choices
-        raise AssertionError(args.command)
+    plain = {"population": _cmd_population, "report": _cmd_report, "trace": _cmd_trace,
+             "wire": _cmd_wire, "chaos": _cmd_chaos, "resume": _cmd_resume}
+    if args.command in _STUDIES:
+        print(_STUDIES[args.command][1](scale, args.seed))
+    elif args.command in plain:
+        print(plain[args.command](args))
+    else:  # quickrun / run / serve / sweep describe a run: compile it first
+        try:
+            compiled = _compile(args, scale)
+        except (ValueError, OSError) as exc:  # a bad spec / sweep / spec file
+            parser.error(str(exc))
+        print((_cmd_sweep if args.command == "sweep" else _cmd_run)(args, compiled))
     return 0
 
 

@@ -41,10 +41,8 @@ from repro.experiments.sensitivity import (
     SensitivityPoint,
     run_network_sensitivity,
 )
+from repro.experiments.spec import Named, RunSpec, open_run, run
 from repro.experiments.sweep import (
-    FAULT_PLANS,
-    NETWORK_PROFILES,
-    STRATEGY_FACTORIES,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -67,6 +65,10 @@ __all__ = [
     "build_federation",
     "run_sync",
     "run_async",
+    "RunSpec",
+    "Named",
+    "open_run",
+    "run",
     "PanelResult",
     "STRAGGLER_FRACTIONS",
     "run_fig1",
@@ -101,9 +103,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
-    "STRATEGY_FACTORIES",
-    "NETWORK_PROFILES",
-    "FAULT_PLANS",
     "run_sweep",
     "render_sweep",
     "format_table",

@@ -14,13 +14,11 @@ ablation bench regenerates evidence for each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.core.adafl import AdaFLConfig, AdaFLSync
-from repro.core.utility import UtilityScorer
-from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_sync, straggler_network
+from repro.experiments.spec import Named, RunSpec, run
 from repro.fl.metrics import RunResult
 
 __all__ = ["AblationPoint", "run_ablation", "ablation_variants"]
@@ -37,30 +35,26 @@ class AblationPoint:
     run: RunResult
 
 
-def ablation_variants(scale: ExperimentScale) -> dict[str, AdaFLConfig]:
-    """Named AdaFL configurations for the ablation sweep."""
-    base = default_adafl_config(scale)
-    policy = base.policy
+def ablation_variants(scale: ExperimentScale) -> dict[str, dict[str, Any]]:
+    """Named AdaFL variants, each as dotted overrides of
+    :func:`~repro.experiments.spec.default_adafl_config` — the ``adafl``
+    strategy row's params."""
+    def fixed(ratio: float) -> dict[str, float]:
+        return {f"policy.{k}": ratio for k in ("min_ratio", "max_ratio", "warmup_ratio")}
+
     return {
-        "base(cosine)": base,
-        "metric=l2": replace(base, scorer=replace(base.scorer, metric="l2")),
-        "metric=euclidean": replace(base, scorer=replace(base.scorer, metric="euclidean")),
-        "no-warmup": replace(base, policy=replace(policy, warmup_rounds=0)),
-        "long-warmup": replace(base, policy=replace(policy, warmup_rounds=max(4, scale.num_rounds // 4))),
-        "fixed-light(4x)": replace(
-            base, policy=replace(policy, min_ratio=4.0, max_ratio=4.0, warmup_ratio=4.0)
-        ),
-        "fixed-heavy(210x)": replace(
-            base,
-            policy=replace(policy, min_ratio=210.0, max_ratio=210.0, warmup_ratio=210.0),
-        ),
-        "no-bandwidth-term": replace(
-            base, scorer=UtilityScorer(metric=base.scorer.metric, sim_weight=1.0, bw_weight=0.0)
-        ),
-        "no-threshold(tau=0)": replace(base, tau=0.0),
-        "no-score-smoothing": replace(base, score_smoothing=0.0),
-        "no-rotation-bonus": replace(base, rotation_bonus=0.0),
-        "absolute-tau(0.6)": replace(base, tau=0.6, tau_mode="absolute"),
+        "base(cosine)": {},
+        "metric=l2": {"scorer.metric": "l2"},
+        "metric=euclidean": {"scorer.metric": "euclidean"},
+        "no-warmup": {"policy.warmup_rounds": 0},
+        "long-warmup": {"policy.warmup_rounds": max(4, scale.num_rounds // 4)},
+        "fixed-light(4x)": fixed(4.0),
+        "fixed-heavy(210x)": fixed(210.0),
+        "no-bandwidth-term": {"scorer.sim_weight": 1.0, "scorer.bw_weight": 0.0},
+        "no-threshold(tau=0)": {"tau": 0.0},
+        "no-score-smoothing": {"score_smoothing": 0.0},
+        "no-rotation-bonus": {"rotation_bonus": 0.0},
+        "absolute-tau(0.6)": {"tau": 0.6, "tau_mode": "absolute"},
     }
 
 
@@ -68,21 +62,14 @@ def run_ablation(
     scale: ExperimentScale = BENCH,
     seed: int = 0,
     distribution: str = "shard",
-    variants: dict[str, AdaFLConfig] | None = None,
+    variants: Mapping[str, Mapping[str, Any]] | None = None,
 ) -> list[AblationPoint]:
     """Run each AdaFL variant on the same federation and compare."""
     variants = variants if variants is not None else ablation_variants(scale)
-    network = straggler_network(scale.num_clients, seed)
+    base = RunSpec.of(scale, seed, distribution=distribution, network="constrained")
     points = []
-    for name, config in variants.items():
-        spec = FederationSpec(
-            dataset="mnist",
-            model="mnist_cnn",
-            distribution=distribution,
-            scale=scale,
-            seed=seed,
-        )
-        result = run_sync(spec, AdaFLSync(config), network=network)
+    for name, overrides in variants.items():
+        result = run(base.vary(strategy=Named("adafl", overrides)))
         points.append(
             AblationPoint(
                 variant=name,

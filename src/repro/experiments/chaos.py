@@ -19,28 +19,19 @@ scale rather than only at one hand-tuned clock rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.experiments.presets import FAST, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_async, run_sync
-from repro.fl.baselines import FedAsync, FedAvg
-from repro.fl.validation import ValidationConfig
-from repro.network.conditions import ClientNetwork, NetworkConditions
-from repro.network.link import LinkModel
+from repro.experiments.spec import Named, RunSpec, run
 from repro.sim import (
     AGGREGATED,
     COUNTED_DROP_REASONS,
     DROPPED,
-    ClientCrashModel,
     EventTrace,
-    FaultPlan,
-    PayloadCorruptionModel,
     REJECTED_DROP_REASONS,
     RingBufferSink,
-    ServerOutageModel,
-    StaleUploadModel,
 )
 
 __all__ = [
@@ -56,14 +47,14 @@ __all__ = [
 class ChaosScenario:
     """One cell of the fault matrix.
 
-    ``chaos_fn`` builds a *fresh* :class:`FaultPlan` from the probe
-    run's total simulated time (fault models carry bound RNG state, so
-    plans are never shared between runs).
+    ``fault`` maps the probe run's total simulated time to the
+    :data:`~repro.experiments.spec.FAULTS` row (with params scaled to
+    it) the run suffers; ``validation`` is the spec's field of that name.
     """
 
     name: str
-    chaos_fn: Callable[[float], FaultPlan | None]
-    validation: ValidationConfig | None = None
+    fault: Callable[[float], Named] = lambda t: Named("none")
+    validation: Mapping[str, Any] | None = None
 
 
 @dataclass
@@ -81,38 +72,26 @@ class ChaosOutcome:
 
 def default_scenarios() -> list[ChaosScenario]:
     """The standard fault matrix (baseline + five failure modes)."""
-    guard = ValidationConfig(trimmed_mean_fallback=True)
+
+    def corrupt(t: float) -> Named:
+        return Named("corrupt", {"prob": 0.2, "kind": "nan"})
+
+    def stale(t: float) -> Named:
+        return Named(
+            "stale", {"delay_prob": 0.3, "mean_delay_s": t / 20.0, "duplicate_prob": 0.3}
+        )
+
     return [
-        ChaosScenario("baseline", lambda t: None),
+        ChaosScenario("baseline"),
         ChaosScenario(
-            "crash",
-            lambda t: FaultPlan(
-                ClientCrashModel(mtbf_s=t / 3.0, mean_downtime_s=t / 10.0)
-            ),
+            "crash", lambda t: Named("crashy", {"mtbf_s": t / 3.0, "mean_downtime_s": t / 10.0})
         ),
-        ChaosScenario(
-            "corrupt-unguarded",
-            lambda t: FaultPlan(PayloadCorruptionModel(prob=0.2, kind="nan")),
-        ),
-        ChaosScenario(
-            "corrupt-guarded",
-            lambda t: FaultPlan(PayloadCorruptionModel(prob=0.2, kind="nan")),
-            validation=guard,
-        ),
-        ChaosScenario(
-            "stale-dup",
-            lambda t: FaultPlan(
-                StaleUploadModel(
-                    delay_prob=0.3, mean_delay_s=t / 20.0, duplicate_prob=0.3
-                )
-            ),
-            validation=ValidationConfig(),
-        ),
+        ChaosScenario("corrupt-unguarded", corrupt),
+        ChaosScenario("corrupt-guarded", corrupt, {"trimmed_mean_fallback": True}),
+        ChaosScenario("stale-dup", stale, validation={}),
         ChaosScenario(
             "outage",
-            lambda t: FaultPlan(
-                ServerOutageModel(windows=[(0.30 * t, 0.45 * t), (0.7 * t, 0.8 * t)])
-            ),
+            lambda t: Named("outage", {"windows": [(0.30 * t, 0.45 * t), (0.7 * t, 0.8 * t)]}),
         ),
     ]
 
@@ -144,14 +123,6 @@ def _recovery_latency(events) -> float | None:
     return float(np.mean(latencies)) if latencies else None
 
 
-def _lossy_network(num_clients: int) -> NetworkConditions:
-    """A mildly lossy fleet network so transport drops appear too."""
-    link = LinkModel(bandwidth_mbps=8.0, latency_ms=20.0, loss_rate=0.05)
-    return NetworkConditions(
-        clients=[ClientNetwork(uplink=link, downlink=link) for _ in range(num_clients)]
-    )
-
-
 def run_chaos_study(
     scale: ExperimentScale | None = None,
     seed: int = 0,
@@ -160,47 +131,27 @@ def run_chaos_study(
     dataset: str = "mnist",
 ) -> list[ChaosOutcome]:
     """Run the fault matrix and collect one outcome per scenario."""
-    if engine not in ("sync", "async"):
-        raise ValueError("engine must be 'sync' or 'async'")
     scale = scale if scale is not None else FAST
     scenarios = scenarios if scenarios is not None else default_scenarios()
-    spec = FederationSpec(
-        dataset=dataset, model="mlp", scale=scale, seed=seed, participation_rate=1.0
+    if engine == "sync":
+        method = {"strategy": Named("fedavg", {"participation_rate": 1.0})}
+    else:
+        method = {"strategy": "fedasync", "max_updates": scale.num_rounds * scale.num_clients}
+    # A mildly lossy fleet network so transport drops appear too.
+    base = RunSpec.of(
+        scale, seed, dataset=dataset, model="mlp", participation_rate=1.0,
+        network="lossy", engine=engine, **method,
     )
-    network = _lossy_network(scale.num_clients)
-
-    def _run(chaos, validation, trace):
-        if engine == "sync":
-            return run_sync(
-                spec,
-                FedAvg(participation_rate=1.0),
-                network=network,
-                chaos=chaos,
-                validation=validation,
-                trace=trace,
-            )
-        return run_async(
-            spec,
-            FedAsync(),
-            network=network,
-            max_updates=scale.num_rounds * scale.num_clients,
-            chaos=chaos,
-            validation=validation,
-            trace=trace,
-        )
 
     # Fault-free probe fixes the study's timescale.
-    probe = _run(None, None, None)
+    probe = run(base)
     probe_time = max(probe.total_sim_time, 1e-9)
 
     outcomes: list[ChaosOutcome] = []
     for scenario in scenarios:
         sink = RingBufferSink()
-        result = _run(
-            scenario.chaos_fn(probe_time),
-            scenario.validation,
-            EventTrace([sink]),
-        )
+        spec = base.vary(faults=(scenario.fault(probe_time),), validation=scenario.validation)
+        result = run(spec, trace=EventTrace([sink]))
         events = sink.events()
         drops: dict[str, int] = {}
         for e in events:

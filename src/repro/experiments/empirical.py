@@ -19,27 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.embedded.cluster import compute_rates, make_heterogeneous_cluster
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_async, run_sync
-from repro.fl.baselines import FedAsync, FedAvg
+from repro.experiments.runner import PAPER_MODELS
+from repro.experiments.spec import Named, RunSpec, run
 from repro.fl.metrics import RunResult
-from repro.sim.faults import (
-    FaultPlan,
-    StragglerDropoutModel,
-    UploadLossModel,
-    straggler_ids,
-)
 
-__all__ = ["PanelResult", "run_fig1_sync_panel", "run_fig1_async_panel", "run_fig1",
+__all__ = ["PanelResult", "run_panel", "run_fig1_sync_panel", "run_fig1_async_panel", "run_fig1",
            "STRAGGLER_FRACTIONS"]
 
 STRAGGLER_FRACTIONS = (0.0, 0.1, 0.2, 0.5)
-
-_WORKLOADS = {
-    "mnist": ("mnist", "mnist_cnn"),
-    "cifar10": ("cifar10", "resnet_mini"),
-}
 
 
 @dataclass
@@ -60,6 +48,31 @@ class PanelResult:
         }
 
 
+def run_panel(
+    panel_id: str, title: str, x_name: str, specs: list[tuple[str | None, RunSpec]]
+) -> PanelResult:
+    """Run ``(label, spec)`` pairs into one panel: a curve per label
+    (``None``: the run's method name), against rounds or —
+    ``x_name="time_s"`` — simulated time."""
+    panel = PanelResult(panel_id=panel_id, title=title, x_name=x_name)
+    for label, spec in specs:
+        result = run(spec)
+        label = label or result.method
+        curve = result.accuracy_curve if x_name == "round" else result.time_accuracy_curve
+        panel.series[label] = curve()
+        panel.runs[label] = result
+    return panel
+
+
+def _workload_spec(workload: str, distribution: str, scale, seed: int, **changes) -> RunSpec:
+    if workload not in PAPER_MODELS:
+        raise ValueError(f"unknown workload {workload!r}")
+    return RunSpec.of(
+        scale, seed, dataset=workload, model=PAPER_MODELS[workload],
+        distribution=distribution, **changes,
+    )
+
+
 def run_fig1_sync_panel(
     workload: str = "mnist",
     distribution: str = "iid",
@@ -68,36 +81,25 @@ def run_fig1_sync_panel(
     scale: ExperimentScale = BENCH,
     seed: int = 0,
 ) -> PanelResult:
-    """One synchronous panel of Figure 1."""
-    if workload not in _WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r}")
+    """One synchronous panel of Figure 1.
+
+    ``mode`` is the :data:`~repro.experiments.spec.FAULTS` row the
+    straggler fraction suffers: ``dropout`` or ``dataloss``.
+    """
     if mode not in ("dropout", "dataloss"):
         raise ValueError("mode must be 'dropout' or 'dataloss'")
-    dataset, model = _WORKLOADS[workload]
-    panel = PanelResult(
-        panel_id=f"fig1-sync-{workload}-{distribution}-{mode}",
-        title=f"Sync FedAvg, {workload}, {distribution}, {mode}",
-        x_name="round",
+    base = _workload_spec(
+        workload, distribution, scale, seed,
+        participation_rate=1.0,  # the study isolates faults, not sampling
+        strategy=Named("fedavg", {"participation_rate": 1.0}),
     )
-    for fraction in fractions:
-        spec = FederationSpec(
-            dataset=dataset,
-            model=model,
-            distribution=distribution,
-            scale=scale,
-            seed=seed,
-            participation_rate=1.0,  # the study isolates faults, not sampling
-        )
-        rng = np.random.default_rng(seed + int(fraction * 100))
-        # At fraction 0 the model covers nobody and never fires.
-        stragglers = straggler_ids(scale.num_clients, fraction, rng)
-        fault = StragglerDropoutModel if mode == "dropout" else UploadLossModel
-        chaos = FaultPlan(fault(client_ids=stragglers))
-        result = run_sync(spec, FedAvg(participation_rate=1.0), chaos=chaos)
-        label = f"{int(fraction * 100)}%"
-        panel.series[label] = result.accuracy_curve()
-        panel.runs[label] = result
-    return panel
+    return run_panel(
+        f"fig1-sync-{workload}-{distribution}-{mode}",
+        f"Sync FedAvg, {workload}, {distribution}, {mode}",
+        "round",
+        [(f"{int(f * 100)}%", base.vary(faults=(Named(mode, {"fraction": f}),)))
+         for f in fractions],
+    )
 
 
 def run_fig1_async_panel(
@@ -114,42 +116,23 @@ def run_fig1_async_panel(
     their updates arrive stale; accuracy is plotted against simulated
     time.
     """
-    if workload not in _WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r}")
-    dataset, model = _WORKLOADS[workload]
-    panel = PanelResult(
-        panel_id=f"fig1-async-{workload}-{distribution}-staleness",
-        title=f"Async FedAsync, {workload}, {distribution}, {slow_factor}x-slow stragglers",
-        x_name="time_s",
-    )
     # Half the sync ideal is plenty to expose the staleness gap (the
     # wall-clock ratio is budget-independent) at half the bench cost.
-    max_updates = scale.num_rounds * scale.num_clients // 2
-    for fraction in fractions:
-        spec = FederationSpec(
-            dataset=dataset,
-            model=model,
-            distribution=distribution,
-            scale=scale,
-            seed=seed,
-        )
-        cluster = make_heterogeneous_cluster(
-            scale.num_clients,
-            ["pi4"],
-            rng=np.random.default_rng(seed + int(fraction * 100)),
-            slow_fraction=fraction,
-            slow_factor=slow_factor,
-        )
-        result = run_async(
-            spec,
-            FedAsync(),
-            device_flops=compute_rates(cluster),
-            max_updates=max_updates,
-        )
-        label = f"{int(fraction * 100)}%"
-        panel.series[label] = result.time_accuracy_curve()
-        panel.runs[label] = result
-    return panel
+    base = _workload_spec(
+        workload, distribution, scale, seed, engine="async", strategy="fedasync",
+        max_updates=scale.num_rounds * scale.num_clients // 2,
+    )
+
+    def cluster(fraction: float) -> Named:
+        return Named("slow_pi", {"slow_fraction": fraction, "slow_factor": slow_factor,
+                                 "seed_offset": int(fraction * 100)})
+
+    return run_panel(
+        f"fig1-async-{workload}-{distribution}-staleness",
+        f"Async FedAsync, {workload}, {distribution}, {slow_factor}x-slow stragglers",
+        "time_s",
+        [(f"{int(f * 100)}%", base.vary(devices=cluster(f))) for f in fractions],
+    )
 
 
 def run_fig1(
@@ -158,16 +141,9 @@ def run_fig1(
     workloads: tuple[str, ...] = ("mnist", "cifar10"),
 ) -> list[PanelResult]:
     """All panels of Figure 1 (8 sync + 4 async for the default workloads)."""
-    panels = []
-    for workload in workloads:
-        for distribution in ("iid", "shard"):
-            for mode in ("dropout", "dataloss"):
-                panels.append(
-                    run_fig1_sync_panel(workload, distribution, mode, scale=scale, seed=seed)
-                )
-    for workload in workloads:
-        for distribution in ("iid", "shard"):
-            panels.append(
-                run_fig1_async_panel(workload, distribution, scale=scale, seed=seed)
-            )
-    return panels
+    cells = [(w, d) for w in workloads for d in ("iid", "shard")]
+    return [
+        run_fig1_sync_panel(w, d, mode, scale=scale, seed=seed)
+        for w, d in cells
+        for mode in ("dropout", "dataloss")
+    ] + [run_fig1_async_panel(w, d, scale=scale, seed=seed) for w, d in cells]

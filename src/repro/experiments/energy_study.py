@@ -10,19 +10,14 @@ of AdaFL's saving comes from bytes not sent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.adafl import AdaFLSync
 from repro.embedded.device import DEVICE_PRESETS
 from repro.embedded.energy import RADIO_PRESETS, EnergyModel
-from repro.embedded.profiler import training_flops
-from repro.experiments.comparison import default_adafl_config
+from repro.experiments.overhead import client_training_flops
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, build_federation
-from repro.fl.baselines import FedAvg
-from repro.fl.config import FederationConfig, LocalTrainingConfig
+from repro.experiments.spec import AdaFLvsFedAvg, RunSpec, open_run
 from repro.fl.metrics import RunResult
-from repro.fl.sync_engine import SyncEngine
 
 __all__ = ["EnergyStudyResult", "run_energy_study"]
 
@@ -78,37 +73,14 @@ def run_energy_study(
     """Run FedAvg and AdaFL, then account fleet energy for both."""
     energy_model = EnergyModel(DEVICE_PRESETS[device_model], RADIO_PRESETS[radio])
 
-    def run(strategy_factory):
-        spec = FederationSpec(
-            dataset="mnist",
-            model="mnist_cnn",
-            distribution="shard",
-            scale=scale,
-            seed=seed,
-        )
-        fed = build_federation(spec)
-        config = FederationConfig(
-            num_rounds=scale.num_rounds,
-            participation_rate=0.5,
-            eval_every=scale.num_rounds,
-            seed=seed + 2,
-            local=LocalTrainingConfig(
-                local_epochs=scale.local_epochs,
-                batch_size=scale.batch_size,
-                lr=spec.lr,
-            ),
-        )
-        engine = SyncEngine(fed.server, fed.clients, strategy_factory(), config)
-        result = engine.run()
-        model = fed.model_fn()
-        flops = {
-            c.client_id: training_flops(model, len(c.dataset), scale.local_epochs)
-            for c in fed.clients
-        }
-        return result, flops
+    # One final evaluation is enough here.
+    base = RunSpec.of(replace(scale, eval_every=scale.num_rounds), seed, distribution="shard")
 
-    fedavg_result, flops = run(lambda: FedAvg(participation_rate=0.5))
-    adafl_result, _ = run(lambda: AdaFLSync(default_adafl_config(scale)))
+    def run(spec: RunSpec):
+        with open_run(spec) as session:
+            return session.run(), client_training_flops(session.federation)
+
+    (adafl_result, flops), (fedavg_result, _) = (run(s) for s in AdaFLvsFedAvg.specs(base))
 
     fedavg_compute, fedavg_comm = _replay_energy(fedavg_result, flops, energy_model)
     adafl_compute, adafl_comm = _replay_energy(adafl_result, flops, energy_model)

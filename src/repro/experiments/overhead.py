@@ -16,23 +16,26 @@ with the cycle cost model of :mod:`repro.embedded.profiler`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.core.adafl import AdaFLSync
-from repro.embedded.cluster import compute_rates, make_pi_cluster
+from repro.embedded.device import DEVICE_PRESETS
 from repro.embedded.profiler import (
     CycleCounter,
     dgc_compress_flops,
     training_flops,
     utility_score_flops,
 )
-from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, build_federation
-from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.sync_engine import SyncEngine
+from repro.experiments.runner import Federation
+from repro.experiments.spec import Named, RunSpec, open_run
 
-__all__ = ["OverheadResult", "run_overhead_study"]
+__all__ = ["OverheadResult", "run_overhead_study", "client_training_flops"]
+
+
+def client_training_flops(fed: Federation) -> dict[int, int]:
+    """Per-client per-round training cost (local data sizes differ)."""
+    model, epochs = fed.model_fn(), fed.spec.scale.local_epochs
+    return {c.client_id: training_flops(model, len(c.dataset), epochs) for c in fed.clients}
 
 
 @dataclass(frozen=True)
@@ -72,43 +75,20 @@ def run_overhead_study(
     device_model: str = "pi4",
 ) -> OverheadResult:
     """Run AdaFL on a Pi cluster and account CPU cycles per component."""
-    cluster = make_pi_cluster(scale.num_clients, model=device_model)
-    rates = compute_rates(cluster)
-
-    spec = FederationSpec(
-        dataset="mnist",
-        model="mnist_cnn",
+    spec = RunSpec.of(
+        replace(scale, eval_every=scale.num_rounds),  # one final evaluation is enough here
+        seed,
         distribution="shard",
-        scale=scale,
-        seed=seed,
+        devices=Named("pi", {"model": device_model}),
     )
-    fed = build_federation(spec)
-    strategy = AdaFLSync(default_adafl_config(scale))
-    config = FederationConfig(
-        num_rounds=scale.num_rounds,
-        participation_rate=1.0,
-        eval_every=scale.num_rounds,  # one final evaluation is enough here
-        seed=seed + 2,
-        local=LocalTrainingConfig(
-            local_epochs=scale.local_epochs,
-            batch_size=scale.batch_size,
-            lr=0.02,
-        ),
-    )
-    engine = SyncEngine(
-        fed.server, fed.clients, strategy, config, device_flops=rates
-    )
-    result = engine.run()
+    with open_run(spec) as session:
+        result = session.run()
+        fed, strategy = session.federation, session.engine.strategy
 
-    model = fed.model_fn()
-    dim = model.num_params
-    counter = CycleCounter(cluster[0])
+    dim = fed.model_fn().num_params
+    counter = CycleCounter(DEVICE_PRESETS[device_model])
 
-    # Per-client per-round training cost (local data sizes differ).
-    train_cost = {
-        c.client_id: training_flops(model, len(c.dataset), scale.local_epochs)
-        for c in fed.clients
-    }
+    train_cost = client_training_flops(fed)
 
     # Baseline: every client trains and uploads densely every round —
     # the "without AdaFL" perf run the paper subtracts against.

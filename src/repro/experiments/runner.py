@@ -1,16 +1,18 @@
 """Shared experiment plumbing: build a federation from a spec and run it.
 
-Every figure/table runner builds on :func:`run_sync` / :func:`run_async`
-so that the only thing an experiment module describes is *what varies*
-(strategy, faults, network mix) — dataset synthesis, partitioning,
-model construction, engine wiring, the evaluation's straggler network
-and slow-Pi cluster, and the figure-panel printer stay in one place.
+Everything that runs a federation ends in :func:`open_engine` — the
+figure/table grids through :mod:`repro.experiments.spec`, callers that
+hold strategy *objects* through :func:`run_sync` / :func:`run_async`,
+the socket runs through ``socket_session`` — so dataset synthesis,
+partitioning, model construction, engine wiring, the evaluation's
+straggler network and slow-Pi cluster, and the figure-panel printer
+stay in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,9 +35,11 @@ from repro.sim import EventTrace
 from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini, build_vgg_mini
 from repro.nn.sequential import Sequential
 
-__all__ = ["DatasetProfile", "DATASET_PROFILES", "FederationSpec", "Federation",
-           "build_federation", "run_sync", "run_async", "straggler_network",
-           "slow_pi_rates", "format_panels"]
+__all__ = ["DatasetProfile", "DATASET_PROFILES", "MODELS", "DISTRIBUTIONS", "PAPER_MODELS",
+           "check_known",
+           "FederationSpec", "Federation", "build_federation", "Session", "open_engine",
+           "run_sync", "run_async", "straggler_network", "slow_pi_rates",
+           "format_panels"]
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,42 @@ DATASET_PROFILES: dict[str, DatasetProfile] = {
 }
 
 
+# name -> builder(image shape, classes, scale, seed)
+_MODEL_BUILDERS: dict[str, Callable[..., Sequential]] = {
+    "mnist_cnn": lambda shape, classes, scale, seed: build_mnist_cnn(
+        shape, classes, channels=scale.cnn_channels, hidden=scale.cnn_hidden, seed=seed
+    ),
+    "mlp": lambda shape, classes, scale, seed: build_mlp(
+        shape, classes, hidden=(scale.cnn_hidden,), seed=seed
+    ),
+    "resnet_mini": lambda shape, classes, scale, seed: build_resnet_mini(
+        shape, classes, width=scale.cnn_channels[0], num_blocks=1, seed=seed
+    ),
+    "vgg_mini": lambda shape, classes, scale, seed: build_vgg_mini(
+        shape, classes, widths=scale.cnn_channels, hidden=scale.cnn_hidden, seed=seed
+    ),
+}
+MODELS = tuple(_MODEL_BUILDERS)
+DISTRIBUTIONS = ("iid", "shard", "dirichlet", "label_skew", "quantity_skew")  # partition_indices'
+
+
+def check_known(what: str, value, known) -> None:
+    """``ValueError`` naming the known ones unless ``value`` is among them."""
+    if value not in known:
+        raise ValueError(f"unknown {what} {value!r}; known: {', '.join(known)}")
+
+
+# The model the paper trains on each dataset (Fig. 1, Tables I/II).
+PAPER_MODELS = {"mnist": "mnist_cnn", "cifar10": "resnet_mini", "cifar100": "vgg_mini"}
+
+
 @dataclass(frozen=True)
 class FederationSpec:
     """A complete description of one federated run's fixed inputs."""
 
     dataset: str = "mnist"
     model: str = "mnist_cnn"
-    distribution: str = "iid"  # iid | shard | dirichlet | label_skew
+    distribution: str = "iid"  # one of DISTRIBUTIONS
     scale: ExperimentScale = field(default_factory=lambda: BENCH)
     seed: int = 0
     lr: float = 0.02
@@ -84,9 +117,9 @@ class FederationSpec:
     participation_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASET_PROFILES:
-            known = ", ".join(sorted(DATASET_PROFILES))
-            raise ValueError(f"unknown dataset {self.dataset!r}; known: {known}")
+        check_known("dataset", self.dataset, sorted(DATASET_PROFILES))
+        check_known("model", self.model, MODELS)
+        check_known("distribution", self.distribution, DISTRIBUTIONS)
 
 
 @dataclass
@@ -102,33 +135,9 @@ class Federation:
 
 def _model_builder(spec: FederationSpec) -> Callable[[], Sequential]:
     profile = DATASET_PROFILES[spec.dataset]
-    size = spec.scale.image_size
-    shape = (profile.channels, size, size)
-    classes = profile.num_classes
+    shape = (profile.channels, spec.scale.image_size, spec.scale.image_size)
     model_seed = spec.seed + 7919  # decouple init from data sampling
-    if spec.model == "mnist_cnn":
-        return lambda: build_mnist_cnn(
-            shape,
-            classes,
-            channels=spec.scale.cnn_channels,
-            hidden=spec.scale.cnn_hidden,
-            seed=model_seed,
-        )
-    if spec.model == "mlp":
-        return lambda: build_mlp(shape, classes, hidden=(spec.scale.cnn_hidden,), seed=model_seed)
-    if spec.model == "resnet_mini":
-        return lambda: build_resnet_mini(
-            shape, classes, width=spec.scale.cnn_channels[0], num_blocks=1, seed=model_seed
-        )
-    if spec.model == "vgg_mini":
-        return lambda: build_vgg_mini(
-            shape,
-            classes,
-            widths=spec.scale.cnn_channels,
-            hidden=spec.scale.cnn_hidden,
-            seed=model_seed,
-        )
-    raise ValueError(f"unknown model {spec.model!r}")
+    return lambda: _MODEL_BUILDERS[spec.model](shape, profile.num_classes, spec.scale, model_seed)
 
 
 def build_federation(spec: FederationSpec) -> Federation:
@@ -161,28 +170,27 @@ def build_federation(spec: FederationSpec) -> Federation:
     return Federation(server=server, clients=clients, test_set=test, model_fn=model_fn, spec=spec)
 
 
-def straggler_network(num_clients: int, seed: int) -> NetworkConditions:
+def straggler_network(num_clients: int, seed: int, seed_offset: int = 17) -> NetworkConditions:
     """The evaluation's fixed-bandwidth network (Tables I/II, Fig. 3, the
-    ablation, the sweep's ``constrained`` profile): 80% wifi links and a
-    random 20% minority on constrained edge links."""
+    ablation, the ``constrained`` network profile): 80% wifi links and a
+    random 20% minority on constrained edge links.  The sensitivity and
+    scalability studies draw their minority at other ``seed_offset``s."""
     return NetworkConditions.with_stragglers(
-        num_clients,
-        straggler_fraction=0.2,
-        good_preset="wifi",
-        bad_preset="constrained",
-        rng=np.random.default_rng(seed + 17),
+        num_clients, straggler_fraction=0.2, good_preset="wifi", bad_preset="constrained",
+        rng=np.random.default_rng(seed + seed_offset),
     )
 
 
-def slow_pi_rates(num_clients: int, seed: int) -> np.ndarray:
+def slow_pi_rates(
+    num_clients: int, seed: int,
+    slow_fraction: float = 0.2, slow_factor: float = 3.0, seed_offset: int = 23,
+) -> np.ndarray:
     """Compute rates of the asynchronous evaluation's Pi 4 cluster, a
-    random 20% of it 3x slower (Table II, Fig. 3 c/d)."""
+    random 20% of it 3x slower (Table II, Fig. 3 c/d; Fig. 1 i-l vary
+    the fraction)."""
     cluster = make_heterogeneous_cluster(
-        num_clients,
-        ["pi4"],
-        rng=np.random.default_rng(seed + 23),
-        slow_fraction=0.2,
-        slow_factor=3.0,
+        num_clients, ["pi4"], rng=np.random.default_rng(seed + seed_offset),
+        slow_fraction=slow_fraction, slow_factor=slow_factor,
     )
     return compute_rates(cluster)
 
@@ -202,29 +210,77 @@ def _federation_config(
     spec: FederationSpec,
     max_updates: int | None = None,
     max_sim_time_s: float | None = None,
-    validation=None,
-    downlink_retry=None,
-    uplink_retry=None,
+    **overrides,
 ) -> FederationConfig:
+    """The spec's engine settings; ``overrides`` are further
+    :class:`FederationConfig` fields (validation, retry policies, quorum)."""
+    scale = spec.scale
     return FederationConfig(
-        num_rounds=spec.scale.num_rounds,
+        num_rounds=scale.num_rounds,
         participation_rate=spec.participation_rate,
-        eval_every=spec.scale.eval_every,
+        eval_every=scale.eval_every,
         seed=spec.seed + 2,
         local=LocalTrainingConfig(
-            local_epochs=spec.scale.local_epochs,
-            batch_size=spec.scale.batch_size,
-            lr=spec.lr,
-            momentum=spec.momentum,
+            local_epochs=scale.local_epochs, batch_size=scale.batch_size,
+            lr=spec.lr, momentum=spec.momentum,
         ),
-        max_sim_time_s=(
-            max_sim_time_s if max_sim_time_s is not None else spec.scale.max_sim_time_s
-        ),
+        max_sim_time_s=scale.max_sim_time_s if max_sim_time_s is None else max_sim_time_s,
         max_updates=max_updates,
-        validation=validation,
-        downlink_retry=downlink_retry,
-        uplink_retry=uplink_retry,
+        **overrides,
     )
+
+
+@dataclass
+class Session:
+    """A live run: the engine and the federation under it.
+
+    Over sockets also the transport, worker processes and chaos proxy —
+    exposed (rather than hidden inside a run function) so chaos tests
+    can reach in — kill a worker process mid-round, read proxy fault
+    counters — while the run is in flight.
+    """
+
+    engine: SyncEngine | AsyncEngine
+    federation: Federation
+    transport: Any = None
+    procs: list = field(default_factory=list)
+    proxy: Any = None
+
+    def run(self) -> RunResult:
+        """Drive the engine to completion (workers stay up throughout)."""
+        return self.engine.run()
+
+
+_ENGINES = {"sync": SyncEngine, "async": AsyncEngine}
+
+
+def open_engine(
+    spec: FederationSpec,
+    strategy: SyncStrategy | AsyncStrategy,
+    mode: str,
+    config: FederationConfig,
+    **engine_kwargs,
+) -> Session:
+    """Build the federation and wire the ``mode`` engine over it.
+
+    The one place an engine class is chosen.  ``engine_kwargs`` go to
+    the engine (``network``, ``device_flops``, ``chaos``, ``trace``,
+    snapshot settings); with a ``transport`` the clients live behind it
+    and the engine gets none of its own.
+    """
+    fed = build_federation(spec)
+    transport = engine_kwargs.get("transport")
+    clients = None if transport is not None else fed.clients
+    engine = _ENGINES[mode](fed.server, clients, strategy, config, **engine_kwargs)
+    return Session(engine=engine, federation=fed, transport=transport)
+
+
+_CONFIG_ARGS = ("max_updates", "max_sim_time_s", "validation", "downlink_retry", "uplink_retry")
+
+
+def _run(mode: str, spec: FederationSpec, strategy, **kwargs) -> RunResult:
+    config = _federation_config(spec, **{k: kwargs.pop(k) for k in _CONFIG_ARGS if k in kwargs})
+    return open_engine(spec, strategy, mode, config, **kwargs).run()
 
 
 def run_sync(
@@ -250,25 +306,7 @@ def run_sync(
     :class:`~repro.sim.EventTrace` with caller-attached sinks (e.g. a
     JSONL writer) to record the run's event stream.
     """
-    fed = build_federation(spec)
-    engine = SyncEngine(
-        fed.server,
-        fed.clients,
-        strategy,
-        _federation_config(
-            spec,
-            validation=validation,
-            downlink_retry=downlink_retry,
-            uplink_retry=uplink_retry,
-        ),
-        network=network,
-        device_flops=device_flops,
-        chaos=chaos,
-        trace=trace,
-        snapshot_path=snapshot_path,
-        snapshot_every=snapshot_every,
-    )
-    return engine.run()
+    return _run("sync", **locals())
 
 
 def run_async(
@@ -294,24 +332,4 @@ def run_async(
     ``chaos``/``validation``/retry/``trace``/snapshot parameters
     mirror :func:`run_sync`.
     """
-    fed = build_federation(spec)
-    engine = AsyncEngine(
-        fed.server,
-        fed.clients,
-        strategy,
-        _federation_config(
-            spec,
-            max_updates=max_updates,
-            max_sim_time_s=max_sim_time_s,
-            validation=validation,
-            downlink_retry=downlink_retry,
-            uplink_retry=uplink_retry,
-        ),
-        network=network,
-        device_flops=device_flops,
-        chaos=chaos,
-        trace=trace,
-        snapshot_path=snapshot_path,
-        snapshot_every=snapshot_every,
-    )
-    return engine.run()
+    return _run("async", **locals())

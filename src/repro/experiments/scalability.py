@@ -21,22 +21,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.adafl import AdaFLSync
 from repro.core.selection import reservoir_sample
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_image_classification
-from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_sync
+from repro.experiments.spec import AdaFLvsFedAvg, Named, RunSpec
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
-from repro.fl.metrics import RunResult
 from repro.fl.population import ClientPopulation, RetentionPolicy
 from repro.fl.server import Server
 from repro.fl.sync_engine import SyncEngine
-from repro.network.conditions import NetworkConditions
 from repro.nn.models import build_mlp
 
 __all__ = [
@@ -51,31 +47,10 @@ _SAMPLES_PER_CLIENT = 40
 
 
 @dataclass(frozen=True)
-class ScalePoint:
+class ScalePoint(AdaFLvsFedAvg):
     """Results at one federation size."""
 
     num_clients: int
-    adafl_accuracy: float
-    fedavg_accuracy: float
-    adafl_updates: int
-    fedavg_updates: int
-    adafl_bytes_up: int
-    fedavg_bytes_up: int
-    adafl_run: RunResult
-    fedavg_run: RunResult
-
-    @property
-    def update_saving(self) -> float:
-        """Fraction of FedAvg's updates that AdaFL avoided."""
-        if self.fedavg_updates == 0:
-            return 0.0
-        return 1.0 - self.adafl_updates / self.fedavg_updates
-
-    @property
-    def byte_saving(self) -> float:
-        if self.fedavg_bytes_up == 0:
-            return 0.0
-        return 1.0 - self.adafl_bytes_up / self.fedavg_bytes_up
 
 
 def run_scalability(
@@ -87,40 +62,13 @@ def run_scalability(
     """Sweep the number of clients; compare AdaFL against FedAvg."""
     points = []
     for n in client_counts:
-        sized = replace(
-            scale,
-            num_clients=n,
-            train_samples=max(scale.train_samples, n * _SAMPLES_PER_CLIENT),
+        samples = max(scale.train_samples, n * _SAMPLES_PER_CLIENT)
+        sized = replace(scale, num_clients=n, train_samples=samples)
+        spec = RunSpec.of(
+            sized, seed, distribution=distribution,
+            network=Named("constrained", {"seed_offset": n}),  # a fresh mix per size
         )
-        spec = FederationSpec(
-            dataset="mnist",
-            model="mnist_cnn",
-            distribution=distribution,
-            scale=sized,
-            seed=seed,
-        )
-        network = NetworkConditions.with_stragglers(
-            n,
-            straggler_fraction=0.2,
-            good_preset="wifi",
-            bad_preset="constrained",
-            rng=np.random.default_rng(seed + n),
-        )
-        adafl = run_sync(spec, AdaFLSync(default_adafl_config(sized)), network=network)
-        fedavg = run_sync(spec, FedAvg(participation_rate=0.5), network=network)
-        points.append(
-            ScalePoint(
-                num_clients=n,
-                adafl_accuracy=adafl.final_accuracy,
-                fedavg_accuracy=fedavg.final_accuracy,
-                adafl_updates=adafl.total_uploads,
-                fedavg_updates=fedavg.total_uploads,
-                adafl_bytes_up=adafl.total_bytes_up,
-                fedavg_bytes_up=fedavg.total_bytes_up,
-                adafl_run=adafl,
-                fedavg_run=fedavg,
-            )
-        )
+        points.append(ScalePoint.of(spec, num_clients=n))
     return points
 
 

@@ -15,108 +15,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.adafl import AdaFLSync
-from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import FederationSpec, run_sync
-from repro.fl.baselines import FedAvg
-from repro.fl.metrics import RunResult
-from repro.network.conditions import ClientNetwork, NetworkConditions
-from repro.network.link import link_preset
-from repro.network.traces import gauss_markov_trace
+from repro.experiments.spec import AdaFLvsFedAvg, Named, RunSpec
 
 __all__ = ["SensitivityPoint", "NETWORK_CONDITIONS", "run_network_sensitivity"]
 
-NETWORK_CONDITIONS = ("ethernet", "wifi", "lte", "constrained", "mixed", "dynamic")
+# condition -> its :data:`~repro.experiments.spec.NETWORKS` row; the
+# study draws its random link mixes at seed offset 41.
+NETWORK_CONDITIONS = {
+    **{p: Named("uniform", {"preset": p}) for p in ("ethernet", "wifi", "lte", "constrained")},
+    "mixed": Named("constrained", {"seed_offset": 41}),
+    "dynamic": Named("dynamic"),
+}
 
 
 @dataclass(frozen=True)
-class SensitivityPoint:
+class SensitivityPoint(AdaFLvsFedAvg):
     """Both methods' outcomes under one network condition."""
 
     condition: str
-    adafl_accuracy: float
-    fedavg_accuracy: float
-    adafl_bytes_up: int
-    fedavg_bytes_up: int
-    adafl_time_s: float
-    fedavg_time_s: float
-    adafl_run: RunResult
-    fedavg_run: RunResult
-
-    @property
-    def byte_saving(self) -> float:
-        if self.fedavg_bytes_up == 0:
-            return 0.0
-        return 1.0 - self.adafl_bytes_up / self.fedavg_bytes_up
-
-    @property
-    def speedup(self) -> float:
-        """FedAvg wall-clock divided by AdaFL wall-clock (>1 = faster)."""
-        if self.adafl_time_s == 0:
-            return 1.0
-        return self.fedavg_time_s / self.adafl_time_s
 
 
-def _build_network(condition: str, num_clients: int, seed: int) -> NetworkConditions:
-    rng = np.random.default_rng(seed + 41)
-    if condition in ("ethernet", "wifi", "lte", "constrained"):
-        return NetworkConditions.uniform(num_clients, condition)
-    if condition == "mixed":
-        return NetworkConditions.with_stragglers(
-            num_clients, 0.2, good_preset="wifi", bad_preset="constrained", rng=rng
-        )
-    if condition == "dynamic":
-        base = link_preset("wifi")
-        clients = []
-        for _ in range(num_clients):
-            trace = gauss_markov_trace(base.bandwidth_mbps, rng, volatility=0.5, step_s=5.0)
-            clients.append(
-                ClientNetwork(
-                    uplink=base,
-                    downlink=base,
-                    uplink_trace=trace,
-                    downlink_trace=trace,
-                    label="dynamic",
-                )
-            )
-        return NetworkConditions(clients=clients)
-    known = ", ".join(NETWORK_CONDITIONS)
-    raise ValueError(f"unknown condition {condition!r}; known: {known}")
+def _network(condition: str) -> Named:
+    if condition not in NETWORK_CONDITIONS:
+        known = ", ".join(NETWORK_CONDITIONS)
+        raise ValueError(f"unknown condition {condition!r}; known: {known}")
+    return NETWORK_CONDITIONS[condition]
 
 
 def run_network_sensitivity(
-    conditions: tuple[str, ...] = NETWORK_CONDITIONS,
+    conditions: tuple[str, ...] = tuple(NETWORK_CONDITIONS),
     scale: ExperimentScale = BENCH,
     seed: int = 0,
     distribution: str = "shard",
 ) -> list[SensitivityPoint]:
     """Sweep network conditions; compare AdaFL against FedAvg on each."""
-    points = []
-    for condition in conditions:
-        network = _build_network(condition, scale.num_clients, seed)
-        spec = FederationSpec(
-            dataset="mnist",
-            model="mnist_cnn",
-            distribution=distribution,
-            scale=scale,
-            seed=seed,
-        )
-        adafl = run_sync(spec, AdaFLSync(default_adafl_config(scale)), network=network)
-        fedavg = run_sync(spec, FedAvg(participation_rate=0.5), network=network)
-        points.append(
-            SensitivityPoint(
-                condition=condition,
-                adafl_accuracy=adafl.final_accuracy,
-                fedavg_accuracy=fedavg.final_accuracy,
-                adafl_bytes_up=adafl.total_bytes_up,
-                fedavg_bytes_up=fedavg.total_bytes_up,
-                adafl_time_s=adafl.total_sim_time,
-                fedavg_time_s=fedavg.total_sim_time,
-                adafl_run=adafl,
-                fedavg_run=fedavg,
-            )
-        )
-    return points
+    base = RunSpec.of(scale, seed, distribution=distribution)
+    return [
+        SensitivityPoint.of(base.vary(network=_network(condition)), condition=condition)
+        for condition in conditions
+    ]

@@ -1,11 +1,12 @@
 """Multi-process federated runs: engines over the socket transport.
 
-Mirrors :mod:`repro.experiments.runner`'s ``run_sync``/``run_async``
-but with the clients living in real worker processes: the server opens
+:func:`socket_session` is :func:`repro.experiments.runner.open_engine`
+with the clients living in real worker processes: the server opens
 a :class:`~repro.transport.SocketTransport`, spawns K workers
-(``python -m repro.transport.worker``), optionally threads every
-connection through a :class:`~repro.transport.ChaosProxy`, and runs
-the engine against the remote population.
+(``python -m repro.transport.worker``) or waits for external ones,
+optionally threads every connection through a
+:class:`~repro.transport.ChaosProxy`, and runs the engine against the
+remote population.
 
 The headline property — proven by the equivalence tests — is that a
 socket run with no chaos produces a :class:`~repro.fl.metrics.RunResult`
@@ -18,20 +19,17 @@ account for.
 
 from __future__ import annotations
 
-import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.experiments.runner import (
     FederationSpec,
+    Session,
     _federation_config,
     build_federation,
+    open_engine,
 )
-from repro.fl.async_engine import AsyncEngine
-from repro.fl.metrics import RunResult
 from repro.fl.strategy import AsyncStrategy, SyncStrategy
-from repro.fl.sync_engine import SyncEngine
 from repro.sim import EventTrace
 from repro.transport import (
     ChaosConfig,
@@ -43,38 +41,7 @@ from repro.transport import (
     terminate_workers,
 )
 
-__all__ = [
-    "SocketSession",
-    "socket_session",
-    "run_sync_sockets",
-    "run_async_sockets",
-]
-
-
-@dataclass
-class SocketSession:
-    """A live multi-process federation: engine, transport, workers.
-
-    Exposed (rather than hidden inside a run function) so chaos tests
-    can reach in — kill a worker process mid-round, read proxy fault
-    counters — while the run is in flight.
-    """
-
-    engine: SyncEngine | AsyncEngine
-    transport: SocketTransport
-    procs: list
-    proxy: ChaosProxy | None
-
-    def run(self) -> RunResult:
-        """Drive the engine to completion (workers stay up throughout)."""
-        return self.engine.run()
-
-    def close(self) -> None:
-        """Tear down transport, proxy, and worker processes."""
-        self.transport.close()
-        if self.proxy is not None:
-            self.proxy.close()
-        terminate_workers(self.procs)
+__all__ = ["socket_session"]
 
 
 @contextmanager
@@ -91,7 +58,8 @@ def socket_session(
     trace: EventTrace | None = None,
     address: str = "127.0.0.1:0",
     ready_timeout_s: float = 60.0,
-) -> Iterator[SocketSession]:
+    external: Callable[[str], None] | None = None,
+) -> Iterator[Session]:
     """Open a multi-process federation and yield the live session.
 
     The server process builds its own replica of the federation (for
@@ -99,13 +67,16 @@ def socket_session(
     same one from the pickled spec and serves its share of the
     clients.  With ``chaos`` set, workers dial through a
     :class:`~repro.transport.ChaosProxy` that injects the configured
-    faults into the real byte stream.
+    faults into the real byte stream.  With ``external`` set no worker
+    is spawned: it is called with the listening address (``repro
+    serve`` prints it) and the session waits for ``num_workers``
+    ``repro worker`` processes to dial in.
     """
     if mode not in ("sync", "async"):
         raise ValueError(f"mode must be 'sync' or 'async', not {mode!r}")
-    config = _federation_config(spec, max_updates=max_updates, validation=validation)
-    if quorum_frac is not None:
-        config = dataclasses.replace(config, quorum_frac=quorum_frac)
+    config = _federation_config(
+        spec, max_updates=max_updates, validation=validation, quorum_frac=quorum_frac
+    )
     setup = WorkerSetup(
         builder=build_federation,
         builder_arg=spec,
@@ -126,38 +97,16 @@ def socket_session(
         if chaos is not None and chaos.active:
             proxy = ChaosProxy(transport.address, chaos)
             worker_target = proxy.address
-        procs = [spawn_worker(worker_target, i) for i in range(num_workers)]
-        transport.wait_ready(ready_timeout_s)
-        fed = build_federation(spec)
-        if mode == "sync":
-            engine = SyncEngine(
-                fed.server, None, strategy, config, trace=trace, transport=transport
-            )
+        if external is not None:
+            external(worker_target)
         else:
-            engine = AsyncEngine(
-                fed.server, None, strategy, config, trace=trace, transport=transport
-            )
-        yield SocketSession(
-            engine=engine, transport=transport, procs=procs, proxy=proxy
-        )
+            procs = [spawn_worker(worker_target, i) for i in range(num_workers)]
+        transport.wait_ready(ready_timeout_s)
+        session = open_engine(spec, strategy, mode, config, trace=trace, transport=transport)
+        session.procs, session.proxy = procs, proxy
+        yield session
     finally:
         transport.close()
         if proxy is not None:
             proxy.close()
         terminate_workers(procs)
-
-
-def run_sync_sockets(
-    spec: FederationSpec, strategy: SyncStrategy, **kwargs
-) -> RunResult:
-    """Run one synchronous federation over real sockets, start to finish."""
-    with socket_session(spec, strategy, mode="sync", **kwargs) as session:
-        return session.run()
-
-
-def run_async_sockets(
-    spec: FederationSpec, strategy: AsyncStrategy, **kwargs
-) -> RunResult:
-    """Run one asynchronous federation over real sockets, start to finish."""
-    with socket_session(spec, strategy, mode="async", **kwargs) as session:
-        return session.run()

@@ -9,12 +9,11 @@ same link mix), per-cell metrics land in :class:`SweepRow`, and each
 claim like "AdaGQ saves 77% uplink at no accuracy cost on the
 constrained preset" is one artifact, not a notebook.
 
-Entries are plain names resolved through three registries
-(:data:`STRATEGY_FACTORIES`, :data:`NETWORK_PROFILES`,
-:data:`FAULT_PLANS`) so a sweep is fully described by a
-:class:`SweepConfig` — JSON-serialisable, CLI-friendly (``repro
-sweep``), and deterministic: the artifact for a given config is
-bit-identical across runs.
+Entries are plain row names of :mod:`repro.experiments.spec`'s axis
+tables — a :class:`SweepConfig` expands to one
+:class:`~repro.experiments.spec.RunSpec` per cell — so a sweep is
+JSON-serialisable, CLI-friendly (``repro sweep``), and deterministic:
+the artifact for a given config is bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -25,61 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.adafl import AdaFLSync
-from repro.core.zoo import AdaGQQuantization, AdaptiveFederatedDropout
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.experiments.reporting import format_bytes, format_table
-from repro.experiments.runner import FederationSpec, run_sync, straggler_network
-from repro.fl.baselines import FedAvg, FedProx, Scaffold
+from repro.experiments.spec import RunSpec, run
 from repro.fl.metrics import RunResult
-from repro.fl.strategy import SyncStrategy
-from repro.network.conditions import NetworkConditions
-from repro.sim.faults import ClientCrashModel, FaultPlan
 
-__all__ = [
-    "SweepConfig",
-    "SweepRow",
-    "SweepResult",
-    "STRATEGY_FACTORIES",
-    "NETWORK_PROFILES",
-    "FAULT_PLANS",
-    "run_sweep",
-    "render_sweep",
-]
-
-
-# ----------------------------------------------------------------------
-# Registries: names a config may use.  Factories take what they need to
-# stay deterministic per (config, seed) — nothing reads global state.
-# ----------------------------------------------------------------------
-STRATEGY_FACTORIES: dict[str, Callable[[], SyncStrategy]] = {
-    "fedavg": lambda: FedAvg(participation_rate=0.5),
-    "fedprox": lambda: FedProx(participation_rate=0.5, mu=0.01),
-    "scaffold": lambda: Scaffold(participation_rate=0.5),
-    "adafl": lambda: AdaFLSync(),
-    "afd": lambda: AdaptiveFederatedDropout(),
-    "adagq": lambda: AdaGQQuantization(),
-}
-
-# name -> factory(num_clients, seed) -> NetworkConditions | None.
-# "constrained" is the Tables I/II straggler mix (80% wifi, 20%
-# constrained edge links) — the paper's problem regime.
-NETWORK_PROFILES: dict[
-    str, Callable[[int, int], NetworkConditions | None]
-] = {
-    "none": lambda n, seed: None,
-    "wifi": lambda n, seed: NetworkConditions.uniform(n, "wifi"),
-    "constrained": straggler_network,
-}
-
-# name -> factory(seed) -> FaultPlan | None.  "crashy" models flaky
-# embedded devices: frequent crashes with quick restarts.
-FAULT_PLANS: dict[str, Callable[[int], FaultPlan | None]] = {
-    "none": lambda seed: None,
-    "crashy": lambda seed: FaultPlan(
-        ClientCrashModel(mtbf_s=400.0, mean_downtime_s=30.0)
-    ),
-}
+__all__ = ["SweepConfig", "SweepRow", "SweepResult", "run_sweep", "render_sweep"]
 
 
 @dataclass(frozen=True)
@@ -109,36 +59,38 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.strategies:
             raise ValueError("sweep needs at least one strategy")
-        for name in self.strategies:
-            if name not in STRATEGY_FACTORIES:
-                known = ", ".join(sorted(STRATEGY_FACTORIES))
-                raise ValueError(f"unknown strategy {name!r}; known: {known}")
-        for name in self.networks:
-            if name not in NETWORK_PROFILES:
-                known = ", ".join(sorted(NETWORK_PROFILES))
-                raise ValueError(f"unknown network profile {name!r}; known: {known}")
-        for name in self.faults:
-            if name not in FAULT_PLANS:
-                known = ", ".join(sorted(FAULT_PLANS))
-                raise ValueError(f"unknown fault plan {name!r}; known: {known}")
         if self.reference not in self.strategies:
             raise ValueError(
                 f"reference {self.reference!r} must be one of the swept strategies"
             )
         if self.rounds is not None and self.rounds < 1:
             raise ValueError("rounds override must be positive")
+        self.specs()  # every name is checked against the axis tables here
+
+    def specs(self) -> dict[tuple[str, str, str], RunSpec]:
+        """The grid: one spec per ``(strategy, network, fault)`` cell, in
+        run order (the reference first within each ``(network, fault)``)."""
+        base = RunSpec.of(
+            self.resolved_scale(), self.seed, dataset=self.dataset, model=self.model,
+            distribution=self.distribution,
+        )
+        ordered = [self.reference] + [s for s in self.strategies if s != self.reference]
+        return {
+            (strategy, network, fault): base.vary(
+                strategy=strategy, network=network, faults=(fault,)
+            )
+            for network in self.networks
+            for fault in self.faults
+            for strategy in ordered
+        }
 
     def resolved_scale(self) -> ExperimentScale:
         """The named scale with this config's overrides applied."""
-        scale = get_scale(self.scale)
-        overrides: dict = {}
-        if self.rounds is not None:
-            overrides["num_rounds"] = self.rounds
-        if self.max_sim_time_s is not None:
-            overrides["max_sim_time_s"] = self.max_sim_time_s
-        if self.eval_every is not None:
-            overrides["eval_every"] = self.eval_every
-        return dataclasses.replace(scale, **overrides) if overrides else scale
+        overrides = {"num_rounds": self.rounds, "max_sim_time_s": self.max_sim_time_s,
+                     "eval_every": self.eval_every}
+        return dataclasses.replace(
+            get_scale(self.scale), **{k: v for k, v in overrides.items() if v is not None}
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -212,26 +164,6 @@ class SweepResult:
         )
 
 
-def _run_cell(
-    config: SweepConfig,
-    scale: ExperimentScale,
-    strategy_name: str,
-    network_name: str,
-    fault_name: str,
-) -> RunResult:
-    spec = FederationSpec(
-        dataset=config.dataset,
-        model=config.model,
-        distribution=config.distribution,
-        scale=scale,
-        seed=config.seed,
-    )
-    network = NETWORK_PROFILES[network_name](scale.num_clients, config.seed)
-    chaos = FAULT_PLANS[fault_name](config.seed)
-    strategy = STRATEGY_FACTORIES[strategy_name]()
-    return run_sync(spec, strategy, network=network, chaos=chaos)
-
-
 def run_sweep(
     config: SweepConfig,
     progress: Callable[[str], None] | None = None,
@@ -241,47 +173,34 @@ def run_sweep(
     ``progress`` (e.g. ``print``) is called with a one-line status per
     completed run.
     """
-    scale = config.resolved_scale()
     result = SweepResult(config=config)
-    ordered = [config.reference] + [
-        s for s in config.strategies if s != config.reference
-    ]
-    for network_name in config.networks:
-        for fault_name in config.faults:
-            reference: RunResult | None = None
-            for strategy_name in ordered:
-                run = _run_cell(
-                    config, scale, strategy_name, network_name, fault_name
-                )
-                if strategy_name == config.reference:
-                    reference = run
-                assert reference is not None
-                ref_bytes = reference.total_bytes_up
-                reduction = (
-                    0.0
-                    if ref_bytes <= 0
-                    else 1.0 - run.total_bytes_up / ref_bytes
-                )
-                row = SweepRow(
-                    strategy=strategy_name,
-                    network=network_name,
-                    fault=fault_name,
-                    final_accuracy=run.final_accuracy,
-                    total_bytes_up=run.total_bytes_up,
-                    total_bytes_down=run.total_bytes_down,
-                    total_uploads=run.total_uploads,
-                    total_sim_time=run.total_sim_time,
-                    uplink_reduction=reduction,
-                    accuracy_delta=run.final_accuracy - reference.final_accuracy,
-                )
-                result.rows.append(row)
-                if progress is not None:
-                    progress(
-                        f"[{network_name}/{fault_name}] {strategy_name}: "
-                        f"acc={row.final_accuracy:.3f} "
-                        f"up={format_bytes(row.total_bytes_up)} "
-                        f"({row.uplink_reduction:+.1%} vs {config.reference})"
-                    )
+    reference: RunResult | None = None
+    for (strategy_name, network_name, fault_name), spec in config.specs().items():
+        cell = run(spec)
+        if strategy_name == config.reference:
+            reference = cell
+        assert reference is not None
+        ref_bytes = reference.total_bytes_up
+        row = SweepRow(
+            strategy=strategy_name,
+            network=network_name,
+            fault=fault_name,
+            final_accuracy=cell.final_accuracy,
+            total_bytes_up=cell.total_bytes_up,
+            total_bytes_down=cell.total_bytes_down,
+            total_uploads=cell.total_uploads,
+            total_sim_time=cell.total_sim_time,
+            uplink_reduction=0.0 if ref_bytes <= 0 else 1.0 - cell.total_bytes_up / ref_bytes,
+            accuracy_delta=cell.final_accuracy - reference.final_accuracy,
+        )
+        result.rows.append(row)
+        if progress is not None:
+            progress(
+                f"[{network_name}/{fault_name}] {strategy_name}: "
+                f"acc={row.final_accuracy:.3f} "
+                f"up={format_bytes(row.total_bytes_up)} "
+                f"({row.uplink_reduction:+.1%} vs {config.reference})"
+            )
     return result
 
 

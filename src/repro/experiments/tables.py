@@ -21,23 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.adafl import AdaFLAsync, AdaFLSync
-from repro.experiments.comparison import default_adafl_config
 from repro.experiments.presets import BENCH, ExperimentScale
 from repro.experiments.reporting import format_bytes, format_table
-from repro.experiments.runner import (
-    FederationSpec,
-    run_async,
-    run_sync,
-    slow_pi_rates,
-    straggler_network,
-)
-from repro.fl.baselines import FedAdam, FedAsync, FedAvg, FedBuff, FedProx, Scaffold
+from repro.experiments.runner import PAPER_MODELS
+from repro.experiments.spec import ASYNC_LINEUP, SYNC_LINEUP, RunSpec, run
 from repro.fl.metrics import RunResult
 
 __all__ = ["TableRow", "run_table1", "run_table2", "render_table"]
-
-_DATASET_MODELS = {"mnist": "mnist_cnn", "cifar100": "vgg_mini"}
 
 
 @dataclass
@@ -59,12 +49,55 @@ class TableRow:
         return self.accuracies[(dataset, distribution)]
 
 
-def _fill_comm_columns(row: TableRow, reference: RunResult, ideal_updates: int) -> None:
-    row.update_freq = reference.total_uploads
-    row.cost_reduction = reference.update_cost_reduction(ideal_updates)
-    row.byte_reduction = reference.byte_cost_reduction(ideal_updates)
-    row.gradient_size = reference.gradient_size_range()
-    row.compression_ratio = reference.compression_ratio_range()
+def _run_table(
+    base: RunSpec, lineup: tuple[str, ...], datasets: tuple[str, ...],
+    distributions: tuple[str, ...],
+) -> list[TableRow]:
+    """One row per method of ``lineup``, one run per workload.
+
+    Asynchronous tables follow the equal-time protocol: the first
+    method runs to ``base``'s update budget and the simulated time it
+    took becomes the budget for every other method on that workload.
+    """
+    scale = base.federation.scale
+    ideal = scale.num_rounds * scale.num_clients
+    time_budget: dict[tuple[str, str], float] = {}
+    rows = []
+    for method in lineup:
+        runs: dict[tuple[str, str], RunResult] = {}
+        for dataset in datasets:
+            for distribution in distributions:
+                workload = (dataset, distribution)
+                spec = base.vary(
+                    strategy=method,
+                    dataset=dataset,
+                    model=PAPER_MODELS[dataset],
+                    distribution=distribution,
+                )
+                if workload in time_budget:
+                    spec = spec.vary(
+                        max_updates=ideal,  # runaway backstop only
+                        max_sim_time_s=time_budget[workload],
+                    )
+                runs[workload] = run(spec)
+                if base.engine == "async" and method == lineup[0]:
+                    time_budget[workload] = runs[workload].total_sim_time
+        reference = next(iter(runs.values()))  # comm columns from the first workload
+        rows.append(
+            TableRow(
+                method=reference.method,
+                num_clients=scale.num_clients,
+                participation="adaptive" if method == "adafl" else "0.5",
+                update_freq=reference.total_uploads,
+                cost_reduction=reference.update_cost_reduction(ideal),
+                byte_reduction=reference.byte_cost_reduction(ideal),
+                gradient_size=reference.gradient_size_range(),
+                compression_ratio=reference.compression_ratio_range(),
+                accuracies={w: r.final_accuracy for w, r in runs.items()},
+                runs=runs,
+            )
+        )
+    return rows
 
 
 def run_table1(
@@ -74,49 +107,8 @@ def run_table1(
     distributions: tuple[str, ...] = ("iid", "shard"),
 ) -> list[TableRow]:
     """Table I: synchronous methods."""
-    network = straggler_network(scale.num_clients, seed)
-    ideal = scale.num_rounds * scale.num_clients
-
-    def make_strategies():
-        return [
-            ("fedavg", "0.5", lambda: FedAvg(participation_rate=0.5)),
-            ("fedadam", "0.5", lambda: FedAdam(participation_rate=0.5)),
-            ("fedprox", "0.5", lambda: FedProx(participation_rate=0.5, mu=0.01)),
-            ("scaffold", "0.5", lambda: Scaffold(participation_rate=0.5)),
-            ("adafl", "adaptive", lambda: AdaFLSync(default_adafl_config(scale))),
-        ]
-
-    rows = []
-    for name, participation, factory in make_strategies():
-        row = TableRow(
-            method=name,
-            num_clients=scale.num_clients,
-            participation=participation,
-            update_freq=0,
-            cost_reduction=0.0,
-            byte_reduction=0.0,
-            gradient_size=(0, 0),
-            compression_ratio=(1.0, 1.0),
-        )
-        reference: RunResult | None = None
-        for dataset in datasets:
-            for distribution in distributions:
-                spec = FederationSpec(
-                    dataset=dataset,
-                    model=_DATASET_MODELS[dataset],
-                    distribution=distribution,
-                    scale=scale,
-                    seed=seed,
-                )
-                result = run_sync(spec, factory(), network=network)
-                row.accuracies[(dataset, distribution)] = result.final_accuracy
-                row.runs[(dataset, distribution)] = result
-                if reference is None:
-                    reference = result  # comm columns from the first workload
-        assert reference is not None
-        _fill_comm_columns(row, reference, ideal)
-        rows.append(row)
-    return rows
+    base = RunSpec.of(scale, seed, network="constrained")
+    return _run_table(base, SYNC_LINEUP, datasets, distributions)
 
 
 def run_table2(
@@ -133,71 +125,11 @@ def run_table2(
     AdaFL's lower update frequency within the same time window is then
     entirely due to utility-gated halting, not a shorter run.
     """
-    network = straggler_network(scale.num_clients, seed)
-    ideal = scale.num_rounds * scale.num_clients
-    baseline_updates = scale.num_rounds * max(1, scale.num_clients // 2)
-    rates = slow_pi_rates(scale.num_clients, seed)
-
-    # Pass 1: FedAsync sets the per-workload time budget.
-    time_budget: dict[tuple[str, str], float] = {}
-    strategies = [
-        ("fedasync", "0.5", lambda: FedAsync()),
-        ("fedbuff", "0.5", lambda: FedBuff(buffer_size=3)),
-        (
-            "adafl-async",
-            "adaptive",
-            lambda: AdaFLAsync(default_adafl_config(scale, async_mode=True), network=network),
-        ),
-    ]
-    rows = []
-    for name, participation, factory in strategies:
-        row = TableRow(
-            method=name,
-            num_clients=scale.num_clients,
-            participation=participation,
-            update_freq=0,
-            cost_reduction=0.0,
-            byte_reduction=0.0,
-            gradient_size=(0, 0),
-            compression_ratio=(1.0, 1.0),
-        )
-        reference: RunResult | None = None
-        for dataset in datasets:
-            for distribution in distributions:
-                spec = FederationSpec(
-                    dataset=dataset,
-                    model=_DATASET_MODELS[dataset],
-                    distribution=distribution,
-                    scale=scale,
-                    seed=seed,
-                )
-                workload = (dataset, distribution)
-                if name == "fedasync":
-                    result = run_async(
-                        spec,
-                        factory(),
-                        network=network,
-                        device_flops=rates,
-                        max_updates=baseline_updates,
-                    )
-                    time_budget[workload] = result.total_sim_time
-                else:
-                    result = run_async(
-                        spec,
-                        factory(),
-                        network=network,
-                        device_flops=rates,
-                        max_updates=ideal,  # runaway backstop only
-                        max_sim_time_s=time_budget[workload],
-                    )
-                row.accuracies[workload] = result.final_accuracy
-                row.runs[workload] = result
-                if reference is None:
-                    reference = result
-        assert reference is not None
-        _fill_comm_columns(row, reference, ideal)
-        rows.append(row)
-    return rows
+    base = RunSpec.of(
+        scale, seed, engine="async", network="constrained", devices="slow_pi",
+        max_updates=scale.num_rounds * max(1, scale.num_clients // 2),
+    )
+    return _run_table(base, ASYNC_LINEUP, datasets, distributions)
 
 
 def render_table(rows: list[TableRow], title: str, datasets: tuple[str, ...] = ("mnist", "cifar100")) -> str:

@@ -74,9 +74,13 @@ class TestBuildFederation:
         assert fed.server.dim > 0
 
     def test_unknown_model(self):
-        spec = FederationSpec(dataset="mnist", model="transformer", scale=TINY)
-        with pytest.raises(ValueError, match="unknown model"):
-            build_federation(spec)
+        # At construction: before any data is synthesised.
+        with pytest.raises(ValueError, match="unknown model 'transformer'; known: mnist_cnn"):
+            FederationSpec(dataset="mnist", model="transformer", scale=TINY)
+
+    def test_unknown_distribution(self):
+        with pytest.raises(ValueError, match="unknown distribution.*quantity_skew"):
+            FederationSpec(distribution="bogus", scale=TINY)
 
 
 class TestRunHelpers:

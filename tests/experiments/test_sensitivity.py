@@ -7,9 +7,10 @@ import pytest
 from repro.experiments.presets import FAST
 from repro.experiments.sensitivity import (
     NETWORK_CONDITIONS,
-    _build_network,
+    _network,
     run_network_sensitivity,
 )
+from repro.experiments.spec import RunSpec
 
 TINY = replace(
     FAST,
@@ -21,6 +22,12 @@ TINY = replace(
     cnn_hidden=8,
     eval_every=3,
 )
+
+
+def _build_network(condition, num_clients, seed):
+    """What a condition resolves to through the spec's network table."""
+    scale = replace(TINY, num_clients=num_clients)
+    return RunSpec.of(scale, seed, network=_network(condition)).resolve()[2]["network"]
 
 
 class TestBuildNetwork:

@@ -1,4 +1,4 @@
-"""Strategy-sweep harness: registries, config validation, determinism
+"""Strategy-sweep harness: axis tables, config validation, determinism
 against the committed artifact, and the headline resilience claim.
 
 The committed ``data/sweep_baseline.json`` pins the constrained-network
@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.adafl import AdaFLSync
+from repro.experiments.runner import run_sync, straggler_network
+from repro.experiments.spec import FAULTS, NETWORKS, STRATEGIES, default_adafl_config
 from repro.experiments.sweep import (
-    FAULT_PLANS,
-    NETWORK_PROFILES,
-    STRATEGY_FACTORIES,
     SweepConfig,
     SweepResult,
     render_sweep,
@@ -43,11 +43,24 @@ BASELINE_CONFIG = SweepConfig(
 class TestConfig:
     def test_registries_cover_defaults(self):
         for name in SweepConfig().strategies:
-            assert name in STRATEGY_FACTORIES
+            assert name in STRATEGIES
         for name in SweepConfig().networks:
-            assert name in NETWORK_PROFILES
+            assert name in NETWORKS
         for name in SweepConfig().faults:
-            assert name in FAULT_PLANS
+            assert name in FAULTS
+
+    def test_expands_to_one_spec_per_cell_reference_first(self):
+        config = SweepConfig(
+            strategies=("afd", "fedavg"), networks=("none", "wifi"),
+            faults=("none", "dropout", "dataloss"),
+        )
+        specs = config.specs()
+        assert len(specs) == 2 * 2 * 3
+        assert [k[0] for k in specs][:2] == ["fedavg", "afd"]
+        spec = specs[("afd", "wifi", "dataloss")]
+        assert (spec.strategy.name, spec.network.name) == ("afd", "wifi")
+        assert [f.name for f in spec.faults] == ["dataloss"]
+        assert spec.federation.scale == config.resolved_scale()
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):
@@ -56,6 +69,12 @@ class TestConfig:
             SweepConfig(networks=("dialup",))
         with pytest.raises(ValueError):
             SweepConfig(faults=("gremlins",))
+        with pytest.raises(ValueError, match="unknown strategy 'nope'; known: adafl"):
+            SweepConfig(strategies=("fedavg", "nope"))
+        with pytest.raises(ValueError, match="asynchronous"):
+            SweepConfig(strategies=("fedavg", "fedbuff"))
+        with pytest.raises(ValueError, match="unknown model"):
+            SweepConfig(model="nope")
         with pytest.raises(ValueError):
             SweepConfig(strategies=("afd",), reference="fedavg")
         with pytest.raises(ValueError):
@@ -150,6 +169,49 @@ class TestDeterminism:
         assert afd.accuracy_delta == pytest.approx(
             afd.final_accuracy - ref.final_accuracy
         )
+
+
+class TestPaperFailureCells:
+    """Fig. 1's dropout / data-loss modes are fault names a sweep can use."""
+
+    def test_zoo_strategies_run_in_the_failure_cells(self):
+        config = SweepConfig(
+            strategies=("fedavg", "afd"), faults=("none", "dropout", "dataloss"),
+            rounds=2, eval_every=2,
+        )
+        result = run_sweep(config)
+        assert [(r.strategy, r.fault) for r in result.rows] == [
+            (s, f) for f in config.faults for s in config.strategies
+        ]
+        # Dropout gates selection every round, so the trajectory moves.
+        clean = result.row("fedavg", "constrained", "none")
+        dropout = result.row("fedavg", "constrained", "dropout")
+        assert dropout.total_sim_time != clean.total_sim_time
+        plan = config.specs()[("afd", "constrained", "dataloss")].resolve()[2]["chaos"]
+        assert plan.upload_loss is not None and plan.dropout is None
+
+
+class TestAdaFLCell:
+    """``adafl`` is the evaluation's AdaFL in the sweep too — it used to
+    be ``AdaFLSync()`` at library defaults, which no table ever ran."""
+
+    def test_matches_the_hand_assembled_run(self):
+        config = SweepConfig(strategies=("fedavg", "adafl"), rounds=4, eval_every=2)
+        row = run_sweep(config).row("adafl", "constrained", "none")
+        spec = config.specs()[("adafl", "constrained", "none")].federation
+        scale = spec.scale
+        want = run_sync(
+            spec,
+            AdaFLSync(default_adafl_config(scale)),
+            network=straggler_network(scale.num_clients, config.seed),
+        )
+        assert (row.final_accuracy, row.total_bytes_up, row.total_uploads) == (
+            want.final_accuracy, want.total_bytes_up, want.total_uploads,
+        )
+        library_default = run_sync(
+            spec, AdaFLSync(), network=straggler_network(scale.num_clients, config.seed)
+        )
+        assert library_default.total_bytes_up != row.total_bytes_up
 
 
 class TestBaselineIsCurrent:
