@@ -132,6 +132,12 @@ def run_table2(
     return _run_table(base, ASYNC_LINEUP, datasets, distributions)
 
 
+def _ratio(ratio: float) -> str:
+    """``105x``; sub-unity ratios (SCAFFOLD uploads delta + control
+    variate: 0.5) keep one decimal instead of rounding to ``0x``."""
+    return f"{ratio:.1f}x" if ratio < 1 else f"{ratio:.0f}x"
+
+
 def render_table(rows: list[TableRow], title: str, datasets: tuple[str, ...] = ("mnist", "cifar100")) -> str:
     """Format rows the way the paper prints Tables I / II."""
     headers = [
@@ -156,7 +162,7 @@ def render_table(rows: list[TableRow], title: str, datasets: tuple[str, ...] = (
             str(row.update_freq),
             f"-{100 * row.cost_reduction:.2f}%",
             f"{format_bytes(lo)} - {format_bytes(hi)}" if lo != hi else format_bytes(lo),
-            f"{rmax:.0f}x - {rmin:.0f}x" if rmax != rmin else f"{rmax:.0f}x",
+            f"{_ratio(rmax)} - {_ratio(rmin)}" if rmax != rmin else _ratio(rmax),
         ]
         for dataset in datasets:
             iid = row.accuracies.get((dataset, "iid"), float("nan"))

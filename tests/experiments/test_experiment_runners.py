@@ -128,6 +128,19 @@ class TestTables:
         assert "adafl" in text
         assert "Update Freq." in text
 
+    def test_sub_unity_compression_ratio_is_not_rounded_to_zero(self):
+        """SCAFFOLD uploads delta + control variate: ratio 0.5, not ``0x``."""
+        rows = run_table1(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
+        scaffold = next(r for r in rows if r.method == "scaffold")
+        assert scaffold.compression_ratio == (0.5, 0.5)
+        line = next(
+            ln for ln in render_table(rows, "Table I", datasets=("mnist",)).splitlines()
+            if ln.startswith("scaffold")
+        )
+        assert "| 0.5x " in line and " 0x" not in line
+        adafl = next(r for r in rows if r.method == "adafl")
+        assert f"{adafl.compression_ratio[0]:.0f}x" in render_table(rows, "T", ("mnist",))
+
 
 class TestOverhead:
     def test_reproduces_overhead_ordering(self):
