@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import PAPER_MODELS
+from repro.experiments.runner import PAPER_MODELS, check_known
 from repro.experiments.spec import Named, RunSpec, run
 from repro.fl.metrics import RunResult
 
@@ -65,8 +65,7 @@ def run_panel(
 
 
 def _workload_spec(workload: str, distribution: str, scale, seed: int, **changes) -> RunSpec:
-    if workload not in PAPER_MODELS:
-        raise ValueError(f"unknown workload {workload!r}")
+    check_known("workload", workload, PAPER_MODELS)
     return RunSpec.of(
         scale, seed, dataset=workload, model=PAPER_MODELS[workload],
         distribution=distribution, **changes,
@@ -122,16 +121,13 @@ def run_fig1_async_panel(
         workload, distribution, scale, seed, engine="async", strategy="fedasync",
         max_updates=scale.num_rounds * scale.num_clients // 2,
     )
-
-    def cluster(fraction: float) -> Named:
-        return Named("slow_pi", {"slow_fraction": fraction, "slow_factor": slow_factor,
-                                 "seed_offset": int(fraction * 100)})
-
     return run_panel(
         f"fig1-async-{workload}-{distribution}-staleness",
         f"Async FedAsync, {workload}, {distribution}, {slow_factor}x-slow stragglers",
         "time_s",
-        [(f"{int(f * 100)}%", base.vary(devices=cluster(f))) for f in fractions],
+        [(f"{int(f * 100)}%", base.vary(devices=Named("slow_pi", {
+            "slow_fraction": f, "slow_factor": slow_factor, "seed_offset": int(f * 100)})))
+         for f in fractions],
     )
 
 

@@ -36,9 +36,8 @@ from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini, build
 from repro.nn.sequential import Sequential
 
 __all__ = ["DatasetProfile", "DATASET_PROFILES", "MODELS", "DISTRIBUTIONS", "PAPER_MODELS",
-           "check_known",
-           "FederationSpec", "Federation", "build_federation", "Session", "open_engine",
-           "run_sync", "run_async", "straggler_network", "slow_pi_rates",
+           "check_known", "FederationSpec", "Federation", "build_federation", "Session",
+           "open_engine", "run_sync", "run_async", "straggler_network", "slow_pi_rates",
            "format_panels"]
 
 

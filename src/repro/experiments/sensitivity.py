@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.presets import BENCH, ExperimentScale
+from repro.experiments.runner import check_known
 from repro.experiments.spec import AdaFLvsFedAvg, Named, RunSpec
 
 __all__ = ["SensitivityPoint", "NETWORK_CONDITIONS", "run_network_sensitivity"]
@@ -37,9 +38,7 @@ class SensitivityPoint(AdaFLvsFedAvg):
 
 
 def _network(condition: str) -> Named:
-    if condition not in NETWORK_CONDITIONS:
-        known = ", ".join(NETWORK_CONDITIONS)
-        raise ValueError(f"unknown condition {condition!r}; known: {known}")
+    check_known("condition", condition, NETWORK_CONDITIONS)
     return NETWORK_CONDITIONS[condition]
 
 

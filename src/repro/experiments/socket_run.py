@@ -23,11 +23,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 
 from repro.experiments.runner import (
-    FederationSpec,
-    Session,
-    _federation_config,
-    build_federation,
-    open_engine,
+    FederationSpec, Session, _federation_config, build_federation, open_engine,
 )
 from repro.fl.strategy import AsyncStrategy, SyncStrategy
 from repro.sim import EventTrace

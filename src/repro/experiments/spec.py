@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Mapping
 
@@ -420,17 +420,18 @@ def open_run(
 
         if snapshot_path is not None:
             raise ValueError("transport 'tcp' does not support snapshots")
-        with socket_session(
+        opened = socket_session(
             spec.federation, strategy, mode=spec.engine, num_workers=spec.num_workers,
             quorum_frac=spec.quorum_frac, validation=config.validation,
             max_updates=spec.max_updates, trace=trace, **socket_kwargs,
-        ) as session:
-            yield session
-        return
-    yield open_engine(
-        spec.federation, strategy, spec.engine, config, trace=trace,
-        snapshot_path=snapshot_path, snapshot_every=snapshot_every, **wiring,
-    )
+        )
+    else:
+        opened = nullcontext(open_engine(
+            spec.federation, strategy, spec.engine, config, trace=trace,
+            snapshot_path=snapshot_path, snapshot_every=snapshot_every, **wiring,
+        ))
+    with opened as session:
+        yield session
 
 
 def run(spec: RunSpec, trace: EventTrace | None = None, **kwargs) -> RunResult:

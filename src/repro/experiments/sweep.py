@@ -97,14 +97,11 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown sweep config keys: {sorted(unknown)}")
-        for key in ("strategies", "networks", "faults"):
-            if key in raw:
-                raw = {**raw, key: tuple(raw[key])}
-        return cls(**raw)
+        axes = {k: tuple(raw[k]) for k in ("strategies", "networks", "faults") if k in raw}
+        return cls(**{**raw, **axes})
 
 
 @dataclass(frozen=True)
