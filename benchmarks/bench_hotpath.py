@@ -30,8 +30,12 @@ Sections
 ``wire``
     Frame encode/decode on the transfer hot path: dense float32 model
     frames and DGC-sparse upload frames at the MNIST-CNN and VGG-mini
-    dims, plus the framing share of a training round (header pack +
-    CRC32 + payload copy), asserted under 3%.
+    dims, plus the framing share of a training round (one cast into the
+    wire buffer, header pack, one CRC32 per end), asserted under 3%.
+    ``meta`` holds the hop budget of one dense upload, both asserted:
+    ``crc_passes_per_upload`` == 2 (counted ``zlib.crc32`` calls:
+    sender, receiver) and a ``tracemalloc`` peak of at most 1.25x the
+    payload (the wire buffer is the only payload-sized allocation).
 ``subspace``
     Parameter-subspace primitives at the MNIST-CNN dim: masked
     gather/scatter of a 40%-coverage ``ParamSubspace`` plus a full
@@ -357,8 +361,15 @@ def bench_wire(iters: int) -> dict:
     one upload ``to_frame``/``to_bytes``, one server-side
     ``from_bytes`` (CRC check) + decode — as a share of the
     ``local_train`` round's wall time, asserted under the 3% budget.
+    It also counts what one dense float64 -> float32 upload costs end
+    to end: ``zlib.crc32`` calls (asserted == 2: sender, receiver) and
+    the ``tracemalloc`` peak (asserted <= 1.25x the payload — the wire
+    buffer itself; parsing and decoding are views into it).
     """
-    from repro.wire import Frame, decode_frame, encode_model_frame
+    import tracemalloc
+    import zlib
+
+    from repro.wire import Frame, decode_frame, encode_frame, encode_model_frame
 
     rng = np.random.default_rng(0)
     dims = {"mnist_cnn": 431_080, "vgg_mini": 41_652}
@@ -402,10 +413,36 @@ def bench_wire(iters: int) -> dict:
     assert share < 0.03, (
         f"framing overhead is {share:.1%} of a training round; budget is 3%"
     )
+    d = dims["mnist_cnn"]
+    delta = fixtures["mnist_cnn"][0]
+
+    def dense_upload() -> None:
+        buf = encode_frame("none", d, {"values": delta}, model_version=1).to_bytes()
+        decode_frame(Frame.from_bytes(buf))
+
+    crc_calls = []
+    real_crc32 = zlib.crc32
+    zlib.crc32 = lambda data, *args: crc_calls.append(1) or real_crc32(data, *args)
+    try:
+        dense_upload()
+    finally:
+        zlib.crc32 = real_crc32
+    assert len(crc_calls) == 2, f"a dense upload made {len(crc_calls)} CRC passes, not 2"
+    tracemalloc.start()
+    try:
+        dense_upload()
+        _, upload_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_x = upload_peak / (4 * d)
+    assert peak_x <= 1.25, f"a dense upload peaked at {peak_x:.2f}x its payload"
+
     stats["meta"] = {
         "dims": dims,
         "vgg_mini_trip_ms": vgg_s * 1e3,
         "dense_mb": dims["mnist_cnn"] * 4 / 1e6,
+        "crc_passes_per_upload": len(crc_calls),
+        "upload_peak_alloc_x_payload": peak_x,
         "round_d": d_round,
         "round_s": round_stats["min_s"],
         "framing_ms": framing_s * 1e3,

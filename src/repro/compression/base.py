@@ -39,6 +39,7 @@ __all__ = [
     "quantized_bytes",
     "CompressedGradient",
     "Compressor",
+    "scatter_dense",
 ]
 
 
@@ -86,6 +87,14 @@ class CompressedGradient:
             num_bytes=frame.payload_nbytes,
             data=data,
         )
+
+
+def scatter_dense(payload: CompressedGradient) -> np.ndarray:
+    """The dense float64 vector a sparse (indices, values) payload stands for."""
+    dense = np.zeros(payload.dim, dtype=np.float64)
+    # reprolint: allow[R403] sparse decompression is a scatter by design
+    dense[np.asarray(payload.data["indices"], dtype=np.int64)] = payload.data["values"]
+    return dense
 
 
 class Compressor:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedGradient, Compressor
+from repro.compression.base import CompressedGradient, Compressor, scatter_dense
 from repro.compression.topk import topk_indices
 from repro.wire.codecs import predicted_payload_nbytes
 
@@ -90,7 +90,8 @@ class DGCCompressor(Compressor):
 
         grad = self._clip(grad)
         if self.use_momentum_correction:
-            self._velocity = self.momentum * self._velocity + grad
+            self._velocity *= self.momentum
+            self._velocity += grad
             self._residual += self._velocity
         else:
             self._residual += grad
@@ -123,10 +124,7 @@ class DGCCompressor(Compressor):
     def decompress(self, payload: CompressedGradient) -> np.ndarray:
         if payload.method != self.name:
             raise ValueError(f"payload method {payload.method!r} is not {self.name!r}")
-        dense = np.zeros(payload.dim, dtype=np.float64)
-        # reprolint: allow[R403] sparse decompression is a scatter by design
-        dense[payload.data["indices"].astype(np.int64)] = payload.data["values"]
-        return dense
+        return scatter_dense(payload)
 
     def restore(self, payload: CompressedGradient) -> None:
         """Return a lost payload's values to the residual buffer.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import CompressedGradient, Compressor
+from repro.compression.base import CompressedGradient, Compressor, scatter_dense
 from repro.wire.codecs import predicted_payload_nbytes
 
 __all__ = ["topk_indices", "TopKCompressor"]
@@ -67,7 +67,4 @@ class TopKCompressor(Compressor):
     def decompress(self, payload: CompressedGradient) -> np.ndarray:
         if payload.method != self.name:
             raise ValueError(f"payload method {payload.method!r} is not {self.name!r}")
-        dense = np.zeros(payload.dim, dtype=np.float64)
-        # reprolint: allow[R403] sparse decompression is a scatter by design
-        dense[payload.data["indices"].astype(np.int64)] = payload.data["values"]
-        return dense
+        return scatter_dense(payload)

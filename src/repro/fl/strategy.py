@@ -20,6 +20,7 @@ from repro.compression.base import CompressedGradient
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server
+from repro.nn.optim import add_scaled
 from repro.nn.subspace import ParamSubspace
 from repro.wire.codecs import codec_for_id, encode_frame, encode_model_frame
 from repro.wire.frame import Frame
@@ -81,12 +82,16 @@ class UploadPacket:
 
 
 def _dense_upload(update: ClientUpdate, model_version: int) -> UploadPacket:
-    """The default packet: the dense float32 delta in a ``none`` frame."""
+    """The default packet: the dense float32 delta in a ``none`` frame.
+
+    The codec casts the float64 delta to float32 as it writes the wire
+    buffer — the one conversion a dense upload costs.
+    """
     payload = CompressedGradient(
         method="none",
         dim=update.delta.size,
         num_bytes=4 * update.delta.size,
-        data={"values": update.delta.astype(np.float32)},
+        data={"values": update.delta},
     )
     return UploadPacket(delta=update.delta, frame=payload.to_frame(model_version))
 
@@ -159,8 +164,7 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     if total <= 0:
         raise ValueError("updates carry no samples")
     acc = np.zeros_like(updates[0].delta)
-    for u in updates:
-        acc += (u.num_samples / total) * u.delta
+    add_scaled(acc, [(u.num_samples / total, u.delta) for u in updates])
     return acc
 
 
@@ -187,7 +191,7 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
             continue
         subspace = u.extras.get("subspace")
         if subspace is None or subspace.is_full:
-            acc += w * u.delta
+            add_scaled(acc, [(w, u.delta)])
             weight += w
         else:
             idx = subspace.indices

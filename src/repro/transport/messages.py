@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.wire.codecs import DenseFloat64Codec
+from repro.wire.codecs import decode_frame, encode_frame
 from repro.wire.frame import Frame, FrameError, seal, unseal
 
 __all__ = [
@@ -41,29 +41,23 @@ __all__ = [
 HEARTBEAT = {"hb": True}
 
 
-def pack_message(obj: dict[str, Any]) -> bytes:
+def pack_message(obj: dict[str, Any]) -> bytearray:
     """Pickle ``obj`` and wrap it in a sealed (CRC'd) blob frame."""
     return seal(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def unpack_message(buf: bytes) -> dict[str, Any]:
-    """Unwrap and unpickle one sealed message (CRC already implied)."""
-    obj = pickle.loads(unseal(buf))
+def unpack_message(sealed: Frame | bytes | bytearray) -> dict[str, Any]:
+    """Unwrap and unpickle one sealed message: its bytes (CRC checked
+    here) or the frame :func:`~repro.wire.frame.read_frame` verified."""
+    obj = pickle.loads(unseal(sealed))
     if not isinstance(obj, dict):
         raise FrameError(f"transport message is a {type(obj).__name__}, not a dict")
     return obj
 
 
-def vector_to_frame_bytes(vec: np.ndarray, model_version: int = 0) -> bytes:
+def vector_to_frame_bytes(vec: np.ndarray, model_version: int = 0) -> bytearray:
     """Encode a float64 vector as a dense64 frame (bit-exact transport)."""
-    values = np.ascontiguousarray(vec, dtype=np.float64)
-    frame = Frame(
-        codec_id=DenseFloat64Codec.codec_id,
-        flags=0,
-        dim=values.size,
-        model_version=model_version,
-        payload=values.tobytes(),
-    )
+    frame = encode_frame("dense64", np.size(vec), {"values": vec}, model_version)
     return frame.to_bytes()
 
 
@@ -76,12 +70,10 @@ def vector_from_frame_bytes(
     so callers may mutate it freely.
     """
     frame = Frame.from_bytes(buf, max_payload_nbytes=max_payload_nbytes)
-    if frame.codec_id != DenseFloat64Codec.codec_id:
-        raise FrameError(
-            f"expected a dense64 vector frame, got codec {frame.codec_id}"
-        )
-    data = DenseFloat64Codec().decode(frame.dim, frame.payload, frame.flags)
-    return np.array(data["values"], dtype=np.float64), frame.model_version
+    method, data = decode_frame(frame)
+    if method != "dense64":
+        raise FrameError(f"expected a dense64 vector frame, got {method!r}")
+    return np.array(data["values"]), frame.model_version
 
 
 class ReplyCache:
@@ -89,9 +81,12 @@ class ReplyCache:
 
     The worker records every reply it sends; a request whose serial was
     already served (a server-side retry after a reconnect) returns the
-    cached reply instead of re-executing.  The cap only needs to cover
-    the server's in-flight window (pipelined train prefetches plus
-    retries), so a small bound suffices.
+    cached reply instead of re-executing.  A ``train`` reply holds a
+    model-sized delta frame, so replies are dropped as soon as the
+    server's ``ack`` watermark says they were consumed
+    (:meth:`release_below`) and the cache holds the server's in-flight
+    window (pipelined train prefetches plus retries); the entry cap is
+    the backstop for a peer that never acks.
     """
 
     def __init__(self, cap: int = 256):
@@ -107,3 +102,9 @@ class ReplyCache:
         self._replies[serial] = reply
         while len(self._replies) > self._cap:
             self._replies.popitem(last=False)
+
+    def release_below(self, serial: int) -> None:
+        """Drop every reply the server acknowledged: those under ``serial``."""
+        self._replies = OrderedDict(
+            (s, reply) for s, reply in self._replies.items() if s >= serial
+        )

@@ -44,7 +44,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.compression.base import CompressedGradient
+from repro.compression.base import CompressedGradient, scatter_dense
 from repro.sim.trace import DROPPED
 from repro.transport.base import (
     PeerGone,
@@ -163,7 +163,7 @@ def recv_message(
         frame = read_frame(sock.recv, max_payload_nbytes=max_payload_nbytes)
     except socket.timeout as exc:  # noqa: UP041 - socket.timeout is the raised type
         raise TransportTimeout(f"no bytes within {deadline_s}s") from exc
-    return unpack_message(frame.to_bytes())
+    return unpack_message(frame)
 
 
 # ----------------------------------------------------------------------
@@ -180,12 +180,24 @@ class _WorkerLink:
         self.attached = threading.Event()
         self.down = False
         self._serial = 0
+        self._open: set[int] = set()  # serials whose reply is not consumed yet
         self._replies: dict[int, dict[str, Any]] = {}
         self._lock = threading.Lock()
 
-    def next_serial(self) -> int:
+    def request(self, op: str, **fields: Any) -> dict[str, Any]:
+        """A new request under the next serial.
+
+        ``ack`` is the watermark below which every serial has been
+        consumed (or given up on) and will never be re-sent, so the
+        worker may drop those replies from its :class:`ReplyCache`.
+        """
         self._serial += 1
-        return self._serial
+        self._open.add(self._serial)
+        return {"op": op, "serial": self._serial, "ack": min(self._open), **fields}
+
+    def consumed(self, serial: int) -> None:
+        """``serial``'s reply was handed to the caller; it is never retried."""
+        self._open.discard(serial)
 
     def attach(self, sock: socket.socket) -> None:
         with self._lock:
@@ -335,10 +347,12 @@ class SocketTransport:
             if sock is None or link.down:
                 continue
             try:
-                serial = link.next_serial()
-                send_message(sock, {"op": "shutdown", "serial": serial})
+                request = link.request("shutdown")
+                send_message(sock, request)
                 link.await_reply(
-                    serial, self.config.deadline_s, self.config.max_payload_nbytes
+                    request["serial"],
+                    self.config.deadline_s,
+                    self.config.max_payload_nbytes,
                 )
             except (OSError, TransportError, FrameError):
                 pass
@@ -382,8 +396,7 @@ class SocketTransport:
             if link.down:
                 continue
             try:
-                request = {"op": "ping", "serial": link.next_serial()}
-                self._call(link.wid, request, cid=None)
+                self._call(link.wid, link.request("ping"), cid=None)
             except PeerGone:
                 lost.append(link.wid)
         return lost
@@ -412,14 +425,13 @@ class SocketTransport:
             link = self._links[wid]
             if link.down:
                 continue
-            request = {
-                "op": "train",
-                "serial": link.next_serial(),
-                "cid": cid,
-                "round_index": round_index,
-                "params": params_frame,
-                "kwargs": dict(kwargs_by_cid.get(cid, ())),
-            }
+            request = link.request(
+                "train",
+                cid=cid,
+                round_index=round_index,
+                params=params_frame,
+                kwargs=dict(kwargs_by_cid.get(cid, ())),
+            )
             sent = False
             sock = link.sock
             if sock is not None:
@@ -447,14 +459,13 @@ class SocketTransport:
                 wid, pending.request, cid=cid, already_sent=already_sent
             )
         else:
-            request = {
-                "op": "train",
-                "serial": link.next_serial(),
-                "cid": cid,
-                "round_index": round_index,
-                "params": vector_to_frame_bytes(params),
-                "kwargs": dict(kwargs),
-            }
+            request = link.request(
+                "train",
+                cid=cid,
+                round_index=round_index,
+                params=vector_to_frame_bytes(params),
+                kwargs=dict(kwargs),
+            )
             value = self._call(wid, request, cid=cid)
         update = value["update"]
         delta, _ = vector_from_frame_bytes(
@@ -466,12 +477,9 @@ class SocketTransport:
     def probe(self, cid: int, params: np.ndarray) -> np.ndarray:
         """One-minibatch utility probe on the owning worker."""
         wid = self.owner_of(cid)
-        request = {
-            "op": "probe",
-            "serial": self._links[wid].next_serial(),
-            "cid": cid,
-            "params": vector_to_frame_bytes(params),
-        }
+        request = self._links[wid].request(
+            "probe", cid=cid, params=vector_to_frame_bytes(params)
+        )
         value = self._call(wid, request, cid=cid)
         probe, _ = vector_from_frame_bytes(
             value["probe"], self.config.max_payload_nbytes
@@ -485,25 +493,16 @@ class SocketTransport:
         would put on the uplink, CRC and all.
         """
         wid = self.owner_of(cid)
-        request = {
-            "op": "compress",
-            "serial": self._links[wid].next_serial(),
-            "cid": cid,
-            "ratio": ratio,
-            "grad": vector_to_frame_bytes(grad),
-        }
+        request = self._links[wid].request(
+            "compress", cid=cid, ratio=ratio, grad=vector_to_frame_bytes(grad)
+        )
         value = self._call(wid, request, cid=cid)
         return value["payload"]
 
     def restore(self, cid: int, payload_frame: bytes) -> None:
         """Return a NACKed payload's values to the worker's residual."""
         wid = self.owner_of(cid)
-        request = {
-            "op": "restore",
-            "serial": self._links[wid].next_serial(),
-            "cid": cid,
-            "payload": payload_frame,
-        }
+        request = self._links[wid].request("restore", cid=cid, payload=payload_frame)
         self._call(wid, request, cid=cid)
 
     # -- the retry loop ------------------------------------------------
@@ -545,48 +544,52 @@ class SocketTransport:
         :class:`PeerGone`.
         """
         link = self._links[wid]
-        if link.down:
-            raise PeerGone(wid=wid, cid=cid, attempts=0)
-        policy = self.config.retry
-        attempt = 1
-        while True:
-            try:
-                if not link.attached.wait(self.config.connect_timeout_s):
-                    raise TransportTimeout(
-                        f"worker {wid} not connected within "
-                        f"{self.config.connect_timeout_s}s"
+        try:
+            if link.down:
+                raise PeerGone(wid=wid, cid=cid, attempts=0)
+            policy = self.config.retry
+            attempt = 1
+            while True:
+                try:
+                    if not link.attached.wait(self.config.connect_timeout_s):
+                        raise TransportTimeout(
+                            f"worker {wid} not connected within "
+                            f"{self.config.connect_timeout_s}s"
+                        )
+                    if not already_sent:
+                        send_message(link.require_sock(), request)
+                    already_sent = False
+                    reply = link.await_reply(
+                        request["serial"],
+                        self.config.deadline_s,
+                        self.config.max_payload_nbytes,
                     )
-                if not already_sent:
-                    send_message(link.require_sock(), request)
-                already_sent = False
-                reply = link.await_reply(
-                    request["serial"],
-                    self.config.deadline_s,
-                    self.config.max_payload_nbytes,
-                )
-            except WorkerError:
-                raise
-            except (OSError, FrameError, TransportError) as exc:
-                if isinstance(exc, (FrameError, FrameCorruptionError)):
-                    self._emit_corrupt(cid, attempt)
-                link.poison()
-                if policy.exhausted(attempt):
-                    link.down = True
-                    raise PeerGone(wid=wid, cid=cid, attempts=attempt) from exc
-                wait_s = policy.backoff_s(
-                    attempt, self.config.backoff_base_s, self._jitter_rng(cid, wid)
-                )
-                # Give the worker the backoff window to re-dial; the
-                # next loop iteration re-waits on attachment anyway.
-                link.attached.wait(wait_s)
-                attempt += 1
-                continue
-            if not reply.get("ok", False):
-                raise WorkerError(
-                    f"worker {wid} failed {request.get('op')!r}: "
-                    f"{reply.get('error', 'unknown error')}"
-                )
-            return reply.get("value")
+                except WorkerError:
+                    raise
+                except (OSError, FrameError, TransportError) as exc:
+                    if isinstance(exc, (FrameError, FrameCorruptionError)):
+                        self._emit_corrupt(cid, attempt)
+                    link.poison()
+                    if policy.exhausted(attempt):
+                        link.down = True
+                        raise PeerGone(wid=wid, cid=cid, attempts=attempt) from exc
+                    wait_s = policy.backoff_s(
+                        attempt, self.config.backoff_base_s, self._jitter_rng(cid, wid)
+                    )
+                    # Give the worker the backoff window to re-dial; the
+                    # next loop iteration re-waits on attachment anyway.
+                    link.attached.wait(wait_s)
+                    attempt += 1
+                    continue
+                if not reply.get("ok", False):
+                    raise WorkerError(
+                        f"worker {wid} failed {request.get('op')!r}: "
+                        f"{reply.get('error', 'unknown error')}"
+                    )
+                return reply.get("value")
+        finally:
+            # Returned or given up on: either way never re-sent.
+            link.consumed(request["serial"])
 
     # -- handshake -----------------------------------------------------
     def _accept_loop(self) -> None:
@@ -795,9 +798,7 @@ class RemoteCompressor:
             raise TransportError(
                 f"remote decompress supports sparse payloads, got {payload.method!r}"
             )
-        dense = np.zeros(payload.dim, dtype=np.float64)
-        dense[np.asarray(data["indices"], dtype=np.int64)] = data["values"]
-        return dense
+        return scatter_dense(payload)
 
     def restore(self, payload: CompressedGradient) -> None:
         self._transport.restore(self._cid, payload.to_frame(0).to_bytes())

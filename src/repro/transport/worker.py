@@ -214,6 +214,9 @@ class Worker:
         serial = msg.get("serial")
         if not isinstance(serial, int):
             raise FrameError(f"request without a serial: {sorted(msg)}")
+        ack = msg.get("ack")
+        if isinstance(ack, int):
+            self._replies.release_below(ack)
         cached = self._replies.get(serial)
         if cached is not None:
             send_message(sock, cached, self._send_lock)

@@ -40,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.wire.frame import Frame, FrameError
+from repro.wire.frame import FRAME_OVERHEAD, Frame, FrameError
 from repro.wire.sizes import (
     FLOAT_BYTES,
     MASKED_HEADER_BYTES,
@@ -96,8 +96,9 @@ class Codec:
         del dim, data
         return 0
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
-        """Serialise ``data`` into the payload bytes."""
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
+        """Serialise ``data`` into ``out``: the frame's payload region,
+        exactly :meth:`payload_nbytes` uint8 long."""
         raise NotImplementedError  # pragma: no cover - interface
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
@@ -110,50 +111,49 @@ def _view(payload: bytes, dtype: np.dtype, offset: int = 0, count: int = -1) -> 
     return np.frombuffer(payload, dtype=dtype, offset=offset, count=count)
 
 
+_U1, _U4, _F4, _F8 = (np.dtype(code) for code in ("u1", "<u4", "<f4", "<f8"))
+
+
+def _put(out: np.ndarray, offset: int, values: Any, dtype: np.dtype) -> int:
+    """Write ``values`` as ``dtype`` at byte ``offset`` of ``out`` — the
+    cast happens in that one pass — and return the end offset."""
+    values = np.asarray(values).reshape(-1)
+    end = offset + values.size * dtype.itemsize
+    out[offset:end].view(dtype)[...] = values
+    return end
+
+
 class DenseFloat32Codec(Codec):
     """Uncompressed float32 vector — the ``none`` compressor's wire form."""
 
     codec_id = 1
     method = "none"
+    dtype = _F4
 
     def payload_nbytes(self, dim: int, data: dict[str, Any]) -> int:
-        return dense_bytes(dim)
+        return dim * self.dtype.itemsize
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
-        values = np.ascontiguousarray(data["values"], dtype=np.float32)
-        if values.size != dim:
-            raise FrameError(f"dense payload has {values.size} values, dim is {dim}")
-        return values.tobytes()
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
+        if np.size(data["values"]) != dim:
+            raise FrameError(
+                f"dense payload has {np.size(data['values'])} values, dim is {dim}"
+            )
+        _put(out, 0, data["values"], self.dtype)
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
-        if len(payload) != dense_bytes(dim):
+        if len(payload) != dim * self.dtype.itemsize:
             raise FrameError(
-                f"dense float32 payload of {len(payload)} bytes for dim {dim}"
+                f"dense {self.dtype.name} payload of {len(payload)} bytes for dim {dim}"
             )
-        return {"values": _view(payload, np.dtype("<f4"))}
+        return {"values": _view(payload, self.dtype)}
 
 
-class DenseFloat64Codec(Codec):
+class DenseFloat64Codec(DenseFloat32Codec):
     """Full-fidelity float64 vector, used for persisted checkpoints."""
 
     codec_id = 6
     method = "dense64"
-
-    def payload_nbytes(self, dim: int, data: dict[str, Any]) -> int:
-        return 2 * dense_bytes(dim)
-
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
-        values = np.ascontiguousarray(data["values"], dtype=np.float64)
-        if values.size != dim:
-            raise FrameError(f"dense payload has {values.size} values, dim is {dim}")
-        return values.tobytes()
-
-    def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
-        if len(payload) != 2 * dense_bytes(dim):
-            raise FrameError(
-                f"dense float64 payload of {len(payload)} bytes for dim {dim}"
-            )
-        return {"values": _view(payload, np.dtype("<f8"))}
+    dtype = _F8
 
 
 class SparseCodec(Codec):
@@ -185,7 +185,7 @@ class SparseCodec(Codec):
     def flags(self, dim: int, data: dict[str, Any]) -> int:
         return self._choice(dim, int(np.asarray(data["indices"]).size))
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
         indices = np.ascontiguousarray(data["indices"], dtype=np.uint32)
         values = np.ascontiguousarray(data["values"], dtype=np.float32)
         if indices.size != values.size:
@@ -194,15 +194,14 @@ class SparseCodec(Codec):
             raise FrameError("sparse index out of range for dim")
         choice = self._choice(dim, indices.size)
         if choice == _SPARSE_COO:
-            return indices.tobytes() + values.tobytes()
-        if choice == _SPARSE_BITMAP:
-            membership = np.zeros(dim, dtype=np.uint8)
-            membership[indices.astype(np.intp)] = 1
-            return np.packbits(membership).tobytes() + values.tobytes()
-        dense = np.zeros(dim, dtype=np.float32)
-        # reprolint: allow[R403] dense fallback is a scatter by design
-        dense[indices.astype(np.intp)] = values
-        return dense.tobytes()
+            _put(out, _put(out, 0, indices, _U4), values, _F4)
+        elif choice == _SPARSE_BITMAP:
+            _put(out, _put(out, 0, _membership_bits(dim, indices), _U1), values, _F4)
+        else:
+            dense = np.zeros(dim, dtype=np.float32)
+            # reprolint: allow[R403] dense fallback is a scatter by design
+            dense[indices.astype(np.intp)] = values
+            _put(out, 0, dense, _F4)
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
         if flags == _SPARSE_COO:
@@ -261,7 +260,7 @@ class QSGDCodec(Codec):
             raise FrameError(f"num_levels {num_levels} does not fit the flags byte")
         return num_levels
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
         num_levels = int(data["num_levels"])
         level_bits = self._level_bits(num_levels)
         levels = np.ascontiguousarray(data["levels"], dtype=np.uint32)
@@ -272,7 +271,7 @@ class QSGDCodec(Codec):
             raise FrameError("quantised level exceeds num_levels")
         codes = (np.where(signs < 0, 1, 0).astype(np.uint32) << level_bits) | levels
         packed = _pack_codes(codes, level_bits + 1)
-        return np.float32(data["norm"]).tobytes() + packed.tobytes()
+        _put(out, _put(out, 0, np.float32(data["norm"]), _F4), packed, _U1)
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
         num_levels = int(flags)
@@ -305,7 +304,7 @@ class TernGradCodec(Codec):
     def payload_nbytes(self, dim: int, data: dict[str, Any]) -> int:
         return quantized_bytes(dim, 2.0)
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
         ternary = np.asarray(data["ternary"])
         if ternary.size != dim:
             raise FrameError("ternary payload does not match dim")
@@ -313,7 +312,7 @@ class TernGradCodec(Codec):
         if codes.size and int(codes.max()) > 2:
             raise FrameError("ternary payload has values outside {-1, 0, 1}")
         packed = _pack_codes(codes, 2)
-        return np.float32(data["scale"]).tobytes() + packed.tobytes()
+        _put(out, _put(out, 0, np.float32(data["scale"]), _F4), packed, _U1)
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
         expected = quantized_bytes(dim, 2.0)
@@ -361,7 +360,7 @@ class MaskedCodec(Codec):
         bitmap = math.ceil(dim / 8.0)
         return _MASKED_COO if coo <= bitmap else _MASKED_BITMAP
 
-    def encode(self, dim: int, data: dict[str, Any]) -> bytes:
+    def encode(self, dim: int, data: dict[str, Any], out: np.ndarray) -> None:
         inner, inner_data = self._inner(data)
         indices = np.ascontiguousarray(data["indices"], dtype=np.uint32)
         if indices.size and int(indices.max()) >= dim:
@@ -369,16 +368,14 @@ class MaskedCodec(Codec):
         if indices.size > 1 and np.any(np.diff(indices.astype(np.int64)) <= 0):
             raise FrameError("masked indices must be strictly increasing")
         nsel = int(indices.size)
-        header = _MASKED_HEADER.pack(
-            inner.codec_id, inner.flags(nsel, inner_data), nsel
+        _MASKED_HEADER.pack_into(
+            out, 0, inner.codec_id, inner.flags(nsel, inner_data), nsel
         )
         if self.flags(dim, data) == _MASKED_COO:
-            index_block = indices.tobytes()
+            end = _put(out, MASKED_HEADER_BYTES, indices, _U4)
         else:
-            membership = np.zeros(dim, dtype=np.uint8)
-            membership[indices.astype(np.intp)] = 1
-            index_block = np.packbits(membership).tobytes()
-        return header + index_block + inner.encode(nsel, inner_data)
+            end = _put(out, MASKED_HEADER_BYTES, _membership_bits(dim, indices), _U1)
+        inner.encode(nsel, inner_data, out[end:])
 
     def decode(self, dim: int, payload: bytes, flags: int) -> dict[str, Any]:
         if len(payload) < MASKED_HEADER_BYTES:
@@ -417,6 +414,13 @@ class MaskedCodec(Codec):
             "inner_method": inner.method,
             "inner_data": inner_data,
         }
+
+
+def _membership_bits(dim: int, indices: np.ndarray) -> np.ndarray:
+    """The packed ``dim``-wide bitmap with the bits at ``indices`` set."""
+    membership = np.zeros(dim, dtype=np.uint8)
+    membership[indices.astype(np.intp)] = 1
+    return np.packbits(membership)
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -482,13 +486,11 @@ def encode_frame(
 ) -> Frame:
     """Encode one payload dict into a ready-to-send frame."""
     codec = codec_for_method(method)
-    return Frame(
-        codec_id=codec.codec_id,
-        flags=codec.flags(dim, data),
-        dim=dim,
-        model_version=model_version,
-        payload=codec.encode(dim, data),
-    )
+    flags = codec.flags(dim, data)
+    # The codec writes straight into the buffer that goes on the wire.
+    wire = bytearray(FRAME_OVERHEAD + codec.payload_nbytes(dim, data))
+    codec.encode(dim, data, np.frombuffer(wire, dtype=np.uint8, offset=FRAME_OVERHEAD))
+    return Frame.over(wire, codec.codec_id, flags, dim, model_version)
 
 
 def decode_frame(frame: Frame) -> tuple[str, dict[str, Any]]:
@@ -499,11 +501,4 @@ def decode_frame(frame: Frame) -> tuple[str, dict[str, Any]]:
 
 def encode_model_frame(params: np.ndarray, model_version: int) -> Frame:
     """The server model broadcast frame: dense float32 of the params."""
-    params = np.asarray(params)
-    return Frame(
-        codec_id=DenseFloat32Codec.codec_id,
-        flags=0,
-        dim=params.size,
-        model_version=model_version,
-        payload=np.ascontiguousarray(params, dtype=np.float32).tobytes(),
-    )
+    return encode_frame("none", np.size(params), {"values": params}, model_version)

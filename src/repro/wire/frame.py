@@ -40,7 +40,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 __all__ = [
     "MAGIC",
@@ -76,7 +76,6 @@ BLOB_CODEC_ID = 7
 # the repo while staying far below typical container memory limits.
 MAX_PAYLOAD_NBYTES = 256 * 1024 * 1024
 
-_U32_MAX = 2**32 - 1
 
 
 class FrameError(ValueError):
@@ -97,31 +96,47 @@ class FrameOversized(FrameError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One encoded payload plus the header metadata that travels with it."""
+    """One encoded payload plus the header metadata that travels with it.
+
+    A frame *is* its wire bytes: one header + payload buffer, which
+    :meth:`to_bytes` hands back as is and into which ``payload`` is a
+    read-only view.  The constructor copies the payload it is given
+    into a fresh buffer; :meth:`over` and :meth:`from_bytes` adopt the
+    caller's buffer without copying, so it must not be written to
+    afterwards.  ``crc32`` is computed (or, on the receive side,
+    checked) in exactly one pass over the payload.
+    """
 
     codec_id: int
     flags: int
     dim: int
     model_version: int
-    payload: bytes
+    payload: memoryview = field(hash=False)  # crc32 stands in for it
     version: int = WIRE_VERSION
     crc32: int = field(init=False)
+    _wire: bytes | bytearray | memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.codec_id <= 255:
-            raise FrameError(f"codec_id {self.codec_id} out of byte range")
-        if not 0 <= self.flags <= 255:
-            raise FrameError(f"flags {self.flags} out of byte range")
-        if not 0 <= self.version <= 255:
-            raise FrameError(f"version {self.version} out of byte range")
-        if not 0 <= self.dim <= _U32_MAX:
-            raise FrameError(f"dim {self.dim} out of uint32 range")
-        if not 0 <= self.model_version <= _U32_MAX:
-            raise FrameError(f"model_version {self.model_version} out of uint32 range")
-        if len(self.payload) > _U32_MAX:
-            raise FrameError("payload too large for a uint32 length field")
-        object.__setattr__(self, "payload", bytes(self.payload))
-        object.__setattr__(self, "crc32", zlib.crc32(self.payload) & 0xFFFFFFFF)
+        wire = bytearray(FRAME_OVERHEAD + len(self.payload))
+        wire[FRAME_OVERHEAD:] = self.payload
+        self.__dict__.update(
+            _pack(wire, self.codec_id, self.flags, self.dim, self.model_version, self.version)
+        )
+
+    @classmethod
+    def over(
+        cls, wire: bytearray, codec_id: int, flags: int, dim: int, model_version: int
+    ) -> "Frame":
+        """Frame ``wire`` in place: its payload region (everything from
+        ``FRAME_OVERHEAD`` on) is already written, the header is not."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(
+            _pack(wire, codec_id, flags, dim, model_version, WIRE_VERSION)
+        )
+        return frame
+
+    def __reduce__(self):
+        return _revive, (bytes(self._wire),)
 
     @property
     def payload_nbytes(self) -> int:
@@ -130,22 +145,11 @@ class Frame:
 
     def __len__(self) -> int:
         """Total on-the-wire size: header plus payload."""
-        return FRAME_OVERHEAD + len(self.payload)
+        return len(self._wire)
 
-    def to_bytes(self) -> bytes:
-        """Serialise header + payload into one contiguous buffer."""
-        header = _HEADER.pack(
-            MAGIC,
-            self.version,
-            self.codec_id,
-            self.flags,
-            0,
-            self.dim,
-            self.model_version,
-            len(self.payload),
-            self.crc32,
-        )
-        return header + self.payload
+    def to_bytes(self) -> bytes | bytearray | memoryview:
+        """The frame's one header + payload buffer (not a copy)."""
+        return self._wire
 
     @classmethod
     def from_bytes(
@@ -153,58 +157,59 @@ class Frame:
         buf: bytes | bytearray | memoryview,
         max_payload_nbytes: int | None = None,
     ) -> "Frame":
-        """Parse and integrity-check one frame.
+        """Parse and integrity-check one frame, as a view over ``buf``.
 
         Raises :class:`FrameTruncated` on a buffer that ends before the
         declared frame does, :class:`FrameOversized` when the declared
         payload length exceeds ``max_payload_nbytes`` (checked before
-        the payload is sliced), plain :class:`FrameError` on any other
+        the payload is touched), plain :class:`FrameError` on any other
         malformation (bad magic, unknown version, trailing bytes), and
         :class:`FrameCorruptionError` when the payload CRC does not
         match the header — the signature of in-flight bit corruption.
         """
-        buf = bytes(buf)
-        if len(buf) < FRAME_OVERHEAD:
+        have = len(buf) - FRAME_OVERHEAD
+        if have < 0:
             raise FrameTruncated(
                 f"buffer of {len(buf)} bytes is shorter than a frame header"
             )
-        codec_id, flags, version, dim, model_version, length, crc = _parse_header(
-            buf[:FRAME_OVERHEAD], max_payload_nbytes
+        fields, length = _parse_header(buf, max_payload_nbytes)
+        if have != length:
+            raise (FrameTruncated if have < length else FrameError)(
+                f"payload length field says {length} bytes, buffer has {have}"
+            )
+        return _checked(buf, fields)
+
+
+def _pack(
+    wire: bytearray, codec_id: int, flags: int, dim: int, model_version: int, version: int
+) -> dict[str, Any]:
+    """CRC ``wire``'s payload region (the sender's one pass) and pack the
+    header in front of it; returns the attributes of the frame over it."""
+    payload = memoryview(wire).toreadonly()[FRAME_OVERHEAD:]
+    crc = zlib.crc32(payload)
+    try:
+        _HEADER.pack_into(
+            wire, 0, MAGIC, version, codec_id, flags, 0,
+            dim, model_version, len(payload), crc,
         )
-        payload = buf[FRAME_OVERHEAD:]
-        if len(payload) < length:
-            raise FrameTruncated(
-                f"payload length field says {length} bytes, buffer has {len(payload)}"
-            )
-        if len(payload) > length:
-            raise FrameError(
-                f"payload length field says {length} bytes, buffer has {len(payload)}"
-            )
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise FrameCorruptionError(
-                f"payload CRC mismatch (header {crc:#010x})"
-            )
-        return cls(
-            codec_id=codec_id,
-            flags=flags,
-            dim=dim,
-            model_version=model_version,
-            payload=payload,
-            version=version,
-        )
+    except struct.error as exc:  # a byte field above 255, a uint32 field above 2**32 - 1
+        raise FrameError(f"frame field does not fit the header: {exc}") from None
+    return dict(codec_id=codec_id, flags=flags, dim=dim, model_version=model_version,
+                payload=payload, version=version, crc32=crc, _wire=wire)
 
 
 def _parse_header(
-    header: bytes, max_payload_nbytes: int | None
-) -> tuple[int, int, int, int, int, int, int]:
-    """Validate a 24-byte header; returns the decoded fields.
+    wire: bytes | bytearray | memoryview, max_payload_nbytes: int | None
+) -> tuple[dict[str, int], int]:
+    """Validate the 24-byte header leading ``wire``; returns the frame
+    fields it holds and the payload length it declares.
 
     The declared payload length is checked against the cap *here*, so
     both buffer and stream decoders refuse an oversized frame before a
     payload buffer is ever allocated.
     """
     magic, version, codec_id, flags, reserved, dim, model_version, length, crc = (
-        _HEADER.unpack(header)
+        _HEADER.unpack_from(wire)
     )
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r} (want {MAGIC!r})")
@@ -217,7 +222,24 @@ def _parse_header(
             f"declared payload of {length} bytes exceeds the "
             f"{max_payload_nbytes}-byte cap"
         )
-    return codec_id, flags, version, dim, model_version, length, crc
+    fields = dict(codec_id=codec_id, flags=flags, dim=dim, model_version=model_version,
+                  version=version, crc32=crc)
+    return fields, length
+
+
+def _checked(wire: bytes | bytearray | memoryview, fields: dict[str, int]) -> Frame:
+    """The frame over ``wire`` (one whole frame whose header parsed to
+    ``fields``): the single CRC pass every received payload gets."""
+    payload = memoryview(wire).toreadonly()[FRAME_OVERHEAD:]
+    if zlib.crc32(payload) != fields["crc32"]:
+        raise FrameCorruptionError(f"payload CRC mismatch (header {fields['crc32']:#010x})")
+    frame = object.__new__(Frame)
+    frame.__dict__.update(fields, payload=payload, _wire=wire)
+    return frame
+
+
+def _revive(wire: bytes) -> Frame:
+    return _checked(wire, _parse_header(wire, None)[0])
 
 
 def read_frame(
@@ -229,42 +251,33 @@ def read_frame(
     ``read(n)`` must return *up to* ``n`` bytes (a socket ``recv`` or
     file ``read``); an empty return means end of stream.  The header is
     read and validated — including the ``max_payload_nbytes`` bound —
-    before the payload buffer is requested, so a garbage length field
+    before the frame buffer is allocated, so a garbage length field
     can never trigger a giant allocation.  A stream that ends mid-frame
     raises :class:`FrameTruncated`; CRC failures raise
     :class:`FrameCorruptionError` exactly as :meth:`Frame.from_bytes`.
     """
-    header = _read_exactly(read, FRAME_OVERHEAD, "frame header")
-    codec_id, flags, version, dim, model_version, length, crc = _parse_header(
-        header, max_payload_nbytes
-    )
-    payload = _read_exactly(read, length, "frame payload") if length else b""
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise FrameCorruptionError(f"payload CRC mismatch (header {crc:#010x})")
-    return Frame(
-        codec_id=codec_id,
-        flags=flags,
-        dim=dim,
-        model_version=model_version,
-        payload=payload,
-        version=version,
-    )
+    header = bytearray(FRAME_OVERHEAD)
+    _read_into(read, memoryview(header), "frame header")
+    fields, length = _parse_header(header, max_payload_nbytes)
+    wire = bytearray(FRAME_OVERHEAD + length)
+    wire[:FRAME_OVERHEAD] = header
+    _read_into(read, memoryview(wire)[FRAME_OVERHEAD:], "frame payload")
+    return _checked(wire, fields)
 
 
-def _read_exactly(read: Callable[[int], bytes], n: int, what: str) -> bytes:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = read(remaining)
+def _read_into(read: Callable[[int], bytes], view: memoryview, what: str) -> None:
+    got = 0
+    while got < len(view):
+        chunk = read(len(view) - got)
         if not chunk:
-            got = n - remaining
-            raise FrameTruncated(f"stream ended after {got}/{n} bytes of {what}")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+            raise FrameTruncated(
+                f"stream ended after {got}/{len(view)} bytes of {what}"
+            )
+        view[got : got + len(chunk)] = chunk
+        got += len(chunk)
 
 
-def seal(data: bytes, model_version: int = 0) -> bytes:
+def seal(data: bytes, model_version: int = 0) -> bytearray:
     """Wrap opaque bytes (e.g. a snapshot pickle) in a CRC'd frame."""
     frame = Frame(
         codec_id=BLOB_CODEC_ID,
@@ -276,13 +289,15 @@ def seal(data: bytes, model_version: int = 0) -> bytes:
     return frame.to_bytes()
 
 
-def unseal(buf: bytes) -> bytes:
+def unseal(sealed: Frame | bytes | bytearray | memoryview) -> memoryview:
     """Verify a :func:`seal` envelope and return the enclosed bytes.
 
-    Raises :class:`FrameError` (or :class:`FrameCorruptionError` on a
-    CRC mismatch); no caller falls back to reading the bytes unchecked.
+    ``sealed`` is the envelope's bytes, or the :class:`Frame` that
+    :func:`read_frame` already verified.  Raises :class:`FrameError` (or
+    :class:`FrameCorruptionError` on a CRC mismatch); no caller falls
+    back to reading the bytes unchecked.
     """
-    frame = Frame.from_bytes(buf)
+    frame = sealed if isinstance(sealed, Frame) else Frame.from_bytes(sealed)
     if frame.codec_id != BLOB_CODEC_ID:
         raise FrameError(
             f"expected a sealed blob (codec {BLOB_CODEC_ID}), got codec {frame.codec_id}"

@@ -125,6 +125,33 @@ class TestMomentumCorrection:
         assert np.all(comp._residual == 0.0)
 
 
+class TestInPlaceRecurrence:
+    @pytest.mark.parametrize("clip_norm", (None, 0.5))
+    def test_bit_equal_to_the_rebinding_form(self, clip_norm):
+        """``v = m * v + g; r += v`` with the clip's scaled copy, as the
+        whole-array expressions the in-place update replaced."""
+        dim, m = 501, 0.9
+        comp = DGCCompressor(dim, ratio=10.0, momentum=m, clip_norm=clip_norm)
+        velocity, residual = np.zeros(dim), np.zeros(dim)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            grad = rng.standard_normal(dim)
+            kept = grad.copy()
+            payload = comp.compress(grad)
+            assert np.array_equal(grad, kept)  # the caller's array is not scaled in place
+            norm = float(np.linalg.norm(grad))
+            if clip_norm is not None and norm > clip_norm:
+                grad = grad * (clip_norm / norm)
+            velocity = m * velocity + grad
+            residual += velocity
+            idx = payload.data["indices"].astype(np.int64)
+            assert payload.data["values"].tobytes() == residual[idx].astype(np.float32).tobytes()
+            residual[idx] = 0.0
+            velocity[idx] = 0.0
+            assert comp._velocity.tobytes() == velocity.tobytes()
+            assert comp._residual.tobytes() == residual.tobytes()
+
+
 class TestClipping:
     def test_large_gradient_clipped(self):
         comp = DGCCompressor(4, ratio=1.0, clip_norm=1.0, num_workers=1)

@@ -40,6 +40,26 @@ class TestWeightedAverage:
         with pytest.raises(ValueError):
             weighted_average([update(0, [1.0], 0)])
 
+    @pytest.mark.parametrize("dim", (1, 7, 32768, 32769, 100_003))
+    def test_blocked_sum_is_bit_equal_to_the_plain_loop(self, dim):
+        # The expression the blocked kernel replaced, block edges included.
+        rng = np.random.default_rng(dim)
+        updates = [
+            update(i, rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8), int(n))
+            for i, n in enumerate(rng.integers(1, 500, size=7))
+        ]
+        total = sum(u.num_samples for u in updates)
+        expected = np.zeros(dim)
+        for u in updates:
+            expected += (u.num_samples / total) * u.delta
+        got = weighted_average(updates)
+        assert got.tobytes() == expected.tobytes()
+        assert not any(np.shares_memory(got, u.delta) for u in updates)
+
+    def test_mismatched_delta_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_average([update(0, [1.0, 2.0], 1), update(1, [1.0, 2.0, 3.0], 1)])
+
 
 class TestSyncStrategySelection:
     def _context(self, num_clients, tiny_model_fn, tiny_test):

@@ -67,6 +67,28 @@ class TestMaskedWeightedAverage:
         out = masked_weighted_average([_update(a, 5), _update(junk, 0)])
         assert np.allclose(out, a)
 
+    def test_bit_equal_to_the_expressions_it_replaced(self, rng):
+        dim = 1000
+        subs = [None, ParamSubspace.from_indices(dim, rng.choice(dim, 300, replace=False)),
+                ParamSubspace.full(dim), None,
+                ParamSubspace.from_indices(dim, rng.choice(dim, 50, replace=False))]
+        updates = [
+            _update(rng.normal(size=dim) * 10.0 ** rng.integers(-6, 6), int(n), sub)
+            for n, sub in zip(rng.integers(1, 90, size=len(subs)), subs)
+        ]
+        acc, weight = np.zeros(dim), np.zeros(dim)
+        for u in updates:
+            w, sub = float(u.num_samples), u.extras.get("subspace")
+            if sub is None or sub.is_full:
+                acc += w * u.delta
+                weight += w
+            else:
+                acc[sub.indices] += w * u.delta[sub.indices]
+                weight[sub.indices] += w
+        expected = np.zeros(dim)
+        np.divide(acc, weight, out=expected, where=weight > 0)
+        assert masked_weighted_average(updates).tobytes() == expected.tobytes()
+
     def test_empty_and_sampleless_rejected(self):
         with pytest.raises(ValueError):
             masked_weighted_average([])

@@ -121,6 +121,59 @@ class TestSGDReuse:
             opt.configure(0.1, weight_decay=-1.0)
 
 
+def _reference_sgd_step(params, velocity, lr, momentum, weight_decay):
+    """The whole-array expressions ``SGD.step`` evaluated before it was
+    blocked; every temporary it allocated is spelled out."""
+    for i, p in enumerate(params):
+        grad = p.grad
+        if weight_decay:
+            grad = grad + weight_decay * p.data
+        if velocity is not None:
+            velocity[i] *= momentum
+            velocity[i] += grad
+            update = velocity[i]
+        else:
+            update = grad
+        p.data -= lr * update
+
+
+class TestSGDIsBitEqualToWholeArrayExpressions:
+    # Shapes straddle the block edge (32768 elements) in 1-D and 2-D,
+    # and include a scalar and a Fortran-ordered matrix.
+    SHAPES = ((), (5,), (32768,), (70_001,), (300, 257), (3, 4, 5))
+
+    def _params(self, rng):
+        params = [Parameter(f"p{i}", rng.standard_normal(s)) for i, s in enumerate(self.SHAPES)]
+        params.append(Parameter("fortran", np.asfortranarray(rng.standard_normal((130, 300)))))
+        return params
+
+    @pytest.mark.parametrize("momentum", (0.0, 0.9))
+    @pytest.mark.parametrize("weight_decay", (0.0, 0.01))
+    def test_three_steps(self, momentum, weight_decay):
+        ours = self._params(np.random.default_rng(1))
+        theirs = self._params(np.random.default_rng(1))
+        opt = SGD(ours, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        velocity = [np.zeros_like(p.data) for p in theirs] if momentum else None
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            for a, b in zip(ours, theirs):
+                a.grad[...] = b.grad[...] = rng.standard_normal(a.data.shape)
+            opt.step()
+            _reference_sgd_step(theirs, velocity, 0.05, momentum, weight_decay)
+            for a, b in zip(ours, theirs):
+                assert a.data.tobytes() == b.data.tobytes(), a.name
+                assert a.grad.tobytes() == b.grad.tobytes(), a.name
+
+    def test_scratch_is_block_sized_and_reused(self):
+        p = Parameter("w", np.ones(200_000))
+        opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.1)
+        opt.step()
+        scratch = dict(opt._scratch)
+        opt.step()
+        assert all(opt._scratch[k] is v for k, v in scratch.items())
+        assert sum(v.nbytes for v in scratch.values()) <= p.data.nbytes // 4
+
+
 class TestAdam:
     def test_converges_on_quadratic(self):
         p = quadratic_param()
