@@ -12,8 +12,9 @@ guarantees the runtime suites only verify after the fact:
   closed, and the consumers still dispatch on it;
 * **R4 hot-path hygiene** — explicit dtypes, no copy-inducing
   constructs, no array scatters in benchmark-pinned modules;
-* **R5 API surface** — ``__all__`` consistency, docstrings, and
-  annotation coverage on public callables;
+* **R5 API surface** — ``__all__`` consistency, docstrings,
+  annotation coverage on public callables, and reachability of every
+  module and export from an entry point;
 * **R9–R11 flow-sensitive families** — built on an intraprocedural
   CFG (:mod:`repro.analysis.cfg`) and a monotone-fixpoint dataflow
   solver (:mod:`repro.analysis.dataflow`): RNG-stream discipline

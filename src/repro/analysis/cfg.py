@@ -24,7 +24,7 @@ Modelling decisions (all deliberately conservative for a linter):
   block — sound for the may-analyses reprolint runs.
 * Nested ``def``/``class`` bodies are opaque: the statement binds a
   name and evaluates decorators/defaults, nothing more.  Analyse
-  nested functions as their own CFGs (:func:`function_cfgs`).
+  nested functions as their own CFGs (:func:`build_cfg` each).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "NORMAL",
     "EXCEPTION",
     "build_cfg",
-    "function_cfgs",
 ]
 
 NORMAL = "normal"
@@ -393,12 +392,3 @@ def build_cfg(
     frontier = builder._emit(list(func.body), [builder.cfg.entry])
     builder._connect(frontier, builder.cfg.exit)
     return builder.cfg
-
-
-def function_cfgs(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, CFG]]:
-    """CFGs for every function/method in a module, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, build_cfg(node)

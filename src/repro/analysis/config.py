@@ -110,7 +110,6 @@ HOTPATH_MODULES: frozenset[str] = frozenset(
         "repro.nn.batched",
         "repro.compression.dgc",
         "repro.compression.topk",
-        "repro.compression.error_feedback",
         "repro.fl.client",
     }
 )
@@ -156,13 +155,26 @@ class LintConfig:
     )
     # R6: the only modules that may call the analytic byte-size
     # formulas directly (the wire layer owns them; compression.base
-    # re-exports for backwards compatibility).
+    # reads ``dense_bytes`` for a payload's compression ratio).
     size_formula_modules: tuple[str, ...] = (
         "repro.wire",
         "repro.compression.base",
     )
     # Modules exempt from the module-level ``__all__`` requirement.
     all_exempt_modules: frozenset[str] = frozenset({"repro.__main__"})
+    # R506: where work enters the program — entry-point modules, and
+    # repo-relative globs of scripts and of docs whose fenced python
+    # counts as a caller.  Tests are deliberately not roots.
+    reach_roots: tuple[str, ...] = (
+        "repro.cli",
+        "repro.__main__",
+        "repro.transport.worker",
+        "benchmarks/**/*.py",
+        "examples/**/*.py",
+        "scripts/*.py",
+        "README.md",
+        "docs/*.md",
+    )
     # R7: client lifecycle ownership.  Only the population registry may
     # construct Clients or sweep the full population; engine, strategy,
     # and selection modules go through the registry's cohort API.

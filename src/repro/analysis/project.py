@@ -27,6 +27,7 @@ from repro.analysis.core import parse_pragmas
 __all__ = ["SourceFile", "ImportEdge", "Project", "LintError", "SourceLoader"]
 
 # (path, module=..., rel=...) -> SourceFile; see Project.load(loader=...).
+# reprolint: allow[R506] names the type of Project.load(loader=...) in its (string) annotation
 SourceLoader = Callable[..., "SourceFile"]
 
 

@@ -12,6 +12,8 @@ Eleven families ship with the repo:
   discipline in benchmark-pinned hot paths;
 * :mod:`repro.analysis.rules.api` — R5xx: ``__all__`` consistency,
   docstrings, and annotation coverage of the public surface;
+  :mod:`repro.analysis.rules.reach` adds R506, reachability of every
+  module and export from the program's entry points;
 * :mod:`repro.analysis.rules.wirebytes` — R6xx: byte accounting goes
   through the wire layer, not raw size formulas;
 * :mod:`repro.analysis.rules.population` — R7xx: client lifecycle
@@ -42,6 +44,7 @@ from repro.analysis.rules import (
     layering,
     lifecycle,
     population,
+    reach,
     rngflow,
     taxonomy,
     transport,
@@ -56,6 +59,7 @@ __all__ = [
     "layering",
     "lifecycle",
     "population",
+    "reach",
     "rngflow",
     "taxonomy",
     "transport",

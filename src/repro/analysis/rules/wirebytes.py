@@ -12,8 +12,8 @@ codec's size model); the formulas themselves remain public for
 analysis and cross-checking tests.
 
 * **R601** — a call to one of the size formulas outside the modules
-  allowed to define or re-export them (``repro.wire`` and the
-  ``repro.compression.base`` shim).  Move the computation behind a
+  allowed to define or read them (``repro.wire`` and
+  ``repro.compression.base``).  Move the computation behind a
   frame encode, or consume ``Frame.payload_nbytes``.
 """
 

@@ -1,36 +1,20 @@
 """Gradient compression substrate: DGC, top-k, QSGD, TernGrad."""
 
-from repro.compression.base import (
-    FLOAT_BYTES,
-    INDEX_BYTES,
-    CompressedGradient,
-    Compressor,
-    dense_bytes,
-    quantized_bytes,
-    sparse_bytes,
-    sparse_payload_bytes,
-)
+from repro.compression.base import CompressedGradient, Compressor, dense_bytes
 from repro.compression.dgc import DGCCompressor
-from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.identity import NoCompression
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.terngrad import TernGradCompressor
 from repro.compression.topk import TopKCompressor, topk_indices
 
 __all__ = [
-    "FLOAT_BYTES",
-    "INDEX_BYTES",
     "CompressedGradient",
     "Compressor",
     "dense_bytes",
-    "sparse_bytes",
-    "sparse_payload_bytes",
-    "quantized_bytes",
     "NoCompression",
     "TopKCompressor",
     "topk_indices",
     "DGCCompressor",
-    "ErrorFeedback",
     "QSGDCompressor",
     "TernGradCompressor",
 ]

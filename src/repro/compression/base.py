@@ -6,7 +6,7 @@ reconstruct a dense vector and an honest *wire size* in bytes.  Byte
 accounting is how the reproduction measures the paper's headline
 metric (60–78% communication-cost reduction).  The size models live in
 :mod:`repro.wire.sizes` next to the frame codecs whose encoded lengths
-they predict exactly (and are re-exported here for compatibility);
+they predict exactly;
 :meth:`CompressedGradient.to_frame` /
 :meth:`CompressedGradient.from_frame` are the bridge between a payload
 dict and its :class:`~repro.wire.frame.Frame` bytes.
@@ -21,22 +21,10 @@ import numpy as np
 
 from repro.wire.codecs import decode_frame, encode_frame
 from repro.wire.frame import Frame
-from repro.wire.sizes import (
-    FLOAT_BYTES,
-    INDEX_BYTES,
-    dense_bytes,
-    quantized_bytes,
-    sparse_bytes,
-    sparse_payload_bytes,
-)
+from repro.wire.sizes import dense_bytes
 
 __all__ = [
-    "FLOAT_BYTES",
-    "INDEX_BYTES",
     "dense_bytes",
-    "sparse_bytes",
-    "sparse_payload_bytes",
-    "quantized_bytes",
     "CompressedGradient",
     "Compressor",
     "scatter_dense",

@@ -23,7 +23,6 @@ from repro.core.utility import (
     UtilityScorer,
     cosine_similarity,
     euclidean_similarity,
-    gradient_importance,
     l2_similarity,
 )
 from repro.core.zoo import (
@@ -37,7 +36,6 @@ __all__ = [
     "cosine_similarity",
     "l2_similarity",
     "euclidean_similarity",
-    "gradient_importance",
     "SIMILARITY_METRICS",
     "UtilityScorer",
     "SelectionResult",

@@ -124,8 +124,7 @@ class _AdaFLBase:
     registry's preallocated metadata arrays once :meth:`_bind_population`
     has run (NaN / -1 are the "never scored / never uploaded"
     sentinels), so per-round work never builds an O(population) dict.
-    The pre-``prepare`` dict fallbacks keep the strategies unit-testable
-    in isolation.  Compressors are owned by the clients themselves and
+    Compressors are owned by the clients themselves and
     attached through a registry materialization hook — a bound method,
     so it survives snapshot pickling and keeps re-attaching state after
     resume — never by an eager loop over the full population.
@@ -133,8 +132,6 @@ class _AdaFLBase:
 
     def __init__(self, config: AdaFLConfig):
         self.config = config
-        self._scores: dict[int, float] = {}
-        self._last_upload_round: dict[int, int] = {}
         self._in_flight: dict[int, object] = {}  # last un-ACKed payload per client
         self._pop: ClientPopulation | None = None
         self._dim = 0
@@ -163,24 +160,16 @@ class _AdaFLBase:
             num_workers=self._num_workers,
         )
 
-    # -- score storage (registry metadata arrays, dict fallback) -------
+    # -- score storage (registry metadata arrays) ----------------------
     def _prev_score(self, cid: int) -> float | None:
-        if self._pop is not None:
-            value = float(self._pop.scores[cid])
-            return None if np.isnan(value) else value
-        return self._scores.get(cid)
+        value = float(self._pop.scores[cid])
+        return None if np.isnan(value) else value
 
     def _store_score(self, cid: int, score: float) -> None:
-        if self._pop is not None:
-            self._pop.scores[cid] = score
-        else:
-            self._scores[cid] = score
+        self._pop.scores[cid] = score
 
     def _note_upload(self, cid: int, round_index: int) -> None:
-        if self._pop is not None:
-            self._pop.last_upload_round[cid] = round_index
-        else:
-            self._last_upload_round[cid] = round_index
+        self._pop.last_upload_round[cid] = round_index
 
     def _bandwidths(self, network, cid: int, t: float) -> tuple[float, float]:
         if network is None:
@@ -206,12 +195,8 @@ class _AdaFLBase:
         """Ranking score with the anti-starvation rotation bonus."""
         if self.config.rotation_bonus == 0.0:
             return score
-        if self._pop is not None:
-            last_round = int(self._pop.last_upload_round[cid])
-            last = None if last_round < 0 else last_round
-        else:
-            last = self._last_upload_round.get(cid)
-        waited = round_index if last is None else round_index - last
+        last = int(self._pop.last_upload_round[cid])
+        waited = round_index if last < 0 else round_index - last
         fraction = min(1.0, waited / self.config.rotation_horizon)
         return score + self.config.rotation_bonus * fraction
 
@@ -253,12 +238,8 @@ class _AdaFLBase:
         Built on demand from the registry's score array — O(scored),
         not O(population), since unscored entries stay NaN.
         """
-        if self._pop is not None:
-            scores = self._pop.scores
-            return {
-                int(cid): float(scores[cid]) for cid in np.flatnonzero(~np.isnan(scores))
-            }
-        return dict(self._scores)
+        scores = self._pop.scores
+        return {int(cid): float(scores[cid]) for cid in np.flatnonzero(~np.isnan(scores))}
 
 
 class AdaFLSync(SyncStrategy, _AdaFLBase):
@@ -345,7 +326,7 @@ class AdaFLSync(SyncStrategy, _AdaFLBase):
         del context
         if not updates:
             return
-        server.apply_delta(weighted_average(updates))
+        self.server_opt.step(server, weighted_average(updates))
 
 
 class AdaFLAsync(AsyncStrategy, _AdaFLBase):
@@ -403,10 +384,4 @@ class AdaFLAsync(AsyncStrategy, _AdaFLBase):
         delta: np.ndarray,
         staleness: int,
     ) -> bool:
-        alpha = self._mixer.effective_alpha(staleness)
-        base_params = update.extras["base_params"]
-        client_model = base_params + delta
-        server.set_params(
-            (1.0 - alpha) * server.params + alpha * client_model, copy=False
-        )
-        return True
+        return self._mixer.on_update(server, update, delta, staleness)

@@ -27,7 +27,6 @@ __all__ = [
     "cosine_similarity",
     "l2_similarity",
     "euclidean_similarity",
-    "gradient_importance",
     "SIMILARITY_METRICS",
     "UtilityScorer",
 ]
@@ -75,35 +74,10 @@ def euclidean_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 / (1.0 + float(np.linalg.norm(a - b)))
 
 
-def gradient_importance(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative gradient magnitude in [0, 1]: ``||a|| / (||a|| + ||b||)``.
-
-    A HeteRo-Select-style importance score: instead of asking whether
-    the local direction *agrees* with the global one (cosine), it asks
-    how much signal the client still carries relative to the global
-    update.  Clients whose local gradient dwarfs the global delta score
-    near 1 (they have something new to say); clients already in
-    agreement with a large global step score near 0.  0.5 is the
-    neutral point; two zero gradients yield 0 (no information).
-    Plugs into :class:`UtilityScorer` beside the paper's cosine choice
-    and hence into ``select_from_scores`` unchanged.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _EPS and nb < _EPS:
-        return 0.0
-    return na / (na + nb + _EPS)
-
-
 SIMILARITY_METRICS = {
     "cosine": cosine_similarity,
     "l2": l2_similarity,
     "euclidean": euclidean_similarity,
-    "importance": gradient_importance,
 }
 
 

@@ -90,6 +90,8 @@ class AdaptiveFederatedDropout(SyncStrategy):
     """Per-client sub-model training with link-adaptive keep ratios."""
 
     name = "afd"
+    # Per-coordinate renormalisation over the clients that cover it.
+    reducer = staticmethod(masked_weighted_average)
 
     def __init__(self, config: AFDConfig | None = None):
         config = config or AFDConfig()
@@ -156,14 +158,6 @@ class AdaptiveFederatedDropout(SyncStrategy):
             model_version=context.server.version,
         )
         return UploadPacket(delta=update.delta, frame=frame, subspace=mask)
-
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
-        del context
-        if not updates:
-            return
-        server.apply_delta(masked_weighted_average(updates))
 
 
 @dataclass(frozen=True)

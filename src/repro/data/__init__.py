@@ -1,13 +1,6 @@
 """Data substrate: datasets, synthetic generators, and partitioners."""
 
-from repro.data.augment import (
-    Augmenter,
-    add_gaussian_noise,
-    random_crop,
-    random_horizontal_flip,
-)
 from repro.data.dataset import Dataset
-from repro.data.drift import DriftingSource
 from repro.data.partition import (
     PartitionPlan,
     PartitionStats,
@@ -22,10 +15,8 @@ from repro.data.partition import (
     shard_partition,
 )
 from repro.data.synthetic import (
-    DATASET_BUILDERS,
     make_cifar10_like,
     make_cifar100_like,
-    make_dataset,
     make_image_classification,
     make_mnist_like,
     make_prototypes,
@@ -33,11 +24,6 @@ from repro.data.synthetic import (
 
 __all__ = [
     "Dataset",
-    "DriftingSource",
-    "Augmenter",
-    "random_horizontal_flip",
-    "random_crop",
-    "add_gaussian_noise",
     "iid_partition",
     "shard_partition",
     "dirichlet_partition",
@@ -54,6 +40,4 @@ __all__ = [
     "make_mnist_like",
     "make_cifar10_like",
     "make_cifar100_like",
-    "make_dataset",
-    "DATASET_BUILDERS",
 ]

@@ -23,8 +23,6 @@ __all__ = [
     "make_mnist_like",
     "make_cifar10_like",
     "make_cifar100_like",
-    "DATASET_BUILDERS",
-    "make_dataset",
 ]
 
 
@@ -174,6 +172,7 @@ def make_mnist_like(
     )
 
 
+# reprolint: allow[R506] DESIGN.md's substitution table names it as the CIFAR-10 stand-in
 def make_cifar10_like(
     n_train: int = 2000,
     n_test: int = 500,
@@ -193,6 +192,7 @@ def make_cifar10_like(
     )
 
 
+# reprolint: allow[R506] DESIGN.md's substitution table names it as the CIFAR-100 stand-in
 def make_cifar100_like(
     n_train: int = 4000,
     n_test: int = 1000,
@@ -210,25 +210,3 @@ def make_cifar100_like(
         seed=seed,
         name="cifar100-like",
     )
-
-
-DATASET_BUILDERS = {
-    "mnist": make_mnist_like,
-    "cifar10": make_cifar10_like,
-    "cifar100": make_cifar100_like,
-}
-
-
-def make_dataset(
-    name: str,
-    n_train: int,
-    n_test: int,
-    seed: int = 0,
-) -> tuple[Dataset, Dataset]:
-    """Build a named dataset pair from the registry."""
-    try:
-        builder = DATASET_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(DATASET_BUILDERS))
-        raise KeyError(f"unknown dataset {name!r}; known datasets: {known}") from None
-    return builder(n_train=n_train, n_test=n_test, seed=seed)

@@ -24,7 +24,7 @@ from repro.experiments.empirical import (
 )
 from repro.experiments.overhead import OverheadResult, run_overhead_study
 from repro.experiments.presets import BENCH, FAST, FULL, SCALES, ExperimentScale, get_scale
-from repro.experiments.reporting import format_bytes, format_pct, format_series, format_table
+from repro.experiments.reporting import format_bytes, format_series, format_table
 from repro.experiments.report_html import runs_to_html, svg_curve, write_report
 from repro.experiments.runner import (
     DATASET_PROFILES,
@@ -108,7 +108,6 @@ __all__ = [
     "format_table",
     "format_series",
     "format_bytes",
-    "format_pct",
     "svg_curve",
     "runs_to_html",
     "write_report",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["format_table", "format_series", "format_bytes", "format_pct"]
+__all__ = ["format_table", "format_series", "format_bytes"]
 
 
 def format_bytes(num_bytes: float) -> str:
@@ -21,14 +21,6 @@ def format_bytes(num_bytes: float) -> str:
     if num_bytes < 1024**2:
         return f"{num_bytes / 1024:.0f}KB"
     return f"{num_bytes / 1024**2:.2f}MB"
-
-
-def format_pct(fraction: float, signed: bool = False) -> str:
-    """Render a fraction as a percentage string."""
-    pct = 100.0 * fraction
-    if signed:
-        return f"{-pct:.2f}%" if pct >= 0 else f"+{-pct:.2f}%"
-    return f"{pct:.2f}%"
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

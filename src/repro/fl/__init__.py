@@ -16,12 +16,7 @@ from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import FederationConfig, LocalTrainingConfig
 from repro.fl.fedat import FedAT, assign_tiers
 from repro.fl.metrics import RoundRecord, RunResult
-from repro.fl.persist import (
-    load_checkpoint,
-    load_run_result,
-    save_checkpoint,
-    save_run_result,
-)
+from repro.fl.persist import load_run_result, save_run_result
 from repro.fl.population import ClientPopulation, PopulationStats, RetentionPolicy
 from repro.fl.server import Server
 from repro.fl.snapshot import load_snapshot, save_snapshot
@@ -48,8 +43,6 @@ __all__ = [
     "RoundRecord",
     "save_run_result",
     "load_run_result",
-    "save_checkpoint",
-    "load_checkpoint",
     "RunResult",
     "FedAT",
     "assign_tiers",

@@ -16,15 +16,8 @@ import numpy as np
 
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
-from repro.fl.server import Server
-from repro.fl.strategy import (
-    AsyncStrategy,
-    RoundContext,
-    SyncStrategy,
-    UploadPacket,
-    weighted_average,
-)
-from repro.nn.optim import AdamVector
+from repro.fl.server import Server, ServerOpt
+from repro.fl.strategy import AsyncStrategy, RoundContext, SyncStrategy, UploadPacket
 
 __all__ = [
     "FedAvg",
@@ -73,34 +66,9 @@ class FedAdam(SyncStrategy):
         beta2: float = 0.99,
         eps: float = 1e-3,
     ):
-        super().__init__(participation_rate)
-        self.server_lr = server_lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._optimizer: AdamVector | None = None
-
-    def prepare(self, server: Server, clients: list[Client]) -> None:
-        self._optimizer = AdamVector(
-            server.dim,
-            lr=self.server_lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
+        super().__init__(
+            participation_rate, ServerOpt(lr=server_lr, adam=(beta1, beta2, eps))
         )
-
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
-        if not updates:
-            return
-        if self._optimizer is None:
-            raise RuntimeError("FedAdam.prepare was not called")
-        pseudo_grad = -weighted_average(updates)
-        new_params = self._optimizer.step(server.params, pseudo_grad)
-        # step() returns a fresh private vector, so the server can
-        # adopt it without the defensive copy.
-        server.set_params(new_params, copy=False)
 
 
 class FedAvgM(SyncStrategy):
@@ -118,27 +86,12 @@ class FedAvgM(SyncStrategy):
         server_lr: float = 1.0,
         beta: float = 0.9,
     ):
-        super().__init__(participation_rate)
-        if server_lr <= 0:
-            raise ValueError("server_lr must be positive")
-        if not 0.0 <= beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        self.server_lr = server_lr
-        self.beta = beta
-        self._velocity: np.ndarray | None = None
+        super().__init__(participation_rate, ServerOpt(lr=server_lr, momentum=beta))
 
-    def prepare(self, server: Server, clients: list[Client]) -> None:
-        self._velocity = np.zeros(server.dim, dtype=np.float64)
 
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
-        if not updates:
-            return
-        if self._velocity is None:
-            raise RuntimeError("FedAvgM.prepare was not called")
-        self._velocity = self.beta * self._velocity + weighted_average(updates)
-        server.apply_delta(self.server_lr * self._velocity)
+def _mean_delta(updates: list[ClientUpdate]) -> np.ndarray:
+    """Unweighted mean of the deltas (SCAFFOLD's server rule)."""
+    return np.mean([u.delta for u in updates], axis=0)
 
 
 class Scaffold(SyncStrategy):
@@ -152,12 +105,10 @@ class Scaffold(SyncStrategy):
     """
 
     name = "scaffold"
+    reducer = staticmethod(_mean_delta)
 
     def __init__(self, participation_rate: float = 0.5, server_lr: float = 1.0):
-        super().__init__(participation_rate)
-        if server_lr <= 0:
-            raise ValueError("server_lr must be positive")
-        self.server_lr = server_lr
+        super().__init__(participation_rate, ServerOpt(lr=server_lr))
         self._control: np.ndarray | None = None
         self._num_clients = 0
 
@@ -189,8 +140,7 @@ class Scaffold(SyncStrategy):
             return
         if self._control is None:
             raise RuntimeError("Scaffold.prepare was not called")
-        mean_delta = np.mean([u.delta for u in updates], axis=0)
-        server.apply_delta(self.server_lr * mean_delta)
+        super().aggregate(server, updates, context)
         control_deltas = [
             u.extras["control_delta"] for u in updates if "control_delta" in u.extras
         ]
@@ -253,10 +203,8 @@ class FedBuff(AsyncStrategy):
     def __init__(self, buffer_size: int = 3, server_lr: float = 1.0, poly_a: float = 0.5):
         if buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
-        if server_lr <= 0:
-            raise ValueError("server_lr must be positive")
         self.buffer_size = buffer_size
-        self.server_lr = server_lr
+        self.server_opt = ServerOpt(lr=server_lr)
         self.poly_a = poly_a
         self._buffer: list[np.ndarray] = []
 
@@ -274,9 +222,9 @@ class FedBuff(AsyncStrategy):
         self._buffer.append(discount * delta)
         if len(self._buffer) < self.buffer_size:
             return False
-        aggregated = self.server_lr * np.mean(self._buffer, axis=0)
+        direction = np.mean(self._buffer, axis=0)
         self._buffer = []
-        server.apply_delta(aggregated)
+        self.server_opt.step(server, direction)
         return True
 
 

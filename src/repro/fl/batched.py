@@ -111,9 +111,6 @@ def train_clients_batched(
             [c.dataset.x for c in cohort],
             [c.dataset.y for c in cohort],
             [c._rng for c in cohort],
-            runtimes=(
-                [c.runtime_state() for c in cohort] if replica.stateful else None
-            ),
             corrections=corrections,
         )
     except UnsupportedModelError:  # a shard the kernel cannot take

@@ -1,9 +1,8 @@
 """The FL client: local training, deltas, and cached gradients.
 
-A client owns its local dataset shard, its shuffling RNG, the per-layer
-runtime state of its model (Dropout RNGs, BatchNorm running statistics)
-and any stateful machinery a strategy attaches (SCAFFOLD control
-variates, a DGC compressor for AdaFL).  The model itself — parameters,
+A client owns its local dataset shard, its shuffling RNG and any
+machinery a strategy attaches (SCAFFOLD control variates, a DGC
+compressor for AdaFL).  The model itself — parameters,
 gradients, optimiser momentum, conv workspaces — is scratch it *borrows*
 from a :class:`~repro.fl.replica.ModelReplica` shared by every client of
 the architecture (see that module for the borrow contract).
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.config import LocalTrainingConfig
-from repro.fl.replica import ModelReplica, export_runtime, import_runtime
+from repro.fl.replica import ModelReplica
 from repro.nn.sequential import Sequential
 from repro.nn.subspace import ParamSubspace
 
@@ -68,9 +67,6 @@ class Client:
         # The scratch model this client borrows: adopted from the pool
         # of whoever runs it, or a private one built on first use.
         self._replica: ModelReplica | None = None
-        # Live per-layer runtime state; None until the first borrow of
-        # a stateful architecture, and for good on a stateless one.
-        self._runtime: list[dict | None] | None = None
         self._rng = np.random.default_rng(seed)
         # Strategy-attached state ----------------------------------------
         self.control_variate: np.ndarray | None = None  # SCAFFOLD c_i
@@ -112,19 +108,6 @@ class Client:
                 return
         pool.append(self.replica)
 
-    def runtime_state(self) -> list[dict | None] | None:
-        """This client's live per-layer runtime state (None: stateless)."""
-        if self._runtime is None and self.replica.stateful:
-            self._runtime = self.replica.fresh_runtime()
-        return self._runtime
-
-    def _borrow(self) -> ModelReplica:
-        """The replica with this client's runtime state installed."""
-        replica = self.replica
-        if replica.stateful:
-            replica.install(self.runtime_state())
-        return replica
-
     # ------------------------------------------------------------------
     # Eviction support (repro.fl.population)
     # ------------------------------------------------------------------
@@ -132,8 +115,7 @@ class Client:
         """Cross-round state that must survive eviction.
 
         Everything *not* regenerable from ``(client_id, dataset,
-        model_fn, seed)`` alone: the shuffling RNG position, layer
-        runtime state (dropout RNGs, batch-norm running stats),
+        model_fn, seed)`` alone: the shuffling RNG position,
         strategy attachments (SCAFFOLD variate, cached delta, halt
         flag), and compressor residual/momentum buffers.  Model
         parameters and optimiser momentum are not the client's to
@@ -149,7 +131,6 @@ class Client:
             "control_variate": self.control_variate,
             "last_delta": self.last_delta,
             "compressor": None if compressor is None else compressor.export_state(),
-            "layers": export_runtime(self._runtime),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -176,7 +157,6 @@ class Client:
                     f"cannot rebuild compressor kind {comp_state.get('kind')!r}; "
                     "attach one via a population materialization hook"
                 )
-        self._runtime = import_runtime(state["layers"])
 
     def state_nbytes(self) -> int:
         """Approximate heavy bytes this materialised client owns.
@@ -225,7 +205,7 @@ class Client:
         movement like weight decay — so the server can trust the
         packet's mask.
         """
-        replica = self._borrow()
+        replica = self.replica
         model, loss_fn = replica.model, replica.loss_fn
         model.set_flat_params(global_params)
         optimizer = replica.optimizer(config)
@@ -324,7 +304,7 @@ class Client:
         to a pseudo-delta (``-lr * g``) so it is directly comparable to
         cached training deltas.  Updates ``last_delta`` and returns it.
         """
-        replica = self._borrow()
+        replica = self.replica
         model, loss_fn = replica.model, replica.loss_fn
         model.set_flat_params(global_params)
         xb, yb = next(self.dataset.batches(config.batch_size, self._rng))
@@ -354,7 +334,7 @@ class Client:
         predictions are independent, so results are identical to a
         single full-dataset forward.
         """
-        model = self._borrow().model
+        model = self.replica.model
         model.set_flat_params(global_params)
         preds = model.predict(dataset.x, batch_size=batch_size)
         return float((preds == dataset.y).mean())

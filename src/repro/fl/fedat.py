@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.server import Server
+from repro.fl.server import Server, ServerOpt
 from repro.fl.strategy import AsyncStrategy
 
 __all__ = ["assign_tiers", "FedAT"]
@@ -53,11 +53,9 @@ class FedAT(AsyncStrategy):
             raise ValueError("tiers must be non-empty")
         if min(tiers) < 0:
             raise ValueError("tier indices must be non-negative")
-        if server_lr <= 0:
-            raise ValueError("server_lr must be positive")
         self.tiers = list(tiers)
         self.num_tiers = max(tiers) + 1
-        self.server_lr = server_lr
+        self.server_opt = ServerOpt(lr=server_lr)
         self._members: list[set[int]] = [
             {cid for cid, t in enumerate(tiers) if t == tier}
             for tier in range(self.num_tiers)
@@ -103,8 +101,7 @@ class FedAT(AsyncStrategy):
             return False
         # Tier round complete: intra-tier FedAvg, cross-tier weighting.
         tier_delta = np.mean(list(self._pending[tier].values()), axis=0)
-        weight = self._tier_weight(tier)
-        server.apply_delta(self.server_lr * weight * self.num_tiers * tier_delta)
+        self.server_opt.step(server, tier_delta, self._tier_weight(tier), self.num_tiers)
         self._pending[tier] = {}
         self._tier_rounds[tier] += 1
         return True

@@ -297,6 +297,7 @@ class MetricsReducer(TraceSink):
         )
 
 
+# reprolint: allow[R506] the replay half of "JSONL replay = live result" (docs/architecture.md, test_engine_trace)
 def run_result_from_trace(events: Iterable[TraceEvent]) -> RunResult:
     """Replay a recorded trace (e.g. from ``load_trace``) into a result."""
     reducer = MetricsReducer()

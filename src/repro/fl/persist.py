@@ -1,9 +1,9 @@
-"""Persistence: save/load run results and model checkpoints.
+"""Persistence: save/load run results.
 
 ``RunResult`` serialises to a single JSON document (curves, byte
 accounting, per-round records) so experiment outputs can be archived
-and re-plotted without re-running; model parameters round-trip through
-``.npz`` checkpoints.
+and re-plotted without re-running.  (A run's *state* — model included —
+is :mod:`repro.fl.snapshot`'s.)
 """
 
 from __future__ import annotations
@@ -11,20 +11,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.fl.metrics import RoundRecord, RunResult
-from repro.nn.sequential import Sequential
-from repro.wire.codecs import decode_frame, encode_frame
-from repro.wire.frame import Frame, FrameError
 
 __all__ = [
     "run_result_to_dict",
     "run_result_from_dict",
     "save_run_result",
     "load_run_result",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 # Version 2 adds per-round ``rejected_uploads`` (validation refusals).
@@ -99,46 +92,3 @@ def save_run_result(result: RunResult, path: str | Path) -> Path:
 def load_run_result(path: str | Path) -> RunResult:
     """Read a run result previously written by :func:`save_run_result`."""
     return run_result_from_dict(json.loads(Path(path).read_text()))
-
-
-def save_checkpoint(
-    model: Sequential,
-    path: str | Path,
-    metadata: dict | None = None,
-) -> Path:
-    """Write model parameters (and optional metadata) to ``.npz``.
-
-    Parameters are stored as a ``dense64`` wire frame, so checkpoints
-    get the same CRC-32 integrity check as in-flight payloads: a
-    corrupted file fails loudly at load instead of silently restoring
-    damaged weights.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    meta = json.dumps(metadata or {})
-    params = model.get_flat_params()
-    frame = encode_frame("dense64", params.size, {"values": params})
-    np.savez(
-        path,
-        frame=np.frombuffer(frame.to_bytes(), dtype=np.uint8),
-        metadata=np.array(meta),
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_checkpoint(model: Sequential, path: str | Path) -> dict:
-    """Load parameters into ``model``; returns the stored metadata.
-
-    The parameters are CRC-verified before any weight is restored (a
-    :class:`repro.wire.frame.FrameCorruptionError` propagates); a file
-    without the frame — the pre-frame format's bare ``params`` array,
-    which nothing checks — is refused with a ``FrameError``.
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        if "frame" not in archive:
-            raise FrameError(f"{path}: checkpoint holds no CRC-framed parameters")
-        _, data = decode_frame(Frame.from_bytes(archive["frame"].tobytes()))
-        params = np.asarray(data["values"], dtype=np.float64)
-        meta = json.loads(str(archive["metadata"]))
-    model.set_flat_params(params)
-    return meta

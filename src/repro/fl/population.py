@@ -38,9 +38,9 @@ Eviction follows a :class:`RetentionPolicy`:
 
 All three policies produce **bit-identical trajectories**: the
 extract/restore split on :class:`~repro.fl.client.Client` captures
-every cross-round observable (shuffling RNG, dropout RNGs, batch-norm
-running stats, control variates, cached deltas, compressor buffers),
-and the pinned equivalence suite asserts it.
+every cross-round observable (shuffling RNG, control variates, cached
+deltas, compressor buffers), and the pinned equivalence suite asserts
+it.
 
 Materialization hooks let strategies attach per-client machinery
 (AdaFL's DGC compressors) without ever iterating the full population;
@@ -74,17 +74,12 @@ class RetentionPolicy:
     enforced by :meth:`ClientPopulation.evict_to_cap`; a round whose
     cohort exceeds the cap simply peaks above it until the engine's
     end-of-round trim.  ``spill_dir`` is required by (and only used
-    with) the ``"spill"`` mode.  ``drop_delta_cache`` discards the
-    cached ``last_delta`` on eviction — safe for strategies that never
-    read it (all the dense baselines), an O(d)-per-client saving in
-    ``"regenerate"`` mode, but it changes AdaFL trajectories, so it
-    defaults to off.
+    with) the ``"spill"`` mode.
     """
 
     mode: str = "live"
     max_live: int = 64
     spill_dir: str | Path | None = None
-    drop_delta_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -300,8 +295,6 @@ class ClientPopulation:
 
     def _evict(self, cid: int, client: Client) -> None:
         state = client.extract_state()
-        if self._policy.drop_delta_cache:
-            state["last_delta"] = None
         if self._policy.mode == "spill":
             path = self._spill_path(cid)
             os.makedirs(path.parent, exist_ok=True)
@@ -411,6 +404,4 @@ def _state_nbytes(state: dict) -> int:
             total += value.nbytes
         elif isinstance(value, dict):
             total += _state_nbytes(value)
-        elif isinstance(value, (list, tuple)):
-            total += sum(_state_nbytes(v) for v in value if isinstance(v, dict))
     return total

@@ -1,8 +1,11 @@
-"""The FL server: global model state, evaluation, and history.
+"""The FL server: global model state, evaluation, and the server step.
 
 The server stores the global model as one flat vector (Eq. 1's ``w``)
 plus the most recent aggregated *global delta* — the paper's ``g_hat``
 (Eq. 6) that clients compare their local gradients against.
+:class:`ServerOpt` is the one place a reduced client direction is
+folded into that vector; a strategy chooses a reducer and an optimiser,
+never the arithmetic.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.optim import AdamVector
 from repro.nn.sequential import Sequential
 
-__all__ = ["Server"]
+__all__ = ["Server", "ServerOpt"]
 
 
 class Server:
@@ -95,3 +99,61 @@ class Server:
             correct += int((np.argmax(logits, axis=-1) == yb).sum())
             losses.append(self._loss_fn.forward(logits, yb) * xb.shape[0])
         return correct / n, float(np.sum(losses) / n)
+
+
+class ServerOpt:
+    """The server step: fold one reduced direction into the global model.
+
+    Server SGD — ``v = momentum * v + direction`` when there is
+    momentum, then ``w += lr * v`` — covers FedAvg (``lr = 1``, no
+    momentum), FedAvgM, SCAFFOLD, FedBuff and FedAT; with
+    ``adam=(beta1, beta2, eps)`` the negated direction is the
+    pseudo-gradient of an :class:`~repro.nn.optim.AdamVector` of step
+    size ``lr`` instead (FedAdam).  Momentum and Adam keep O(d) state,
+    allocated by :meth:`reset` (a strategy's ``prepare``).
+    """
+
+    def __init__(
+        self,
+        lr: float = 1.0,
+        momentum: float = 0.0,
+        adam: tuple[float, float, float] | None = None,
+    ):
+        if lr <= 0:
+            raise ValueError("server lr must be positive")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError("server momentum must be in [0, 1)")
+        self.lr = lr
+        self.momentum = momentum
+        self.adam = adam
+        self._state: np.ndarray | AdamVector | None = None
+
+    def reset(self, dim: int) -> None:
+        """Fresh optimiser state for a ``dim``-parameter model."""
+        if self.adam is not None:
+            beta1, beta2, eps = self.adam
+            self._state = AdamVector(dim, lr=self.lr, beta1=beta1, beta2=beta2, eps=eps)
+        elif self.momentum:
+            self._state = np.zeros(dim, dtype=np.float64)
+
+    def step(self, server: Server, direction: np.ndarray, *weights: float) -> None:
+        """Advance ``server`` along ``direction``.
+
+        ``weights`` scale this one step (FedAT's cross-tier weight):
+        they are folded into ``lr`` left to right, scalars first, so
+        the direction is multiplied once.
+        """
+        if self._state is None and (self.adam is not None or self.momentum):
+            raise RuntimeError("ServerOpt.reset was not called (strategy.prepare)")
+        if self.adam is not None:
+            # AdamVector.step returns a fresh private vector, so the
+            # server adopts it without the defensive copy.
+            server.set_params(self._state.step(server.params, -direction), copy=False)
+            return
+        if self.momentum:
+            self._state = direction = self.momentum * self._state + direction
+        scale = self.lr
+        for weight in weights:
+            scale = scale * weight
+        # ``1.0 * x`` is ``x`` bit for bit; skip the pass and the copy.
+        server.apply_delta(direction if scale == 1.0 else scale * direction)

@@ -39,8 +39,9 @@ from repro.wire.frame import seal, unseal
 __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
 
 # 2: one fault plan (``chaos``) where version 1 carried ``faults`` and
-# ``churn`` beside it.
-SNAPSHOT_VERSION = 2
+# ``churn`` beside it.  3: client state carries no per-layer ``layers``
+# entry (no model has per-client layer state).
+SNAPSHOT_VERSION = 3
 
 
 def kernel_state(kernel: SimKernel) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.compression.base import CompressedGradient
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
-from repro.fl.server import Server
+from repro.fl.server import Server, ServerOpt
 from repro.nn.optim import add_scaled
 from repro.nn.subspace import ParamSubspace
 from repro.wire.codecs import codec_for_id, encode_frame, encode_model_frame
@@ -176,12 +176,17 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     the whole vector), and weights are renormalised *per coordinate*
     over the covering clients — the standard Federated Dropout rule.
     Coordinates no delivered update covers get a zero delta, i.e. the
-    server keeps its current value there.
+    server keeps its current value there.  When every update covers
+    the whole vector there is nothing to renormalise per coordinate and
+    the result is :func:`weighted_average`'s, bit for bit (Federated
+    Dropout at keep fraction 1 *is* FedAvg).
     """
     if not updates:
         raise ValueError("cannot average zero updates")
     if all(u.num_samples <= 0 for u in updates):
         raise ValueError("updates carry no samples")
+    if all((s := u.extras.get("subspace")) is None or s.is_full for u in updates):
+        return weighted_average(updates)
     dim = updates[0].delta.size
     acc = np.zeros(dim, dtype=np.float64)
     weight = np.zeros(dim, dtype=np.float64)
@@ -228,18 +233,30 @@ class _ModelBroadcast:
 
 
 class SyncStrategy(_ModelBroadcast):
-    """Base synchronous strategy: random selection, dense uploads, FedAvg-style hooks."""
+    """Base synchronous strategy: random selection, dense uploads, FedAvg-style hooks.
+
+    Aggregation is ``server_opt.step(server, reducer(updates))``: a
+    subclass changes the rule by naming another reducer or handing in
+    another :class:`~repro.fl.server.ServerOpt`, not by re-deriving the
+    step.
+    """
 
     name = "sync-base"
+    # Delivered updates -> one direction (Eq. 2's sample weights).
+    reducer = staticmethod(weighted_average)
 
-    def __init__(self, participation_rate: float = 0.5):
+    def __init__(
+        self, participation_rate: float = 0.5, server_opt: ServerOpt | None = None
+    ):
         if not 0.0 < participation_rate <= 1.0:
             raise ValueError("participation_rate must be in (0, 1]")
         self.participation_rate = participation_rate
+        self.server_opt = server_opt if server_opt is not None else ServerOpt()
 
     # -- lifecycle ------------------------------------------------------
     def prepare(self, server: Server, clients: list[Client]) -> None:
         """One-time setup before round 0 (attach state to clients, etc.)."""
+        self.server_opt.reset(server.dim)
 
     # -- participation --------------------------------------------------
     def select(
@@ -307,7 +324,7 @@ class SyncStrategy(_ModelBroadcast):
         del context
         if not updates:
             return
-        server.apply_delta(weighted_average(updates))
+        self.server_opt.step(server, self.reducer(updates))
 
 
 class AsyncStrategy(_ModelBroadcast):

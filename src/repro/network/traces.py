@@ -17,12 +17,9 @@ import numpy as np
 
 __all__ = [
     "BandwidthTrace",
-    "constant_trace",
     "gauss_markov_trace",
     "markov_onoff_trace",
     "diurnal_trace",
-    "TRACE_GENERATORS",
-    "generate_trace",
 ]
 
 
@@ -71,16 +68,6 @@ class BandwidthTrace:
         """Time-weighted mean bandwidth over one cycle."""
         widths = np.diff(np.append(self.times, self.duration))
         return float(np.average(self.bandwidth_mbps, weights=widths))
-
-
-def constant_trace(bandwidth_mbps: float, duration: float = 3600.0) -> BandwidthTrace:
-    """A flat trace (static network condition baseline)."""
-    if bandwidth_mbps <= 0:
-        raise ValueError("bandwidth must be positive")
-    return BandwidthTrace(
-        times=np.array([0.0, duration / 2.0]),
-        bandwidth_mbps=np.array([bandwidth_mbps, bandwidth_mbps]),
-    )
 
 
 def gauss_markov_trace(
@@ -150,32 +137,3 @@ def diurnal_trace(
     bw = mid + amp * np.cos(phase)
     times = np.linspace(0.0, period_s, num_steps, endpoint=False)
     return BandwidthTrace(times=times, bandwidth_mbps=bw)
-
-
-TRACE_GENERATORS = {
-    "constant": constant_trace,
-    "gauss_markov": gauss_markov_trace,
-    "markov_onoff": markov_onoff_trace,
-    "diurnal": diurnal_trace,
-}
-
-
-def generate_trace(kind: str, rng: np.random.Generator, **kwargs) -> BandwidthTrace:
-    """Build a trace by generator name with sensible defaults.
-
-    ``constant`` and ``diurnal`` are deterministic and ignore ``rng``.
-    """
-    if kind == "constant":
-        return constant_trace(kwargs.pop("bandwidth_mbps", 10.0), **kwargs)
-    if kind == "gauss_markov":
-        return gauss_markov_trace(kwargs.pop("mean_mbps", 10.0), rng, **kwargs)
-    if kind == "markov_onoff":
-        return markov_onoff_trace(
-            kwargs.pop("good_mbps", 20.0), kwargs.pop("bad_mbps", 1.0), rng, **kwargs
-        )
-    if kind == "diurnal":
-        return diurnal_trace(
-            kwargs.pop("peak_mbps", 20.0), kwargs.pop("trough_mbps", 2.0), **kwargs
-        )
-    known = ", ".join(sorted(TRACE_GENERATORS))
-    raise KeyError(f"unknown trace kind {kind!r}; known kinds: {known}")

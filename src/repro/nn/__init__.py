@@ -1,15 +1,13 @@
 """A from-scratch numpy neural-network substrate.
 
 This package stands in for PyTorch in the reproduction: layers with
-explicit backprop, SGD/Adam optimisers, softmax cross-entropy, and a
+explicit backprop, SGD and flat-vector Adam, softmax cross-entropy, and a
 model zoo matching the paper's architectures (the MNIST CNN exactly;
 ResNet/VGG as depth-reduced equivalents).
 """
 
 from repro.nn.layers import (
-    AvgPool2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Layer,
@@ -18,17 +16,8 @@ from repro.nn.layers import (
     Parameter,
     ReLU,
     ResidualBlock,
-    Tanh,
 )
-from repro.nn.normalization import BatchNorm2d, GroupNorm
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    LRScheduler,
-    StepLR,
-    WarmupLR,
-    clip_grad_norm,
-)
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, log_softmax, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, log_softmax
 from repro.nn.models import (
     MODEL_BUILDERS,
     build_logistic,
@@ -38,7 +27,7 @@ from repro.nn.models import (
     build_resnet_mini,
     build_vgg_mini,
 )
-from repro.nn.optim import SGD, Adam, AdamVector, Optimizer
+from repro.nn.optim import SGD, AdamVector, Optimizer
 from repro.nn.sequential import Sequential
 from repro.nn.subspace import ParamLayoutEntry, ParamSubspace
 
@@ -48,30 +37,17 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "ReLU",
-    "Tanh",
-    "Dropout",
     "Flatten",
     "ResidualBlock",
-    "BatchNorm2d",
-    "GroupNorm",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
-    "clip_grad_norm",
     "Sequential",
     "ParamLayoutEntry",
     "ParamSubspace",
     "SoftmaxCrossEntropy",
-    "MSELoss",
-    "softmax",
     "log_softmax",
     "Optimizer",
     "SGD",
-    "Adam",
     "AdamVector",
     "MODEL_BUILDERS",
     "build_model",

@@ -16,14 +16,12 @@ multi-client kernel"):
 * Per-client GEMMs run as 3-D stacked ``np.matmul`` calls whose slices
   are byte-for-byte the serial 2-D GEMM operands, and BLAS computes
   each slice of a stacked matmul with the same kernel as the 2-D call.
-* Every cross-sample *reduction* (bias gradients, batch-norm
-  statistics, loss means) runs per client on a slice whose shape and
-  strides equal the serial operand's, so pairwise summation order is
-  unchanged.  Only elementwise ops and data movement are fused across
-  clients.
-* RNG draws stay on the per-client generators (shuffles on the
-  client's rng, dropout masks on each layer's own rng) in the serial
-  (epoch, step, layer) order, so every stream advances identically.
+* Every cross-sample *reduction* (bias gradients, loss means) runs
+  per client on a slice whose shape and strides equal the serial
+  operand's, so pairwise summation order is unchanged.  Only
+  elementwise ops and data movement are fused across clients.
+* Shuffle draws stay on the per-client generators in the serial
+  epoch order, so every stream advances identically.
 
 Models whose layers fall outside the supported set (or that a caller
 hands inconsistent shards) raise :class:`UnsupportedModelError`; the
@@ -37,18 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nn.conv_utils import ConvWorkspace, col2im, conv_output_size, im2col
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
-from repro.nn.normalization import BatchNorm2d, GroupNorm
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.sequential import Sequential
 
 __all__ = [
@@ -56,7 +43,6 @@ __all__ = [
     "TaskResult",
     "UnsupportedModelError",
     "architecture",
-    "supports",
 ]
 
 
@@ -92,22 +78,10 @@ def _signature(layer) -> tuple | None:
                 layer.bias is not None)
     if t is MaxPool2d:
         return ("maxpool", layer.kernel_size, layer.stride)
-    if t is AvgPool2d:
-        return ("avgpool", layer.kernel_size, layer.stride)
-    if t is GlobalAvgPool2d:
-        return ("gap",)
     if t is ReLU:
         return ("relu",)
-    if t is Tanh:
-        return ("tanh",)
-    if t is Dropout:
-        return ("dropout", layer.rate)
     if t is Flatten:
         return ("flatten",)
-    if t is BatchNorm2d:
-        return ("bn", layer.num_channels, layer.momentum, layer.eps)
-    if t is GroupNorm:
-        return ("gn", layer.num_groups, layer.num_channels, layer.eps)
     return None
 
 
@@ -122,11 +96,6 @@ def architecture(model: Sequential) -> tuple | None:
     if None in sigs:
         return None
     return (sigs, model.input_shape, model.num_params)
-
-
-def supports(model: Sequential) -> bool:
-    """Whether every layer of ``model`` has a batched implementation."""
-    return architecture(model) is not None
 
 
 def _carve(buf: np.ndarray, offset: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -147,22 +116,14 @@ class _Handler:
     """Batched forward/backward for one layer position.
 
     Built from the reference model's layer at that position (its
-    configuration only).  Stateful layers (dropout RNGs, batch-norm
-    running stats) reach the K clients' own runtime-state objects
-    through :meth:`state`, bound per ``run`` in sorted-row order, and
-    mutate them exactly as the serial path would.
+    configuration only).
     """
 
     param_size = 0
-    stateful = False  # reads per-client runtime state through ``state``
 
     def __init__(self, tr: "MultiClientTrainer", li: int):
         self.tr = tr
         self.li = li
-
-    def state(self, row: int) -> dict:
-        """Row ``row``'s runtime state for this layer position."""
-        return self.tr._runtimes[row][self.li]
 
     def forward(self, x, a, b, bsz):
         raise NotImplementedError
@@ -330,66 +291,6 @@ class _MaxPoolH(_Handler):
         return grad_in.reshape(n, c, h, w)
 
 
-class _AvgPoolH(_Handler):
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self.k = layer.kernel_size
-        self.s = layer.stride
-        self._ws = ConvWorkspace()
-        self._x_shape = None
-
-    def forward(self, x, a, b, bsz):
-        n, c, h, w = x.shape
-        oh = conv_output_size(h, self.k, self.s, 0)
-        ow = conv_output_size(w, self.k, self.s, 0)
-        cols = im2col(x.reshape(n * c, 1, h, w), self.k, self.k, self.s, 0,
-                      self._ws)
-        ob = self.tr._buf(self.li, "ob", (cols.shape[0],))
-        np.mean(cols, axis=1, out=ob)
-        self._x_shape = (n, c, h, w)
-        return ob.reshape(n, c, oh, ow)
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._x_shape = None
-            return None
-        n, c, h, w = self._x_shape
-        window = self.k * self.k
-        gd = self.tr._buf(self.li, "gd", (n * c * g.shape[2] * g.shape[3], 1))
-        np.divide(g.reshape(-1, 1), window, out=gd)
-        gcols = self.tr._buf(self.li, "gcols", (gd.shape[0], window))
-        gcols[:, :] = gd
-        grad_in = col2im(gcols, (n * c, 1, h, w), self.k, self.k, self.s, 0,
-                         self._ws)
-        self._x_shape = None
-        return grad_in.reshape(n, c, h, w)
-
-
-class _GlobalAvgPoolH(_Handler):
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self._x_shape = None
-
-    def forward(self, x, a, b, bsz):
-        n, c = x.shape[0], x.shape[1]
-        ob = self.tr._buf(self.li, "ob", (n, c))
-        np.mean(x, axis=(2, 3), out=ob)
-        self._x_shape = x.shape
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._x_shape = None
-            return None
-        n, c, h, w = self._x_shape
-        sm = self.tr._buf(self.li, "sm", (n, c))
-        np.divide(g, h * w, out=sm)
-        gi = self.tr._buf(self.li, "gi", (n, c, h, w))
-        gi[:, :, :, :] = sm[:, :, None, None]
-        self._x_shape = None
-        return gi
-
-
 class _ReLUH(_Handler):
     def __init__(self, tr, li, layer, offset):
         super().__init__(tr, li)
@@ -413,66 +314,6 @@ class _ReLUH(_Handler):
         return gi
 
 
-class _TanhH(_Handler):
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self._out = None
-
-    def forward(self, x, a, b, bsz):
-        ob = self.tr._out_like(self.li, "ob", x)
-        np.tanh(x, out=ob)
-        self._out = ob
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if not need_input:
-            self._out = None
-            return None
-        sq = self.tr._buf(self.li, "sq", g.shape)
-        np.power(self._out, 2, out=sq)
-        np.subtract(1.0, sq, out=sq)
-        gi = self.tr._buf(self.li, "gi", g.shape)
-        np.multiply(g, sq, out=gi)
-        self._out = None
-        return gi
-
-
-class _DropoutH(_Handler):
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self.rate = layer.rate
-        self.stateful = self.rate > 0.0
-        self._mask = None
-
-    def forward(self, x, a, b, bsz):
-        if self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        feat = x.shape[1:]
-        mask = self.tr._buf(self.li, "mask", x.shape)
-        for i in range(b - a):
-            # Each client's mask comes off its own layer RNG, exactly
-            # one draw per step — the serial stream order.
-            mask[i * bsz:(i + 1) * bsz] = (
-                self.state(a + i)["rng"].random((bsz,) + feat) < keep
-            ) / keep
-        ob = self.tr._buf(self.li, "ob", x.shape)
-        np.multiply(x, mask, out=ob)
-        self._mask = mask
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        if self.rate == 0.0:
-            return g if need_input else None
-        mask = self._mask
-        self._mask = None
-        if not need_input:
-            return None
-        gi = self.tr._buf(self.li, "gi", g.shape)
-        np.multiply(g, mask, out=gi)
-        return gi
-
-
 class _FlattenH(_Handler):
     def __init__(self, tr, li, layer, offset):
         super().__init__(tr, li)
@@ -490,177 +331,12 @@ class _FlattenH(_Handler):
         return g.reshape(shape)
 
 
-class _BatchNormH(_Handler):
-    stateful = True
-
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self.c = layer.num_channels
-        self.momentum = layer.momentum
-        self.eps = layer.eps
-        self.Pg = _carve(tr._P, offset, (self.c,))
-        self.Gg = _carve(tr._G, offset, (self.c,))
-        self.Pb = _carve(tr._P, offset + self.c, (self.c,))
-        self.Gb = _carve(tr._G, offset + self.c, (self.c,))
-        self.param_size = 2 * self.c
-        self._cache = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        n, c, h, w = x.shape
-        means = self.tr._buf(self.li, "means", (m, c))
-        invs = self.tr._buf(self.li, "invs", (m, c))
-        xh = self.tr._buf(self.li, "xh", (n, c, h, w))
-        for i in range(m):
-            st = self.state(a + i)
-            xs = x[i * bsz:(i + 1) * bsz]
-            mean = xs.mean(axis=(0, 2, 3))
-            var = xs.var(axis=(0, 2, 3))
-            st["running_mean"] *= 1.0 - self.momentum
-            st["running_mean"] += self.momentum * mean
-            st["running_var"] *= 1.0 - self.momentum
-            st["running_var"] += self.momentum * var
-            means[i, :] = mean
-            invs[i, :] = 1.0 / np.sqrt(var + self.eps)
-            np.subtract(xs, mean[None, :, None, None],
-                        out=xh[i * bsz:(i + 1) * bsz])
-        xh5 = xh.reshape(m, bsz, c, h, w)
-        xh5 *= invs[:, None, :, None, None]
-        # ``ob`` mimics the serial output layout (permuted after a
-        # conv), so it cannot be reshaped to 5-D as a view; apply the
-        # per-client affine row by row instead.
-        ob = self.tr._out_like(self.li, "ob", x)
-        for i in range(m):
-            os_ = ob[i * bsz:(i + 1) * bsz]
-            np.multiply(xh[i * bsz:(i + 1) * bsz],
-                        self.Pg[a + i][None, :, None, None], out=os_)
-            os_ += self.Pb[a + i][None, :, None, None]
-        self._cache = (xh, invs, (n, c, h, w))
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        xh, invs, shape = self._cache
-        self._cache = None
-        n, c, h, w = shape
-        me = bsz * h * w
-        prod = self.tr._buf(self.li, "prod", (n, c, h, w))
-        np.multiply(g, xh, out=prod)
-        gs = self.tr._buf(self.li, "gs", (m, c))
-        bs_ = self.tr._buf(self.li, "bs", (m, c))
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=gs[i])
-            np.sum(g[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=bs_[i])
-        self.Gg[a:b] += gs
-        self.Gb[a:b] += bs_
-        if not need_input:
-            return None
-        gb = self.tr._buf(self.li, "gb", (n, c, h, w))
-        gb5 = gb.reshape(m, bsz, c, h, w)
-        g5 = g.reshape(m, bsz, c, h, w)
-        np.multiply(g5, self.Pg[a:b][:, None, :, None, None], out=gb5)
-        sg = self.tr._buf(self.li, "sg", (m, c))
-        sgx = self.tr._buf(self.li, "sgx", (m, c))
-        for i in range(m):
-            np.sum(gb[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sg[i])
-        np.multiply(gb, xh, out=prod)
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=sgx[i])
-        sg /= me
-        gi = self.tr._buf(self.li, "gi", (n, c, h, w))
-        gi5 = gi.reshape(m, bsz, c, h, w)
-        xh5 = xh.reshape(m, bsz, c, h, w)
-        # Serial parses ``x_hat * sum_gx / m`` left-to-right: multiply
-        # by the undivided sum first, then divide the product by m.
-        np.multiply(xh5, sgx[:, None, :, None, None], out=gi5)
-        gi /= me
-        np.subtract(gb5, sg[:, None, :, None, None], out=gb5)
-        np.subtract(gb5, gi5, out=gi5)
-        gi5 *= invs[:, None, :, None, None]
-        return gi
-
-
-class _GroupNormH(_Handler):
-    """Group norm statistics are per-sample, so the fused pass can use
-    the serial expressions verbatim over the stacked batch; only the
-    per-client affine parameters need row-wise treatment."""
-
-    def __init__(self, tr, li, layer, offset):
-        super().__init__(tr, li)
-        self.groups = layer.num_groups
-        self.c = layer.num_channels
-        self.eps = layer.eps
-        self.Pg = _carve(tr._P, offset, (self.c,))
-        self.Gg = _carve(tr._G, offset, (self.c,))
-        self.Pb = _carve(tr._P, offset + self.c, (self.c,))
-        self.Gb = _carve(tr._G, offset + self.c, (self.c,))
-        self.param_size = 2 * self.c
-        self._cache = None
-
-    def forward(self, x, a, b, bsz):
-        m = b - a
-        n, c, h, w = x.shape
-        grouped = x.reshape(n, self.groups, c // self.groups, h, w)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = ((grouped - mean) * inv_std).reshape(x.shape)
-        # ``x_hat`` inherits the input's (possibly permuted) layout
-        # through the reshape views above, and the serial affine output
-        # keeps it; mimic that layout and apply the per-client affine
-        # row by row.
-        ob = self.tr._out_like(self.li, "ob", x_hat)
-        for i in range(m):
-            os_ = ob[i * bsz:(i + 1) * bsz]
-            np.multiply(x_hat[i * bsz:(i + 1) * bsz],
-                        self.Pg[a + i][None, :, None, None], out=os_)
-            os_ += self.Pb[a + i][None, :, None, None]
-        self._cache = (x_hat, inv_std, (n, c, h, w))
-        return ob
-
-    def backward(self, g, a, b, bsz, need_input):
-        m = b - a
-        x_hat, inv_std, shape = self._cache
-        self._cache = None
-        n, c, h, w = shape
-        me = (c // self.groups) * h * w
-        prod = self.tr._buf(self.li, "prod", (n, c, h, w))
-        np.multiply(g, x_hat, out=prod)
-        gs = self.tr._buf(self.li, "gs", (m, c))
-        bs_ = self.tr._buf(self.li, "bs", (m, c))
-        for i in range(m):
-            np.sum(prod[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=gs[i])
-            np.sum(g[i * bsz:(i + 1) * bsz], axis=(0, 2, 3), out=bs_[i])
-        self.Gg[a:b] += gs
-        self.Gb[a:b] += bs_
-        if not need_input:
-            return None
-        gb = self.tr._buf(self.li, "gb", (n, c, h, w))
-        gb5 = gb.reshape(m, bsz, c, h, w)
-        g5 = g.reshape(m, bsz, c, h, w)
-        np.multiply(g5, self.Pg[a:b][:, None, :, None, None], out=gb5)
-        g_grouped = gb.reshape(n, self.groups, c // self.groups, h, w)
-        x_hat_grouped = x_hat.reshape(n, self.groups, c // self.groups, h, w)
-        sum_g = g_grouped.sum(axis=(2, 3, 4), keepdims=True)
-        sum_gx = (g_grouped * x_hat_grouped).sum(axis=(2, 3, 4), keepdims=True)
-        grad_grouped = inv_std * (
-            g_grouped - sum_g / me - x_hat_grouped * sum_gx / me
-        )
-        return grad_grouped.reshape(shape)
-
-
 _HANDLER_TYPES: dict[type, type] = {
     Linear: _LinearH,
     Conv2d: _Conv2dH,
     MaxPool2d: _MaxPoolH,
-    AvgPool2d: _AvgPoolH,
-    GlobalAvgPool2d: _GlobalAvgPoolH,
     ReLU: _ReLUH,
-    Tanh: _TanhH,
-    Dropout: _DropoutH,
     Flatten: _FlattenH,
-    BatchNorm2d: _BatchNormH,
-    GroupNorm: _GroupNormH,
 }
 
 
@@ -674,8 +350,8 @@ class MultiClientTrainer:
     layer configuration only — the model is not kept), checks it is
     batchable, allocates the ``(K, d)`` parameter / gradient /
     optimizer-state stacks, and carves per-layer weight views.
-    :meth:`run` binds K clients' shards, shuffling RNGs and runtime
-    state for one full local-training round (``local_epochs`` over
+    :meth:`run` binds K clients' shards and shuffling RNGs for one
+    full local-training round (``local_epochs`` over
     every shard); the rows of the stack are the result.
 
     An instance depends on the architecture, K and the hyperparameters,
@@ -744,12 +420,10 @@ class MultiClientTrainer:
             self.handlers.append(handler)
         if offset != self.d:
             raise UnsupportedModelError("parameter layout mismatch")
-        self._stateful = any(h.stateful for h in self.handlers)
 
         # Bound by ``run`` for its duration, in sorted-row order.
         self._xs: list[np.ndarray] = []
         self._ys: list[np.ndarray] = []
-        self._runtimes: list[list[dict | None]] | None = None
 
     # ------------------------------------------------------------------
     def _buf(self, li: int, tag: str, shape: tuple[int, ...],
@@ -767,11 +441,11 @@ class MultiClientTrainer:
         """Scratch buffer with the layout numpy's order-``K`` ufunc
         allocation gives over ``proto``: packed, keeping ``proto``'s
         stride ordering.  Conv outputs are ``(N, oh, ow, oc)`` buffers
-        viewed through ``transpose(0, 3, 1, 2)``, and serial unary ops
-        (ReLU, tanh, batch-norm affine) propagate that permuted layout;
-        downstream reductions (global-average-pool means, batch-norm
-        statistics) sum in stride order, so the fused buffers must
-        carry the same strides to keep pairwise summation identical."""
+        viewed through ``transpose(0, 3, 1, 2)`` and the serial ReLU
+        propagates that permuted layout; doing the same here hands the
+        next layer the operand strides the serial path hands it (values
+        are equal either way; ``fedavg_batched_thin`` reads 2-3 % slower
+        with a C-ordered buffer)."""
         if proto.flags.c_contiguous:
             return self._buf(li, tag, proto.shape, dtype)
         perm = sorted(range(proto.ndim),
@@ -811,19 +485,14 @@ class MultiClientTrainer:
         xs: list[np.ndarray],
         ys: list[np.ndarray],
         rngs: list[np.random.Generator],
-        runtimes: list[list[dict | None]] | None = None,
         corrections: list[np.ndarray] | None = None,
     ) -> list[TaskResult]:
         """One fused local-training round over K clients.
 
         ``xs``/``ys``/``rngs`` are the clients' shards and shuffling
-        generators; ``runtimes`` their per-layer runtime state (the
-        live ``{"rng": ...}`` / ``{"running_mean": ..., "running_var":
-        ...}`` entries of ``repro.fl.replica``), required iff the
-        architecture has Dropout or BatchNorm layers.  Results come
-        back in the caller's client order; each one's ``params`` /
-        ``grads`` are rows of the trainer's stacks, valid until the
-        next ``run``.  Shards the kernel cannot take raise
+        generators.  Results come back in the caller's client order;
+        each one's ``params`` / ``grads`` are rows of the trainer's
+        stacks, valid until the next ``run``.  Shards the kernel cannot take raise
         :class:`UnsupportedModelError` before any RNG is drawn from.
         """
         k = self.k
@@ -831,8 +500,6 @@ class MultiClientTrainer:
             raise ValueError("global_params has wrong dimension")
         if not (len(xs) == len(ys) == len(rngs) == k):
             raise ValueError(f"xs/ys/rngs must each have K = {k} entries")
-        if self._stateful and (runtimes is None or len(runtimes) != k):
-            raise ValueError("runtimes required: the model has stateful layers")
         if self.use_corrections and (corrections is None or len(corrections) != k):
             raise ValueError("corrections required with use_corrections")
         self._check_shards(xs, ys)
@@ -857,7 +524,6 @@ class MultiClientTrainer:
 
         self._xs = [xs[i] for i in order]
         self._ys = [ys[i] for i in order]
-        self._runtimes = [runtimes[i] for i in order] if self._stateful else None
         losses: list[list[float]] = [[] for _ in range(k)]
         try:
             for _ in range(self.local_epochs):
@@ -883,7 +549,7 @@ class MultiClientTrainer:
                         a = b
         finally:
             # The trainer outlives the cohort: keep no client's data.
-            self._xs, self._ys, self._runtimes = [], [], None
+            self._xs, self._ys = [], []
 
         results: list[TaskResult] = [TaskResult() for _ in range(k)]
         for r in range(k):

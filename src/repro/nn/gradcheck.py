@@ -14,6 +14,7 @@ import numpy as np
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.sequential import Sequential
 
+# reprolint: allow[R506] the numerical-gradient oracle tests/nn compare every layer and model against
 __all__ = ["numerical_gradient", "max_relative_error", "check_model_gradients"]
 
 

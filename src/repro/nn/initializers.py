@@ -14,15 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "zeros",
-    "uniform",
-    "normal",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
-    "xavier_normal",
-]
+__all__ = ["zeros", "kaiming_uniform"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -49,49 +41,8 @@ def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.
     return np.zeros(shape, dtype=np.float64)
 
 
-def uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    low: float = -0.05,
-    high: float = 0.05,
-) -> np.ndarray:
-    """Uniform initialiser on ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(np.float64)
-
-
-def normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    mean: float = 0.0,
-    std: float = 0.01,
-) -> np.ndarray:
-    """Gaussian initialiser with the given mean and standard deviation."""
-    return rng.normal(mean, std, size=shape).astype(np.float64)
-
-
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He (Kaiming) uniform initialiser, suited to ReLU networks."""
     fan_in, _ = _fan_in_out(shape)
     bound = math.sqrt(6.0 / max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He (Kaiming) normal initialiser, suited to ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
-    std = math.sqrt(2.0 / max(fan_in, 1))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot (Xavier) uniform initialiser, suited to tanh/linear layers."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float64)
-
-
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot (Xavier) normal initialiser."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = math.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)

@@ -35,11 +35,8 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "ReLU",
-    "Tanh",
-    "Dropout",
     "Flatten",
     "ResidualBlock",
 ]
@@ -295,48 +292,13 @@ def _window_planes(
     ]
 
 
-def _sum_planes(planes: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """Sum equal-shape arrays into ``out`` in numpy's reduction order.
+class MaxPool2d(Layer):
+    """Max pooling with a square window; window must tile exactly or floor.
 
-    ``np.add.reduce`` along a contiguous axis of length ``n`` uses
-    pairwise summation — sequential below 8 terms, eight interleaved
-    accumulators up to 128, halves rounded down to a multiple of 8
-    above.  Replaying that association here keeps plane-wise average
-    pooling bit-equal to a ``mean`` over im2col columns, which is what
-    the fused kernel (and every earlier commit) computes.
-    """
-    n = len(planes)
-    if n < 8:
-        np.copyto(out, planes[0])
-        for plane in planes[1:]:
-            out += plane
-    elif n <= 128:
-        body = n - n % 8
-        acc = planes[:8]
-        for start in range(8, body, 8):
-            acc = [a + p for a, p in zip(acc, planes[start:start + 8])]
-        np.add(
-            (acc[0] + acc[1]) + (acc[2] + acc[3]),
-            (acc[4] + acc[5]) + (acc[6] + acc[7]),
-            out=out,
-        )
-        for plane in planes[body:]:
-            out += plane
-    else:
-        half = n // 2
-        half -= half % 8
-        _sum_planes(planes[:half], out)
-        out += _sum_planes(planes[half:], np.empty_like(out))
-    return out
-
-
-class _Pool2d(Layer):
-    """Square-window pooling geometry shared by max and average pooling.
-
-    Both layers work on the window planes of :func:`_window_planes`
-    with exact elementwise ops — no column expansion — and write
-    C-contiguous outputs whatever the input strides.  The workspace
-    only supplies the zero-filled input-gradient buffer of backward.
+    Works on the window planes of :func:`_window_planes` with exact
+    elementwise ops — no column expansion — and writes C-contiguous
+    outputs whatever the input strides.  The workspace only supplies
+    the zero-filled input-gradient buffer of backward.
     """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
@@ -346,43 +308,15 @@ class _Pool2d(Layer):
         self.stride = stride if stride is not None else kernel_size
         self._x_shape: tuple[int, int, int, int] | None = None
         self._ws = ConvWorkspace()
+        self._masks: np.ndarray | None = None
 
-    def _planes_and_out(self, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
         out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
-        return _window_planes(x, k, s, out_h, out_w), out
-
-    def _grad_planes(self, grad_out: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Zero-filled input gradient and its window planes; ends the step."""
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w = self._x_shape
-        self._x_shape = None
-        k, s = self.kernel_size, self.stride
-        self._ws.bind((c, h, w), k, k, s, 0, grad_out.dtype)
-        grad_in = self._ws.scatter_target(n)
-        planes = _window_planes(grad_in, k, s, grad_out.shape[2], grad_out.shape[3])
-        return planes, grad_in
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        c, h, w = input_shape
-        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
-        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
-        return (c, out_h, out_w)
-
-
-class MaxPool2d(_Pool2d):
-    """Max pooling with a square window; window must tile exactly or floor."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__(kernel_size, stride)
-        self._masks: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        planes, out = self._planes_and_out(x)
+        planes = _window_planes(x, k, s, out_h, out_w)
         np.copyto(out, planes[0])
         for plane in planes[1:]:
             np.maximum(out, plane, out=out)
@@ -413,7 +347,14 @@ class MaxPool2d(_Pool2d):
     ) -> np.ndarray | None:
         masks = self._masks
         self._masks = None
-        planes, grad_in = self._grad_planes(grad_out)
+        if self._x_shape is None:
+            raise RuntimeError("backward called before forward(training=True)")
+        n, c, h, w = self._x_shape
+        self._x_shape = None
+        k, s = self.kernel_size, self.stride
+        self._ws.bind((c, h, w), k, k, s, 0, grad_out.dtype)
+        grad_in = self._ws.scatter_target(n)
+        planes = _window_planes(grad_in, k, s, grad_out.shape[2], grad_out.shape[3])
         # ``0 + mask * grad`` per element, planes in (i, j) order: the
         # zero fill absorbs signed zeros, a non-finite gradient times
         # False stays NaN, overlapping windows accumulate in order.
@@ -423,26 +364,11 @@ class MaxPool2d(_Pool2d):
             plane += routed
         return grad_in
 
-
-class AvgPool2d(_Pool2d):
-    """Average pooling with a square window."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        planes, out = self._planes_and_out(x)
-        _sum_planes(planes, out)
-        out /= len(planes)
-        if training:
-            self._x_shape = x.shape
-        return out
-
-    def backward(
-        self, grad_out: np.ndarray, need_input: bool = True
-    ) -> np.ndarray | None:
-        planes, grad_in = self._grad_planes(grad_out)
-        share = grad_out / len(planes)
-        for plane in planes:
-            plane += share
-        return grad_in
+    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        c, h, w = input_shape
+        out_h = conv_output_size(h, self.kernel_size, self.stride, 0)
+        out_w = conv_output_size(w, self.kernel_size, self.stride, 0)
+        return (c, out_h, out_w)
 
 
 class GlobalAvgPool2d(Layer):
@@ -490,66 +416,6 @@ class ReLU(Layer):
     ) -> np.ndarray | None:
         if self._mask is None:
             raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out * self._mask
-        self._mask = None
-        return grad_in
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        if training:
-            self._out = out
-        return out
-
-    def backward(
-        self, grad_out: np.ndarray, need_input: bool = True
-    ) -> np.ndarray | None:
-        if self._out is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out * (1.0 - self._out**2)
-        self._out = None
-        return grad_in
-
-    def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return input_shape
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time.
-
-    The layer owns its RNG so that two clones of a model seeded
-    identically draw identical masks — required for deterministic
-    federated runs.
-    """
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(
-        self, grad_out: np.ndarray, need_input: bool = True
-    ) -> np.ndarray | None:
-        if self._mask is None:
-            return grad_out
         grad_in = grad_out * self._mask
         self._mask = None
         return grad_in

@@ -8,14 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "SoftmaxCrossEntropy", "MSELoss"]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax along the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+__all__ = ["log_softmax", "SoftmaxCrossEntropy"]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -61,27 +54,4 @@ class SoftmaxCrossEntropy:
         grad /= n
         self._probs = None
         self._targets = None
-        return grad
-
-
-class MSELoss:
-    """Mean squared error over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.float64)
-        if predictions.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: {predictions.shape} vs {targets.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        grad = 2.0 * self._diff / self._diff.size
-        self._diff = None
         return grad

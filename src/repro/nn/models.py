@@ -198,6 +198,7 @@ MODEL_BUILDERS = {
 }
 
 
+# reprolint: allow[R506] by-name door to MODEL_BUILDERS; tests/nn/test_flat_engine.py builds every zoo model through it
 def build_model(
     name: str,
     input_shape: tuple[int, ...],

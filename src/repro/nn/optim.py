@@ -1,9 +1,8 @@
 """Optimisers operating on :class:`repro.nn.layers.Parameter` lists.
 
 ``SGD`` (optionally with momentum and weight decay) is the client-side
-optimiser used throughout the paper; ``Adam`` doubles as the
-server-side optimiser for FedAdam when driven through
-:class:`AdamVector`.
+optimiser used throughout the paper; :class:`AdamVector` is Adam over
+one flat vector, the server-side optimiser of FedAdam.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 
 from repro.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "AdamVector", "row_blocks", "add_scaled"]
+__all__ = ["Optimizer", "SGD", "AdamVector", "row_blocks", "add_scaled"]
 
 # Elements per block of the blocked elementwise kernels: a float64
 # accumulator block, its operand and the product scratch (3 x 256 KiB)
@@ -147,46 +146,6 @@ class SGD(Optimizer):
                     v += grad
                     grad = v
                 block -= np.multiply(grad, self.lr, out=scratch)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in params]
-        self._v = [np.zeros_like(p.data) for p in params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
-        for i, p in enumerate(self.params):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m = self._m[i]
-            v = self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 class AdamVector:

@@ -162,6 +162,7 @@ class WorkerSetup:
         return setup
 
 
+# reprolint: allow[R506] the null object of the transport protocol: engines take it wherever they take None
 class InMemoryTransport:
     """The single-process default: every transfer is a function call.
 

@@ -123,7 +123,7 @@ class TestRegistry:
         assert families == {
             "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"
         }
-        assert len(RULE_REGISTRY) == 30
+        assert len(RULE_REGISTRY) == 31
 
     def test_select_by_family_and_id(self):
         assert {r.id for r in iter_rules(["R2"])} == {"R201", "R202"}

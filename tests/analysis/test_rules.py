@@ -195,6 +195,52 @@ class TestR5ApiSurface:
         assert partial.metrics["annotation_coverage"]["total"]["coverage"] < 1.0
 
 
+class TestR506Reachability:
+    PACKAGE = dict(package="fixpkg", reach_roots=("fixpkg.main",))
+
+    def _lint(self, lib: str, *extra: tuple[str, str], **config):
+        return lint_fixture(
+            [
+                ("r506_root.py", "fixpkg.main"),
+                ("r506_init.py", "fixpkg"),
+                ("r506_held.py", "fixpkg.held"),
+                (lib, "fixpkg.lib"),
+                *extra,
+            ],
+            select=["R506"],
+            **{**self.PACKAGE, **config},
+        )
+
+    def test_offending_name_and_orphan_module(self):
+        result = self._lint("r506_offending.py", ("r5_clean.py", "fixpkg.orphan"))
+        found = sorted((v.path, v.message.split("'")[1]) for v in result.violations)
+        assert found == [("r506_offending.py", "dead_fn"), ("r5_clean.py", "fixpkg.orphan")]
+        # kept_fn is as unreached as dead_fn; its reason keeps it.
+        assert result.pragma_suppressed == 1
+        # Anchored where the reason would go: on the definition.
+        assert result.violations[0].snippet.startswith("def dead_fn")
+
+    def test_clean(self):
+        assert rule_ids(self._lint("r506_clean.py")) == []
+
+    def test_package_reexport_reaches_nothing_by_itself(self):
+        # Nothing imports the package: its __init__ lists lib's names,
+        # yet lib stays unreached.
+        result = lint_fixture(
+            [
+                ("r506_held.py", "fixpkg.main"),
+                ("r506_init.py", "fixpkg"),
+                ("r506_clean.py", "fixpkg.lib"),
+            ],
+            select=["R506"],
+            **self.PACKAGE,
+        )
+        assert [v.message.split("'")[1] for v in result.violations] == ["fixpkg.lib"]
+
+    def test_silent_without_an_entry_point_in_the_project(self):
+        assert rule_ids(self._lint("r506_offending.py", reach_roots=("fixpkg.cli",))) == []
+
+
 class TestR6WireBytes:
     def test_offending(self):
         result = lint_fixture(

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compression.base import (
-    CompressedGradient,
-    Compressor,
-    dense_bytes,
-    quantized_bytes,
-    sparse_bytes,
-    sparse_payload_bytes,
-)
+from repro.compression.base import CompressedGradient, Compressor
 from repro.compression.identity import NoCompression
+from repro.wire.sizes import dense_bytes, quantized_bytes, sparse_bytes, sparse_payload_bytes
 
 
 class TestSizeModels:

@@ -104,3 +104,12 @@ class TestTopKCompressor:
         a, _ = comp.roundtrip(grad)
         b, _ = comp.roundtrip(grad)
         np.testing.assert_array_equal(a, b)
+
+    def test_plain_topk_starves_forever(self):
+        """Stateless top-k never sends a persistently small coordinate."""
+        comp = TopKCompressor(10, ratio=10.0)
+        grad = np.zeros(10)
+        grad[0] = 5.0
+        grad[7] = 0.05
+        for _ in range(50):
+            assert comp.decompress(comp.compress(grad))[7] == 0.0

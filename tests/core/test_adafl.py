@@ -240,6 +240,7 @@ class TestAdaFLAsync:
     def test_warmup_always_trains(self, federation):
         server, clients = federation
         strat = AdaFLAsync(small_config(warmup=100, tau=1.0))
+        strat.prepare(server, clients)
         assert strat.should_train(clients[0], server, 0.0)
 
     def test_default_async_policy_bounds(self):

@@ -66,7 +66,7 @@ class TestDistanceMetrics:
         assert 0.0 < euclidean_similarity(a, b) <= 1.0
 
     def test_registry(self):
-        assert set(SIMILARITY_METRICS) == {"cosine", "l2", "euclidean", "importance"}
+        assert set(SIMILARITY_METRICS) == {"cosine", "l2", "euclidean"}
 
 
 class TestUtilityScorer:

@@ -12,6 +12,7 @@ from repro.data.partition import (
     label_skew_partition,
     partition_dataset,
     partition_stats,
+    quantity_skew_partition,
     shard_partition,
 )
 
@@ -122,6 +123,38 @@ class TestLabelSkew:
     def test_bad_classes_per_client(self, rng):
         with pytest.raises(ValueError):
             label_skew_partition(np.zeros(10, dtype=int), 2, classes_per_client=0, rng=rng)
+
+
+class TestQuantitySkew:
+    def test_partition_invariant(self, rng):
+        parts = quantity_skew_partition(100, 5, rng, concentration=0.5)
+        union = np.concatenate(parts)
+        assert len(union) == 100
+        assert len(set(union.tolist())) == 100
+
+    def test_low_concentration_is_skewed(self):
+        rng = np.random.default_rng(0)
+        skewed = quantity_skew_partition(1000, 10, rng, concentration=0.2)
+        rng = np.random.default_rng(0)
+        even = quantity_skew_partition(1000, 10, rng, concentration=100.0)
+        spread_skewed = max(len(p) for p in skewed) - min(len(p) for p in skewed)
+        spread_even = max(len(p) for p in even) - min(len(p) for p in even)
+        assert spread_skewed > spread_even
+
+    def test_min_samples(self, rng):
+        parts = quantity_skew_partition(100, 4, rng, concentration=0.3, min_samples=5)
+        assert min(len(p) for p in parts) >= 5
+
+    def test_validation(self, rng):
+        with pytest.raises(ValueError):
+            quantity_skew_partition(100, 4, rng, concentration=0.0)
+        with pytest.raises(ValueError):
+            quantity_skew_partition(10, 4, rng, min_samples=5)
+
+    def test_via_partition_dataset(self, rng):
+        ds = Dataset(np.zeros((60, 1, 2, 2)), np.arange(60) % 3, 3)
+        parts = partition_dataset(ds, 4, "quantity_skew", rng)
+        assert sum(len(p) for p in parts) == 60
 
 
 class TestPartitionDataset:

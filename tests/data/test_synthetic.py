@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import (
-    DATASET_BUILDERS,
     _bilinear_zoom,
     make_cifar10_like,
     make_cifar100_like,
-    make_dataset,
     make_image_classification,
     make_mnist_like,
     make_prototypes,
@@ -157,12 +155,3 @@ class TestNamedBuilders:
     def test_cifar100_like(self):
         train, _ = make_cifar100_like(200, 100, seed=0)
         assert train.num_classes == 100
-
-    def test_registry_roundtrip(self):
-        for name in DATASET_BUILDERS:
-            train, test = make_dataset(name, 100, 20, seed=0)
-            assert len(train) == 100
-
-    def test_registry_unknown(self):
-        with pytest.raises(KeyError, match="known datasets"):
-            make_dataset("imagenet", 10, 10)

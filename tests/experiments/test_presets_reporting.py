@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.presets import BENCH, FAST, FULL, get_scale
-from repro.experiments.reporting import format_bytes, format_pct, format_series, format_table
+from repro.experiments.reporting import format_bytes, format_series, format_table
 
 
 class TestPresets:
@@ -41,14 +41,6 @@ class TestFormatBytes:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             format_bytes(-1)
-
-
-class TestFormatPct:
-    def test_plain(self):
-        assert format_pct(0.5) == "50.00%"
-
-    def test_signed_reduction(self):
-        assert format_pct(0.7088, signed=True) == "-70.88%"
 
 
 class TestFormatTable:

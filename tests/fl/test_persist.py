@@ -1,15 +1,13 @@
-"""Tests for run-result and checkpoint persistence."""
+"""Tests for run-result persistence."""
 
 import numpy as np
 import pytest
 
 from repro.fl.metrics import RoundRecord, RunResult
 from repro.fl.persist import (
-    load_checkpoint,
     load_run_result,
     run_result_from_dict,
     run_result_to_dict,
-    save_checkpoint,
     save_run_result,
 )
 
@@ -75,49 +73,6 @@ class TestRunResultRoundtrip:
     def test_creates_parent_dirs(self, result, tmp_path):
         path = save_run_result(result, tmp_path / "deep" / "nested" / "run.json")
         assert path.exists()
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tiny_model_fn, tmp_path):
-        source = tiny_model_fn()
-        source.set_flat_params(np.arange(source.num_params, dtype=np.float64))
-        save_checkpoint(source, tmp_path / "model.npz", metadata={"round": 7})
-
-        target = tiny_model_fn()
-        meta = load_checkpoint(target, tmp_path / "model.npz")
-        np.testing.assert_array_equal(
-            target.get_flat_params(), source.get_flat_params()
-        )
-        assert meta == {"round": 7}
-
-    def test_default_metadata_empty(self, tiny_model_fn, tmp_path):
-        model = tiny_model_fn()
-        save_checkpoint(model, tmp_path / "m.npz")
-        assert load_checkpoint(tiny_model_fn(), tmp_path / "m.npz") == {}
-
-    def test_wrong_architecture_rejected(self, tiny_model_fn, tmp_path):
-        from repro.nn.models import build_mlp
-
-        save_checkpoint(tiny_model_fn(), tmp_path / "m.npz")
-        other = build_mlp((1, 6, 6), 4, hidden=(5,), seed=0)  # different width
-        with pytest.raises(ValueError):
-            load_checkpoint(other, tmp_path / "m.npz")
-
-    def test_unframed_checkpoint_is_refused(self, tiny_model_fn, tmp_path):
-        """The pre-frame format stored a bare ``params`` array no CRC
-        covers; it fails closed instead of restoring unchecked weights."""
-        from repro.wire import FrameError
-
-        model = tiny_model_fn()
-        before = model.get_flat_params().copy()
-        np.savez(
-            tmp_path / "old.npz",
-            params=np.zeros(model.num_params),
-            metadata=np.array("{}"),
-        )
-        with pytest.raises(FrameError, match="CRC-framed"):
-            load_checkpoint(model, tmp_path / "old.npz")
-        np.testing.assert_array_equal(model.get_flat_params(), before)
 
 
 class TestFormatVersions:

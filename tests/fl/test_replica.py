@@ -3,15 +3,12 @@
 Four layers of guarantees:
 
 * **the borrow** — clients of one population share one
-  :class:`~repro.fl.replica.ModelReplica` per architecture, building a
-  client builds no model, and each client's Dropout/BatchNorm runtime
-  state stays its own across borrows and across eviction;
+  :class:`~repro.fl.replica.ModelReplica` per architecture, and
+  building a client builds no model;
 * **equivalence** — every strategy family, serial and fused, walks the
   same trajectory (final parameters, ``RunResult``, full JSONL trace)
   on the shared scratch as on the reference *private replica per
-  client* federation of ``tests/fl/private_replica.py``; a model with
-  Dropout and BatchNorm does so across live / spill / regenerate
-  retention and across snapshot -> resume;
+  client* federation of ``tests/fl/private_replica.py``;
 * **size** — an engine snapshot of K clients carries one client-side
   model, not K, and still loads when ``model_fn`` is a lambda;
 * **memory** — the traced peak of a wide-MLP run grows per client by
@@ -49,11 +46,8 @@ from repro.fl.server import Server
 from repro.fl.snapshot import load_snapshot, save_snapshot
 from repro.fl.sync_engine import SyncEngine
 from repro.network.conditions import NetworkConditions
-from repro.nn.layers import Conv2d, Dropout, Flatten, Linear, ReLU
-from repro.nn.models import build_mlp
-from repro.nn.normalization import BatchNorm2d
-from repro.nn.sequential import Sequential
-from repro.sim import EventTrace, JsonlSink
+from repro.nn.models import build_mlp, build_mnist_cnn
+from repro.sim import JsonlSink
 from tests.fl.equiv_cases import NUM_CLIENTS, SHAPE, _jittery_net
 from tests.fl.private_replica import PrivateReplicaClient
 
@@ -64,20 +58,9 @@ def mlp_model():
     return build_mlp(SHAPE, num_classes=4, hidden=(12,), seed=99)
 
 
-def stateful_model():
-    """Dropout *and* BatchNorm: both kinds of per-client runtime state."""
-    init = np.random.default_rng(42)
-    return Sequential(
-        [
-            Conv2d(1, 4, 3, init, padding=1),
-            BatchNorm2d(4),
-            ReLU(),
-            Dropout(0.3, np.random.default_rng(17)),
-            Flatten(),
-            Linear(4 * SHAPE[1] * SHAPE[2], 4, init),
-        ],
-        input_shape=SHAPE,
-    )
+def cnn_model():
+    """A second architecture, with conv workspaces in the scratch."""
+    return build_mnist_cnn(SHAPE, num_classes=4, channels=(3, 4), hidden=8, seed=42)
 
 
 def _data():
@@ -193,7 +176,7 @@ class TestBorrow:
 
     def test_distinct_architectures_get_distinct_replicas(self):
         _, clients = _federation(mlp_model)
-        other = _Factory(stateful_model)(1)
+        other = _Factory(cnn_model)(1)
         pop = ClientPopulation([clients[0], other])
         assert pop[0].replica is not pop[1].replica
         assert len(pop._replicas) == 2
@@ -201,11 +184,11 @@ class TestBorrow:
     def test_shared_scratch_equals_private_replicas_call_by_call(self):
         """Interleaved train / probe / evaluate over one scratch model
         returns what each client would compute on a model of its own."""
-        _, shared = _federation(stateful_model)
-        _, private = _federation(stateful_model, PrivateReplicaClient)
+        _, shared = _federation(cnn_model)
+        _, private = _federation(cnn_model, PrivateReplicaClient)
         ClientPopulation(shared)
         test = _data()[1]
-        gp = stateful_model().get_flat_params().copy()
+        gp = cnn_model().get_flat_params().copy()
         for rnd in range(3):
             for s, p in zip(shared, private):
                 us, up = s.local_train(gp, LOCAL, rnd), p.local_train(gp, LOCAL, rnd)
@@ -215,51 +198,6 @@ class TestBorrow:
                 assert np.array_equal(s.probe_delta(gp, LOCAL), p.probe_delta(gp, LOCAL))
                 assert s.evaluate(gp, test) == p.evaluate(gp, test)
             gp = gp + 0.5 * shared[rnd].last_delta
-
-    def test_runtime_state_is_the_clients_own(self):
-        _, clients = _federation(stateful_model)
-        ClientPopulation(clients)
-        a, b = clients[0], clients[1]
-        fresh = b.extract_state()["layers"]
-        assert fresh is None  # never borrowed: starts from the pristine state
-        gp = a.replica.model.get_flat_params().copy()
-        a.local_train(gp, LOCAL)
-        trained = a.extract_state()["layers"]
-        assert trained[1]["running_mean"].any()  # BatchNorm moved
-        # b borrows the same scratch model and sees none of a's state.
-        b.probe_delta(gp, LOCAL)
-        b_state = b.extract_state()["layers"]
-        assert not np.array_equal(b_state[1]["running_mean"], trained[1]["running_mean"])
-        assert b_state[3]["rng"] != trained[3]["rng"]
-        # ... and borrowing did not disturb a's.
-        again = a.extract_state()["layers"]
-        assert np.array_equal(again[1]["running_var"], trained[1]["running_var"])
-        assert again[3]["rng"] == trained[3]["rng"]
-
-    @pytest.mark.parametrize("mode", ["spill", "regenerate"])
-    def test_stateful_evict_rematerialise_roundtrip(self, mode, tmp_path):
-        policy = RetentionPolicy(
-            mode=mode, max_live=1, spill_dir=tmp_path if mode == "spill" else None
-        )
-        _, pop = _federation(stateful_model, policy=policy)
-        _, (twin, *_) = _federation(stateful_model, PrivateReplicaClient)
-        gp = stateful_model().get_flat_params().copy()
-        pop[0].local_train(gp, LOCAL)
-        twin.local_train(gp, LOCAL)
-        pop[1].local_train(gp, LOCAL)
-        pop.evict_to_cap()  # client 0 leaves with its Dropout/BN state
-        assert list(pop.live_ids()) == [1]
-        second = pop[0].local_train(gp, LOCAL, round_index=1)
-        expected = twin.local_train(gp, LOCAL, round_index=1)
-        assert np.array_equal(second.delta, expected.delta)
-
-    def test_mismatched_layer_state_is_refused(self):
-        _, (client, *_) = _federation(stateful_model)
-        state = client.extract_state()
-        state["layers"] = [{"running_mean": np.zeros(4), "running_var": np.ones(4)}]
-        client.restore_state(state)
-        with pytest.raises(ValueError, match="architecture"):
-            client.local_train(stateful_model().get_flat_params().copy(), LOCAL)
 
     def test_accounting_counts_the_replica_once(self):
         _, clients = _federation(mlp_model)
@@ -301,63 +239,6 @@ def test_shared_scratch_matches_private_replicas(name, fused):
         return _outcome(_engine(mode, strategy(), server, clients, fused))
 
     _assert_same(run(Client), run(PrivateReplicaClient))
-
-
-@pytest.mark.parametrize("fused", [False, True], ids=["serial", "fused"])
-@pytest.mark.parametrize("retention", ["live", "spill", "regenerate"])
-def test_stateful_model_matches_private_replicas(retention, fused, tmp_path):
-    """Dropout RNGs and BatchNorm statistics are per-client state: they
-    must ride through borrows, the fused kernel and eviction churn
-    (``max_live=2`` of 5 clients) exactly as if every client kept a
-    model to itself."""
-    server, clients = _federation(stateful_model, PrivateReplicaClient)
-    expected = _outcome(_engine("sync", FedAvg(1.0), server, clients, fused))
-
-    policy = None
-    if retention != "live":
-        policy = RetentionPolicy(
-            mode=retention, max_live=2,
-            spill_dir=tmp_path if retention == "spill" else None,
-        )
-    server, clients = _federation(stateful_model, policy=policy)
-    engine = _engine("sync", FedAvg(1.0), server, clients, fused)
-    _assert_same(_outcome(engine), expected)
-    if fused:
-        assert engine._batched_cache  # the fused path really ran
-
-
-@pytest.mark.parametrize("fused", [False, True], ids=["serial", "fused"])
-@pytest.mark.parametrize("retention", ["live", "regenerate"])
-def test_stateful_model_resumes_from_snapshot(retention, fused, tmp_path):
-    server, clients = _federation(stateful_model, PrivateReplicaClient)
-    expected = _outcome(_engine("sync", FedAvg(1.0), server, clients, fused))
-
-    class Killed(RuntimeError):
-        pass
-
-    def die_after_round_two(engine):
-        if engine._next_round >= 2:
-            raise Killed()
-
-    policy = RetentionPolicy(mode="regenerate", max_live=2) if retention != "live" else None
-    server, clients = _federation(stateful_model, policy=policy)
-    snap = tmp_path / "run.snapshot"
-    pre = io.StringIO()
-    engine = _engine(
-        "sync", FedAvg(1.0), server, clients, fused, trace=EventTrace([JsonlSink(pre)]),
-        snapshot_path=snap, snapshot_every=1, on_snapshot=die_after_round_two,
-    )
-    with pytest.raises(Killed):
-        engine.run()
-
-    post = io.StringIO()
-    resumed = load_snapshot(snap, trace=EventTrace([JsonlSink(post)]), keep_snapshotting=False)
-    result = resumed.resume()
-    actual = (
-        resumed.server.params.copy(), run_result_to_dict(result),
-        pre.getvalue() + post.getvalue(),
-    )
-    _assert_same(actual, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -198,8 +198,9 @@ class TestSnapshotFile:
             snapshot_path=snap, snapshot_every=1,
         ).run()
         state = pickle.loads(unseal(snap.read_bytes()))
-        # 1 is the format that carried ``faults``/``churn`` beside the plan.
-        for version in (99, 1, None):
+        # 1 is the format that carried ``faults``/``churn`` beside the
+        # plan, 2 the one whose client state carried per-layer ``layers``.
+        for version in (99, 2, 1, None):
             state["snapshot_version"] = version
             snap.write_bytes(seal(pickle.dumps(state)))
             with pytest.raises(ValueError, match="snapshot version"):

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.network.traces import (
     BandwidthTrace,
-    constant_trace,
     diurnal_trace,
     gauss_markov_trace,
-    generate_trace,
     markov_onoff_trace,
 )
 
@@ -36,7 +34,7 @@ class TestBandwidthTrace:
         assert trace.bandwidth_at(35.0) == 2.0
 
     def test_negative_time_raises(self):
-        trace = constant_trace(5.0)
+        trace = BandwidthTrace(np.array([0.0]), np.array([5.0]))
         with pytest.raises(ValueError):
             trace.bandwidth_at(-1.0)
 
@@ -57,10 +55,6 @@ class TestBandwidthTrace:
 
 
 class TestGenerators:
-    def test_constant(self):
-        trace = constant_trace(7.5)
-        assert trace.bandwidth_at(100.0) == 7.5
-
     def test_gauss_markov_positive_and_near_mean(self, rng):
         trace = gauss_markov_trace(10.0, rng, num_steps=500)
         assert np.all(trace.bandwidth_mbps > 0)
@@ -81,15 +75,6 @@ class TestGenerators:
     def test_diurnal_swapped_args_ok(self):
         trace = diurnal_trace(2.0, 20.0)
         assert trace.bandwidth_mbps.max() <= 20.0 + 1e-9
-
-    def test_generate_trace_dispatch(self, rng):
-        for kind in ("constant", "gauss_markov", "markov_onoff", "diurnal"):
-            trace = generate_trace(kind, rng)
-            assert np.all(trace.bandwidth_mbps > 0)
-
-    def test_generate_trace_unknown(self, rng):
-        with pytest.raises(KeyError, match="known kinds"):
-            generate_trace("starlink", rng)
 
     @settings(max_examples=20, deadline=None)
     @given(mean=st.floats(0.5, 100.0), steps=st.integers(5, 100))

@@ -5,10 +5,9 @@ minibatches into one tensor and runs a single fused forward/backward
 per step; the whole point is that every client's trajectory stays
 **bit-identical** to ``Client.local_train``'s serial loop.  These
 tests drive serial and fused cohorts from identical initial state and
-assert ``np.array_equal`` on deltas, flat gradients, and BN running
-statistics — over two consecutive rounds, so RNG-stream continuation
-(epoch shuffles and dropout masks) is covered, and under partial-batch
-geometries (shard size not divisible by batch size), the regime where
+assert ``np.array_equal`` on deltas, flat gradients and losses — over
+two consecutive rounds, so RNG-stream continuation (epoch shuffles) is
+covered, and under partial-batch geometries (shard size not divisible by batch size), the regime where
 layout and reduction-order bugs actually surface.
 """
 
@@ -20,22 +19,10 @@ import pytest
 from repro.data.synthetic import make_image_classification
 from repro.fl.client import Client
 from repro.fl.config import LocalTrainingConfig
-from repro.nn.batched import MultiClientTrainer, supports
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Tanh,
-)
+from repro.nn.batched import MultiClientTrainer, UnsupportedModelError, architecture
+from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, MaxPool2d, ReLU
 from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini
-from repro.nn.normalization import BatchNorm2d, GroupNorm
 from repro.nn.sequential import Sequential
-from tests.fl.test_population import _assert_state_equal
 
 pytestmark = pytest.mark.batched
 
@@ -93,7 +80,6 @@ def _assert_rounds_equal(serial, fused, cfg: LocalTrainingConfig,
             [c.dataset.x for c in fused],
             [c.dataset.y for c in fused],
             [c._rng for c in fused],
-            runtimes=[c.runtime_state() for c in fused],
             corrections=corrections,
         )
 
@@ -113,12 +99,6 @@ def _assert_rounds_equal(serial, fused, cfg: LocalTrainingConfig,
                     new_control - fused[i].control_variate,
                 ), (rnd, i, "control")
                 fused[i].control_variate = new_control
-            # Dropout RNG position and BN running statistics, layer by layer.
-            _assert_state_equal(
-                serial[i].extract_state()["layers"],
-                fused[i].extract_state()["layers"],
-                f"round {rnd} client {i} runtime state",
-            )
         gp = gp - 0.3 * np.mean([u.delta for u in updates], axis=0)
 
 
@@ -185,33 +165,22 @@ def _random_stack(seed: int) -> list:
     init = np.random.default_rng(1000 + seed)
     layers: list = []
     c, h, w = SHAPE
-    for _ in range(int(pick.integers(1, 3))):
-        oc = int(pick.integers(2, 4)) * 2  # even, so GroupNorm(2, c) fits
-        layers.append(Conv2d(c, oc, 3, init, padding=1))
+    for _ in range(int(pick.integers(1, 4))):
+        oc = int(pick.integers(2, 7))
+        layers.append(Conv2d(c, oc, 3, init, padding=1, bias=bool(pick.integers(0, 2))))
         c = oc
-        norm = int(pick.integers(0, 3))
-        if norm == 1:
-            layers.append(BatchNorm2d(c))
-        elif norm == 2:
-            layers.append(GroupNorm(2, c))
-        act = int(pick.integers(0, 3))
-        if act == 1:
+        if pick.integers(0, 2):
             layers.append(ReLU())
-        elif act == 2:
-            layers.append(Tanh())
-        if pick.random() < 0.35:
-            layers.append(Dropout(0.3, np.random.default_rng(17)))
-        pool = int(pick.integers(0, 3))
-        if pool and h % 2 == 0:
-            layers.append(MaxPool2d(2) if pool == 1 else AvgPool2d(2))
+        if pick.integers(0, 2) and h % 2 == 0:
+            layers.append(MaxPool2d(2))
             h //= 2
             w //= 2
-    if pick.random() < 0.5:
-        layers.append(GlobalAvgPool2d())
-        layers.append(Linear(c, 4, init))
+    layers.append(Flatten())
+    if pick.integers(0, 2):
+        layers.extend([Linear(c * h * w, 10, init), ReLU()])
+        layers.append(Linear(10, 4, init))
     else:
-        layers.append(Flatten())
-        layers.append(Linear(c * h * w, 4, init))
+        layers.append(Linear(c * h * w, 4, init, bias=False))
     return layers
 
 
@@ -220,46 +189,13 @@ def test_random_stacks_bit_identical(seed: int) -> None:
     def model_fn():
         return Sequential(_random_stack(seed), input_shape=SHAPE)
 
-    assert supports(model_fn())
+    assert architecture(model_fn()) is not None
     serial, fused = _cohorts(model_fn, n_train=60, num_clients=4)
     # batch_size 4 over 15-sample shards: partial final batches, the
-    # geometry where stacked-buffer carving is most error-prone.
-    cfg = LocalTrainingConfig(local_epochs=2, batch_size=4, lr=0.05,
-                              momentum=0.9)
-    _assert_rounds_equal(serial, fused, cfg)
-
-
-# Targeted edge combos: dropout-mask RNG streams interleaved with BN's
-# EMA update, and normalisation directly consuming the permuted conv
-# output layout (the reductions most sensitive to operand strides).
-EDGE_COMBOS = {
-    "conv_drop_bn": lambda r: [
-        Conv2d(1, 4, 3, r, padding=1), Dropout(0.3, np.random.default_rng(17)),
-        BatchNorm2d(4), Flatten(), Linear(256, 4, r),
-    ],
-    "conv_bn_tanh_bn_gap": lambda r: [
-        Conv2d(1, 4, 3, r, padding=1), BatchNorm2d(4), Tanh(),
-        BatchNorm2d(4), GlobalAvgPool2d(), Linear(4, 4, r),
-    ],
-    "conv_gn_tanh_gap": lambda r: [
-        Conv2d(1, 4, 3, r, padding=1), GroupNorm(2, 4), Tanh(),
-        GlobalAvgPool2d(), Linear(4, 4, r),
-    ],
-    "conv_tanh_maxpool_gn": lambda r: [
-        Conv2d(1, 4, 3, r, padding=1), Tanh(), MaxPool2d(2),
-        GroupNorm(2, 4), Flatten(), Linear(64, 4, r),
-    ],
-}
-
-
-@pytest.mark.parametrize("combo", sorted(EDGE_COMBOS))
-def test_edge_combos_bit_identical(combo: str) -> None:
-    def model_fn():
-        return Sequential(EDGE_COMBOS[combo](np.random.default_rng(42)),
-                          input_shape=SHAPE)
-
-    serial, fused = _cohorts(model_fn, n_train=60, num_clients=4)
-    cfg = LocalTrainingConfig(local_epochs=2, batch_size=4, lr=0.05,
+    # geometry where stacked-buffer carving is most error-prone.  No
+    # layer normalises, so the step stays small enough not to diverge
+    # (NaN trajectories would compare unequal to themselves).
+    cfg = LocalTrainingConfig(local_epochs=2, batch_size=4, lr=0.01,
                               momentum=0.9)
     _assert_rounds_equal(serial, fused, cfg)
 
@@ -270,9 +206,20 @@ def test_edge_combos_bit_identical(combo: str) -> None:
 
 def test_residual_model_not_supported() -> None:
     model = build_resnet_mini(SHAPE, num_classes=4, seed=3)
-    assert not supports(model)
+    assert architecture(model) is None
+
+
+def test_layer_outside_the_five_handlers_not_supported() -> None:
+    r = np.random.default_rng(0)
+    model = Sequential(
+        [Conv2d(1, 4, 3, r, padding=1), GlobalAvgPool2d(), Linear(4, 4, r)],
+        input_shape=SHAPE,
+    )
+    assert architecture(model) is None
+    with pytest.raises(UnsupportedModelError):
+        MultiClientTrainer(model, 2, local_epochs=1, batch_size=4, lr=0.1)
 
 
 def test_supported_models() -> None:
-    assert supports(_mlp())
-    assert supports(_cnn())
+    assert architecture(_mlp()) is not None
+    assert architecture(_cnn()) is not None

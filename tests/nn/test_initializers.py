@@ -35,23 +35,6 @@ class TestZeros:
         assert init.zeros((2,)).dtype == np.float64
 
 
-class TestUniform:
-    def test_bounds(self, rng):
-        out = init.uniform((1000,), rng, low=-0.1, high=0.1)
-        assert out.min() >= -0.1
-        assert out.max() < 0.1
-
-    def test_shape(self, rng):
-        assert init.uniform((3, 5), rng).shape == (3, 5)
-
-
-class TestNormal:
-    def test_statistics(self, rng):
-        out = init.normal((20000,), rng, mean=1.0, std=0.5)
-        assert abs(out.mean() - 1.0) < 0.02
-        assert abs(out.std() - 0.5) < 0.02
-
-
 class TestKaiming:
     def test_uniform_bound(self, rng):
         shape = (32, 64)
@@ -59,27 +42,10 @@ class TestKaiming:
         bound = math.sqrt(6.0 / 64)
         assert np.all(np.abs(out) <= bound)
 
-    def test_normal_std(self, rng):
-        out = init.kaiming_normal((1000, 100), rng)
-        expected = math.sqrt(2.0 / 100)
-        assert abs(out.std() - expected) < 0.1 * expected
-
     def test_conv_fan_in(self, rng):
         out = init.kaiming_uniform((8, 4, 3, 3), rng)
         bound = math.sqrt(6.0 / (4 * 9))
         assert np.all(np.abs(out) <= bound)
-
-
-class TestXavier:
-    def test_uniform_bound(self, rng):
-        out = init.xavier_uniform((30, 70), rng)
-        bound = math.sqrt(6.0 / 100)
-        assert np.all(np.abs(out) <= bound)
-
-    def test_normal_std(self, rng):
-        out = init.xavier_normal((200, 300), rng)
-        expected = math.sqrt(2.0 / 500)
-        assert abs(out.std() - expected) < 0.1 * expected
 
 
 class TestDeterminism:

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn.gradcheck import max_relative_error, numerical_gradient
 from repro.nn.layers import (
-    AvgPool2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Linear,
@@ -17,13 +15,10 @@ from repro.nn.layers import (
     Parameter,
     ReLU,
     ResidualBlock,
-    Tanh,
 )
 
 from tests.nn.window_reference import (
     assert_bit_equal,
-    avgpool_columns,
-    avgpool_columns_backward,
     maxpool_columns,
     maxpool_columns_backward,
     signed_values,
@@ -156,16 +151,6 @@ class TestMaxPool2d:
         assert grad.sum() == 1.0  # exactly one winner despite the tie
 
 
-class TestAvgPool2d:
-    def test_forward_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2).forward(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_gradcheck(self, rng):
-        layer_gradcheck(AvgPool2d(2), rng.normal(size=(2, 3, 4, 4)), rng)
-
-
 @st.composite
 def pool_cases(draw):
     """(input, kernel, stride): overlap, exact and floor tiling, stride
@@ -209,32 +194,6 @@ class TestPoolingLaws:
             grad_in, maxpool_columns_backward(mask, grad_out, x.shape, kernel, stride)
         )
 
-    @settings(max_examples=150, deadline=None)
-    @given(case=pool_cases(), seed=st.integers(0, 2**16))
-    def test_avgpool_matches_column_oracle(self, case, seed):
-        x, kernel, stride = case
-        layer = AvgPool2d(kernel, stride)
-        out = layer.forward(x, training=True)
-        assert out.flags.c_contiguous
-        np.testing.assert_array_equal(out, avgpool_columns(x, kernel, stride))
-        grad_out = signed_values(seed, out.shape)
-        assert_bit_equal(
-            layer.backward(grad_out),
-            avgpool_columns_backward(grad_out, x.shape, kernel, stride),
-        )
-
-    @pytest.mark.parametrize("kernel", [3, 12])
-    def test_avgpool_sums_in_numpy_reduction_order(self, kernel):
-        # 9 and 144 window elements: the eight-accumulator and the
-        # recursive branch of numpy's pairwise summation.
-        rng = np.random.default_rng(kernel)
-        x = rng.normal(size=(2, 2, 2 * kernel, 2 * kernel)) * 10.0 ** rng.integers(
-            -3, 4, size=(2, 2, 2 * kernel, 2 * kernel)
-        )
-        np.testing.assert_array_equal(
-            AvgPool2d(kernel).forward(x), avgpool_columns(x, kernel, kernel)
-        )
-
     @given(value=st.floats(-5, 5), kernel=st.integers(1, 3))
     def test_constant_window_routes_to_first_element(self, value, kernel):
         layer = MaxPool2d(kernel)
@@ -272,10 +231,6 @@ class TestPoolingLaws:
         layer.forward(np.arange(16.0).reshape(1, 1, 4, 4), training=True)
         grad = layer.backward(np.full((1, 1, 2, 2), -0.0))
         assert not grad.any() and not np.signbit(grad).any()
-        layer = AvgPool2d(2)
-        layer.forward(np.arange(16.0).reshape(1, 1, 4, 4), training=True)
-        grad = layer.backward(np.full((1, 1, 2, 2), -0.0))
-        assert not grad.any() and not np.signbit(grad).any()
 
     def test_inf_upstream_is_nan_at_masked_out_positions(self):
         x = np.array([[[[1.0, 2.0], [4.0, 3.0]]]])
@@ -301,7 +256,7 @@ class TestPoolingLaws:
             maxpool_columns_backward(mask, grad_out, x.shape, 2, 2),
         )
 
-    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("layer_type", [MaxPool2d])
     def test_floor_tiled_trailing_rows_get_positive_zero(self, layer_type, rng):
         layer = layer_type(2)
         layer.forward(rng.normal(size=(2, 2, 5, 7)), training=True)
@@ -309,7 +264,7 @@ class TestPoolingLaws:
         for edge in (grad[:, :, 4:, :], grad[:, :, :, 6:]):
             assert not edge.any() and not np.signbit(edge).any()
 
-    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("layer_type", [MaxPool2d])
     def test_ragged_batches_reuse_the_gradient_buffer(self, layer_type, rng):
         layer = layer_type(2)
         where = set()
@@ -320,7 +275,7 @@ class TestPoolingLaws:
             where.add(grad.__array_interface__["data"][0])
         assert len(where) == 1
 
-    @pytest.mark.parametrize("layer_type", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("layer_type", [MaxPool2d])
     def test_backward_before_forward_raises(self, layer_type):
         with pytest.raises(RuntimeError):
             layer_type(2).backward(np.zeros((1, 1, 1, 1)))
@@ -347,38 +302,6 @@ class TestActivations:
         x = rng.normal(size=(3, 4))
         x[np.abs(x) < 0.1] = 0.5
         layer_gradcheck(ReLU(), x, rng)
-
-    def test_tanh_gradcheck(self, rng):
-        layer_gradcheck(Tanh(), rng.normal(size=(3, 4)), rng)
-
-
-class TestDropout:
-    def test_eval_is_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(layer.forward(x, training=False), x)
-
-    def test_training_zeroes_some(self):
-        layer = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((100, 100))
-        out = layer.forward(x, training=True)
-        dropped = np.mean(out == 0.0)
-        assert 0.4 < dropped < 0.6
-
-    def test_inverted_scaling_preserves_mean(self):
-        layer = Dropout(0.3, np.random.default_rng(0))
-        x = np.ones((200, 200))
-        out = layer.forward(x, training=True)
-        assert abs(out.mean() - 1.0) < 0.02
-
-    def test_invalid_rate(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-    def test_deterministic_given_seed(self):
-        a = Dropout(0.5, np.random.default_rng(42)).forward(np.ones((8, 8)), training=True)
-        b = Dropout(0.5, np.random.default_rng(42)).forward(np.ones((8, 8)), training=True)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestFlatten:

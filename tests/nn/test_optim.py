@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optim import SGD, Adam, AdamVector
+from repro.nn.optim import SGD, AdamVector
 
 
 def quadratic_param(start=5.0):
@@ -172,29 +172,6 @@ class TestSGDIsBitEqualToWholeArrayExpressions:
         opt.step()
         assert all(opt._scratch[k] is v for k, v in scratch.items())
         assert sum(v.nbytes for v in scratch.values()) <= p.data.nbytes // 4
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        p = quadratic_param()
-        opt = Adam([p], lr=0.1)
-        for _ in range(400):
-            p.zero_grad()
-            p.grad[:] = p.data
-            opt.step()
-        assert abs(p.data[0]) < 1e-3
-
-    def test_first_step_magnitude_is_lr(self):
-        # With bias correction, the first Adam step is ~lr in the
-        # gradient direction regardless of gradient magnitude.
-        p = quadratic_param(1.0)
-        p.grad[:] = 1e-4
-        Adam([p], lr=0.01).step()
-        assert abs((1.0 - p.data[0]) - 0.01) < 1e-3
-
-    def test_rejects_bad_betas(self):
-        with pytest.raises(ValueError):
-            Adam([quadratic_param()], beta1=1.0)
 
 
 class TestAdamVector:

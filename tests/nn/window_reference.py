@@ -82,19 +82,3 @@ def maxpool_columns_backward(mask, grad_out, x_shape, kernel, stride):
     grad_cols = mask * grad_out.reshape(-1, 1)
     grad_in = col2im_reference(grad_cols, (n * c, 1, h, w), kernel, kernel, stride)
     return grad_in.reshape(n, c, h, w)
-
-
-def avgpool_columns(x, kernel, stride):
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    cols = im2col_reference(x.reshape(n * c, 1, h, w), kernel, kernel, stride)
-    return cols.mean(axis=1).reshape(n, c, out_h, out_w)
-
-
-def avgpool_columns_backward(grad_out, x_shape, kernel, stride):
-    n, c, h, w = x_shape
-    window = kernel * kernel
-    grad_cols = np.repeat(grad_out.reshape(-1, 1) / window, window, axis=1)
-    grad_in = col2im_reference(grad_cols, (n * c, 1, h, w), kernel, kernel, stride)
-    return grad_in.reshape(n, c, h, w)

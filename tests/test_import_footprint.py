@@ -30,17 +30,16 @@ _ABSENT = ("scipy", "repro.network.events", "repro.network.churn", "repro.fl.fau
 
 # package -> the submodules ``import repro.experiments.runner`` loads.
 _LOADED = {
-    "compression": "base dgc error_feedback identity qsgd terngrad topk",
+    "compression": "base dgc identity qsgd terngrad topk",
     "core": "adafl compression_policy diagnostics fairness selection utility zoo",
-    "data": "augment dataset drift partition synthetic",
+    "data": "dataset partition synthetic",
     "embedded": "cluster device energy profiler",
     "experiments": "ablation analysis comparison empirical energy_study overhead presets "
                    "report_html reporting runner scalability sensitivity spec sweep tables",
     "fl": "async_engine baselines batched client config engine fedat metrics persist "
           "population replica server snapshot strategy sync_engine validation",
-    "network": "conditions estimator link tracefile traces",
-    "nn": "batched conv_utils initializers layers losses models normalization optim "
-          "schedulers sequential subspace",
+    "network": "conditions link tracefile traces",
+    "nn": "batched conv_utils initializers layers losses models optim sequential subspace",
     "sim": "analysis events faults kernel retry trace",
     "transport": "base chaos launch messages sockets worker",
     "wire": "codecs frame sizes",
