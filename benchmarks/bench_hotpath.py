@@ -19,8 +19,9 @@ Sections
     ``DGCCompressor.compress`` + ``decompress`` at ratio 100 on a
     model-sized gradient.
 ``conv_fwd_bwd``
-    Forward + backward of the MNIST CNN's second convolution
-    (im2col/col2im dominated).
+    One training step of the ``bench``-preset MNIST CNN that
+    ``adafl_sync_cnn`` trains (forward, loss, backward, SGD); ``meta``
+    records every layer's forward / backward microseconds.
 ``engine_loop``
     A miniature sync + async federation driven end-to-end through the
     ``repro.sim`` kernel (selection, transfers, training, aggregation).
@@ -75,8 +76,9 @@ from repro.compression.dgc import DGCCompressor
 from repro.data.synthetic import make_image_classification
 from repro.fl.client import Client
 from repro.fl.config import LocalTrainingConfig
-from repro.nn.layers import Conv2d
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mnist_cnn
+from repro.nn.optim import SGD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_hotpath.json"
@@ -170,18 +172,59 @@ def bench_dgc_roundtrip(iters: int) -> dict:
 
 
 def bench_conv_fwd_bwd(iters: int) -> dict:
-    """im2col convolution forward + backward, conv2-of-MNIST-CNN shape."""
+    """One training step of the bench-preset MNIST CNN, layer by layer.
+
+    The model, batch and step are the ones ``adafl_sync_cnn`` runs 390
+    times: forward, loss, backward stopping at the first trainable
+    layer, SGD.  ``meta["layers_us"]`` is each layer's best forward /
+    backward time in microseconds.
+    """
+    from repro.experiments.presets import get_scale
+
+    scale = get_scale("bench")
+    size = scale.image_size
+    model = build_mnist_cnn(
+        (1, size, size), 10, channels=scale.cnn_channels, hidden=scale.cnn_hidden,
+        seed=0,
+    )
     rng = np.random.default_rng(0)
-    conv = Conv2d(20, 50, 5, rng, padding=2)
-    x = rng.normal(size=(32, 20, 14, 14))
-    grad_out = rng.normal(size=(32, 50, 14, 14))
+    x = rng.normal(size=(scale.batch_size, 1, size, size))
+    y = rng.integers(0, 10, size=scale.batch_size)
+    loss_fn = SoftmaxCrossEntropy()
+    optimizer = SGD([model.flat_parameter()], lr=0.01)
+    layers = model.layers
+    first = next(i for i, layer in enumerate(layers) if layer.parameters())
+    fwd_s = [float("inf")] * len(layers)
+    bwd_s = [float("inf")] * len(layers)
+    clock = time.perf_counter
 
     def step() -> None:
-        conv.forward(x, training=True)
-        conv.backward(grad_out)
+        model.zero_grad()
+        out = x
+        for i, layer in enumerate(layers):
+            start = clock()
+            out = layer.forward(out, training=True)
+            fwd_s[i] = min(fwd_s[i], clock() - start)
+        loss_fn.forward(out, y)
+        grad = loss_fn.backward()
+        for i in range(len(layers) - 1, first - 1, -1):
+            start = clock()
+            grad = layers[i].backward(grad, need_input=i > first)
+            bwd_s[i] = min(bwd_s[i], clock() - start)
+        optimizer.step()
 
     stats = _time_section(step, iters)
-    stats["meta"] = {"batch": 32, "in_c": 20, "out_c": 50, "kernel": 5}
+    stats["meta"] = {
+        "d": model.num_params,
+        "batch": scale.batch_size,
+        "layers_us": {
+            f"{i}.{type(layer).__name__}": {
+                "fwd": round(fwd_s[i] * 1e6, 1),
+                "bwd": round(bwd_s[i] * 1e6, 1) if i >= first else None,
+            }
+            for i, layer in enumerate(layers)
+        },
+    }
     return stats
 
 

@@ -220,7 +220,9 @@ class _Conv2dH(_Handler):
     def backward(self, g, a, b, bsz, need_input):
         m = b - a
         oh, ow = self._geom
-        gm = g.transpose(0, 2, 3, 1).reshape(-1, self.out_c)
+        # C-ordered like the serial ``Conv2d.backward`` operand, also
+        # when a single sample's reshape would be a free F-ordered view.
+        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, self.out_c)
         gm3 = gm.reshape(m, bsz * oh * ow, self.out_c)
         wg = self.tr._buf(self.li, "wg", (m, self.out_c, self.ckk))
         np.matmul(gm3.transpose(0, 2, 1), self._cols3, out=wg)

@@ -11,8 +11,16 @@ here; there is no second implementation.
 The gather is a single pass: a zero-cost strided *view* of every
 receptive field feeds one ``np.copyto`` into the column matrix.  A
 gather moves the same values whatever the staging, so the result is
-bit-identical to the textbook ``kh * kw`` slice-copy loop (kept in
-``tests/nn/test_conv_utils.py`` as the reference).
+bit-identical to the textbook ``kh * kw`` slice-copy loop.
+
+The scatter is channels-last: windows are added into an
+(N, H+2p, W+2p, C) target and the result is its NCHW-shaped transposed
+view, the same memory order ``Conv2d`` emits its outputs in.  Each
+``(i, j)`` slice add then runs over contiguous rows of ``out_w * C``
+elements, and every element still receives the same addends in the
+same ``(i, j)`` order as the textbook NCHW loop, so values and zero
+signs are unchanged.  Both textbook loops are kept as the reference in
+``tests/nn/window_reference.py``.
 
 Both helpers accept an optional :class:`ConvWorkspace`.  The im2col
 expansion and the col2im scatter target are the two largest
@@ -50,7 +58,8 @@ class ConvWorkspace:
 
     * ``cols``     — (N*out_h*out_w, C*kh*kw) column matrix,
     * ``pad_in``   — zero-padded input copy (forward, padding > 0),
-    * ``pad_out``  — col2im scatter target.
+    * ``pad_out``  — channels-last (N, H+2p, W+2p, C) col2im scatter
+      target.
 
     The key is the *per-sample* geometry; the batch size only sets a
     capacity.  Buffers are sized for the largest ``N`` seen and a call
@@ -122,12 +131,12 @@ class ConvWorkspace:
         return _prefix(buf, n)
 
     def scatter_target(self, n: int) -> np.ndarray:
-        """A zero-filled (n, C, H+2p, W+2p) image to accumulate into."""
+        """A zero-filled channels-last (n, H+2p, W+2p, C) image to
+        accumulate into."""
         buf = self._pad_out
         if buf is None or buf.shape[0] < n:
-            buf = self._pad_out = np.empty(
-                (n,) + self._image_shape, dtype=self._key[-1]
-            )
+            c, h, w = self._image_shape
+            buf = self._pad_out = np.empty((n, h, w, c), dtype=self._key[-1])
         out = _prefix(buf, n)
         out.fill(0.0)
         return out
@@ -208,10 +217,11 @@ def col2im(
 
     Overlapping receptive fields accumulate, which is exactly the
     gradient of the im2col gather — so this implements the backward
-    pass of convolution with respect to its input.  The target starts
-    zero-filled and window slices are added in ``(i, j)`` order, read
-    straight from the column matrix; adding into ``+0`` absorbs signed
-    zeros, and that order is part of the bit-level contract.
+    pass of convolution with respect to its input.  The channels-last
+    target starts zero-filled and window slices are added in ``(i, j)``
+    order, read straight from the column matrix; adding into ``+0``
+    absorbs signed zeros, and that order is part of the bit-level
+    contract.  The result has shape ``x_shape`` and NHWC memory order.
 
     With a ``workspace`` the result is (a view into) the workspace's
     cached scatter buffer, valid until the next same-workspace call.
@@ -223,21 +233,20 @@ def col2im(
         x_shape[1:], kernel_h, kernel_w, stride, padding, cols.dtype
     )
     padded = workspace.scatter_target(n)
+    image = padded.transpose(0, 3, 1, 2)
     fields = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
     if stride >= kernel_h and stride >= kernel_w:
         # Non-overlapping windows: every target element is hit at most
         # once, so the whole scatter-add is one strided ``+=`` into a
         # window view — no aliasing, same ``0 + x`` per element.
-        windows = _windows(padded, out_h, out_w, kernel_h, kernel_w, stride)
+        windows = _windows(image, out_h, out_w, kernel_h, kernel_w, stride)
         windows += fields
     else:
         for i in range(kernel_h):
             i_max = i + stride * out_h
             for j in range(kernel_w):
                 j_max = j + stride * out_w
-                padded[:, :, i:i_max:stride, j:j_max:stride] += (
-                    fields[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                )
+                padded[:, i:i_max:stride, j:j_max:stride] += fields[..., i, j]
     if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        return image[:, :, padding:-padding, padding:-padding]
+    return image

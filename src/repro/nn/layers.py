@@ -20,6 +20,19 @@ All layers share the :class:`Layer` interface:
 ``parameters()``
     The layer's trainable :class:`Parameter` objects, in a stable
     order.
+
+Memory order.  ``Conv2d`` emits its (N, C, H, W) output as a view of
+NHWC memory — the natural layout of its (N*H*W, C) GEMM result — and
+hands its input gradient back the same way (``col2im`` scatters
+channels-last).  ``ReLU``, ``MaxPool2d`` and ``Flatten`` follow the
+memory order of their forward input: outputs and masks are written in
+it, and backward returns the input gradient in it, which is the order
+the producing layer reads.  So within a conv block no operand is
+re-laid-out, and ``Conv2d.backward`` reads ``grad_out`` as a free
+(N*H*W, C) view.  Layout never changes a result: elementwise ops and
+copies are order-free, ``Conv2d.backward`` always reduces over a
+C-ordered matrix, and ``Flatten`` hands the ``Linear`` head a C-ordered
+copy of an NHWC input.
 """
 
 from __future__ import annotations
@@ -67,6 +80,19 @@ class Parameter:
         obj.grad = grad
         return obj
 
+    def __getstate__(self) -> tuple:
+        # Pickling an ndarray view serialises an independent copy, which
+        # would store every parameter twice beside a model's flat
+        # buffers and sever it from them on load; a view of a flat
+        # buffer goes as (buffer, offset, shape) instead, so pickle's
+        # memo stores the buffer once and the view is rebuilt over it.
+        return (self.name, _buffer_ref(self.data), _buffer_ref(self.grad))
+
+    def __setstate__(self, state: tuple) -> None:
+        self.name, data, grad = state
+        self.data = _from_buffer_ref(data)
+        self.grad = _from_buffer_ref(grad)
+
     @property
     def size(self) -> int:
         """Number of scalar elements in the parameter."""
@@ -78,6 +104,29 @@ class Parameter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter({self.name!r}, shape={self.data.shape})"
+
+
+def _buffer_ref(array: np.ndarray) -> np.ndarray | tuple:
+    """``(buffer, offset, shape)`` for a packed view into a flat buffer,
+    else ``array`` itself."""
+    base = array.base
+    if (
+        not isinstance(base, np.ndarray)
+        or base.ndim != 1
+        or base.dtype != array.dtype
+        or not (base.flags.c_contiguous and array.flags.c_contiguous)
+    ):
+        return array
+    start = array.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+    return (base, start // base.itemsize, array.shape)
+
+
+def _from_buffer_ref(ref: np.ndarray | tuple) -> np.ndarray:
+    if isinstance(ref, np.ndarray):
+        return ref
+    base, offset, shape = ref
+    size = int(np.prod(shape))
+    return base[offset:offset + size].reshape(shape)
 
 
 class Layer:
@@ -225,7 +274,7 @@ class Conv2d(Layer):
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ w_mat.T
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
         return out
 
@@ -234,7 +283,13 @@ class Conv2d(Layer):
     ) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        # Always a C-ordered (N*H*W, C) matrix, so the GEMMs and the
+        # bias sum below associate the same way whatever the gradient's
+        # layout.  A free view in a model: every layer hands its
+        # gradient back in NHWC memory, the order forward emitted.
+        grad_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(
+            -1, self.out_channels
+        )
         self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_mat.sum(axis=0)
@@ -274,6 +329,23 @@ class Conv2d(Layer):
         return per_output * self.out_channels * out_h * out_w
 
 
+def _channels_last(x: np.ndarray) -> bool:
+    """Whether (N, C, H, W) ``x`` keeps channels innermost in memory,
+    as a ``Conv2d`` output does."""
+    return x.strides[1] < x.strides[3]
+
+
+def _empty_nchw(
+    shape: tuple[int, ...], dtype: np.dtype, channels_last: bool
+) -> np.ndarray:
+    """An uninitialised (..., N, C, H, W) array, NHWC in memory when
+    ``channels_last``."""
+    if not channels_last:
+        return np.empty(shape, dtype=dtype)
+    *lead, c, h, w = shape
+    return np.moveaxis(np.empty((*lead, h, w, c), dtype=dtype), -1, -3)
+
+
 def _window_planes(
     x: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
 ) -> list[np.ndarray]:
@@ -296,9 +368,10 @@ class MaxPool2d(Layer):
     """Max pooling with a square window; window must tile exactly or floor.
 
     Works on the window planes of :func:`_window_planes` with exact
-    elementwise ops — no column expansion — and writes C-contiguous
-    outputs whatever the input strides.  The workspace only supplies
-    the zero-filled input-gradient buffer of backward.
+    elementwise ops — no column expansion.  Output, tie masks and the
+    input gradient follow the memory order of the forward input: NHWC
+    behind a ``Conv2d`` / ``ReLU``, C order otherwise.  The workspace
+    only supplies the zero-filled input-gradient buffer of backward.
     """
 
     def __init__(self, kernel_size: int, stride: int | None = None):
@@ -307,6 +380,7 @@ class MaxPool2d(Layer):
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
         self._x_shape: tuple[int, int, int, int] | None = None
+        self._channels_last = False
         self._ws = ConvWorkspace()
         self._masks: np.ndarray | None = None
 
@@ -315,7 +389,8 @@ class MaxPool2d(Layer):
         k, s = self.kernel_size, self.stride
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
-        out = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+        channels_last = _channels_last(x)
+        out = _empty_nchw((n, c, out_h, out_w), x.dtype, channels_last)
         planes = _window_planes(x, k, s, out_h, out_w)
         np.copyto(out, planes[0])
         for plane in planes[1:]:
@@ -324,7 +399,7 @@ class MaxPool2d(Layer):
             # Break ties: keep only the first maximal element per window
             # (in (i, j) order) so the backward pass routes each
             # gradient exactly once.
-            masks = np.empty((len(planes),) + out.shape, dtype=np.bool_)
+            masks = _empty_nchw((len(planes),) + out.shape, np.bool_, channels_last)
             seen = masks[0]  # running "an element so far is maximal"
             np.equal(planes[0], out, out=seen)
             for plane, mask in zip(planes[1:], masks[1:]):
@@ -340,6 +415,7 @@ class MaxPool2d(Layer):
             np.logical_not(seen, out=seen)
             self._masks = masks
             self._x_shape = x.shape
+            self._channels_last = channels_last
         return out
 
     def backward(
@@ -353,12 +429,16 @@ class MaxPool2d(Layer):
         self._x_shape = None
         k, s = self.kernel_size, self.stride
         self._ws.bind((c, h, w), k, k, s, 0, grad_out.dtype)
-        grad_in = self._ws.scatter_target(n)
+        zeros = self._ws.scatter_target(n)  # channels-last (n, h, w, c)
+        if self._channels_last:
+            grad_in = zeros.transpose(0, 3, 1, 2)
+        else:  # the same zeroed memory, read in C order
+            grad_in = zeros.reshape(n, c, h, w)
         planes = _window_planes(grad_in, k, s, grad_out.shape[2], grad_out.shape[3])
         # ``0 + mask * grad`` per element, planes in (i, j) order: the
         # zero fill absorbs signed zeros, a non-finite gradient times
         # False stays NaN, overlapping windows accumulate in order.
-        routed = np.empty(grad_out.shape, dtype=grad_out.dtype)
+        routed = _empty_nchw(grad_out.shape, grad_out.dtype, self._channels_last)
         for mask, plane in zip(masks, planes):
             np.multiply(mask, grad_out, out=routed)
             plane += routed
@@ -414,25 +494,34 @@ class ReLU(Layer):
     def backward(
         self, grad_out: np.ndarray, need_input: bool = True
     ) -> np.ndarray | None:
-        if self._mask is None:
+        mask = self._mask
+        if mask is None:
             raise RuntimeError("backward called before forward(training=True)")
-        grad_in = grad_out * self._mask
         self._mask = None
-        return grad_in
+        # In the mask's (the forward input's) memory order, which is
+        # the order the layer before reads it in.
+        return np.multiply(grad_out, mask, out=np.empty_like(mask, dtype=grad_out.dtype))
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return input_shape
 
 
 class Flatten(Layer):
-    """Reshape (N, ...) to (N, -1)."""
+    """Reshape (N, ...) to (N, -1).
+
+    An NHWC-memory input (a pool output) is copied into C order, so the
+    ``Linear`` after it reads the operand layout it always has; the
+    input gradient comes back in the forward input's memory order.
+    """
 
     def __init__(self) -> None:
         self._x_shape: tuple[int, ...] | None = None
+        self._channels_last = False
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
             self._x_shape = x.shape
+            self._channels_last = x.ndim == 4 and _channels_last(x)
         return x.reshape(x.shape[0], -1)
 
     def backward(
@@ -442,7 +531,11 @@ class Flatten(Layer):
             raise RuntimeError("backward called before forward(training=True)")
         grad_in = grad_out.reshape(self._x_shape)
         self._x_shape = None
-        return grad_in
+        if not self._channels_last:
+            return grad_in
+        ordered = _empty_nchw(grad_in.shape, grad_in.dtype, channels_last=True)
+        ordered[...] = grad_in
+        return ordered
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         size = 1

@@ -15,6 +15,10 @@ storage — mutating them in place mutates the model, which is exactly
 what the FedProx/SCAFFOLD per-minibatch corrections exploit.  Callers
 that need a snapshot must ``.copy()``.  The setters always copy the
 incoming vector, so foreign arrays are never aliased.
+
+A pickled model holds each backing buffer once (``Parameter`` pickles
+a view as buffer + offset), and the views alias the buffers again
+after loading.
 """
 
 from __future__ import annotations
@@ -63,30 +67,6 @@ class Sequential:
             self._param_buf[offset:end] = p.data.ravel()
             p.data = self._param_buf[offset:end].reshape(p.data.shape)
             p.grad = self._grad_buf[offset:end].reshape(p.data.shape)
-            offset = end
-        self._flat_param = Parameter.from_views(
-            "flat", self._param_buf, self._grad_buf
-        )
-
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # Pickling an ndarray view serialises it as an independent
-        # copy, which would sever every Parameter from the backing
-        # buffers; drop the views and rebuild them on unpickle.
-        state = self.__dict__.copy()
-        state.pop("_flat_param", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        offset = 0
-        for p in self._params:
-            end = offset + p.data.size
-            shape = p.data.shape
-            p.data = self._param_buf[offset:end].reshape(shape)
-            p.grad = self._grad_buf[offset:end].reshape(shape)
             offset = end
         self._flat_param = Parameter.from_views(
             "flat", self._param_buf, self._grad_buf

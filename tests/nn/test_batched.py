@@ -151,6 +151,17 @@ def test_cnn_ragged_shards_bit_identical() -> None:
     _assert_rounds_equal(serial, fused, cfg)
 
 
+@pytest.mark.parametrize("n_train", [17, 18])
+def test_cnn_single_sample_steps_bit_identical(n_train: int) -> None:
+    # Two shards of 9 (or 9 and 8) at batch 4: each epoch ends on a
+    # one-sample step for both clients at once (or for one alone).  A
+    # one-sample conv gradient reshapes to an F-ordered view for free,
+    # so both paths must read it as a C-ordered matrix.
+    serial, fused = _cohorts(_cnn, n_train=n_train, num_clients=2)
+    cfg = LocalTrainingConfig(local_epochs=2, batch_size=4, lr=0.05)
+    _assert_rounds_equal(serial, fused, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Property test: random layer stacks
 # ---------------------------------------------------------------------------

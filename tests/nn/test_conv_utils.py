@@ -19,9 +19,10 @@ from tests.nn.window_reference import (
 @st.composite
 def window_geometries(draw):
     """(N, C, H, W, kh, kw, stride, padding): stride 1..4 against kernels
-    1..3 covers overlap, exact tiling, stride > kernel and floor tiling
-    (sizes are drawn independently of the kernel)."""
-    kernel_h, kernel_w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    1..5 covers overlap, exact tiling, stride > kernel and floor tiling
+    (sizes are drawn independently of the kernel), and the paper CNN's
+    5x5 / padding-2 window."""
+    kernel_h, kernel_w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     padding = draw(st.integers(0, 2))
     h = draw(st.integers(max(1, kernel_h - 2 * padding), 9))
     w = draw(st.integers(max(1, kernel_w - 2 * padding), 9))
@@ -257,6 +258,13 @@ class TestConvWorkspace:
             np.testing.assert_array_equal(
                 im2col(x, 3, 3, 1, 2, ws), im2col(x, 3, 3, 1, 2)
             )
+
+    def test_scatter_target_is_channels_last(self, rng):
+        ws = ConvWorkspace()
+        back = col2im(rng.normal(size=(2 * 36, 27)), (2, 3, 6, 6), 3, 3, 1, 1, ws)
+        assert ws._pad_out.shape == (2, 8, 8, 3)
+        assert np.shares_memory(back, ws._pad_out)
+        assert back.strides[1] == back.itemsize  # channels innermost
 
     def test_buffers_allocated_on_first_use_only(self, rng):
         ws = ConvWorkspace()

@@ -7,8 +7,12 @@ documented in docs/architecture.md ("Parameter memory model"):
   share memory with every ``Parameter.data`` / ``Parameter.grad``;
 * optimiser steps through the per-layer views produce bit-for-bit the
   same trajectory as dense flat-vector arithmetic;
-* the setters copy, so foreign vectors are never aliased.
+* the setters copy, so foreign vectors are never aliased;
+* a pickle holds each backing buffer once, and the views alias the
+  buffers again after loading.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ PRESETS = [
     ("mnist_cnn", (1, 8, 8), 4, {"channels": (4, 6), "hidden": 16}),
     ("resnet_mini", (3, 8, 8), 4, {"width": 4, "num_blocks": 1}),
     ("vgg_mini", (3, 8, 8), 4, {"widths": (4, 6), "hidden": 8}),
+    ("resnet_mini", (3, 8, 8), 4, {"width": 4, "num_blocks": 1, "head": "gap"}),
 ]
 
 
@@ -79,6 +84,26 @@ class TestFlatViews:
         flat_p = model.flat_parameter()
         assert flat_p.data is model.get_flat_params()
         assert flat_p.grad is model.get_flat_grads()
+
+    def test_pickle_holds_each_buffer_once(self, name, shape, classes, kwargs):
+        model = _build(name, shape, classes, kwargs)
+        model.get_flat_grads()[...] = 0.5
+        blob = pickle.dumps(model)
+        assert len(blob) <= 2 * 8 * model.num_params + 4096
+        clone = pickle.loads(blob)
+        flat, grads = clone.get_flat_params(), clone.get_flat_grads()
+        np.testing.assert_array_equal(flat, model.get_flat_params())
+        np.testing.assert_array_equal(grads, model.get_flat_grads())
+        assert clone.flat_parameter().data is flat
+        assert clone.flat_parameter().grad is grads
+        offset = 0
+        for p in clone.parameters():
+            assert np.shares_memory(flat, p.data), p.name
+            assert np.shares_memory(grads, p.grad), p.name
+            np.testing.assert_array_equal(flat[offset:offset + p.size], p.data.ravel())
+            offset += p.size
+        flat[...] = 3.0
+        assert all(np.all(p.data == 3.0) for p in clone.parameters())
 
     def test_sgd_trajectory_matches_dense_reference(
         self, name, shape, classes, kwargs

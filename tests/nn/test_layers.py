@@ -1,5 +1,7 @@
 """Gradient checks and behavioural tests for every layer."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from repro.nn.layers import (
     ReLU,
     ResidualBlock,
 )
+from repro.nn.losses import SoftmaxCrossEntropy
 
+from tests.nn.layout_digest_cases import CASES as LAYOUT_CASES
 from tests.nn.window_reference import (
     assert_bit_equal,
     maxpool_columns,
@@ -25,6 +29,16 @@ from tests.nn.window_reference import (
 )
 
 GRAD_TOL = 1e-6
+
+
+def assert_same_memory_order(a, x):
+    """``a`` is packed in the memory order of (N, C, H, W) ``x``: C order
+    for a C-ordered input, NHWC for an NHWC-memory one (both, when a
+    size-1 axis makes the two the same)."""
+    if x.flags.c_contiguous:
+        assert a.flags.c_contiguous
+    if x.transpose(0, 2, 3, 1).flags.c_contiguous:
+        assert a.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def layer_gradcheck(layer, x, rng):
@@ -54,6 +68,32 @@ class TestParameter:
 
     def test_size(self):
         assert Parameter("w", np.zeros((2, 5))).size == 10
+
+    def test_pickles_its_own_arrays(self, rng):
+        p = Parameter("w", rng.normal(size=(3, 4)))
+        p.grad += 2.0
+        clone = pickle.loads(pickle.dumps(p))
+        assert clone.name == "w"
+        np.testing.assert_array_equal(clone.data, p.data)
+        np.testing.assert_array_equal(clone.grad, p.grad)
+
+    def test_views_of_one_buffer_pickle_it_once(self, rng):
+        buf, gbuf = rng.normal(size=20), np.zeros(20)
+        params = [
+            Parameter.from_views("a", buf[:12].reshape(3, 4), gbuf[:12].reshape(3, 4)),
+            Parameter.from_views("b", buf[12:], gbuf[12:]),
+        ]
+        clone_a, clone_b = pickle.loads(pickle.dumps(params))
+        assert clone_a.data.base is clone_b.data.base
+        np.testing.assert_array_equal(clone_a.data.base, buf)
+        np.testing.assert_array_equal(clone_b.data, buf[12:])
+        assert clone_a.grad.shape == (3, 4) and clone_a.grad.base is clone_b.grad.base
+
+    def test_strided_view_pickles_as_a_copy(self, rng):
+        buf = rng.normal(size=(4, 6))
+        p = Parameter.from_views("w", buf[:, ::2], np.zeros((4, 3)))
+        clone = pickle.loads(pickle.dumps(p))
+        np.testing.assert_array_equal(clone.data, buf[:, ::2])
 
 
 class TestLinear:
@@ -184,12 +224,12 @@ class TestPoolingLaws:
         layer = MaxPool2d(kernel, stride)
         out = layer.forward(x, training=True)
         want_out, mask = maxpool_columns(x, kernel, stride)
-        assert out.flags.c_contiguous
+        assert_same_memory_order(out, x)
         np.testing.assert_array_equal(out, want_out)
         np.testing.assert_array_equal(layer.forward(x), want_out)
         grad_out = signed_values(seed, out.shape)
         grad_in = layer.backward(grad_out)
-        assert grad_in.flags.c_contiguous
+        assert_same_memory_order(grad_in, x)
         assert_bit_equal(
             grad_in, maxpool_columns_backward(mask, grad_out, x.shape, kernel, stride)
         )
@@ -269,9 +309,11 @@ class TestPoolingLaws:
         layer = layer_type(2)
         where = set()
         for n in (20, 7, 20):
-            layer.forward(rng.normal(size=(n, 3, 6, 6)), training=True)
+            x = rng.normal(size=(n, 3, 6, 6))
+            layer.forward(x, training=True)
             grad = layer.backward(rng.normal(size=(n, 3, 3, 3)))
-            assert grad.shape == (n, 3, 6, 6) and grad.flags.c_contiguous
+            assert grad.shape == (n, 3, 6, 6)
+            assert_same_memory_order(grad, x)
             where.add(grad.__array_interface__["data"][0])
         assert len(where) == 1
 
@@ -330,3 +372,89 @@ class TestResidualBlock:
 
     def test_flops_positive(self, rng):
         assert ResidualBlock(2, rng).flops((2, 4, 4)) > 0
+
+
+# ---------------------------------------------------------------------------
+# Memory order: layers follow their input's layout, values never depend on it
+# ---------------------------------------------------------------------------
+
+
+def _packed(values, permuted):
+    """``values`` packed in C order, or permuted: NHWC memory behind an
+    (N, C, H, W) view for 4-D arrays, F order for 2-D ones."""
+    if not permuted:
+        return np.ascontiguousarray(values)
+    if values.ndim == 2:
+        return np.asfortranarray(values)
+    return np.ascontiguousarray(values.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@st.composite
+def layout_cases(draw):
+    """(layer factory, input shape, seed) for every layer a zoo conv block
+    chains, single-sample batches included."""
+    kind = draw(st.sampled_from(["conv", "relu", "maxpool", "flatten", "residual"]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    h, w = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "conv":
+        oc, kernel = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+
+        def make():
+            return Conv2d(c, oc, kernel, np.random.default_rng(seed),
+                          stride=stride, padding=padding)
+    elif kind == "maxpool":
+        kernel, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+        def make():
+            return MaxPool2d(kernel, stride)
+    elif kind == "residual":
+        def make():
+            return ResidualBlock(c, np.random.default_rng(seed))
+    else:
+        make = {"relu": ReLU, "flatten": Flatten}[kind]
+    return make, (n, c, h, w), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=layout_cases(), x_permuted=st.booleans(), g_permuted=st.booleans())
+def test_layers_give_the_same_bits_in_either_memory_order(case, x_permuted, g_permuted):
+    make, shape, seed = case
+    values = signed_values(seed, shape)
+    runs = []
+    for permute_x, permute_g in ((False, False), (x_permuted, g_permuted)):
+        layer = make()
+        out = layer.forward(_packed(values, permute_x), training=True)
+        grad_out = _packed(signed_values(seed + 1, out.shape), permute_g)
+        grad_in = layer.backward(grad_out)
+        runs.append((out, grad_in, [p.grad for p in layer.parameters()]))
+    (out, grad_in, grads), (out2, grad_in2, grads2) = runs
+    assert_bit_equal(out2, out)
+    assert_bit_equal(grad_in2, grad_in)
+    for grad, grad2 in zip(grads, grads2):
+        assert_bit_equal(grad2, grad)
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_conv_backward_reads_its_gradient_without_a_copy(case):
+    """In a zoo model's training step every ``Conv2d.backward`` gets its
+    gradient in NHWC memory, so its (N*H*W, C) matrix is a free view."""
+    factory, batch = LAYOUT_CASES[case]
+    model = factory()
+    free = []
+    for layer in model.layers:
+        convs = [layer.conv1, layer.conv2] if isinstance(layer, ResidualBlock) else [layer]
+        for conv in convs:
+            if isinstance(conv, Conv2d):
+                def spy(grad_out, need_input=True, _backward=conv.backward):
+                    matrix = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+                    free.append(np.shares_memory(matrix, grad_out))
+                    return _backward(grad_out, need_input)
+
+                conv.backward = spy
+    x = signed_values(0, (batch,) + model.input_shape)
+    loss = SoftmaxCrossEntropy()
+    loss.forward(model.forward(x, training=True), np.zeros(batch, dtype=np.int64))
+    model.backward(loss.backward(), need_input=False)
+    assert free and all(free)
