@@ -18,6 +18,12 @@ Sections
 ``dgc_roundtrip``
     ``DGCCompressor.compress`` + ``decompress`` at ratio 100 on a
     model-sized gradient.
+``dgc_cohort``
+    One cohort's uploads as the engine compresses them: 20 compressors
+    at the wide-MLP dim (397 510) sharing one magnitude scratch, called
+    in turn at the warm-up ratio 4, so each call meets a cold
+    residual.  ``meta`` holds microseconds per call and the fresh bytes
+    one call allocates (its ``tracemalloc`` peak above the level before).
 ``conv_fwd_bwd``
     One training step of the ``bench``-preset MNIST CNN that
     ``adafl_sync_cnn`` trains (forward, loss, backward, SGD); ``meta``
@@ -48,6 +54,12 @@ Sections
     kernel (``repro.fl.batched.train_clients_batched``) on an
     embedded-scale MNIST CNN, with the serial ``Client.local_train``
     loop timed alongside; the fused/serial speedup is asserted >= 3x.
+``fused_vs_serial``
+    One warm cohort round of ``train_clients_batched`` and of the serial
+    ``Client.local_train`` loop on the models the end-to-end workloads
+    train (bench CNN, FAST thin CNN, FAST MLP), each asserted bit-equal
+    to the other.  The timed step is the fused bench-CNN round; ``meta``
+    holds every model's fused and serial times and their ratio.
 ``lint``
     A full-repo reprolint pass (``repro lint``), asserted to stay
     under the 5-second single-core developer budget.
@@ -61,6 +73,7 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py          # write baseline
     PYTHONPATH=src python benchmarks/bench_hotpath.py --print  # stdout only
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --print --section dgc_cohort
 """
 
 from __future__ import annotations
@@ -72,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.compression.dgc import DGCCompressor
+from repro.compression.dgc import DGCCompressor, MagnitudeScratch
 from repro.data.synthetic import make_image_classification
 from repro.fl.client import Client
 from repro.fl.config import LocalTrainingConfig
@@ -168,6 +181,53 @@ def bench_dgc_roundtrip(iters: int) -> dict:
 
     stats = _time_section(step, iters)
     stats["meta"] = {"d": d, "ratio": 100.0}
+    return stats
+
+
+def bench_dgc_cohort(iters: int) -> dict:
+    """A cohort's worth of DGC compress calls, interleaved as the engine
+    makes them.
+
+    ``dgc_roundtrip`` loops one compressor whose buffers stay in cache;
+    an AdaFL round instead compresses 20 clients in turn, each against
+    6 MiB of velocity + residual the other 19 calls pushed out, so fresh
+    d-sized allocations and their page faults show here.  Gradients are
+    scaled so the local clip engages, as on the wide MLP.
+    """
+    import tracemalloc
+
+    d, num_clients, ratio = 397_510, 20, 4.0
+    rng = np.random.default_rng(0)
+    grads = [rng.normal(scale=1e-2, size=d) for _ in range(4)]
+    scratch = MagnitudeScratch(d)
+    comps = [
+        DGCCompressor(d, num_workers=num_clients, scratch=scratch)
+        for _ in range(num_clients)
+    ]
+
+    def cohort() -> None:
+        for i, comp in enumerate(comps):
+            comp.compress(grads[i % len(grads)], ratio=ratio)
+
+    stats = _time_section(cohort, iters)
+    fresh = []
+    tracemalloc.start()
+    try:
+        for i, comp in enumerate(comps):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            payload = comp.compress(grads[i % len(grads)], ratio=ratio)
+            fresh.append(tracemalloc.get_traced_memory()[1] - before)
+            del payload
+    finally:
+        tracemalloc.stop()
+    stats["meta"] = {
+        "d": d,
+        "compressors": num_clients,
+        "ratio": ratio,
+        "us_per_call": stats["min_s"] / num_clients * 1e6,
+        "fresh_bytes_per_call": float(np.mean(fresh)),
+    }
     return stats
 
 
@@ -639,6 +699,62 @@ def bench_batched_train(iters: int) -> dict:
     return stats
 
 
+def bench_fused_vs_serial(iters: int) -> dict:
+    """Fused cohort round against the serial loop, per workload model.
+
+    Two identically built federations per model: the first fused and
+    the first serial round start from equal state and are asserted
+    bit-equal, then both are timed warm (trainer cached, buffers sized).
+    ``fused_over_serial`` is the time ratio: below 1 the kernel wins.
+    """
+    from dataclasses import replace
+
+    from repro.experiments.presets import get_scale
+    from repro.experiments.runner import FederationSpec, _federation_config, build_federation
+    from repro.fl.batched import train_clients_batched
+
+    fast = get_scale("fast")
+    models = {  # the workload whose model each one is
+        "bench_cnn": ("bench", "mnist_cnn", 10, {}),  # adafl_sync_cnn
+        "fast_thin_cnn": ("fast", "mnist_cnn", 10, {}),  # fedavg_batched_thin
+        "fast_mlp": ("fast", "mlp", 20, {"train_samples": 2 * fast.train_samples}),
+    }
+    timed = None
+    meta = {}
+    for name, (preset, model, num_clients, overrides) in models.items():
+        scale = replace(get_scale(preset), num_clients=num_clients, **overrides)
+        spec = FederationSpec(
+            dataset="mnist", model=model, distribution="shard", scale=scale, seed=0
+        )
+        fused_fed, serial_fed = build_federation(spec), build_federation(spec)
+        config = _federation_config(spec).local
+        params = fused_fed.server.params.copy()
+        cache: dict = {}
+
+        def fused(clients=fused_fed.clients, cache=cache):
+            return train_clients_batched(clients, params, config, cache=cache)
+
+        def serial(clients=serial_fed.clients):
+            return [c.local_train(params, config) for c in clients]
+
+        got = fused()
+        assert got is not None, f"{name}: the fused kernel declined the cohort"
+        for want in serial():
+            assert np.array_equal(got[want.client_id].delta, want.delta), name
+        fused_stats = _time_section(fused, iters)
+        serial_s = _time_section(serial, iters)["min_s"]
+        timed = timed or fused_stats
+        meta[name] = {
+            "clients": num_clients,
+            "d": fused_fed.server.dim,
+            "fused_ms": fused_stats["min_s"] * 1e3,
+            "serial_ms": serial_s * 1e3,
+            "fused_over_serial": fused_stats["min_s"] / serial_s,
+        }
+    timed["meta"] = meta
+    return timed
+
+
 def bench_population(iters: int) -> dict:
     """One federated round over a 100k-client virtual population.
 
@@ -857,12 +973,14 @@ SECTIONS = {
     "flat_roundtrip": (bench_flat_roundtrip, 50),
     "local_train": (bench_local_train, 5),
     "dgc_roundtrip": (bench_dgc_roundtrip, 20),
+    "dgc_cohort": (bench_dgc_cohort, 5),
     "conv_fwd_bwd": (bench_conv_fwd_bwd, 20),
     "engine_loop": (bench_engine_loop, 8),
     "resilience": (bench_resilience, 10),
     "wire": (bench_wire, 20),
     "subspace": (bench_subspace, 20),
     "batched_train": (bench_batched_train, 8),
+    "fused_vs_serial": (bench_fused_vs_serial, 5),
     "population": (bench_population, 3),
     "lint": (bench_lint, 5),
     "lint_flow": (bench_lint_flow, 5),
@@ -898,9 +1016,17 @@ def main(argv: list[str] | None = None) -> int:
         "--iters-scale", type=float, default=1.0,
         help="multiply every section's iteration count (e.g. 0.2 for a smoke run)",
     )
+    parser.add_argument(
+        "--section", action="append", default=[], metavar="NAME",
+        choices=sorted(SECTIONS), help="run only this section (repeatable; needs --print)",
+    )
     args = parser.parse_args(argv)
+    if args.section and not args.print_only:
+        # A partial result must not replace the baseline; refresh single
+        # anchors with scripts/check_bench.py --update --section NAME.
+        parser.error("--section needs --print")
 
-    result = run_suite(args.iters_scale)
+    result = run_suite(args.iters_scale, only=tuple(args.section))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.print_only:
         print(text, end="")

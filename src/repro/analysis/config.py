@@ -31,17 +31,20 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # R2: the package DAG.  Key: second-level package under ``repro``;
-# value: packages it may import.  ``nn``/``compression``/``sim``/
-# ``data``/``analysis`` are leaves; ``fl`` builds on the substrate;
+# value: packages it may import.  ``blocks`` (the cache-blocked
+# elementwise kernels), ``wire``, ``data`` and ``analysis`` are leaves;
+# the substrate ``nn``/``compression``/``sim`` sits just above them;
+# ``fl`` builds on the substrate;
 # ``core`` (AdaFL) builds on ``fl``; ``experiments`` and the CLI sit on
 # top.  Anything absent from a value set — in particular ``fl``,
 # ``experiments``, and ``cli`` from any substrate package — is a
 # layering violation.
 # ----------------------------------------------------------------------
 ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
-    "nn": frozenset(),
+    "blocks": frozenset(),
+    "nn": frozenset({"blocks"}),
     "wire": frozenset(),
-    "compression": frozenset({"wire"}),
+    "compression": frozenset({"blocks", "wire"}),
     "sim": frozenset({"wire"}),
     "data": frozenset(),
     "analysis": frozenset(),
@@ -50,6 +53,7 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
     "transport": frozenset({"compression", "sim", "wire"}),
     "fl": frozenset(
         {
+            "blocks",
             "compression",
             "data",
             "embedded",
@@ -102,6 +106,7 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
 # ----------------------------------------------------------------------
 HOTPATH_MODULES: frozenset[str] = frozenset(
     {
+        "repro.blocks",
         "repro.nn.sequential",
         "repro.nn.subspace",
         "repro.nn.optim",

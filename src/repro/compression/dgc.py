@@ -26,15 +26,45 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.blocks import row_blocks
 from repro.compression.base import CompressedGradient, Compressor, scatter_dense
 from repro.compression.topk import topk_indices
 from repro.wire.codecs import predicted_payload_nbytes
 
-__all__ = ["DGCCompressor"]
+__all__ = ["DGCCompressor", "MagnitudeScratch"]
+
+
+class MagnitudeScratch:
+    """The ``|residual|`` buffer DGC's top-k partitions in place.
+
+    What it holds is dead once :meth:`DGCCompressor.compress` returns,
+    so every compressor of one dimension can *borrow* the same one, the
+    way clients borrow a :class:`~repro.fl.replica.ModelReplica`: whoever
+    builds a federation's compressors hands each the same scratch.  The
+    buffer is allocated on first use and never pickled.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._buffer: np.ndarray | None = None
+
+    def buffer(self) -> np.ndarray:
+        """The float64 scratch vector (contents undefined)."""
+        buf = self._buffer
+        if buf is None:
+            buf = self._buffer = np.empty(self.dim, dtype=np.float64)
+        return buf
+
+    def __getstate__(self) -> dict:
+        return {"dim": self.dim, "_buffer": None}
 
 
 class DGCCompressor(Compressor):
-    """Stateful DGC compressor for one client."""
+    """Stateful DGC compressor for one client.
+
+    ``scratch`` is the magnitude buffer ``compress`` borrows; compressors
+    built without one get a private scratch.
+    """
 
     name = "dgc"
 
@@ -46,6 +76,7 @@ class DGCCompressor(Compressor):
         clip_norm: float | None = 5.0,
         num_workers: int = 1,
         use_momentum_correction: bool = True,
+        scratch: MagnitudeScratch | None = None,
     ):
         super().__init__(dim)
         if ratio < 1.0:
@@ -61,19 +92,25 @@ class DGCCompressor(Compressor):
         self.clip_norm = clip_norm
         self.num_workers = num_workers
         self.use_momentum_correction = use_momentum_correction
+        if scratch is None:
+            scratch = MagnitudeScratch(dim)
+        elif scratch.dim != dim:
+            raise ValueError(f"scratch of dim {scratch.dim} for a dim-{dim} compressor")
+        self._scratch = scratch
         self._velocity = np.zeros(dim, dtype=np.float64)  # u_t in the DGC paper
         self._residual = np.zeros(dim, dtype=np.float64)  # v_t in the DGC paper
 
     # ------------------------------------------------------------------
-    def _clip(self, grad: np.ndarray) -> np.ndarray:
-        """Local gradient clipping scaled for ``num_workers`` (DGC §3.3)."""
+    def _clip_scale(self, grad: np.ndarray) -> float | None:
+        """Local gradient clipping scaled for ``num_workers`` (DGC §3.3):
+        the factor to scale ``grad`` by, or None to leave it as is."""
         if self.clip_norm is None:
-            return grad
+            return None
         threshold = self.clip_norm / np.sqrt(self.num_workers)
         norm = float(np.linalg.norm(grad))
         if norm > threshold:
-            return grad * (threshold / norm)
-        return grad
+            return threshold / norm
+        return None
 
     def compress(
         self, grad: np.ndarray, ratio: float | None = None
@@ -88,26 +125,38 @@ class DGCCompressor(Compressor):
         if effective_ratio < 1.0:
             raise ValueError("compression ratio must be >= 1")
 
-        grad = self._clip(grad)
-        if self.use_momentum_correction:
-            self._velocity *= self.momentum
-            self._velocity += grad
-            self._residual += self._velocity
-        else:
-            self._residual += grad
+        scale = self._clip_scale(grad)
+        velocity, residual = self._velocity, self._residual
+        magnitudes = self._scratch.buffer()
+        # One blocked pass: clip -> momentum -> residual -> |residual|.
+        # A clipped gradient block is staged in the magnitude block the
+        # chain overwrites last, so the caller's array is never scaled
+        # in place and no d-sized temporary is made.
+        for rows in row_blocks(residual):
+            g, mag, r = grad[rows], magnitudes[rows], residual[rows]
+            if scale is not None:
+                g = np.multiply(g, scale, out=mag)
+            if self.use_momentum_correction:
+                v = velocity[rows]
+                v *= self.momentum
+                v += g
+                r += v
+            else:
+                r += g
+            np.abs(r, out=mag)
 
         k = max(1, int(round(self.dim / effective_ratio)))
-        idx = topk_indices(self._residual, k)
+        idx = topk_indices(residual, k, magnitudes)
         # One gather straight into the float32 wire payload: fancy
         # indexing + astype already yield an array independent of the
         # residual buffer, so payload mutation can never corrupt
         # compressor state.
-        values = self._residual[idx].astype(np.float32)
+        values = residual[idx].astype(np.float32)
 
         # Transmitted coordinates leave both buffers (DGC Algorithm 1).
-        self._residual[idx] = 0.0
+        residual[idx] = 0.0
         if self.use_momentum_correction:
-            self._velocity[idx] = 0.0
+            velocity[idx] = 0.0
 
         data = {
             "indices": idx.astype(np.uint32),

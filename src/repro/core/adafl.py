@@ -15,8 +15,11 @@ Two strategies implement the design of §IV on top of the engines in
 Scoring note: in a deployment each client computes its own utility
 score (an O(d) dot product against the last global gradient — the
 ~0.05% overhead of §V Q3) and reports it in a few bytes.  The
-simulation lets the server read the client's cached local delta
-directly; the report is charged at ``SCORE_REPORT_BYTES`` per upload.
+simulation lets the server compute it from the client's local
+direction — a fresh probe (sync), or the training delta the engine
+retains for :class:`AdaFLAsync` (the only strategy with
+``reads_last_delta``); the report is charged at ``SCORE_REPORT_BYTES``
+per upload.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.dgc import DGCCompressor
+from repro.compression.dgc import DGCCompressor, MagnitudeScratch
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.core.selection import SelectionResult, select_from_scores
 from repro.core.utility import UtilityScorer
@@ -127,7 +130,8 @@ class _AdaFLBase:
     Compressors are owned by the clients themselves and
     attached through a registry materialization hook — a bound method,
     so it survives snapshot pickling and keeps re-attaching state after
-    resume — never by an eager loop over the full population.
+    resume — never by an eager loop over the full population.  They all
+    borrow the strategy's one :class:`MagnitudeScratch`.
     """
 
     def __init__(self, config: AdaFLConfig):
@@ -142,6 +146,7 @@ class _AdaFLBase:
         pop = ClientPopulation.ensure(clients)
         self._pop = pop
         self._dim = server.dim
+        self._scratch = MagnitudeScratch(server.dim)
         self._num_workers = len(pop)
         pop.on_materialize(self._attach_compressor)
 
@@ -158,6 +163,7 @@ class _AdaFLBase:
             momentum=self.config.dgc_momentum,
             clip_norm=self.config.dgc_clip_norm,
             num_workers=self._num_workers,
+            scratch=self._scratch,
         )
 
     # -- score storage (registry metadata arrays) ----------------------
@@ -178,11 +184,16 @@ class _AdaFLBase:
         return endpoint.downlink_bandwidth(t), endpoint.uplink_bandwidth(t)
 
     def _score_client(
-        self, client: Client, server: Server, bw_down: float, bw_up: float
+        self,
+        client: Client,
+        server: Server,
+        bw_down: float,
+        bw_up: float,
+        local: np.ndarray | None,
     ) -> float:
-        score = self.config.scorer.score(
-            bw_down, bw_up, client.last_delta, server.global_delta
-        )
+        """Score ``client`` from its local direction ``local`` (None: no
+        direction known yet, the scorer's ``default_similarity``)."""
+        score = self.config.scorer.score(bw_down, bw_up, local, server.global_delta)
         smoothing = self.config.score_smoothing
         if smoothing > 0.0:
             prev = self._prev_score(client.client_id)
@@ -281,14 +292,22 @@ class AdaFLSync(SyncStrategy, _AdaFLBase):
             client = context.clients[cid]
             # Paper §IV: on receiving the global model, every client
             # interrupts its local training to compute a utility score
-            # from its *current* local gradient.  Refresh the cached
-            # direction with a one-minibatch probe so scores track the
-            # evolving global model instead of freezing at each
-            # client's last participation.
+            # from its *current* local gradient: a one-minibatch probe,
+            # scored and dropped, so scores track the evolving global
+            # model instead of freezing at each client's last
+            # participation.  Without a local config there is no probe
+            # and the score reads a delta the caller retained.
             if context.local_config is not None:
-                client.probe_delta(context.server.params, context.local_config)
+                local = client.probe_delta(context.server.params, context.local_config)
+            else:
+                local = client.last_delta
+                if local is None:
+                    raise RuntimeError(
+                        f"client {cid} has no retained last_delta to score: "
+                        "pass RoundContext.local_config to score from a probe"
+                    )
             bw_down, bw_up = self._bandwidths(context.network, cid, context.sim_time_s)
-            raw = self._score_client(client, context.server, bw_down, bw_up)
+            raw = self._score_client(client, context.server, bw_down, bw_up, local)
             scores_arr[pos] = self._rotation_adjusted(cid, raw, context.round_index)
 
         if self.config.tau_mode == "relative":
@@ -333,6 +352,8 @@ class AdaFLAsync(AsyncStrategy, _AdaFLBase):
     """Fully asynchronous AdaFL with utility-gated halting."""
 
     name = "adafl-async"
+    # Halting scores each arrival from the client's last training delta.
+    reads_last_delta = True
 
     def __init__(
         self,
@@ -360,7 +381,7 @@ class AdaFLAsync(AsyncStrategy, _AdaFLBase):
             self._store_score(client.client_id, 1.0)
             return True
         bw_down, bw_up = self._bandwidths(self._network, client.client_id, sim_time_s)
-        score = self._score_client(client, server, bw_down, bw_up)
+        score = self._score_client(client, server, bw_down, bw_up, client.last_delta)
         return score >= self.config.tau
 
     def process_upload(

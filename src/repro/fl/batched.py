@@ -121,7 +121,6 @@ def train_clients_batched(
     for c, sc, res in zip(cohort, controls, results):
         local_params = res.params
         delta = local_params - global_params
-        c.last_delta = delta
         extras: dict[str, Any] = {}
         if use_scaffold and res.steps > 0:
             # SCAFFOLD option II, exactly as in Client.local_train.

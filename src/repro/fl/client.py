@@ -10,10 +10,13 @@ the architecture (see that module for the borrow contract).
 ``delta = w_local - w_global`` is the pseudo-gradient every
 aggregation rule in this package consumes.
 
-After each round the client caches its (uncompressed) delta.  AdaFL's
-utility score compares this cached local direction against the global
-direction — an O(d) dot product, which is why the paper measures only
-~0.05% CPU overhead for scoring (§V, Q3).
+A client keeps no copy of what it returns.  ``last_delta`` is retained
+only for a strategy that declares it reads it (``reads_last_delta``:
+async AdaFL, whose utility score compares that local direction against
+the global one — an O(d) dot product, which is why the paper measures
+only ~0.05% CPU overhead for scoring, §V Q3); the engine stores the
+delta there as the training leg ends.  Sync AdaFL scores each fresh
+:meth:`Client.probe_delta` straight away and keeps nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +74,9 @@ class Client:
         # Strategy-attached state ----------------------------------------
         self.control_variate: np.ndarray | None = None  # SCAFFOLD c_i
         self.compressor = None  # AdaFL attaches a DGCCompressor
-        self.last_delta: np.ndarray | None = None  # cached local direction
+        # Last training delta, set by the engine only when the strategy
+        # reads it (``reads_last_delta``); None otherwise.
+        self.last_delta: np.ndarray | None = None
         self.halted = False  # AdaFL async: paused until next global model
 
     def __getstate__(self) -> dict:
@@ -116,7 +121,7 @@ class Client:
 
         Everything *not* regenerable from ``(client_id, dataset,
         model_fn, seed)`` alone: the shuffling RNG position,
-        strategy attachments (SCAFFOLD variate, cached delta, halt
+        strategy attachments (SCAFFOLD variate, retained delta, halt
         flag), and compressor residual/momentum buffers.  Model
         parameters and optimiser momentum are not the client's to
         keep: they live in the borrowed replica, and ``local_train``
@@ -266,7 +271,6 @@ class Client:
             # Hard guarantee: zero off-subspace, whatever the optimiser
             # did there indirectly (weight decay moves frozen params).
             delta[frozen] = 0.0
-        self.last_delta = delta
 
         extras: dict[str, Any] = {}
         if use_scaffold and steps > 0:
@@ -294,7 +298,7 @@ class Client:
     def probe_delta(
         self, global_params: np.ndarray, config: LocalTrainingConfig
     ) -> np.ndarray:
-        """Refresh the cached local direction with a one-minibatch probe.
+        """The client's current local direction, from a one-minibatch probe.
 
         The paper's clients interrupt their ongoing local training to
         score the freshly received global model (§IV); a client that
@@ -302,7 +306,7 @@ class Client:
         local gradient.  The selected-clients-only engine emulates that
         with a single minibatch gradient at ``global_params``, scaled
         to a pseudo-delta (``-lr * g``) so it is directly comparable to
-        cached training deltas.  Updates ``last_delta`` and returns it.
+        training deltas.  The probe is returned, not kept.
         """
         replica = self.replica
         model, loss_fn = replica.model, replica.loss_fn
@@ -312,9 +316,7 @@ class Client:
         logits = model.forward(xb, training=True)
         loss_fn.forward(logits, yb)
         model.backward(loss_fn.backward(), need_input=False)
-        probe = -config.lr * model.get_flat_grads()
-        self.last_delta = probe
-        return probe
+        return -config.lr * model.get_flat_grads()
 
     def training_flops(self, config: LocalTrainingConfig) -> int:
         """Arithmetic one local round costs, without running it."""

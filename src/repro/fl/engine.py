@@ -321,8 +321,14 @@ class _EngineBase:
         ``context`` is what the strategy's upload hooks take as their
         third argument: the sync ``RoundContext``, or None for the
         async strategies, which take the instant the upload is ready.
+
+        A strategy that reads ``client.last_delta`` gets the training
+        delta retained here, before the crash check: the work a crash
+        destroys was still done, and the client's next score reads it.
         """
         cid = client.client_id
+        if self.strategy.reads_last_delta:
+            client.last_delta = update.delta
         compute_s = self._kernel.compute(cid, update.flops, train_start)
         ready = train_start + compute_s
         crash = self._chaos.crash

@@ -2,9 +2,10 @@
 
 The paper targets fleets of embedded devices, but a naive simulation
 materialises every :class:`~repro.fl.client.Client` eagerly — a
-dataset shard, an O(d) cached delta and (for AdaFL) ~O(d) of DGC
-residual + momentum state per client.  That caps runs at a few dozen
-clients while real federations have thousands to millions.
+dataset shard and (for AdaFL) ~O(d) of DGC residual + momentum state
+per client, plus an O(d) retained delta under async AdaFL.  That caps
+runs at a few dozen clients while real federations have thousands to
+millions.
 
 :class:`ClientPopulation` decouples the two scales:
 
@@ -12,7 +13,7 @@ clients while real federations have thousands to millions.
   metadata kept in preallocated numpy arrays (utility score, last
   upload round, last seen round), a few bytes per client;
 * the heavy **state** (the ``Client`` object: dataset shard, SCAFFOLD
-  variate, cached delta, DGC residuals) exists only while the client is
+  variate, retained delta, DGC residuals) exists only while the client is
   *materialised* — typically just the active cohort of a round;
 * the **scratch model** those clients train on — parameters, gradients,
   hoisted SGD momentum, conv workspaces — belongs to the registry, one
@@ -27,7 +28,7 @@ Eviction follows a :class:`RetentionPolicy`:
   this mode, so existing engines and the six pinned equivalence
   trajectories are bit-identical by construction.
 * ``"spill"`` — on eviction the client's cross-round state (RNG
-  streams, control variate, cached delta, compressor residuals) is
+  streams, control variate, retained delta, compressor residuals) is
   sealed into a :mod:`repro.wire` blob frame on disk; RAM cost per
   evicted client is O(1).
 * ``"regenerate"`` — everything derivable from the client factory
@@ -38,7 +39,7 @@ Eviction follows a :class:`RetentionPolicy`:
 
 All three policies produce **bit-identical trajectories**: the
 extract/restore split on :class:`~repro.fl.client.Client` captures
-every cross-round observable (shuffling RNG, control variates, cached
+every cross-round observable (shuffling RNG, control variates, retained
 deltas, compressor buffers), and the pinned equivalence suite asserts
 it.
 
@@ -282,7 +283,7 @@ class ClientPopulation:
             return
         live = self._live
         if live:
-            # Clients gain weight after materialization (cached
+            # Clients gain weight after materialization (retained
             # deltas, compressor buffers), so re-sample the byte peak
             # at trim time, when the cohort is fully loaded.
             self.stats.peak_live_nbytes = max(

@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.blocks import add_scaled
 from repro.compression.base import CompressedGradient
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server, ServerOpt
-from repro.nn.optim import add_scaled
 from repro.nn.subspace import ParamSubspace
 from repro.wire.codecs import codec_for_id, encode_frame, encode_model_frame
 from repro.wire.frame import Frame
@@ -244,6 +244,9 @@ class SyncStrategy(_ModelBroadcast):
     name = "sync-base"
     # Delivered updates -> one direction (Eq. 2's sample weights).
     reducer = staticmethod(weighted_average)
+    # Whether the strategy reads ``client.last_delta``: only then does
+    # the engine retain each client's training delta there.
+    reads_last_delta = False
 
     def __init__(
         self, participation_rate: float = 0.5, server_opt: ServerOpt | None = None
@@ -331,6 +334,7 @@ class AsyncStrategy(_ModelBroadcast):
     """Base asynchronous strategy: server reacts to one update at a time."""
 
     name = "async-base"
+    reads_last_delta = False  # as on SyncStrategy
 
     def prepare(self, server: Server, clients: list[Client]) -> None:
         """One-time setup before the first dispatch."""

@@ -732,37 +732,29 @@ class RemoteClient:
     Presents the :class:`~repro.fl.client.Client` surface the engines
     and strategies touch — ``local_train``, ``probe_delta``,
     ``last_delta``, ``halted``, ``compressor`` — and routes the heavy
-    calls to the owning worker.  ``last_delta`` mirrors the worker's
-    cache from probe/train replies, so AdaFL's scorer reads the same
-    vector it would in-process.
+    calls to the owning worker.  Like an in-process client it keeps no
+    copy of what it returns: ``last_delta`` is set by the engine, and
+    only for a strategy that reads it (``reads_last_delta``), from the
+    delta of the train reply — the vector the scorer would read
+    in-process.  Worker-side clients retain nothing.
     """
 
     def __init__(self, transport: SocketTransport, cid: int):
         self.client_id = cid
         self.halted = False
         self.compressor = RemoteCompressor(transport, cid)
+        self.last_delta: np.ndarray | None = None
         self._transport = transport
-        self._last_delta: np.ndarray | None = None
-
-    @property
-    def last_delta(self) -> np.ndarray | None:
-        return self._last_delta
 
     def local_train(
         self, global_params: np.ndarray, config, round_index: int = 0, **kwargs
     ):
         del config  # the worker trains with its identical local config
-        update = self._transport.train(
-            self.client_id, global_params, round_index, kwargs
-        )
-        self._last_delta = update.delta
-        return update
+        return self._transport.train(self.client_id, global_params, round_index, kwargs)
 
     def probe_delta(self, global_params: np.ndarray, config) -> np.ndarray:
         del config
-        probe = self._transport.probe(self.client_id, global_params)
-        self._last_delta = probe
-        return probe
+        return self._transport.probe(self.client_id, global_params)
 
 
 class RemoteCompressor:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.dgc import DGCCompressor
+from repro.compression.dgc import DGCCompressor, MagnitudeScratch
 
 
 class TestBasics:
@@ -150,6 +150,86 @@ class TestInPlaceRecurrence:
             velocity[idx] = 0.0
             assert comp._velocity.tobytes() == velocity.tobytes()
             assert comp._residual.tobytes() == residual.tobytes()
+
+
+class _ReferenceDGC:
+    """DGC as whole-array expressions around an argpartition top-k —
+    a private compressor with no scratch to share."""
+
+    def __init__(self, dim, momentum, clip_norm, num_workers):
+        self.dim, self.momentum = dim, momentum
+        self.threshold = clip_norm / np.sqrt(num_workers)
+        self.velocity, self.residual = np.zeros(dim), np.zeros(dim)
+
+    def compress(self, grad, ratio):
+        norm = float(np.linalg.norm(grad))
+        if norm > self.threshold:
+            grad = grad * (self.threshold / norm)
+        self.velocity = self.momentum * self.velocity + grad
+        self.residual += self.velocity
+        k = max(1, int(round(self.dim / ratio)))
+        if k >= self.dim:
+            idx = np.arange(self.dim)
+        else:
+            idx = np.sort(np.argpartition(-np.abs(self.residual), k - 1)[:k])
+        values = self.residual[idx].astype(np.float32)
+        self.residual[idx] = 0.0
+        self.velocity[idx] = 0.0
+        return idx, values
+
+    def restore(self, idx, values):
+        self.residual[idx] += values.astype(np.float64)
+
+
+class TestSharedScratch:
+    """Compressors borrowing one magnitude scratch, called interleaved,
+    match private reference compressors bit for bit."""
+
+    @pytest.mark.parametrize("dim", (257, 40_000))
+    def test_interleaved_cohort_matches_private_references(self, dim):
+        n, rng = 4, np.random.default_rng(11)
+        scratch = MagnitudeScratch(dim)
+        kw = dict(momentum=0.9, clip_norm=5.0, num_workers=n)
+        comps = [DGCCompressor(dim, scratch=scratch, **kw) for _ in range(n)]
+        refs = [_ReferenceDGC(dim, **kw) for _ in range(n)]
+        for step in range(12):
+            for i in rng.permutation(n):
+                # Coarse values: many ties at the k-th magnitude.
+                grad = np.round(rng.normal(size=dim), 1 if step % 2 else 6)
+                ratio = float(rng.choice([1.0, 4.0, 37.5, 210.0]))
+                payload = comps[i].compress(grad, ratio=ratio)
+                idx, values = refs[i].compress(grad, ratio)
+                assert np.array_equal(payload.data["indices"], idx.astype(np.uint32))
+                assert payload.data["values"].tobytes() == values.tobytes()
+                dense = np.zeros(dim)
+                dense[idx] = values
+                assert comps[i].decompress(payload).tobytes() == dense.tobytes()
+                if rng.random() < 0.3:  # a NACK
+                    comps[i].restore(payload)
+                    refs[i].restore(idx, values)
+                if rng.random() < 0.2:  # evicted and re-materialised
+                    fresh = DGCCompressor(dim, scratch=scratch, **kw)
+                    fresh.import_state(comps[i].export_state())
+                    comps[i] = fresh
+                state = comps[i].export_state()
+                assert state["velocity"].tobytes() == refs[i].velocity.tobytes()
+                assert state["residual"].tobytes() == refs[i].residual.tobytes()
+
+    def test_scratch_pickles_empty_and_stays_shared(self):
+        import pickle
+
+        scratch = MagnitudeScratch(5000)
+        comps = [DGCCompressor(5000, scratch=scratch) for _ in range(3)]
+        for c in comps:
+            c.compress(np.random.default_rng(0).normal(size=5000))
+        assert len(pickle.dumps(scratch)) < 200
+        clones = pickle.loads(pickle.dumps(comps))
+        assert len({id(c._scratch) for c in clones}) == 1
+        assert clones[0]._scratch._buffer is None
+
+    def test_scratch_dim_must_match(self):
+        with pytest.raises(ValueError):
+            DGCCompressor(10, scratch=MagnitudeScratch(11))
 
 
 class TestClipping:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import topk
 from repro.compression.topk import TopKCompressor, topk_indices
 
 
@@ -63,6 +64,66 @@ class TestTopKIndices:
         if dropped.size and kept.size:
             assert kept.min() >= dropped.max() - 1e-12
         assert idx.size == min(k, n)
+
+
+def _reference_topk(values: np.ndarray, k: int) -> np.ndarray:
+    """The argpartition selection ``topk_indices`` always made."""
+    if k >= values.size:
+        return np.arange(values.size, dtype=np.intp)
+    return np.sort(np.argpartition(-np.abs(values), k - 1)[:k])
+
+
+# A small pool forces ties at the k-th magnitude, signed zeros, and
+# non-finite values; the floats keep some vectors tie-free.
+_POOL = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, np.inf, -np.inf, np.nan]
+
+
+class TestThresholdPath:
+    """The partition + ``flatnonzero`` path selects what argpartition did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from(_POOL), st.floats(-3.0, 3.0)),
+            min_size=1, max_size=40,
+        ),
+        which=st.sampled_from(["1", "d-1", "d", ">d"]),
+        scratch=st.booleans(),
+    )
+    def test_equals_argpartition_reference(self, values, which, scratch):
+        v = np.array(values, dtype=np.float64)
+        d = v.size
+        k = {"1": 1, "d-1": d - 1, "d": d, ">d": d + 3}[which]
+        if k <= 0:
+            return
+        want = _reference_topk(v, k)
+        got = topk_indices(v, k, np.abs(v) if scratch else None)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_multi_block_vector_with_boundary_ties(self):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=100_003)
+        v[rng.choice(v.size, 4000, replace=False)] = 0.0
+        for k in (1, 500, 60_000, 96_003, 96_010, v.size - 1):
+            want = _reference_topk(v, k)
+            got = topk_indices(v, k, np.abs(v))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_distinct_magnitudes_take_the_threshold_path(self):
+        v = np.random.default_rng(5).normal(size=70_000)
+        mags = np.abs(v)
+        mags.partition(v.size - 700)
+        idx = topk._indices_at_least(v, mags[v.size - 700], 700, mags)
+        assert idx is not None
+        assert np.array_equal(idx, _reference_topk(v, 700))
+
+    def test_ties_and_nan_take_the_argpartition_path(self):
+        for v in ([3.0, 1.0, -1.0, 0.0], [3.0, np.nan, 1.0, 0.0]):
+            v = np.array(v)
+            mags = np.abs(v)
+            mags.partition(2)
+            assert topk._indices_at_least(v, mags[2], 2, mags) is None
 
 
 class TestTopKCompressor:

@@ -160,6 +160,30 @@ class TestAdaFLSyncSelection:
         picked = strat.select(list(range(NUM_CLIENTS)), np.random.default_rng(0), ctx)
         assert set(picked) == {0, 1}
 
+    def test_scoring_without_probe_or_retained_delta_raises(self, federation):
+        """No probe config and nothing retained is an error, never a
+        silent fall back to the scorer's default similarity."""
+        server, clients = federation
+        strat = AdaFLSync(small_config(warmup=0))
+        strat.prepare(server, clients)
+        server.apply_delta(np.ones(server.dim))
+        ctx = RoundContext(1, 0.0, server, clients)
+        with pytest.raises(RuntimeError, match="last_delta"):
+            strat.select(list(range(NUM_CLIENTS)), np.random.default_rng(0), ctx)
+
+    def test_probe_scores_keep_nothing_on_the_client(self, federation):
+        server, clients = federation
+        strat = AdaFLSync(small_config(warmup=0, tau=0.0))
+        strat.prepare(server, clients)
+        server.apply_delta(np.ones(server.dim))
+        ctx = RoundContext(
+            1, 0.0, server, clients, local_config=LocalTrainingConfig(batch_size=8)
+        )
+        picked = strat.select(list(range(NUM_CLIENTS)), np.random.default_rng(0), ctx)
+        assert len(picked) == 2
+        assert len(strat.last_scores) == NUM_CLIENTS
+        assert all(c.last_delta is None for c in clients)
+
     def test_attaches_compressors(self, federation):
         server, clients = federation
         strat = AdaFLSync(small_config())

@@ -46,10 +46,16 @@ class TestLocalTrain:
         after = client.evaluate(global_params + update.delta, client.dataset)
         assert after >= before
 
-    def test_caches_last_delta(self, client, global_params):
-        assert client.last_delta is None
+    def test_retains_no_delta(self, client, global_params):
+        """Training and probing keep no d-vector on the client: the
+        engine retains a delta only for a strategy that reads it."""
         update = client.local_train(global_params, CFG)
-        np.testing.assert_array_equal(client.last_delta, update.delta)
+        probe = client.probe_delta(global_params, CFG)
+        assert client.last_delta is None
+        assert client.extract_state()["last_delta"] is None
+        shard = client.dataset.x.nbytes + client.dataset.y.nbytes
+        assert client.state_nbytes() == shard
+        assert update.delta.shape == probe.shape == global_params.shape
 
     def test_does_not_mutate_global_params(self, client, global_params):
         snapshot = global_params.copy()
@@ -214,9 +220,7 @@ class TestScratchStaysOutOfPickles:
         client, params = self._cnn_client()
         fresh = len(pickle.dumps(client))
         client.local_train(params, self.CNN_CFG)
-        # The cached delta is real cross-round state, not scratch.
-        allowance = client.last_delta.nbytes
-        assert len(pickle.dumps(client)) - allowance <= 1.05 * fresh
+        assert len(pickle.dumps(client)) <= 1.05 * fresh
 
     def test_unpickled_client_trains_bit_identically(self):
         import pickle

@@ -195,7 +195,8 @@ class TestLifecycle:
         )
         c0 = pop[0]
         gp = c0.replica.model.get_flat_params().copy()
-        c0.local_train(gp, LOCAL)
+        # Retained as the engine retains it for a strategy that reads it.
+        c0.last_delta = c0.local_train(gp, LOCAL).delta
         before = c0.extract_state()
         pop[1]
         pop.evict_to_cap()  # evicts client 0 (LRU)

@@ -12,8 +12,8 @@ Four layers of guarantees:
 * **size** — an engine snapshot of K clients carries one client-side
   model, not K, and still loads when ``model_fn`` is a lambda;
 * **memory** — the traced peak of a wide-MLP run grows per client by
-  what the client owns (its cached delta), not by parameter, gradient
-  and momentum buffers.
+  its update in flight, not by parameter, gradient and momentum
+  buffers.
 """
 
 from __future__ import annotations
@@ -190,14 +190,16 @@ class TestBorrow:
         test = _data()[1]
         gp = cnn_model().get_flat_params().copy()
         for rnd in range(3):
+            deltas = []
             for s, p in zip(shared, private):
                 us, up = s.local_train(gp, LOCAL, rnd), p.local_train(gp, LOCAL, rnd)
                 assert np.array_equal(us.delta, up.delta)
                 assert us.train_loss == up.train_loss
+                deltas.append(us.delta)
             for s, p in zip(reversed(shared), reversed(private)):
                 assert np.array_equal(s.probe_delta(gp, LOCAL), p.probe_delta(gp, LOCAL))
                 assert s.evaluate(gp, test) == p.evaluate(gp, test)
-            gp = gp + 0.5 * shared[rnd].last_delta
+            gp = gp + 0.5 * deltas[rnd]
 
     def test_accounting_counts_the_replica_once(self):
         _, clients = _federation(mlp_model)
@@ -207,9 +209,9 @@ class TestBorrow:
             c.local_train(gp, LOCAL)
         d = gp.size
         owned = sum(c.state_nbytes() for c in clients)
-        # A client owns its shard and its cached delta, no model buffers.
+        # A client owns its shard: no model buffers, no copy of its delta.
         shard = clients[0].dataset.x.nbytes + clients[0].dataset.y.nbytes
-        assert clients[0].state_nbytes() == shard + 8 * d
+        assert clients[0].state_nbytes() == shard
         # The scratch model: parameters + gradients + momentum, once.
         assert pop.live_nbytes() == owned + 3 * 8 * d
 
@@ -303,8 +305,8 @@ def test_snapshot_with_lambda_model_fn_loads_and_resumes(tmp_path):
 def test_traced_peak_has_no_per_client_model_buffers():
     """20 clients, 2 rounds, a 397k-parameter MLP on the serial path.
 
-    Per client the run may hold what the client owns — its cached delta
-    (one ``8 d`` vector) — plus a constant for the round in flight
+    Per client the run may hold its update until aggregation (one
+    ``8 d`` vector) — plus a constant for the round in flight
     (server model and vector, the scratch replica with its momentum,
     frames, the aggregate).  A private replica per client adds
     parameters, gradients and momentum: ``+3 * 8 d`` per client, which

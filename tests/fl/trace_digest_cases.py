@@ -15,7 +15,10 @@ so ``test_trace_digests.py`` proves that refactor moved no event; the
 two ``*_dropout_crash_churn`` entries were generated on the commit
 before churn and the Fig. 1 injector became :class:`FaultPlan` models
 (then spelled ``faults=FaultInjector(...)``, ``churn=ChurnModel(...)``),
-so they prove the same of that fold.
+so they prove the same of that fold.  ``async_adafl_crash`` was
+generated on the commit before clients stopped caching every training
+delta: it proves the delta async AdaFL's halting score reads is still
+retained when a crash destroys the leg that trained it.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
@@ -36,6 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.adafl import AdaFLAsync, AdaFLConfig
+from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.metrics import RunResult
@@ -111,11 +116,12 @@ def _sync(rounds: int, *, rate: float = 1.0, trace=None,
                       trace=trace, **engine_kwargs).run()
 
 
-def _async(max_updates: int, *, trace=None, **kwargs) -> RunResult:
+def _async(max_updates: int, *, trace=None, strategy=None, **kwargs) -> RunResult:
     server, clients = _federation(20)
     engine_kwargs, overrides = _split(kwargs)
     config = replace(_async_config(max_updates), **overrides)
-    return AsyncEngine(server, clients, FedAsync(), config, trace=trace,
+    strategy = FedAsync() if strategy is None else strategy
+    return AsyncEngine(server, clients, strategy, config, trace=trace,
                        **engine_kwargs).run()
 
 
@@ -130,6 +136,16 @@ def run_async_chaos(trace=None) -> RunResult:
     return _async(30, network=_net(uplink_loss=0.1), chaos=_chaos_plan(),
                   device_flops=_SLOW_DEVICES, validation=ValidationConfig(),
                   trace=trace)
+
+
+# -- async AdaFL under crashes: halting reads crashed legs' deltas ------
+def run_async_adafl_crash(trace=None) -> RunResult:
+    policy = AdaptiveCompressionPolicy(min_ratio=4.0, max_ratio=105.0, warmup_rounds=2)
+    return _async(
+        30, network=_net(), device_flops=_SLOW_DEVICES,
+        chaos=FaultPlan(ClientCrashModel(mtbf_s=0.05, mean_downtime_s=0.01)),
+        strategy=AdaFLAsync(AdaFLConfig(tau=0.7, policy=policy)), trace=trace,
+    )
 
 
 # -- downlink_retry with jitter ----------------------------------------
@@ -234,6 +250,7 @@ DIGEST_CASES = {
     "async_dataloss_churn": run_async_dataloss_churn,
     "sync_dropout_crash_churn": run_sync_dropout_crash_churn,
     "async_dropout_crash_churn": run_async_dropout_crash_churn,
+    "async_adafl_crash": run_async_adafl_crash,
 }
 
 # Compared event by event (see the module docstring).

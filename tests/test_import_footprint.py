@@ -8,7 +8,9 @@ through a convenience import either.  The ``repro.*`` set itself is
 pinned: it is what the parent of the ``RunSpec`` commit loaded, plus
 ``repro.experiments.spec`` — which imports the runner, never the reverse
 at module scope, and reaches ``socket_run`` only when a spec asks for
-``tcp`` — so ``setup_s`` cannot grow through the spec layer unnoticed.
+``tcp`` — so ``setup_s`` cannot grow through the spec layer unnoticed —
+and ``repro.blocks``, the blocked kernels that moved out of
+``repro.nn.optim`` so ``repro.compression`` can share them.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _loaded_by_runner_import() -> set[str]:
 
 def test_runner_import_loads_the_pinned_repro_modules():
     loaded = {m for m in _loaded_by_runner_import() if m.split(".")[0] == "repro"}
-    expected = {"repro"} | {f"repro.{package}" for package in _LOADED} | {
+    expected = {"repro", "repro.blocks"} | {f"repro.{package}" for package in _LOADED} | {
         f"repro.{package}.{module}"
         for package, modules in _LOADED.items()
         for module in modules.split()

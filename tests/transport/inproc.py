@@ -27,8 +27,12 @@ def mlp_spec(num_clients: int = 4, seed: int = 0) -> FederationSpec:
 
 
 @contextmanager
-def inproc_session(spec: FederationSpec):
-    """Yields ``(session, worker)``; the worker thread is joined on exit."""
+def inproc_session(spec: FederationSpec, strategy=None, **session_kwargs):
+    """Yields ``(session, worker)``; the worker thread is joined on exit.
+
+    ``strategy`` defaults to FedAvg at full participation;
+    ``session_kwargs`` go to :func:`socket_session` (``mode``, ...).
+    """
     started: list[tuple[Worker, threading.Thread]] = []
 
     def start(address: str) -> None:
@@ -37,8 +41,10 @@ def inproc_session(spec: FederationSpec):
         thread.start()
         started.append((worker, thread))
 
+    if strategy is None:
+        strategy = FedAvg(participation_rate=1.0)
     with socket_session(
-        spec, FedAvg(participation_rate=1.0), num_workers=1, external=start
+        spec, strategy, num_workers=1, external=start, **session_kwargs
     ) as session:
         worker, thread = started[0]
         # ``wait_ready`` returns at the welcome; the first ping waits
