@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocks import row_blocks
-from repro.compression.base import CompressedGradient, Compressor, scatter_dense
+from repro.compression.base import CompressedGradient, Compressor, SparseDelta
 from repro.wire.codecs import predicted_payload_nbytes
 
 __all__ = ["topk_indices", "TopKCompressor"]
@@ -100,7 +100,8 @@ class TopKCompressor(Compressor):
             data=data,
         )
 
-    def decompress(self, payload: CompressedGradient) -> np.ndarray:
+    def decompress(self, payload: CompressedGradient) -> SparseDelta:
+        """The payload as the server folds it: a view of its own arrays."""
         if payload.method != self.name:
             raise ValueError(f"payload method {payload.method!r} is not {self.name!r}")
-        return scatter_dense(payload)
+        return SparseDelta.of(payload)

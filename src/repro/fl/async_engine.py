@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.base import SparseDelta
 from repro.fl.batched import train_clients_batched
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.engine import _EngineBase
@@ -60,7 +61,7 @@ class _InFlight:
     """An upload travelling to the server."""
 
     update: ClientUpdate
-    delta: np.ndarray
+    delta: np.ndarray | SparseDelta  # what the server folds, as in UploadPacket
     num_bytes: int
     base_version: int
     frame_bytes: bytes

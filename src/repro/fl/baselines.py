@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.compression.base import densify
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server, ServerOpt
@@ -183,7 +184,7 @@ class FedAsync(AsyncStrategy):
     ) -> bool:
         alpha = self.effective_alpha(staleness)
         base_params = update.extras["base_params"]
-        client_model = base_params + delta
+        client_model = base_params + densify(delta)
         server.set_params(
             (1.0 - alpha) * server.params + alpha * client_model, copy=False
         )

@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.compression.base import densify
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import FederationConfig
 from repro.fl.metrics import MetricsReducer
@@ -248,10 +249,11 @@ class _EngineBase:
 
     def _tamper(self, cid: int, delta, frame_bytes: bytes):
         """``(delta, frame_bytes)`` as the server receives them: the
-        fault plan's payload corruption of one in-flight upload."""
+        fault plan's payload corruption of one in-flight upload.  Only
+        an upload the model damages as a vector is densified."""
         if self._chaos.corruption is not None:
             delta, tampered = self._chaos.corruption.corrupt_upload(
-                cid, delta, frame_bytes
+                cid, delta, frame_bytes, densify
             )
             frame_bytes = frame_bytes if tampered is None else tampered
         return delta, frame_bytes

@@ -25,6 +25,10 @@ __all__ = ["Server", "ServerOpt"]
 class Server:
     """Holds and evaluates the global model."""
 
+    # ``(version, (accuracy, loss))`` of the last evaluation.  A class
+    # default, so a server unpickled from an older snapshot starts empty.
+    _eval_memo: tuple[int, tuple[float, float]] | None = None
+
     def __init__(
         self,
         model_fn: Callable[[], Sequential],
@@ -86,8 +90,29 @@ class Server:
         self.params = params.copy() if copy else params
         self.version += 1
 
+    def restore(
+        self, params: np.ndarray, global_delta: np.ndarray | None, version: int
+    ) -> None:
+        """Roll back to an earlier ``(params, global_delta, version)`` —
+        the validated-aggregation rollback.  ``params`` is adopted, not
+        copied, and the evaluation memo is dropped."""
+        self.params = params
+        self.global_delta = global_delta
+        self.version = version
+        self._eval_memo = None
+
     def evaluate(self) -> tuple[float, float]:
-        """(accuracy, mean loss) of the current global model on the test set."""
+        """(accuracy, mean loss) of the current global model on the test set.
+
+        Scored once per ``version``: every model change moves the
+        version (:meth:`apply_delta`, :meth:`set_params`) or drops the
+        memo (:meth:`restore`), so asking again about an unchanged model
+        — FedBuff flushes every K updates while the engine evaluates
+        every ``eval_every`` — returns the same pair without a pass.
+        """
+        memo = self._eval_memo
+        if memo is not None and memo[0] == self.version:
+            return memo[1]
         self._model.set_flat_params(self.params)
         n = len(self.test_set)
         correct = 0
@@ -98,7 +123,9 @@ class Server:
             logits = self._model.forward(xb, training=False)
             correct += int((np.argmax(logits, axis=-1) == yb).sum())
             losses.append(self._loss_fn.forward(logits, yb) * xb.shape[0])
-        return correct / n, float(np.sum(losses) / n)
+        result = (correct / n, float(np.sum(losses) / n))
+        self._eval_memo = (self.version, result)
+        return result
 
 
 class ServerOpt:

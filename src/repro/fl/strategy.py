@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.blocks import add_scaled
-from repro.compression.base import CompressedGradient
+from repro.compression.base import CompressedGradient, SparseDelta, densify
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server, ServerOpt
@@ -45,7 +45,8 @@ class UploadPacket:
     """One client upload as the server receives it.
 
     ``frame`` is the encoded wire frame the payload travels in;
-    ``delta`` is the dense vector the server reconstructs from it
+    ``delta`` is what the server folds from it — the dense vector, or a
+    sparse codec's :class:`~repro.compression.base.SparseDelta`
     (strategies hand both over so engines never re-decode on the happy
     path).  ``extra_bytes`` covers side-channel payloads that ride the
     same upload outside the frame (SCAFFOLD's control delta, AdaFL's
@@ -60,7 +61,7 @@ class UploadPacket:
     renormalise weights per coordinate.
     """
 
-    delta: np.ndarray
+    delta: np.ndarray | SparseDelta
     frame: Frame
     extra_bytes: int = 0
     subspace: ParamSubspace | None = None
@@ -157,14 +158,36 @@ class RoundContext:
 
 
 def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average of client deltas (Eq. 2 weights)."""
+    """Sample-count-weighted average of client deltas (Eq. 2 weights).
+
+    Dense deltas fold through the blocked :func:`~repro.blocks.add_scaled`;
+    a :class:`~repro.compression.base.SparseDelta` folds by index, so a
+    sparse upload is never widened to a d-vector.  Terms fold in order,
+    which gives every coordinate the sum it would get with each sparse
+    term scattered first, bit for bit.
+    """
     if not updates:
         raise ValueError("cannot average zero updates")
     total = sum(u.num_samples for u in updates)
     if total <= 0:
         raise ValueError("updates carry no samples")
-    acc = np.zeros_like(updates[0].delta)
-    add_scaled(acc, [(u.num_samples / total, u.delta) for u in updates])
+    first = updates[0].delta
+    if isinstance(first, SparseDelta):
+        acc = np.zeros(first.dim, dtype=np.float64)
+    else:
+        acc = np.zeros_like(first)
+    dense_run: list[tuple[float, np.ndarray]] = []
+    for u in updates:
+        weight = u.num_samples / total
+        if isinstance(u.delta, SparseDelta):
+            if dense_run:
+                add_scaled(acc, dense_run)
+                dense_run = []
+            u.delta.add_to(acc, weight)
+        else:
+            dense_run.append((weight, u.delta))
+    if dense_run:
+        add_scaled(acc, dense_run)
     return acc
 
 
@@ -195,12 +218,13 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
         if w <= 0:
             continue
         subspace = u.extras.get("subspace")
+        delta = densify(u.delta)
         if subspace is None or subspace.is_full:
-            add_scaled(acc, [(w, u.delta)])
+            add_scaled(acc, [(w, delta)])
             weight += w
         else:
             idx = subspace.indices
-            acc[idx] += w * u.delta[idx]
+            acc[idx] += w * delta[idx]
             weight[idx] += w
     covered = weight > 0
     out = np.zeros(dim, dtype=np.float64)

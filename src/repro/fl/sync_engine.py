@@ -364,9 +364,7 @@ class SyncEngine(_EngineBase):
                 # The strategy went non-finite on clean inputs — an
                 # optimisation blow-up, not a bad payload; keep it.
                 return accepted
-            self.server.params = before_params
-            self.server.global_delta = before_delta
-            self.server.version = before_version
+            self.server.restore(before_params, before_delta, before_version)
             accepted = survivors
             rejected = [(u, "corrupt") for u in culprits]
         elif rejected and not cfg.per_update_screen and accepted:

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.compression.base import SparseDelta, densify
 from repro.wire.frame import FrameError
 from repro.wire.frame import Frame as _Frame
 
@@ -98,11 +99,14 @@ class ValidationConfig:
         return self.prescreen or self.max_norm is not None
 
 
-def trimmed_mean(deltas: list[np.ndarray], trim_ratio: float = 0.2) -> np.ndarray:
+def trimmed_mean(
+    deltas: list[np.ndarray | SparseDelta], trim_ratio: float = 0.2
+) -> np.ndarray:
     """Coordinate-wise trimmed mean of client deltas.
 
     Discards the ``floor(trim_ratio * n)`` smallest and largest values
     per coordinate before averaging — the classic robust aggregator.
+    Sparse deltas are densified: every coordinate takes part.
     NaN partitions to the top, so poisoned coordinates fall inside the
     trimmed tail whenever the number of corrupted updates is at most
     the trim count.
@@ -117,7 +121,7 @@ def trimmed_mean(deltas: list[np.ndarray], trim_ratio: float = 0.2) -> np.ndarra
         raise ValueError("cannot trim-average zero deltas")
     if not 0.0 <= trim_ratio < 0.5:
         raise ValueError("trim_ratio must be in [0, 0.5)")
-    stack = np.stack(deltas)
+    stack = np.stack([densify(d) for d in deltas])
     n = stack.shape[0]
     k = int(math.floor(trim_ratio * n))
     if 2 * k >= n:
@@ -169,15 +173,27 @@ class UpdateValidator:
         return None
 
     # -- O(d) screens --------------------------------------------------
-    def screen(self, delta: np.ndarray) -> str | None:
-        """``"corrupt"`` if the vector is non-finite or over-norm."""
+    def screen(self, delta: np.ndarray | SparseDelta) -> str | None:
+        """``"corrupt"`` if the vector is non-finite or over-norm.
+
+        A :class:`~repro.compression.base.SparseDelta` is screened for
+        non-finite coordinates on its float32 ``values`` alone, summed in
+        float64: no sum of at most 2**32 float32-ranged terms overflows
+        it, so the verdict is its dense vector's.  The norm screen
+        densifies.
+        """
         if self.config.forbid_nonfinite:
             # One reduction pass: any NaN/Inf coordinate makes the sum
             # non-finite (opposite infinities yield NaN), and a finite
             # sum can never arise from non-finite inputs.
-            if not math.isfinite(float(np.sum(delta))):
+            if isinstance(delta, SparseDelta):
+                total = np.sum(delta.values, dtype=np.float64)
+            else:
+                total = np.sum(delta)
+            if not math.isfinite(float(total)):
                 return "corrupt"
         if self.config.max_norm is not None:
+            delta = densify(delta)
             sq = float(np.dot(delta, delta))
             if not math.isfinite(sq) or sq > self.config.max_norm**2:
                 return "corrupt"

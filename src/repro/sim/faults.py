@@ -25,7 +25,7 @@ a bound plan pickles cleanly into run snapshots.
 from __future__ import annotations
 
 import zlib
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -376,8 +376,12 @@ class PayloadCorruptionModel(_FaultModel):
             self._rngs[cid] = _fault_stream(seed, self.name, cid)
 
     def corrupt_upload(
-        self, client_id: int, delta: np.ndarray, frame_bytes: bytes
-    ) -> tuple[np.ndarray, bytes | None]:
+        self,
+        client_id: int,
+        delta: Any,
+        frame_bytes: bytes,
+        densify: Callable[[Any], np.ndarray] = np.asarray,
+    ) -> tuple[Any, bytes | None]:
         """Apply this model to one encoded upload.
 
         Returns ``(delta, tampered_frame_or_None)``: a ``bitflip``
@@ -387,7 +391,10 @@ class PayloadCorruptionModel(_FaultModel):
         the decoded vector and leave the frame alone, modelling
         corruption that happened before encoding.  One gate draw per
         upload either way, so disabling the model (or prob=0) keeps
-        trajectories bit-identical.
+        trajectories bit-identical.  ``densify`` gives the dense vector
+        behind ``delta``; the engine passes the one that expands a
+        sparse upload, so only the uploads ``nan``/``blowup`` damage
+        are ever widened.
         """
         self._require_bound()
         rng = self._rngs.get(client_id)
@@ -402,7 +409,7 @@ class PayloadCorruptionModel(_FaultModel):
             bit = int(rng.integers(0, 8))
             buf[pos] ^= 1 << bit
             return delta, bytes(buf)
-        out = np.array(delta, dtype=np.float64, copy=True)
+        out = np.array(densify(delta), dtype=np.float64, copy=True)
         if self.kind == "nan":
             k = max(1, out.size // 1000)
             out[rng.integers(0, out.size, size=k)] = np.nan

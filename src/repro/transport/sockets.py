@@ -44,7 +44,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.compression.base import CompressedGradient, scatter_dense
+from repro.compression.base import CompressedGradient, SparseDelta
 from repro.sim.trace import DROPPED
 from repro.transport.base import (
     PeerGone,
@@ -763,9 +763,11 @@ class RemoteCompressor:
     ``compress`` ships the gradient down as a dense64 frame and gets
     the real codec frame back — reconstructing a
     :class:`~repro.compression.base.CompressedGradient` bit-identical
-    to the worker's, header CRC and all.  ``decompress`` is the
-    stateless sparse scatter, run locally; ``restore`` ships the
-    payload frame back so NACKed values rejoin the worker's residual.
+    to the worker's, header CRC and all.  ``decompress`` is stateless
+    and local: the same :class:`~repro.compression.base.SparseDelta`
+    view an in-process compressor returns, so socket and in-memory runs
+    fold the same type; ``restore`` ships the payload frame back so
+    NACKed values rejoin the worker's residual.
     """
 
     name = "remote"
@@ -784,13 +786,13 @@ class RemoteCompressor:
         )
         return CompressedGradient.from_frame(frame)
 
-    def decompress(self, payload: CompressedGradient) -> np.ndarray:
+    def decompress(self, payload: CompressedGradient) -> SparseDelta:
         data = payload.data
         if "indices" not in data or "values" not in data:
             raise TransportError(
                 f"remote decompress supports sparse payloads, got {payload.method!r}"
             )
-        return scatter_dense(payload)
+        return SparseDelta.of(payload)
 
     def restore(self, payload: CompressedGradient) -> None:
         self._transport.restore(self._cid, payload.to_frame(0).to_bytes())

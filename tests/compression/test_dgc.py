@@ -63,7 +63,7 @@ class TestErrorFeedback:
         for _ in range(10):
             grad = rng.normal(size=dim)
             total_in += grad
-            total_out += comp.decompress(comp.compress(grad))
+            total_out += comp.decompress(comp.compress(grad)).to_dense()
         # Values travel as float32, so conservation holds to ~1e-6.
         np.testing.assert_allclose(total_out + comp._residual, total_in, atol=1e-5)
 
@@ -78,7 +78,7 @@ class TestErrorFeedback:
         grad[5] = 0.1  # small but persistent
         sent_small = False
         for _ in range(300):
-            restored = comp.decompress(comp.compress(grad))
+            restored = comp.decompress(comp.compress(grad)).to_dense()
             if restored[5] != 0.0:
                 sent_small = True
                 break
@@ -203,7 +203,7 @@ class TestSharedScratch:
                 assert payload.data["values"].tobytes() == values.tobytes()
                 dense = np.zeros(dim)
                 dense[idx] = values
-                assert comps[i].decompress(payload).tobytes() == dense.tobytes()
+                assert comps[i].decompress(payload).to_dense().tobytes() == dense.tobytes()
                 if rng.random() < 0.3:  # a NACK
                     comps[i].restore(payload)
                     refs[i].restore(idx, values)
@@ -236,21 +236,21 @@ class TestClipping:
     def test_large_gradient_clipped(self):
         comp = DGCCompressor(4, ratio=1.0, clip_norm=1.0, num_workers=1)
         grad = np.array([100.0, 0.0, 0.0, 0.0])
-        restored = comp.decompress(comp.compress(grad))
+        restored = comp.decompress(comp.compress(grad)).to_dense()
         assert abs(np.linalg.norm(restored) - 1.0) < 1e-9
 
     def test_small_gradient_untouched(self):
         comp = DGCCompressor(4, ratio=1.0, clip_norm=10.0, num_workers=1)
         grad = np.array([0.1, 0.2, 0.0, 0.0])
-        restored = comp.decompress(comp.compress(grad))
+        restored = comp.decompress(comp.compress(grad)).to_dense()
         np.testing.assert_allclose(restored, grad, atol=1e-7)
 
     def test_num_workers_scales_threshold(self):
         grad = np.array([2.0, 0.0])
         solo = DGCCompressor(2, ratio=1.0, clip_norm=2.0, num_workers=1)
         fleet = DGCCompressor(2, ratio=1.0, clip_norm=2.0, num_workers=4)
-        solo_norm = np.linalg.norm(solo.decompress(solo.compress(grad)))
-        fleet_norm = np.linalg.norm(fleet.decompress(fleet.compress(grad)))
+        solo_norm = np.linalg.norm(solo.decompress(solo.compress(grad)).to_dense())
+        fleet_norm = np.linalg.norm(fleet.decompress(fleet.compress(grad)).to_dense())
         assert abs(solo_norm - 2.0) < 1e-9
         assert abs(fleet_norm - 1.0) < 1e-9  # 2/sqrt(4)
 
@@ -266,6 +266,6 @@ class TestConvergenceProperty:
         grads = rng.normal(size=(30, dim))
         sent = np.zeros(dim)
         for g in grads:
-            sent += comp.decompress(comp.compress(g, ratio=ratio))
+            sent += comp.decompress(comp.compress(g, ratio=ratio)).to_dense()
         total = grads.sum(axis=0)
         np.testing.assert_allclose(sent + comp._residual, total, atol=1e-4)

@@ -15,7 +15,7 @@ class TestRestore:
         comp.restore(payload)
         # Restored residual + nothing-sent == original accumulated grad.
         np.testing.assert_allclose(
-            comp._residual, residual_after_send + comp.decompress(payload), atol=1e-6
+            comp._residual, residual_after_send + comp.decompress(payload).to_dense(), atol=1e-6
         )
 
     def test_lossy_conservation(self, rng):
@@ -31,7 +31,7 @@ class TestRestore:
             if loss_rng.random() < 0.4:  # lost in transit
                 comp.restore(payload)
             else:
-                total_delivered += comp.decompress(payload)
+                total_delivered += comp.decompress(payload).to_dense()
         np.testing.assert_allclose(
             total_delivered + comp._residual, total_in, atol=1e-4
         )

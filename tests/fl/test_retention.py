@@ -19,6 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.compression.base import SparseDelta
 from repro.core.adafl import AdaFLAsync, AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.data.synthetic import make_image_classification
@@ -127,14 +128,10 @@ def test_adafl_async_over_sockets_retains_on_the_mirror_only():
             assert worker._clients[cid].last_delta is None
 
 
-def test_adafl_sync_retains_nothing_per_client_beyond_dgc_state():
-    """Traced heap a sync AdaFL run leaves behind, less what the DGC
-    compressors own, is a constant number of d-vectors (the borrowed
-    scratch replica, the shared magnitude scratch, the server's vectors)
-    whatever the cohort size.  A delta cached per client adds one
-    d-vector per client (measured: 3.6 units at 12 and at 24 clients;
-    14.6 and 26.6 when every client kept its last delta)."""
-    num_clients = 12
+def _adafl_sync_engine(num_clients: int):
+    """Sync AdaFL on an MLP wide enough (d = 29 804) that one d-vector
+    dwarfs everything per client but DGC state; the warm-up round folds
+    every client's upload at ratio 4, later rounds half the cohort."""
     shape = (1, 12, 12)
 
     def model_fn():
@@ -159,7 +156,17 @@ def test_adafl_sync_retains_nothing_per_client_beyond_dgc_state():
         num_rounds=3, participation_rate=1.0, eval_every=10, seed=0,
         local=LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1),
     )
-    engine = SyncEngine(server, clients, strategy, config, network=network)
+    return SyncEngine(server, clients, strategy, config, network=network), clients
+
+
+def test_adafl_sync_retains_nothing_per_client_beyond_dgc_state():
+    """Traced heap a sync AdaFL run leaves behind, less what the DGC
+    compressors own, is a constant number of d-vectors (the borrowed
+    scratch replica, the shared magnitude scratch, the server's vectors)
+    whatever the cohort size.  A delta cached per client adds one
+    d-vector per client (measured: 3.6 units at 12 and at 24 clients;
+    14.6 and 26.6 when every client kept its last delta)."""
+    engine, clients = _adafl_sync_engine(12)
     tracemalloc.start()
     try:
         engine.run()
@@ -168,4 +175,34 @@ def test_adafl_sync_retains_nothing_per_client_beyond_dgc_state():
         tracemalloc.stop()
     dgc = sum(c.compressor.state_nbytes() for c in clients)
     assert all(c.last_delta is None for c in clients)
-    assert retained - dgc <= 6 * 8 * server.dim
+    assert retained - dgc <= 6 * 8 * engine.server.dim
+
+
+@pytest.mark.parametrize("num_clients", [12, 24])
+def test_adafl_sync_aggregation_holds_payloads_not_d_vectors(num_clients, monkeypatch):
+    """At every ``AdaFLSync.aggregate`` entry the traced heap, less DGC
+    state and the delivered payloads' own bytes, is the same constant
+    number of d-vectors at 12 and at 24 clients: a delivery costs its
+    wire arrays (uint32 indices + float32 values), never a float64
+    d-vector (measured: at most 3.6 units at both sizes; 14.6 and 26.6
+    when every delivery was a dense float64 delta)."""
+    engine, clients = _adafl_sync_engine(num_clients)
+    units = []
+    aggregate = AdaFLSync.aggregate
+
+    def measured(self, server, updates, context):
+        heap, _ = tracemalloc.get_traced_memory()
+        dgc = sum(c.compressor.state_nbytes() for c in clients)
+        assert all(isinstance(u.delta, SparseDelta) for u in updates)
+        payloads = sum(u.delta.nbytes for u in updates)
+        units.append((heap - dgc - payloads) / (8 * server.dim))
+        return aggregate(self, server, updates, context)
+
+    monkeypatch.setattr(AdaFLSync, "aggregate", measured)
+    tracemalloc.start()
+    try:
+        engine.run()
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 3
+    assert max(units) <= 6.0, units

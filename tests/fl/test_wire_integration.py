@@ -116,7 +116,7 @@ class _TruncatingCorruption(PayloadCorruptionModel):
         super().__init__(prob=1.0, kind="bitflip")
         self.keep = keep
 
-    def corrupt_upload(self, client_id, delta, frame_bytes):
+    def corrupt_upload(self, client_id, delta, frame_bytes, densify=None):
         return delta, frame_bytes[: self.keep]
 
 

@@ -18,7 +18,13 @@ before churn and the Fig. 1 injector became :class:`FaultPlan` models
 so they prove the same of that fold.  ``async_adafl_crash`` was
 generated on the commit before clients stopped caching every training
 delta: it proves the delta async AdaFL's halting score reads is still
-retained when a crash destroys the leg that trained it.
+retained when a crash destroys the leg that trained it.  The six
+``*_adafl_*`` cases after it were generated on the commit before sparse
+uploads stayed sparse until the fold: they drive AdaFL's DGC payloads
+through every path that needs their dense view (deferred validation's
+rollback and re-fold, the trimmed-mean fallback, the per-update norm
+screen, payload corruption, FedAsync's model mix) and through a
+snapshot taken with sparse payloads still queued in the kernel.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
@@ -34,16 +40,18 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.adafl import AdaFLAsync, AdaFLConfig
+from repro.core.adafl import AdaFLAsync, AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.metrics import RunResult
+from repro.fl.snapshot import load_snapshot
 from repro.fl.sync_engine import SyncEngine
 from repro.fl.validation import ValidationConfig
 from repro.network.conditions import ClientNetwork, NetworkConditions
@@ -98,7 +106,8 @@ def _chaos_plan() -> FaultPlan:
     )
 
 
-_ENGINE_KWARGS = ("network", "chaos", "device_flops")
+_ENGINE_KWARGS = ("network", "chaos", "device_flops", "snapshot_path",
+                  "snapshot_every", "on_snapshot")
 
 
 def _split(kwargs: dict) -> tuple[dict, dict]:
@@ -107,22 +116,28 @@ def _split(kwargs: dict) -> tuple[dict, dict]:
     return engine, kwargs
 
 
-def _sync(rounds: int, *, rate: float = 1.0, trace=None,
+def _sync(rounds: int, *, rate: float = 1.0, trace=None, strategy=None,
           deadline: float | None = None, **kwargs) -> RunResult:
     server, clients = _federation(10)
     engine_kwargs, overrides = _split(kwargs)
     config = replace(_sync_config(rounds, deadline=deadline), **overrides)
-    return SyncEngine(server, clients, FedAvg(participation_rate=rate), config,
+    strategy = FedAvg(participation_rate=rate) if strategy is None else strategy
+    return SyncEngine(server, clients, strategy, config,
                       trace=trace, **engine_kwargs).run()
 
 
-def _async(max_updates: int, *, trace=None, strategy=None, **kwargs) -> RunResult:
+def _async_engine(max_updates: int, *, trace=None, strategy=None,
+                  **kwargs) -> AsyncEngine:
     server, clients = _federation(20)
     engine_kwargs, overrides = _split(kwargs)
     config = replace(_async_config(max_updates), **overrides)
     strategy = FedAsync() if strategy is None else strategy
     return AsyncEngine(server, clients, strategy, config, trace=trace,
-                       **engine_kwargs).run()
+                       **engine_kwargs)
+
+
+def _async(max_updates: int, **kwargs) -> RunResult:
+    return _async_engine(max_updates, **kwargs).run()
 
 
 # -- FaultPlan: crash + stale/duplicate + bitflip + server outage ------
@@ -237,6 +252,82 @@ def run_async_dropout_crash_churn(trace=None) -> RunResult:
                   device_flops=_SLOW_DEVICES, trace=trace)
 
 
+# -- AdaFL's sparse uploads on every path that needs a dense view -------
+def _adafl_sync() -> AdaFLSync:
+    # tau = 0 passes every client, so each round folds a full cohort.
+    policy = AdaptiveCompressionPolicy(warmup_rounds=1)
+    return AdaFLSync(AdaFLConfig(tau=0.0, policy=policy))
+
+
+def _adafl_async() -> AdaFLAsync:
+    policy = AdaptiveCompressionPolicy(min_ratio=4.0, max_ratio=105.0, warmup_rounds=2)
+    return AdaFLAsync(AdaFLConfig(tau=0.7, policy=policy))
+
+
+def _corrupt(kind: str) -> FaultPlan:
+    return FaultPlan(PayloadCorruptionModel(prob=0.3, kind=kind))
+
+
+def run_sync_adafl_nan(trace=None) -> RunResult:
+    """Deferred validation: a poisoned aggregate is rolled back and the
+    survivors are folded again."""
+    return _sync(6, network=_net(), strategy=_adafl_sync(), chaos=_corrupt("nan"),
+                 validation=ValidationConfig(), trace=trace)
+
+
+def run_sync_adafl_bitflip(trace=None) -> RunResult:
+    return _sync(6, network=_net(), strategy=_adafl_sync(), chaos=_corrupt("bitflip"),
+                 validation=ValidationConfig(), trace=trace)
+
+
+def run_sync_adafl_nan_trimmed(trace=None) -> RunResult:
+    # trim_ratio 0.4 trims one value per coordinate from 3 or 4 survivors.
+    validation = ValidationConfig(trimmed_mean_fallback=True, trim_ratio=0.4)
+    return _sync(6, network=_net(), strategy=_adafl_sync(), chaos=_corrupt("nan"),
+                 validation=validation, trace=trace)
+
+
+def run_sync_adafl_max_norm(trace=None) -> RunResult:
+    """The per-update norm screen against blown-up uploads."""
+    return _sync(6, network=_net(), strategy=_adafl_sync(), chaos=_corrupt("blowup"),
+                 validation=ValidationConfig(max_norm=1e3), trace=trace)
+
+
+def run_async_adafl_validation(trace=None) -> RunResult:
+    return _async(25, network=_net(), strategy=_adafl_async(), chaos=_corrupt("nan"),
+                  validation=ValidationConfig(), trace=trace)
+
+
+class _Killed(RuntimeError):
+    """The process dies right after a snapshot lands."""
+
+
+def _kill_at(updates: int):
+    def on_snapshot(engine) -> None:
+        if engine._total_updates >= updates:
+            raise _Killed()
+
+    return on_snapshot
+
+
+def run_async_adafl_resume(trace=None) -> RunResult:
+    """Killed after the 12th update's snapshot, with uploads still in
+    flight, and resumed from the file: one trace, pre-kill then resumed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "run.snapshot"
+        engine = _async_engine(
+            25, network=_net(), strategy=_adafl_async(), trace=trace,
+            snapshot_path=snap, snapshot_every=1, on_snapshot=_kill_at(12),
+        )
+        try:
+            engine.run()
+        except _Killed:
+            pass
+        else:
+            raise RuntimeError("the run ended before the snapshot that kills it")
+        return load_snapshot(snap, trace=trace, keep_snapshotting=False).resume()
+
+
 DIGEST_CASES = {
     "sync_chaos": run_sync_chaos,
     "async_chaos": run_async_chaos,
@@ -251,6 +342,12 @@ DIGEST_CASES = {
     "sync_dropout_crash_churn": run_sync_dropout_crash_churn,
     "async_dropout_crash_churn": run_async_dropout_crash_churn,
     "async_adafl_crash": run_async_adafl_crash,
+    "sync_adafl_nan": run_sync_adafl_nan,
+    "sync_adafl_bitflip": run_sync_adafl_bitflip,
+    "sync_adafl_nan_trimmed": run_sync_adafl_nan_trimmed,
+    "sync_adafl_max_norm": run_sync_adafl_max_norm,
+    "async_adafl_validation": run_async_adafl_validation,
+    "async_adafl_resume": run_async_adafl_resume,
 }
 
 # Compared event by event (see the module docstring).
