@@ -35,10 +35,12 @@ __all__ = ["DGCCompressor", "MagnitudeScratch"]
 
 
 class MagnitudeScratch:
-    """The ``|residual|`` buffer DGC's top-k partitions in place.
+    """The float32 ``|residual|`` buffer DGC's top-k partitions in place.
 
-    What it holds is dead once :meth:`DGCCompressor.compress` returns,
-    so every compressor of one dimension can *borrow* the same one, the
+    :meth:`DGCCompressor.compress` also stages each block of the
+    incoming gradient here, rounded to float32, before the chain
+    consumes it.  What it holds is dead once ``compress`` returns, so
+    every compressor of one dimension can *borrow* the same one, the
     way clients borrow a :class:`~repro.fl.replica.ModelReplica`: whoever
     builds a federation's compressors hands each the same scratch.  The
     buffer is allocated on first use and never pickled.
@@ -49,10 +51,10 @@ class MagnitudeScratch:
         self._buffer: np.ndarray | None = None
 
     def buffer(self) -> np.ndarray:
-        """The float64 scratch vector (contents undefined)."""
+        """The float32 scratch vector (contents undefined)."""
         buf = self._buffer
         if buf is None:
-            buf = self._buffer = np.empty(self.dim, dtype=np.float64)
+            buf = self._buffer = np.empty(self.dim, dtype=np.float32)
         return buf
 
     def __getstate__(self) -> dict:
@@ -61,6 +63,13 @@ class MagnitudeScratch:
 
 class DGCCompressor(Compressor):
     """Stateful DGC compressor for one client.
+
+    Momentum and residual are float32 — the width every value leaves
+    for the wire at, and the width of DGC's reference implementation.
+    The (clipped) float64 gradient is rounded to float32 once, as it
+    enters the chain; the clip norm is still a float64 reduction over
+    the caller's gradient.  Payload values are a plain gather of the
+    residual, so :meth:`restore` puts a lost payload back exactly.
 
     ``scratch`` is the magnitude buffer ``compress`` borrows; compressors
     built without one get a private scratch.
@@ -97,8 +106,8 @@ class DGCCompressor(Compressor):
         elif scratch.dim != dim:
             raise ValueError(f"scratch of dim {scratch.dim} for a dim-{dim} compressor")
         self._scratch = scratch
-        self._velocity = np.zeros(dim, dtype=np.float64)  # u_t in the DGC paper
-        self._residual = np.zeros(dim, dtype=np.float64)  # v_t in the DGC paper
+        self._velocity = np.zeros(dim, dtype=np.float32)  # u_t in the DGC paper
+        self._residual = np.zeros(dim, dtype=np.float32)  # v_t in the DGC paper
 
     # ------------------------------------------------------------------
     def _clip_scale(self, grad: np.ndarray) -> float | None:
@@ -129,13 +138,17 @@ class DGCCompressor(Compressor):
         velocity, residual = self._velocity, self._residual
         magnitudes = self._scratch.buffer()
         # One blocked pass: clip -> momentum -> residual -> |residual|.
-        # A clipped gradient block is staged in the magnitude block the
-        # chain overwrites last, so the caller's array is never scaled
-        # in place and no d-sized temporary is made.
+        # The (clipped) gradient block is rounded to float32 into the
+        # magnitude block the chain overwrites last — the chain's one
+        # rounding point — so the caller's array is never scaled in
+        # place and no d-sized temporary is made.
         for rows in row_blocks(residual):
             g, mag, r = grad[rows], magnitudes[rows], residual[rows]
-            if scale is not None:
-                g = np.multiply(g, scale, out=mag)
+            if scale is None:
+                np.copyto(mag, g, casting="same_kind")
+            else:
+                np.multiply(g, scale, out=mag)
+            g = mag
             if self.use_momentum_correction:
                 v = velocity[rows]
                 v *= self.momentum
@@ -147,11 +160,10 @@ class DGCCompressor(Compressor):
 
         k = max(1, int(round(self.dim / effective_ratio)))
         idx = topk_indices(residual, k, magnitudes)
-        # One gather straight into the float32 wire payload: fancy
-        # indexing + astype already yield an array independent of the
-        # residual buffer, so payload mutation can never corrupt
-        # compressor state.
-        values = residual[idx].astype(np.float32)
+        # The float32 wire payload is one gather: fancy indexing
+        # already yields an array independent of the residual buffer,
+        # so payload mutation can never corrupt compressor state.
+        values = residual[idx]
 
         # Transmitted coordinates leave both buffers (DGC Algorithm 1).
         residual[idx] = 0.0
@@ -183,7 +195,8 @@ class DGCCompressor(Compressor):
         deployment only discards them once the server ACKs.  When the
         engine learns a transfer was lost it calls this, so the
         accumulated gradient information survives the loss instead of
-        vanishing with the packet.
+        vanishing with the packet.  The values are the residual's own
+        float32 entries, so the restore is exact.
         """
         if payload.method != self.name:
             raise ValueError(f"payload method {payload.method!r} is not {self.name!r}")
@@ -191,7 +204,7 @@ class DGCCompressor(Compressor):
             raise ValueError("payload dimensionality mismatch")
         idx = payload.data["indices"].astype(np.int64)
         # reprolint: allow[R403] loss recovery scatter-adds the k lost coords
-        self._residual[idx] += payload.data["values"].astype(np.float64)
+        self._residual[idx] += payload.data["values"]
 
     def reset(self) -> None:
         """Drop residual and momentum state (e.g. after a model resync)."""
@@ -221,13 +234,13 @@ class DGCCompressor(Compressor):
         }
 
     def import_state(self, state: dict) -> None:
-        """Adopt exported residual/momentum buffers (copied in)."""
+        """Adopt exported residual/momentum buffers (copied in, as float32)."""
         if state.get("kind") != "dgc":
             raise ValueError(f"cannot import state kind {state.get('kind')!r}")
         if int(state["dim"]) != self.dim:
             raise ValueError("exported state dimensionality mismatch")
-        self._velocity = np.array(state["velocity"], dtype=np.float64)
-        self._residual = np.array(state["residual"], dtype=np.float64)
+        self._velocity = np.array(state["velocity"], dtype=np.float32)
+        self._residual = np.array(state["residual"], dtype=np.float32)
 
     @classmethod
     def from_state(cls, state: dict) -> "DGCCompressor":

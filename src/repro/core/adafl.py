@@ -354,6 +354,8 @@ class AdaFLAsync(AsyncStrategy, _AdaFLBase):
     name = "adafl-async"
     # Halting scores each arrival from the client's last training delta.
     reads_last_delta = True
+    # Arrivals are mixed in FedAsync-style.
+    reads_base_params = True
 
     def __init__(
         self,

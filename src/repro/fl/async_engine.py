@@ -291,7 +291,8 @@ class AsyncEngine(_EngineBase):
         cid = client.client_id
         now = self._kernel.now
         chaos = self._chaos
-        update.extras["base_params"] = self.server.params.copy()
+        if self.strategy.reads_base_params:
+            update.extras["base_params"] = self.server.params.copy()
         enc = self._encode_upload(client, update, now, now)
         if enc.packet is None:
             if enc.restart_at is not None:

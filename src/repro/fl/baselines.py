@@ -160,6 +160,8 @@ class FedAsync(AsyncStrategy):
     """
 
     name = "fedasync"
+    # The mix rebuilds the client model from the params it trained on.
+    reads_base_params = True
 
     def __init__(self, alpha: float = 0.6, poly_a: float = 0.5):
         if not 0.0 < alpha <= 1.0:

@@ -332,9 +332,12 @@ class Client:
         """Accuracy of ``global_params`` on an arbitrary dataset.
 
         Evaluation is chunked (``batch_size``) so conv models never
-        materialise a whole-dataset im2col expansion; per-sample
-        predictions are independent, so results are identical to a
-        single full-dataset forward.
+        materialise a whole-dataset im2col expansion.  Chunking moves
+        the logits by up to ~1e-14 (BLAS blocks the row dimension), so
+        only the argmax, and with it the accuracy, matches a single
+        full-dataset forward, barring near-ties closer than that.  The
+        server's loss is computed from such logits, which makes
+        ``Server.eval_batch`` part of a run's trajectory.
         """
         model = self.replica.model
         model.set_flat_params(global_params)

@@ -40,8 +40,9 @@ __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
 
 # 2: one fault plan (``chaos``) where version 1 carried ``faults`` and
 # ``churn`` beside it.  3: client state carries no per-layer ``layers``
-# entry (no model has per-client layer state).
-SNAPSHOT_VERSION = 3
+# entry (no model has per-client layer state).  4: pickled DGC
+# compressors carry float32 momentum and residual.
+SNAPSHOT_VERSION = 4
 
 
 def kernel_state(kernel: SimKernel) -> dict:

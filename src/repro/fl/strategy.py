@@ -359,6 +359,10 @@ class AsyncStrategy(_ModelBroadcast):
 
     name = "async-base"
     reads_last_delta = False  # as on SyncStrategy
+    # Whether ``on_update`` reads ``update.extras["base_params"]``, the
+    # server params the update was trained from: only then does the
+    # engine copy them into each update.
+    reads_base_params = False
 
     def prepare(self, server: Server, clients: list[Client]) -> None:
         """One-time setup before the first dispatch."""

@@ -108,8 +108,10 @@ class Sequential:
         """Class predictions (argmax over the final axis).
 
         ``batch_size`` evaluates in chunks, bounding the im2col
-        working-set for conv models; results are identical to the
-        single-pass default because rows are independent.
+        working-set for conv models.  The logits are not bit-equal
+        across chunk sizes — BLAS blocks the row dimension, so they
+        differ in the last bits (up to ~1e-14 on ``build_mnist_cnn``)
+        — but the argmax agrees barring near-ties closer than that.
         """
         if batch_size is None or x.shape[0] <= batch_size:
             return np.argmax(self.forward(x, training=False), axis=-1)

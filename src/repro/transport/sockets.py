@@ -454,9 +454,11 @@ class SocketTransport:
         wid = self.owner_of(cid)
         link = self._links[wid]
         if pending is not None:
-            already_sent = pending.sent and pending.epoch == link.epoch
             value = self._call(
-                wid, pending.request, cid=cid, already_sent=already_sent
+                wid,
+                pending.request,
+                cid=cid,
+                sent_epoch=pending.epoch if pending.sent else None,
             )
         else:
             request = link.request(
@@ -534,14 +536,17 @@ class SocketTransport:
         wid: int,
         request: dict[str, Any],
         cid: int | None,
-        already_sent: bool = False,
+        sent_epoch: int | None = None,
     ) -> Any:
         """Send (or resume) one request and return its reply value.
 
-        Any stream failure poisons the connection and retries on the
-        worker's reconnect under the deterministic schedule;
-        exhaustion marks the worker down and raises
-        :class:`PeerGone`.
+        ``sent_epoch`` is the link epoch the request already went out
+        on, if any.  It is compared once the link is attached, so a
+        pipelined request lost with its connection is re-sent on the
+        new one instead of awaited there.  Any stream failure poisons
+        the connection and retries on the worker's reconnect under the
+        deterministic schedule; exhaustion marks the worker down and
+        raises :class:`PeerGone`.
         """
         link = self._links[wid]
         try:
@@ -556,9 +561,9 @@ class SocketTransport:
                             f"worker {wid} not connected within "
                             f"{self.config.connect_timeout_s}s"
                         )
-                    if not already_sent:
+                    if sent_epoch != link.epoch:
+                        sent_epoch = link.epoch
                         send_message(link.require_sock(), request)
-                    already_sent = False
                     reply = link.await_reply(
                         request["serial"],
                         self.config.deadline_s,

@@ -15,7 +15,9 @@ commit *before* :mod:`repro.experiments.spec` existed, so
 entries were re-pinned on purpose afterwards, each in the commit that
 changed it: ``sweep_adafl`` (the sweep's ``adafl`` cell now runs the
 evaluation's AdaFL configuration) and ``table1`` (SCAFFOLD's
-compression ratio prints ``0.5x``, not ``0x``).
+compression ratio prints ``0.5x``, not ``0x``).  ``quickrun_sync_adafl``
+and ``quickrun_async_adafl`` were re-pinned when DGC's momentum and
+residual became float32.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Tests for Deep Gradient Compression."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.dgc import DGCCompressor, MagnitudeScratch
+from repro.compression.topk import topk_indices
 
 
 class TestBasics:
@@ -128,11 +131,12 @@ class TestMomentumCorrection:
 class TestInPlaceRecurrence:
     @pytest.mark.parametrize("clip_norm", (None, 0.5))
     def test_bit_equal_to_the_rebinding_form(self, clip_norm):
-        """``v = m * v + g; r += v`` with the clip's scaled copy, as the
-        whole-array expressions the in-place update replaced."""
+        """``v = m * v + g; r += v`` in float32 on the gradient rounded
+        once after the clip's scaled copy, as whole-array expressions."""
         dim, m = 501, 0.9
         comp = DGCCompressor(dim, ratio=10.0, momentum=m, clip_norm=clip_norm)
-        velocity, residual = np.zeros(dim), np.zeros(dim)
+        velocity = np.zeros(dim, dtype=np.float32)
+        residual = np.zeros(dim, dtype=np.float32)
         rng = np.random.default_rng(8)
         for _ in range(5):
             grad = rng.standard_normal(dim)
@@ -142,10 +146,10 @@ class TestInPlaceRecurrence:
             norm = float(np.linalg.norm(grad))
             if clip_norm is not None and norm > clip_norm:
                 grad = grad * (clip_norm / norm)
-            velocity = m * velocity + grad
+            velocity = m * velocity + grad.astype(np.float32)
             residual += velocity
             idx = payload.data["indices"].astype(np.int64)
-            assert payload.data["values"].tobytes() == residual[idx].astype(np.float32).tobytes()
+            assert payload.data["values"].tobytes() == residual[idx].tobytes()
             residual[idx] = 0.0
             velocity[idx] = 0.0
             assert comp._velocity.tobytes() == velocity.tobytes()
@@ -153,32 +157,33 @@ class TestInPlaceRecurrence:
 
 
 class _ReferenceDGC:
-    """DGC as whole-array expressions around an argpartition top-k —
-    a private compressor with no scratch to share."""
+    """DGC as float32 whole-array expressions around an argpartition
+    top-k — a private compressor with no scratch to share."""
 
     def __init__(self, dim, momentum, clip_norm, num_workers):
         self.dim, self.momentum = dim, momentum
         self.threshold = clip_norm / np.sqrt(num_workers)
-        self.velocity, self.residual = np.zeros(dim), np.zeros(dim)
+        self.velocity = np.zeros(dim, dtype=np.float32)
+        self.residual = np.zeros(dim, dtype=np.float32)
 
     def compress(self, grad, ratio):
         norm = float(np.linalg.norm(grad))
         if norm > self.threshold:
             grad = grad * (self.threshold / norm)
-        self.velocity = self.momentum * self.velocity + grad
+        self.velocity = self.momentum * self.velocity + grad.astype(np.float32)
         self.residual += self.velocity
         k = max(1, int(round(self.dim / ratio)))
         if k >= self.dim:
             idx = np.arange(self.dim)
         else:
             idx = np.sort(np.argpartition(-np.abs(self.residual), k - 1)[:k])
-        values = self.residual[idx].astype(np.float32)
+        values = self.residual[idx]
         self.residual[idx] = 0.0
         self.velocity[idx] = 0.0
         return idx, values
 
     def restore(self, idx, values):
-        self.residual[idx] += values.astype(np.float64)
+        self.residual[idx] += values
 
 
 class TestSharedScratch:
@@ -230,6 +235,42 @@ class TestSharedScratch:
     def test_scratch_dim_must_match(self):
         with pytest.raises(ValueError):
             DGCCompressor(10, scratch=MagnitudeScratch(11))
+
+
+class TestExactRestore:
+    """Momentum and residual are float32 and a payload is a gather of
+    the residual, so a NACK restore puts back exactly what was sent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([1, 7, 257, 40_000]),
+        ratio=st.sampled_from([1.0, 4.0, 37.5, 210.0]),
+        clip=st.booleans(),
+        history=st.integers(0, 3),
+    )
+    def test_restore_returns_the_residual_compress_selected_from(
+        self, seed, dim, ratio, clip, history
+    ):
+        rng = np.random.default_rng(seed)
+        comp = DGCCompressor(dim, momentum=0.9, clip_norm=0.5 if clip else None)
+        for _ in range(history):
+            comp.compress(rng.normal(size=dim), ratio=ratio)
+        seen = []
+
+        def spy(values, k, magnitudes):
+            seen.append(values.tobytes())
+            return topk_indices(values, k, magnitudes)
+
+        with mock.patch("repro.compression.dgc.topk_indices", spy):
+            payload = comp.compress(rng.normal(size=dim) * 10.0, ratio=ratio)
+        idx = payload.data["indices"].astype(np.int64)
+        assert np.all(comp._velocity[idx] == 0.0)
+        comp.restore(payload)
+        assert comp._residual.tobytes() == seen[0]
+        assert np.all(comp._velocity[idx] == 0.0)
+        assert comp._velocity.dtype == comp._residual.dtype == np.float32
+        assert comp.state_nbytes() == 8 * dim
 
 
 class TestClipping:

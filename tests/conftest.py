@@ -25,6 +25,15 @@ from repro.nn.models import build_mlp
 TRANSPORT_TEST_TIMEOUT_S = 120
 
 
+class TransportTestDeadline(BaseException):
+    """A transport test ran past its hard deadline.
+
+    A ``BaseException`` so no ``except Exception`` absorbs it: raised
+    inside a socket read, a ``TimeoutError`` would become a retryable
+    ``TransportTimeout`` and the test could pass on the retry.
+    """
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     """Enforce a wall-clock deadline on transport-marked tests."""
@@ -35,7 +44,7 @@ def pytest_runtest_call(item):
     timeout = int(marker.kwargs.get("timeout", TRANSPORT_TEST_TIMEOUT_S))
 
     def _expired(signum, frame):
-        raise TimeoutError(
+        raise TransportTestDeadline(
             f"transport test exceeded its {timeout}s hard deadline "
             "(deadlock or lost wakeup in the socket protocol?)"
         )

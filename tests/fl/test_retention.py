@@ -24,7 +24,7 @@ from repro.core.adafl import AdaFLAsync, AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.data.synthetic import make_image_classification
 from repro.fl.async_engine import AsyncEngine
-from repro.fl.baselines import FedAvg
+from repro.fl.baselines import FedAsync, FedAvg, FedBuff
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
 from repro.fl.population import RetentionPolicy
@@ -110,6 +110,28 @@ def test_adafl_async_clients_keep_their_training_delta():
     assert result.total_uploads >= NUM_CLIENTS
     for c in clients:
         assert c.last_delta is not None and c.last_delta.shape == (server.dim,)
+
+
+@pytest.mark.parametrize(
+    "strategy_cls, reads", [(FedBuff, False), (FedAsync, True), (AdaFLAsync, True)]
+)
+def test_updates_carry_base_params_only_for_a_strategy_that_reads_them(
+    strategy_cls, reads, monkeypatch
+):
+    """An in-flight update holds a copy of the params it trained from
+    only where ``on_update`` mixes with them (FedAsync, async AdaFL)."""
+    assert strategy_cls.reads_base_params is reads
+    seen = []
+    on_update = strategy_cls.on_update
+
+    def spy(self, server, update, delta, staleness):
+        seen.append("base_params" in update.extras)
+        return on_update(self, server, update, delta, staleness)
+
+    monkeypatch.setattr(strategy_cls, "on_update", spy)
+    server, clients = _federation(20)
+    AsyncEngine(server, clients, strategy_cls(), _async_config(6)).run()
+    assert seen and set(seen) == {reads}
 
 
 @pytest.mark.transport

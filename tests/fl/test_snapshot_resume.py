@@ -213,6 +213,34 @@ class TestSnapshotFile:
             load_snapshot(snap)
         assert not tripped.exists()
 
+    def test_float64_dgc_version_rejected(self, tmp_path):
+        """Version 3 pickled DGC compressors with float64 momentum and
+        residual; a version-4 file carries them at float32 and only a
+        version-4 file loads."""
+        import pickle
+
+        from repro.core.adafl import AdaFLAsync
+        from repro.wire import seal, unseal
+
+        server, clients = _federation(20)
+        snap = tmp_path / "run.snapshot"
+        AsyncEngine(
+            server, clients, AdaFLAsync(), _async_config(6),
+            snapshot_path=snap, snapshot_every=1,
+        ).run()
+        state = pickle.loads(unseal(snap.read_bytes()))
+        assert state["snapshot_version"] == SNAPSHOT_VERSION == 4
+        population = state["clients"]
+        comps = [population[cid].compressor for cid in list(population.live_ids())]
+        assert comps
+        for comp in comps:
+            assert comp._velocity.dtype == comp._residual.dtype == np.float32
+        load_snapshot(snap)
+        state["snapshot_version"] = 3
+        snap.write_bytes(seal(pickle.dumps(state)))
+        with pytest.raises(ValueError, match="unsupported snapshot version 3"):
+            load_snapshot(snap)
+
     def test_resumed_engine_can_keep_snapshotting(self, tmp_path):
         server, clients = _federation(10)
         snap = tmp_path / "run.snapshot"

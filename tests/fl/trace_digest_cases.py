@@ -24,7 +24,10 @@ uploads stayed sparse until the fold: they drive AdaFL's DGC payloads
 through every path that needs their dense view (deferred validation's
 rollback and re-fold, the trimmed-mean fallback, the per-update norm
 screen, payload corruption, FedAsync's model mix) and through a
-snapshot taken with sparse payloads still queued in the kernel.
+snapshot taken with sparse payloads still queued in the kernel.  All
+seven AdaFL cases were re-pinned together in the commit that made
+DGC's momentum and residual float32 (event counts unchanged); only
+their entries were merged into the file.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
