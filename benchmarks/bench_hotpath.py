@@ -61,8 +61,9 @@ Sections
     to the other.  The timed step is the fused bench-CNN round; ``meta``
     holds every model's fused and serial times and their ratio.
 ``lint``
-    A full-repo reprolint pass (``repro lint``), asserted to stay
-    under the 5-second single-core developer budget.
+    A full-repo reprolint pass, the one ``scripts/check_lint.py``
+    runs, asserted to stay under the 5-second single-core developer
+    budget.
 ``lint_flow``
     The flow-sensitive rule families alone (R9 RNG taint, R10 dtype
     propagation, R11 resource lifecycle): CFG construction plus the
@@ -814,27 +815,21 @@ def bench_population(iters: int) -> dict:
 def bench_lint(iters: int) -> dict:
     """One full-repo reprolint pass (parse + every rule family).
 
-    The static checker rides the pre-commit/CI path, so its latency is
-    a developer-facing budget: a full single-core pass over the whole
-    package must stay under 5 seconds (it is currently ~100x inside
-    that).  ``meta`` records the census so a silently shrinking file
+    The same pass ``scripts/check_lint.py`` runs.  The static checker
+    rides the pre-commit/CI path, so its latency is a developer-facing
+    budget: a full single-core pass over the whole package must stay
+    under 5 seconds.  ``meta`` records the census so a silently shrinking file
     set cannot fake a speedup.
     """
-    from repro.analysis import (
-        default_baseline_path,
-        default_lint_paths,
-        default_src_root,
-        run_lint,
-    )
+    from repro.analysis import default_lint_paths, default_src_root, run_lint
 
     paths = default_lint_paths()
     src_root = default_src_root()
-    baseline = default_baseline_path()
 
     result_box = {}
 
     def step() -> None:
-        result_box["result"] = run_lint(paths, src_root, baseline_path=baseline)
+        result_box["result"] = run_lint(paths, src_root)
 
     stats = _time_section(step, iters, warmup=1)
     assert stats["min_s"] < 5.0, (

@@ -22,17 +22,15 @@ guarantees the runtime suites only verify after the fact:
   and resource/exception lifecycle in transport and population code
   (R11).
 
-Entry points: ``repro lint`` (CLI, with ``--diff <ref>`` incremental
-mode and ``--format sarif``), ``scripts/check_lint.py`` (CI gate),
-:func:`repro.analysis.runner.run_lint` (library).  The package
-depends only on the standard library — it never imports the code it
-analyses.
+Entry points: ``scripts/check_lint.py`` (the one command line, and
+the CI gate) and :func:`repro.analysis.runner.run_lint` (library).
+The package depends only on the standard library — it never imports
+the code it analyses, so it can report a layering break or an import
+cycle on a tree that cannot import.
 """
 
-from repro.analysis.baseline import apply_baseline, load_baseline, save_baseline
 from repro.analysis.config import (
     LintConfig,
-    default_baseline_path,
     default_config,
     default_lint_paths,
     default_src_root,
@@ -46,12 +44,10 @@ from repro.analysis.core import (
     parse_pragmas,
     rule_catalogue,
 )
-from repro.analysis.incremental import lint_diff
 from repro.analysis.project import LintError, Project, SourceFile
 from repro.analysis.report import (
     render_catalogue,
     render_json,
-    render_sarif,
     render_text,
 )
 from repro.analysis.runner import exit_code, lint_project, run_lint
@@ -65,22 +61,16 @@ __all__ = [
     "RULE_REGISTRY",
     "SourceFile",
     "Violation",
-    "apply_baseline",
-    "default_baseline_path",
     "default_config",
     "default_lint_paths",
     "default_src_root",
     "exit_code",
     "iter_rules",
-    "lint_diff",
     "lint_project",
-    "load_baseline",
     "parse_pragmas",
     "render_catalogue",
     "render_json",
-    "render_sarif",
     "render_text",
     "rule_catalogue",
     "run_lint",
-    "save_baseline",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "default_config",
     "default_src_root",
     "default_lint_paths",
-    "default_baseline_path",
 ]
 
 # ----------------------------------------------------------------------
@@ -82,7 +81,6 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
     ),
     "cli": frozenset(
         {
-            "analysis",
             "compression",
             "core",
             "data",
@@ -252,10 +250,5 @@ def default_src_root() -> Path:
 
 
 def default_lint_paths() -> list[Path]:
-    """What ``repro lint`` checks when no paths are given: the package."""
+    """The package: what ``scripts/check_lint.py`` checks by default."""
     return [default_src_root() / "repro"]
-
-
-def default_baseline_path() -> Path:
-    """Repo-root ``LINT_baseline.json`` next to ``BENCH_hotpath.json``."""
-    return default_src_root().parent / "LINT_baseline.json"

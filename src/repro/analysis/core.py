@@ -19,11 +19,10 @@ Two kinds of rules exist:
 
 Rule identifiers are ``R<family><index>`` (``R101``); the family digit
 groups related checks (``R1`` determinism, ``R2`` layering, ``R3``
-taxonomy, ``R4`` hot path, ``R5`` API surface).  A violation can be
-silenced three ways, in order of preference: fix it, annotate the line
-with ``# reprolint: allow[R101]`` (see :func:`parse_pragmas`), or park
-it in the checked-in baseline file (see
-:mod:`repro.analysis.baseline`).
+taxonomy, ``R4`` hot path, ``R5`` API surface).  A violation is
+either fixed or, where the construct is intended, allowed in place
+with ``# reprolint: allow[R101] why`` (see :func:`parse_pragmas`);
+there is no other way to silence one.
 """
 
 from __future__ import annotations
@@ -64,16 +63,7 @@ class Violation:
     path: str  # repo-relative posix path
     line: int  # 1-based
     message: str
-    snippet: str = ""  # stripped source line, used for baseline matching
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used by the baseline file.
-
-        Keyed on (path, rule, snippet) so unrelated edits that shift
-        line numbers do not invalidate baseline entries.
-        """
-        return (self.path, self.rule, self.snippet)
+    snippet: str = ""  # stripped source line, shown in the JSON report
 
     def render(self) -> str:
         """The canonical one-line text form ``path:line: RULE message``."""
@@ -152,7 +142,7 @@ def iter_rules(select: Iterable[str] | None = None) -> Iterator[Rule]:
         if unknown:
             raise ValueError(
                 f"unknown rule selector(s): {', '.join(unknown)} "
-                "(see `repro lint --rules`)"
+                "(see `scripts/check_lint.py --rules`)"
             )
     for rule_id in sorted(RULE_REGISTRY):
         rule = RULE_REGISTRY[rule_id]
@@ -202,14 +192,12 @@ class LintResult:
     """Outcome of one lint pass (see :func:`repro.analysis.runner.run_lint`)."""
 
     violations: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
     pragma_suppressed: int = 0
-    stale_baseline: list[dict] = field(default_factory=list)
     files_checked: int = 0
     rules_run: list[str] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
     @property
     def clean(self) -> bool:
-        """True when nothing actionable remains (stale entries count)."""
-        return not self.violations and not self.stale_baseline
+        """True when no violation remains."""
+        return not self.violations

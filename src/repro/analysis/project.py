@@ -19,16 +19,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.config import LintConfig, default_config
 from repro.analysis.core import parse_pragmas
 
-__all__ = ["SourceFile", "ImportEdge", "Project", "LintError", "SourceLoader"]
-
-# (path, module=..., rel=...) -> SourceFile; see Project.load(loader=...).
-# reprolint: allow[R506] names the type of Project.load(loader=...) in its (string) annotation
-SourceLoader = Callable[..., "SourceFile"]
+__all__ = ["SourceFile", "ImportEdge", "Project", "LintError"]
 
 
 class LintError(Exception):
@@ -94,7 +90,7 @@ class SourceFile:
         return parts[1]
 
     def snippet(self, line: int) -> str:
-        """The stripped source text of a 1-based line (for baselines)."""
+        """The stripped source text of a 1-based line (for reports)."""
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()
         return ""
@@ -148,16 +144,12 @@ class Project:
         src_root: Path,
         repo_root: Path | None = None,
         config: LintConfig | None = None,
-        loader: "SourceLoader | None" = None,
     ) -> "Project":
         """Collect ``*.py`` under ``paths``; module names hang off ``src_root``.
 
         ``repo_root`` (default: parent of ``src_root``) anchors the
-        repo-relative paths used in reports and baseline entries.
-        ``loader`` swaps the per-file parser — the incremental pass
-        injects a content-hash cache this way.
+        repo-relative paths used in reports.
         """
-        load_one = loader if loader is not None else SourceFile.from_path
         src_root = src_root.resolve()
         repo_root = (repo_root or src_root.parent).resolve()
         seen: set[Path] = set()
@@ -178,7 +170,7 @@ class Project:
                     if src_root in path.parents
                     else path.stem
                 )
-                files.append(load_one(path, module=module, rel=rel))
+                files.append(SourceFile.from_path(path, module=module, rel=rel))
         return cls(files, repo_root=repo_root, config=config)
 
     def __len__(self) -> int:

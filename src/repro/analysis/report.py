@@ -12,11 +12,11 @@ import json
 
 from repro.analysis.core import LintResult, rule_catalogue
 
-__all__ = ["render_text", "render_json", "render_sarif", "render_catalogue"]
+__all__ = ["render_text", "render_json", "render_catalogue"]
 
 
-def render_text(result: LintResult, verbose: bool = False) -> str:
-    """The ``repro lint`` terminal report."""
+def render_text(result: LintResult) -> str:
+    """The ``scripts/check_lint.py`` terminal report."""
     lines: list[str] = []
     current = None
     for violation in result.violations:
@@ -25,27 +25,13 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
                 lines.append("")
             current = violation.path
         lines.append(violation.render())
-    if result.stale_baseline:
-        if lines:
-            lines.append("")
-        lines.append("stale baseline entries (fixed code — remove them):")
-        for entry in result.stale_baseline:
-            lines.append(
-                f"  {entry['path']}: {entry['rule']} {entry['snippet']!r}"
-            )
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append(f"baselined (suppressed) violations: {len(result.baselined)}")
-        for violation in result.baselined:
-            lines.append("  " + violation.render())
     if lines:
         lines.append("")
     coverage = result.metrics.get("annotation_coverage", {}).get("total", {})
     summary = (
         f"{len(result.violations)} violation(s) in {result.files_checked} file(s)"
         f" [{len(result.rules_run)} rules"
-        f", {result.pragma_suppressed} pragma-allowed"
-        f", {len(result.baselined)} baselined]"
+        f", {result.pragma_suppressed} pragma-allowed]"
     )
     if coverage:
         summary += f"; public annotation coverage {coverage.get('coverage', 0):.1%}"
@@ -55,7 +41,7 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
 
 
 def render_json(result: LintResult) -> str:
-    """Stable machine-readable report (``repro lint --json``)."""
+    """Stable machine-readable report (``scripts/check_lint.py --json``)."""
     payload = {
         "schema": 1,
         "clean": result.clean,
@@ -72,74 +58,13 @@ def render_json(result: LintResult) -> str:
             }
             for v in result.violations
         ],
-        "baselined": [
-            {"rule": v.rule, "path": v.path, "line": v.line} for v in result.baselined
-        ],
-        "stale_baseline": result.stale_baseline,
         "metrics": result.metrics,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 report (``repro lint --format sarif``).
-
-    Minimal but valid: the tool driver carries the full rule
-    catalogue, each result points at its rule by id and index, and
-    locations use repo-relative URIs — enough for code-scanning UIs
-    to ingest and deduplicate findings.
-    """
-    catalogue = rule_catalogue()
-    rule_index = {rule_id: i for i, (rule_id, _summary) in enumerate(catalogue)}
-    run = {
-        "tool": {
-            "driver": {
-                "name": "reprolint",
-                "informationUri": "https://example.invalid/reprolint",
-                "rules": [
-                    {
-                        "id": rule_id,
-                        "shortDescription": {"text": summary},
-                        "defaultConfiguration": {"level": "error"},
-                    }
-                    for rule_id, summary in catalogue
-                ],
-            }
-        },
-        "results": [
-            {
-                "ruleId": v.rule,
-                "ruleIndex": rule_index[v.rule],
-                "level": "error",
-                "message": {"text": v.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": v.path,
-                                "uriBaseId": "SRCROOT",
-                            },
-                            "region": {
-                                "startLine": v.line,
-                                "snippet": {"text": v.snippet},
-                            },
-                        }
-                    }
-                ],
-            }
-            for v in result.violations
-        ],
-    }
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [run],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def render_catalogue() -> str:
-    """The rule catalogue (``repro lint --rules``)."""
+    """The rule catalogue (``scripts/check_lint.py --rules``)."""
     lines = ["reprolint rule catalogue", ""]
     family = None
     for rule_id, summary in rule_catalogue():

@@ -1,15 +1,14 @@
-"""The lint pass: load → rules → pragmas → baseline → result.
+"""The lint pass: load → rules → pragmas → result.
 
-:func:`run_lint` is the single entry point the CLI, the gate script,
-the benchmark section, and the tests all share.  Exit-code policy
+:func:`run_lint` is the single entry point the gate script, the
+benchmark section, and the tests all share.  Exit-code policy
 (applied by callers via :func:`exit_code`):
 
-* ``0`` — clean: no actionable violations and no stale baseline;
-* ``1`` — violations (or stale baseline entries, which mean the
-  baseline no longer reflects reality);
+* ``0`` — clean: no violations;
+* ``1`` — violations;
 * ``2`` — the pass itself failed (unreadable file, syntax error,
-  broken baseline) — distinct so CI can tell "code is dirty" from
-  "linter is broken".
+  unknown rule selector) — distinct so CI can tell "code is dirty"
+  from "linter is broken".
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import rules as _rules  # noqa: F401 - populates registry
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.config import LintConfig, default_config
 from repro.analysis.core import LintResult, Violation, is_allowed, iter_rules
 from repro.analysis.project import Project
@@ -30,18 +28,8 @@ EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
 
 
-def lint_project(
-    project: Project,
-    select: list[str] | None = None,
-    baseline_entries: list[dict] | None = None,
-    only_paths: set[str] | None = None,
-) -> LintResult:
-    """Run the (selected) rules over an already-loaded project.
-
-    ``only_paths`` restricts *reported* findings to those repo-relative
-    paths (incremental ``--diff`` mode); project rules still see the
-    whole project, so cross-file invariants hold globally.
-    """
+def lint_project(project: Project, select: list[str] | None = None) -> LintResult:
+    """Run the (selected) rules over an already-loaded project."""
     config = project.config
     raw: list[Violation] = []
     rules_run: list[str] = []
@@ -51,14 +39,8 @@ def lint_project(
             raw.extend(rule.check_project(project))
         else:
             for source in project.files:
-                if only_paths is not None and source.rel not in only_paths:
-                    continue
                 raw.extend(rule.check_file(source, project))
-    if only_paths is not None:
-        raw = [v for v in raw if v.path in only_paths]
 
-    # Pragmas silence in-code; order them out before baseline matching
-    # so a pragma'd line never consumes a baseline entry.
     kept: list[Violation] = []
     pragma_suppressed = 0
     by_rel = {f.rel: f for f in project.files}
@@ -70,27 +52,17 @@ def lint_project(
             pragma_suppressed += 1
         else:
             kept.append(violation)
-
-    fresh, baselined, stale = apply_baseline(kept, baseline_entries or [])
-    fresh.sort(key=lambda v: (v.path, v.line, v.rule))
-    baselined.sort(key=lambda v: (v.path, v.line, v.rule))
+    kept.sort(key=lambda v: (v.path, v.line, v.rule))
 
     metrics = {
         "annotation_coverage": annotation_coverage(project),
-        "violations_by_rule": _count_by_rule(fresh),
+        "violations_by_rule": _count_by_rule(kept),
         "config_package": config.package,
     }
-    files_checked = (
-        len(project)
-        if only_paths is None
-        else sum(1 for f in project.files if f.rel in only_paths)
-    )
     return LintResult(
-        violations=fresh,
-        baselined=baselined,
+        violations=kept,
         pragma_suppressed=pragma_suppressed,
-        stale_baseline=stale,
-        files_checked=files_checked,
+        files_checked=len(project),
         rules_run=rules_run,
         metrics=metrics,
     )
@@ -108,13 +80,11 @@ def run_lint(
     src_root: Path,
     config: LintConfig | None = None,
     select: list[str] | None = None,
-    baseline_path: Path | None = None,
 ) -> LintResult:
     """Load ``paths`` and lint them; the one-call entry point."""
     config = config if config is not None else default_config()
     project = Project.load(paths, src_root=src_root, config=config)
-    entries = load_baseline(baseline_path) if baseline_path is not None else []
-    return lint_project(project, select=select, baseline_entries=entries)
+    return lint_project(project, select=select)
 
 
 def exit_code(result: LintResult) -> int:

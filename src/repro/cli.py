@@ -169,38 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument("--snapshot", required=True, help="snapshot file written by a run")
 
-    lint = sub.add_parser("lint", help="reprolint: static repo-invariant checks")
-    lint.add_argument(
-        "paths", nargs="*", default=None,
-        help="files/directories to lint (default: the repro package)",
-    )
-    lint.add_argument("--json", action="store_true", help="machine-readable report")
-    lint.add_argument(
-        "--format", default=None, choices=("text", "json", "sarif"),
-        help="report format (--json is an alias for --format json)",
-    )
-    lint.add_argument(
-        "--diff", default=None, metavar="GIT_REF",
-        help="incremental: lint only files changed since GIT_REF plus "
-        "their in-package importers",
-    )
-    lint.add_argument("--rules", action="store_true", help="print the rule catalogue")
-    lint.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids or families (e.g. R2,R403)",
-    )
-    lint.add_argument(
-        "--baseline", default=None,
-        help="baseline file (default: LINT_baseline.json at the repo root)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true", help="ignore the baseline file"
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to suppress all current violations",
-    )
-    lint.add_argument("--verbose", action="store_true", help="list baselined hits too")
     return parser
 
 
@@ -497,68 +465,12 @@ def _cmd_wire(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis import (
-        default_baseline_path,
-        default_lint_paths,
-        default_src_root,
-        exit_code,
-        lint_diff,
-        render_catalogue,
-        render_json,
-        render_sarif,
-        render_text,
-        run_lint,
-        save_baseline,
-    )
-    from repro.analysis.runner import EXIT_CLEAN, EXIT_ERROR
-
-    if args.rules:
-        print(render_catalogue())
-        return EXIT_CLEAN
-    paths = [Path(p) for p in args.paths] if args.paths else default_lint_paths()
-    baseline = None
-    if not args.no_baseline:
-        baseline = (
-            Path(args.baseline) if args.baseline else default_baseline_path()
-        )
-    select = args.select.split(",") if args.select else None
-    try:
-        if args.diff:
-            result = lint_diff(
-                args.diff, paths=paths, select=select, baseline_path=baseline
-            )
-        else:
-            result = run_lint(
-                paths,
-                src_root=default_src_root(),
-                select=select,
-                baseline_path=baseline,
-            )
-    except Exception as exc:  # unreadable input / broken baseline / bad ref
-        print(f"lint error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    if args.update_baseline:
-        target = baseline if baseline is not None else default_baseline_path()
-        save_baseline(target, result.violations)
-        print(f"baseline updated: {target} ({len(result.violations)} entries)")
-        return EXIT_CLEAN
-    fmt = args.format or ("json" if args.json else "text")
-    if fmt == "json":
-        print(render_json(result))
-    elif fmt == "sarif":
-        print(render_sarif(result))
-    else:
-        print(render_text(result, args.verbose))
-    return exit_code(result)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("lint", "worker"):
-        return {"lint": _cmd_lint, "worker": _cmd_worker}[args.command](args)
+    if args.command == "worker":
+        return _cmd_worker(args)
     scale = get_scale(args.scale)
     plain = {"population": _cmd_population, "report": _cmd_report, "trace": _cmd_trace,
              "wire": _cmd_wire, "chaos": _cmd_chaos, "resume": _cmd_resume}

@@ -101,8 +101,8 @@ class _EngineBase:
         transport=None,
     ):
         # A remote transport owns the client processes; its population
-        # facade replaces any clients argument.  In-memory transports
-        # (None or InMemoryTransport) keep the historical path exactly.
+        # facade replaces any clients argument.  Without one
+        # (transport=None) the historical in-memory path runs exactly.
         self._transport = transport
         self._remote = bool(getattr(transport, "remote", False))
         if self._remote:

@@ -20,10 +20,9 @@ __all__ = [
     "load_run_result",
 ]
 
-# Version 2 adds per-round ``rejected_uploads`` (validation refusals).
-# Version-1 documents predate update validation and load with zero.
+# Version 2 added per-round ``rejected_uploads`` (validation refusals);
+# it is the only version read.
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 
 def run_result_to_dict(result: RunResult) -> dict:
@@ -53,9 +52,9 @@ def run_result_to_dict(result: RunResult) -> dict:
 
 
 def run_result_from_dict(payload: dict) -> RunResult:
-    """Inverse of :func:`run_result_to_dict` (accepts v1 and v2 files)."""
+    """Inverse of :func:`run_result_to_dict`."""
     version = payload.get("format_version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported run-result format version {version!r}")
     result = RunResult(
         method=payload["method"],
@@ -75,7 +74,7 @@ def run_result_from_dict(payload: dict) -> RunResult:
                 loss=rec["loss"],
                 upload_sizes=list(rec["upload_sizes"]),
                 dropped_uploads=rec["dropped_uploads"],
-                rejected_uploads=rec.get("rejected_uploads", 0),
+                rejected_uploads=rec["rejected_uploads"],
             )
         )
     return result

@@ -3,8 +3,9 @@
 The engines historically called their clients as in-process objects;
 this package makes the substrate explicit and pluggable:
 
-* :class:`~repro.transport.base.InMemoryTransport` — the default; all
-  pinned equivalence trajectories run here, bit-identical.
+* no transport (``transport=None``) — the default; clients are
+  in-process objects and all pinned equivalence trajectories run
+  here, bit-identical.
 * :class:`~repro.transport.sockets.SocketTransport` — the server talks
   to K client worker processes (:mod:`repro.transport.worker`) over
   TCP or Unix-domain sockets, exchanging :mod:`repro.wire` frames
@@ -23,7 +24,6 @@ place allowed to import ``socket`` / ``subprocess`` (lint rule R801).
 from __future__ import annotations
 
 from repro.transport.base import (
-    InMemoryTransport,
     PeerGone,
     TransportConfig,
     TransportError,
@@ -42,7 +42,6 @@ from repro.transport.sockets import (
 from repro.transport.worker import Worker
 
 __all__ = [
-    "InMemoryTransport",
     "PeerGone",
     "TransportConfig",
     "TransportError",

@@ -1,16 +1,14 @@
-"""Transport abstraction: configuration, errors, and the in-memory default.
+"""Transport abstraction: configuration, errors, and the setup bundle.
 
-A *transport* is the substrate an engine moves payloads over.  Two
-implementations ship:
-
-* :class:`InMemoryTransport` — the historical single-process path.
-  Clients are plain objects in the engine's address space and every
-  "transfer" is a function call; all six pinned equivalence
-  trajectories run here, bit-identical by construction.
-* :class:`~repro.transport.sockets.SocketTransport` — server and K
-  client worker processes exchange :mod:`repro.wire` frames over
-  TCP or Unix-domain sockets, with per-leg deadlines, heartbeats,
-  reconnect backoff, and graceful degradation when a worker dies.
+A *transport* is the substrate an engine moves payloads over.  The
+default is none at all (``transport=None``): clients are plain objects
+in the engine's address space and every "transfer" is a function call;
+all six pinned equivalence trajectories run that way, bit-identical by
+construction.  The one transport that ships,
+:class:`~repro.transport.sockets.SocketTransport`, has server and K
+client worker processes exchange :mod:`repro.wire` frames over TCP or
+Unix-domain sockets, with per-leg deadlines, heartbeats, reconnect
+backoff, and graceful degradation when a worker dies.
 
 Layering: ``repro.transport`` sits *below* ``repro.fl`` (it may import
 ``wire``, ``sim``, and ``compression`` only).  The worker process never
@@ -41,7 +39,6 @@ __all__ = [
     "PeerGone",
     "WorkerError",
     "WorkerSetup",
-    "InMemoryTransport",
 ]
 
 
@@ -160,28 +157,3 @@ class WorkerSetup:
         if not isinstance(setup, cls):
             raise TransportError(f"handshake bundle is a {type(setup).__name__}")
         return setup
-
-
-# reprolint: allow[R506] the null object of the transport protocol: engines take it wherever they take None
-class InMemoryTransport:
-    """The single-process default: every transfer is a function call.
-
-    Exists so callers can hold "a transport" uniformly; engines treat
-    ``transport=None`` and an :class:`InMemoryTransport` identically
-    (the in-memory code path, zero behavioural change).
-    """
-
-    remote = False
-
-    def bind_kernel(self, kernel, trace) -> None:
-        """No kernel hooks needed in-process."""
-
-    def heartbeat(self) -> None:
-        """Local clients cannot die independently of the engine."""
-
-    def down_cids(self) -> frozenset[int]:
-        """Nothing is ever unreachable in-process."""
-        return frozenset()
-
-    def close(self) -> None:
-        """Nothing to tear down."""

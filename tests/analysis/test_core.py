@@ -1,4 +1,4 @@
-"""Framework mechanics: pragmas, baseline, registry, reporters, exit codes."""
+"""Framework mechanics: pragmas, registry, reporters, exit codes."""
 
 import json
 
@@ -6,31 +6,20 @@ import pytest
 
 from repro.analysis import (
     RULE_REGISTRY,
-    apply_baseline,
     default_config,
     exit_code,
     iter_rules,
-    lint_project,
-    load_baseline,
     parse_pragmas,
     render_catalogue,
     render_json,
     render_text,
-    save_baseline,
 )
-from repro.analysis.baseline import BASELINE_SCHEMA
-from repro.analysis.core import Violation, is_allowed
-from repro.analysis.runner import EXIT_CLEAN, EXIT_VIOLATIONS
+from repro.analysis.core import is_allowed
+from repro.analysis.runner import EXIT_CLEAN
 
-from tests.analysis.helpers import lint_fixture, make_project
+from tests.analysis.helpers import lint_fixture
 
 pytestmark = pytest.mark.lint
-
-
-def _violation(rule="R401", path="a.py", line=3, snippet="x = np.zeros(9)"):
-    return Violation(
-        rule=rule, path=path, line=line, message="msg", snippet=snippet
-    )
 
 
 class TestPragmas:
@@ -51,70 +40,6 @@ class TestPragmas:
         assert not is_allowed(pragmas, 1, "R202")
         wild = parse_pragmas(["z = 3  # reprolint: allow[*]"])
         assert is_allowed(wild, 1, "R999")
-
-
-class TestBaseline:
-    def test_multiset_matching_and_stale(self):
-        violations = [_violation(), _violation()]  # identical fingerprints
-        entries = [
-            {"path": "a.py", "rule": "R401", "snippet": "x = np.zeros(9)"},
-            {"path": "b.py", "rule": "R402", "snippet": "gone"},
-        ]
-        fresh, baselined, stale = apply_baseline(violations, entries)
-        assert len(baselined) == 1  # one entry suppresses one hit
-        assert len(fresh) == 1  # the second identical hit stays live
-        assert stale == [{"path": "b.py", "rule": "R402", "snippet": "gone"}]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        save_baseline(path, [_violation()])
-        entries = load_baseline(path)
-        assert entries == [
-            {"path": "a.py", "rule": "R401", "snippet": "x = np.zeros(9)"}
-        ]
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == BASELINE_SCHEMA
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-    def test_bad_schema_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"schema": 99, "suppressions": []}')
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_baselined_violation_does_not_fail(self):
-        result = lint_fixture(
-            [("r4_offending.py", "fix.hot")],
-            select=["R403"],
-            hotpath_modules=frozenset({"fix.hot"}),
-        )
-        assert len(result.violations) == 1
-        entries = [
-            {
-                "path": v.path,
-                "rule": v.rule,
-                "snippet": v.snippet,
-            }
-            for v in result.violations
-        ]
-        project = make_project(
-            [("r4_offending.py", "fix.hot")],
-            hotpath_modules=frozenset({"fix.hot"}),
-        )
-        rebased = lint_project(project, select=["R403"], baseline_entries=entries)
-        assert rebased.clean
-        assert len(rebased.baselined) == 1
-        assert exit_code(rebased) == EXIT_CLEAN
-
-    def test_stale_entry_fails_the_gate(self):
-        project = make_project([("r5_clean.py", "fix.ok")])
-        entries = [{"path": "r5_clean.py", "rule": "R505", "snippet": "gone"}]
-        result = lint_project(project, select=["R505"], baseline_entries=entries)
-        assert not result.clean
-        assert exit_code(result) == EXIT_VIOLATIONS
-        assert result.stale_baseline == entries
 
 
 class TestRegistry:

@@ -1,75 +1,132 @@
-"""Tier-1 gate: the repository itself passes reprolint with an empty baseline."""
+"""Tier-1 gate: the repository passes reprolint, and ``scripts/check_lint.py``
+is wired to it.
 
+The whole package is linted once per test run; the script's interface
+(``paths``, ``--json``, ``--select``, ``--rules``, exit codes 0/1/2) is
+exercised on single fixture files.
+"""
+
+import importlib.util
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    default_baseline_path,
     default_lint_paths,
     default_src_root,
     exit_code,
-    load_baseline,
+    render_catalogue,
     run_lint,
 )
-from repro.cli import main
+from tests.analysis.helpers import FIXTURES
 
 pytestmark = pytest.mark.lint
 
-
-def test_repo_is_lint_clean():
-    result = run_lint(
-        default_lint_paths(),
-        src_root=default_src_root(),
-        baseline_path=default_baseline_path(),
-    )
-    rendered = "\n".join(v.render() for v in result.violations)
-    assert result.clean, f"reprolint violations:\n{rendered}"
-    assert not result.stale_baseline
-    assert exit_code(result) == 0
+SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "check_lint.py"
+CLEAN = str(FIXTURES / "r5_clean.py")
+OFFENDING = str(FIXTURES / "r1_offending.py")
 
 
-def test_shipped_baseline_is_empty():
-    # The calibrated rules' findings were fixed, not grandfathered.
-    assert load_baseline(default_baseline_path()) == []
+@pytest.fixture(scope="session")
+def repo_lint():
+    return run_lint(default_lint_paths(), src_root=default_src_root())
 
 
-def test_cli_lint_is_clean(capsys):
-    assert main(["lint"]) == 0
-    assert "lint: clean" in capsys.readouterr().out
+@pytest.fixture
+def gate():
+    spec = importlib.util.spec_from_file_location("check_lint", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
 
 
-def test_cli_lint_json_reports_coverage(capsys):
-    assert main(["lint", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["clean"] is True
-    coverage = payload["metrics"]["annotation_coverage"]
+def test_repo_is_lint_clean(repo_lint):
+    rendered = "\n".join(v.render() for v in repo_lint.violations)
+    assert repo_lint.clean, f"reprolint violations:\n{rendered}"
+    assert exit_code(repo_lint) == 0
+    assert len(repo_lint.rules_run) == 31
+
+
+def test_repo_annotation_coverage(repo_lint):
+    coverage = repo_lint.metrics["annotation_coverage"]
     # The strict packages hold their public surfaces at 100%.
     assert coverage["packages"]["sim"]["coverage"] == 1.0
     assert coverage["total"]["coverage"] > 0.9
 
 
-def test_cli_lint_select_single_family(capsys):
-    assert main(["lint", "--select", "R2"]) == 0
+def test_cli_lint_is_clean(gate, capsys):
+    assert gate([CLEAN]) == 0
     out = capsys.readouterr().out
-    assert "2 rules" in out
+    assert "31 rules" in out
+    assert "lint: clean" in out
 
 
-def test_cli_lint_select_flow_families(capsys):
-    assert main(["lint", "--select", "R9,R10,R11"]) == 0
+def test_cli_lint_json_reports_coverage(gate, capsys):
+    assert gate([OFFENDING, "--json", "--select", "R103"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["clean"] is False
+    assert payload["rules_run"] == ["R103"]
+    assert {v["rule"] for v in payload["violations"]} == {"R103"}
+    assert "annotation_coverage" in payload["metrics"]
+
+
+def test_cli_lint_select_single_family(gate, capsys):
+    assert gate([CLEAN, "--select", "R2"]) == 0
+    assert "2 rules" in capsys.readouterr().out
+
+
+def test_cli_lint_select_flow_families(gate, capsys):
+    assert gate([CLEAN, "--select", "R9,R10,R11"]) == 0
     out = capsys.readouterr().out
     assert "9 rules" in out
     assert "lint: clean" in out
 
 
-def test_cli_lint_sarif_is_clean(capsys):
-    assert main(["lint", "--format", "sarif", "--select", "R9"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    assert payload["runs"][0]["results"] == []
+def test_cli_lint_rules_prints_the_catalogue(gate, capsys):
+    assert gate(["--rules"]) == 0
+    out = capsys.readouterr().out
+    assert out == render_catalogue() + "\n"
+    assert sum(line.startswith("  R") for line in out.splitlines()) == 31
 
 
-def test_cli_lint_diff_head_is_clean(capsys):
-    # Whatever the working tree touched since HEAD must still be clean.
-    assert main(["lint", "--diff", "HEAD"]) == 0
-    assert "lint: clean" in capsys.readouterr().out
+def test_cli_lint_failed_pass_exits_2(gate, capsys, tmp_path):
+    broken = tmp_path / "broken.py"
+    broken.write_text("def f(:\n")
+    assert gate([str(broken)]) == 2
+    assert "syntax error" in capsys.readouterr().err
+    assert gate([CLEAN, "--select", "R99"]) == 2
+    assert "unknown rule selector" in capsys.readouterr().err
+
+
+def test_gate_imports_nothing_it_checks(tmp_path):
+    # A full pass in a fresh interpreter, then its module table: the
+    # gate must not need the checked code to import, or a layering
+    # break / import cycle would kill it before R201/R202 could report.
+    modules_out = tmp_path / "modules.json"
+    probe = (
+        "import json, runpy, sys\n"
+        f"sys.argv = [{str(SCRIPT)!r}, {CLEAN!r}]\n"
+        "try:\n"
+        f"    runpy.run_path({str(SCRIPT)!r}, run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "report = json.dumps([status, sorted(sys.modules)])\n"
+        f"open({str(modules_out)!r}, 'w').write(report)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(modules_out.read_text())
+    assert status == 0
+    assert "repro.analysis.rules" in modules  # the pass really ran
+    assert not [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+    foreign = [
+        m
+        for m in modules
+        if m.startswith("repro.") and not m.startswith("repro.analysis")
+    ]
+    assert foreign == []

@@ -76,7 +76,7 @@ class TestRunResultRoundtrip:
 
 
 class TestFormatVersions:
-    """v2 adds per-round rejected_uploads; v1 files must still load."""
+    """v2 adds per-round rejected_uploads and is the only version read."""
 
     def test_writer_emits_version_2(self, result):
         payload = run_result_to_dict(result)
@@ -89,23 +89,10 @@ class TestFormatVersions:
         assert restored.records[0].rejected_uploads == 3
         assert restored.total_rejected == 3
 
-    def test_v1_document_loads_with_zero_rejections(self, result):
+    def test_v1_document_rejected(self, result):
         payload = run_result_to_dict(result)
         payload["format_version"] = 1
         for rec in payload["records"]:
             del rec["rejected_uploads"]
-        restored = run_result_from_dict(payload)
-        assert all(r.rejected_uploads == 0 for r in restored.records)
-        assert restored.total_uploads == result.total_uploads
-
-    def test_v1_file_roundtrip(self, result, tmp_path):
-        import json
-
-        payload = run_result_to_dict(result)
-        payload["format_version"] = 1
-        for rec in payload["records"]:
-            del rec["rejected_uploads"]
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(payload))
-        restored = load_run_result(path)
-        assert restored.final_accuracy == result.final_accuracy
+        with pytest.raises(ValueError, match="format version 1"):
+            run_result_from_dict(payload)

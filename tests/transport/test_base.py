@@ -7,7 +7,6 @@ import pytest
 from repro.sim.kernel import SimKernel
 from repro.sim.retry import RetryPolicy
 from repro.transport import (
-    InMemoryTransport,
     PeerGone,
     TransportConfig,
     TransportError,
@@ -79,16 +78,6 @@ class TestWorkerSetup:
 
         with pytest.raises(TransportError):
             WorkerSetup.from_bytes(pickle.dumps({"not": "a setup"}))
-
-
-class TestInMemoryTransport:
-    def test_is_the_inert_default(self):
-        transport = InMemoryTransport()
-        assert transport.remote is False
-        assert transport.down_cids() == frozenset()
-        transport.bind_kernel(None, None)
-        transport.heartbeat()
-        transport.close()
 
 
 class TestRetryJitterDeterminism:
