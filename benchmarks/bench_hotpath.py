@@ -386,7 +386,8 @@ def bench_resilience(iters: int) -> dict:
     """Update-validation screening cost on the aggregation hot path.
 
     Times a fleet-scale aggregation round (sample-weighted average of
-    40 model-sized deltas) and, separately, the deferred validation
+    40 model-sized deltas, each the float32 view decoded from a dense
+    upload frame, as the server folds them) and, separately, the deferred validation
     screen the engine adds per round: one non-finite reduction over
     the aggregate (``UpdateValidator.screen_aggregate``).  As with the
     tracing overhead in ``engine_loop``, the added work is measured
@@ -396,18 +397,25 @@ def bench_resilience(iters: int) -> dict:
     reference — neither is on the default path.
     """
     from repro.fl.client import ClientUpdate
-    from repro.fl.strategy import weighted_average
+    from repro.fl.strategy import UploadPacket, weighted_average
     from repro.fl.validation import UpdateValidator, ValidationConfig, trimmed_mean
+    from repro.wire.codecs import encode_frame
 
     d = 431_080
     n = 40  # a fleet-scale round's delivered updates
     rng = np.random.default_rng(0)
+
+    def upload() -> np.ndarray:
+        """A training delta as the server folds it: its frame's float32 view."""
+        frame = encode_frame("none", d, {"values": rng.normal(size=d)})
+        return UploadPacket.of(frame).delta
+
     updates = [
         ClientUpdate(
             client_id=i,
             round_index=0,
             num_samples=int(rng.integers(50, 200)),
-            delta=rng.normal(size=d),
+            delta=upload(),
             train_loss=0.0,
             flops=0,
         )

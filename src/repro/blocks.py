@@ -36,9 +36,11 @@ def row_blocks(array: np.ndarray) -> Sequence[slice | type(...)]:
 def add_scaled(acc: np.ndarray, terms: Sequence[tuple[float, np.ndarray]]) -> None:
     """``for w, x in terms: acc += w * x``, bit for bit, one block at a time.
 
-    Each product is rounded into the scratch and then added, in term
-    order, exactly as the loop does; the block of ``acc`` and the
-    scratch (one per call, never returned) stay in cache across terms.
+    Each product is computed at ``acc``'s width — a float32 term is
+    widened, never the product rounded to float32 — rounded into the
+    scratch and then added, in term order, exactly as the loop does; the
+    block of ``acc`` and the scratch (one per call, never returned) stay
+    in cache across terms.
     """
     for _, x in terms:
         if x.shape != acc.shape:
@@ -49,4 +51,4 @@ def add_scaled(acc: np.ndarray, terms: Sequence[tuple[float, np.ndarray]]) -> No
         if scratch is None or scratch.shape != block.shape:  # first block, short last block
             scratch = np.empty_like(block)
         for w, x in terms:
-            block += np.multiply(x[rows], w, out=scratch)
+            block += np.multiply(x[rows], w, out=scratch, dtype=scratch.dtype)

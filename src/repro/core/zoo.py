@@ -145,7 +145,8 @@ class AdaptiveFederatedDropout(SyncStrategy):
         if mask is None or mask.is_full:
             return super().process_upload(client, update, context)
         # The client's delta is guaranteed zero off the mask, so the
-        # masked frame carries everything the server needs.
+        # masked frame carries everything the server needs, and the
+        # server folds the frame's own indices and float32 values.
         values = mask.gather(update.delta).astype(np.float32)
         frame = encode_frame(
             "masked",
@@ -157,7 +158,7 @@ class AdaptiveFederatedDropout(SyncStrategy):
             },
             model_version=context.server.version,
         )
-        return UploadPacket(delta=update.delta, frame=frame, subspace=mask)
+        return UploadPacket.of(frame, subspace=mask)
 
 
 @dataclass(frozen=True)

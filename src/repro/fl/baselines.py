@@ -91,8 +91,9 @@ class FedAvgM(SyncStrategy):
 
 
 def _mean_delta(updates: list[ClientUpdate]) -> np.ndarray:
-    """Unweighted mean of the deltas (SCAFFOLD's server rule)."""
-    return np.mean([u.delta for u in updates], axis=0)
+    """Unweighted mean of the deltas (SCAFFOLD's server rule), summed
+    in float64 over the wire-width (float32) deltas."""
+    return np.mean([u.delta for u in updates], axis=0, dtype=np.float64)
 
 
 class Scaffold(SyncStrategy):
@@ -222,7 +223,9 @@ class FedBuff(AsyncStrategy):
         staleness: int,
     ) -> bool:
         discount = (1.0 + max(staleness, 0)) ** (-self.poly_a)
-        self._buffer.append(discount * delta)
+        # A float32 delta times a Python float stays float32 (NEP 50):
+        # buffer the float64 product, so the mean below is float64 too.
+        self._buffer.append(np.multiply(delta, discount, dtype=np.float64))
         if len(self._buffer) < self.buffer_size:
             return False
         direction = np.mean(self._buffer, axis=0)

@@ -46,7 +46,9 @@ class ClientUpdate:
     client_id: int
     round_index: int
     num_samples: int
-    delta: np.ndarray  # w_local - w_global (dense, float64)
+    # w_local - w_global (dense float64); once the upload is encoded,
+    # the packet's delta at wire width (see UploadPacket).
+    delta: np.ndarray
     train_loss: float
     flops: int  # arithmetic performed during this local round
     extras: dict[str, Any] = field(default_factory=dict)

@@ -327,6 +327,8 @@ class _EngineBase:
         A strategy that reads ``client.last_delta`` gets the training
         delta retained here, before the crash check: the work a crash
         destroys was still done, and the client's next score reads it.
+        Once encoded, ``update.delta`` is the packet's delta, at wire
+        width, in both engines.
         """
         cid = client.client_id
         if self.strategy.reads_last_delta:
@@ -350,6 +352,10 @@ class _EngineBase:
             # (compression is a worker-side RPC for remote clients).
             self._drop_transport_crash(ready, cid, exc)
             return _Encoded(compute_s)
+        # From here on the update carries what the server folds, at
+        # wire width; the float64 training delta is released here
+        # (unless retained as ``last_delta``).
+        update.delta = packet.delta
         if self._validator is not None:
             self._validator.stamp(update)
         if packet.subspace is not None:

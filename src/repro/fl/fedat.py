@@ -100,7 +100,9 @@ class FedAT(AsyncStrategy):
         if set(self._pending[tier]) != self._members[tier]:
             return False
         # Tier round complete: intra-tier FedAvg, cross-tier weighting.
-        tier_delta = np.mean(list(self._pending[tier].values()), axis=0)
+        tier_delta = np.mean(
+            list(self._pending[tier].values()), axis=0, dtype=np.float64
+        )
         self.server_opt.step(server, tier_delta, self._tier_weight(tier), self.num_tiers)
         self._pending[tier] = {}
         self._tier_rounds[tier] += 1

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.blocks import add_scaled
-from repro.compression.base import CompressedGradient, SparseDelta, densify
+from repro.compression.base import CompressedGradient, SparseDelta
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server, ServerOpt
@@ -45,10 +45,16 @@ class UploadPacket:
     """One client upload as the server receives it.
 
     ``frame`` is the encoded wire frame the payload travels in;
-    ``delta`` is what the server folds from it — the dense vector, or a
-    sparse codec's :class:`~repro.compression.base.SparseDelta`
-    (strategies hand both over so engines never re-decode on the happy
-    path).  ``extra_bytes`` covers side-channel payloads that ride the
+    ``delta`` is what the server folds from it, at the width the wire
+    carries it: for a dense or sub-model upload, the view :meth:`of`
+    decodes over the frame itself (float32 values, or a
+    :class:`~repro.compression.base.SparseDelta` over a masked frame's
+    indices and values); for a compressed upload, the codec's
+    ``decompress`` of the payload the frame was encoded from (a sparse
+    codec's uint32/float32 arrays, a quantiser's reconstruction),
+    equal bit for bit to decoding the frame.  The precision policy:
+    values are held at wire width, and every reduction over them
+    computes in float64.  ``extra_bytes`` covers side-channel payloads that ride the
     same upload outside the frame (SCAFFOLD's control delta, AdaFL's
     score report); :attr:`nbytes` — payload plus side channel — is
     what the link is charged, and :attr:`wire_nbytes` adds the frame
@@ -65,6 +71,21 @@ class UploadPacket:
     frame: Frame
     extra_bytes: int = 0
     subspace: ParamSubspace | None = None
+
+    @classmethod
+    def of(cls, frame: Frame, **fields) -> "UploadPacket":
+        """The packet for a ``none`` or ``masked``-over-``none`` frame,
+        its delta a zero-copy view over the frame: the float32 values,
+        or a :class:`SparseDelta` over the masked indices and values."""
+        payload = CompressedGradient.from_frame(frame)
+        data = payload.data
+        if payload.method == "none":
+            delta = data["values"]
+        elif payload.method == "masked" and data["inner_method"] == "none":
+            delta = SparseDelta(frame.dim, data["indices"], data["inner_data"]["values"])
+        else:
+            raise ValueError(f"no view over a {payload.method!r} frame")
+        return cls(delta=delta, frame=frame, **fields)
 
     @property
     def nbytes(self) -> int:
@@ -86,7 +107,10 @@ def _dense_upload(update: ClientUpdate, model_version: int) -> UploadPacket:
     """The default packet: the dense float32 delta in a ``none`` frame.
 
     The codec casts the float64 delta to float32 as it writes the wire
-    buffer — the one conversion a dense upload costs.
+    buffer — the one conversion a dense upload costs — and the packet's
+    delta is the frame's own values, a read-only float32 view: the
+    server folds what the wire carries, at the wire's width, and the
+    float64 training delta can go as soon as it is encoded.
     """
     payload = CompressedGradient(
         method="none",
@@ -94,7 +118,7 @@ def _dense_upload(update: ClientUpdate, model_version: int) -> UploadPacket:
         num_bytes=4 * update.delta.size,
         data={"values": update.delta},
     )
-    return UploadPacket(delta=update.delta, frame=payload.to_frame(model_version))
+    return UploadPacket.of(payload.to_frame(model_version))
 
 
 class _ModelFrameCache:
@@ -164,18 +188,16 @@ def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     a :class:`~repro.compression.base.SparseDelta` folds by index, so a
     sparse upload is never widened to a d-vector.  Terms fold in order,
     which gives every coordinate the sum it would get with each sparse
-    term scattered first, bit for bit.
+    term scattered first, bit for bit.  Deltas arrive at the wire's
+    width (float32) and the products and the accumulator are float64:
+    the result is bit-equal to the same fold over float64 copies.
     """
     if not updates:
         raise ValueError("cannot average zero updates")
     total = sum(u.num_samples for u in updates)
     if total <= 0:
         raise ValueError("updates carry no samples")
-    first = updates[0].delta
-    if isinstance(first, SparseDelta):
-        acc = np.zeros(first.dim, dtype=np.float64)
-    else:
-        acc = np.zeros_like(first)
+    acc = np.zeros(updates[0].delta.size, dtype=np.float64)
     dense_run: list[tuple[float, np.ndarray]] = []
     for u in updates:
         weight = u.num_samples / total
@@ -203,6 +225,10 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
     the whole vector there is nothing to renormalise per coordinate and
     the result is :func:`weighted_average`'s, bit for bit (Federated
     Dropout at keep fraction 1 *is* FedAvg).
+
+    A sub-model upload is a :class:`SparseDelta` over its masked
+    frame's float32 values and folds by index; like
+    :func:`weighted_average`, every product and sum is float64.
     """
     if not updates:
         raise ValueError("cannot average zero updates")
@@ -218,14 +244,18 @@ def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
         if w <= 0:
             continue
         subspace = u.extras.get("subspace")
-        delta = densify(u.delta)
-        if subspace is None or subspace.is_full:
-            add_scaled(acc, [(w, delta)])
-            weight += w
+        full = subspace is None or subspace.is_full
+        if isinstance(u.delta, SparseDelta):
+            u.delta.add_to(acc, w)
+        elif full:
+            add_scaled(acc, [(w, u.delta)])
         else:
             idx = subspace.indices
-            acc[idx] += w * delta[idx]
-            weight[idx] += w
+            acc[idx] += np.multiply(u.delta[idx], w, dtype=np.float64)
+        if full:
+            weight += w
+        else:
+            weight[subspace.indices] += w
     covered = weight > 0
     out = np.zeros(dim, dtype=np.float64)
     np.divide(acc, weight, out=out, where=covered)

@@ -318,7 +318,7 @@ class SyncEngine(_EngineBase):
         if frame_reason is not None:
             self._trace.emit(DROPPED, arrival, cid, reason=frame_reason)
             return total_s
-        update.delta = delta  # server sees the decompressed delta
+        update.delta = delta  # the packet's view, or a corruption fault's copy
         # A duplicated delivery (the transport delivered the same upload
         # twice) shares the original's serial stamp.
         delivered.extend([update] * (2 if stale_dup else 1))

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.blocks import row_blocks
 from repro.compression.base import SparseDelta, densify
 from repro.wire.frame import FrameError
 from repro.wire.frame import Frame as _Frame
@@ -106,7 +107,9 @@ def trimmed_mean(
 
     Discards the ``floor(trim_ratio * n)`` smallest and largest values
     per coordinate before averaging — the classic robust aggregator.
-    Sparse deltas are densified: every coordinate takes part.
+    Sparse deltas are densified: every coordinate takes part.  The
+    partition runs at the deltas' own width (order is exact in float32)
+    and the mean sums in float64.
     NaN partitions to the top, so poisoned coordinates fall inside the
     trimmed tail whenever the number of corrupted updates is at most
     the trim count.
@@ -127,9 +130,18 @@ def trimmed_mean(
     if 2 * k >= n:
         k = (n - 1) // 2
     if k == 0:
-        return stack.mean(axis=0)
+        return stack.mean(axis=0, dtype=np.float64)
     stack.partition(np.arange(k, n - k, dtype=np.intp), axis=0)
-    return stack[k : n - k].mean(axis=0)
+    return stack[k : n - k].mean(axis=0, dtype=np.float64)
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """``x @ x`` in float64, one cache block at a time: a float32 ``x``
+    is widened a block at a time, never copied whole."""
+    return sum(
+        float(np.dot(b, b))
+        for b in (x[rows].astype(np.float64, copy=False) for rows in row_blocks(x))
+    )
 
 
 class UpdateValidator:
@@ -176,25 +188,22 @@ class UpdateValidator:
     def screen(self, delta: np.ndarray | SparseDelta) -> str | None:
         """``"corrupt"`` if the vector is non-finite or over-norm.
 
-        A :class:`~repro.compression.base.SparseDelta` is screened for
-        non-finite coordinates on its float32 ``values`` alone, summed in
-        float64: no sum of at most 2**32 float32-ranged terms overflows
-        it, so the verdict is its dense vector's.  The norm screen
-        densifies.
+        A :class:`~repro.compression.base.SparseDelta` is screened on its
+        ``values`` alone (the zeros off its support change neither
+        verdict).  Both reductions run in float64 over the delta's own
+        width: no sum of at most 2**32 float32-ranged terms overflows
+        it, so a finite float32 delta is never ``"corrupt"`` for being
+        large, and the verdict is its float64 copy's.
         """
+        values = delta.values if isinstance(delta, SparseDelta) else delta
         if self.config.forbid_nonfinite:
             # One reduction pass: any NaN/Inf coordinate makes the sum
             # non-finite (opposite infinities yield NaN), and a finite
             # sum can never arise from non-finite inputs.
-            if isinstance(delta, SparseDelta):
-                total = np.sum(delta.values, dtype=np.float64)
-            else:
-                total = np.sum(delta)
-            if not math.isfinite(float(total)):
+            if not math.isfinite(float(np.sum(values, dtype=np.float64))):
                 return "corrupt"
         if self.config.max_norm is not None:
-            delta = densify(delta)
-            sq = float(np.dot(delta, delta))
+            sq = _sq_norm(values)
             if not math.isfinite(sq) or sq > self.config.max_norm**2:
                 return "corrupt"
         return None

@@ -7,7 +7,8 @@ every line printed and the bytes of every ``--out`` / ``--trace`` file
 it names.  Snapshots are pickles and are not digested — ``resume``'s
 output is.
 
-``python -m tests.cli_golden_cases`` rewrites ``cli_golden.json``.
+``python -m tests.cli_golden_cases --only CASE… [--check]`` rewrites
+the named lines of ``cli_golden.json`` (see :mod:`tests.pins`).
 The committed file was generated with ``PYTHONPATH=<parent>/src`` on the
 commit *before* :mod:`repro.experiments.spec` existed, so
 ``test_cli_golden.py`` proves that moving every command onto
@@ -17,7 +18,10 @@ changed it: ``sweep_adafl`` (the sweep's ``adafl`` cell now runs the
 evaluation's AdaFL configuration) and ``table1`` (SCAFFOLD's
 compression ratio prints ``0.5x``, not ``0x``).  ``quickrun_sync_adafl``
 and ``quickrun_async_adafl`` were re-pinned when DGC's momentum and
-residual became float32.
+residual became float32.  ``quickrun_sync_fedavg``,
+``quickrun_async_fedbuff``, ``quickrun_snapshot_resume`` and
+``quickrun_tcp_fedavg`` were re-pinned when the server began folding
+the float32 values a dense upload's frame carries.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main as repro_main
+from tests.pins import regen
 
 GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
 
@@ -102,13 +107,15 @@ def digest(case: tuple[tuple[tuple[str, ...], ...], tuple[str, ...]]) -> str:
     return sha.hexdigest()
 
 
-def main() -> None:
-    pinned = {
-        name: digest(case) for name, case in {**CASES, **SLOW_CASES}.items()
+def main(argv=None) -> int:
+    compute = {
+        name: (lambda case=case: digest(case))
+        for name, case in {**CASES, **SLOW_CASES}.items()
     }
-    GOLDEN_PATH.write_text(json.dumps(pinned, indent=1) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    return regen(
+        GOLDEN_PATH, compute, lambda pins: json.dumps(pins, indent=1) + "\n", argv
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

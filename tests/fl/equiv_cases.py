@@ -2,15 +2,22 @@
 
 Each case builds a small federation from scratch (fully deterministic
 given its literal seeds) and runs it through the public engine API.
-Running ``python -m tests.fl.equiv_cases`` serialises every case's
-per-record trajectory to ``data/equivalence_baseline.json``; the
+Running ``python -m tests.fl.equiv_cases --only CASE… [--check]``
+serialises the named cases' per-record trajectories to
+``data/equivalence_baseline.json`` (see :mod:`tests.pins`); the
 committed baseline was generated against the pre-``repro.sim`` engines,
 so ``test_engine_equivalence.py`` proves the kernel refactor left
 accuracy/bytes/sim-time trajectories bit-identical. Every case accepts
 an optional ``trace=`` so the trace-level tests can record the exact
 runs the baseline pins.  ``sync_adafl`` alone was re-pinned since, in
 the commit that made DGC's momentum and residual float32: its losses
-moved in the ninth digit, every other field is unchanged.
+moved in the ninth digit, every other field is unchanged.  The five
+dense-upload cases (all but ``sync_adafl``) were re-pinned when the
+server began folding the float32 values a dense upload's frame
+carries instead of the float64 training delta: losses moved in the
+ninth or tenth digit, and ``async_fedasync_net`` also took the
+``dropped_uploads`` counts its async comparison has ignored since the
+kernel refactor.
 
 Cases deliberately avoid lossy *downlinks* in the async runs: lost
 model broadcasts are the one behaviour the refactor intentionally
@@ -47,6 +54,7 @@ from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.nn.models import build_mlp
 from repro.sim import FaultPlan, UploadLossModel
+from tests.pins import regen
 
 BASELINE_PATH = Path(__file__).parent / "data" / "equivalence_baseline.json"
 
@@ -205,12 +213,12 @@ def trajectory(result: RunResult) -> list[dict]:
     ]
 
 
-def main() -> None:
-    baselines = {name: trajectory(fn()) for name, fn in CASES.items()}
-    BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    BASELINE_PATH.write_text(json.dumps(baselines, indent=1) + "\n")
-    print(f"wrote {BASELINE_PATH}")
+def main(argv=None) -> int:
+    compute = {name: (lambda fn=fn: trajectory(fn())) for name, fn in CASES.items()}
+    return regen(
+        BASELINE_PATH, compute, lambda pins: json.dumps(pins, indent=1) + "\n", argv
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

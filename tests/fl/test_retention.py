@@ -9,23 +9,34 @@ leaves no d-vector behind, and a sync AdaFL run leaves nothing beyond
 its DGC state.  The async AdaFL trajectory under crashes, which depends
 on *when* the delta is retained, is pinned in ``trace_digests.json``
 (``async_adafl_crash``).
+
+What the server folds is what the wire carries, at its width: a dense
+or sub-model upload reaches the fold as a view over its own frame, a
+sparse one as the codec's uint32/float32 payload arrays the frame was
+encoded from, and the client's float64 training delta is gone once
+the leg has encoded it.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.compression.base import SparseDelta
+from repro.compression.base import CompressedGradient, SparseDelta, densify
+from repro.compression.qsgd import QSGDCompressor
 from repro.core.adafl import AdaFLAsync, AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.data.synthetic import make_image_classification
 from repro.fl.async_engine import AsyncEngine
-from repro.fl.baselines import FedAsync, FedAvg, FedBuff
+from repro.core.zoo import AdaGQQuantization, AdaptiveFederatedDropout
+from repro.fl.baselines import ASYNC_BASELINES, SYNC_BASELINES, FedAsync, FedAvg, FedBuff
 from repro.fl.client import Client
+from repro.fl.engine import _EngineBase
 from repro.fl.config import FederationConfig, LocalTrainingConfig
 from repro.fl.population import RetentionPolicy
 from repro.fl.server import Server
@@ -33,7 +44,7 @@ from repro.fl.sync_engine import SyncEngine
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.nn.models import build_mlp
-from repro.wire.frame import unseal
+from repro.wire.frame import Frame, unseal
 from tests.fl.equiv_cases import (
     NUM_CLIENTS,
     _async_config,
@@ -228,3 +239,157 @@ def test_adafl_sync_aggregation_holds_payloads_not_d_vectors(num_clients, monkey
         tracemalloc.stop()
     assert len(units) == 3
     assert max(units) <= 6.0, units
+
+
+# -- the fold reads the wire -------------------------------------------
+
+
+def _fold_array(delta) -> np.ndarray:
+    """The array of a delta that holds its values."""
+    return delta.values if isinstance(delta, SparseDelta) else delta
+
+
+def _wire(frame: Frame) -> np.ndarray:
+    return np.frombuffer(frame.to_bytes(), dtype=np.uint8)
+
+
+def _engine(mode: str, strategy, rounds: int = 2):
+    server, clients = _federation(10)
+    if mode == "sync":
+        return SyncEngine(
+            server, clients, strategy, _sync_config(rounds), network=_jittery_net()
+        ), clients
+    return AsyncEngine(server, clients, strategy, _async_config(6 * rounds)), clients
+
+
+_FOLD_CASES = {
+    "sync-dense": ("sync", lambda: FedAvg(participation_rate=1.0)),
+    "sync-masked": ("sync", AdaptiveFederatedDropout),
+    "sync-sparse": ("sync", AdaFLSync),
+    "async-dense": ("async", FedBuff),
+    "async-sparse": ("async", AdaFLAsync),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_fold_reads_the_upload_frame_and_the_training_delta_is_released(
+    case, monkeypatch
+):
+    """A dense or masked fold input shares memory with its upload frame
+    (a sparse one is the DGC payload's float32 values), and the float64
+    training delta is unreachable once the leg has encoded (sync:
+    inside the leg, before the barrier; async: while the upload is in
+    flight).  Async AdaFL keeps it as ``last_delta`` by design, and
+    there only."""
+    mode, make = _FOLD_CASES[case]
+    strategy = make()
+    engine, _ = _engine(mode, strategy)
+    frames, trained = {}, {}
+    encode = _EngineBase._encode_upload
+
+    def released(update) -> bool:
+        alive = trained[id(update)]()
+        if alive is None:
+            return True
+        client = engine.clients[update.client_id]
+        # Held by the client alone: its attribute, this local, the call.
+        return (
+            strategy.reads_last_delta
+            and alive is client.last_delta
+            and sys.getrefcount(alive) == 3
+        )
+
+    def spy_encode(self, client, update, *args, **kwargs):
+        trained[id(update)] = weakref.ref(update.delta)
+        enc = encode(self, client, update, *args, **kwargs)
+        if enc.packet is not None:
+            frames[id(update)] = enc.packet.frame
+            assert update.delta is enc.packet.delta
+            assert released(update)
+        return enc
+
+    folded = []
+
+    def check_fold(update, delta):
+        assert released(update)
+        frame = frames[id(update)]
+        if not isinstance(delta, SparseDelta) or "subspace" in update.extras:
+            assert np.shares_memory(_fold_array(delta), _wire(frame))
+        assert _fold_array(delta).dtype == np.float32
+        folded.append(frame.codec_id)
+
+    monkeypatch.setattr(_EngineBase, "_encode_upload", spy_encode)
+    if mode == "sync":
+        aggregate = strategy.aggregate
+
+        def spy_aggregate(server, updates, context):
+            for u in updates:
+                check_fold(u, u.delta)
+            return aggregate(server, updates, context)
+
+        monkeypatch.setattr(strategy, "aggregate", spy_aggregate)
+    else:
+        on_update = strategy.on_update
+
+        def spy_on_update(server, update, delta, staleness):
+            check_fold(update, delta)
+            return on_update(server, update, delta, staleness)
+
+        monkeypatch.setattr(strategy, "on_update", spy_on_update)
+    engine.run()
+    assert folded
+    expected = {"dense": {1}, "masked": {8}, "sparse": {2}}[case.split("-")[1]]
+    assert set(folded) == expected
+
+
+def _decoded(frame: Frame) -> np.ndarray:
+    """The dense float64 vector a frame carries, decoded as received."""
+    received = Frame.from_bytes(bytes(frame.to_bytes()))
+    payload = CompressedGradient.from_frame(received)
+    data = payload.data
+    if payload.method == "none":
+        return data["values"].astype(np.float64)
+    if payload.method == "qsgd":
+        return QSGDCompressor(payload.dim, rng=np.random.default_rng(0)).decompress(payload)
+    if payload.method == "masked":
+        assert data["inner_method"] == "none"
+        indices, values = data["indices"], data["inner_data"]["values"]
+    else:
+        indices, values = data["indices"], data["values"]
+    dense = np.zeros(payload.dim)
+    dense[indices.astype(np.int64)] = values
+    return dense
+
+
+_WIRE_LAW = {
+    **{f"sync-{name}": ("sync", cls) for name, cls in SYNC_BASELINES.items()},
+    **{f"async-{name}": ("async", cls) for name, cls in ASYNC_BASELINES.items()},
+    "sync-afd": ("sync", AdaptiveFederatedDropout),
+    "sync-adagq": ("sync", AdaGQQuantization),
+    "sync-adafl": ("sync", AdaFLSync),
+    "async-adafl": ("async", AdaFLAsync),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WIRE_LAW))
+def test_packet_delta_is_the_frame_decoded(case, monkeypatch):
+    """``densify(packet.delta)`` is, bit for bit, the vector the frame
+    decodes to on receipt (after the codec's decompress for a
+    quantised codec)."""
+    mode, make = _WIRE_LAW[case]
+    strategy = make()
+    engine, _ = _engine(mode, strategy)
+    packets = []
+    process_upload = strategy.process_upload
+
+    def spy(client, update, context):
+        packet = process_upload(client, update, context)
+        packets.append(packet)
+        return packet
+
+    monkeypatch.setattr(strategy, "process_upload", spy)
+    engine.run()
+    assert packets
+    for packet in packets:
+        got = np.asarray(densify(packet.delta), dtype=np.float64)
+        assert got.tobytes() == _decoded(packet.frame).tobytes()

@@ -8,8 +8,9 @@ those paths on every engine that supports it, and is pinned much
 harder than a trajectory: the sha256 of the complete JSONL trace
 (every event, timestamp and data field) plus the run's records.
 
-``python -m tests.fl.trace_digest_cases`` rewrites
-``data/trace_digests.json``.  The committed file was generated on the
+``python -m tests.fl.trace_digest_cases --only CASE… [--check]``
+rewrites the named cases in ``data/trace_digests.json`` (see
+:mod:`tests.pins`).  The committed file was generated on the
 commit *before* the shared engine base (``repro.fl.engine``) existed,
 so ``test_trace_digests.py`` proves that refactor moved no event; the
 two ``*_dropout_crash_churn`` entries were generated on the commit
@@ -27,7 +28,11 @@ screen, payload corruption, FedAsync's model mix) and through a
 snapshot taken with sparse payloads still queued in the kernel.  All
 seven AdaFL cases were re-pinned together in the commit that made
 DGC's momentum and residual float32 (event counts unchanged); only
-their entries were merged into the file.
+their entries were merged into the file.  Every case whose uploads
+are dense (the twelve non-AdaFL digests and the event case below) was
+re-pinned when the server began folding the float32 values a dense
+upload's frame carries; event counts are unchanged, and the AdaFL
+cases did not move.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
@@ -79,6 +84,7 @@ from tests.fl.equiv_cases import (
     _sync_config,
     trajectory,
 )
+from tests.pins import regen
 
 DIGEST_PATH = Path(__file__).parent / "data" / "trace_digests.json"
 
@@ -396,15 +402,24 @@ def event_rows(fn) -> dict:
     }
 
 
-def main() -> None:
-    pinned = {
-        "digests": {name: digest(fn) for name, fn in DIGEST_CASES.items()},
-        "event_cases": {name: event_rows(fn) for name, fn in EVENT_CASES.items()},
+def _dump(pins: dict) -> str:
+    """The file's two sections from one flat ``case -> pin`` dict."""
+    return json.dumps({
+        "digests": {k: v for k, v in pins.items() if k not in EVENT_CASES},
+        "event_cases": {k: v for k, v in pins.items() if k in EVENT_CASES},
+    }, indent=1) + "\n"
+
+
+def main(argv=None) -> int:
+    compute = {
+        **{name: (lambda fn=fn: digest(fn)) for name, fn in DIGEST_CASES.items()},
+        **{name: (lambda fn=fn: event_rows(fn)) for name, fn in EVENT_CASES.items()},
     }
-    DIGEST_PATH.parent.mkdir(parents=True, exist_ok=True)
-    DIGEST_PATH.write_text(json.dumps(pinned, indent=1) + "\n")
-    print(f"wrote {DIGEST_PATH}")
+    return regen(
+        DIGEST_PATH, compute, _dump, argv,
+        load=lambda pinned: {**pinned["digests"], **pinned["event_cases"]},
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

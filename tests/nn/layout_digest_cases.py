@@ -22,8 +22,9 @@ differently from every larger batch (and from the fused kernel).
 ``Conv2d.backward`` now always reads a C-ordered matrix;
 ``test_batched.py`` pins single-sample steps serial = fused instead.
 
-``python -m tests.nn.layout_digest_cases`` rewrites
-``data/layout_digests.json``; the committed file was written by the
+``python -m tests.nn.layout_digest_cases --only CASE… [--check]``
+rewrites the named cases in ``data/layout_digests.json`` (see
+:mod:`tests.pins`); the committed file was written by the
 code that kept every pool output C-contiguous.
 """
 
@@ -38,6 +39,7 @@ import numpy as np
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import build_mnist_cnn, build_resnet_mini, build_vgg_mini
 from tests.nn.window_reference import signed_values
+from tests.pins import regen
 
 DIGEST_PATH = Path(__file__).parent / "data" / "layout_digests.json"
 
@@ -93,12 +95,13 @@ def digests(name: str) -> dict[str, str]:
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
-def main() -> None:
-    table = {name: digests(name) for name in sorted(CASES)}
-    DIGEST_PATH.parent.mkdir(exist_ok=True)
-    DIGEST_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} cases to {DIGEST_PATH}")
+def main(argv=None) -> int:
+    compute = {name: (lambda name=name: digests(name)) for name in sorted(CASES)}
+    return regen(
+        DIGEST_PATH, compute,
+        lambda pins: json.dumps(pins, indent=2, sort_keys=True) + "\n", argv,
+    )
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
