@@ -62,13 +62,8 @@ Sections
     holds every model's fused and serial times and their ratio.
 ``lint``
     A full-repo reprolint pass, the one ``scripts/check_lint.py``
-    runs, asserted to stay under the 5-second single-core developer
-    budget.
-``lint_flow``
-    The flow-sensitive rule families alone (R9 RNG taint, R10 dtype
-    propagation, R11 resource lifecycle): CFG construction plus the
-    dataflow fixpoints over the whole repo, asserted under 10 seconds
-    so the flow pass can ride the same pre-commit path.
+    runs (every rule family, the R11 CFG/dataflow pass included),
+    asserted to stay under the 5-second single-core developer budget.
 
 Run directly::
 
@@ -823,10 +818,11 @@ def bench_population(iters: int) -> dict:
 def bench_lint(iters: int) -> dict:
     """One full-repo reprolint pass (parse + every rule family).
 
-    The same pass ``scripts/check_lint.py`` runs.  The static checker
-    rides the pre-commit/CI path, so its latency is a developer-facing
-    budget: a full single-core pass over the whole package must stay
-    under 5 seconds.  ``meta`` records the census so a silently shrinking file
+    The same pass ``scripts/check_lint.py`` runs, the R11 CFG and
+    dataflow fixpoints included.  The static checker rides the
+    pre-commit/CI path, so its latency is a developer-facing budget: a
+    full single-core pass over the whole package must stay under 5
+    seconds.  ``meta`` records the census so a silently shrinking file
     set cannot fake a speedup.
     """
     from repro.analysis import default_lint_paths, default_src_root, run_lint
@@ -842,43 +838,6 @@ def bench_lint(iters: int) -> dict:
     stats = _time_section(step, iters, warmup=1)
     assert stats["min_s"] < 5.0, (
         f"full-repo lint pass took {stats['min_s']:.2f}s; budget is 5s"
-    )
-    result = result_box["result"]
-    stats["meta"] = {
-        "files_checked": result.files_checked,
-        "rules_run": len(result.rules_run),
-        "violations": len(result.violations),
-    }
-    return stats
-
-
-def bench_lint_flow(iters: int) -> dict:
-    """The flow-sensitive families (R9–R11) over the whole repo.
-
-    CFG building and the dataflow fixpoints dominate this section —
-    parse cost is shared with ``lint`` — and the 10-second budget is
-    the contract that keeps flow analysis cheap enough to run by
-    default in ``scripts/check_lint.py`` rather than as an opt-in.
-    """
-    from repro.analysis import (
-        default_lint_paths,
-        default_src_root,
-        run_lint,
-    )
-
-    paths = default_lint_paths()
-    src_root = default_src_root()
-
-    result_box = {}
-
-    def step() -> None:
-        result_box["result"] = run_lint(
-            paths, src_root, select=["R9", "R10", "R11"]
-        )
-
-    stats = _time_section(step, iters, warmup=1)
-    assert stats["min_s"] < 10.0, (
-        f"flow-family lint pass took {stats['min_s']:.2f}s; budget is 10s"
     )
     result = result_box["result"]
     stats["meta"] = {
@@ -986,7 +945,6 @@ SECTIONS = {
     "fused_vs_serial": (bench_fused_vs_serial, 5),
     "population": (bench_population, 3),
     "lint": (bench_lint, 5),
-    "lint_flow": (bench_lint_flow, 5),
     "transport": (bench_transport, 3),
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """reprolint, the repo's static invariant checker, and its CI gate.
 
-Runs every rule family — the flow-sensitive R9–R11 (CFG + dataflow)
+Runs every rule family — the flow-sensitive R11 (CFG + dataflow)
 included — over the ``repro`` package (or the given paths) and exits
 with the linter's stable exit code, so CI can gate on static
 invariants the same way ``check_bench.py`` gates on perf:
@@ -9,7 +9,7 @@ invariants the same way ``check_bench.py`` gates on perf:
 * ``0`` — clean: no violations;
 * ``1`` — violations;
 * ``2`` — the lint pass itself failed (unparsable file, unknown rule
-  selector).
+  selector, a pragma naming no rule).
 
 Usage::
 
@@ -57,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--select", default=None,
-        help="comma-separated rule ids or families, e.g. R2,R403 (default: all)",
+        help="comma-separated rule ids or families, e.g. R2,R506 (default: all)",
     )
     parser.add_argument(
         "--rules", action="store_true", help="print the rule catalogue and exit"

@@ -1,26 +1,22 @@
 """reprolint — project-specific static analysis for repo invariants.
 
-A self-contained, stdlib-``ast`` static checker that enforces the
-guarantees the runtime suites only verify after the fact:
+A self-contained, stdlib-``ast`` static checker for the invariants
+tier-1 cannot check at run time (the rule audit in
+``docs/linting.md`` deleted every rule a test already enforces):
 
-* **R1 determinism** — all randomness/time flows through seeded
-  kernel streams (no ``np.random.*`` legacy API, stdlib ``random``,
-  or wall-clock reads);
+* **R1 determinism** — no wall-clock reads: time is the simulated
+  clock;
 * **R2 layering** — the package DAG holds, no import cycles;
-* **R3 trace taxonomy** — every emitted event type / drop reason is
-  declared in :mod:`repro.sim.trace`, the drop-reason partition is
-  closed, and the consumers still dispatch on it;
-* **R4 hot-path hygiene** — explicit dtypes, no copy-inducing
-  constructs, no array scatters in benchmark-pinned modules;
-* **R5 API surface** — ``__all__`` consistency, docstrings,
-  annotation coverage on public callables, and reachability of every
-  module and export from an entry point;
-* **R9–R11 flow-sensitive families** — built on an intraprocedural
-  CFG (:mod:`repro.analysis.cfg`) and a monotone-fixpoint dataflow
-  solver (:mod:`repro.analysis.dataflow`): RNG-stream discipline
-  (R9), dtype/promotion hygiene on benchmark-pinned hot paths (R10),
-  and resource/exception lifecycle in transport and population code
-  (R11).
+* **R3 drop taxonomy** — every emitted drop reason is declared in
+  :mod:`repro.sim.trace`, the drop-reason partition is closed, and
+  the consumers still dispatch on it;
+* **R5 reachability** — every module and export is reached from an
+  entry point;
+* **R11 lifecycle** — built on an intraprocedural CFG
+  (:mod:`repro.analysis.cfg`) and a monotone-fixpoint dataflow solver
+  (:mod:`repro.analysis.dataflow`): resources in transport and
+  population code are released on every path, exception edges
+  included.
 
 Entry points: ``scripts/check_lint.py`` (the one command line, and
 the CI gate) and :func:`repro.analysis.runner.run_lint` (library).

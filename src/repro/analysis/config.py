@@ -8,9 +8,9 @@ the shipped defaults stay in one reviewable place:
 * which package layers may import which (:data:`ALLOWED_DEPS` — the
   DAG behind rule R201);
 * where the trace taxonomy is declared and who must consume it
-  (R301-R304);
-* which modules are benchmark-pinned hot paths (R4);
-* which packages require complete public annotations (R504).
+  (R302-R304);
+* where work enters the program (R506);
+* where resources live and what acquires / releases them (R11).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Mapping
 __all__ = [
     "LintConfig",
     "ALLOWED_DEPS",
-    "HOTPATH_MODULES",
     "default_config",
     "default_src_root",
     "default_lint_paths",
@@ -96,27 +95,6 @@ ALLOWED_DEPS: Mapping[str, frozenset[str]] = {
     ),
 }
 
-# ----------------------------------------------------------------------
-# R4: modules on the flat-parameter / DGC / conv hot paths pinned by
-# BENCH_hotpath.json (sections flat_roundtrip, local_train,
-# dgc_roundtrip, conv_fwd_bwd).  Allocation and copy discipline is
-# enforced only here — elsewhere clarity wins.
-# ----------------------------------------------------------------------
-HOTPATH_MODULES: frozenset[str] = frozenset(
-    {
-        "repro.blocks",
-        "repro.nn.sequential",
-        "repro.nn.subspace",
-        "repro.nn.optim",
-        "repro.nn.conv_utils",
-        "repro.nn.layers",
-        "repro.nn.batched",
-        "repro.compression.dgc",
-        "repro.compression.topk",
-        "repro.fl.client",
-    }
-)
-
 
 @dataclass(frozen=True)
 class LintConfig:
@@ -124,9 +102,6 @@ class LintConfig:
 
     # Root package the layering/taxonomy rules reason about.
     package: str = "repro"
-    # R1: module suffixes where legacy RNG / wall-clock calls are
-    # legitimate (none in src today; tests inject their own).
-    rng_allowed_modules: frozenset[str] = frozenset()
     # R2
     allowed_deps: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(ALLOWED_DEPS)
@@ -147,24 +122,6 @@ class LintConfig:
             "repro.sim.analysis": ("DROPPED",),
         }
     )
-    # R4
-    hotpath_modules: frozenset[str] = HOTPATH_MODULES
-    # R5: packages whose *public* callables must be fully annotated.
-    strict_annotation_prefixes: tuple[str, ...] = (
-        "repro.sim",
-        "repro.fl.config",
-        "repro.nn.subspace",
-        "repro.experiments.sweep",
-    )
-    # R6: the only modules that may call the analytic byte-size
-    # formulas directly (the wire layer owns them; compression.base
-    # reads ``dense_bytes`` for a payload's compression ratio).
-    size_formula_modules: tuple[str, ...] = (
-        "repro.wire",
-        "repro.compression.base",
-    )
-    # Modules exempt from the module-level ``__all__`` requirement.
-    all_exempt_modules: frozenset[str] = frozenset({"repro.__main__"})
     # R506: where work enters the program — entry-point modules, and
     # repo-relative globs of scripts and of docs whose fenced python
     # counts as a caller.  Tests are deliberately not roots.
@@ -178,36 +135,7 @@ class LintConfig:
         "README.md",
         "docs/*.md",
     )
-    # R7: client lifecycle ownership.  Only the population registry may
-    # construct Clients or sweep the full population; engine, strategy,
-    # and selection modules go through the registry's cohort API.
-    population_module: str = "repro.fl.population"
-    population_restricted_modules: frozenset[str] = frozenset(
-        {
-            "repro.fl.engine",
-            "repro.fl.sync_engine",
-            "repro.fl.async_engine",
-            "repro.fl.batched",
-            "repro.fl.strategy",
-            "repro.fl.baselines",
-            "repro.fl.fedat",
-            "repro.core.selection",
-            "repro.core.adafl",
-        }
-    )
-    # R8: the only package that may touch raw sockets or spawn
-    # processes.  Everything else goes through its API, so the
-    # frame/CRC/deadline discipline and worker teardown stay airtight.
-    transport_package: str = "repro.transport"
-    raw_transport_modules: frozenset[str] = frozenset(
-        {"socket", "subprocess", "multiprocessing", "asyncio"}
-    )
-    # R9 (flow): methods whose return value is a seeded RNG stream.
-    # The kernel module itself is exempt — it *owns* the per-key
-    # generator cache, so storing/returning streams there is the point.
-    stream_methods: frozenset[str] = frozenset({"stream", "client_rng"})
-    stream_factory_modules: frozenset[str] = frozenset({"repro.sim.kernel"})
-    # R11 (flow): where the resource-lifecycle rules run, and what
+    # R11: where the resource-lifecycle rules run, and what
     # counts as acquiring/releasing a leakable resource.  Acquirers
     # match on the trailing dotted name of the call (``sockets.dial``
     # matches ``dial``); tuple acquirers bind the resource to the
@@ -229,12 +157,6 @@ class LintConfig:
     # R1103: destructive one-way takes from shared containers that
     # must be committed (re-stored) before any raise can escape.
     destructive_take_methods: frozenset[str] = frozenset({"discard"})
-
-    def module_rng_allowed(self, module: str) -> bool:
-        """Whether R1 is switched off for ``module``."""
-        return any(
-            module == m or module.endswith("." + m) for m in self.rng_allowed_modules
-        )
 
 
 def default_config() -> LintConfig:

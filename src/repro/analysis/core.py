@@ -1,33 +1,33 @@
 """Reprolint core: violations, the rule registry, and pragmas.
 
 Reprolint is a project-specific static checker built on the stdlib
-``ast`` module.  It exists because this repo's central guarantees —
-bit-identical trajectories from kernel-owned RNG streams, a package
-DAG that keeps the simulation substrate FL-agnostic, a closed
-event/drop-reason taxonomy, allocation-free hot paths — are invariants
-of the *source*, and waiting for a runtime equivalence suite to catch
-a stray ``np.random.rand`` is hours slower than catching it at lint
-time.
+``ast`` module.  It holds the invariants of the *source* that no
+runtime test can see: a wall-clock read that moves nothing yet, an
+import that breaks the package DAG on a tree that then cannot import,
+a drop reason no accounting bucket holds, code nothing reaches, a
+socket left open on an exception path.
 
 Two kinds of rules exist:
 
 * **file rules** see one :class:`~repro.analysis.project.SourceFile`
-  at a time (determinism, hot-path hygiene, API surface);
+  at a time (wall clock, resource lifecycle);
 * **project rules** see the whole
   :class:`~repro.analysis.project.Project` (layering/import cycles,
-  trace-taxonomy exhaustiveness) — they cross-reference files.
+  taxonomy, reachability) — they cross-reference files.
 
-Rule identifiers are ``R<family><index>`` (``R101``); the family digit
-groups related checks (``R1`` determinism, ``R2`` layering, ``R3``
-taxonomy, ``R4`` hot path, ``R5`` API surface).  A violation is
-either fixed or, where the construct is intended, allowed in place
-with ``# reprolint: allow[R101] why`` (see :func:`parse_pragmas`);
-there is no other way to silence one.
+Rule identifiers are ``R<family><index>`` (``R103``, ``R1101``); the
+family is everything but the last two digits.  A violation is either
+fixed or, where the construct is intended, allowed in place with a
+``reprolint: allow[R103] why`` comment (see :func:`parse_pragmas`);
+there is no other way to silence one, and a pragma naming no rule
+fails the pass.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -46,12 +46,13 @@ __all__ = [
     "rule_catalogue",
     "parse_pragmas",
     "is_allowed",
+    "unknown_pragma_ids",
     "ALLOW_PRAGMA",
 ]
 
-# ``# reprolint: allow[R101]`` or ``allow[R1,R403]``; anything after the
-# closing bracket is free-form justification.  ``allow[*]`` silences
-# every rule on the line.
+# A comment that starts ``reprolint: allow[R103]`` or ``allow[R1,R506]``;
+# anything after the closing bracket is free-form justification.
+# ``allow[*]`` silences every rule on the line.
 ALLOW_PRAGMA = re.compile(r"#\s*reprolint:\s*allow\[([A-Za-z0-9*,\s]+)\]")
 
 
@@ -88,7 +89,7 @@ class Rule:
 
         Ids are ``R<family><index>`` with a two-digit index, so the
         family is everything but the last two characters — this keeps
-        multi-digit families (``R10``, ``R11``) grouping correctly.
+        a multi-digit family (``R11``) grouping correctly.
         """
         return self.id[:-2]
 
@@ -155,26 +156,30 @@ def rule_catalogue() -> list[tuple[str, str]]:
     return [(r.id, r.summary) for r in iter_rules()]
 
 
-def parse_pragmas(lines: Iterable[str]) -> dict[int, frozenset[str]]:
+def parse_pragmas(text: str) -> dict[int, frozenset[str]]:
     """Map 1-based line numbers to the rule ids allowed on them.
 
-    A pragma on a code line covers that line; a pragma on a
-    comment-only line covers the *next* line as well, so::
-
-        # reprolint: allow[R403] scatter into a fresh buffer
-        dense[idx] = values
-
-    is suppressed.  Entries are ids (``R403``), families (``R4``), or
-    ``*``.
+    Only comment tokens count: the pattern inside a string or a
+    docstring is not a pragma.  A pragma on a code line covers that
+    line; a pragma on a comment-only line covers the *next* line as
+    well, so a comment line ``reprolint: allow[R506] why`` above a
+    definition covers the definition.  Entries are ids (``R506``),
+    families (``R5``), or ``*``; :func:`unknown_pragma_ids` checks
+    them against the registry.
     """
     allowed: dict[int, set[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = ALLOW_PRAGMA.search(line)
+    if "reprolint" not in text:  # skip tokenizing the files with no pragma
+        return {}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = ALLOW_PRAGMA.match(token.string)
         if not match:
             continue
         ids = {part.strip() for part in match.group(1).split(",") if part.strip()}
+        lineno, col = token.start
         allowed.setdefault(lineno, set()).update(ids)
-        if line.lstrip().startswith("#"):  # comment-only line covers the next
+        if not token.line[:col].strip():  # comment-only line covers the next
             allowed.setdefault(lineno + 1, set()).update(ids)
     return {line: frozenset(ids) for line, ids in allowed.items()}
 
@@ -185,6 +190,21 @@ def is_allowed(pragmas: dict[int, frozenset[str]], line: int, rule_id: str) -> b
     if not ids:
         return False
     return "*" in ids or rule_id in ids or rule_id[:-2] in ids
+
+
+def unknown_pragma_ids(pragmas: dict[int, frozenset[str]]) -> list[tuple[int, str]]:
+    """``(line, id)`` for each pragma entry naming no registered rule or family.
+
+    A pragma for a deleted rule, or a typo such as ``allow[R5O6]``,
+    would silence nothing and never be flagged; the lint pass fails
+    on it instead.
+    """
+    known = set(RULE_REGISTRY) | {r.family for r in RULE_REGISTRY.values()} | {"*"}
+    return sorted(
+        (line, rule_id)
+        for line, ids in pragmas.items()
+        for rule_id in ids - known
+    )
 
 
 @dataclass

@@ -8,11 +8,7 @@ model "this statement raised *before* (or *after*) its effect" — e.g.
 a ``sock = dial(...)`` that raises never acquired the socket, while a
 ``sock.close()`` that raises still closed it for lint purposes.
 
-:class:`ReachingDefinitions` is the canonical instantiation: it maps
-each variable to the set of CFG node indices whose definitions may
-reach the current point.  The RNG-taint rule family uses it to detect
-streams drawn under a different key binding than they were created
-with.
+The R11 lifecycle rules are the analysis built on it.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from __future__ import annotations
 import ast
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.analysis.cfg import CFG, EXCEPTION, CFGNode
 
@@ -28,10 +24,7 @@ __all__ = [
     "DataflowAnalysis",
     "DataflowResult",
     "FixpointError",
-    "ReachingDefinitions",
     "bound_names",
-    "join_union_maps",
-    "param_names",
     "solve",
 ]
 
@@ -203,59 +196,3 @@ def bound_names(stmt: ast.stmt) -> list[str]:
         if isinstance(node, ast.NamedExpr) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
     return names
-
-
-def join_union_maps(
-    a: Mapping[str, frozenset], b: Mapping[str, frozenset]
-) -> dict[str, frozenset]:
-    """Key-wise union join for ``var → set`` lattices (missing = ∅)."""
-    out = dict(a)
-    for key, value in b.items():
-        existing = out.get(key)
-        out[key] = value if existing is None else existing | value
-    return out
-
-
-class ReachingDefinitions(DataflowAnalysis):
-    """var → set of CFG node indices whose definition may reach here.
-
-    Function parameters are seeded as defined at the entry node, so a
-    parameter rebound inside the function changes its reaching set —
-    exactly the signal the RNG-key rule needs.
-    """
-
-    def __init__(self, params: tuple[str, ...] = ()):
-        self.params = params
-
-    def bottom(self) -> dict[str, frozenset]:
-        return {}
-
-    def initial(self, cfg: CFG) -> dict[str, frozenset]:
-        return {name: frozenset({cfg.entry}) for name in self.params}
-
-    def join(self, a: dict, b: dict) -> dict:
-        return join_union_maps(a, b)
-
-    def transfer(self, node: CFGNode, state: dict) -> dict:
-        assert node.stmt is not None
-        defs = bound_names(node.stmt)
-        if not defs:
-            return state
-        new = dict(state)
-        for name in defs:
-            new[name] = frozenset({node.idx})
-        return new
-
-
-def param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    """All positional/keyword/vararg parameter names of a function."""
-    args = func.args
-    collected = [
-        a.arg
-        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-    ]
-    if args.vararg:
-        collected.append(args.vararg.arg)
-    if args.kwarg:
-        collected.append(args.kwarg.arg)
-    return tuple(collected)

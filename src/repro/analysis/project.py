@@ -66,15 +66,14 @@ class SourceFile:
             tree = ast.parse(text, filename=str(path))
         except SyntaxError as exc:
             raise LintError(f"syntax error in {path}: {exc}") from exc
-        lines = text.splitlines()
         return cls(
             path=path,
             rel=rel if rel is not None else path.as_posix(),
             module=module,
             text=text,
             tree=tree,
-            lines=lines,
-            pragmas=parse_pragmas(lines),
+            lines=text.splitlines(),
+            pragmas=parse_pragmas(text),
         )
 
     @property

@@ -2,8 +2,8 @@
 
 The text form groups violations by file and ends with a one-line
 verdict; the JSON form is stable and sorted (suitable for diffing and
-for the ``check_lint`` CI gate) and carries the annotation-coverage
-metric alongside the violations.
+for the ``check_lint`` CI gate) and carries the per-rule violation
+counts alongside the violations.
 """
 
 from __future__ import annotations
@@ -27,15 +27,11 @@ def render_text(result: LintResult) -> str:
         lines.append(violation.render())
     if lines:
         lines.append("")
-    coverage = result.metrics.get("annotation_coverage", {}).get("total", {})
-    summary = (
+    lines.append(
         f"{len(result.violations)} violation(s) in {result.files_checked} file(s)"
         f" [{len(result.rules_run)} rules"
         f", {result.pragma_suppressed} pragma-allowed]"
     )
-    if coverage:
-        summary += f"; public annotation coverage {coverage.get('coverage', 0):.1%}"
-    lines.append(summary)
     lines.append("lint: " + ("clean" if result.clean else "FAILED"))
     return "\n".join(lines)
 

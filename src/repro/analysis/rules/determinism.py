@@ -1,72 +1,28 @@
-"""R1: determinism — all randomness flows through seeded streams.
+"""R1: determinism — simulated time is the only clock.
 
 Bit-identical trajectories (the property the equivalence suites pin)
-require every stochastic draw to come from an explicitly seeded
-``numpy.random.Generator`` — in engine code, one derived from
-:class:`repro.sim.kernel.SimKernel` streams.  Three things break that
-silently:
+need every timestamp to come from the simulated clock.
 
-* **R101** — the legacy ``numpy.random`` module-level API
-  (``np.random.rand``, ``np.random.seed``, …) which draws from hidden
-  global state;
-* **R102** — the stdlib :mod:`random` module, same problem;
-* **R103** — wall-clock reads (``time.time``, ``datetime.now``, …),
-  which leak host time into simulated behaviour.
+* **R103** — a wall-clock read (``time.time``, ``datetime.now``, …)
+  leaks host time into simulated behaviour.
 
-Constructing generators is fine: ``np.random.default_rng(seed)``,
-``np.random.Generator``, ``np.random.SeedSequence`` and the bit
-generators are the *sanctioned* API and are never flagged.
+Randomness needs no rule: a draw from the legacy ``np.random`` API or
+the stdlib ``random`` module on a pinned path fails the bit-identity
+tests (the rule audit in ``docs/linting.md``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.analysis.core import FileRule, Violation, register_rule
 from repro.analysis.project import Project, SourceFile
 
-__all__ = [
-    "LegacyNumpyRandomRule",
-    "StdlibRandomRule",
-    "WallClockRule",
-    "ALLOWED_NP_RANDOM",
-]
-
-# Names on numpy.random that construct/seed explicit generators rather
-# than drawing from the hidden global RandomState.
-ALLOWED_NP_RANDOM = frozenset(
-    {
-        "Generator",
-        "default_rng",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-        "RandomState",  # a *type* reference; instantiation is caught as a call
-    }
-)
+__all__ = ["WallClockRule"]
 
 _BANNED_TIME_ATTRS = frozenset({"time", "time_ns"})
 _BANNED_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-
-def _numpy_random_aliases(tree: ast.Module) -> set[str]:
-    """Names bound to the ``numpy.random`` module in this file."""
-    aliases: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "numpy.random":
-                    aliases.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    aliases.add(alias.asname or "random")
-    return aliases
 
 
 def _module_aliases(tree: ast.Module, module: str) -> set[str]:
@@ -80,95 +36,6 @@ def _module_aliases(tree: ast.Module, module: str) -> set[str]:
     return aliases
 
 
-def _np_random_attr(node: ast.Attribute, np_random_names: set[str]) -> str | None:
-    """If ``node`` reads ``<numpy.random>.<name>``, return ``name``."""
-    value = node.value
-    # np.random.X / numpy.random.X
-    if (
-        isinstance(value, ast.Attribute)
-        and value.attr == "random"
-        and isinstance(value.value, ast.Name)
-        and value.value.id in ("np", "numpy")
-    ):
-        return node.attr
-    # X.Y where X aliases numpy.random directly
-    if isinstance(value, ast.Name) and value.id in np_random_names:
-        return node.attr
-    return None
-
-
-@register_rule
-class LegacyNumpyRandomRule(FileRule):
-    """R101: legacy numpy.random module-level API is forbidden."""
-
-    id = "R101"
-    summary = (
-        "legacy numpy.random global-state API; use a seeded Generator "
-        "(SimKernel streams in engine code)"
-    )
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterator[Violation]:
-        if project.config.module_rng_allowed(source.module):
-            return
-        np_random_names = _numpy_random_aliases(source.tree)
-        for node in ast.walk(source.tree):
-            banned: str | None = None
-            lineno = node.lineno if hasattr(node, "lineno") else 0
-            if isinstance(node, ast.Attribute):
-                attr = _np_random_attr(node, np_random_names)
-                if attr is not None and attr not in ALLOWED_NP_RANDOM:
-                    banned = f"np.random.{attr}"
-            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
-                bad = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name not in ALLOWED_NP_RANDOM
-                ]
-                if bad:
-                    banned = "from numpy.random import " + ", ".join(bad)
-            if banned is not None:
-                yield Violation(
-                    rule=self.id,
-                    path=source.rel,
-                    line=lineno,
-                    message=f"{banned}: draws from hidden global RNG state; "
-                    "use an explicitly seeded np.random.Generator",
-                    snippet=source.snippet(lineno),
-                )
-
-
-@register_rule
-class StdlibRandomRule(FileRule):
-    """R102: the stdlib random module is forbidden."""
-
-    id = "R102"
-    summary = "stdlib random module; use seeded numpy Generators instead"
-
-    def check_file(
-        self, source: SourceFile, project: Project
-    ) -> Iterator[Violation]:
-        if project.config.module_rng_allowed(source.module):
-            return
-        for node in ast.walk(source.tree):
-            hit = False
-            if isinstance(node, ast.Import):
-                hit = any(alias.name == "random" for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                hit = node.module == "random" and node.level == 0
-            if hit:
-                yield Violation(
-                    rule=self.id,
-                    path=source.rel,
-                    line=node.lineno,
-                    message="stdlib random is seeded globally and breaks "
-                    "run reproducibility; use np.random.default_rng / "
-                    "kernel streams",
-                    snippet=source.snippet(node.lineno),
-                )
-
-
 @register_rule
 class WallClockRule(FileRule):
     """R103: wall-clock reads are forbidden in simulation code."""
@@ -179,8 +46,6 @@ class WallClockRule(FileRule):
     def check_file(
         self, source: SourceFile, project: Project
     ) -> Iterator[Violation]:
-        if project.config.module_rng_allowed(source.module):
-            return
         time_names = _module_aliases(source.tree, "time")
         datetime_mods = _module_aliases(source.tree, "datetime")
         # names bound to the datetime.datetime / datetime.date classes

@@ -29,17 +29,31 @@ resources are exempt.  Scope:
 from __future__ import annotations
 
 import ast
+import weakref
 
+from repro.analysis.cfg import build_cfg
 from repro.analysis.core import FileRule, Violation, register_rule
 from repro.analysis.dataflow import DataflowAnalysis, bound_names, solve
 from repro.analysis.project import Project, SourceFile
-from repro.analysis.rules.flowbase import dotted_name, flow_cache, function_flows
 
 __all__ = ["R1101ResourceLeak", "R1102UseAfterRelease", "R1103LossyTake"]
 
 ACQ = "acq"
 REL = "rel"
 ESC = "esc"
+
+
+def _dotted_name(expr: ast.expr) -> str:
+    """``a.b.c`` for a pure name/attribute chain, else ``""``."""
+    parts: list[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
 
 
 def _in_scope(source: SourceFile, project: Project) -> bool:
@@ -53,7 +67,7 @@ def _acquire_targets(stmt: ast.stmt, config) -> list[ast.Name]:
     """Name(s) bound to a fresh resource by this statement, if any."""
     if not isinstance(stmt, ast.Assign) or not isinstance(stmt.value, ast.Call):
         return []
-    name = dotted_name(stmt.value.func)
+    name = _dotted_name(stmt.value.func)
     tail = name.rsplit(".", 1)[-1] if name else ""
     matches_plain = name and any(
         name == a or name.endswith("." + a) for a in config.resource_acquirers
@@ -89,7 +103,7 @@ def _release_names(stmt: ast.stmt, config) -> list[tuple[str, int]]:
         ):
             out.append((func.value.id, node.lineno))
         else:
-            name = dotted_name(func)
+            name = _dotted_name(func)
             tail = name.rsplit(".", 1)[-1] if name else ""
             if tail in config.resource_release_funcs:
                 # Quiet closers take any number of resources; a single
@@ -333,19 +347,25 @@ def _is_take(stmt: ast.stmt, config) -> bool:
     )
 
 
-def _analyse(source: SourceFile, project: Project) -> list[tuple[str, int, str]]:
-    cache = flow_cache(project)
-    key = ("r11", source.rel)
-    if key in cache:
-        return cache[key]
-    findings: list[tuple[str, int, str]] = []
-    if not _in_scope(source, project):
-        cache[key] = findings
-        return findings
-    config = project.config
+# The three R11 rules share one analysis per file: findings are kept
+# per project, for as long as the project lives.
+_FINDINGS: "weakref.WeakKeyDictionary[Project, dict]" = weakref.WeakKeyDictionary()
 
-    for flow in function_flows(source, project):
-        cfg = flow.cfg
+
+def _findings(source: SourceFile, project: Project) -> list[tuple[str, int, str]]:
+    cache = _FINDINGS.setdefault(project, {})
+    if source.rel not in cache:
+        cache[source.rel] = _analyse(source, project) if _in_scope(source, project) else []
+    return cache[source.rel]
+
+
+def _analyse(source: SourceFile, project: Project) -> list[tuple[str, int, str]]:
+    findings: list[tuple[str, int, str]] = []
+    config = project.config
+    for func in ast.walk(source.tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cfg = build_cfg(func)
         analysis = _Lifecycle(config)
         result = solve(cfg, analysis)
 
@@ -432,13 +452,12 @@ def _analyse(source: SourceFile, project: Project) -> list[tuple[str, int, str]]
                 )
 
     findings.sort(key=lambda f: (f[1], f[0]))
-    cache[key] = findings
     return findings
 
 
 class _R11Base(FileRule):
     def check_file(self, source: SourceFile, project: Project):
-        for rule_id, line, message in _analyse(source, project):
+        for rule_id, line, message in _findings(source, project):
             if rule_id == self.id:
                 yield Violation(
                     rule=self.id,

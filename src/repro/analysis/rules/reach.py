@@ -32,11 +32,28 @@ from typing import Iterator
 
 from repro.analysis.core import ProjectRule, Violation, register_rule
 from repro.analysis.project import LintError, Project, SourceFile
-from repro.analysis.rules.api import _declared_all
 
 __all__ = ["ReachabilityRule"]
 
 _FENCE = re.compile(r"^```python[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def _declared_all(tree: ast.Module) -> tuple[list[str] | None, int]:
+    """(entries, line) of the module's ``__all__`` literal, if resolvable."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                return None, node.lineno
+            if isinstance(value, (list, tuple)) and all(
+                isinstance(v, str) for v in value
+            ):
+                return list(value), node.lineno
+            return None, node.lineno
+    return None, 0
 
 
 def _root_files(project: Project) -> list[SourceFile]:

@@ -1,18 +1,14 @@
-"""R3: the event/drop-reason taxonomy is closed and fully consumed.
+"""R3: the drop-reason taxonomy is closed and fully consumed.
 
-:mod:`repro.sim.trace` declares the complete event vocabulary
-(``EVENT_TYPES``) and the drop-reason set (``DROP_REASONS``)
+:mod:`repro.sim.trace` declares the drop-reason set (``DROP_REASONS``)
 partitioned into counted / rejected / uncounted buckets.  Everything
 downstream — ``MetricsReducer``, the trace summariser, the chaos
-report — keys off those declarations, so an emit site inventing a new
-string, or a declared reason missing from every accounting bucket,
-corrupts metrics silently.  These rules re-derive the taxonomy from
-the AST of the declaring module and cross-check every emit site and
-consumer in the project:
+report — keys off those declarations, so an emit site inventing a
+reason, or a declared reason missing from every accounting bucket,
+corrupts the drop counts silently.  These rules re-derive the
+taxonomy from the AST of the declaring module and cross-check every
+emit site and consumer in the project:
 
-* **R301** — ``trace.emit(<type>, ...)`` with an event type that is
-  not declared (string literals and constants imported from the
-  taxonomy module both resolve);
 * **R302** — ``reason="..."`` keyword with an undeclared drop reason;
 * **R303** — the declared partition is broken: counted / rejected /
   uncounted buckets must be disjoint and cover ``DROP_REASONS``
@@ -20,11 +16,14 @@ consumer in the project:
 * **R304** — a known consumer module no longer references the
   taxonomy names it must dispatch on.
 
+An undeclared event *type* needs no rule: ``EventTrace.emit`` raises
+on it at run time, and the engine tests drive every emit site.
+
 Emit sites are recognised syntactically: a call ``<recv>.emit(...)``
 where the receiver is (an attribute ending in) ``trace`` or
 ``_trace`` — the convention every engine and the kernel follow.
-Dynamic event types / reasons (``reason=reason``) are outside static
-reach and are deliberately skipped.
+Dynamic reasons (``reason=reason``) are outside static reach and are
+deliberately skipped.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "Taxonomy",
     "extract_taxonomy",
     "iter_emit_calls",
-    "EmitTypeRule",
     "DropReasonRule",
     "TaxonomyPartitionRule",
     "TaxonomyConsumerRule",
@@ -58,7 +56,6 @@ class Taxonomy:
     """The declared vocabulary, re-derived statically from the AST."""
 
     module: str
-    event_types: frozenset[str] = frozenset()
     drop_reasons: tuple[str, ...] = ()
     partitions: dict[str, frozenset[str]] = field(default_factory=dict)
     constants: dict[str, str] = field(default_factory=dict)  # NAME -> value
@@ -66,8 +63,8 @@ class Taxonomy:
 
     @property
     def complete(self) -> bool:
-        """Whether the declaring module yielded both vocabularies."""
-        return bool(self.event_types) and bool(self.drop_reasons)
+        """Whether the declaring module yielded the drop-reason set."""
+        return bool(self.drop_reasons)
 
 
 def _literal_strings(node: ast.expr, constants: dict[str, str]) -> list[str] | None:
@@ -113,9 +110,7 @@ def extract_taxonomy(source: SourceFile) -> Taxonomy:
         if values is None:
             continue
         taxonomy.lines[name] = node.lineno
-        if name == "EVENT_TYPES":
-            taxonomy.event_types = frozenset(values)
-        elif name == "DROP_REASONS":
+        if name == "DROP_REASONS":
             taxonomy.drop_reasons = tuple(values)
         elif name in _PARTITION_NAMES:
             taxonomy.partitions[name] = frozenset(values)
@@ -148,65 +143,6 @@ def iter_emit_calls(source: SourceFile) -> Iterator[ast.Call]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call) and _is_trace_receiver(node.func):
             yield node
-
-
-def _imported_taxonomy_names(source: SourceFile, taxonomy_module: str) -> set[str]:
-    """Names this file imports from the taxonomy module (or its package)."""
-    package = taxonomy_module.rsplit(".", 1)[0]
-    names: set[str] = set()
-    for edge in source.imports():
-        if edge.target in (taxonomy_module, package):
-            names.update(edge.names)
-    return names
-
-
-@register_rule
-class EmitTypeRule(ProjectRule):
-    """R301: every emitted event type is declared."""
-
-    id = "R301"
-    summary = "trace.emit with an event type not declared in the taxonomy"
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
-        resolved = _project_taxonomy(project)
-        if resolved is None:
-            return
-        taxonomy, decl = resolved
-        for source in project.files:
-            if source is decl:
-                continue  # the bus implementation itself
-            imported = _imported_taxonomy_names(source, taxonomy.module)
-            for call in iter_emit_calls(source):
-                if not call.args:
-                    continue
-                first = call.args[0]
-                value: str | None = None
-                if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                    value = first.value
-                elif isinstance(first, ast.Name):
-                    if first.id in taxonomy.constants and first.id in imported:
-                        value = taxonomy.constants[first.id]
-                    else:
-                        yield Violation(
-                            rule=self.id,
-                            path=source.rel,
-                            line=call.lineno,
-                            message=f"emit type '{first.id}' does not resolve "
-                            f"to a constant imported from {taxonomy.module}",
-                            snippet=source.snippet(call.lineno),
-                        )
-                        continue
-                else:
-                    continue  # dynamic expression: outside static reach
-                if value not in taxonomy.event_types:
-                    yield Violation(
-                        rule=self.id,
-                        path=source.rel,
-                        line=call.lineno,
-                        message=f"event type {value!r} is not declared in "
-                        f"{taxonomy.module}.EVENT_TYPES",
-                        snippet=source.snippet(call.lineno),
-                    )
 
 
 @register_rule

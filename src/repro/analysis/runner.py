@@ -7,8 +7,8 @@ benchmark section, and the tests all share.  Exit-code policy
 * ``0`` — clean: no violations;
 * ``1`` — violations;
 * ``2`` — the pass itself failed (unreadable file, syntax error,
-  unknown rule selector) — distinct so CI can tell "code is dirty"
-  from "linter is broken".
+  unknown rule selector, a pragma naming no rule) — distinct so CI
+  can tell "code is dirty" from "linter is broken".
 """
 
 from __future__ import annotations
@@ -17,9 +17,14 @@ from pathlib import Path
 
 from repro.analysis import rules as _rules  # noqa: F401 - populates registry
 from repro.analysis.config import LintConfig, default_config
-from repro.analysis.core import LintResult, Violation, is_allowed, iter_rules
-from repro.analysis.project import Project
-from repro.analysis.rules.api import annotation_coverage
+from repro.analysis.core import (
+    LintResult,
+    Violation,
+    is_allowed,
+    iter_rules,
+    unknown_pragma_ids,
+)
+from repro.analysis.project import LintError, Project
 
 __all__ = ["run_lint", "lint_project", "exit_code"]
 
@@ -31,6 +36,11 @@ EXIT_ERROR = 2
 def lint_project(project: Project, select: list[str] | None = None) -> LintResult:
     """Run the (selected) rules over an already-loaded project."""
     config = project.config
+    for source in project.files:
+        unknown = unknown_pragma_ids(source.pragmas)
+        if unknown:
+            line, rule_id = unknown[0]
+            raise LintError(f"{source.rel}:{line}: pragma names no rule or family: {rule_id}")
     raw: list[Violation] = []
     rules_run: list[str] = []
     for rule in iter_rules(select):
@@ -55,7 +65,6 @@ def lint_project(project: Project, select: list[str] | None = None) -> LintResul
     kept.sort(key=lambda v: (v.path, v.line, v.rule))
 
     metrics = {
-        "annotation_coverage": annotation_coverage(project),
         "violations_by_rule": _count_by_rule(kept),
         "config_package": config.package,
     }

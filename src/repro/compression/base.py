@@ -135,7 +135,6 @@ class SparseDelta:
     def to_dense(self) -> np.ndarray:
         """A fresh dense float64 vector with the values scattered in."""
         dense = np.zeros(self.dim, dtype=np.float64)
-        # reprolint: allow[R403] densifying a sparse delta is a scatter by design
         dense[self.indices] = self.values
         return dense
 
@@ -152,7 +151,6 @@ class SparseDelta:
         # Index with the uint32 array itself: an intp copy would save one
         # conversion but hold 8 more bytes per index at the aggregation
         # peak (measured +0.7 MiB on the wide MLP).
-        # reprolint: allow[R403] a sparse fold scatters its k products by design
         acc[self.indices] += np.multiply(self.values, weight, dtype=np.float64)
 
 

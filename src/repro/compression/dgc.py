@@ -203,7 +203,7 @@ class DGCCompressor(Compressor):
         if payload.dim != self.dim:
             raise ValueError("payload dimensionality mismatch")
         idx = payload.data["indices"].astype(np.int64)
-        # reprolint: allow[R403] loss recovery scatter-adds the k lost coords
+        # loss recovery scatter-adds the k lost coords
         self._residual[idx] += payload.data["values"]
 
     def reset(self) -> None:

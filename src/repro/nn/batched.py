@@ -284,7 +284,7 @@ class _MaxPoolH(_Handler):
         ar = self.tr._arange(rows_n)
         # Differs from the serial ``mask * grad`` only in the sign of
         # zeros, which the +0-initialised col2im scatter absorbs.
-        # reprolint: allow[R403] first-max scatter: one write per pooling window
+        # first-max scatter: one write per pooling window
         gcols[ar, self._first] = g.reshape(-1)
         grad_in = col2im(gcols, (n * c, 1, h, w), self.k, self.k, self.s, 0,
                          self._ws)
@@ -434,7 +434,6 @@ class MultiClientTrainer:
         buf = self._bufs.get(key)
         if buf is None:
             buf = np.empty(shape, dtype=dtype)
-            # reprolint: allow[R403] dict memo insert, not an ndarray scatter
             self._bufs[key] = buf
         return buf
 
@@ -455,7 +454,6 @@ class MultiClientTrainer:
         base = self._buf(li, tag, tuple(proto.shape[a] for a in perm), dtype)
         inv = [0] * len(perm)
         for pos, axis in enumerate(perm):
-            # reprolint: allow[R403] python-list element store, no arrays
             inv[axis] = pos
         return base.transpose(inv)
 
@@ -463,7 +461,6 @@ class MultiClientTrainer:
         ar = self._aranges.get(n)
         if ar is None:
             ar = np.arange(n, dtype=np.intp)
-            # reprolint: allow[R403] dict memo insert, not an ndarray scatter
             self._aranges[n] = ar
         return ar
 

@@ -468,7 +468,7 @@ class GlobalAvgPool2d(Layer):
         if self._x_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
         n, c, h, w = self._x_shape
-        # reprolint: allow[R402] broadcast views are read-only; callers mutate grad_in
+        # broadcast views are read-only; callers mutate grad_in
         grad_in = np.broadcast_to(
             grad_out[:, :, None, None] / (h * w), (n, c, h, w)
         ).copy()

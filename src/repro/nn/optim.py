@@ -93,7 +93,6 @@ class SGD(Optimizer):
                 block, grad = p.data[rows], p.grad[rows]
                 scratch = scratches.get(block.shape)
                 if scratch is None:
-                    # reprolint: allow[R403] dict memo insert, not an ndarray scatter
                     scratch = scratches[block.shape] = np.empty_like(block)
                 if self.weight_decay:
                     np.multiply(block, self.weight_decay, out=scratch)

@@ -221,7 +221,7 @@ class ParamSubspace:
             out[...] = values
             return out
         # The scatter IS the operation here, not an accident.
-        out[self.indices] = values  # reprolint: allow[R403]
+        out[self.indices] = values
         return out
 
     def expand(self, values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ this package makes the substrate explicit and pluggable:
 
 Layering: ``transport`` sits below ``fl`` and may import only
 ``wire``, ``sim``, and ``compression``.  This package is also the only
-place allowed to import ``socket`` / ``subprocess`` (lint rule R801).
+place that imports ``socket`` / ``subprocess``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Worker-process launching: the only sanctioned ``subprocess`` call site.
 
 Spawning is deliberately boring — ``python -m repro.transport.worker``
-with the repo's ``src`` on ``PYTHONPATH`` — and centralised here so
-the lint rule R801 can ban ``subprocess`` everywhere else.  Workers
+with the repo's ``src`` on ``PYTHONPATH`` — and centralised here, the
+one module that imports ``subprocess``.  Workers
 are *separate OS processes* (their own interpreters, their own memory,
 their own GIL), which is both the point of the exercise (real
 multi-core local training, real kill -9 crash testing) and the reason

@@ -199,7 +199,6 @@ class SparseCodec(Codec):
             _put(out, _put(out, 0, _membership_bits(dim, indices), _U1), values, _F4)
         else:
             dense = np.zeros(dim, dtype=np.float32)
-            # reprolint: allow[R403] dense fallback is a scatter by design
             dense[indices.astype(np.intp)] = values
             _put(out, 0, dense, _F4)
 

@@ -3,10 +3,10 @@
 These formulas were the repo's byte accounting before the wire layer
 existed; they now live next to the codecs whose encoded lengths they
 must predict exactly.  Engines and experiments account bytes from
-encoded frames only (reprolint R6 enforces it); the formulas remain
-because the paper's communication-cost tables are stated in terms of
-them, and a tier-1 test pins ``len(codec.encode(p)) ==
-predicted_bytes(p)`` for every codec so the two can never drift.
+encoded frames only; the formulas remain because the paper's
+communication-cost tables are stated in terms of them, and a tier-1
+test pins ``len(codec.encode(p)) == predicted_bytes(p)`` for every
+codec so the two can never drift.
 
 * dense float32 payload: ``4 * d`` bytes (matches the paper's 1.64 MB
   figure for the ~430k-parameter CNN);

@@ -1,11 +1,7 @@
-"""R1 clean fixture: seeded generators and perf counters only."""
+"""R1 clean fixture: a perf counter is not a clock reading."""
 
 import time
 
-import numpy as np
 
-
-def draw(seed: int) -> float:
-    rng = np.random.default_rng(seed)  # sanctioned constructor
-    started = time.perf_counter()  # benchmarking clock is fine
-    return float(rng.normal()) + (time.perf_counter() - started) * 0.0
+def elapsed(started: float) -> float:
+    return time.perf_counter() - started  # benchmarking clock is fine

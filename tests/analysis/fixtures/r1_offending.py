@@ -1,18 +1,13 @@
-"""R1 offending fixture: legacy RNG and wall-clock reads.
+"""R1 offending fixture: wall-clock reads.
 
 Never imported — parsed by the linter tests only.
 """
 
-import random
 import time
 from datetime import datetime
 
-import numpy as np
 
-
-def draw() -> float:
-    x = np.random.rand(3)  # R101: hidden global RandomState
-    r = random.random()  # (import above is the R102 hit)
+def stamp() -> float:
     t = time.time()  # R103: host clock
     d = datetime.now()  # R103: host clock
-    return float(x[0]) + r + t + d.year
+    return t + d.year

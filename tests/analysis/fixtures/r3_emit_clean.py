@@ -1,9 +1,6 @@
-"""R3 clean emit sites: literals and imported constants only."""
-
-from fix.trace import PING
+"""R3 clean emit sites: declared reasons only."""
 
 
 def run(trace, t: float, reason: str) -> None:
-    trace.emit(PING, t)  # imported constant resolves
     trace.emit("dropped", t, reason="lost")  # declared literal
     trace.emit("dropped", t, reason=reason)  # dynamic: out of static reach

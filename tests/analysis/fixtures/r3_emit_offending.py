@@ -1,7 +1,5 @@
-"""R3 offending emit sites: undeclared type, reason, unresolvable name."""
+"""R3 offending emit site: an undeclared drop reason."""
 
 
 def run(trace, t: float) -> None:
-    trace.emit("warp", t)  # R301: not in EVENT_TYPES
     trace.emit("dropped", t, reason="mystery")  # R302: unknown reason
-    trace.emit(SOME_CONST, t)  # R301: name not imported from the taxonomy  # noqa: F821

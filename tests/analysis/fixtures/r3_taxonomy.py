@@ -1,9 +1,5 @@
 """R3 fixture taxonomy (loaded as ``fix.trace``): a closed mini-vocabulary."""
 
-PING = "ping"
-
-EVENT_TYPES = frozenset({PING, "dropped"})
-
 DROP_REASONS = ("lost", "late", "offline")
 COUNTED_DROP_REASONS = frozenset({"lost"})
 REJECTED_DROP_REASONS = frozenset({"late"})

@@ -1,7 +1,5 @@
 """R3 offending taxonomy: duplicates, overlap, unhandled + undeclared."""
 
-EVENT_TYPES = frozenset({"ping"})
-
 DROP_REASONS = ("lost", "lost", "late", "ghost")
 COUNTED_DROP_REASONS = frozenset({"lost", "late"})
 REJECTED_DROP_REASONS = frozenset({"late"})

@@ -3,8 +3,8 @@
 Fixture snippets under ``fixtures/`` are never imported — they are
 parsed by the linter with an *explicit* fake module name, so one flat
 directory can impersonate any spot in the package tree (a ``repro.nn``
-module importing ``fl``, a fake taxonomy at ``fix.trace``, a pinned
-hot-path module, ...).
+module importing ``fl``, a fake taxonomy at ``fix.trace``, a module in
+the lifecycle scope, ...).
 """
 
 from __future__ import annotations

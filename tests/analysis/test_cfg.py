@@ -12,7 +12,20 @@ import ast
 import textwrap
 
 from repro.analysis.cfg import EXCEPTION, NORMAL, build_cfg
-from repro.analysis.dataflow import ReachingDefinitions, param_names, solve
+from repro.analysis.dataflow import DataflowAnalysis, bound_names, solve
+
+
+class ReachingDefinitions(DataflowAnalysis):
+    """var → the CFG node indices whose definition may reach a point."""
+
+    def bottom(self):
+        return {}
+
+    def join(self, a, b):
+        return {k: a.get(k, frozenset()) | b.get(k, frozenset()) for k in a.keys() | b.keys()}
+
+    def transfer(self, node, state):
+        return {**state, **{name: frozenset({node.idx}) for name in bound_names(node.stmt)}}
 
 
 def cfg_of(source: str):
@@ -204,7 +217,7 @@ class TestFinally:
 
 class TestLoops:
     def test_nested_loop_fixpoint_terminates(self):
-        func, cfg = cfg_of(
+        _, cfg = cfg_of(
             """
             def f(n):
                 total = 0
@@ -216,7 +229,7 @@ class TestLoops:
                 return total
             """
         )
-        result = solve(cfg, ReachingDefinitions(param_names(func)))
+        result = solve(cfg, ReachingDefinitions())
         state = result.at(cfg.exit)
         assert state is not None
         # Both the initialiser and the loop-body rebinding reach exit.
@@ -224,7 +237,7 @@ class TestLoops:
         assert len(state["i"]) == 2
 
     def test_loop_body_sees_back_edge_definitions(self):
-        func, cfg = cfg_of(
+        _, cfg = cfg_of(
             """
             def f(n):
                 acc = 0
@@ -233,7 +246,7 @@ class TestLoops:
                 return acc
             """
         )
-        result = solve(cfg, ReachingDefinitions(param_names(func)))
+        result = solve(cfg, ReachingDefinitions())
         (header,) = stmt_indices(cfg, "acc < n")
         defs = result.at(header)["acc"]
         assert len(defs) == 2  # initial def joined with the rebinding

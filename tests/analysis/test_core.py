@@ -14,7 +14,7 @@ from repro.analysis import (
     render_json,
     render_text,
 )
-from repro.analysis.core import is_allowed
+from repro.analysis.core import is_allowed, unknown_pragma_ids
 from repro.analysis.runner import EXIT_CLEAN
 
 from tests.analysis.helpers import lint_fixture
@@ -24,36 +24,47 @@ pytestmark = pytest.mark.lint
 
 class TestPragmas:
     def test_same_line(self):
-        pragmas = parse_pragmas(["x = 1  # reprolint: allow[R401] why"])
-        assert is_allowed(pragmas, 1, "R401")
-        assert not is_allowed(pragmas, 1, "R402")
+        pragmas = parse_pragmas("x = 1  # reprolint: allow[R103] why\n")
+        assert is_allowed(pragmas, 1, "R103")
+        assert not is_allowed(pragmas, 1, "R506")
 
     def test_comment_line_covers_next_line(self):
-        lines = ["# reprolint: allow[R403] intentional", "buf[idx] = vals"]
-        pragmas = parse_pragmas(lines)
-        assert is_allowed(pragmas, 2, "R403")
+        pragmas = parse_pragmas("# reprolint: allow[R506] intentional\ndef kept(): ...\n")
+        assert is_allowed(pragmas, 2, "R506")
 
     def test_family_and_wildcard(self):
-        pragmas = parse_pragmas(["y = 2  # reprolint: allow[R4, R101]"])
-        assert is_allowed(pragmas, 1, "R403")  # family prefix
-        assert is_allowed(pragmas, 1, "R101")  # exact id
+        pragmas = parse_pragmas("y = 2  # reprolint: allow[R5, R103]\n")
+        assert is_allowed(pragmas, 1, "R506")  # family prefix
+        assert is_allowed(pragmas, 1, "R103")  # exact id
         assert not is_allowed(pragmas, 1, "R202")
-        wild = parse_pragmas(["z = 3  # reprolint: allow[*]"])
+        wild = parse_pragmas("z = 3  # reprolint: allow[*]\n")
         assert is_allowed(wild, 1, "R999")
+
+    def test_only_comments_carry_pragmas(self):
+        source = (
+            'def f():\n'
+            '    """Allow one in place with ``# reprolint: allow[R103] why``."""\n'
+            '    return "# reprolint: allow[R506]"\n'
+        )
+        assert parse_pragmas(source) == {}
+
+    def test_unknown_ids_are_found(self):
+        typo = parse_pragmas("x = 1  # reprolint: allow[R5O6]\n")
+        assert unknown_pragma_ids(typo) == [(1, "R5O6")]
+        known = parse_pragmas("x = 1  # reprolint: allow[R1, R506, *]\n")
+        assert unknown_pragma_ids(known) == []
 
 
 class TestRegistry:
     def test_all_families_registered(self):
         families = {rule_id[:-2] for rule_id in RULE_REGISTRY}
-        assert families == {
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"
-        }
-        assert len(RULE_REGISTRY) == 31
+        assert families == {"R1", "R2", "R3", "R5", "R11"}
+        assert len(RULE_REGISTRY) == 10
 
     def test_select_by_family_and_id(self):
         assert {r.id for r in iter_rules(["R2"])} == {"R201", "R202"}
-        assert {r.id for r in iter_rules(["R10"])} == {"R1001", "R1002", "R1003"}
-        assert [r.id for r in iter_rules(["R403"])] == ["R403"]
+        assert {r.id for r in iter_rules(["R11"])} == {"R1101", "R1102", "R1103"}
+        assert [r.id for r in iter_rules(["R506"])] == ["R506"]
         with pytest.raises(ValueError):
             list(iter_rules(["R99"]))
 
@@ -65,19 +76,15 @@ class TestRegistry:
 
 class TestReporters:
     def test_render_text_and_json(self):
-        result = lint_fixture(
-            [("r4_offending.py", "fix.hot")],
-            select=["R4"],
-            hotpath_modules=frozenset({"fix.hot"}),
-        )
+        result = lint_fixture([("r1_offending.py", "fix.clock")], select=["R1"])
         text = render_text(result)
         assert "lint: FAILED" in text
-        assert "r4_offending.py" in text
+        assert "r1_offending.py" in text
         payload = json.loads(render_json(result))
         assert payload["schema"] == 1
         assert payload["clean"] is False
-        assert len(payload["violations"]) == 4
-        assert "annotation_coverage" in payload["metrics"]
+        assert len(payload["violations"]) == 2
+        assert payload["metrics"]["violations_by_rule"] == {"R103": 2}
 
     def test_clean_report(self):
         result = lint_fixture([("r5_clean.py", "fix.ok")], select=["R5"])

@@ -16,7 +16,6 @@ from repro.analysis.cfg import CFG, EXCEPTION, NORMAL
 from repro.analysis.dataflow import (
     DataflowAnalysis,
     FixpointError,
-    join_union_maps,
     solve,
 )
 
@@ -154,15 +153,5 @@ class TestSolver:
 
 
 class TestHelpers:
-    def test_join_union_maps(self):
-        a = {"x": frozenset({1}), "y": frozenset({2})}
-        b = {"x": frozenset({3}), "z": frozenset({4})}
-        joined = join_union_maps(a, b)
-        assert joined == {
-            "x": frozenset({1, 3}),
-            "y": frozenset({2}),
-            "z": frozenset({4}),
-        }
-
     def test_edge_kinds_are_distinct(self):
         assert NORMAL != EXCEPTION

@@ -15,11 +15,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    RULE_REGISTRY,
+    Project,
     default_lint_paths,
     default_src_root,
     exit_code,
+    lint_project,
     render_catalogue,
-    run_lint,
 )
 from tests.analysis.helpers import FIXTURES
 
@@ -31,8 +33,13 @@ OFFENDING = str(FIXTURES / "r1_offending.py")
 
 
 @pytest.fixture(scope="session")
-def repo_lint():
-    return run_lint(default_lint_paths(), src_root=default_src_root())
+def repo_project():
+    return Project.load(default_lint_paths(), src_root=default_src_root())
+
+
+@pytest.fixture(scope="session")
+def repo_lint(repo_project):
+    return lint_project(repo_project)
 
 
 @pytest.fixture
@@ -47,30 +54,44 @@ def test_repo_is_lint_clean(repo_lint):
     rendered = "\n".join(v.render() for v in repo_lint.violations)
     assert repo_lint.clean, f"reprolint violations:\n{rendered}"
     assert exit_code(repo_lint) == 0
-    assert len(repo_lint.rules_run) == 31
+    assert len(repo_lint.rules_run) == len(RULE_REGISTRY)
 
 
-def test_repo_annotation_coverage(repo_lint):
-    coverage = repo_lint.metrics["annotation_coverage"]
-    # The strict packages hold their public surfaces at 100%.
-    assert coverage["packages"]["sim"]["coverage"] == 1.0
-    assert coverage["total"]["coverage"] > 0.9
+def test_shipped_config_names_only_modules_that_exist(repo_project):
+    # A rule skips a configured module it cannot find (R304: a partial
+    # run), so a rename would switch the check off without a word.
+    config = repo_project.config
+    modules = set(repo_project.by_module)
+    named = [
+        config.taxonomy_module,
+        *config.taxonomy_consumers,
+        *config.lifecycle_module_prefixes,
+        *(f"{config.package}.{package}" for package in config.allowed_deps),
+        *(root for root in config.reach_roots if "/" not in root and not root.endswith(".md")),
+    ]
+    missing = [
+        name for name in named
+        if name not in modules and not any(m.startswith(name + ".") for m in modules)
+    ]
+    assert missing == []
+    globs = [root for root in config.reach_roots if root not in named]
+    assert [g for g in globs if not any(repo_project.repo_root.glob(g))] == []
 
 
 def test_cli_lint_is_clean(gate, capsys):
     assert gate([CLEAN]) == 0
     out = capsys.readouterr().out
-    assert "31 rules" in out
+    assert f"{len(RULE_REGISTRY)} rules" in out
     assert "lint: clean" in out
 
 
-def test_cli_lint_json_reports_coverage(gate, capsys):
+def test_cli_lint_json_report(gate, capsys):
     assert gate([OFFENDING, "--json", "--select", "R103"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["clean"] is False
     assert payload["rules_run"] == ["R103"]
     assert {v["rule"] for v in payload["violations"]} == {"R103"}
-    assert "annotation_coverage" in payload["metrics"]
+    assert payload["metrics"]["violations_by_rule"] == {"R103": 2}
 
 
 def test_cli_lint_select_single_family(gate, capsys):
@@ -79,9 +100,9 @@ def test_cli_lint_select_single_family(gate, capsys):
 
 
 def test_cli_lint_select_flow_families(gate, capsys):
-    assert gate([CLEAN, "--select", "R9,R10,R11"]) == 0
+    assert gate([CLEAN, "--select", "R11"]) == 0
     out = capsys.readouterr().out
-    assert "9 rules" in out
+    assert "3 rules" in out
     assert "lint: clean" in out
 
 
@@ -89,7 +110,7 @@ def test_cli_lint_rules_prints_the_catalogue(gate, capsys):
     assert gate(["--rules"]) == 0
     out = capsys.readouterr().out
     assert out == render_catalogue() + "\n"
-    assert sum(line.startswith("  R") for line in out.splitlines()) == 31
+    assert sum(line.startswith("  R") for line in out.splitlines()) == len(RULE_REGISTRY)
 
 
 def test_cli_lint_failed_pass_exits_2(gate, capsys, tmp_path):
@@ -99,6 +120,10 @@ def test_cli_lint_failed_pass_exits_2(gate, capsys, tmp_path):
     assert "syntax error" in capsys.readouterr().err
     assert gate([CLEAN, "--select", "R99"]) == 2
     assert "unknown rule selector" in capsys.readouterr().err
+    planted = tmp_path / "planted.py"
+    planted.write_text("x = 1  # reprolint: allow[R999] no such rule\n")
+    assert gate([str(planted)]) == 2
+    assert "pragma names no rule or family: R999" in capsys.readouterr().err
 
 
 def test_gate_imports_nothing_it_checks(tmp_path):

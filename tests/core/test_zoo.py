@@ -116,6 +116,34 @@ class TestDeterminism:
         with pytest.raises(RuntimeError):
             afd.select([0, 1, 2], np.random.default_rng(0), context)
 
+    def test_afd_mask_is_its_own_round_and_client_stream(self):
+        # One stream reused across the cohort or kept across rounds
+        # stays deterministic, so the bit-identity test above cannot
+        # see it; every mask must be the first draw of the kernel
+        # stream keyed by its own (round, client).
+        from repro.fl.strategy import RoundContext
+        from repro.nn.subspace import ParamSubspace
+        from repro.sim import SimKernel
+
+        server, clients = _federation(10)
+        afd = AdaptiveFederatedDropout()
+        afd.prepare(server, clients)
+        n = len(clients)
+        kernel = SimKernel(seed=5, num_clients=n)
+        keep = afd.config.max_keep  # no network: every uplink saturates
+        for round_index in (0, 1):
+            context = RoundContext(
+                round_index=round_index, sim_time_s=0.0, server=server,
+                clients=clients, kernel=kernel,
+            )
+            selected = afd.select(list(range(n)), np.random.default_rng(round_index), context)
+            assert len(selected) > 1
+            for cid in selected:
+                oracle = SimKernel(seed=5, num_clients=n).stream("afd_mask", round_index, cid)
+                expected = ParamSubspace.sample(server.param_layout(), keep, oracle)
+                mask = afd.client_train_kwargs(clients[cid])["subspace"]
+                np.testing.assert_array_equal(mask.indices, expected.indices)
+
 
 class TestWireAudit:
     """Satellite pin: masked frames keep exact == predicted on the wire."""
