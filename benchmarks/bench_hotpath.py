@@ -62,8 +62,8 @@ Sections
     holds every model's fused and serial times and their ratio.
 ``lint``
     A full-repo reprolint pass, the one ``scripts/check_lint.py``
-    runs (every rule family, the R11 CFG/dataflow pass included),
-    asserted to stay under the 5-second single-core developer budget.
+    runs (every rule family), asserted to stay under the 5-second
+    single-core developer budget.
 
 Run directly::
 
@@ -818,12 +818,11 @@ def bench_population(iters: int) -> dict:
 def bench_lint(iters: int) -> dict:
     """One full-repo reprolint pass (parse + every rule family).
 
-    The same pass ``scripts/check_lint.py`` runs, the R11 CFG and
-    dataflow fixpoints included.  The static checker rides the
-    pre-commit/CI path, so its latency is a developer-facing budget: a
-    full single-core pass over the whole package must stay under 5
-    seconds.  ``meta`` records the census so a silently shrinking file
-    set cannot fake a speedup.
+    The same pass ``scripts/check_lint.py`` runs.  The static checker
+    rides the pre-commit/CI path, so its latency is a developer-facing
+    budget: a full single-core pass over the whole package must stay
+    under 5 seconds.  ``meta`` records the census so a silently
+    shrinking file set cannot fake a speedup.
     """
     from repro.analysis import default_lint_paths, default_src_root, run_lint
 

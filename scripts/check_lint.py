@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """reprolint, the repo's static invariant checker, and its CI gate.
 
-Runs every rule family — the flow-sensitive R11 (CFG + dataflow)
-included — over the ``repro`` package (or the given paths) and exits
-with the linter's stable exit code, so CI can gate on static
-invariants the same way ``check_bench.py`` gates on perf:
+Runs every rule family over the ``repro`` package (or the given
+paths) and exits with the linter's stable exit code, so CI can gate
+on static invariants the same way ``check_bench.py`` gates on perf:
 
 * ``0`` — clean: no violations;
 * ``1`` — violations;

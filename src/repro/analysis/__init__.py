@@ -11,12 +11,7 @@ tier-1 cannot check at run time (the rule audit in
   :mod:`repro.sim.trace`, the drop-reason partition is closed, and
   the consumers still dispatch on it;
 * **R5 reachability** — every module and export is reached from an
-  entry point;
-* **R11 lifecycle** — built on an intraprocedural CFG
-  (:mod:`repro.analysis.cfg`) and a monotone-fixpoint dataflow solver
-  (:mod:`repro.analysis.dataflow`): resources in transport and
-  population code are released on every path, exception edges
-  included.
+  entry point.
 
 Entry points: ``scripts/check_lint.py`` (the one command line, and
 the CI gate) and :func:`repro.analysis.runner.run_lint` (library).

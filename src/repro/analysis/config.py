@@ -9,8 +9,7 @@ the shipped defaults stay in one reviewable place:
   DAG behind rule R201);
 * where the trace taxonomy is declared and who must consume it
   (R302-R304);
-* where work enters the program (R506);
-* where resources live and what acquires / releases them (R11).
+* where work enters the program (R506).
 """
 
 from __future__ import annotations
@@ -135,28 +134,6 @@ class LintConfig:
         "README.md",
         "docs/*.md",
     )
-    # R11: where the resource-lifecycle rules run, and what
-    # counts as acquiring/releasing a leakable resource.  Acquirers
-    # match on the trailing dotted name of the call (``sockets.dial``
-    # matches ``dial``); tuple acquirers bind the resource to the
-    # first element of a tuple-unpack target (``sock, _ = accept()``).
-    lifecycle_module_prefixes: tuple[str, ...] = (
-        "repro.transport",
-        "repro.fl.population",
-    )
-    resource_acquirers: frozenset[str] = frozenset(
-        {"socket.socket", "open", "dial", "os.fdopen"}
-    )
-    resource_tuple_acquirers: frozenset[str] = frozenset(
-        {"accept", "open_listener", "socketpair"}
-    )
-    resource_release_methods: frozenset[str] = frozenset({"close"})
-    resource_release_funcs: frozenset[str] = frozenset(
-        {"close_quietly", "_close_quietly"}
-    )
-    # R1103: destructive one-way takes from shared containers that
-    # must be committed (re-stored) before any raise can escape.
-    destructive_take_methods: frozenset[str] = frozenset({"discard"})
 
 
 def default_config() -> LintConfig:

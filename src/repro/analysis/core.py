@@ -4,18 +4,17 @@ Reprolint is a project-specific static checker built on the stdlib
 ``ast`` module.  It holds the invariants of the *source* that no
 runtime test can see: a wall-clock read that moves nothing yet, an
 import that breaks the package DAG on a tree that then cannot import,
-a drop reason no accounting bucket holds, code nothing reaches, a
-socket left open on an exception path.
+a drop reason no accounting bucket holds, code nothing reaches.
 
 Two kinds of rules exist:
 
 * **file rules** see one :class:`~repro.analysis.project.SourceFile`
-  at a time (wall clock, resource lifecycle);
+  at a time (wall clock);
 * **project rules** see the whole
   :class:`~repro.analysis.project.Project` (layering/import cycles,
   taxonomy, reachability) — they cross-reference files.
 
-Rule identifiers are ``R<family><index>`` (``R103``, ``R1101``); the
+Rule identifiers are ``R<family><index>`` (``R103``, ``R506``); the
 family is everything but the last two digits.  A violation is either
 fixed or, where the construct is intended, allowed in place with a
 ``reprolint: allow[R103] why`` comment (see :func:`parse_pragmas`);
@@ -85,11 +84,11 @@ class Rule:
 
     @property
     def family(self) -> str:
-        """The family prefix, e.g. ``R1`` for ``R101``, ``R11`` for ``R1103``.
+        """The family prefix, e.g. ``R1`` for ``R103``, ``R5`` for ``R506``.
 
         Ids are ``R<family><index>`` with a two-digit index, so the
-        family is everything but the last two characters — this keeps
-        a multi-digit family (``R11``) grouping correctly.
+        family is everything but the last two characters — a
+        multi-digit family (``R12`` for ``R1201``) groups correctly.
         """
         return self.id[:-2]
 

@@ -19,11 +19,8 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import SoftmaxCrossEntropy, log_softmax
 from repro.nn.models import (
-    MODEL_BUILDERS,
-    build_logistic,
     build_mlp,
     build_mnist_cnn,
-    build_model,
     build_resnet_mini,
     build_vgg_mini,
 )
@@ -49,9 +46,6 @@ __all__ = [
     "Optimizer",
     "SGD",
     "AdamVector",
-    "MODEL_BUILDERS",
-    "build_model",
-    "build_logistic",
     "build_mlp",
     "build_mnist_cnn",
     "build_resnet_mini",

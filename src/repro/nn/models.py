@@ -30,12 +30,9 @@ from repro.nn.sequential import Sequential
 
 __all__ = [
     "build_mlp",
-    "build_logistic",
     "build_mnist_cnn",
     "build_resnet_mini",
     "build_vgg_mini",
-    "build_model",
-    "MODEL_BUILDERS",
 ]
 
 
@@ -43,18 +40,6 @@ def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def build_logistic(
-    input_shape: tuple[int, ...],
-    num_classes: int,
-    seed: int | np.random.Generator = 0,
-) -> Sequential:
-    """Multinomial logistic regression — the cheapest sanity model."""
-    rng = _as_rng(seed)
-    features = int(np.prod(input_shape))
-    layers = [Flatten(), Linear(features, num_classes, rng, name="fc")]
-    return Sequential(layers, input_shape)
 
 
 def build_mlp(
@@ -187,33 +172,3 @@ def build_vgg_mini(
     layers.append(ReLU())
     layers.append(Linear(hidden, num_classes, rng, name="fc2"))
     return Sequential(layers, input_shape)
-
-
-MODEL_BUILDERS = {
-    "logistic": build_logistic,
-    "mlp": build_mlp,
-    "mnist_cnn": build_mnist_cnn,
-    "resnet_mini": build_resnet_mini,
-    "vgg_mini": build_vgg_mini,
-}
-
-
-# reprolint: allow[R506] by-name door to MODEL_BUILDERS; tests/nn/test_flat_engine.py builds every zoo model through it
-def build_model(
-    name: str,
-    input_shape: tuple[int, ...],
-    num_classes: int,
-    seed: int | np.random.Generator = 0,
-    **kwargs,
-) -> Sequential:
-    """Build a model from the registry by name.
-
-    Raises ``KeyError`` with the list of known names on a miss so
-    experiment configs fail loudly.
-    """
-    try:
-        builder = MODEL_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_BUILDERS))
-        raise KeyError(f"unknown model {name!r}; known models: {known}") from None
-    return builder(input_shape=input_shape, num_classes=num_classes, seed=seed, **kwargs)

@@ -48,8 +48,14 @@ def pack_message(obj: dict[str, Any]) -> bytearray:
 
 def unpack_message(sealed: Frame | bytes | bytearray) -> dict[str, Any]:
     """Unwrap and unpickle one sealed message: its bytes (CRC checked
-    here) or the frame :func:`~repro.wire.frame.read_frame` verified."""
-    obj = pickle.loads(unseal(sealed))
+    here) or the frame :func:`~repro.wire.frame.read_frame` verified.
+
+    A body that does not unpickle to a dict raises :class:`FrameError`."""
+    body = unseal(sealed)
+    try:
+        obj = pickle.loads(body)
+    except Exception as exc:  # a CRC-valid body that is not a pickle
+        raise FrameError(f"transport message does not unpickle: {exc!r}") from exc
     if not isinstance(obj, dict):
         raise FrameError(f"transport message is a {type(obj).__name__}, not a dict")
     return obj

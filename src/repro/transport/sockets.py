@@ -629,7 +629,7 @@ class SocketTransport:
                     raise TransportError("all worker slots are taken")
                 wid = candidates[0]
             else:
-                wid = int(index)
+                wid = _slot_number(index, "index")
             if not 0 <= wid < self.num_workers:
                 raise TransportError(f"worker index {wid} out of range")
             link = self._links[wid]
@@ -646,7 +646,7 @@ class SocketTransport:
             )
         else:
             # Reconnect: the worker kept its state; just re-bind.
-            wid = int(wid)
+            wid = _slot_number(wid, "wid")
             if not 0 <= wid < self.num_workers:
                 raise TransportError(f"worker id {wid} out of range")
             link = self._links[wid]
@@ -654,6 +654,13 @@ class SocketTransport:
         sock.settimeout(None)
         link.down = False
         link.attach(sock)
+
+
+def _slot_number(value: Any, field: str) -> int:
+    """A hello's worker slot: an ``int`` (not a ``bool``), else refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TransportError(f"hello {field} is a {type(value).__name__}, not an int")
+    return value
 
 
 # ----------------------------------------------------------------------

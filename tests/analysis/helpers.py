@@ -3,8 +3,7 @@
 Fixture snippets under ``fixtures/`` are never imported — they are
 parsed by the linter with an *explicit* fake module name, so one flat
 directory can impersonate any spot in the package tree (a ``repro.nn``
-module importing ``fl``, a fake taxonomy at ``fix.trace``, a module in
-the lifecycle scope, ...).
+module importing ``fl``, a fake taxonomy at ``fix.trace``, ...).
 """
 
 from __future__ import annotations

@@ -58,12 +58,12 @@ class TestPragmas:
 class TestRegistry:
     def test_all_families_registered(self):
         families = {rule_id[:-2] for rule_id in RULE_REGISTRY}
-        assert families == {"R1", "R2", "R3", "R5", "R11"}
-        assert len(RULE_REGISTRY) == 10
+        assert families == {"R1", "R2", "R3", "R5"}
+        assert len(RULE_REGISTRY) == 7
 
     def test_select_by_family_and_id(self):
         assert {r.id for r in iter_rules(["R2"])} == {"R201", "R202"}
-        assert {r.id for r in iter_rules(["R11"])} == {"R1101", "R1102", "R1103"}
+        assert {r.id for r in iter_rules(["R3"])} == {"R302", "R303", "R304"}
         assert [r.id for r in iter_rules(["R506"])] == ["R506"]
         with pytest.raises(ValueError):
             list(iter_rules(["R99"]))

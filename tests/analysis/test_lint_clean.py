@@ -65,7 +65,6 @@ def test_shipped_config_names_only_modules_that_exist(repo_project):
     named = [
         config.taxonomy_module,
         *config.taxonomy_consumers,
-        *config.lifecycle_module_prefixes,
         *(f"{config.package}.{package}" for package in config.allowed_deps),
         *(root for root in config.reach_roots if "/" not in root and not root.endswith(".md")),
     ]
@@ -97,13 +96,6 @@ def test_cli_lint_json_report(gate, capsys):
 def test_cli_lint_select_single_family(gate, capsys):
     assert gate([CLEAN, "--select", "R2"]) == 0
     assert "2 rules" in capsys.readouterr().out
-
-
-def test_cli_lint_select_flow_families(gate, capsys):
-    assert gate([CLEAN, "--select", "R11"]) == 0
-    out = capsys.readouterr().out
-    assert "3 rules" in out
-    assert "lint: clean" in out
 
 
 def test_cli_lint_rules_prints_the_catalogue(gate, capsys):

@@ -156,62 +156,3 @@ class TestR506Reachability:
 
     def test_silent_without_an_entry_point_in_the_project(self):
         assert rule_ids(self._lint("r506_offending.py", reach_roots=("fixpkg.cli",))) == []
-
-
-class TestR11Lifecycle:
-    def test_leak_on_exception_path_offending(self):
-        result = lint_fixture(
-            [("r1101_offending.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == ["R1101"]
-        assert "exception path" in result.violations[0].message
-
-    def test_try_finally_clean(self):
-        result = lint_fixture(
-            [("r1101_clean.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == []
-
-    def test_use_after_release_offending(self):
-        result = lint_fixture(
-            [("r1102_offending.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == ["R1102", "R1102"]
-
-    def test_single_close_clean(self):
-        result = lint_fixture(
-            [("r1102_clean.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == []
-
-    def test_lossy_take_offending(self):
-        result = lint_fixture(
-            [("r1103_offending.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == ["R1103"]
-
-    def test_take_after_fallible_work_clean(self):
-        result = lint_fixture(
-            [("r1103_clean.py", "fix.res.pool")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == []
-
-    def test_out_of_scope_module_is_exempt(self):
-        result = lint_fixture(
-            [("r1101_offending.py", "fix.other")],
-            select=["R11"],
-            lifecycle_module_prefixes=("fix.res",),
-        )
-        assert rule_ids(result) == []

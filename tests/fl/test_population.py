@@ -214,6 +214,24 @@ class TestLifecycle:
         assert pop.stats.restores == 1
         assert pop.stats.materializations == 3
 
+    def test_unreadable_spill_stays_claimable(self, tmp_path):
+        # A failed read must not drop the spill marker, or the next
+        # materialisation silently starts a fresh trajectory.
+        pop = _virtual(2, mode="spill", max_live=1, spill_dir=tmp_path)
+        c0 = pop[0]
+        c0.local_train(c0.replica.model.get_flat_params().copy(), LOCAL)
+        spilled_rng = c0.extract_state()["rng"]
+        pop[1]
+        pop.evict_to_cap()  # spills 0
+        blob = tmp_path / "client-00000000.blob"
+        aside = blob.rename(tmp_path / "aside")
+        with pytest.raises(FileNotFoundError):
+            pop[0]
+        aside.rename(blob)
+        restores = pop.stats.restores
+        assert pop[0].extract_state()["rng"] == spilled_rng
+        assert pop.stats.restores == restores + 1
+
     def test_accounting(self):
         pop = _virtual(4, max_live=2)
         pop[0], pop[1], pop[2]

@@ -12,13 +12,14 @@ documented in docs/architecture.md ("Parameter memory model"):
   buffers again after loading.
 """
 
+import functools
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import build_model
+from repro.nn.models import build_mlp, build_mnist_cnn, build_resnet_mini, build_vgg_mini
 from repro.nn.optim import SGD
 
 # (name, input_shape, num_classes, builder kwargs) — small geometries
@@ -33,8 +34,17 @@ PRESETS = [
 ]
 
 
+BUILDERS = {
+    "logistic": functools.partial(build_mlp, hidden=()),  # no hidden layer
+    "mlp": build_mlp,
+    "mnist_cnn": build_mnist_cnn,
+    "resnet_mini": build_resnet_mini,
+    "vgg_mini": build_vgg_mini,
+}
+
+
 def _build(name, shape, classes, kwargs, seed=0):
-    return build_model(name, shape, classes, seed=seed, **kwargs)
+    return BUILDERS[name](shape, classes, seed=seed, **kwargs)
 
 
 @pytest.mark.parametrize("name,shape,classes,kwargs", PRESETS)

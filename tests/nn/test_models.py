@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.experiments.presets import FAST
+from repro.experiments.runner import _MODEL_BUILDERS, MODELS, FederationSpec
 from repro.nn.gradcheck import check_model_gradients
 from repro.nn.models import (
-    MODEL_BUILDERS,
-    build_logistic,
     build_mlp,
     build_mnist_cnn,
-    build_model,
     build_resnet_mini,
     build_vgg_mini,
 )
@@ -86,7 +85,9 @@ class TestVggMini:
 
 class TestSimpleModels:
     def test_logistic(self):
-        model = build_logistic((1, 4, 4), 5, seed=0)
+        # No hidden layer: multinomial logistic regression.
+        model = build_mlp((1, 4, 4), 5, hidden=(), seed=0)
+        assert [type(l).__name__ for l in model.layers] == ["Flatten", "Linear"]
         assert model.forward(np.zeros((2, 1, 4, 4))).shape == (2, 5)
 
     def test_mlp_hidden_stack(self):
@@ -96,18 +97,21 @@ class TestSimpleModels:
 
 
 class TestRegistry:
+    """The by-name registry every run resolves its model through."""
+
     def test_all_builders_run(self):
-        for name in MODEL_BUILDERS:
-            model = build_model(name, (1, 8, 8), 4, seed=0)
+        for name in MODELS:
+            model = _MODEL_BUILDERS[name]((3, 8, 8), 4, FAST, 0)
             assert model.num_params > 0
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError, match="known models"):
-            build_model("resnet50", (3, 32, 32), 10)
+        with pytest.raises(ValueError, match="unknown model 'resnet50'; known: "):
+            FederationSpec(model="resnet50")
 
     def test_seed_controls_init(self):
-        a = build_model("mlp", (1, 4, 4), 3, seed=1).get_flat_params()
-        b = build_model("mlp", (1, 4, 4), 3, seed=1).get_flat_params()
-        c = build_model("mlp", (1, 4, 4), 3, seed=2).get_flat_params()
+        build = _MODEL_BUILDERS["mlp"]
+        a = build((1, 4, 4), 3, FAST, 1).get_flat_params()
+        b = build((1, 4, 4), 3, FAST, 1).get_flat_params()
+        c = build((1, 4, 4), 3, FAST, 2).get_flat_params()
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)

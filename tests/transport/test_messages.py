@@ -32,6 +32,12 @@ class TestMessageEnvelope:
         with pytest.raises(FrameError):
             unpack_message(blob)
 
+    @pytest.mark.parametrize("body", [b"not a pickle", b""])
+    def test_non_pickle_body_refused(self, body):
+        # CRC-valid but not a pickle: the one typed stream error.
+        with pytest.raises(FrameError, match="does not unpickle"):
+            unpack_message(seal(body))
+
     def test_heartbeat_shape(self):
         # Reply readers skip any message carrying the hb key.
         assert HEARTBEAT == {"hb": True}
