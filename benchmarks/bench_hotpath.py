@@ -382,17 +382,22 @@ def bench_resilience(iters: int) -> dict:
 
     Times a fleet-scale aggregation round (sample-weighted average of
     40 model-sized deltas, each the float32 view decoded from a dense
-    upload frame, as the server folds them) and, separately, the deferred validation
-    screen the engine adds per round: one non-finite reduction over
-    the aggregate (``UpdateValidator.screen_aggregate``).  As with the
-    tracing overhead in ``engine_loop``, the added work is measured
-    directly rather than differenced, and the combined ratio is
-    asserted to stay under the 5% budget.  ``meta`` also records the
-    per-update prescreen cost and a trimmed-mean fallback round for
-    reference — neither is on the default path.
+    upload frame, as the server folds them) and, separately, one
+    non-finite reduction over the aggregate
+    (``UpdateValidator.screen_aggregate``), asserted under the 5%
+    budget.  The engines no longer screen the aggregate: they screen
+    every delivery before folding it, so ``meta`` reports that path
+    too — ``screen_per_delivery_ms`` (``UpdateValidator.screen`` of one
+    float32 upload) beside ``fold_per_delivery_ms`` (one
+    ``WeightedFold.add``), each timed over the 40 deltas in turn, so
+    every delta is read from memory, not cache — whose ratio is what
+    screening adds to the fold — plus a trimmed-mean fallback round for
+    reference.  As with
+    the tracing overhead in ``engine_loop``, added work is measured
+    directly rather than differenced.
     """
     from repro.fl.client import ClientUpdate
-    from repro.fl.strategy import UploadPacket, weighted_average
+    from repro.fl.strategy import UploadPacket, WeightedFold, weighted_average
     from repro.fl.validation import UpdateValidator, ValidationConfig, trimmed_mean
     from repro.wire.codecs import encode_frame
 
@@ -433,12 +438,19 @@ def bench_resilience(iters: int) -> dict:
         f"validation screening overhead {overhead:.3f}x exceeds the 5% budget"
     )
 
-    prescreen_s = (
+    screen_delivery_s = (
         _time_section(
             lambda: [validator.screen(u.delta) for u in updates], max(1, iters // 4)
         )["min_s"]
         / n
     )
+
+    def fold_round() -> None:
+        fold = WeightedFold()
+        for u in updates:
+            fold.add(u)
+
+    fold_delivery_s = _time_section(fold_round, max(1, iters // 4))["min_s"] / n
     trimmed_s = _time_section(
         lambda: trimmed_mean([u.delta for u in updates[:10]]), max(1, iters // 4)
     )["min_s"]
@@ -450,7 +462,8 @@ def bench_resilience(iters: int) -> dict:
         "updates_per_round": n,
         "screen_aggregate_ms": screen_s * 1e3,
         "screening_overhead_ratio": overhead,
-        "prescreen_per_update_ms": prescreen_s * 1e3,
+        "screen_per_delivery_ms": screen_delivery_s * 1e3,
+        "fold_per_delivery_ms": fold_delivery_s * 1e3,
         "trimmed_mean_10_ms": trimmed_s * 1e3,
         "trimmed_mean_40_ms": trimmed_fleet_s * 1e3,
     }

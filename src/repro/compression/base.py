@@ -84,7 +84,7 @@ class SparseDelta:
 
     Stands for the dense float64 ``dim``-vector holding ``values`` at
     ``indices`` and ``0.0`` everywhere else, without building it: the
-    server folds it by index (:func:`repro.fl.strategy.weighted_average`)
+    server folds it by index (:class:`repro.fl.strategy.WeightedFold`)
     and the few consumers that need every coordinate call
     :func:`densify`.  ``indices`` are held at the wire's uint32 width and
     ``values`` as the codec gave them (float32), so a delivery costs its
@@ -158,7 +158,7 @@ def densify(delta: np.ndarray | SparseDelta) -> np.ndarray:
     """The dense vector behind an upload delta (a dense one as it is).
 
     The one way the off-default consumers — trimmed mean, the norm
-    screen, payload corruption, FedAsync's model mix, masked averaging —
+    screen, payload corruption, FedAsync's model mix —
     get every coordinate of a :class:`SparseDelta`.
     """
     return delta.to_dense() if isinstance(delta, SparseDelta) else delta

@@ -41,7 +41,6 @@ from repro.fl.strategy import (
     RoundContext,
     SyncStrategy,
     UploadPacket,
-    weighted_average,
 )
 
 __all__ = ["AdaFLConfig", "AdaFLSync", "AdaFLAsync", "SCORE_REPORT_BYTES"]
@@ -339,13 +338,11 @@ class AdaFLSync(SyncStrategy, _AdaFLBase):
     ) -> None:
         self._handle_upload_result(client, delivered)
 
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
+    def aggregate(self, server: Server, fold, context: RoundContext) -> None:
         del context
-        if not updates:
+        if not fold.count:
             return
-        self.server_opt.step(server, weighted_average(updates))
+        self.server_opt.step(server, fold.result())
 
 
 class AdaFLAsync(AsyncStrategy, _AdaFLBase):

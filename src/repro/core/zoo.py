@@ -8,9 +8,9 @@ AdaFL, both exercising the parameter-subspace machinery end to end:
   layer-stratified :class:`~repro.nn.subspace.ParamSubspace` whose
   keep fraction adapts to the client's observed uplink bandwidth.
   Uploads travel as masked frames (index block + covered values) and
-  are folded with :func:`~repro.fl.strategy.masked_weighted_average`,
-  so a constrained client ships — and the server trusts — only the
-  coordinates it actually trained.
+  :class:`~repro.fl.strategy.WeightedFold` renormalises each coordinate
+  over the clients that cover it, so a constrained client ships — and
+  the server trusts — only the coordinates it actually trained.
 * :class:`AdaGQQuantization` (Liu et al., arXiv:2212.08272) — every
   client quantises with QSGD, but the *level count* (hence bits per
   element) is chosen per client per round from link quality: a starved
@@ -34,12 +34,7 @@ from repro.compression.base import CompressedGradient
 from repro.compression.qsgd import QSGDCompressor
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.server import Server
-from repro.fl.strategy import (
-    RoundContext,
-    SyncStrategy,
-    UploadPacket,
-    masked_weighted_average,
-)
+from repro.fl.strategy import RoundContext, SyncStrategy, UploadPacket
 from repro.nn.subspace import ParamSubspace
 from repro.wire.codecs import encode_frame
 
@@ -90,8 +85,6 @@ class AdaptiveFederatedDropout(SyncStrategy):
     """Per-client sub-model training with link-adaptive keep ratios."""
 
     name = "afd"
-    # Per-coordinate renormalisation over the clients that cover it.
-    reducer = staticmethod(masked_weighted_average)
 
     def __init__(self, config: AFDConfig | None = None):
         config = config or AFDConfig()

@@ -25,7 +25,7 @@ from repro.fl.strategy import (
     RoundContext,
     SyncStrategy,
     UploadPacket,
-    masked_weighted_average,
+    WeightedFold,
     weighted_average,
 )
 from repro.fl.sync_engine import SyncEngine
@@ -50,8 +50,8 @@ __all__ = [
     "AsyncStrategy",
     "RoundContext",
     "UploadPacket",
+    "WeightedFold",
     "weighted_average",
-    "masked_weighted_average",
     "FedAvg",
     "FedAvgM",
     "FedProx",

@@ -18,7 +18,13 @@ from repro.compression.base import densify
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
 from repro.fl.server import Server, ServerOpt
-from repro.fl.strategy import AsyncStrategy, RoundContext, SyncStrategy, UploadPacket
+from repro.fl.strategy import (
+    AsyncStrategy,
+    RoundContext,
+    RunningMean,
+    SyncStrategy,
+    UploadPacket,
+)
 
 __all__ = [
     "FedAvg",
@@ -90,10 +96,18 @@ class FedAvgM(SyncStrategy):
         super().__init__(participation_rate, ServerOpt(lr=server_lr, momentum=beta))
 
 
-def _mean_delta(updates: list[ClientUpdate]) -> np.ndarray:
-    """Unweighted mean of the deltas (SCAFFOLD's server rule), summed
-    in float64 over the wire-width (float32) deltas."""
-    return np.mean([u.delta for u in updates], axis=0, dtype=np.float64)
+class _ScaffoldFold(RunningMean):
+    """SCAFFOLD's server rule, folded at delivery: the unweighted mean of
+    the deltas, and in ``controls`` that of the control-variate deltas."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.controls = RunningMean()
+
+    def add(self, update: ClientUpdate) -> None:
+        super().add(update.delta)
+        if "control_delta" in update.extras:
+            self.controls.add(update.extras["control_delta"])
 
 
 class Scaffold(SyncStrategy):
@@ -107,7 +121,7 @@ class Scaffold(SyncStrategy):
     """
 
     name = "scaffold"
-    reducer = staticmethod(_mean_delta)
+    fold_type = _ScaffoldFold
 
     def __init__(self, participation_rate: float = 0.5, server_lr: float = 1.0):
         super().__init__(participation_rate, ServerOpt(lr=server_lr))
@@ -135,21 +149,15 @@ class Scaffold(SyncStrategy):
     def downlink_bytes(self, server: Server) -> int:
         return 2 * super().downlink_bytes(server)  # model + server control
 
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
-        if not updates:
+    def aggregate(self, server: Server, fold: _ScaffoldFold, context: RoundContext) -> None:
+        if not fold.count:
             return
         if self._control is None:
             raise RuntimeError("Scaffold.prepare was not called")
-        super().aggregate(server, updates, context)
-        control_deltas = [
-            u.extras["control_delta"] for u in updates if "control_delta" in u.extras
-        ]
-        if control_deltas:
-            self._control += (len(control_deltas) / self._num_clients) * np.mean(
-                control_deltas, axis=0
-            )
+        super().aggregate(server, fold, context)
+        controls = fold.controls
+        if controls.count:
+            self._control += (controls.count / self._num_clients) * controls.result()
 
 
 class FedAsync(AsyncStrategy):
@@ -197,9 +205,9 @@ class FedAsync(AsyncStrategy):
 class FedBuff(AsyncStrategy):
     """Buffered asynchronous aggregation (Nguyen et al. 2022).
 
-    Deltas accumulate (staleness-discounted) in a size-``buffer_size``
-    buffer; when full, their mean is applied with ``server_lr`` and the
-    buffer clears.
+    Deltas accumulate (staleness-discounted) into a running sum; after
+    ``buffer_size`` of them their mean is applied with ``server_lr`` and
+    the sum starts over.
     """
 
     name = "fedbuff"
@@ -210,10 +218,10 @@ class FedBuff(AsyncStrategy):
         self.buffer_size = buffer_size
         self.server_opt = ServerOpt(lr=server_lr)
         self.poly_a = poly_a
-        self._buffer: list[np.ndarray] = []
+        self._buffer = RunningMean()
 
     def prepare(self, server: Server, clients: list[Client]) -> None:
-        self._buffer = []
+        self._buffer = RunningMean()
 
     def on_update(
         self,
@@ -224,12 +232,12 @@ class FedBuff(AsyncStrategy):
     ) -> bool:
         discount = (1.0 + max(staleness, 0)) ** (-self.poly_a)
         # A float32 delta times a Python float stays float32 (NEP 50):
-        # buffer the float64 product, so the mean below is float64 too.
-        self._buffer.append(np.multiply(delta, discount, dtype=np.float64))
-        if len(self._buffer) < self.buffer_size:
+        # add the float64 product, so the mean below is float64 too.
+        self._buffer.add(np.multiply(delta, discount, dtype=np.float64))
+        if self._buffer.count < self.buffer_size:
             return False
-        direction = np.mean(self._buffer, axis=0)
-        self._buffer = []
+        direction = self._buffer.result()
+        self._buffer = RunningMean()
         self.server_opt.step(server, direction)
         return True
 

@@ -64,8 +64,7 @@ class Server:
         Updates ``params`` in place — no O(d) allocation per round, and
         the buffer identity is stable across versions (callers holding
         a view see every update; callers needing a frozen pre-update
-        vector must copy it themselves, as the validated-rollback path
-        in the sync engine does).
+        vector must copy it themselves).
         """
         if delta.shape != self.params.shape:
             raise ValueError("delta shape does not match global model")
@@ -93,9 +92,9 @@ class Server:
     def restore(
         self, params: np.ndarray, global_delta: np.ndarray | None, version: int
     ) -> None:
-        """Roll back to an earlier ``(params, global_delta, version)`` —
-        the validated-aggregation rollback.  ``params`` is adopted, not
-        copied, and the evaluation memo is dropped."""
+        """Roll back to an earlier ``(params, global_delta, version)``.
+        ``params`` is adopted, not copied, and the evaluation memo is
+        dropped."""
         self.params = params
         self.global_delta = global_delta
         self.version = version

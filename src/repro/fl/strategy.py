@@ -35,8 +35,9 @@ __all__ = [
     "SyncStrategy",
     "AsyncStrategy",
     "UploadPacket",
+    "WeightedFold",
+    "RunningMean",
     "weighted_average",
-    "masked_weighted_average",
 ]
 
 
@@ -181,85 +182,104 @@ class RoundContext:
     kernel: "SimKernel | None" = None
 
 
-def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average of client deltas (Eq. 2 weights).
+class WeightedFold:
+    """Eq. 2's sample-weighted mean, folded one delivery at a time.
 
-    Dense deltas fold through the blocked :func:`~repro.blocks.add_scaled`;
-    a :class:`~repro.compression.base.SparseDelta` folds by index, so a
-    sparse upload is never widened to a d-vector.  Terms fold in order,
-    which gives every coordinate the sum it would get with each sparse
-    term scattered first, bit for bit.  Deltas arrive at the wire's
-    width (float32) and the products and the accumulator are float64:
-    the result is bit-equal to the same fold over float64 copies.
+    :meth:`add` takes ``n_i * x_i`` into one float64 accumulator as an
+    upload is delivered (exact for a float32 value and ``n_i < 2**29``),
+    so the server holds the accumulator, not the cohort's frames;
+    :meth:`result` divides by ``sum(n_i)`` per coordinate.  Dense deltas
+    fold through the blocked :func:`~repro.blocks.add_scaled`, a
+    :class:`~repro.compression.base.SparseDelta` by index, each
+    coordinate in delivery order.  A partial ``extras["subspace"]`` (an
+    Adaptive Federated Dropout sub-model) adds, and weighs, only the
+    coordinates it covers: the weight turns from a scalar into a vector
+    at the first one, so each coordinate is renormalised over its
+    coverers and one nobody covers gets a zero delta.  Updates with no
+    samples are skipped.
     """
-    if not updates:
-        raise ValueError("cannot average zero updates")
-    total = sum(u.num_samples for u in updates)
-    if total <= 0:
-        raise ValueError("updates carry no samples")
-    acc = np.zeros(updates[0].delta.size, dtype=np.float64)
-    dense_run: list[tuple[float, np.ndarray]] = []
-    for u in updates:
-        weight = u.num_samples / total
-        if isinstance(u.delta, SparseDelta):
-            if dense_run:
-                add_scaled(acc, dense_run)
-                dense_run = []
-            u.delta.add_to(acc, weight)
-        else:
-            dense_run.append((weight, u.delta))
-    if dense_run:
-        add_scaled(acc, dense_run)
-    return acc
 
+    def __init__(self) -> None:
+        self._acc: np.ndarray | None = None
+        self._weight: float | np.ndarray = 0.0
+        self.count = 0  # updates folded
 
-def masked_weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
-    """Sample-count-weighted average honouring per-update subspaces.
-
-    Each update contributes only on the coordinates its
-    ``extras["subspace"]`` covers (``None`` or a full subspace means
-    the whole vector), and weights are renormalised *per coordinate*
-    over the covering clients — the standard Federated Dropout rule.
-    Coordinates no delivered update covers get a zero delta, i.e. the
-    server keeps its current value there.  When every update covers
-    the whole vector there is nothing to renormalise per coordinate and
-    the result is :func:`weighted_average`'s, bit for bit (Federated
-    Dropout at keep fraction 1 *is* FedAvg).
-
-    A sub-model upload is a :class:`SparseDelta` over its masked
-    frame's float32 values and folds by index; like
-    :func:`weighted_average`, every product and sum is float64.
-    """
-    if not updates:
-        raise ValueError("cannot average zero updates")
-    if all(u.num_samples <= 0 for u in updates):
-        raise ValueError("updates carry no samples")
-    if all((s := u.extras.get("subspace")) is None or s.is_full for u in updates):
-        return weighted_average(updates)
-    dim = updates[0].delta.size
-    acc = np.zeros(dim, dtype=np.float64)
-    weight = np.zeros(dim, dtype=np.float64)
-    for u in updates:
-        w = float(u.num_samples)
-        if w <= 0:
-            continue
-        subspace = u.extras.get("subspace")
-        full = subspace is None or subspace.is_full
-        if isinstance(u.delta, SparseDelta):
-            u.delta.add_to(acc, w)
-        elif full:
-            add_scaled(acc, [(w, u.delta)])
+    def add(self, update: ClientUpdate) -> None:
+        n = update.num_samples
+        if n <= 0:
+            return
+        delta = update.delta
+        if self._acc is None:
+            self._acc = np.zeros(delta.size, dtype=np.float64)
+        acc = self._acc
+        subspace = update.extras.get("subspace")
+        if subspace is not None and subspace.is_full:
+            subspace = None
+        if isinstance(delta, SparseDelta):
+            delta.add_to(acc, n)
+        elif subspace is None:
+            add_scaled(acc, [(n, delta)])
         else:
             idx = subspace.indices
-            acc[idx] += np.multiply(u.delta[idx], w, dtype=np.float64)
-        if full:
-            weight += w
+            acc[idx] += np.multiply(delta[idx], n, dtype=np.float64)
+        if subspace is None:
+            self._weight += n
         else:
-            weight[subspace.indices] += w
-    covered = weight > 0
-    out = np.zeros(dim, dtype=np.float64)
-    np.divide(acc, weight, out=out, where=covered)
-    return out
+            if np.ndim(self._weight) == 0:
+                self._weight = np.full(acc.size, self._weight)
+            self._weight[subspace.indices] += n
+        self.count += 1
+
+    def result(self) -> np.ndarray:
+        """The weighted mean of everything added (a fresh float64 vector)."""
+        if self._acc is None:
+            raise ValueError("no update with samples was folded")
+        weight = self._weight
+        if np.ndim(weight) == 0:
+            return self._acc / weight
+        out = np.zeros_like(self._acc)
+        np.divide(self._acc, weight, out=out, where=weight > 0)
+        return out
+
+    @classmethod
+    def of(cls, updates: list[ClientUpdate]):
+        """A fold with ``updates`` added in order."""
+        fold = cls()
+        for u in updates:
+            fold.add(u)
+        return fold
+
+
+def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
+    """:class:`WeightedFold`'s result over a list of updates."""
+    if not updates:
+        raise ValueError("cannot average zero updates")
+    return WeightedFold.of(updates).result()
+
+
+class RunningMean:
+    """``np.mean(terms, axis=0)`` over float64, one term at a time.
+
+    numpy reduces a stacked first axis by adding the rows in order onto
+    ``+0.0``; the running sum does the same, so ``÷ count`` gives its
+    result bit for bit (zero signs included) without holding the terms.
+    """
+
+    def __init__(self) -> None:
+        self._sum: np.ndarray | None = None
+        self.count = 0
+
+    def add(self, x: np.ndarray) -> None:
+        if self._sum is None:
+            self._sum = np.zeros(x.shape, dtype=np.float64)
+        self._sum += x
+        self.count += 1
+
+    def result(self) -> np.ndarray:
+        """The mean of the terms added so far (a fresh vector)."""
+        if self._sum is None:
+            raise ValueError("cannot average zero terms")
+        return self._sum / self.count
 
 
 class _ModelBroadcast:
@@ -289,15 +309,17 @@ class _ModelBroadcast:
 class SyncStrategy(_ModelBroadcast):
     """Base synchronous strategy: random selection, dense uploads, FedAvg-style hooks.
 
-    Aggregation is ``server_opt.step(server, reducer(updates))``: a
-    subclass changes the rule by naming another reducer or handing in
+    Aggregation is ``server_opt.step(server, fold.result())``: the
+    engine adds each accepted delivery to a ``fold_type()`` as it
+    arrives and hands the fold to :meth:`aggregate` at the barrier.  A
+    subclass changes the rule by naming another fold type or handing in
     another :class:`~repro.fl.server.ServerOpt`, not by re-deriving the
     step.
     """
 
     name = "sync-base"
     # Delivered updates -> one direction (Eq. 2's sample weights).
-    reducer = staticmethod(weighted_average)
+    fold_type = WeightedFold
     # Whether the strategy reads ``client.last_delta``: only then does
     # the engine retain each client's training delta there.
     reads_last_delta = False
@@ -374,14 +396,16 @@ class SyncStrategy(_ModelBroadcast):
         """
 
     # -- aggregation ------------------------------------------------------
-    def aggregate(
-        self, server: Server, updates: list[ClientUpdate], context: RoundContext
-    ) -> None:
-        """Fold delivered updates into the global model (default FedAvg)."""
+    def aggregate(self, server: Server, fold, context: RoundContext) -> None:
+        """Finish the round's fold into the global model (default FedAvg).
+
+        ``fold`` is a ``fold_type()`` holding the round's accepted
+        deliveries; an empty one leaves the model as it is.
+        """
         del context
-        if not updates:
+        if not fold.count:
             return
-        self.server_opt.step(server, self.reducer(updates))
+        self.server_opt.step(server, fold.result())
 
 
 class AsyncStrategy(_ModelBroadcast):

@@ -14,8 +14,10 @@ snapshots and the resilience hooks riding on them — is
 engine.  This module owns what makes the protocol a *barrier*: the
 availability sweep and selection, cohort-wide fused training, the
 order in which a finished upload meets its fate, the round deadline,
-the quorum gate, and validated aggregation (``rejected_uploads``
-accounting, optional trimmed-mean fallback).
+the quorum gate, and the round's fold: each delivery is validated
+as it arrives and, if accepted, added to one running accumulator
+there and then, so the server never holds the cohort's uploads
+(``rejected_uploads`` accounting, optional trimmed-mean fallback).
 
 The engine is strategy-agnostic: FedAvg and AdaFL run through exactly
 the same loop, differing only in the :class:`~repro.fl.strategy.SyncStrategy`
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 
 from repro.fl.batched import train_clients_batched
-from repro.fl.client import ClientUpdate
 from repro.fl.engine import _EngineBase
 from repro.fl.metrics import RunResult
 from repro.fl.strategy import RoundContext
@@ -202,8 +203,8 @@ class SyncEngine(_EngineBase):
         )
 
         batched = self._train_cohort(selected, local_cfg, round_index)
-        delivered: list[ClientUpdate] = []
-        held = [self._client_leg(cid, context, batched, delivered) for cid in selected]
+        receipt = _Receipt(self.strategy.fold_type(), self._validator)
+        held = [self._client_leg(cid, context, batched, receipt) for cid in selected]
 
         # Synchronous barrier: the round lasts as long as its slowest
         # participant (Eq. 3), capped by the server's deadline if set.
@@ -214,22 +215,16 @@ class SyncEngine(_EngineBase):
 
         # Quorum gate: a round that lost too many participants (worker
         # crashes, partitions) is voided rather than aggregated from a
-        # skewed sliver of the cohort.
+        # skewed sliver of the cohort.  Rejected deliveries count, and a
+        # voided round discards its fold and reports no rejection.
         quorum_extra = {}
         if self.config.quorum_frac is not None and selected:
             needed = max(1, math.ceil(self.config.quorum_frac * len(selected)))
-            if len({u.client_id for u in delivered}) < needed:
-                delivered = []
+            if len(receipt.senders) < needed:
                 quorum_extra = {"quorum_missed": True}
-
-        if self._validator is None:
-            accepted = delivered
-            self.strategy.aggregate(self.server, delivered, context)
-        else:
-            accepted = self._aggregate_validated(delivered, context, t_close)
+        joined = [] if quorum_extra else self._close_fold(receipt, context, t_close)
 
         self._kernel.advance_to(t_close)
-        joined = [u.client_id for u in accepted]
         self._trace.emit(
             AGGREGATED, t_close, round=round_index, participants=joined, **quorum_extra
         )
@@ -238,12 +233,12 @@ class SyncEngine(_EngineBase):
         self.clients.evict_to_cap()
         return self._reducer.records[-1]
 
-    def _client_leg(self, cid: int, context: RoundContext, batched, delivered) -> float:
+    def _client_leg(self, cid: int, context: RoundContext, batched, receipt) -> float:
         """Run one participant's leg; returns how long it held the barrier.
 
-        Appends the update to ``delivered`` (twice for a duplicated
-        delivery) once the server has received and verified it.  Every
-        duration below is relative to the round's opening instant.
+        Hands the update to ``receipt`` (twice for a duplicated
+        delivery) once the server has received and verified its frame.
+        Every duration below is relative to the round's opening instant.
         """
         t0 = context.sim_time_s
         client = self.clients[cid]
@@ -261,7 +256,8 @@ class SyncEngine(_EngineBase):
             )
 
         if batched is not None:
-            update = batched[cid]
+            # Popped, so no upload outlives its fold in the cohort's dict.
+            update = batched.pop(cid)
         else:
             kwargs = self.strategy.client_train_kwargs(client)
             update = self._train_one(
@@ -321,72 +317,49 @@ class SyncEngine(_EngineBase):
         update.delta = delta  # the packet's view, or a corruption fault's copy
         # A duplicated delivery (the transport delivered the same upload
         # twice) shares the original's serial stamp.
-        delivered.extend([update] * (2 if stale_dup else 1))
+        for _ in range(2 if stale_dup else 1):
+            receipt.deliver(update)
         return total_s
 
-    def _aggregate_validated(self, delivered, context, t_close):
-        """Screen deliveries, aggregate survivors, report rejections.
-
-        Fast path (deferred mode, nothing pre-rejected): aggregate
-        optimistically, screen the single resulting model — one O(d)
-        pass per round — and only on a hit hunt the culprits, roll the
-        server back, and re-fold the survivors.
-        """
-        v = self._validator
-        cfg = v.config
-        accepted, rejected = [], []
-        for u in delivered:
-            reason = v.check_replay(u)
-            if reason is None and cfg.per_update_screen:
-                reason = v.screen(u.delta)
-            if reason is None:
-                accepted.append(u)
-            else:
-                rejected.append((u, reason))
-
-        if not rejected and not cfg.per_update_screen and accepted:
-            # ``apply_delta`` updates ``server.params`` in place, so the
-            # pre-aggregation vector must be copied to roll back — one
-            # O(d) copy per validated round, inside the <5% budget.
-            before_params = self.server.params.copy()
-            before_delta = self.server.global_delta
-            before_version = self.server.version
-            self.strategy.aggregate(self.server, accepted, context)
-            if (
-                self.server.version == before_version
-                or not v.screen_aggregate(self.server.params)
-            ):
-                return accepted
-            survivors, culprits = [], []
-            for u in accepted:
-                (culprits if v.screen(u.delta) else survivors).append(u)
-            if not culprits:
-                # The strategy went non-finite on clean inputs — an
-                # optimisation blow-up, not a bad payload; keep it.
-                return accepted
-            self.server.restore(before_params, before_delta, before_version)
-            accepted = survivors
-            rejected = [(u, "corrupt") for u in culprits]
-        elif rejected and not cfg.per_update_screen and accepted:
-            # Deferred mode with pre-rejections (replays): screen the
-            # rest individually before folding them in.
-            survivors = []
-            for u in accepted:
-                reason = v.screen(u.delta)
-                if reason is None:
-                    survivors.append(u)
-                else:
-                    rejected.append((u, reason))
-            accepted = survivors
-
-        for u, reason in rejected:
-            self._trace.emit(DROPPED, t_close, u.client_id, reason=reason)
-        if rejected and cfg.trimmed_mean_fallback and accepted:
-            # Robust fallback: corruption slipped past at least one
-            # screen this round, so distrust the survivors too.
-            self.server.apply_delta(
-                trimmed_mean([u.delta for u in accepted], cfg.trim_ratio)
-            )
+    def _close_fold(self, receipt: "_Receipt", context, t_close: float) -> list[int]:
+        """Report the round's rejections at the barrier, then finish its
+        fold; returns who joined.  Under ``trimmed_mean_fallback`` a
+        rejection means corruption reached this round, so the survivors
+        are distrusted too and take a coordinate-wise trimmed mean."""
+        for cid, reason in receipt.rejected:
+            self._trace.emit(DROPPED, t_close, cid, reason=reason)
+        if not receipt.accepted:
+            return []
+        if receipt.rejected and receipt.cohort is not None:
+            trim_ratio = self._validator.config.trim_ratio
+            self.server.apply_delta(trimmed_mean(receipt.cohort, trim_ratio))
         else:
-            self.strategy.aggregate(self.server, accepted, context)
-        return accepted
+            self.strategy.aggregate(self.server, receipt.fold, context)
+        return receipt.accepted
+
+
+class _Receipt:
+    """What the server keeps of one round's deliveries: each is validated
+    on arrival (replay check, then screens) and, if accepted, folded at
+    once.  Only ``trimmed_mean_fallback`` keeps the accepted deltas."""
+
+    def __init__(self, fold, validator) -> None:
+        self.fold = fold
+        self.validator = validator
+        self.senders: set[int] = set()  # every delivery, rejected or not (quorum)
+        self.accepted: list[int] = []  # client ids, in delivery order
+        self.rejected: list[tuple[int, str]] = []  # (client id, drop reason)
+        keep = validator is not None and validator.config.trimmed_mean_fallback
+        self.cohort: list | None = [] if keep else None
+
+    def deliver(self, update) -> None:
+        self.senders.add(update.client_id)
+        v = self.validator
+        reason = None if v is None else v.check_replay(update) or v.screen(update.delta)
+        if reason is not None:
+            self.rejected.append((update.client_id, reason))
+            return
+        self.accepted.append(update.client_id)
+        self.fold.add(update)
+        if self.cohort is not None:
+            self.cohort.append(update.delta)

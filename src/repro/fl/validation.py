@@ -10,8 +10,8 @@ updates before they reach the model:
   payload; :func:`verify_frame` turns a failed parse into the
   ``"corrupt_frame"`` rejection (the detector for in-flight bit
   corruption, which no numeric screen can see reliably);
-* **non-finite screening** — a single ``np.sum`` pass is a sound
-  detector (any NaN/Inf coordinate makes the sum non-finite);
+* **non-finite screening** — one reduction pass (``np.isfinite`` over
+  float32 values, a float64 ``np.sum`` over anything else);
 * **L2-norm screening** — rejects norm blow-ups above ``max_norm``;
 * **duplicate rejection** — engines stamp every produced update with a
   monotone ``upload_serial`` (in ``ClientUpdate.extras``); a serial
@@ -26,18 +26,12 @@ updates before they reach the model:
   bounding the influence of any corruption the screens missed.
 
 Cost model (see ``benchmarks/bench_hotpath.py``, section
-``resilience``): the O(d) screens run *per update* only in
-``prescreen`` mode (or when ``max_norm`` is set, which needs per-update
-norms).  The default is deferred screening — the engine aggregates
-optimistically, screens the single aggregate once, and only on a hit
-walks back to find the culprits, rolls the server back, and
-re-aggregates the survivors.  One O(d) pass per round amortises over
-the fleet, keeping validation under the 5% aggregation-overhead
-budget.  The rollback path re-runs aggregation, so strategies whose
-``aggregate`` has side effects (server momentum, Adam moments) may
-advance that internal state twice in rounds where corruption actually
-fired; use ``prescreen=True`` (or the trimmed-mean fallback) when
-studying corruption under such strategies.
+``resilience``): both engines screen every delivery as it arrives, and
+only a clean one reaches the model (the sync round's running fold, the
+async ``on_update``).  The screen is one read-only pass over the
+delivery's values, cheaper than the multiply-add pass that folds it,
+and nothing is ever rolled back, so no server optimiser state
+(momentum, Adam moments) sees a rejected upload.
 """
 
 from __future__ import annotations
@@ -82,7 +76,6 @@ class ValidationConfig:
     max_norm: float | None = None
     reject_duplicates: bool = True
     max_staleness: int | None = None
-    prescreen: bool = False
     trimmed_mean_fallback: bool = False
     trim_ratio: float = 0.2
 
@@ -93,11 +86,6 @@ class ValidationConfig:
             raise ValueError("max_staleness must be non-negative or None")
         if not 0.0 <= self.trim_ratio < 0.5:
             raise ValueError("trim_ratio must be in [0, 0.5)")
-
-    @property
-    def per_update_screen(self) -> bool:
-        """Whether O(d) screens must run per update (vs once per round)."""
-        return self.prescreen or self.max_norm is not None
 
 
 def trimmed_mean(
@@ -190,17 +178,21 @@ class UpdateValidator:
 
         A :class:`~repro.compression.base.SparseDelta` is screened on its
         ``values`` alone (the zeros off its support change neither
-        verdict).  Both reductions run in float64 over the delta's own
-        width: no sum of at most 2**32 float32-ranged terms overflows
-        it, so a finite float32 delta is never ``"corrupt"`` for being
-        large, and the verdict is its float64 copy's.
+        verdict).  The verdict is a float64 sum's (and the norm's
+        float64 dot's).  No sum of fewer than 2**32 finite float32
+        values overflows float64, so for float32 values the cheaper
+        ``np.isfinite`` pass gives it, and a finite float32 delta is
+        never ``"corrupt"`` for being large.
         """
         values = delta.values if isinstance(delta, SparseDelta) else delta
         if self.config.forbid_nonfinite:
-            # One reduction pass: any NaN/Inf coordinate makes the sum
-            # non-finite (opposite infinities yield NaN), and a finite
-            # sum can never arise from non-finite inputs.
-            if not math.isfinite(float(np.sum(values, dtype=np.float64))):
+            if values.dtype == np.float32:
+                finite = bool(np.isfinite(values).all())
+            else:
+                # Any NaN/Inf coordinate makes the sum non-finite
+                # (opposite infinities yield NaN), and so does overflow.
+                finite = math.isfinite(float(np.sum(values, dtype=np.float64)))
+            if not finite:
                 return "corrupt"
         if self.config.max_norm is not None:
             sq = _sq_norm(values)
@@ -209,7 +201,8 @@ class UpdateValidator:
         return None
 
     def screen_aggregate(self, params: np.ndarray) -> bool:
-        """Did aggregation let corruption through?  (Deferred mode.)
+        """Is an aggregated model non-finite?  (No engine calls this: every
+        delivery is screened before it is folded.)
 
         Only the non-finite screen applies to an aggregate — a sum of
         clean deltas may legitimately exceed any per-update norm bound.

@@ -118,7 +118,8 @@ def run_specs(draw) -> RunSpec:
         devices=draw(_named(_DEVICES)),
         faults=tuple(draw(st.lists(_named(_FAULTS), max_size=3, unique_by=lambda f: f.name))),
         validation=draw(st.none() | st.fixed_dictionaries(
-            {}, optional={"max_norm": st.sampled_from([1.0, 50.0]), "prescreen": st.booleans()})),
+            {}, optional={"max_norm": st.sampled_from([1.0, 50.0]),
+                          "trimmed_mean_fallback": st.booleans()})),
         downlink_retry=draw(retry),
         uplink_retry=draw(retry),
         max_updates=draw(st.none() | st.integers(1, 500)),

@@ -2,10 +2,9 @@
 
 FedBuff(3) under ``eval_every = 2`` asks about an unchanged model a
 third of the time, and the memo answers those asks.  Every way the
-model moves — ``apply_delta``, ``set_params``, the validated
-aggregation's rollback (``restore``) — moves the version or drops the
-memo, and whole runs emit byte-identical ``evaluated`` events with and
-without it.
+model moves — ``apply_delta``, ``set_params``, a ``restore`` — moves
+the version or drops the memo, and whole runs emit byte-identical
+``evaluated`` events with and without it.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _score_every_time(monkeypatch) -> None:
 
 
 def _sync_rollback(trace) -> None:
-    # Deferred validation under NaN uploads: rounds roll back and re-fold.
+    # Validation under NaN uploads: poisoned deliveries never reach the fold.
     server, clients = _federation(10)
     config = replace(_sync_config(6), eval_every=1, validation=ValidationConfig())
     chaos = FaultPlan(PayloadCorruptionModel(prob=0.3, kind="nan"))

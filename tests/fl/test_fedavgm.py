@@ -6,7 +6,7 @@ import pytest
 from repro.fl.baselines import SYNC_BASELINES, FedAvgM
 from repro.fl.client import ClientUpdate
 from repro.fl.server import Server
-from repro.fl.strategy import RoundContext
+from repro.fl.strategy import RoundContext, WeightedFold
 
 
 def make_update(delta, n=10):
@@ -34,7 +34,8 @@ class TestFedAvgM:
         strat.prepare(server, [])
         before = server.params.copy()
         delta = np.ones(server.dim)
-        strat.aggregate(server, [make_update(delta)], RoundContext(0, 0.0, server, []))
+        ctx = RoundContext(0, 0.0, server, [])
+        strat.aggregate(server, WeightedFold.of([make_update(delta)]), ctx)
         np.testing.assert_allclose(server.params, before + delta)
 
     def test_momentum_accumulates(self, server):
@@ -43,22 +44,24 @@ class TestFedAvgM:
         before = server.params.copy()
         delta = np.ones(server.dim)
         ctx = RoundContext(0, 0.0, server, [])
-        strat.aggregate(server, [make_update(delta)], ctx)  # v = 1
-        strat.aggregate(server, [make_update(delta)], ctx)  # v = 1.5
+        strat.aggregate(server, WeightedFold.of([make_update(delta)]), ctx)  # v = 1
+        strat.aggregate(server, WeightedFold.of([make_update(delta)]), ctx)  # v = 1.5
         np.testing.assert_allclose(server.params, before + 1.0 + 1.5)
 
     def test_requires_prepare(self, server):
         strat = FedAvgM()
         with pytest.raises(RuntimeError):
             strat.aggregate(
-                server, [make_update(np.ones(server.dim))], RoundContext(0, 0.0, server, [])
+                server,
+                WeightedFold.of([make_update(np.ones(server.dim))]),
+                RoundContext(0, 0.0, server, []),
             )
 
     def test_empty_round_noop(self, server):
         strat = FedAvgM()
         strat.prepare(server, [])
         before = server.params.copy()
-        strat.aggregate(server, [], RoundContext(0, 0.0, server, []))
+        strat.aggregate(server, WeightedFold(), RoundContext(0, 0.0, server, []))
         np.testing.assert_array_equal(server.params, before)
 
     def test_validation(self):

@@ -23,6 +23,7 @@ import pickle
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from repro.fl.config import FederationConfig, LocalTrainingConfig
 from repro.fl.population import RetentionPolicy
 from repro.fl.server import Server
 from repro.fl.sync_engine import SyncEngine
+from repro.fl.validation import ValidationConfig
 from repro.network.conditions import ClientNetwork, NetworkConditions
 from repro.network.link import LinkModel
 from repro.nn.models import build_mlp
@@ -214,22 +216,21 @@ def test_adafl_sync_retains_nothing_per_client_beyond_dgc_state():
 @pytest.mark.parametrize("num_clients", [12, 24])
 def test_adafl_sync_aggregation_holds_payloads_not_d_vectors(num_clients, monkeypatch):
     """At every ``AdaFLSync.aggregate`` entry the traced heap, less DGC
-    state and the delivered payloads' own bytes, is the same constant
-    number of d-vectors at 12 and at 24 clients: a delivery costs its
-    wire arrays (uint32 indices + float32 values), never a float64
-    d-vector (measured: at most 3.6 units at both sizes; 14.6 and 26.6
-    when every delivery was a dense float64 delta)."""
+    state, is the same constant number of d-vectors at 12 and at 24
+    clients: each delivery was folded by index from its wire arrays
+    (uint32 indices + float32 values) into the round's one float64
+    accumulator and is gone by the barrier (measured: at most 3.6 units
+    at both sizes while the round still held its payloads; 14.6 and
+    26.6 when every delivery was a dense float64 delta)."""
     engine, clients = _adafl_sync_engine(num_clients)
     units = []
     aggregate = AdaFLSync.aggregate
 
-    def measured(self, server, updates, context):
+    def measured(self, server, fold, context):
         heap, _ = tracemalloc.get_traced_memory()
         dgc = sum(c.compressor.state_nbytes() for c in clients)
-        assert all(isinstance(u.delta, SparseDelta) for u in updates)
-        payloads = sum(u.delta.nbytes for u in updates)
-        units.append((heap - dgc - payloads) / (8 * server.dim))
-        return aggregate(self, server, updates, context)
+        units.append((heap - dgc) / (8 * server.dim))
+        return aggregate(self, server, fold, context)
 
     monkeypatch.setattr(AdaFLSync, "aggregate", measured)
     tracemalloc.start()
@@ -278,9 +279,9 @@ def test_fold_reads_the_upload_frame_and_the_training_delta_is_released(
     """A dense or masked fold input shares memory with its upload frame
     (a sparse one is the DGC payload's float32 values), and the float64
     training delta is unreachable once the leg has encoded (sync:
-    inside the leg, before the barrier; async: while the upload is in
-    flight).  Async AdaFL keeps it as ``last_delta`` by design, and
-    there only."""
+    inside the leg, before the delivery is folded; async: while the
+    upload is in flight).  Async AdaFL keeps it as ``last_delta`` by
+    design, and there only."""
     mode, make = _FOLD_CASES[case]
     strategy = make()
     engine, _ = _engine(mode, strategy)
@@ -320,14 +321,20 @@ def test_fold_reads_the_upload_frame_and_the_training_delta_is_released(
 
     monkeypatch.setattr(_EngineBase, "_encode_upload", spy_encode)
     if mode == "sync":
-        aggregate = strategy.aggregate
+        fold_type = strategy.fold_type
 
-        def spy_aggregate(server, updates, context):
-            for u in updates:
-                check_fold(u, u.delta)
-            return aggregate(server, updates, context)
+        def spy_fold():
+            fold = fold_type()
+            add = fold.add
 
-        monkeypatch.setattr(strategy, "aggregate", spy_aggregate)
+            def spy_add(update):
+                check_fold(update, update.delta)
+                add(update)
+
+            fold.add = spy_add
+            return fold
+
+        monkeypatch.setattr(strategy, "fold_type", spy_fold)
     else:
         on_update = strategy.on_update
 
@@ -340,6 +347,53 @@ def test_fold_reads_the_upload_frame_and_the_training_delta_is_released(
     assert folded
     expected = {"dense": {1}, "masked": {8}, "sparse": {2}}[case.split("-")[1]]
     assert set(folded) == expected
+
+
+_STREAM_CASES = {
+    # Each case names the engine path it drives; all run validated.
+    "serial-dense": (lambda: FedAvg(participation_rate=1.0), _jittery_net),
+    "fused-dense": (lambda: FedAvg(participation_rate=1.0), lambda: None),
+    "serial-sparse": (AdaFLSync, _jittery_net),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_no_upload_outlives_its_fold(case, monkeypatch):
+    """When ``aggregate`` is entered, every upload of the round has been
+    folded and released: its frame, the array the fold read (the
+    frame's float32 view, or the DGC payload's indices and values) and
+    its ``SparseDelta`` are all dead — the server holds one
+    accumulator, not the cohort."""
+    make, network = _STREAM_CASES[case]
+    strategy = make()
+    server, clients = _federation(10)
+    config = replace(_sync_config(3), validation=ValidationConfig())
+    engine = SyncEngine(server, clients, strategy, config, network=network())
+    watched: list[weakref.ref] = []
+    process_upload = strategy.process_upload
+
+    def spy(client, update, context):
+        packet = process_upload(client, update, context)
+        delta = packet.delta
+        held = [packet.frame, delta]
+        if isinstance(delta, SparseDelta):
+            held += [delta.indices, delta.values]
+        watched.extend(weakref.ref(obj) for obj in held)
+        return packet
+
+    entries = []
+    aggregate = strategy.aggregate
+
+    def spy_aggregate(server, fold, context):
+        entries.append(sum(ref() is not None for ref in watched))
+        watched.clear()
+        return aggregate(server, fold, context)
+
+    monkeypatch.setattr(strategy, "process_upload", spy)
+    monkeypatch.setattr(strategy, "aggregate", spy_aggregate)
+    engine.run()
+    assert entries == [0, 0, 0]
+    assert bool(engine._batched_cache) == case.startswith("fused")
 
 
 def _decoded(frame: Frame) -> np.ndarray:

@@ -52,15 +52,15 @@ def _update(delta, n: int = 1) -> ClientUpdate:
 
 
 def _dense_fold(updates: list[ClientUpdate], dim: int) -> np.ndarray:
-    """``weighted_average`` as it was: every term scattered, then summed."""
-    total = sum(u.num_samples for u in updates)
+    """Eq. 2 over dense vectors: every term scattered, ``n_i * x_i``
+    summed in order, then one division by the total weight."""
     expected = np.zeros(dim)
     for u in updates:
         dense = u.delta
         if isinstance(dense, SparseDelta):
             dense = _scatter(dim, dense.indices, dense.values)
-        expected += (u.num_samples / total) * dense
-    return expected
+        expected += u.num_samples * dense
+    return expected / sum(u.num_samples for u in updates)
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.client import ClientUpdate
-from repro.fl.strategy import RoundContext, SyncStrategy, weighted_average
+from repro.fl.strategy import RoundContext, SyncStrategy, WeightedFold, weighted_average
 
 
 def update(cid, delta, n):
@@ -42,16 +42,17 @@ class TestWeightedAverage:
 
     @pytest.mark.parametrize("dim", (1, 7, 32768, 32769, 100_003))
     def test_blocked_sum_is_bit_equal_to_the_plain_loop(self, dim):
-        # The expression the blocked kernel replaced, block edges included.
+        # Eq. 2 written out whole-array, block edges included: every
+        # n_i * x_i summed in order, one division at the end.
         rng = np.random.default_rng(dim)
         updates = [
             update(i, rng.standard_normal(dim) * 10.0 ** rng.integers(-8, 8), int(n))
             for i, n in enumerate(rng.integers(1, 500, size=7))
         ]
-        total = sum(u.num_samples for u in updates)
-        expected = np.zeros(dim)
+        total = np.zeros(dim)
         for u in updates:
-            expected += (u.num_samples / total) * u.delta
+            total += u.num_samples * u.delta
+        expected = total / sum(u.num_samples for u in updates)
         got = weighted_average(updates)
         assert got.tobytes() == expected.tobytes()
         assert not any(np.shares_memory(got, u.delta) for u in updates)
@@ -116,7 +117,7 @@ class TestSyncStrategySelection:
         ctx = RoundContext(0, 0.0, server, [])
         d = server.dim
         before = server.params.copy()
-        strat.aggregate(server, [update(0, np.ones(d), 5)], ctx)
+        strat.aggregate(server, WeightedFold.of([update(0, np.ones(d), 5)]), ctx)
         np.testing.assert_allclose(server.params, before + 1.0)
 
     def test_aggregate_no_updates_is_noop(self, tiny_model_fn, tiny_test):
@@ -124,7 +125,7 @@ class TestSyncStrategySelection:
 
         server = Server(tiny_model_fn, tiny_test)
         before = server.params.copy()
-        SyncStrategy().aggregate(server, [], RoundContext(0, 0.0, server, []))
+        SyncStrategy().aggregate(server, WeightedFold(), RoundContext(0, 0.0, server, []))
         np.testing.assert_array_equal(server.params, before)
         assert server.version == 0
 

@@ -1,8 +1,9 @@
 """Masked aggregation laws and subspace-restricted local training.
 
-``masked_weighted_average`` must reduce to the classic weighted mean
-when every update is full-width, renormalise per coordinate when
-coverage is partial, and leave uncovered coordinates untouched; a
+The fold (``weighted_average`` over ``WeightedFold``) must reduce to
+the classic weighted mean when every update is full-width, renormalise
+per coordinate when coverage is partial, and leave uncovered
+coordinates untouched; a
 client trained on a subspace must return a delta that is *exactly*
 zero off it."""
 
@@ -11,7 +12,7 @@ import pytest
 
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.config import LocalTrainingConfig
-from repro.fl.strategy import masked_weighted_average
+from repro.fl.strategy import weighted_average
 from repro.nn.subspace import ParamSubspace
 
 
@@ -31,14 +32,14 @@ def _update(delta, num_samples, subspace=None):
 class TestMaskedWeightedAverage:
     def test_full_updates_match_classic_mean(self, rng):
         a, b = rng.normal(size=12), rng.normal(size=12)
-        out = masked_weighted_average([_update(a, 3), _update(b, 1)])
+        out = weighted_average([_update(a, 3), _update(b, 1)])
         assert np.allclose(out, (3 * a + b) / 4)
 
     def test_explicit_full_subspace_is_equivalent(self, rng):
         a, b = rng.normal(size=12), rng.normal(size=12)
-        dense = masked_weighted_average([_update(a, 3), _update(b, 1)])
+        dense = weighted_average([_update(a, 3), _update(b, 1)])
         full = ParamSubspace.full(12)
-        masked = masked_weighted_average(
+        masked = weighted_average(
             [_update(a, 3, full), _update(b, 1, full)]
         )
         assert np.array_equal(dense, masked)
@@ -50,7 +51,7 @@ class TestMaskedWeightedAverage:
         sub_b = ParamSubspace.from_indices(3, [1, 2])
         a = sub_a.expand(np.array([2.0, 4.0]))
         b = sub_b.expand(np.array([8.0, 6.0]))
-        out = masked_weighted_average(
+        out = weighted_average(
             [_update(a, 1, sub_a), _update(b, 3, sub_b)]
         )
         assert np.allclose(out, [2.0, (4.0 + 3 * 8.0) / 4.0, 6.0])
@@ -58,13 +59,13 @@ class TestMaskedWeightedAverage:
     def test_uncovered_coordinates_stay_zero(self):
         sub = ParamSubspace.from_indices(5, [1, 3])
         delta = sub.expand(np.array([1.0, -1.0]))
-        out = masked_weighted_average([_update(delta, 2, sub)])
+        out = weighted_average([_update(delta, 2, sub)])
         assert np.array_equal(out == 0.0, ~sub.mask())
 
     def test_zero_sample_update_ignored(self, rng):
         a = rng.normal(size=6)
         junk = rng.normal(size=6)
-        out = masked_weighted_average([_update(a, 5), _update(junk, 0)])
+        out = weighted_average([_update(a, 5), _update(junk, 0)])
         assert np.allclose(out, a)
 
     def test_bit_equal_to_the_expressions_it_replaced(self, rng):
@@ -87,13 +88,13 @@ class TestMaskedWeightedAverage:
                 weight[sub.indices] += w
         expected = np.zeros(dim)
         np.divide(acc, weight, out=expected, where=weight > 0)
-        assert masked_weighted_average(updates).tobytes() == expected.tobytes()
+        assert weighted_average(updates).tobytes() == expected.tobytes()
 
     def test_empty_and_sampleless_rejected(self):
         with pytest.raises(ValueError):
-            masked_weighted_average([])
+            weighted_average([])
         with pytest.raises(ValueError):
-            masked_weighted_average([_update(np.zeros(3), 0)])
+            weighted_average([_update(np.zeros(3), 0)])
 
 
 class TestSubspaceLocalTraining:

@@ -23,7 +23,6 @@ class TestValidationConfig:
         cfg = ValidationConfig()
         assert cfg.forbid_nonfinite
         assert cfg.reject_duplicates
-        assert not cfg.per_update_screen  # deferred screening by default
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,10 +37,6 @@ class TestValidationConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ValidationConfig(**kwargs)
-
-    def test_per_update_screen_triggers(self):
-        assert ValidationConfig(prescreen=True).per_update_screen
-        assert ValidationConfig(max_norm=10.0).per_update_screen
 
 
 class TestTrimmedMean:

@@ -13,6 +13,8 @@ width of the arithmetic could tell the two apart.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from repro.compression.base import SparseDelta
 from repro.fl.baselines import FedAsync, FedBuff, Scaffold
 from repro.fl.client import ClientUpdate
 from repro.fl.fedat import FedAT
-from repro.fl.strategy import masked_weighted_average, weighted_average
+from repro.fl.strategy import weighted_average
 from repro.fl.validation import UpdateValidator, ValidationConfig, trimmed_mean
 from repro.nn.subspace import ParamSubspace
 
@@ -102,6 +104,13 @@ def _fedat(deltas):
     return server.steps[-1]
 
 
+def _scaffold_mean(deltas):
+    fold = Scaffold.fold_type()
+    for i, d in enumerate(deltas):
+        fold.add(_update(d, i))
+    return fold.result()
+
+
 def _fedasync(deltas):
     strategy, server = FedAsync(), _Server()
     for i, d in enumerate(deltas):
@@ -115,8 +124,8 @@ REDUCERS = {
     "weighted_average": lambda ds: weighted_average(
         [_update(d, i) for i, d in enumerate(ds)]
     ),
-    "masked_weighted_average": lambda ds: masked_weighted_average(_sub_models(ds)),
-    "scaffold_mean": lambda ds: Scaffold.reducer([_update(d, i) for i, d in enumerate(ds)]),
+    "masked_weighted_average": lambda ds: weighted_average(_sub_models(ds)),
+    "scaffold_mean": _scaffold_mean,
     "fedbuff": _fedbuff,
     "fedat_tier_mean": _fedat,
     "trimmed_mean": lambda ds: trimmed_mean(ds, 0.2),
@@ -159,3 +168,31 @@ def test_large_finite_float32_delta_is_not_corrupt(sparse):
     bad = np.array(delta.values if sparse else delta)
     bad[7] = np.nan
     assert validator.screen(bad) == "corrupt"
+
+
+_F32_SPECIAL = [np.nan, np.inf, -np.inf, _F32_MAX, -_F32_MAX,
+                float(np.finfo(np.float32).smallest_subnormal), -0.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(
+    np.float32, st.integers(1, 64),
+    elements=st.one_of(st.floats(width=32), st.sampled_from(_F32_SPECIAL)),
+))
+def test_float32_nonfinite_verdict_is_the_float64_sums(values):
+    """A float32 delta is screened with ``np.isfinite``, not a float64
+    sum: the verdict is the same, since no sum of fewer than 2**32
+    finite float32 values overflows float64."""
+    validator = UpdateValidator(ValidationConfig())
+    summed = math.isfinite(float(np.sum(values, dtype=np.float64)))
+    assert validator.screen(values) == (None if summed else "corrupt")
+    sparse = SparseDelta(2 * values.size, np.arange(values.size) * 2, values)
+    assert validator.screen(sparse) == validator.screen(values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float64_overflow_is_still_corrupt():
+    """Float64 deltas keep the sum: two finite halves of an overflow."""
+    big = np.full(2, np.finfo(np.float64).max)
+    assert UpdateValidator(ValidationConfig()).screen(big) == "corrupt"

@@ -22,8 +22,8 @@ delta: it proves the delta async AdaFL's halting score reads is still
 retained when a crash destroys the leg that trained it.  The six
 ``*_adafl_*`` cases after it were generated on the commit before sparse
 uploads stayed sparse until the fold: they drive AdaFL's DGC payloads
-through every path that needs their dense view (deferred validation's
-rollback and re-fold, the trimmed-mean fallback, the per-update norm
+through every path that needs their dense view (validation against
+NaN uploads, the trimmed-mean fallback, the per-update norm
 screen, payload corruption, FedAsync's model mix) and through a
 snapshot taken with sparse payloads still queued in the kernel.  All
 seven AdaFL cases were re-pinned together in the commit that made
@@ -32,7 +32,11 @@ their entries were merged into the file.  Every case whose uploads
 are dense (the twelve non-AdaFL digests and the event case below) was
 re-pinned when the server began folding the float32 values a dense
 upload's frame carries; event counts are unchanged, and the AdaFL
-cases did not move.
+cases did not move.  When the sync server began folding each delivery
+on arrival and dividing once by the total weight (instead of weighting
+each term by ``n_i / total``), only ``sync_adafl_bitflip`` and
+``sync_adafl_max_norm`` moved and were re-pinned; ``sync_adafl_nan``,
+which then stopped exercising a rollback, kept its digest.
 
 One case is not digested: an asynchronous run whose ``uplink_retry``
 allows several attempts.  The shared uplink loop accumulates failed
@@ -278,8 +282,8 @@ def _corrupt(kind: str) -> FaultPlan:
 
 
 def run_sync_adafl_nan(trace=None) -> RunResult:
-    """Deferred validation: a poisoned aggregate is rolled back and the
-    survivors are folded again."""
+    """Validation against NaN uploads: each poisoned delivery is
+    rejected before it reaches the fold."""
     return _sync(6, network=_net(), strategy=_adafl_sync(), chaos=_corrupt("nan"),
                  validation=ValidationConfig(), trace=trace)
 

@@ -16,7 +16,7 @@ from repro.compression.base import SparseDelta
 from repro.core.adafl import AdaFLConfig, AdaFLSync
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.experiments.runner import run_sync
-from repro.fl.strategy import weighted_average
+from repro.fl.strategy import WeightedFold
 from repro.sim import EventTrace, JsonlSink
 from tests.transport.inproc import inproc_session, mlp_spec
 
@@ -41,11 +41,13 @@ def test_sync_adafl_over_a_socket_is_the_in_memory_run(monkeypatch):
     spec = mlp_spec(num_clients=4)
     folded: list[type] = []
 
-    def recording(updates):
-        folded.extend(type(u.delta) for u in updates)
-        return weighted_average(updates)
+    add = WeightedFold.add
 
-    monkeypatch.setattr("repro.core.adafl.weighted_average", recording)
+    def recording(self, update):
+        folded.append(type(update.delta))
+        add(self, update)
+
+    monkeypatch.setattr(WeightedFold, "add", recording)
 
     def over_socket(trace):
         with inproc_session(spec, _adafl(), trace=trace) as (session, _):
