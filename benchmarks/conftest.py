@@ -1,58 +1,31 @@
-"""Benchmark-harness plumbing.
+"""Benchmark-harness plumbing: what ``bench_paper.py`` leaves behind.
 
-Two things live here:
-
-* **Artifact reporting.**  Every benchmark regenerates one of the
-  paper's tables or figure panels; the rendered text is registered via
-  the ``report_artifact`` fixture and printed in the terminal summary
-  (so it survives pytest's output capture) as well as written to
-  ``results/<name>.txt`` next to this directory.
-* **Scale selection.**  ``REPRO_BENCH_SCALE`` (``fast`` / ``bench`` /
-  ``full``, default ``bench``) picks the experiment scale so the same
-  suite serves CI smoke runs and paper-shape reproduction.
+Each artifact's text and claim rows are registered through the
+``report`` fixture: the text is written to ``results/<name>.txt`` next
+to this directory, and both are printed in the terminal summary (so
+they survive pytest's output capture), ending in one claims table.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.presets import get_scale
+from repro.experiments.reporting import format_table
 
-_ARTIFACTS: list[tuple[str, str]] = []
 _RESULTS_DIR = Path(__file__).parent / "results"
-
-
-@pytest.fixture(scope="session")
-def scale():
-    """The experiment scale benchmarks run at."""
-    return get_scale(os.environ.get("REPRO_BENCH_SCALE", "bench"))
-
-
-@pytest.fixture(scope="session")
-def bench_seed() -> int:
-    return int(os.environ.get("REPRO_BENCH_SEED", "0"))
-
-
-@pytest.fixture(scope="session")
-def claims(scale) -> bool:
-    """Whether paper-shape assertions should run.
-
-    At ``fast`` scale runs are too short for the paper's qualitative
-    shapes to emerge, so benchmarks only verify plumbing; at ``bench``
-    and ``full`` scales the assertions are armed.
-    """
-    return scale.name != "fast"
+_ARTIFACTS: list[tuple[str, str]] = []
+_CLAIM_ROWS: list[list[str]] = []
 
 
 @pytest.fixture
-def report_artifact():
-    """Register a rendered table/figure for the terminal summary."""
+def report():
+    """Record one artifact's rendered text and its claim rows."""
 
-    def _report(name: str, text: str) -> None:
+    def _report(name: str, text: str, claim_rows: list[list[str]]) -> None:
         _ARTIFACTS.append((name, text))
+        _CLAIM_ROWS.extend(claim_rows)
         _RESULTS_DIR.mkdir(exist_ok=True)
         (_RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
@@ -60,11 +33,15 @@ def report_artifact():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _ARTIFACTS:
-        return
-    terminalreporter.section("reproduced paper artifacts")
-    for name, text in _ARTIFACTS:
-        terminalreporter.write_line(f"--- {name} " + "-" * max(0, 60 - len(name)))
-        for line in text.splitlines():
+    if _ARTIFACTS:
+        terminalreporter.section("reproduced paper artifacts")
+        for name, text in _ARTIFACTS:
+            terminalreporter.write_line(f"--- {name} " + "-" * max(0, 60 - len(name)))
+            for line in text.splitlines():
+                terminalreporter.write_line(line)
+            terminalreporter.write_line("")
+    if _CLAIM_ROWS:
+        terminalreporter.section("paper claims")
+        headers = ["artifact", "claim", "paper", "measured", "bound", "verdict"]
+        for line in format_table(headers, _CLAIM_ROWS).splitlines():
             terminalreporter.write_line(line)
-        terminalreporter.write_line("")

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Splice measured benchmark artifacts into EXPERIMENTS.md.
+"""Splice measured paper artifacts into EXPERIMENTS.md.
 
-Each ``<!-- MEASURED:NAME -->`` marker in EXPERIMENTS.md is replaced by
-a fenced block containing the matching artifact(s) from
-``benchmarks/results/``.  Run after ``pytest benchmarks/
---benchmark-only`` so the document always reflects the latest measured
-numbers.
+Each ``<!-- MEASURED:name -->`` marker is replaced by a fenced block
+holding ``benchmarks/results/name.txt``, which ``pytest
+benchmarks/bench_paper.py`` writes for every artifact of its registry.
+A marker naming no registered artifact is an error: the script exits 2
+naming it and writes nothing.  A missing result leaves a gap and exits 1.
+
+    python scripts/fill_experiments.py
 """
 
 from __future__ import annotations
@@ -18,75 +20,37 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
 DOC = ROOT / "EXPERIMENTS.md"
 
-# Marker name -> artifact filename(s) under benchmarks/results/.
-MARKERS: dict[str, list[str]] = {
-    "FIG1SYNC": [
-        "fig1-sync-mnist-iid-dropout.txt",
-        "fig1-sync-mnist-iid-dataloss.txt",
-        "fig1-sync-mnist-shard-dropout.txt",
-        "fig1-sync-mnist-shard-dataloss.txt",
-        "fig1-sync-cifar10-iid-dropout.txt",
-        "fig1-sync-cifar10-iid-dataloss.txt",
-        "fig1-sync-cifar10-shard-dropout.txt",
-        "fig1-sync-cifar10-shard-dataloss.txt",
-    ],
-    "FIG1ASYNC": [
-        "fig1-async-mnist-iid-staleness.txt",
-        "fig1-async-mnist-shard-staleness.txt",
-        "fig1-async-cifar10-iid-staleness.txt",
-        "fig1-async-cifar10-shard-staleness.txt",
-    ],
-    "FIG3": [
-        "fig3-sync-iid.txt",
-        "fig3-sync-shard.txt",
-        "fig3-async-iid.txt",
-        "fig3-async-shard.txt",
-    ],
-    "TABLE1": ["table1-sync.txt"],
-    "TABLE2": ["table2-async.txt"],
-    "OVERHEAD": ["overhead-q3.txt"],
-    "ENERGY": ["energy-q3-extension.txt"],
-    "SCALABILITY": ["scalability.txt"],
-    "ABLATION": ["ablation.txt"],
-    "SENSITIVITY": ["network-sensitivity.txt"],
-    "FEDAT": ["fedat-extension.txt"],
-    "COMPRESSION": ["compression-sizes.txt"],
-    "CHAOS": ["chaos-report.txt"],
-}
-
-_BLOCK = re.compile(
-    r"<!-- MEASURED:(\w+) -->(?:\n```text\n.*?\n```)?", re.DOTALL
-)
+_BLOCK = re.compile(r"<!-- MEASURED:(\w+) -->(?:\n```text\n.*?\n```)?", re.DOTALL)
 
 
-def render_block(name: str) -> str:
-    files = MARKERS.get(name)
-    if files is None:
-        return f"<!-- MEASURED:{name} -->\n```text\n(unknown marker)\n```"
-    chunks = []
-    for filename in files:
-        path = RESULTS / filename
-        if path.exists():
-            chunks.append(path.read_text().rstrip())
-        else:
-            chunks.append(f"({filename}: not yet measured — run the benchmarks)")
-    body = "\n\n".join(chunks)
-    return f"<!-- MEASURED:{name} -->\n```text\n{body}\n```"
+def artifact_names() -> set[str]:
+    """The names ``benchmarks/bench_paper.py`` registers."""
+    sys.path[:0] = [str(ROOT / "benchmarks"), str(ROOT / "src")]
+    from bench_paper import ARTIFACTS
+
+    return set(ARTIFACTS)
 
 
-def main() -> int:
-    text = DOC.read_text()
-    updated = _BLOCK.sub(lambda m: render_block(m.group(1)), text)
-    DOC.write_text(updated)
-    missing = [
-        name
-        for name, files in MARKERS.items()
-        if any(not (RESULTS / f).exists() for f in files)
-    ]
+def main(doc: Path = DOC, results: Path = RESULTS) -> int:
+    text = doc.read_text()
+    markers = _BLOCK.findall(text)
+    unknown = sorted(set(markers) - artifact_names())
+    if unknown:
+        print(f"unknown MEASURED marker(s) in {doc.name}: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    missing = [name for name in markers if not (results / f"{name}.txt").exists()]
+
+    def block(match: re.Match) -> str:
+        path = results / f"{match.group(1)}.txt"
+        body = path.read_text().rstrip() if path.exists() else (
+            f"({path.name}: not yet measured — run the benchmarks)")
+        return f"<!-- MEASURED:{match.group(1)} -->\n```text\n{body}\n```"
+
+    doc.write_text(_BLOCK.sub(block, text))
     if missing:
         print(f"filled with gaps; missing artifacts for: {', '.join(missing)}")
         return 1
-    print("EXPERIMENTS.md updated from benchmarks/results/")
+    print(f"{doc.name} updated from {results}")
     return 0
 
 

@@ -25,6 +25,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from repro.experiments.ablation import run_ablation
 from repro.experiments.comparison import run_fig3
@@ -38,7 +39,7 @@ from repro.experiments.spec import STRATEGIES, RunSpec, run
 from repro.experiments.tables import render_table, run_table1, run_table2
 from repro.fl.persist import save_run_result
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "Study", "STUDIES"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     one_run = argparse.ArgumentParser(add_help=False, parents=[federation, engine, outputs])
     one_run.add_argument("--method", default="adafl", choices=tuple(STRATEGIES))
 
-    for name, (summary, _) in _STUDIES.items():
-        sub.add_parser(name, help=summary)
+    for name, study in STUDIES.items():
+        sub.add_parser(name, help=study.help)
 
     pop = sub.add_parser(
         "population",
@@ -172,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_overhead(scale, seed) -> str:
-    result = run_overhead_study(scale=scale, seed=seed)
+def _render_overhead(result) -> str:
     return "\n".join(
         [
             f"baseline training cycles : {result.baseline_cycles:,.0f}",
@@ -185,8 +185,7 @@ def _cmd_overhead(scale, seed) -> str:
     )
 
 
-def _cmd_scalability(scale, seed) -> str:
-    points = run_scalability(scale=scale, seed=seed)
+def _render_scalability(points) -> str:
     rows = [
         [str(p.num_clients), f"{p.adafl_accuracy:.3f}", f"{p.fedavg_accuracy:.3f}",
          str(p.adafl_updates), f"{100 * p.byte_saving:.1f}%"]
@@ -230,8 +229,7 @@ def _cmd_population(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_ablation(scale, seed) -> str:
-    points = run_ablation(scale=scale, seed=seed)
+def _render_ablation(points) -> str:
     rows = [
         [p.variant, f"{p.accuracy:.3f}", str(p.updates), format_bytes(p.bytes_up)]
         for p in points
@@ -239,20 +237,26 @@ def _cmd_ablation(scale, seed) -> str:
     return format_table(["variant", "accuracy", "updates", "uplink"], rows)
 
 
-# The paper's figures / tables and the extension studies: name ->
-# (help, render(scale, seed)).
-_STUDIES = {
-    "fig1": ("Figure 1: empirical resiliency study",
-             lambda scale, seed: format_panels(run_fig1(scale=scale, seed=seed))),
-    "fig3": ("Figure 3: AdaFL vs SOTA curves",
-             lambda scale, seed: format_panels(run_fig3(scale=scale, seed=seed))),
-    "table1": ("Table I: synchronous results", lambda scale, seed: render_table(
-        run_table1(scale=scale, seed=seed), "Table I (synchronous)")),
-    "table2": ("Table II: asynchronous results", lambda scale, seed: render_table(
-        run_table2(scale=scale, seed=seed), "Table II (asynchronous)")),
-    "overhead": ("Q3: Pi-cluster cycle overhead", _cmd_overhead),
-    "scalability": ("20-100 client sweep", _cmd_scalability),
-    "ablation": ("AdaFL design-choice ablation", _cmd_ablation),
+class Study(NamedTuple):
+    """One paper artifact: ``render(run(scale=…, seed=…))`` is its text."""
+
+    help: str
+    run: Callable[..., Any]
+    render: Callable[[Any], str]
+
+
+# The paper's figures / tables and the extension studies, one
+# subcommand each; ``benchmarks/bench_paper.py`` checks their claims.
+STUDIES = {
+    "fig1": Study("Figure 1: empirical resiliency study", run_fig1, format_panels),
+    "fig3": Study("Figure 3: AdaFL vs SOTA curves", run_fig3, format_panels),
+    "table1": Study("Table I: synchronous results", run_table1,
+                    lambda rows: render_table(rows, "Table I (synchronous)")),
+    "table2": Study("Table II: asynchronous results", run_table2,
+                    lambda rows: render_table(rows, "Table II (asynchronous)")),
+    "overhead": Study("Q3: Pi-cluster cycle overhead", run_overhead_study, _render_overhead),
+    "scalability": Study("20-100 client sweep", run_scalability, _render_scalability),
+    "ablation": Study("AdaFL design-choice ablation", run_ablation, _render_ablation),
 }
 
 
@@ -474,8 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     scale = get_scale(args.scale)
     plain = {"population": _cmd_population, "report": _cmd_report, "trace": _cmd_trace,
              "wire": _cmd_wire, "chaos": _cmd_chaos, "resume": _cmd_resume}
-    if args.command in _STUDIES:
-        print(_STUDIES[args.command][1](scale, args.seed))
+    if args.command in STUDIES:
+        study = STUDIES[args.command]
+        print(study.render(study.run(scale=scale, seed=args.seed)))
     elif args.command in plain:
         print(plain[args.command](args))
     else:  # quickrun / run / serve / sweep describe a run: compile it first

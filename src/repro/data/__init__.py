@@ -15,8 +15,6 @@ from repro.data.partition import (
     shard_partition,
 )
 from repro.data.synthetic import (
-    make_cifar10_like,
-    make_cifar100_like,
     make_image_classification,
     make_mnist_like,
     make_prototypes,
@@ -38,6 +36,4 @@ __all__ = [
     "make_prototypes",
     "make_image_classification",
     "make_mnist_like",
-    "make_cifar10_like",
-    "make_cifar100_like",
 ]

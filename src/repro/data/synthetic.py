@@ -2,13 +2,14 @@
 
 This environment has no network access, so MNIST / CIFAR-10 / CIFAR-100
 are replaced by class-conditional generators (see the substitution
-table in DESIGN.md).  Each class is defined by one or more smooth
-random *prototype* images; samples are prototypes plus Gaussian pixel
-noise and small random translations.  Difficulty is controlled by the
-noise level, the number of sub-prototypes per class, and the image
-size, and is tuned so the paper's models show the same qualitative
-convergence behaviour (fast on the MNIST-like set, slower and noisier
-on the CIFAR-like sets).
+table in DESIGN.md; the parameters every run synthesises from are
+``repro.experiments.runner.DATASET_PROFILES``).  Each class is defined
+by one or more smooth random *prototype* images; samples are
+prototypes plus Gaussian pixel noise and small random translations.
+Difficulty is controlled by the noise level, the number of
+sub-prototypes per class, and the image size, and is tuned so the
+paper's models show the same qualitative convergence behaviour (fast
+on the MNIST-like set, slower and noisier on the CIFAR-like sets).
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ __all__ = [
     "make_prototypes",
     "make_image_classification",
     "make_mnist_like",
-    "make_cifar10_like",
-    "make_cifar100_like",
 ]
 
 
@@ -158,7 +157,12 @@ def make_mnist_like(
     n_test: int = 500,
     seed: int = 0,
 ) -> tuple[Dataset, Dataset]:
-    """MNIST stand-in: 10 easy grayscale classes, 1x14x14."""
+    """A quick 10-class grayscale demo set, 1x14x14.
+
+    Easier than the data runs train on: ``--dataset mnist`` and every
+    study synthesise from ``repro.experiments.runner.DATASET_PROFILES``
+    (MNIST noise 1.35 against this set's 0.45), not from this builder.
+    """
     return make_image_classification(
         n_train,
         n_test,
@@ -169,44 +173,4 @@ def make_mnist_like(
         max_shift=1,
         seed=seed,
         name="mnist-like",
-    )
-
-
-# reprolint: allow[R506] DESIGN.md's substitution table names it as the CIFAR-10 stand-in
-def make_cifar10_like(
-    n_train: int = 2000,
-    n_test: int = 500,
-    seed: int = 0,
-) -> tuple[Dataset, Dataset]:
-    """CIFAR-10 stand-in: 10 harder colour classes, 3x12x12."""
-    return make_image_classification(
-        n_train,
-        n_test,
-        num_classes=10,
-        image_shape=(3, 12, 12),
-        noise_std=0.9,
-        prototypes_per_class=2,
-        max_shift=1,
-        seed=seed,
-        name="cifar10-like",
-    )
-
-
-# reprolint: allow[R506] DESIGN.md's substitution table names it as the CIFAR-100 stand-in
-def make_cifar100_like(
-    n_train: int = 4000,
-    n_test: int = 1000,
-    seed: int = 0,
-) -> tuple[Dataset, Dataset]:
-    """CIFAR-100 stand-in: 100 colour classes, 3x12x12."""
-    return make_image_classification(
-        n_train,
-        n_test,
-        num_classes=100,
-        image_shape=(3, 12, 12),
-        noise_std=0.7,
-        prototypes_per_class=1,
-        max_shift=1,
-        seed=seed,
-        name="cifar100-like",
     )

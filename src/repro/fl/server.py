@@ -89,24 +89,12 @@ class Server:
         self.params = params.copy() if copy else params
         self.version += 1
 
-    def restore(
-        self, params: np.ndarray, global_delta: np.ndarray | None, version: int
-    ) -> None:
-        """Roll back to an earlier ``(params, global_delta, version)``.
-        ``params`` is adopted, not copied, and the evaluation memo is
-        dropped."""
-        self.params = params
-        self.global_delta = global_delta
-        self.version = version
-        self._eval_memo = None
-
     def evaluate(self) -> tuple[float, float]:
         """(accuracy, mean loss) of the current global model on the test set.
 
         Scored once per ``version``: every model change moves the
-        version (:meth:`apply_delta`, :meth:`set_params`) or drops the
-        memo (:meth:`restore`), so asking again about an unchanged model
-        — FedBuff flushes every K updates while the engine evaluates
+        version (:meth:`apply_delta`, :meth:`set_params`), so asking
+        again about an unchanged model — FedBuff flushes every K updates while the engine evaluates
         every ``eval_every`` — returns the same pair without a pass.
         """
         memo = self._eval_memo

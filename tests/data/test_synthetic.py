@@ -7,8 +7,6 @@ import pytest
 
 from repro.data.synthetic import (
     _bilinear_zoom,
-    make_cifar10_like,
-    make_cifar100_like,
     make_image_classification,
     make_mnist_like,
     make_prototypes,
@@ -146,12 +144,3 @@ class TestNamedBuilders:
         train, test = make_mnist_like(50, 20, seed=0)
         assert train.input_shape == (1, 14, 14)
         assert train.num_classes == 10
-
-    def test_cifar10_like(self):
-        train, _ = make_cifar10_like(50, 20, seed=0)
-        assert train.input_shape == (3, 12, 12)
-        assert train.num_classes == 10
-
-    def test_cifar100_like(self):
-        train, _ = make_cifar100_like(200, 100, seed=0)
-        assert train.num_classes == 100

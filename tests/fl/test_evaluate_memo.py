@@ -2,8 +2,8 @@
 
 FedBuff(3) under ``eval_every = 2`` asks about an unchanged model a
 third of the time, and the memo answers those asks.  Every way the
-model moves — ``apply_delta``, ``set_params``, a ``restore`` — moves
-the version or drops the memo, and whole runs emit byte-identical
+model moves — ``apply_delta``, ``set_params`` — moves the version,
+and whole runs emit byte-identical
 ``evaluated`` events with and without it.
 """
 
@@ -51,32 +51,19 @@ def test_an_unchanged_version_is_scored_once(server, monkeypatch):
     assert len(calls) == passes
 
 
-@pytest.mark.parametrize("move", ["apply_delta", "set_params", "restore"])
+@pytest.mark.parametrize("move", ["apply_delta", "set_params"])
 def test_every_model_change_is_scored_afresh(move, server, tiny_model_fn, tiny_test):
     first = server.evaluate()
-    before = (server.params.copy(), server.global_delta, server.version)
     step = np.random.default_rng(0).normal(scale=0.5, size=server.dim)
     if move == "set_params":
         server.set_params(server.params + step)
     else:
         server.apply_delta(step)
-    if move == "restore":
-        server.evaluate()  # the memo now holds the moved model's score
-        server.restore(*before)
     reference = Server(tiny_model_fn, tiny_test)
     reference.set_params(server.params)
     got = server.evaluate()
     assert got == reference.evaluate()
-    assert (got == first) == (move == "restore")
-
-
-def test_restore_rescores_even_at_the_same_version(server, tiny_model_fn, tiny_test):
-    server.evaluate()
-    moved = server.params + np.random.default_rng(1).normal(scale=0.5, size=server.dim)
-    server.restore(moved, None, server.version)
-    reference = Server(tiny_model_fn, tiny_test)
-    reference.set_params(moved)
-    assert server.evaluate() == reference.evaluate()
+    assert got != first
 
 
 def _score_every_time(monkeypatch) -> None:
