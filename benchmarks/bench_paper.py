@@ -1,10 +1,12 @@
 """The paper's artifacts, each regenerated once and checked against its claims.
 
 ``ARTIFACTS`` maps a name to a :class:`repro.cli.Study`: ``run(scale=…,
-seed=…)`` builds the result, ``render(result)`` is the text written to
-``results/<name>.txt`` and spliced into EXPERIMENTS.md by
+seed=…)`` builds the result, ``render(result, scale)`` is the text
+written to ``results/<name>.txt`` and spliced into EXPERIMENTS.md by
 ``scripts/fill_experiments.py``.  The seven artifacts with a ``repro``
-subcommand are the CLI's own entries; the rest are defined here.
+subcommand are the CLI's own entries; the rest are defined here.  A
+grid study's result is its grid's ``dict[key, RunResult]`` (see
+:func:`repro.experiments.spec.run_grid`), and its claims read that.
 
 ``CLAIMS`` holds the paper's qualitative shapes as rows: what to
 measure on an artifact's result, and the bound it must meet.  At
@@ -27,7 +29,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import pytest
 
-from repro.cli import STUDIES, Study
+from repro.cli import STUDIES, Study, runs_of
 from repro.compression.base import dense_bytes
 from repro.compression.dgc import DGCCompressor
 from repro.compression.identity import NoCompression
@@ -41,11 +43,12 @@ from repro.experiments.chaos import format_chaos_report, run_chaos_study
 from repro.experiments.comparison import default_adafl_config
 from repro.experiments.energy_study import run_energy_study
 from repro.experiments.presets import get_scale
-from repro.experiments.reporting import format_bytes, format_table
+from repro.experiments.reporting import adafl_vs_fedavg, format_bytes, format_table, saving
 from repro.experiments.runner import DATASET_PROFILES, FederationSpec, run_async
-from repro.experiments.sensitivity import run_network_sensitivity
+from repro.experiments.sensitivity import sensitivity_grid
 from repro.fl.baselines import FedAsync, FedBuff
 from repro.fl.fedat import FedAT, assign_tiers
+from repro.fl.metrics import RunResult
 from repro.network.conditions import NetworkConditions
 from repro.nn.models import build_mnist_cnn
 
@@ -54,11 +57,26 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 PAPER_DIM = 431_080  # the paper's CNN: a 1.64 MB float32 gradient
 
 
-def _render_sensitivity(points) -> str:
+def _byte_saving(adafl: RunResult, fedavg: RunResult) -> float:
+    return saving(adafl.total_bytes_up, fedavg.total_bytes_up)
+
+
+def _byte_savings(results) -> list[float]:
+    """AdaFL's uplink-byte saving over FedAvg at each point of a pair grid."""
+    return [_byte_saving(*pair) for pair in adafl_vs_fedavg(results).values()]
+
+
+def _speedup(adafl: RunResult, fedavg: RunResult) -> float:
+    """FedAvg's simulated time over AdaFL's (> 1: AdaFL is faster)."""
+    return 1.0 if adafl.total_sim_time == 0 else fedavg.total_sim_time / adafl.total_sim_time
+
+
+def _render_sensitivity(results, scale) -> str:
     rows = [
-        [p.condition, f"{p.adafl_accuracy:.3f}", f"{p.fedavg_accuracy:.3f}",
-         f"{100 * p.byte_saving:.1f}%", f"{p.speedup:.2f}x", format_bytes(p.adafl_bytes_up)]
-        for p in points
+        [condition, f"{a.final_accuracy:.3f}", f"{f.final_accuracy:.3f}",
+         f"{100 * _byte_saving(a, f):.1f}%", f"{_speedup(a, f):.2f}x",
+         format_bytes(a.total_bytes_up)]
+        for condition, (a, f) in adafl_vs_fedavg(results).items()
     ]
     return format_table(
         ["condition", "AdaFL acc", "FedAvg acc", "bytes saved", "wall speedup", "AdaFL uplink"],
@@ -66,7 +84,7 @@ def _render_sensitivity(points) -> str:
     )
 
 
-def _render_energy(r) -> str:
+def _render_energy(r, scale) -> str:
     rows = [
         [name, f"{compute:.2f}J", f"{comm:.2f}J", f"{compute + comm:.2f}J", f"{acc:.3f}"]
         for name, compute, comm, acc in (
@@ -106,7 +124,7 @@ def _run_fedat(scale, seed) -> dict:
     }
 
 
-def _render_fedat(runs) -> str:
+def _render_fedat(runs, scale) -> str:
     rows = [
         [name, f"{r.final_accuracy:.3f}", str(r.total_uploads), format_bytes(r.total_bytes_up),
          f"{r.total_sim_time:.2f}s"]
@@ -143,7 +161,7 @@ def _run_compression(scale, seed) -> tuple[dict, float]:
     return payloads, UtilityScorer().score(10.0, 10.0, grad, global_grad)
 
 
-def _render_compression(result) -> str:
+def _render_compression(result, scale) -> str:
     rows = [[name, format_bytes(p.num_bytes), f"{p.compression_ratio:.1f}x"]
             for name, p in result[0].items()]
     return format_table(["scheme", "wire size", "wire ratio"], rows,
@@ -154,8 +172,8 @@ ARTIFACTS: dict[str, Study] = {
     **STUDIES,
     "chaos": Study("Fault-matrix resilience report (sync engine)",
                    lambda scale, seed: run_chaos_study(scale=scale, seed=seed, engine="sync"),
-                   format_chaos_report),
-    "sensitivity": Study("Extension: six network regimes", run_network_sensitivity,
+                   lambda outcomes, scale: format_chaos_report(outcomes)),
+    "sensitivity": Study("Extension: six network regimes", runs_of(sensitivity_grid),
                          _render_sensitivity),
     "energy": Study("Extension: fleet energy, Pi-4 + LTE", run_energy_study, _render_energy),
     "fedat": Study("Extension: FedAT in the async suite", _run_fedat, _render_fedat),
@@ -182,25 +200,38 @@ OPS: dict[str, Callable[[float, Any], bool]] = {
 }
 
 
-def _by(items, key: str) -> dict:
-    return {getattr(i, key): i for i in items}
+def _panels(results, engine: str) -> list[dict[str, RunResult]]:
+    """A figure's ``engine`` panels, each as curve label -> run."""
+    panels: dict[str, dict[str, RunResult]] = {}
+    for (kind, title, label), run in results.items():
+        if kind == engine:
+            panels.setdefault(title, {})[label] = run
+    return list(panels.values())
 
 
-def _panels(panels, kind: str) -> list:
-    """The ``sync`` or ``async`` panels of a figure."""
-    return [p for p in panels if p.panel_id.split("-")[1] == kind]
+def _vs(results, engine: str, ours: str, ref: str, field: str, diff) -> list[float]:
+    """Per ``engine`` panel, ``diff(ours.field, ref.field)``."""
+    return [diff(getattr(p[ours], field), getattr(p[ref], field))
+            for p in _panels(results, engine)]
 
 
-def _vs(panels, kind: str, ours: str, ref: str, field: str, diff) -> list[float]:
-    """Per ``kind`` panel, ``diff(ours.field, ref.field)``."""
-    return [diff(getattr(p.runs[ours], field), getattr(p.runs[ref], field))
-            for p in _panels(panels, kind)]
+def _acc_vs(results, ours: str, ref: str) -> list[float]:
+    """Per table workload, ``ours``' final accuracy minus ``ref``'s."""
+    return [run.final_accuracy - results[(ref, *workload)].final_accuracy
+            for (method, *workload), run in results.items() if method == ours]
 
 
-def _rows_vs(rows, ours: str, ref: str) -> list[float]:
-    """Per workload, ``ours``' accuracy minus ``ref``'s."""
-    rows = _by(rows, "method")
-    return [acc - rows[ref].accuracies[key] for key, acc in rows[ours].accuracies.items()]
+def _row(results, method: str) -> RunResult:
+    """The run a table row's communication columns come from: its first workload's."""
+    return results[method, "mnist", "iid"]
+
+
+def _cost_reduction(results, method: str) -> float:
+    return _row(results, method).update_cost_reduction(SCALE.num_rounds * SCALE.num_clients)
+
+
+def _byte_reduction(results, method: str) -> float:
+    return _row(results, method).byte_cost_reduction(SCALE.num_rounds * SCALE.num_clients)
 
 
 def _cnn_dim(scale) -> int:
@@ -210,8 +241,12 @@ def _cnn_dim(scale) -> int:
                            hidden=scale.cnn_hidden).num_params
 
 
+def _chaos(r, scenario: str):
+    return next(o for o in r if o.scenario == scenario)
+
+
 def _chaos_acc(r, scenario: str) -> float:
-    return _by(r, "scenario")[scenario].final_accuracy
+    return _chaos(r, scenario).final_accuracy
 
 
 def _unguarded_drop(r) -> float:
@@ -222,14 +257,14 @@ def _unguarded_drop(r) -> float:
 
 CLAIMS: list[Claim] = [
     Claim("fig1", "min clean final accuracy, sync panels",
-          lambda r: min(p.final_accuracies()["0%"] for p in _panels(r, "sync")),
+          lambda r: min(p["0%"].final_accuracy for p in _panels(r, "sync")),
           ">", 0.3, "every run learns"),
     Claim("fig1", "min final accuracy, 20 % − 0 % stragglers, sync panels",
-          lambda r: min(p.final_accuracies()["20%"] - p.final_accuracies()["0%"]
+          lambda r: min(p["20%"].final_accuracy - p["0%"].final_accuracy
                         for p in _panels(r, "sync")),
           ">=", -0.15, "<= 20 % barely moves the curves"),
     Claim("fig1", "min time to the update budget, 50 %-slow − clean, async panels",
-          lambda r: min(p.runs["50%"].total_sim_time - p.runs["0%"].total_sim_time
+          lambda r: min(p["50%"].total_sim_time - p["0%"].total_sim_time
                         for p in _panels(r, "async")),
           ">", 0.0, "staleness delays convergence in time"),
     Claim("fig3", "min final accuracy, adafl − fedavg, sync panels",
@@ -245,25 +280,26 @@ CLAIMS: list[Claim] = [
           lambda r: max(_vs(r, "async", "adafl-async", "fedasync", "total_bytes_up",
                             operator.truediv)),
           "<", 0.5, "a fraction of the bytes"),
-    Claim("table1", "fedavg cost reduction", lambda r: _by(r, "method")["fedavg"].cost_reduction,
+    Claim("table1", "fedavg cost reduction", lambda r: _cost_reduction(r, "fedavg"),
           "in", (0.45, 0.60), "-50 %"),
     Claim("table1", "cost reduction, adafl − fedavg",
-          lambda r: _by(r, "method")["adafl"].cost_reduction
-          - _by(r, "method")["fedavg"].cost_reduction,
+          lambda r: _cost_reduction(r, "adafl") - _cost_reduction(r, "fedavg"),
           ">", 0.0, "-70.88 % vs -50 %"),
-    Claim("table1", "adafl byte reduction", lambda r: _by(r, "method")["adafl"].byte_reduction,
+    Claim("table1", "adafl byte reduction", lambda r: _byte_reduction(r, "adafl"),
           ">", 0.60, "60-78 %"),
     Claim("table1", "min accuracy over workloads, adafl − fedavg",
-          lambda r: min(_rows_vs(r, "adafl", "fedavg")), ">=", -0.10, "within ~1 point"),
+          lambda r: min(_acc_vs(r, "adafl", "fedavg")), ">=", -0.10, "within ~1 point"),
     Claim("table1", "adafl compression ratio, max ÷ min",
-          lambda r: operator.truediv(*_by(r, "method")["adafl"].compression_ratio),
+          lambda r: operator.truediv(*_row(r, "adafl").compression_ratio_range()),
           ">", 2.0, "210x-4x"),
+    Claim("table1", "min final accuracy over every method × workload",
+          lambda r: min(run.final_accuracy for run in r.values()), ">", 0.10, "every cell learns"),
     Claim("table2", "fedasync cost reduction",
-          lambda r: _by(r, "method")["fedasync"].cost_reduction, "in", (0.45, 0.60), "-50 %"),
+          lambda r: _cost_reduction(r, "fedasync"), "in", (0.45, 0.60), "-50 %"),
     Claim("table2", "adafl-async byte reduction",
-          lambda r: _by(r, "method")["adafl-async"].byte_reduction, ">", 0.60, "-78.5 %"),
+          lambda r: _byte_reduction(r, "adafl"), ">", 0.60, "-78.5 %"),
     Claim("table2", "min accuracy over workloads, adafl-async − fedasync",
-          lambda r: min(_rows_vs(r, "adafl-async", "fedasync")), ">=", -0.10, "parity"),
+          lambda r: min(_acc_vs(r, "adafl", "fedasync")), ">=", -0.10, "parity"),
     Claim("overhead", "utility scoring overhead, % of training cycles",
           lambda r: r.utility_overhead_pct, "<", 0.5, "~0.05 %", always=True),
     Claim("overhead", "FLOPs per op, DGC compress ÷ utility score",
@@ -272,25 +308,27 @@ CLAIMS: list[Claim] = [
     Claim("overhead", "net AdaFL cycles ÷ baseline cycles",
           lambda r: r.net_cycles / r.baseline_cycles, "<", 1.0, "selection savings dominate"),
     Claim("scalability", "min accuracy over N, adafl − fedavg",
-          lambda r: min(p.adafl_accuracy - p.fedavg_accuracy for p in r),
+          lambda r: min(a.final_accuracy - f.final_accuracy
+                        for a, f in adafl_vs_fedavg(r).values()),
           ">=", -0.15, "robust from 20 to 100 clients"),
-    Claim("scalability", "min byte saving over N", lambda r: min(p.byte_saving for p in r),
+    Claim("scalability", "min byte saving over N", lambda r: min(_byte_savings(r)),
           ">", 0.3, "savings at every size"),
     Claim("scalability", "byte saving, largest − smallest N",
-          lambda r: r[-1].byte_saving - r[0].byte_saving, ">=", -0.05, "savings grow with N"),
-    Claim("ablation", "min accuracy over variants", lambda r: min(p.accuracy for p in r),
-          ">", 0.3, "-"),
+          lambda r: _byte_savings(r)[-1] - _byte_savings(r)[0], ">=", -0.05,
+          "savings grow with N"),
+    Claim("ablation", "min accuracy over variants",
+          lambda r: min(run.final_accuracy for run in r.values()), ">", 0.3, "-"),
     Claim("ablation", "uplink bytes, fixed-heavy(210x) ÷ base",
-          lambda r: _by(r, "variant")["fixed-heavy(210x)"].bytes_up
-          / _by(r, "variant")["base(cosine)"].bytes_up, "<", 1.0, "-"),
+          lambda r: r["fixed-heavy(210x)"].total_bytes_up / r["base(cosine)"].total_bytes_up,
+          "<", 1.0, "-"),
     Claim("ablation", "uplink bytes, fixed-light(4x) ÷ base",
-          lambda r: _by(r, "variant")["fixed-light(4x)"].bytes_up
-          / _by(r, "variant")["base(cosine)"].bytes_up, ">", 1.0, "-"),
+          lambda r: r["fixed-light(4x)"].total_bytes_up / r["base(cosine)"].total_bytes_up,
+          ">", 1.0, "-"),
     Claim("ablation", "updates, no-threshold(tau=0) − base",
-          lambda r: _by(r, "variant")["no-threshold(tau=0)"].updates
-          - _by(r, "variant")["base(cosine)"].updates, ">=", 0, "-"),
+          lambda r: r["no-threshold(tau=0)"].total_uploads - r["base(cosine)"].total_uploads,
+          ">=", 0, "-"),
     Claim("chaos", "corrupt-guarded rejected uploads",
-          lambda r: _by(r, "scenario")["corrupt-guarded"].rejected_uploads, ">", 0, "-",
+          lambda r: _chaos(r, "corrupt-guarded").rejected_uploads, ">", 0, "-",
           always=True),
     Claim("chaos", "|corrupt-guarded − baseline| accuracy",
           lambda r: abs(_chaos_acc(r, "corrupt-guarded") - _chaos_acc(r, "baseline")),
@@ -298,9 +336,9 @@ CLAIMS: list[Claim] = [
     Claim("chaos", "corrupt-unguarded − baseline accuracy (diverged: -inf)", _unguarded_drop,
           "<=", -0.05, "-"),
     Claim("sensitivity", "min byte saving over conditions",
-          lambda r: min(p.byte_saving for p in r), ">", 0.5, "-"),
+          lambda r: min(_byte_savings(r)), ">", 0.5, "-"),
     Claim("sensitivity", "wall-clock speedup, constrained",
-          lambda r: _by(r, "condition")["constrained"].speedup, ">", 1.5, "-"),
+          lambda r: _speedup(*adafl_vs_fedavg(r)["constrained"]), ">", 1.5, "-"),
     Claim("energy", "radio energy, adafl ÷ fedavg", lambda r: r.adafl_comm_j / r.fedavg_comm_j,
           "<", 0.4, "tracks the 60-78 % byte cut"),
     Claim("energy", "total energy saving", lambda r: r.energy_saving, ">", 0.05, "-"),
@@ -349,7 +387,7 @@ def test_artifact(name, benchmark, report):
         if verdict == "FAIL":
             failed.append(claim.label)
         rows.append([name, claim.label, claim.paper, _num(value), _bound(claim), verdict])
-    report(name, study.render(result), rows)
+    report(name, study.render(result, SCALE), rows)
     assert not failed, failed
 
 

@@ -27,19 +27,21 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from repro.experiments.ablation import run_ablation
-from repro.experiments.comparison import run_fig3
-from repro.experiments.empirical import run_fig1
+from repro.experiments.ablation import ablation_grid
+from repro.experiments.comparison import fig3_grid
+from repro.experiments.empirical import fig1_grid
 from repro.experiments.overhead import run_overhead_study
 from repro.experiments.presets import get_scale
-from repro.experiments.reporting import format_bytes, format_series, format_table
+from repro.experiments.reporting import (
+    adafl_vs_fedavg, format_bytes, format_series, format_table, saving,
+)
 from repro.experiments.runner import DATASET_PROFILES, DISTRIBUTIONS, MODELS, format_panels
-from repro.experiments.scalability import run_scalability
-from repro.experiments.spec import STRATEGIES, RunSpec, run
-from repro.experiments.tables import render_table, run_table1, run_table2
+from repro.experiments.scalability import scalability_grid
+from repro.experiments.spec import STRATEGIES, RunSpec, run, run_grid
+from repro.experiments.tables import render_table, run_equal_time, table1_grid, table2_grid
 from repro.fl.persist import save_run_result
 
-__all__ = ["main", "build_parser", "Study", "STUDIES"]
+__all__ = ["main", "build_parser", "Study", "STUDIES", "runs_of"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_overhead(result) -> str:
+def _render_overhead(result, scale) -> str:
     return "\n".join(
         [
             f"baseline training cycles : {result.baseline_cycles:,.0f}",
@@ -185,11 +187,11 @@ def _render_overhead(result) -> str:
     )
 
 
-def _render_scalability(points) -> str:
+def _render_scalability(results, scale) -> str:
     rows = [
-        [str(p.num_clients), f"{p.adafl_accuracy:.3f}", f"{p.fedavg_accuracy:.3f}",
-         str(p.adafl_updates), f"{100 * p.byte_saving:.1f}%"]
-        for p in points
+        [str(n), f"{a.final_accuracy:.3f}", f"{f.final_accuracy:.3f}", str(a.total_uploads),
+         f"{100 * saving(a.total_bytes_up, f.total_bytes_up):.1f}%"]
+        for n, (a, f) in adafl_vs_fedavg(results).items()
     ]
     return format_table(["N", "AdaFL acc", "FedAvg acc", "AdaFL updates", "bytes saved"], rows)
 
@@ -229,34 +231,44 @@ def _cmd_population(args) -> str:
     return "\n".join(lines)
 
 
-def _render_ablation(points) -> str:
+def _render_ablation(results, scale) -> str:
     rows = [
-        [p.variant, f"{p.accuracy:.3f}", str(p.updates), format_bytes(p.bytes_up)]
-        for p in points
+        [name, f"{r.final_accuracy:.3f}", str(r.total_uploads), format_bytes(r.total_bytes_up)]
+        for name, r in results.items()
     ]
     return format_table(["variant", "accuracy", "updates", "uplink"], rows)
 
 
 class Study(NamedTuple):
-    """One paper artifact: ``render(run(scale=…, seed=…))`` is its text."""
+    """One paper artifact: ``render(result, scale)`` of ``result =
+    run(scale=…, seed=…)`` is its text."""
 
     help: str
     run: Callable[..., Any]
-    render: Callable[[Any], str]
+    render: Callable[[Any, Any], str]
+
+
+def runs_of(grid: Callable) -> Callable[..., dict]:
+    """A grid study's ``run``: every cell of ``grid(scale, seed)``, by key."""
+    return lambda scale, seed: dict(run_grid(grid(scale, seed)))
 
 
 # The paper's figures / tables and the extension studies, one
 # subcommand each; ``benchmarks/bench_paper.py`` checks their claims.
+# A grid study's result is ``dict[key, RunResult]``.
 STUDIES = {
-    "fig1": Study("Figure 1: empirical resiliency study", run_fig1, format_panels),
-    "fig3": Study("Figure 3: AdaFL vs SOTA curves", run_fig3, format_panels),
-    "table1": Study("Table I: synchronous results", run_table1,
-                    lambda rows: render_table(rows, "Table I (synchronous)")),
-    "table2": Study("Table II: asynchronous results", run_table2,
-                    lambda rows: render_table(rows, "Table II (asynchronous)")),
+    "fig1": Study("Figure 1: empirical resiliency study", runs_of(fig1_grid),
+                  lambda results, scale: format_panels(results)),
+    "fig3": Study("Figure 3: AdaFL vs SOTA curves", runs_of(fig3_grid),
+                  lambda results, scale: format_panels(results)),
+    "table1": Study("Table I: synchronous results", runs_of(table1_grid),
+                    lambda results, scale: render_table(results, "Table I (synchronous)", scale)),
+    "table2": Study("Table II: asynchronous results",
+                    lambda scale, seed: run_equal_time(table2_grid(scale, seed)),
+                    lambda results, scale: render_table(results, "Table II (asynchronous)", scale)),
     "overhead": Study("Q3: Pi-cluster cycle overhead", run_overhead_study, _render_overhead),
-    "scalability": Study("20-100 client sweep", run_scalability, _render_scalability),
-    "ablation": Study("AdaFL design-choice ablation", run_ablation, _render_ablation),
+    "scalability": Study("20-100 client sweep", runs_of(scalability_grid), _render_scalability),
+    "ablation": Study("AdaFL design-choice ablation", runs_of(ablation_grid), _render_ablation),
 }
 
 
@@ -480,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
              "wire": _cmd_wire, "chaos": _cmd_chaos, "resume": _cmd_resume}
     if args.command in STUDIES:
         study = STUDIES[args.command]
-        print(study.render(study.run(scale=scale, seed=args.seed)))
+        print(study.render(study.run(scale=scale, seed=args.seed), scale))
     elif args.command in plain:
         print(plain[args.command](args))
     else:  # quickrun / run / serve / sweep describe a run: compile it first

@@ -1,6 +1,6 @@
-"""Experiment harness: one runner per paper table/figure plus ablations."""
+"""Experiment harness: each paper study is a grid of ``RunSpec``s fed to ``run_grid``."""
 
-from repro.experiments.ablation import AblationPoint, ablation_variants, run_ablation
+from repro.experiments.ablation import ablation_grid
 from repro.experiments.analysis import (
     AggregateCurve,
     aggregate_accuracy_curves,
@@ -8,20 +8,9 @@ from repro.experiments.analysis import (
     interpolate_curve,
     time_to_accuracy_table,
 )
-from repro.experiments.comparison import (
-    default_adafl_config,
-    run_fig3,
-    run_fig3_async_panel,
-    run_fig3_sync_panel,
-)
+from repro.experiments.comparison import default_adafl_config, fig3_grid
 from repro.experiments.energy_study import EnergyStudyResult, run_energy_study
-from repro.experiments.empirical import (
-    STRAGGLER_FRACTIONS,
-    PanelResult,
-    run_fig1,
-    run_fig1_async_panel,
-    run_fig1_sync_panel,
-)
+from repro.experiments.empirical import STRAGGLER_FRACTIONS, fig1_grid
 from repro.experiments.overhead import OverheadResult, run_overhead_study
 from repro.experiments.presets import BENCH, FAST, FULL, SCALES, ExperimentScale, get_scale
 from repro.experiments.reporting import format_bytes, format_series, format_table
@@ -32,16 +21,13 @@ from repro.experiments.runner import (
     Federation,
     FederationSpec,
     build_federation,
+    format_panels,
     run_async,
     run_sync,
 )
-from repro.experiments.scalability import DEFAULT_CLIENT_COUNTS, ScalePoint, run_scalability
-from repro.experiments.sensitivity import (
-    NETWORK_CONDITIONS,
-    SensitivityPoint,
-    run_network_sensitivity,
-)
-from repro.experiments.spec import Named, RunSpec, open_run, run
+from repro.experiments.scalability import scalability_grid
+from repro.experiments.sensitivity import NETWORK_CONDITIONS, sensitivity_grid
+from repro.experiments.spec import Named, RunSpec, open_run, run, run_grid
 from repro.experiments.sweep import (
     SweepConfig,
     SweepResult,
@@ -49,7 +35,7 @@ from repro.experiments.sweep import (
     render_sweep,
     run_sweep,
 )
-from repro.experiments.tables import TableRow, render_table, run_table1, run_table2
+from repro.experiments.tables import render_table, run_equal_time, table1_grid, table2_grid
 
 __all__ = [
     "ExperimentScale",
@@ -69,37 +55,29 @@ __all__ = [
     "Named",
     "open_run",
     "run",
-    "PanelResult",
+    "run_grid",
+    "format_panels",
     "STRAGGLER_FRACTIONS",
-    "run_fig1",
-    "run_fig1_sync_panel",
-    "run_fig1_async_panel",
+    "fig1_grid",
     "default_adafl_config",
-    "run_fig3",
-    "run_fig3_sync_panel",
-    "run_fig3_async_panel",
-    "TableRow",
-    "run_table1",
-    "run_table2",
+    "fig3_grid",
+    "table1_grid",
+    "table2_grid",
+    "run_equal_time",
     "render_table",
     "OverheadResult",
     "EnergyStudyResult",
     "run_energy_study",
     "run_overhead_study",
-    "ScalePoint",
-    "DEFAULT_CLIENT_COUNTS",
-    "run_scalability",
-    "AblationPoint",
+    "scalability_grid",
     "AggregateCurve",
     "aggregate_accuracy_curves",
     "curve_auc",
     "interpolate_curve",
     "time_to_accuracy_table",
-    "SensitivityPoint",
     "NETWORK_CONDITIONS",
-    "run_network_sensitivity",
-    "ablation_variants",
-    "run_ablation",
+    "sensitivity_grid",
+    "ablation_grid",
     "SweepConfig",
     "SweepRow",
     "SweepResult",

@@ -14,35 +14,21 @@ ablation bench regenerates evidence for each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping
+from repro.experiments.presets import ExperimentScale
+from repro.experiments.spec import Named, RunSpec
 
-from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.spec import Named, RunSpec, run
-from repro.fl.metrics import RunResult
-
-__all__ = ["AblationPoint", "run_ablation", "ablation_variants"]
+__all__ = ["ablation_grid"]
 
 
-@dataclass(frozen=True)
-class AblationPoint:
-    """One AdaFL variant's outcome."""
-
-    variant: str
-    accuracy: float
-    updates: int
-    bytes_up: int
-    run: RunResult
-
-
-def ablation_variants(scale: ExperimentScale) -> dict[str, dict[str, Any]]:
-    """Named AdaFL variants, each as dotted overrides of
+def ablation_grid(scale: ExperimentScale, seed: int) -> dict[str, RunSpec]:
+    """Each AdaFL variant, by name, on the same non-IID federation; a
+    variant is dotted overrides of
     :func:`~repro.experiments.spec.default_adafl_config` — the ``adafl``
     strategy row's params."""
     def fixed(ratio: float) -> dict[str, float]:
         return {f"policy.{k}": ratio for k in ("min_ratio", "max_ratio", "warmup_ratio")}
 
-    return {
+    variants = {
         "base(cosine)": {},
         "metric=l2": {"scorer.metric": "l2"},
         "metric=euclidean": {"scorer.metric": "euclidean"},
@@ -56,27 +42,5 @@ def ablation_variants(scale: ExperimentScale) -> dict[str, dict[str, Any]]:
         "no-rotation-bonus": {"rotation_bonus": 0.0},
         "absolute-tau(0.6)": {"tau": 0.6, "tau_mode": "absolute"},
     }
-
-
-def run_ablation(
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    distribution: str = "shard",
-    variants: Mapping[str, Mapping[str, Any]] | None = None,
-) -> list[AblationPoint]:
-    """Run each AdaFL variant on the same federation and compare."""
-    variants = variants if variants is not None else ablation_variants(scale)
-    base = RunSpec.of(scale, seed, distribution=distribution, network="constrained")
-    points = []
-    for name, overrides in variants.items():
-        result = run(base.vary(strategy=Named("adafl", overrides)))
-        points.append(
-            AblationPoint(
-                variant=name,
-                accuracy=result.final_accuracy,
-                updates=result.total_uploads,
-                bytes_up=result.total_bytes_up,
-                run=result,
-            )
-        )
-    return points
+    base = RunSpec.of(scale, seed, distribution="shard", network="constrained")
+    return {name: base.vary(strategy=Named("adafl", o)) for name, o in variants.items()}

@@ -127,12 +127,10 @@ def run_chaos_study(
     scale: ExperimentScale | None = None,
     seed: int = 0,
     engine: str = "sync",
-    scenarios: list[ChaosScenario] | None = None,
     dataset: str = "mnist",
 ) -> list[ChaosOutcome]:
     """Run the fault matrix and collect one outcome per scenario."""
     scale = scale if scale is not None else FAST
-    scenarios = scenarios if scenarios is not None else default_scenarios()
     if engine == "sync":
         method = {"strategy": Named("fedavg", {"participation_rate": 1.0})}
     else:
@@ -148,7 +146,7 @@ def run_chaos_study(
     probe_time = max(probe.total_sim_time, 1e-9)
 
     outcomes: list[ChaosOutcome] = []
-    for scenario in scenarios:
+    for scenario in default_scenarios():
         sink = RingBufferSink()
         spec = base.vary(faults=(scenario.fault(probe_time),), validation=scenario.validation)
         result = run(spec, trace=EventTrace([sink]))

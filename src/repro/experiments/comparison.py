@@ -10,60 +10,29 @@ Four panels of CNN-on-MNIST accuracy curves:
 * (d) asynchronous, non-IID — same methods.
 
 Baselines run at the paper's fixed participation rate ``r_p = 0.5``;
-AdaFL selects adaptively with ``k <= 5``.
+AdaFL selects adaptively with ``k <= 5``.  The grid is keyed like
+Figure 1's, each curve labelled with its run's method name.
 """
 
 from __future__ import annotations
 
-from repro.experiments.empirical import PanelResult, run_panel
-from repro.experiments.presets import BENCH, ExperimentScale
+from repro.experiments.presets import ExperimentScale
 from repro.experiments.spec import ASYNC_LINEUP, SYNC_LINEUP, RunSpec, default_adafl_config
 
-__all__ = ["default_adafl_config", "run_fig3_sync_panel", "run_fig3_async_panel", "run_fig3"]
+__all__ = ["default_adafl_config", "fig3_grid"]
 
 
-def run_fig3_sync_panel(
-    distribution: str = "iid",
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    dataset: str = "mnist",
-    model: str = "mnist_cnn",
-) -> PanelResult:
-    """One synchronous Figure 3 panel (accuracy vs round)."""
-    base = RunSpec.of(
-        scale, seed, dataset=dataset, model=model, distribution=distribution,
-        network="constrained",
-    )
-    return run_panel(
-        f"fig3-sync-{distribution}", f"Sync comparison, {dataset}, {distribution}", "round",
-        [(None, base.vary(strategy=method)) for method in SYNC_LINEUP],
-    )
-
-
-def run_fig3_async_panel(
-    distribution: str = "iid",
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    dataset: str = "mnist",
-    model: str = "mnist_cnn",
-) -> PanelResult:
-    """One asynchronous Figure 3 panel (accuracy vs simulated time)."""
-    base = RunSpec.of(
-        scale, seed, dataset=dataset, model=model, distribution=distribution,
-        engine="async", network="constrained", devices="slow_pi",
-        max_updates=scale.num_rounds * max(1, scale.num_clients // 2),
-    )
-    return run_panel(
-        f"fig3-async-{distribution}", f"Async comparison, {dataset}, {distribution}", "time_s",
-        [(None, base.vary(strategy=method)) for method in ASYNC_LINEUP],
-    )
-
-
-def run_fig3(scale: ExperimentScale = BENCH, seed: int = 0) -> list[PanelResult]:
-    """All four Figure 3 panels."""
-    return [
-        run_fig3_sync_panel("iid", scale, seed),
-        run_fig3_sync_panel("shard", scale, seed),
-        run_fig3_async_panel("iid", scale, seed),
-        run_fig3_async_panel("shard", scale, seed),
-    ]
+def fig3_grid(scale: ExperimentScale, seed: int) -> dict[tuple[str, str, str], RunSpec]:
+    """All four Figure 3 panels: sync IID / non-IID, then async."""
+    grid: dict[tuple[str, str, str], RunSpec] = {}
+    for engine, lineup in (("sync", SYNC_LINEUP), ("async", ASYNC_LINEUP)):
+        for distribution in ("iid", "shard"):
+            base = RunSpec.of(scale, seed, distribution=distribution, network="constrained")
+            if engine == "async":
+                base = base.vary(engine="async", devices="slow_pi",
+                                 max_updates=scale.num_rounds * max(1, scale.num_clients // 2))
+            title = f"{engine.capitalize()} comparison, mnist, {distribution}"
+            for method in lineup:
+                spec = base.vary(strategy=method)
+                grid[engine, title, spec.resolve()[0].name] = spec
+    return grid

@@ -16,7 +16,8 @@ from repro.embedded.device import DEVICE_PRESETS
 from repro.embedded.energy import RADIO_PRESETS, EnergyModel
 from repro.experiments.overhead import client_training_flops
 from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.spec import AdaFLvsFedAvg, RunSpec, open_run
+from repro.experiments.reporting import saving
+from repro.experiments.spec import RunSpec, open_run
 from repro.fl.metrics import RunResult
 
 __all__ = ["EnergyStudyResult", "run_energy_study"]
@@ -44,9 +45,7 @@ class EnergyStudyResult:
     @property
     def energy_saving(self) -> float:
         """Fraction of FedAvg's total energy that AdaFL avoids."""
-        if self.fedavg_total_j == 0:
-            return 0.0
-        return 1.0 - self.adafl_total_j / self.fedavg_total_j
+        return saving(self.adafl_total_j, self.fedavg_total_j)
 
 
 def _replay_energy(
@@ -64,14 +63,10 @@ def _replay_energy(
     return compute, comm
 
 
-def run_energy_study(
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    device_model: str = "pi4",
-    radio: str = "lte",
-) -> EnergyStudyResult:
-    """Run FedAvg and AdaFL, then account fleet energy for both."""
-    energy_model = EnergyModel(DEVICE_PRESETS[device_model], RADIO_PRESETS[radio])
+def run_energy_study(scale: ExperimentScale = BENCH, seed: int = 0) -> EnergyStudyResult:
+    """Run AdaFL and FedAvg, then account fleet energy for both on a
+    Pi 4 with an LTE radio."""
+    energy_model = EnergyModel(DEVICE_PRESETS["pi4"], RADIO_PRESETS["lte"])
 
     # One final evaluation is enough here.
     base = RunSpec.of(replace(scale, eval_every=scale.num_rounds), seed, distribution="shard")
@@ -80,7 +75,8 @@ def run_energy_study(
         with open_run(spec) as session:
             return session.run(), client_training_flops(session.federation)
 
-    (adafl_result, flops), (fedavg_result, _) = (run(s) for s in AdaFLvsFedAvg.specs(base))
+    adafl_result, flops = run(base.vary(strategy="adafl"))
+    fedavg_result, _ = run(base.vary(strategy="fedavg"))
 
     fedavg_compute, fedavg_comm = _replay_energy(fedavg_result, flops, energy_model)
     adafl_compute, adafl_comm = _replay_energy(adafl_result, flops, energy_model)

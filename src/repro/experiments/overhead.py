@@ -27,7 +27,7 @@ from repro.embedded.profiler import (
 )
 from repro.experiments.presets import BENCH, ExperimentScale
 from repro.experiments.runner import Federation
-from repro.experiments.spec import Named, RunSpec, open_run
+from repro.experiments.spec import RunSpec, open_run
 
 __all__ = ["OverheadResult", "run_overhead_study", "client_training_flops"]
 
@@ -69,24 +69,20 @@ class OverheadResult:
         return self.adafl_training_cycles + self.utility_cycles + self.compression_cycles
 
 
-def run_overhead_study(
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    device_model: str = "pi4",
-) -> OverheadResult:
-    """Run AdaFL on a Pi cluster and account CPU cycles per component."""
+def run_overhead_study(scale: ExperimentScale = BENCH, seed: int = 0) -> OverheadResult:
+    """Run AdaFL on a Pi 4 cluster and account CPU cycles per component."""
     spec = RunSpec.of(
         replace(scale, eval_every=scale.num_rounds),  # one final evaluation is enough here
         seed,
         distribution="shard",
-        devices=Named("pi", {"model": device_model}),
+        devices="pi",
     )
     with open_run(spec) as session:
         result = session.run()
         fed, strategy = session.federation, session.engine.strategy
 
     dim = fed.model_fn().num_params
-    counter = CycleCounter(DEVICE_PRESETS[device_model])
+    counter = CycleCounter(DEVICE_PRESETS["pi4"])
 
     train_cost = client_training_flops(fed)
 

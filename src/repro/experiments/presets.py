@@ -31,14 +31,13 @@ class ExperimentScale:
     batch_size: int
     eval_every: int
     max_sim_time_s: float
-    repeats: int
     # Model size knobs (channels for the CNN, hidden width for MLP).
     cnn_channels: tuple[int, int]
     cnn_hidden: int
     image_size: int
 
     def __post_init__(self) -> None:
-        if self.num_clients <= 0 or self.num_rounds <= 0 or self.repeats <= 0:
+        if self.num_clients <= 0 or self.num_rounds <= 0:
             raise ValueError("counts must be positive")
         if self.train_samples < self.num_clients:
             raise ValueError("need at least one sample per client")
@@ -54,7 +53,6 @@ FAST = ExperimentScale(
     batch_size=20,
     eval_every=2,
     max_sim_time_s=200.0,
-    repeats=1,
     cnn_channels=(4, 8),
     cnn_hidden=32,
     image_size=10,
@@ -70,7 +68,6 @@ BENCH = ExperimentScale(
     batch_size=20,
     eval_every=4,
     max_sim_time_s=1500.0,
-    repeats=1,
     cnn_channels=(8, 16),
     cnn_hidden=64,
     image_size=14,
@@ -86,7 +83,6 @@ FULL = ExperimentScale(
     batch_size=32,
     eval_every=4,
     max_sim_time_s=6000.0,
-    repeats=3,
     cnn_channels=(20, 50),
     cnn_hidden=128,
     image_size=14,

@@ -7,9 +7,23 @@ Tables I/II and the figure series.
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 import numpy as np
 
-__all__ = ["format_table", "format_series", "format_bytes"]
+__all__ = ["format_table", "format_series", "format_bytes", "saving", "adafl_vs_fedavg"]
+
+
+def saving(ours: float, reference: float) -> float:
+    """The fraction of ``reference`` that ``ours`` avoids (0 when the
+    reference is 0): AdaFL's byte / update / energy saving over FedAvg."""
+    return 0.0 if reference == 0 else 1.0 - ours / reference
+
+
+def adafl_vs_fedavg(results: Mapping[tuple[Any, str], Any]) -> dict[Any, tuple[Any, Any]]:
+    """A ``(x, "adafl" / "fedavg")``-keyed grid's results as ``x ->
+    (AdaFL run, FedAvg run)``, in grid order (sensitivity, scalability)."""
+    return {x: (results[x, "adafl"], results[x, "fedavg"]) for x, _ in results}
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -12,7 +12,7 @@ stay in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -194,14 +194,17 @@ def slow_pi_rates(
     return compute_rates(cluster)
 
 
-def format_panels(panels) -> str:
-    """Figure panels (``PanelResult``) as text: a title, then one row
-    set per labelled curve."""
-    out = []
-    for panel in panels:
-        out.append(panel.title)
-        for label, (x, y) in panel.series.items():
-            out.append(format_series(f"  {label}", x, y, x_name=panel.x_name))
+def format_panels(results: Mapping[tuple[str, str, str], RunResult]) -> str:
+    """A figure grid's results (``(engine, panel title, curve label)``
+    keys) as text: each title, then one row set per curve — against
+    rounds for ``sync`` panels, simulated time for ``async`` ones."""
+    out, shown = [], None
+    for (engine, title, label), result in results.items():
+        if title != shown:
+            out.append(shown := title)
+        by_round = engine == "sync"
+        curve = result.accuracy_curve() if by_round else result.time_accuracy_curve()
+        out.append(format_series(f"  {label}", *curve, x_name="round" if by_round else "time_s"))
     return "\n".join(out)
 
 

@@ -1,7 +1,7 @@
 """§V scalability claim — AdaFL with 20 to 100 clients, and beyond.
 
 The paper states AdaFL was additionally evaluated "with 20 to 100
-clients to assess its scalability".  This runner sweeps the federation
+clients to assess its scalability".  This grid sweeps the federation
 size, holding per-client data volume constant, and reports accuracy,
 update frequency, and communication volume per size.
 
@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.selection import reservoir_sample
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_image_classification
-from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.spec import AdaFLvsFedAvg, Named, RunSpec
+from repro.experiments.presets import ExperimentScale
+from repro.experiments.spec import Named, RunSpec
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
 from repro.fl.client import Client
@@ -35,41 +35,26 @@ from repro.fl.server import Server
 from repro.fl.sync_engine import SyncEngine
 from repro.nn.models import build_mlp
 
-__all__ = [
-    "ScalePoint",
-    "run_scalability",
-    "SyntheticShardFactory",
-    "run_population_smoke",
-]
+__all__ = ["scalability_grid", "SyntheticShardFactory", "run_population_smoke"]
 
-DEFAULT_CLIENT_COUNTS = (20, 50, 100)
+_CLIENT_COUNTS = (20, 50, 100)
 _SAMPLES_PER_CLIENT = 40
 
 
-@dataclass(frozen=True)
-class ScalePoint(AdaFLvsFedAvg):
-    """Results at one federation size."""
-
-    num_clients: int
-
-
-def run_scalability(
-    client_counts: tuple[int, ...] = DEFAULT_CLIENT_COUNTS,
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    distribution: str = "shard",
-) -> list[ScalePoint]:
-    """Sweep the number of clients; compare AdaFL against FedAvg."""
-    points = []
-    for n in client_counts:
+def scalability_grid(scale: ExperimentScale, seed: int) -> dict[tuple[int, str], RunSpec]:
+    """``(num_clients, method)``: AdaFL, then FedAvg (r_p = 0.5), at each
+    federation size."""
+    grid = {}
+    for n in _CLIENT_COUNTS:
         samples = max(scale.train_samples, n * _SAMPLES_PER_CLIENT)
         sized = replace(scale, num_clients=n, train_samples=samples)
-        spec = RunSpec.of(
-            sized, seed, distribution=distribution,
+        base = RunSpec.of(
+            sized, seed, distribution="shard",
             network=Named("constrained", {"seed_offset": n}),  # a fresh mix per size
         )
-        points.append(ScalePoint.of(spec, num_clients=n))
-    return points
+        for method in ("adafl", "fedavg"):
+            grid[n, method] = base.vary(strategy=method)
+    return grid
 
 
 # ---------------------------------------------------------------------------

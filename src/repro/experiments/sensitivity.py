@@ -13,13 +13,10 @@ condition where every link follows a Gauss-Markov fading trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.experiments.presets import ExperimentScale
+from repro.experiments.spec import Named, RunSpec
 
-from repro.experiments.presets import BENCH, ExperimentScale
-from repro.experiments.runner import check_known
-from repro.experiments.spec import AdaFLvsFedAvg, Named, RunSpec
-
-__all__ = ["SensitivityPoint", "NETWORK_CONDITIONS", "run_network_sensitivity"]
+__all__ = ["NETWORK_CONDITIONS", "sensitivity_grid"]
 
 # condition -> its :data:`~repro.experiments.spec.NETWORKS` row; the
 # study draws its random link mixes at seed offset 41.
@@ -30,27 +27,12 @@ NETWORK_CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class SensitivityPoint(AdaFLvsFedAvg):
-    """Both methods' outcomes under one network condition."""
-
-    condition: str
-
-
-def _network(condition: str) -> Named:
-    check_known("condition", condition, NETWORK_CONDITIONS)
-    return NETWORK_CONDITIONS[condition]
-
-
-def run_network_sensitivity(
-    conditions: tuple[str, ...] = tuple(NETWORK_CONDITIONS),
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    distribution: str = "shard",
-) -> list[SensitivityPoint]:
-    """Sweep network conditions; compare AdaFL against FedAvg on each."""
-    base = RunSpec.of(scale, seed, distribution=distribution)
-    return [
-        SensitivityPoint.of(base.vary(network=_network(condition)), condition=condition)
-        for condition in conditions
-    ]
+def sensitivity_grid(scale: ExperimentScale, seed: int) -> dict[tuple[str, str], RunSpec]:
+    """``(condition, method)``: AdaFL, then FedAvg (r_p = 0.5), on the
+    same non-IID federation under each network condition."""
+    base = RunSpec.of(scale, seed, distribution="shard")
+    return {
+        (condition, method): base.vary(network=network, strategy=method)
+        for condition, network in NETWORK_CONDITIONS.items()
+        for method in ("adafl", "fedavg")
+    }

@@ -16,9 +16,10 @@ Specs are frozen, hashable and JSON-round-tripping (``to_json`` /
 ``from_json`` / ``digest``).  Constructing one resolves it once, so a
 bad name, key or value is a ``ValueError`` naming the known ones before
 any data is synthesised or worker spawned.  :func:`open_run` yields the
-live session (engine + federation) and :func:`run` drives it; the sweep
-cell, ``repro quickrun`` / ``serve`` / ``run`` and every figure / table
-grid compile to these two.
+live session (engine + federation) and :func:`run` drives it;
+``repro quickrun`` / ``serve`` / ``run`` compile to these two.  A paper
+study is a *grid* — ``dict[key, RunSpec]`` — and :func:`run_grid` is
+the one loop that runs one.
 """
 
 from __future__ import annotations
@@ -57,11 +58,10 @@ from repro.sim.faults import (
 __all__ = [
     "Named", "Context", "RunSpec", "open_run", "run", "default_adafl_config",
     "STRATEGIES", "NETWORKS", "DEVICES", "FAULTS",
-    "SYNC_LINEUP", "ASYNC_LINEUP", "AdaFLvsFedAvg",
+    "SYNC_LINEUP", "ASYNC_LINEUP", "run_grid",
 ]
 
-# The evaluation's method line-ups (Fig. 3 / Tables I-II), each written
-# once; the extension studies' pair is :class:`AdaFLvsFedAvg`.
+# The evaluation's method line-ups (Fig. 3 / Tables I-II), each written once.
 SYNC_LINEUP = ("fedavg", "fedadam", "fedprox", "scaffold", "adafl")
 ASYNC_LINEUP = ("fedasync", "fedbuff", "adafl")
 
@@ -440,49 +440,8 @@ def run(spec: RunSpec, trace: EventTrace | None = None, **kwargs) -> RunResult:
         return session.run()
 
 
-def _total(run_field: str, total: str) -> property:
-    return property(lambda self: getattr(getattr(self, run_field), total))
-
-
-def _saving(total: str) -> property:
-    def saving(self) -> float:
-        fedavg = getattr(self.fedavg_run, total)
-        return 0.0 if fedavg == 0 else 1.0 - getattr(self.adafl_run, total) / fedavg
-
-    return property(saving)
-
-
-@dataclass(frozen=True)
-class AdaFLvsFedAvg:
-    """AdaFL and FedAvg (r_p = 0.5) run on one spec — the pair the
-    extension studies compare: each run's totals and the fraction of
-    FedAvg's AdaFL saved.  Studies subclass it with their sweep key."""
-
-    adafl_run: RunResult
-    fedavg_run: RunResult
-
-    @staticmethod
-    def specs(spec: RunSpec) -> tuple[RunSpec, RunSpec]:
-        """``spec`` under AdaFL and under FedAvg."""
-        return spec.vary(strategy="adafl"), spec.vary(strategy="fedavg")
-
-    @classmethod
-    def of(cls, spec: RunSpec, **key) -> "AdaFLvsFedAvg":
-        adafl, fedavg = (run(s) for s in cls.specs(spec))
-        return cls(adafl_run=adafl, fedavg_run=fedavg, **key)
-
-    adafl_accuracy = _total("adafl_run", "final_accuracy")
-    fedavg_accuracy = _total("fedavg_run", "final_accuracy")
-    adafl_updates = _total("adafl_run", "total_uploads")
-    fedavg_updates = _total("fedavg_run", "total_uploads")
-    adafl_bytes_up = _total("adafl_run", "total_bytes_up")
-    fedavg_bytes_up = _total("fedavg_run", "total_bytes_up")
-    adafl_time_s = _total("adafl_run", "total_sim_time")
-    fedavg_time_s = _total("fedavg_run", "total_sim_time")
-    update_saving = _saving("total_uploads")
-    byte_saving = _saving("total_bytes_up")
-
-    @property
-    def speedup(self) -> float:
-        """FedAvg wall-clock divided by AdaFL wall-clock (>1 = faster)."""
-        return 1.0 if self.adafl_time_s == 0 else self.fedavg_time_s / self.adafl_time_s
+def run_grid(grid: Mapping[Any, RunSpec]) -> Iterator[tuple[Any, RunResult]]:
+    """Run a study's grid cell by cell, in order, yielding each
+    ``(key, RunResult)`` as it finishes (``dict(run_grid(g))`` for all)."""
+    for key, spec in grid.items():
+        yield key, run(spec)

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.experiments.presets import ExperimentScale, get_scale
 from repro.experiments.reporting import format_bytes, format_table
-from repro.experiments.spec import RunSpec, run
+from repro.experiments.spec import RunSpec, run_grid
 from repro.fl.metrics import RunResult
 
 __all__ = ["SweepConfig", "SweepRow", "SweepResult", "run_sweep", "render_sweep"]
@@ -165,15 +165,15 @@ def run_sweep(
     config: SweepConfig,
     progress: Callable[[str], None] | None = None,
 ) -> SweepResult:
-    """Run the full grid; reference cells run first within each cell.
+    """Run the grid through :func:`~repro.experiments.spec.run_grid`;
+    reference cells run first within each cell.
 
     ``progress`` (e.g. ``print``) is called with a one-line status per
     completed run.
     """
     result = SweepResult(config=config)
     reference: RunResult | None = None
-    for (strategy_name, network_name, fault_name), spec in config.specs().items():
-        cell = run(spec)
+    for (strategy_name, network_name, fault_name), cell in run_grid(config.specs()):
         if strategy_name == config.reference:
             reference = cell
         assert reference is not None

@@ -19,117 +19,72 @@ Accounting conventions (documented in EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.experiments.presets import BENCH, ExperimentScale
+from repro.experiments.presets import ExperimentScale
 from repro.experiments.reporting import format_bytes, format_table
 from repro.experiments.runner import PAPER_MODELS
-from repro.experiments.spec import ASYNC_LINEUP, SYNC_LINEUP, RunSpec, run
+from repro.experiments.spec import ASYNC_LINEUP, SYNC_LINEUP, RunSpec, run_grid
 from repro.fl.metrics import RunResult
 
-__all__ = ["TableRow", "run_table1", "run_table2", "render_table"]
+__all__ = ["table1_grid", "table2_grid", "run_equal_time", "render_table"]
+
+_WORKLOADS = [(d, p) for d in ("mnist", "cifar100") for p in ("iid", "shard")]
 
 
-@dataclass
-class TableRow:
-    """One method's row in Table I or II."""
-
-    method: str
-    num_clients: int
-    participation: str
-    update_freq: int
-    cost_reduction: float  # fraction of ideal updates saved
-    byte_reduction: float  # fraction of ideal uplink bytes saved
-    gradient_size: tuple[int, int]  # (min, max) wire bytes
-    compression_ratio: tuple[float, float]  # (max, min)
-    accuracies: dict[tuple[str, str], float] = field(default_factory=dict)
-    runs: dict[tuple[str, str], RunResult] = field(default_factory=dict)
-
-    def accuracy(self, dataset: str, distribution: str) -> float:
-        return self.accuracies[(dataset, distribution)]
-
-
-def _run_table(
-    base: RunSpec, lineup: tuple[str, ...], datasets: tuple[str, ...],
-    distributions: tuple[str, ...],
-) -> list[TableRow]:
-    """One row per method of ``lineup``, one run per workload.
-
-    Asynchronous tables follow the equal-time protocol: the first
-    method runs to ``base``'s update budget and the simulated time it
-    took becomes the budget for every other method on that workload.
-    """
-    scale = base.federation.scale
-    ideal = scale.num_rounds * scale.num_clients
-    time_budget: dict[tuple[str, str], float] = {}
-    rows = []
-    for method in lineup:
-        runs: dict[tuple[str, str], RunResult] = {}
-        for dataset in datasets:
-            for distribution in distributions:
-                workload = (dataset, distribution)
-                spec = base.vary(
-                    strategy=method,
-                    dataset=dataset,
-                    model=PAPER_MODELS[dataset],
-                    distribution=distribution,
-                )
-                if workload in time_budget:
-                    spec = spec.vary(
-                        max_updates=ideal,  # runaway backstop only
-                        max_sim_time_s=time_budget[workload],
-                    )
-                runs[workload] = run(spec)
-                if base.engine == "async" and method == lineup[0]:
-                    time_budget[workload] = runs[workload].total_sim_time
-        reference = next(iter(runs.values()))  # comm columns from the first workload
-        rows.append(
-            TableRow(
-                method=reference.method,
-                num_clients=scale.num_clients,
-                participation="adaptive" if method == "adafl" else "0.5",
-                update_freq=reference.total_uploads,
-                cost_reduction=reference.update_cost_reduction(ideal),
-                byte_reduction=reference.byte_cost_reduction(ideal),
-                gradient_size=reference.gradient_size_range(),
-                compression_ratio=reference.compression_ratio_range(),
-                accuracies={w: r.final_accuracy for w, r in runs.items()},
-                runs=runs,
-            )
+def _grid(base: RunSpec, lineup: tuple[str, ...]) -> dict[tuple[str, str, str], RunSpec]:
+    """``(method, dataset, distribution)`` -> spec: one run per method
+    per workload, method by method."""
+    return {
+        (method, dataset, distribution): base.vary(
+            strategy=method, dataset=dataset, model=PAPER_MODELS[dataset],
+            distribution=distribution,
         )
-    return rows
+        for method in lineup
+        for dataset, distribution in _WORKLOADS
+    }
 
 
-def run_table1(
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    datasets: tuple[str, ...] = ("mnist", "cifar100"),
-    distributions: tuple[str, ...] = ("iid", "shard"),
-) -> list[TableRow]:
+def table1_grid(scale: ExperimentScale, seed: int) -> dict[tuple[str, str, str], RunSpec]:
     """Table I: synchronous methods."""
-    base = RunSpec.of(scale, seed, network="constrained")
-    return _run_table(base, SYNC_LINEUP, datasets, distributions)
+    return _grid(RunSpec.of(scale, seed, network="constrained"), SYNC_LINEUP)
 
 
-def run_table2(
-    scale: ExperimentScale = BENCH,
-    seed: int = 0,
-    datasets: tuple[str, ...] = ("mnist", "cifar100"),
-    distributions: tuple[str, ...] = ("iid", "shard"),
-) -> list[TableRow]:
-    """Table II: asynchronous methods.
+def table2_grid(scale: ExperimentScale, seed: int) -> dict[tuple[str, str, str], RunSpec]:
+    """Table II: asynchronous methods, each at FedAsync's update budget
+    (``num_rounds * N/2``, the paper's 400).
 
-    Equal-time protocol: FedAsync runs to its fixed update budget
-    (``num_rounds * N/2``, the paper's 400) and the simulated time it
-    took becomes the budget for every other method on that workload.
-    AdaFL's lower update frequency within the same time window is then
-    entirely due to utility-gated halting, not a shorter run.
+    Only FedAsync's cells run as given: the simulated time each took
+    becomes every other method's budget on that workload
+    (:func:`run_equal_time`).  AdaFL's lower update frequency within the
+    same time window is then entirely due to utility-gated halting, not
+    a shorter run.
     """
     base = RunSpec.of(
         scale, seed, engine="async", network="constrained", devices="slow_pi",
         max_updates=scale.num_rounds * max(1, scale.num_clients // 2),
     )
-    return _run_table(base, ASYNC_LINEUP, datasets, distributions)
+    return _grid(base, ASYNC_LINEUP)
+
+
+def run_equal_time(grid: Mapping[tuple[str, str, str], RunSpec]) -> dict[tuple, RunResult]:
+    """Run a Table II grid (or part of one) under the equal-time protocol.
+
+    Two grids in turn: the first method's cells as given, then every
+    other cell with the simulated time the first method took on its
+    workload as its budget.
+    """
+    lead = next(iter(grid))[0]
+    results = dict(run_grid({k: s for k, s in grid.items() if k[0] == lead}))
+    budget = {key[1:]: result.total_sim_time for key, result in results.items()}
+    results.update(run_grid({
+        key: spec.vary(
+            max_updates=spec.federation.scale.num_rounds * spec.federation.scale.num_clients,
+            max_sim_time_s=budget[key[1:]],  # max_updates is a runaway backstop only
+        )
+        for key, spec in grid.items() if key[0] != lead
+    }))
+    return results
 
 
 def _ratio(ratio: float) -> str:
@@ -138,8 +93,14 @@ def _ratio(ratio: float) -> str:
     return f"{ratio:.1f}x" if ratio < 1 else f"{ratio:.0f}x"
 
 
-def render_table(rows: list[TableRow], title: str, datasets: tuple[str, ...] = ("mnist", "cifar100")) -> str:
-    """Format rows the way the paper prints Tables I / II."""
+def render_table(
+    results: Mapping[tuple[str, str, str], RunResult], title: str, scale: ExperimentScale
+) -> str:
+    """Format a table grid's results the way the paper prints Tables I /
+    II: a row per method, its communication columns from its first
+    workload's run, an accuracy pair per dataset."""
+    ideal = scale.num_rounds * scale.num_clients
+    datasets = list(dict.fromkeys(dataset for _, dataset, _ in results))
     headers = [
         "Method",
         "#Clients",
@@ -152,21 +113,23 @@ def render_table(rows: list[TableRow], title: str, datasets: tuple[str, ...] = (
     for dataset in datasets:
         headers.append(f"{dataset} (IID/non-IID)")
     body = []
-    for row in rows:
-        lo, hi = row.gradient_size
-        rmax, rmin = row.compression_ratio
+    for method in dict.fromkeys(method for method, _, _ in results):
+        runs = {key[1:]: r for key, r in results.items() if key[0] == method}
+        reference = next(iter(runs.values()))
+        lo, hi = reference.gradient_size_range()
+        rmax, rmin = reference.compression_ratio_range()
         cells = [
-            row.method,
-            str(row.num_clients),
-            row.participation,
-            str(row.update_freq),
-            f"-{100 * row.cost_reduction:.2f}%",
+            reference.method,
+            str(scale.num_clients),
+            "adaptive" if method == "adafl" else "0.5",
+            str(reference.total_uploads),
+            f"-{100 * reference.update_cost_reduction(ideal):.2f}%",
             f"{format_bytes(lo)} - {format_bytes(hi)}" if lo != hi else format_bytes(lo),
             f"{_ratio(rmax)} - {_ratio(rmin)}" if rmax != rmin else _ratio(rmax),
         ]
         for dataset in datasets:
-            iid = row.accuracies.get((dataset, "iid"), float("nan"))
-            noniid = row.accuracies.get((dataset, "shard"), float("nan"))
+            iid, noniid = (runs[dataset, d].final_accuracy if (dataset, d) in runs
+                           else float("nan") for d in ("iid", "shard"))
             cells.append(f"{100 * iid:.2f}% / {100 * noniid:.2f}%")
         body.append(cells)
     return format_table(headers, body, title=title)

@@ -84,9 +84,7 @@ def train_clients_batched(
                 batch_size=config.batch_size,
                 lr=config.lr,
                 momentum=config.momentum,
-                weight_decay=config.weight_decay,
                 prox_mu=config.prox_mu,
-                max_batches=config.max_batches,
                 use_corrections=use_scaffold,
             )
         except UnsupportedModelError:

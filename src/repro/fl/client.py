@@ -208,9 +208,8 @@ class Client:
         ``subspace`` restricts training to a sub-model (Adaptive
         Federated Dropout): gradients outside the covered coordinates
         are zeroed before every optimiser step, and the returned delta
-        is guaranteed zero off the subspace — even against indirect
-        movement like weight decay — so the server can trust the
-        packet's mask.
+        is guaranteed zero off the subspace, so the server can trust
+        the packet's mask.
         """
         replica = self.replica
         model, loss_fn = replica.model, replica.loss_fn
@@ -244,11 +243,7 @@ class Client:
         steps = 0
         samples_seen = 0
         for _ in range(config.local_epochs):
-            for batch_index, (xb, yb) in enumerate(
-                self.dataset.batches(config.batch_size, self._rng)
-            ):
-                if config.max_batches is not None and batch_index >= config.max_batches:
-                    break
+            for xb, yb in self.dataset.batches(config.batch_size, self._rng):
                 model.zero_grad()
                 logits = model.forward(xb, training=True)
                 loss = loss_fn.forward(logits, yb)
@@ -271,7 +266,7 @@ class Client:
         delta = local_params - global_params
         if frozen is not None:
             # Hard guarantee: zero off-subspace, whatever the optimiser
-            # did there indirectly (weight decay moves frozen params).
+            # did there indirectly.
             delta[frozen] = 0.0
 
         extras: dict[str, Any] = {}
@@ -322,10 +317,7 @@ class Client:
 
     def training_flops(self, config: LocalTrainingConfig) -> int:
         """Arithmetic one local round costs, without running it."""
-        per_epoch = len(self.dataset)
-        if config.max_batches is not None:
-            per_epoch = min(per_epoch, config.max_batches * config.batch_size)
-        samples = per_epoch * config.local_epochs
+        samples = len(self.dataset) * config.local_epochs
         return _TRAIN_FLOP_FACTOR * self.replica.model.flops_per_sample() * samples
 
     def evaluate(

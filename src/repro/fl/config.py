@@ -22,9 +22,7 @@ class LocalTrainingConfig:
     batch_size: int = 32
     lr: float = 0.05
     momentum: float = 0.0
-    weight_decay: float = 0.0
     prox_mu: float = 0.0
-    max_batches: int | None = None  # cap batches per epoch (fast test mode)
 
     def __post_init__(self) -> None:
         if self.local_epochs <= 0:
@@ -35,10 +33,8 @@ class LocalTrainingConfig:
             raise ValueError("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0 or self.prox_mu < 0:
-            raise ValueError("weight_decay and prox_mu must be non-negative")
-        if self.max_batches is not None and self.max_batches <= 0:
-            raise ValueError("max_batches must be positive or None")
+        if self.prox_mu < 0:
+            raise ValueError("prox_mu must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,9 @@ class ModelReplica:
                 [self.model.flat_parameter()],
                 lr=config.lr,
                 momentum=config.momentum,
-                weight_decay=config.weight_decay,
             )
         else:
-            optimizer.configure(
-                config.lr, momentum=config.momentum, weight_decay=config.weight_decay
-            )
+            optimizer.configure(config.lr, momentum=config.momentum)
             optimizer.reset_state()
         return optimizer
 

@@ -6,7 +6,7 @@ and runs ONE fused forward/backward through a shared set of scratch
 buffers, instead of K independent ``Sequential`` passes.  Per-client
 parameters live in a ``(K, d)`` stacked flat buffer; weights enter the
 fused GEMMs as per-row views carved out of that buffer, and the
-optimizer (SGD/momentum/weight-decay/FedProx/SCAFFOLD corrections)
+optimizer (SGD/momentum/FedProx/SCAFFOLD corrections)
 runs as row-wise in-place ops on the stack.
 
 The kernel is **bit-identical** to the serial ``Client.local_train``
@@ -370,19 +370,15 @@ class MultiClientTrainer:
         batch_size: int,
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
         prox_mu: float = 0.0,
-        max_batches: int | None = None,
         use_corrections: bool = False,
     ):
         if k < 1:
             raise ValueError("K must be at least 1")
         if local_epochs < 1 or batch_size < 1 or lr <= 0:
             raise ValueError("invalid training hyperparameters")
-        if not 0.0 <= momentum < 1.0 or weight_decay < 0.0 or prox_mu < 0.0:
+        if not 0.0 <= momentum < 1.0 or prox_mu < 0.0:
             raise ValueError("invalid training hyperparameters")
-        if max_batches is not None and max_batches < 1:
-            raise ValueError("max_batches must be positive or None")
         if architecture(model) is None:
             raise UnsupportedModelError("model contains unbatchable layers")
 
@@ -394,9 +390,7 @@ class MultiClientTrainer:
         self.batch_size = batch_size
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self.prox_mu = prox_mu
-        self.max_batches = max_batches
         self.use_corrections = use_corrections
 
         self._P = np.empty((k, self.d), dtype=np.float64)
@@ -405,8 +399,6 @@ class MultiClientTrainer:
                    if momentum > 0.0 else None)
         self._SP = (np.empty((k, self.d), dtype=np.float64)
                     if prox_mu > 0.0 else None)
-        self._S = (np.empty((k, self.d), dtype=np.float64)
-                   if weight_decay > 0.0 else None)
         self._SU = np.empty((k, self.d), dtype=np.float64)
         self._C = (np.empty((k, self.d), dtype=np.float64)
                    if use_corrections else None)
@@ -510,8 +502,6 @@ class MultiClientTrainer:
         n = [len(ys[i]) for i in order]
         bs = self.batch_size
         steps = [-(-size // bs) for size in n]
-        if self.max_batches is not None:
-            steps = [min(count, self.max_batches) for count in steps]
         max_steps = steps[0]
 
         if self.use_corrections:
@@ -607,7 +597,7 @@ class MultiClientTrainer:
             g = self.handlers[li].backward(g, a, b, bsz, need_input=li > 0)
 
         # Row-wise optimizer, in the exact serial op order:
-        # prox -> scaffold -> weight decay -> momentum -> update.
+        # prox -> scaffold -> momentum -> update.
         if self.prox_mu > 0.0:
             np.subtract(self._P[a:b], global_params[None, :],
                         out=self._SP[a:b])
@@ -615,12 +605,7 @@ class MultiClientTrainer:
             self._G[a:b] += self._SP[a:b]
         if self.use_corrections:
             self._G[a:b] += self._C[a:b]
-        if self.weight_decay > 0.0:
-            np.multiply(self._P[a:b], self.weight_decay, out=self._S[a:b])
-            self._S[a:b] += self._G[a:b]
-            upd = self._S
-        else:
-            upd = self._G
+        upd = self._G
         if self._V is not None:
             self._V[a:b] *= self.momentum
             self._V[a:b] += upd[a:b]

@@ -1,6 +1,6 @@
 """Optimisers operating on :class:`repro.nn.layers.Parameter` lists.
 
-``SGD`` (optionally with momentum and weight decay) is the client-side
+``SGD`` (optionally with momentum) is the client-side
 optimiser used throughout the paper; :class:`AdamVector` is Adam over
 one flat vector, the server-side optimiser of FedAdam.
 """
@@ -42,23 +42,17 @@ class SGD(Optimizer):
         params: list[Parameter],
         lr: float,
         momentum: float = 0.0,
-        weight_decay: float = 0.0,
     ):
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in params] if momentum else None
         # One scratch per block shape, reused by every step; what it
         # holds is dead once ``step`` returns.
         self._scratch: dict[tuple[int, ...], np.ndarray] = {}
 
-    def configure(
-        self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0
-    ) -> None:
+    def configure(self, lr: float, momentum: float = 0.0) -> None:
         """Re-point a reused optimiser at new hyperparameters.
 
         Keeps the velocity buffers allocated when momentum stays
@@ -70,10 +64,7 @@ class SGD(Optimizer):
             raise ValueError("learning rate must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0.0:
-            raise ValueError("weight_decay must be non-negative")
         self.lr = lr
-        self.weight_decay = weight_decay
         if momentum and self._velocity is None:
             self._velocity = [np.zeros_like(p.data) for p in self.params]
         elif not momentum:
@@ -94,10 +85,6 @@ class SGD(Optimizer):
                 scratch = scratches.get(block.shape)
                 if scratch is None:
                     scratch = scratches[block.shape] = np.empty_like(block)
-                if self.weight_decay:
-                    np.multiply(block, self.weight_decay, out=scratch)
-                    scratch += grad
-                    grad = scratch
                 if self._velocity is not None:
                     v = self._velocity[i][rows]
                     v *= self.momentum

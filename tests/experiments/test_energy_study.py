@@ -2,8 +2,12 @@
 
 from dataclasses import replace
 
-from repro.experiments.energy_study import run_energy_study
+from repro.embedded.device import DEVICE_PRESETS
+from repro.embedded.energy import RADIO_PRESETS, EnergyModel
+from repro.experiments.energy_study import _replay_energy, run_energy_study
+from repro.experiments.overhead import client_training_flops
 from repro.experiments.presets import FAST
+from repro.experiments.spec import RunSpec, open_run
 
 TINY = replace(
     FAST,
@@ -33,6 +37,12 @@ class TestEnergyStudy:
         assert result.energy_saving < 1.0
 
     def test_radio_choice_scales_comm_energy(self):
-        lte = run_energy_study(scale=TINY, seed=0, radio="lte")
-        wifi = run_energy_study(scale=TINY, seed=0, radio="wifi")
-        assert lte.fedavg_comm_j > wifi.fedavg_comm_j
+        with open_run(RunSpec.of(TINY, strategy="fedavg")) as session:
+            result = session.run()
+            flops = client_training_flops(session.federation)
+        lte, wifi = (
+            _replay_energy(result, flops, EnergyModel(DEVICE_PRESETS["pi4"], RADIO_PRESETS[r]))
+            for r in ("lte", "wifi")
+        )
+        assert lte[0] == wifi[0]  # the same compute
+        assert lte[1] > wifi[1]

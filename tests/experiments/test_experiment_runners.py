@@ -10,17 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments.ablation import ablation_variants, run_ablation
-from repro.experiments.comparison import (
-    default_adafl_config,
-    run_fig3_async_panel,
-    run_fig3_sync_panel,
-)
-from repro.experiments.empirical import run_fig1_async_panel, run_fig1_sync_panel
+from repro.cli import STUDIES
+from repro.experiments.ablation import ablation_grid
+from repro.experiments.comparison import default_adafl_config, fig3_grid
+from repro.experiments.empirical import fig1_grid
 from repro.experiments.overhead import run_overhead_study
 from repro.experiments.presets import FAST
-from repro.experiments.scalability import run_scalability
-from repro.experiments.tables import render_table, run_table1, run_table2
+from repro.experiments.scalability import scalability_grid
+from repro.experiments.spec import Named, RunSpec, run_grid
+from repro.experiments.tables import render_table, run_equal_time, table1_grid, table2_grid
 
 TINY = replace(
     FAST,
@@ -34,60 +32,81 @@ TINY = replace(
 )
 
 
+def _cells(grid, keep):
+    """The cells of ``grid`` whose key ``keep`` accepts."""
+    return {key: spec for key, spec in grid.items() if keep(key)}
+
+
+def _panel(grid, engine, title_part, labels):
+    """Run the named curves of one figure panel: label -> result."""
+    cells = _cells(grid, lambda k: k[0] == engine and title_part in k[1] and k[2] in labels)
+    assert len({title for _, title, _ in cells}) == 1
+    return {label: result for (_, _, label), result in run_grid(cells)}
+
+
+def _fig1(engine, title_part, labels):
+    return _panel(fig1_grid(TINY, 0), engine, title_part, labels)
+
+
+def _mnist_iid(key) -> bool:
+    """A table's first workload."""
+    return key[1:] == ("mnist", "iid")
+
+
+def _table1():
+    return dict(run_grid(_cells(table1_grid(TINY, 0), _mnist_iid)))
+
+
 class TestFig1:
     def test_sync_panel_structure(self):
-        panel = run_fig1_sync_panel(
-            "mnist", "iid", "dropout", fractions=(0.0, 0.5), scale=TINY, seed=0
-        )
-        assert set(panel.series) == {"0%", "50%"}
-        for x, y in panel.series.values():
+        runs = _fig1("sync", "mnist, iid, dropout", ("0%", "50%"))
+        assert set(runs) == {"0%", "50%"}
+        for result in runs.values():
+            x, y = result.accuracy_curve()
             assert x.size == y.size > 0
             assert np.all((0 <= y) & (y <= 1))
 
     def test_sync_panel_dataloss_mode(self):
-        panel = run_fig1_sync_panel(
-            "mnist", "shard", "dataloss", fractions=(0.2,), scale=TINY, seed=0
-        )
-        assert "20%" in panel.series
+        runs = _fig1("sync", "mnist, shard, dataloss", ("20%",))
         # Data loss must actually drop uploads.
-        assert panel.runs["20%"].total_dropped > 0
+        assert runs["20%"].total_dropped > 0
 
     def test_dropout_reduces_updates(self):
-        panel = run_fig1_sync_panel(
-            "mnist", "iid", "dropout", fractions=(0.0, 0.5), scale=TINY, seed=0
-        )
-        assert panel.runs["50%"].total_uploads < panel.runs["0%"].total_uploads
+        runs = _fig1("sync", "mnist, iid, dropout", ("0%", "50%"))
+        assert runs["50%"].total_uploads < runs["0%"].total_uploads
 
     def test_async_panel_structure(self):
-        panel = run_fig1_async_panel(
-            "mnist", "iid", fractions=(0.0, 0.5), scale=TINY, seed=0
-        )
-        assert set(panel.series) == {"0%", "50%"}
-        assert panel.x_name == "time_s"
+        grid = fig1_grid(TINY, 0)
+        runs = _panel(grid, "async", "mnist, iid", ("0%", "50%"))
+        assert set(runs) == {"0%", "50%"}
+        assert {k[1] for k in grid if k[0] == "async"} == {
+            f"Async FedAsync, {w}, {d}, 3.0x-slow stragglers"
+            for w in ("mnist", "cifar10") for d in ("iid", "shard")
+        }
 
     def test_bad_workload(self):
-        with pytest.raises(ValueError):
-            run_fig1_sync_panel("imagenet", "iid", "dropout", scale=TINY)
+        with pytest.raises(ValueError, match="unknown dataset"):
+            RunSpec.of(TINY, dataset="imagenet")
 
     def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            run_fig1_sync_panel("mnist", "iid", "meteor", scale=TINY)
+        with pytest.raises(ValueError, match="unknown fault"):
+            RunSpec.of(TINY, faults=(Named("meteor", {"fraction": 0.2}),))
 
 
 class TestFig3:
     def test_sync_panel_has_all_methods(self):
-        panel = run_fig3_sync_panel("iid", scale=TINY, seed=0)
-        assert set(panel.series) == {"fedavg", "fedadam", "fedprox", "scaffold", "adafl"}
+        labels = {k[2] for k in fig3_grid(TINY, 0) if k[0] == "sync"}
+        assert labels == {"fedavg", "fedadam", "fedprox", "scaffold", "adafl"}
 
     def test_async_panel_has_all_methods(self):
-        panel = run_fig3_async_panel("iid", scale=TINY, seed=0)
-        assert set(panel.series) == {"fedasync", "fedbuff", "adafl-async"}
+        grid = fig3_grid(TINY, 0)
+        assert {k[2] for k in grid if k[0] == "async"} == {"fedasync", "fedbuff", "adafl-async"}
+        runs = _panel(grid, "async", "iid", ("adafl-async",))
+        assert runs["adafl-async"].method == "adafl-async"
 
     def test_adafl_uses_fewer_bytes(self):
-        panel = run_fig3_sync_panel("iid", scale=TINY, seed=0)
-        assert (
-            panel.runs["adafl"].total_bytes_up < panel.runs["fedavg"].total_bytes_up
-        )
+        runs = _panel(fig3_grid(TINY, 0), "sync", "iid", ("fedavg", "adafl"))
+        assert runs["adafl"].total_bytes_up < runs["fedavg"].total_bytes_up
 
     def test_default_config_scales_k(self):
         cfg = default_adafl_config(TINY)
@@ -96,50 +115,48 @@ class TestFig3:
 
 class TestTables:
     def test_table1_rows(self):
-        rows = run_table1(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
-        assert [r.method for r in rows] == [
-            "fedavg",
-            "fedadam",
-            "fedprox",
-            "scaffold",
-            "adafl",
-        ]
-        for row in rows:
-            assert 0.0 <= row.accuracy("mnist", "iid") <= 1.0
-            assert row.update_freq > 0
+        results = _table1()
+        assert [k[0] for k in results] == ["fedavg", "fedadam", "fedprox", "scaffold", "adafl"]
+        for result in results.values():
+            assert 0.0 <= result.final_accuracy <= 1.0
+            assert result.total_uploads > 0
 
     def test_table1_adafl_compression_columns(self):
-        rows = run_table1(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
-        adafl = rows[-1]
-        fedavg = rows[0]
-        assert adafl.participation == "adaptive"
-        assert adafl.gradient_size[1] < fedavg.gradient_size[0]
-        assert adafl.compression_ratio[0] > 1.0
-        assert adafl.byte_reduction > fedavg.byte_reduction
+        results = _table1()
+        adafl, fedavg = results["adafl", "mnist", "iid"], results["fedavg", "mnist", "iid"]
+        assert adafl.gradient_size_range()[1] < fedavg.gradient_size_range()[0]
+        assert adafl.compression_ratio_range()[0] > 1.0
+        ideal = TINY.num_rounds * TINY.num_clients
+        assert adafl.byte_cost_reduction(ideal) > fedavg.byte_cost_reduction(ideal)
+        line = next(ln for ln in render_table(results, "T", TINY).splitlines()
+                    if ln.startswith("adafl"))
+        assert "| adaptive " in line
 
     def test_table2_rows(self):
-        rows = run_table2(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
-        assert [r.method for r in rows] == ["fedasync", "fedbuff", "adafl-async"]
+        grid = _cells(table2_grid(TINY, 0), _mnist_iid)
+        results = run_equal_time(grid)
+        assert [k[0] for k in results] == ["fedasync", "fedbuff", "adafl"]
+        assert [r.method for r in results.values()] == ["fedasync", "fedbuff", "adafl-async"]
+        # Every other method runs on the simulated time FedAsync took.
+        budget = results["fedasync", "mnist", "iid"].total_sim_time
+        assert all(r.total_sim_time <= budget for r in results.values())
 
     def test_render_table(self):
-        rows = run_table1(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
-        text = render_table(rows, "Table I", datasets=("mnist",))
+        text = render_table(_table1(), "Table I", TINY)
         assert "Table I" in text
         assert "adafl" in text
         assert "Update Freq." in text
+        assert "cifar100" not in text  # datasets come from the results
 
     def test_sub_unity_compression_ratio_is_not_rounded_to_zero(self):
         """SCAFFOLD uploads delta + control variate: ratio 0.5, not ``0x``."""
-        rows = run_table1(scale=TINY, seed=0, datasets=("mnist",), distributions=("iid",))
-        scaffold = next(r for r in rows if r.method == "scaffold")
-        assert scaffold.compression_ratio == (0.5, 0.5)
-        line = next(
-            ln for ln in render_table(rows, "Table I", datasets=("mnist",)).splitlines()
-            if ln.startswith("scaffold")
-        )
+        results = _table1()
+        assert results["scaffold", "mnist", "iid"].compression_ratio_range() == (0.5, 0.5)
+        text = render_table(results, "Table I", TINY)
+        line = next(ln for ln in text.splitlines() if ln.startswith("scaffold"))
         assert "| 0.5x " in line and " 0x" not in line
-        adafl = next(r for r in rows if r.method == "adafl")
-        assert f"{adafl.compression_ratio[0]:.0f}x" in render_table(rows, "T", ("mnist",))
+        adafl = results["adafl", "mnist", "iid"]
+        assert f"{adafl.compression_ratio_range()[0]:.0f}x" in text
 
 
 class TestOverhead:
@@ -156,28 +173,29 @@ class TestOverhead:
 
 class TestScalability:
     def test_two_sizes(self):
-        points = run_scalability(client_counts=(10, 20), scale=TINY, seed=0)
-        assert [p.num_clients for p in points] == [10, 20]
-        for p in points:
-            assert p.adafl_updates > 0
-            assert 0.0 <= p.adafl_accuracy <= 1.0
-            assert p.byte_saving > 0.0
+        grid = scalability_grid(TINY, 0)
+        assert list(grid) == [(n, m) for n in (20, 50, 100) for m in ("adafl", "fedavg")]
+        assert grid[20, "adafl"].federation.scale.num_clients == 20
+        results = dict(run_grid(_cells(grid, lambda k: k[0] == 20)))
+        adafl, fedavg = results[20, "adafl"], results[20, "fedavg"]
+        assert adafl.total_uploads > 0
+        assert 0.0 <= adafl.final_accuracy <= 1.0
+        assert adafl.total_bytes_up < fedavg.total_bytes_up
+        text = STUDIES["scalability"].render(results, TINY)
+        assert text.splitlines()[2].startswith("20 ")
 
 
 class TestAblation:
     def test_variants_defined(self):
-        variants = ablation_variants(TINY)
-        assert "base(cosine)" in variants
-        assert "metric=l2" in variants
-        assert "fixed-heavy(210x)" in variants
+        grid = ablation_grid(TINY, 0)
+        assert "base(cosine)" in grid
+        assert "metric=l2" in grid
+        assert "fixed-heavy(210x)" in grid
+        assert grid["metric=l2"].strategy == Named("adafl", {"scorer.metric": "l2"})
 
     def test_subset_runs(self):
-        variants = {
-            k: v
-            for k, v in ablation_variants(TINY).items()
-            if k in ("base(cosine)", "no-warmup")
-        }
-        points = run_ablation(scale=TINY, seed=0, variants=variants)
-        assert {p.variant for p in points} == set(variants)
-        for p in points:
-            assert p.updates > 0
+        variants = ("base(cosine)", "no-warmup")
+        results = dict(run_grid(_cells(ablation_grid(TINY, 0), lambda k: k in variants)))
+        assert set(results) == set(variants)
+        for result in results.values():
+            assert result.total_uploads > 0

@@ -1,16 +1,13 @@
-"""Tests for the network-sensitivity sweep."""
+"""Tests for the network-sensitivity grid."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments.presets import FAST
-from repro.experiments.sensitivity import (
-    NETWORK_CONDITIONS,
-    _network,
-    run_network_sensitivity,
-)
-from repro.experiments.spec import RunSpec
+from repro.experiments.reporting import adafl_vs_fedavg
+from repro.experiments.sensitivity import NETWORK_CONDITIONS, sensitivity_grid
+from repro.experiments.spec import RunSpec, run_grid
 
 TINY = replace(
     FAST,
@@ -27,7 +24,7 @@ TINY = replace(
 def _build_network(condition, num_clients, seed):
     """What a condition resolves to through the spec's network table."""
     scale = replace(TINY, num_clients=num_clients)
-    return RunSpec.of(scale, seed, network=_network(condition)).resolve()[2]["network"]
+    return RunSpec.of(scale, seed, network=NETWORK_CONDITIONS[condition]).resolve()[2]["network"]
 
 
 class TestBuildNetwork:
@@ -46,30 +43,33 @@ class TestBuildNetwork:
         assert labels == {"wifi", "constrained"}
 
     def test_unknown_condition(self):
-        with pytest.raises(ValueError, match="unknown condition"):
-            _build_network("5g", 4, seed=0)
+        with pytest.raises(ValueError, match="unknown network '5g'"):
+            RunSpec.of(TINY, network="5g")
+
+
+def _run(*conditions):
+    """``condition -> (AdaFL run, FedAvg run)`` for some of the grid's conditions."""
+    grid = sensitivity_grid(TINY, 0)
+    return adafl_vs_fedavg(dict(run_grid({k: s for k, s in grid.items() if k[0] in conditions})))
 
 
 class TestSweep:
+    def test_grid_pairs_methods_per_condition(self):
+        grid = sensitivity_grid(TINY, 0)
+        assert list(grid) == [(c, m) for c in NETWORK_CONDITIONS for m in ("adafl", "fedavg")]
+        assert grid["mixed", "fedavg"].network == NETWORK_CONDITIONS["mixed"]
+
     def test_two_conditions_run(self):
-        points = run_network_sensitivity(
-            conditions=("ethernet", "constrained"), scale=TINY, seed=0
-        )
-        assert [p.condition for p in points] == ["ethernet", "constrained"]
-        for p in points:
-            assert p.adafl_bytes_up > 0
-            assert p.fedavg_bytes_up > 0
-            assert 0.0 <= p.byte_saving <= 1.0
+        for adafl, fedavg in _run("ethernet", "constrained").values():
+            assert adafl.total_bytes_up > 0
+            assert fedavg.total_bytes_up > 0
+            assert 0.0 <= 1.0 - adafl.total_bytes_up / fedavg.total_bytes_up <= 1.0
 
     def test_constrained_slower_than_ethernet(self):
-        points = run_network_sensitivity(
-            conditions=("ethernet", "constrained"), scale=TINY, seed=0
-        )
-        by_cond = {p.condition: p for p in points}
-        assert (
-            by_cond["constrained"].fedavg_time_s > by_cond["ethernet"].fedavg_time_s
-        )
+        runs = _run("ethernet", "constrained")
+        assert runs["constrained"][1].total_sim_time > runs["ethernet"][1].total_sim_time
 
     def test_speedup_computed(self):
-        points = run_network_sensitivity(conditions=("constrained",), scale=TINY, seed=0)
-        assert points[0].speedup > 0
+        adafl, fedavg = _run("constrained")["constrained"]
+        assert adafl.total_sim_time > 0
+        assert fedavg.total_sim_time / adafl.total_sim_time > 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import repro
 from repro.cli import main
 from repro.core.adafl import AdaFLSync
-from repro.experiments.empirical import run_fig1_sync_panel
+from repro.experiments.empirical import fig1_grid
 from repro.experiments.presets import FAST
 from repro.experiments.runner import (
     FederationSpec,
@@ -315,8 +315,9 @@ class TestOneTable:
             TINY, 5, participation_rate=1.0,
             strategy=Named("fedavg", {"participation_rate": 1.0}), faults=(mode,),
         )
-        panel = run_fig1_sync_panel("mnist", "iid", mode, fractions=(0.2,), scale=TINY, seed=5)
-        assert run(spec) == panel.runs["20%"]
+        cell = fig1_grid(TINY, 5)["sync", f"Sync FedAvg, mnist, iid, {mode}", "20%"]
+        assert cell == spec.vary(faults=(Named(mode, {"fraction": 0.2}),))
+        assert run(spec) == run(cell)
         model = spec.resolve()[2]["chaos"].models[0]
         assert len(model.client_ids) == 1  # 20% of 4 clients, drawn at seed + 20
 

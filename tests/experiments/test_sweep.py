@@ -4,9 +4,10 @@ against the committed artifact, and the headline resilience claim.
 The committed ``data/sweep_baseline.json`` pins the constrained-network
 comparison the README-level claim rests on: Adaptive Federated Dropout
 and AdaGQ both cut uplink bytes by >=30% versus FedAvg at <=2 points of
-accuracy cost.  Regenerate with::
+accuracy cost.  Check or regenerate it with::
 
-    python -m tests.experiments.regen_sweep_baseline
+    python -m tests.experiments.regen_sweep_baseline --check
+    python -m tests.experiments.regen_sweep_baseline --only sweep
 """
 
 import json

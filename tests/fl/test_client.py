@@ -67,12 +67,6 @@ class TestLocalTrain:
         b = Client(0, tiny_train, tiny_model_fn, seed=5).local_train(global_params, CFG)
         np.testing.assert_array_equal(a.delta, b.delta)
 
-    def test_max_batches_caps_work(self, client, global_params):
-        capped = LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1, max_batches=1)
-        update = client.local_train(global_params, capped)
-        full = client.local_train(global_params, CFG)
-        assert update.flops < full.flops
-
     def test_more_epochs_more_flops(self, client, global_params):
         two = LocalTrainingConfig(local_epochs=2, batch_size=16, lr=0.1)
         assert (
@@ -172,8 +166,7 @@ class TestHoistedOptimizer:
     ):
         cfg_a = LocalTrainingConfig(local_epochs=1, batch_size=16, lr=0.1,
                                     momentum=0.9)
-        cfg_b = LocalTrainingConfig(local_epochs=1, batch_size=16, lr=0.05,
-                                    weight_decay=1e-4)
+        cfg_b = LocalTrainingConfig(local_epochs=1, batch_size=16, lr=0.05)
         reused = Client(0, tiny_train, tiny_model_fn, seed=5)
         reused.local_train(global_params, cfg_a)
         got = reused.local_train(global_params, cfg_b, round_index=1)

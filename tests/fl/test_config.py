@@ -20,9 +20,7 @@ class TestLocalTrainingConfig:
             {"lr": -0.1},
             {"momentum": 1.0},
             {"momentum": -0.1},
-            {"weight_decay": -1.0},
             {"prox_mu": -0.5},
-            {"max_batches": 0},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -108,9 +108,7 @@ class TestSubspaceLocalTraining:
         sub = ParamSubspace.sample(
             client.replica.model.param_layout(), 0.4, np.random.default_rng(3)
         )
-        config = LocalTrainingConfig(
-            local_epochs=1, batch_size=8, lr=0.1, weight_decay=0.01
-        )
+        config = LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1, momentum=0.9)
         update = client.local_train(params, config, subspace=sub)
         off = sub.complement().indices
         assert update.delta.size == dim

@@ -58,8 +58,7 @@ def _assert_rounds_equal(serial, fused, cfg: LocalTrainingConfig,
         fused[0].replica.model, len(fused),
         local_epochs=cfg.local_epochs, batch_size=cfg.batch_size,
         lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, prox_mu=cfg.prox_mu,
-        max_batches=cfg.max_batches, use_corrections=scaffold,
+        prox_mu=cfg.prox_mu, use_corrections=scaffold,
     )
     for rnd in range(rounds):
         # Serial clients are standalone (a private replica each), so
@@ -117,11 +116,8 @@ def _cnn():
 
 CONFIG_CASES = {
     "plain": LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1),
-    "momentum_wd": LocalTrainingConfig(local_epochs=2, batch_size=8, lr=0.1,
-                                       momentum=0.9, weight_decay=1e-4),
-    "prox_max_batches": LocalTrainingConfig(local_epochs=1, batch_size=8,
-                                            lr=0.1, prox_mu=0.01,
-                                            max_batches=2),
+    "momentum": LocalTrainingConfig(local_epochs=2, batch_size=8, lr=0.1, momentum=0.9),
+    "prox": LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1, prox_mu=0.01),
 }
 
 

@@ -121,12 +121,12 @@ class TestFlatViews:
         """View-based optimiser steps == dense flat arithmetic, bitwise.
 
         The reference replays the exact pre-refactor update rule on an
-        independent dense vector: v = mom*v + (g + wd*w); w -= lr*v.
+        independent dense vector: v = mom*v + g; w -= lr*v.
         """
         rng = np.random.default_rng(7)
         model = _build(name, shape, classes, kwargs)
-        lr, mom, wd = 0.05, 0.9, 1e-4
-        opt = SGD([model.flat_parameter()], lr=lr, momentum=mom, weight_decay=wd)
+        lr, mom = 0.05, 0.9
+        opt = SGD([model.flat_parameter()], lr=lr, momentum=mom)
         loss_fn = SoftmaxCrossEntropy()
 
         w_ref = model.get_flat_params().copy()
@@ -139,7 +139,7 @@ class TestFlatViews:
             model.backward(loss_fn.backward())
 
             g = model.get_flat_grads().copy()
-            v_ref = mom * v_ref + (g + wd * w_ref)
+            v_ref = mom * v_ref + g
             w_ref = w_ref - lr * v_ref
 
             opt.step()

@@ -39,12 +39,6 @@ class TestSGD:
             opt_h.step()
         assert abs(heavy.data[0]) < abs(plain.data[0])
 
-    def test_weight_decay_shrinks(self):
-        p = quadratic_param()
-        p.grad[:] = 0.0
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [5.0 - 0.1 * 0.5 * 5.0])
-
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
             SGD([quadratic_param()], lr=0.0)
@@ -71,9 +65,9 @@ class TestSGDReuse:
         p = quadratic_param()
         opt = SGD([p], lr=0.1, momentum=0.9)
         before = opt._velocity[0]
-        opt.configure(0.2, momentum=0.5, weight_decay=1e-4)
+        opt.configure(0.2, momentum=0.5)
         assert opt._velocity[0] is before
-        assert (opt.lr, opt.momentum, opt.weight_decay) == (0.2, 0.5, 1e-4)
+        assert (opt.lr, opt.momentum) == (0.2, 0.5)
 
     def test_configure_momentum_transitions(self):
         p = quadratic_param()
@@ -101,9 +95,9 @@ class TestSGDReuse:
         reused_p.grad[:] = 1.0
         reused.step()  # dirty the state
         reused_p.data[:] = fresh_p.data
-        reused.configure(0.1, momentum=0.9, weight_decay=1e-3)
+        reused.configure(0.1, momentum=0.9)
         reused.reset_state()
-        fresh = SGD([fresh_p], lr=0.1, momentum=0.9, weight_decay=1e-3)
+        fresh = SGD([fresh_p], lr=0.1, momentum=0.9)
         for _ in range(5):
             fresh_p.grad[:] = fresh_p.data
             reused_p.grad[:] = reused_p.data
@@ -117,17 +111,13 @@ class TestSGDReuse:
             opt.configure(0.0)
         with pytest.raises(ValueError):
             opt.configure(0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            opt.configure(0.1, weight_decay=-1.0)
 
 
-def _reference_sgd_step(params, velocity, lr, momentum, weight_decay):
+def _reference_sgd_step(params, velocity, lr, momentum):
     """The whole-array expressions ``SGD.step`` evaluated before it was
     blocked; every temporary it allocated is spelled out."""
     for i, p in enumerate(params):
         grad = p.grad
-        if weight_decay:
-            grad = grad + weight_decay * p.data
         if velocity is not None:
             velocity[i] *= momentum
             velocity[i] += grad
@@ -148,25 +138,24 @@ class TestSGDIsBitEqualToWholeArrayExpressions:
         return params
 
     @pytest.mark.parametrize("momentum", (0.0, 0.9))
-    @pytest.mark.parametrize("weight_decay", (0.0, 0.01))
-    def test_three_steps(self, momentum, weight_decay):
+    def test_three_steps(self, momentum):
         ours = self._params(np.random.default_rng(1))
         theirs = self._params(np.random.default_rng(1))
-        opt = SGD(ours, lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        opt = SGD(ours, lr=0.05, momentum=momentum)
         velocity = [np.zeros_like(p.data) for p in theirs] if momentum else None
         rng = np.random.default_rng(2)
         for _ in range(3):
             for a, b in zip(ours, theirs):
                 a.grad[...] = b.grad[...] = rng.standard_normal(a.data.shape)
             opt.step()
-            _reference_sgd_step(theirs, velocity, 0.05, momentum, weight_decay)
+            _reference_sgd_step(theirs, velocity, 0.05, momentum)
             for a, b in zip(ours, theirs):
                 assert a.data.tobytes() == b.data.tobytes(), a.name
                 assert a.grad.tobytes() == b.grad.tobytes(), a.name
 
     def test_scratch_is_block_sized_and_reused(self):
         p = Parameter("w", np.ones(200_000))
-        opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.1)
+        opt = SGD([p], lr=0.1, momentum=0.9)
         opt.step()
         scratch = dict(opt._scratch)
         opt.step()

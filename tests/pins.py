@@ -1,9 +1,10 @@
 """Scoped re-pins: recompute every pinned key, write only the named ones.
 
-The four pin files (``tests/fl/data/equivalence_baseline.json``,
-``tests/fl/data/trace_digests.json``, ``tests/nn/data/layout_digests.json``
-and ``tests/cli_golden.json``) each have a regenerator whose ``main``
-is :func:`regen`::
+The five pin files (``tests/fl/data/equivalence_baseline.json``,
+``tests/fl/data/trace_digests.json``, ``tests/nn/data/layout_digests.json``,
+``tests/cli_golden.json`` and ``tests/experiments/data/sweep_baseline.json``,
+whose one key ``sweep`` is the whole artifact) each have a regenerator
+whose ``main`` is :func:`regen`::
 
     python -m tests.fl.trace_digest_cases --only sync_chaos async_chaos
     python -m tests.fl.trace_digest_cases --check
