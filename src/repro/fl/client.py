@@ -325,9 +325,11 @@ class Client:
     ) -> float:
         """Accuracy of ``global_params`` on an arbitrary dataset.
 
-        Evaluation is chunked (``batch_size``) so conv models never
-        materialise a whole-dataset im2col expansion.  Chunking moves
-        the logits by up to ~1e-14 (BLAS blocks the row dimension), so
+        Evaluation is chunked (``batch_size``) so no layer holds a
+        whole-dataset activation; a conv layer further streams each
+        chunk through its im2col in bit-exact blocks.  Chunking moves
+        the logits by up to ~1e-14 (the fully connected GEMMs round
+        differently over few rows, as a ragged last chunk has), so
         only the argmax, and with it the accuracy, matches a single
         full-dataset forward, barring near-ties closer than that.  The
         server's loss is computed from such logits, which makes

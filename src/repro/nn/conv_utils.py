@@ -64,9 +64,12 @@ class ConvWorkspace:
     The key is the *per-sample* geometry; the batch size only sets a
     capacity.  Buffers are sized for the largest ``N`` seen and a call
     gets their leading-``N`` prefix (still C-contiguous), so a ragged
-    final batch or a chunked evaluation reuses the same memory instead
-    of reallocating.  ``pad_in`` keeps its zero border across calls:
-    only the interior is rewritten.
+    final batch reuses the same memory instead of reallocating.  The
+    capacity is whatever the caller asks for: ``Conv2d``'s evaluation
+    workspace stays small because its forward asks for at most one
+    ``EVAL_COLS_BYTES`` block of samples at a time, while its training
+    workspace grows to the largest training batch.  ``pad_in`` keeps
+    its zero border across calls: only the interior is rewritten.
 
     A workspace is pure scratch: it pickles as an empty one.
     """

@@ -54,6 +54,16 @@ __all__ = [
     "ResidualBlock",
 ]
 
+# Byte budget of the column matrix one evaluation block of ``Conv2d``
+# expands.  A larger batch is run in blocks of whole samples, each
+# im2col'd into the eval workspace and multiplied into its rows of one
+# output.  The value is a floor, not a tuning point: every zoo conv
+# geometry's blocked logits are bit-equal to one whole-batch GEMM at
+# 2 MiB, while at 256 KiB some blocks are small enough for OpenBLAS to
+# take a different kernel and move the last bits
+# (``tests/nn/test_eval_blocks.py``).
+EVAL_COLS_BYTES = 2 << 20
+
 
 class Parameter:
     """A trainable tensor with an accompanying gradient buffer."""
@@ -254,7 +264,7 @@ class Conv2d(Layer):
         self._x_shape: tuple[int, int, int, int] | None = None
         # Separate train/eval workspaces: training forward caches the
         # column buffer for backward, so an interleaved evaluation pass
-        # must not overwrite it.
+        # must not overwrite it.  The eval one holds one block's columns.
         self._ws_train = ConvWorkspace()
         self._ws_eval = ConvWorkspace()
 
@@ -263,16 +273,28 @@ class Conv2d(Layer):
             raise ValueError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = conv_output_size(h, k, s, p)
         out_w = conv_output_size(w, k, s, p)
-        cols = im2col(x, k, k, s, p, self._ws_train if training else self._ws_eval)
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
         if training:
+            cols = im2col(x, k, k, s, p, self._ws_train)
             self._cols = cols
             self._x_shape = x.shape
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
+            out = cols @ w_mat.T
+        else:
+            # Evaluation keeps no columns, so it streams the batch in
+            # blocks whose column matrix fits EVAL_COLS_BYTES.  The
+            # training path does not: its cached columns feed backward's
+            # weight-gradient GEMM, whose sum runs over the whole batch.
+            rows = out_h * out_w
+            block = max(1, EVAL_COLS_BYTES // (rows * c * k * k * x.itemsize))
+            out = np.empty((n * rows, self.out_channels), np.result_type(x, w_mat))
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                cols = im2col(x[start:stop], k, k, s, p, self._ws_eval)
+                np.matmul(cols, w_mat.T, out=out[start * rows : stop * rows])
         if self.bias is not None:
             out += self.bias.data
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)

@@ -107,11 +107,14 @@ class Sequential:
     def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """Class predictions (argmax over the final axis).
 
-        ``batch_size`` evaluates in chunks, bounding the im2col
-        working-set for conv models.  The logits are not bit-equal
-        across chunk sizes — BLAS blocks the row dimension, so they
-        differ in the last bits (up to ~1e-14 on ``build_mnist_cnn``)
-        — but the argmax agrees barring near-ties closer than that.
+        ``batch_size`` evaluates in chunks, bounding the activations'
+        working set (a ``Conv2d`` already caps its own im2col columns
+        at ``EVAL_COLS_BYTES`` per block, bit-exactly).  The logits are
+        not bit-equal across chunk sizes: a GEMM over few rows takes an
+        OpenBLAS kernel that rounds differently — the fully connected
+        head's do below ~32 rows, as a ragged last chunk has — so they
+        differ in the last bits (up to ~1e-14 on ``build_mnist_cnn``),
+        but the argmax agrees barring near-ties closer than that.
         """
         if batch_size is None or x.shape[0] <= batch_size:
             return np.argmax(self.forward(x, training=False), axis=-1)
