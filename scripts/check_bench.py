@@ -11,12 +11,12 @@ Usage::
 
     PYTHONPATH=src python scripts/check_bench.py            # compare
     PYTHONPATH=src python scripts/check_bench.py --update   # refresh baseline
-    PYTHONPATH=src python scripts/check_bench.py --update --section population
+    PYTHONPATH=src python scripts/check_bench.py --update --section subspace
 
 ``--section NAME`` (repeatable) runs only the named sections.  With
 ``--update`` it rewrites just those entries of the baseline and leaves
 every other section's anchor byte-for-byte as committed, so one
-measured change cannot re-baseline the drift of twelve others.
+measured change cannot re-baseline the drift of the others.
 
 The comparison uses ``min_s`` because the per-iteration minimum is the
 most noise-robust statistic on a shared machine.

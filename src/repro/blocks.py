@@ -4,7 +4,7 @@ A chain of elementwise operations applied block by block computes
 exactly what it computes over whole arrays — no reduction crosses a
 block — but streams each operand through memory once per chain instead
 of once per operation.  This module sits below every package that runs
-such a chain (``SGD.step``, ``weighted_average``, DGC's
+such a chain (``SGD.step``, ``WeightedFold``, DGC's
 momentum → residual → magnitude pass), so none of them has to import
 another for it.
 """

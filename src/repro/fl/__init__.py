@@ -26,7 +26,6 @@ from repro.fl.strategy import (
     SyncStrategy,
     UploadPacket,
     WeightedFold,
-    weighted_average,
 )
 from repro.fl.sync_engine import SyncEngine
 from repro.fl.validation import UpdateValidator, ValidationConfig, trimmed_mean
@@ -51,7 +50,6 @@ __all__ = [
     "RoundContext",
     "UploadPacket",
     "WeightedFold",
-    "weighted_average",
     "FedAvg",
     "FedAvgM",
     "FedProx",

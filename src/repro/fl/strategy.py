@@ -37,7 +37,6 @@ __all__ = [
     "UploadPacket",
     "WeightedFold",
     "RunningMean",
-    "weighted_average",
 ]
 
 
@@ -248,13 +247,6 @@ class WeightedFold:
         for u in updates:
             fold.add(u)
         return fold
-
-
-def weighted_average(updates: list[ClientUpdate]) -> np.ndarray:
-    """:class:`WeightedFold`'s result over a list of updates."""
-    if not updates:
-        raise ValueError("cannot average zero updates")
-    return WeightedFold.of(updates).result()
 
 
 class RunningMean:

@@ -25,8 +25,9 @@ updates before they reach the model:
   coordinate-wise trimmed mean instead of the strategy's aggregator,
   bounding the influence of any corruption the screens missed.
 
-Cost model (see ``benchmarks/bench_hotpath.py``, section
-``resilience``): both engines screen every delivery as it arrives, and
+Cost model (timed as ``fl.validation.screen_s`` on the
+``dense_wide_mlp`` workload of ``benchmarks/e2e``): both engines
+screen every delivery as it arrives, and
 only a clean one reaches the model (the sync round's running fold, the
 async ``on_update``).  The screen is one read-only pass over the
 delivery's values, cheaper than the multiply-add pass that folds it,

@@ -21,7 +21,7 @@ from repro.compression.base import CompressedGradient, SparseDelta, densify
 from repro.compression.dgc import DGCCompressor
 from repro.fl.client import ClientUpdate
 from repro.fl.snapshot import load_snapshot
-from repro.fl.strategy import weighted_average
+from repro.fl.strategy import WeightedFold
 from repro.fl.validation import UpdateValidator, ValidationConfig
 from repro.transport.sockets import RemoteCompressor
 from repro.wire.frame import FRAME_OVERHEAD, Frame, FrameError
@@ -104,7 +104,7 @@ class TestFold:
     @given(case=_terms())
     def test_fold_is_bit_equal_to_the_dense_scatter(self, case):
         dim, updates = case
-        got = weighted_average(updates)
+        got = WeightedFold.of(updates).result()
         assert got.dtype == np.float64 and got.shape == (dim,)
         assert got.tobytes() == _dense_fold(updates, dim).tobytes()
 
@@ -122,12 +122,13 @@ class TestFold:
             else:
                 delta = rng.standard_normal(dim)
             updates.append(_update(delta, int(rng.integers(1, 500))))
-        assert weighted_average(updates).tobytes() == _dense_fold(updates, dim).tobytes()
+        got = WeightedFold.of(updates).result()
+        assert got.tobytes() == _dense_fold(updates, dim).tobytes()
 
     def test_mismatched_dims_rejected(self):
         sparse = SparseDelta(3, np.array([0], dtype=np.uint32), np.ones(1, np.float32))
         with pytest.raises(ValueError):
-            weighted_average([_update(np.ones(4)), _update(sparse)])
+            WeightedFold.of([_update(np.ones(4)), _update(sparse)]).result()
 
     def test_the_view_holds_the_wire_arrays(self):
         comp = DGCCompressor(1000, ratio=10.0)
@@ -189,7 +190,7 @@ class TestPeerFrames:
             return
         assert not bad
         want = _dense_fold([_update(_scatter(dim, indices, values))], dim)
-        assert weighted_average([_update(delta)]).tobytes() == want.tobytes()
+        assert WeightedFold.of([_update(delta)]).result().tobytes() == want.tobytes()
 
     def test_remote_and_local_decompress_agree(self):
         comp = DGCCompressor(500, ratio=5.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.client import ClientUpdate
-from repro.fl.strategy import RoundContext, SyncStrategy, WeightedFold, weighted_average
+from repro.fl.strategy import RoundContext, SyncStrategy, WeightedFold
 
 
 def update(cid, delta, n):
@@ -22,23 +22,25 @@ def update(cid, delta, n):
 
 class TestWeightedAverage:
     def test_equal_weights(self):
-        avg = weighted_average([update(0, [2.0, 0.0], 5), update(1, [0.0, 2.0], 5)])
+        updates = [update(0, [2.0, 0.0], 5), update(1, [0.0, 2.0], 5)]
+        avg = WeightedFold.of(updates).result()
         np.testing.assert_allclose(avg, [1.0, 1.0])
 
     def test_sample_weighting(self):
-        avg = weighted_average([update(0, [4.0], 3), update(1, [0.0], 1)])
+        avg = WeightedFold.of([update(0, [4.0], 3), update(1, [0.0], 1)]).result()
         np.testing.assert_allclose(avg, [3.0])
 
     def test_single_update(self):
-        np.testing.assert_allclose(weighted_average([update(0, [1.0, 2.0], 7)]), [1.0, 2.0])
+        avg = WeightedFold.of([update(0, [1.0, 2.0], 7)]).result()
+        np.testing.assert_allclose(avg, [1.0, 2.0])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            weighted_average([])
+            WeightedFold.of([]).result()
 
     def test_zero_samples_raises(self):
         with pytest.raises(ValueError):
-            weighted_average([update(0, [1.0], 0)])
+            WeightedFold.of([update(0, [1.0], 0)]).result()
 
     @pytest.mark.parametrize("dim", (1, 7, 32768, 32769, 100_003))
     def test_blocked_sum_is_bit_equal_to_the_plain_loop(self, dim):
@@ -53,13 +55,15 @@ class TestWeightedAverage:
         for u in updates:
             total += u.num_samples * u.delta
         expected = total / sum(u.num_samples for u in updates)
-        got = weighted_average(updates)
+        got = WeightedFold.of(updates).result()
         assert got.tobytes() == expected.tobytes()
         assert not any(np.shares_memory(got, u.delta) for u in updates)
 
     def test_mismatched_delta_shapes_rejected(self):
         with pytest.raises(ValueError):
-            weighted_average([update(0, [1.0, 2.0], 1), update(1, [1.0, 2.0, 3.0], 1)])
+            WeightedFold.of(
+                [update(0, [1.0, 2.0], 1), update(1, [1.0, 2.0, 3.0], 1)]
+            ).result()
 
 
 class TestSyncStrategySelection:

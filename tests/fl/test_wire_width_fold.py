@@ -25,7 +25,7 @@ from repro.compression.base import SparseDelta
 from repro.fl.baselines import FedAsync, FedBuff, Scaffold
 from repro.fl.client import ClientUpdate
 from repro.fl.fedat import FedAT
-from repro.fl.strategy import weighted_average
+from repro.fl.strategy import WeightedFold
 from repro.fl.validation import UpdateValidator, ValidationConfig, trimmed_mean
 from repro.nn.subspace import ParamSubspace
 
@@ -121,10 +121,10 @@ def _fedasync(deltas):
 
 
 REDUCERS = {
-    "weighted_average": lambda ds: weighted_average(
+    "weighted_average": lambda ds: WeightedFold.of(
         [_update(d, i) for i, d in enumerate(ds)]
-    ),
-    "masked_weighted_average": lambda ds: weighted_average(_sub_models(ds)),
+    ).result(),
+    "masked_weighted_average": lambda ds: WeightedFold.of(_sub_models(ds)).result(),
     "scaffold_mean": _scaffold_mean,
     "fedbuff": _fedbuff,
     "fedat_tier_mean": _fedat,

@@ -89,13 +89,25 @@ def test_unknown_section_and_missing_baseline_are_usage_errors(check_bench):
     assert not check_bench.BASELINE.exists()
 
 
-def test_real_suite_runs_a_subset():
+def _real_suite():
     spec = importlib.util.spec_from_file_location(
         "bench_hotpath", SCRIPT.parent.parent / "benchmarks" / "bench_hotpath.py"
     )
     suite = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(suite)
-    out = suite.run_suite(0.01, only=("flat_roundtrip",))
-    assert list(out["sections"]) == ["flat_roundtrip"]
+    return suite
+
+
+def test_real_suite_runs_a_subset():
+    suite = _real_suite()
+    out = suite.run_suite(0.01, only=("subspace",))
+    assert list(out["sections"]) == ["subspace"]
     with pytest.raises(KeyError):
         suite.run_suite(0.01, only=("no_such_section",))
+
+
+def test_every_section_has_exactly_one_committed_anchor():
+    # A section without an anchor, or an anchor without a section, makes
+    # the full gate fail ("present in baseline but not in suite").
+    baseline = json.loads((SCRIPT.parent.parent / "BENCH_hotpath.json").read_text())
+    assert set(_real_suite().SECTIONS) == set(baseline["sections"])

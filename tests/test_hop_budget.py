@@ -4,20 +4,25 @@
 counting its calls over payload-sized buffers counts the passes a hop
 makes.  The budget (``docs/architecture.md``): a dense upload is hashed
 once by its sender and once by its receiver; a socket message is hashed
-once per envelope and once per nested frame, at each end.
+once per envelope and once per nested frame, at each end.  Beside the
+passes, one allocation budget: a dense upload's only payload-sized
+buffer is its wire buffer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 
 import repro.fl.strategy as strategy_module
 from repro.experiments.runner import run_sync
 from repro.fl.baselines import FedAvg
-from repro.fl.validation import ValidationConfig
+from repro.fl.client import ClientUpdate
+from repro.fl.validation import ValidationConfig, verify_frame
 from tests.transport.inproc import inproc_session, mlp_spec
 
 
@@ -56,6 +61,29 @@ def test_dense_upload_is_hashed_once_by_each_end(crc_sizes, monkeypatch):
     # The broadcast frame is hashed when encoded (once per version);
     # every upload once at the client and once at server receipt.
     assert passes - len(model_frames) == 2 * result.total_uploads
+
+
+
+def test_dense_upload_allocates_only_its_wire_buffer():
+    # The sender casts float64 -> float32 straight into the wire buffer;
+    # the packet's delta, the bytes on the link and the receiver's CRC
+    # check are all views over it (the hop budget's first row).
+    d = 431_080  # the MNIST CNN's parameter count
+    delta = np.random.default_rng(0).normal(size=d)
+    update = ClientUpdate(
+        client_id=0, round_index=0, num_samples=1, delta=delta, train_loss=0.0, flops=0
+    )
+    tracemalloc.start()
+    try:
+        packet = strategy_module._dense_upload(update, model_version=1)
+        assert verify_frame(packet.frame.to_bytes()) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload_nbytes = 4 * d
+    assert packet.frame.payload_nbytes == payload_nbytes
+    assert packet.delta.dtype == np.float32
+    assert peak <= 1.25 * payload_nbytes, f"peak {peak / payload_nbytes:.2f}x the payload"
 
 
 @pytest.mark.transport
