@@ -1,8 +1,8 @@
-"""Plain top-k magnitude sparsification (no error feedback).
+"""Top-k magnitude selection, the sparsifying step of DGC.
 
-This is the memoryless ancestor of DGC: keep the ``k`` largest-
-magnitude coordinates, drop the rest.  Used as an ablation baseline to
-show why DGC's residual accumulation matters.
+:func:`topk_indices` picks the ``k`` largest-magnitude coordinates of a
+flat vector; :class:`~repro.compression.dgc.DGCCompressor` sends them
+and keeps the rest as residual.
 """
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.blocks import row_blocks
-from repro.compression.base import CompressedGradient, Compressor, SparseDelta
-from repro.wire.codecs import predicted_payload_nbytes
 
-__all__ = ["topk_indices", "TopKCompressor"]
+__all__ = ["topk_indices"]
 
 
 def topk_indices(
@@ -67,42 +65,3 @@ def _indices_at_least(
         np.add(hits, start, out=out[count:end])
         count, start = end, start + block.size
     return out if count == k else None
-
-
-# reprolint: allow[R506] the memoryless baseline tests/compression holds DGC's error feedback against
-class TopKCompressor(Compressor):
-    """Keep a fixed fraction of coordinates by magnitude."""
-
-    name = "topk"
-
-    def __init__(self, dim: int, ratio: float):
-        """``ratio`` is the compression ratio: keep ``d / ratio`` entries."""
-        super().__init__(dim)
-        if ratio < 1.0:
-            raise ValueError("compression ratio must be >= 1")
-        self.ratio = ratio
-
-    @property
-    def k(self) -> int:
-        """Number of retained coordinates (always at least 1)."""
-        return max(1, int(round(self.dim / self.ratio)))
-
-    def compress(self, grad: np.ndarray) -> CompressedGradient:
-        grad = self._check_grad(grad)
-        idx = topk_indices(grad, self.k)
-        data = {
-            "indices": idx.astype(np.uint32),
-            "values": grad[idx].astype(np.float32),
-        }
-        return CompressedGradient(
-            method=self.name,
-            dim=self.dim,
-            num_bytes=predicted_payload_nbytes(self.name, self.dim, data),
-            data=data,
-        )
-
-    def decompress(self, payload: CompressedGradient) -> SparseDelta:
-        """The payload as the server folds it: a view of its own arrays."""
-        if payload.method != self.name:
-            raise ValueError(f"payload method {payload.method!r} is not {self.name!r}")
-        return SparseDelta.of(payload)

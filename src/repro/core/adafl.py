@@ -256,6 +256,8 @@ class AdaFLSync(SyncStrategy, _AdaFLBase):
     """Synchronous AdaFL: Algorithm 1 selection + adaptive DGC."""
 
     name = "adafl"
+    # Clients are scored against the last aggregate (Eq. 6's g_hat).
+    reads_global_delta = True
 
     def __init__(self, config: AdaFLConfig | None = None):
         SyncStrategy.__init__(self, participation_rate=1.0)
@@ -349,8 +351,10 @@ class AdaFLAsync(AsyncStrategy, _AdaFLBase):
     """Fully asynchronous AdaFL with utility-gated halting."""
 
     name = "adafl-async"
-    # Halting scores each arrival from the client's last training delta.
+    # Halting scores each arrival from the client's last training delta
+    # against the server's last movement (g_hat).
     reads_last_delta = True
+    reads_global_delta = True
     # Arrivals are mixed in FedAsync-style.
     reads_base_params = True
 

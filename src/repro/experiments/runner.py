@@ -26,7 +26,6 @@ from repro.fl.async_engine import AsyncEngine
 from repro.fl.client import Client
 from repro.fl.config import FederationConfig, LocalTrainingConfig
 from repro.fl.metrics import RunResult
-from repro.fl.replica import ModelReplica
 from repro.fl.server import Server
 from repro.fl.strategy import AsyncStrategy, SyncStrategy
 from repro.fl.sync_engine import SyncEngine
@@ -160,12 +159,13 @@ def build_federation(spec: FederationSpec) -> Federation:
         Client(i, shards[i], model_fn, seed=spec.seed + 1000 + i)
         for i in range(spec.scale.num_clients)
     ]
-    # One scratch model for the federation, whoever ends up running its
-    # clients (an engine's population, a socket worker's RPC loop).
-    replicas: list[ModelReplica] = []
+    # One scratch model for the federation: the server's, borrowed by
+    # whoever ends up running its clients (an engine's population, a
+    # socket worker's RPC loop).
+    server = Server(model_fn, test)
+    replicas = [server.replica]
     for client in clients:
         client.adopt_replica(replicas)
-    server = Server(model_fn, test)
     return Federation(server=server, clients=clients, test_set=test, model_fn=model_fn, spec=spec)
 
 

@@ -184,6 +184,8 @@ def run_population_smoke(
         num_clients=num_clients, client_fn=factory, policy=policy
     )
     server = Server(factory.model_fn, factory.test_set())
+    # The clients it materialises borrow the server's scratch model.
+    server.adopt_replica(population.replicas)
     local = LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1)
     if engine == "sync":
         config = FederationConfig(

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.config import LocalTrainingConfig
-from repro.fl.replica import ModelReplica
+from repro.fl.replica import ModelReplica, adopt
 from repro.nn.sequential import Sequential
 from repro.nn.subspace import ParamSubspace
 
@@ -108,12 +108,7 @@ class Client:
         one per architecture (``model_fn`` equality); the client's own
         replica joins it when none matches.
         """
-        own, model_fn = self._replica, self._model_fn
-        for replica in pool:
-            if replica is own or (model_fn is not None and replica.model_fn == model_fn):
-                self._replica = replica
-                return
-        pool.append(self.replica)
+        self._replica = adopt(pool, self._model_fn, self._replica)
 
     # ------------------------------------------------------------------
     # Eviction support (repro.fl.population)

@@ -120,6 +120,9 @@ class _EngineBase:
             self.clients = ClientPopulation.ensure(clients)
         self.server = server
         self.strategy = strategy
+        # g_hat (Eq. 6) is the strategy's state: the server keeps the
+        # last aggregate only for a strategy that scores against it.
+        server.records_global_delta = strategy.reads_global_delta
         self.config = config
         # Always a plan (an empty one has no model of any kind), so no
         # caller distinguishes "no chaos" from "no such fault".

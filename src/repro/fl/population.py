@@ -338,6 +338,13 @@ class ClientPopulation:
         """How many clients are materialised right now."""
         return len(self._live)
 
+    @property
+    def replicas(self) -> list[ModelReplica]:
+        """The pool of scratch replicas materialised clients borrow, one
+        per architecture; a server joins it through
+        ``Server.adopt_replica``."""
+        return self._replicas
+
     def live_ids(self) -> Iterator[int]:
         """Ids of currently materialised clients, LRU order."""
         return iter(self._live)

@@ -11,7 +11,10 @@ through ``Client.adopt_replica`` (a
 :class:`~repro.fl.population.ClientPopulation`, a federation built by
 ``build_federation``; a standalone client makes a private one on first
 use).  Clients *borrow* it for the duration of
-``local_train`` / ``probe_delta`` / ``evaluate``.
+``local_train`` / ``probe_delta`` / ``evaluate``, and the
+:class:`~repro.fl.server.Server` for ``evaluate``: it joins the same
+pool through ``Server.adopt_replica``, so a process holds one scratch
+model per architecture, not one for its server beside its clients'.
 
 An architecture is identified by its ``model_fn``: clients built from
 equal callables share a replica.
@@ -26,7 +29,7 @@ from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.optim import SGD
 from repro.nn.sequential import Sequential
 
-__all__ = ["ModelReplica"]
+__all__ = ["ModelReplica", "adopt"]
 
 
 class ModelReplica:
@@ -73,3 +76,23 @@ class ModelReplica:
         d = self.model.num_params
         has_momentum = self._optimizer is not None and self._optimizer.momentum
         return (3 if has_momentum else 2) * 8 * d
+
+
+def adopt(
+    pool: list[ModelReplica],
+    model_fn: Callable[[], Sequential] | None,
+    own: ModelReplica | None = None,
+) -> ModelReplica:
+    """``pool``'s replica of ``model_fn``'s architecture.
+
+    A replica matches when it is ``own`` or was built from an equal
+    ``model_fn``; when none does, ``own`` (built from ``model_fn`` if
+    there is none yet) joins the pool.
+    """
+    for replica in pool:
+        if replica is own or (model_fn is not None and replica.model_fn == model_fn):
+            return replica
+    if own is None:
+        own = ModelReplica(model_fn)
+    pool.append(own)
+    return own

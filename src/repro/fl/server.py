@@ -1,11 +1,13 @@
 """The FL server: global model state, evaluation, and the server step.
 
 The server stores the global model as one flat vector (Eq. 1's ``w``)
-plus the most recent aggregated *global delta* — the paper's ``g_hat``
-(Eq. 6) that clients compare their local gradients against.
-:class:`ServerOpt` is the one place a reduced client direction is
-folded into that vector; a strategy chooses a reducer and an optimiser,
-never the arithmetic.
+and, for a strategy that scores clients against it, the most recent
+aggregated *global delta* — the paper's ``g_hat`` (Eq. 6).  It owns no
+model of its own: it evaluates on the scratch
+:class:`~repro.fl.replica.ModelReplica` it borrows from the process's
+pool, as the clients do.  :class:`ServerOpt` is the one place a reduced
+client direction is folded into that vector; a strategy chooses a
+reducer and an optimiser, never the arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.nn.losses import SoftmaxCrossEntropy
+from repro.fl.replica import ModelReplica, adopt
 from repro.nn.optim import AdamVector
 from repro.nn.sequential import Sequential
 
@@ -28,6 +30,10 @@ class Server:
     # ``(version, (accuracy, loss))`` of the last evaluation.  A class
     # default, so a server unpickled from an older snapshot starts empty.
     _eval_memo: tuple[int, tuple[float, float]] | None = None
+    # Whether a model step records ``global_delta``.  An engine sets it
+    # from its strategy's ``reads_global_delta``: g_hat is state of the
+    # strategy that scores against it, and nobody else pays for it.
+    records_global_delta = True
 
     def __init__(
         self,
@@ -35,28 +41,35 @@ class Server:
         test_set: Dataset,
         eval_batch: int = 256,
     ):
-        self._model = model_fn()
+        # The scratch model it evaluates on: a private one until the
+        # server joins its owner's pool (:meth:`adopt_replica`).
+        self.replica = ModelReplica(model_fn)
         self.test_set = test_set
         self.eval_batch = eval_batch
         # get_flat_params returns the model's live backing buffer;
         # the server's vector must be an independent snapshot.
-        self.params = self._model.get_flat_params().copy()
+        self.params = self.replica.model.get_flat_params().copy()
         self.global_delta: np.ndarray | None = None  # g_hat of Eq. 6
         self.version = 0  # bumps on every global model change
-        self._loss_fn = SoftmaxCrossEntropy()
 
     @property
     def dim(self) -> int:
         return self.params.size
 
+    def adopt_replica(self, pool: list[ModelReplica]) -> None:
+        """Borrow from ``pool``'s replica of this server's architecture,
+        as ``Client.adopt_replica`` does; the server's own joins the
+        pool when none matches."""
+        self.replica = adopt(pool, self.replica.model_fn, self.replica)
+
     def param_layout(self) -> list:
         """Per-parameter ``(name, offset, size)`` spans of the flat vector.
 
-        Delegates to the architecture replica, so strategies can build
+        Read off the architecture replica, so strategies can build
         layer-stratified :class:`~repro.nn.subspace.ParamSubspace`
-        masks without touching any client's private model.
+        masks without touching any client.
         """
-        return self._model.param_layout()
+        return self.replica.model.param_layout()
 
     def apply_delta(self, delta: np.ndarray) -> None:
         """Advance the global model by an aggregated delta.
@@ -69,13 +82,13 @@ class Server:
         if delta.shape != self.params.shape:
             raise ValueError("delta shape does not match global model")
         self.params += delta
-        self.global_delta = delta
+        if self.records_global_delta:
+            self.global_delta = delta
         self.version += 1
 
-    def set_params(
-        self, params: np.ndarray, record_delta: bool = True, copy: bool = True
-    ) -> None:
-        """Replace the global model, optionally recording the movement.
+    def set_params(self, params: np.ndarray, copy: bool = True) -> None:
+        """Replace the global model, recording the movement as
+        ``global_delta`` when :attr:`records_global_delta` is set.
 
         ``copy=False`` adopts the caller's array directly — for callers
         that just built a private vector (optimiser steps, rollbacks)
@@ -84,7 +97,7 @@ class Server:
         """
         if params.shape != self.params.shape:
             raise ValueError("params shape mismatch")
-        if record_delta:
+        if self.records_global_delta:
             self.global_delta = params - self.params
         self.params = params.copy() if copy else params
         self.version += 1
@@ -100,16 +113,17 @@ class Server:
         memo = self._eval_memo
         if memo is not None and memo[0] == self.version:
             return memo[1]
-        self._model.set_flat_params(self.params)
+        model, loss_fn = self.replica.model, self.replica.loss_fn
+        model.set_flat_params(self.params)
         n = len(self.test_set)
         correct = 0
         losses: list[float] = []
         for start in range(0, n, self.eval_batch):
             xb = self.test_set.x[start : start + self.eval_batch]
             yb = self.test_set.y[start : start + self.eval_batch]
-            logits = self._model.forward(xb, training=False)
+            logits = model.forward(xb, training=False)
             correct += int((np.argmax(logits, axis=-1) == yb).sum())
-            losses.append(self._loss_fn.forward(logits, yb) * xb.shape[0])
+            losses.append(loss_fn.forward(logits, yb) * xb.shape[0])
         result = (correct / n, float(np.sum(losses) / n))
         self._eval_memo = (self.version, result)
         return result

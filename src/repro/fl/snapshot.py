@@ -41,8 +41,9 @@ __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
 # 2: one fault plan (``chaos``) where version 1 carried ``faults`` and
 # ``churn`` beside it.  3: client state carries no per-layer ``layers``
 # entry (no model has per-client layer state).  4: pickled DGC
-# compressors carry float32 momentum and residual.
-SNAPSHOT_VERSION = 4
+# compressors carry float32 momentum and residual.  5: the server
+# carries the scratch replica it borrows, not a model of its own.
+SNAPSHOT_VERSION = 5
 
 
 def kernel_state(kernel: SimKernel) -> dict:

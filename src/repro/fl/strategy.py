@@ -230,14 +230,24 @@ class WeightedFold:
         self.count += 1
 
     def result(self) -> np.ndarray:
-        """The weighted mean of everything added (a fresh float64 vector)."""
+        """The weighted mean of everything added (a fresh float64 vector).
+
+        A NaN coordinate is the canonical quiet NaN (``np.nan``): the
+        sign numpy gives ``inf + -inf`` depends on the length of the
+        array it is computed over, so on the block size.
+        """
         if self._acc is None:
             raise ValueError("no update with samples was folded")
         weight = self._weight
         if np.ndim(weight) == 0:
-            return self._acc / weight
-        out = np.zeros_like(self._acc)
-        np.divide(self._acc, weight, out=out, where=weight > 0)
+            out = self._acc / weight
+        else:
+            out = np.zeros_like(self._acc)
+            np.divide(self._acc, weight, out=out, where=weight > 0)
+        # ``min`` is NaN exactly when some coordinate is: one
+        # allocation-free pass, the masked rewrite only when needed.
+        if np.isnan(out.min()):
+            out[np.isnan(out)] = np.nan
         return out
 
     @classmethod
@@ -315,6 +325,9 @@ class SyncStrategy(_ModelBroadcast):
     # Whether the strategy reads ``client.last_delta``: only then does
     # the engine retain each client's training delta there.
     reads_last_delta = False
+    # Whether it reads ``server.global_delta`` (Eq. 6's g_hat): only
+    # then does the server keep the last aggregate.
+    reads_global_delta = False
 
     def __init__(
         self, participation_rate: float = 0.5, server_opt: ServerOpt | None = None
@@ -405,6 +418,7 @@ class AsyncStrategy(_ModelBroadcast):
 
     name = "async-base"
     reads_last_delta = False  # as on SyncStrategy
+    reads_global_delta = False  # as on SyncStrategy
     # Whether ``on_update`` reads ``update.extras["base_params"]``, the
     # server params the update was trained from: only then does the
     # engine copy them into each update.

@@ -44,10 +44,10 @@ class TestRestore:
             comp.restore(payload)
 
     def test_restore_rejects_wrong_method(self, rng):
-        from repro.compression.topk import TopKCompressor
+        from repro.compression.identity import NoCompression
 
         comp = DGCCompressor(10, ratio=2.0)
-        payload = TopKCompressor(10, ratio=2.0).compress(rng.normal(size=10))
+        payload = NoCompression(10).compress(rng.normal(size=10))
         with pytest.raises(ValueError):
             comp.restore(payload)
 

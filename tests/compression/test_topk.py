@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import topk
-from repro.compression.topk import TopKCompressor, topk_indices
+from repro.compression.base import SparseDelta, dense_bytes
+from repro.compression.topk import topk_indices
+from repro.wire import encode_frame
 
 
 class TestTopKIndices:
@@ -127,50 +129,25 @@ class TestThresholdPath:
 
 
 class TestTopKCompressor:
-    def test_keeps_expected_count(self, rng):
-        comp = TopKCompressor(100, ratio=10.0)
-        payload = comp.compress(rng.normal(size=100))
-        assert payload.data["indices"].size == 10
+    """Plain top-k compression, the memoryless baseline DGC's error
+    feedback is held against: ``topk_indices`` and the sparse codec."""
 
-    def test_roundtrip_preserves_support(self, rng):
-        comp = TopKCompressor(50, ratio=5.0)
-        grad = rng.normal(size=50)
-        restored, payload = comp.roundtrip(grad)
-        idx = payload.data["indices"].astype(int)
-        np.testing.assert_allclose(restored[idx], grad[idx], atol=1e-6)
-        mask = np.ones(50, dtype=bool)
-        mask[idx] = False
-        assert np.all(restored[mask] == 0.0)
-
-    def test_min_one_coordinate(self, rng):
-        comp = TopKCompressor(10, ratio=1000.0)
-        payload = comp.compress(rng.normal(size=10))
-        assert payload.data["indices"].size == 1
+    @staticmethod
+    def _sent(grad: np.ndarray, k: int) -> SparseDelta:
+        idx = topk_indices(grad, k)
+        return SparseDelta(grad.size, idx.astype(np.uint32), grad[idx].astype(np.float32))
 
     def test_wire_size_uses_best_encoding(self, rng):
         # nnz=100 of dim=1000: bitmap (400 + 125) beats COO (800).
-        comp = TopKCompressor(1000, ratio=10.0)
-        payload = comp.compress(rng.normal(size=1000))
-        assert payload.num_bytes == 525
-        assert payload.compression_ratio > 7.0
-
-    def test_ratio_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            TopKCompressor(10, ratio=0.5)
-
-    def test_no_error_feedback(self, rng):
-        """Plain top-k is memoryless: same input twice -> same output."""
-        comp = TopKCompressor(30, ratio=3.0)
-        grad = rng.normal(size=30)
-        a, _ = comp.roundtrip(grad)
-        b, _ = comp.roundtrip(grad)
-        np.testing.assert_array_equal(a, b)
+        sent = self._sent(rng.normal(size=1000), 100)
+        frame = encode_frame("topk", 1000, {"indices": sent.indices, "values": sent.values})
+        assert frame.payload_nbytes == 525
+        assert dense_bytes(1000) / frame.payload_nbytes > 7.0
 
     def test_plain_topk_starves_forever(self):
         """Stateless top-k never sends a persistently small coordinate."""
-        comp = TopKCompressor(10, ratio=10.0)
         grad = np.zeros(10)
         grad[0] = 5.0
         grad[7] = 0.05
         for _ in range(50):
-            assert comp.decompress(comp.compress(grad)).to_dense()[7] == 0.0
+            assert self._sent(grad, 1).to_dense()[7] == 0.0

@@ -94,11 +94,11 @@ class TestDeterminism:
         ]
 
     def test_afd_training_moves_the_model(self):
+        initial = _federation(10)[0].params
         result, server = _run(AdaptiveFederatedDropout())
         assert result.total_uploads > 0
         assert server.version > 0
-        assert server.global_delta is not None
-        assert np.any(server.global_delta != 0.0)
+        assert np.any(server.params != initial)
 
     def test_afd_without_kernel_context_needs_engine(self):
         # The strategies refuse to invent their own RNG: running select()

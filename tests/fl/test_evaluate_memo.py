@@ -32,13 +32,13 @@ def server(tiny_model_fn, tiny_test):
 
 def _count_forwards(server, monkeypatch) -> list:
     calls = []
-    forward = server._model.forward
+    forward = server.replica.model.forward
 
     def counted(*args, **kwargs):
         calls.append(1)
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(server._model, "forward", counted)
+    monkeypatch.setattr(server.replica.model, "forward", counted)
     return calls
 
 

@@ -36,8 +36,10 @@ class TestServer:
         assert server.version == 1
 
     def test_set_params_without_delta(self, server):
-        server.set_params(server.params + 1.0, record_delta=False)
-        assert server.global_delta is None
+        server.records_global_delta = False
+        server.set_params(server.params + 1.0)
+        server.apply_delta(np.ones(server.dim))
+        assert server.global_delta is None and server.version == 2
 
     def test_set_params_copies(self, server):
         target = server.params + 1.0

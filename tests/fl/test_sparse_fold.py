@@ -53,14 +53,17 @@ def _update(delta, n: int = 1) -> ClientUpdate:
 
 def _dense_fold(updates: list[ClientUpdate], dim: int) -> np.ndarray:
     """Eq. 2 over dense vectors: every term scattered, ``n_i * x_i``
-    summed in order, then one division by the total weight."""
+    summed in order, then one division by the total weight; a NaN is
+    the canonical quiet NaN, as the fold's."""
     expected = np.zeros(dim)
     for u in updates:
         dense = u.delta
         if isinstance(dense, SparseDelta):
             dense = _scatter(dim, dense.indices, dense.values)
         expected += u.num_samples * dense
-    return expected / sum(u.num_samples for u in updates)
+    expected /= sum(u.num_samples for u in updates)
+    expected[np.isnan(expected)] = np.nan
+    return expected
 
 
 @st.composite

@@ -67,7 +67,7 @@ class _Server:
         self.steps.append(delta)
         self.params = self.params + delta
 
-    def set_params(self, params, record_delta=True, copy=True) -> None:
+    def set_params(self, params, copy=True) -> None:
         self.steps.append(params)
         self.params = params
 

@@ -22,6 +22,12 @@ differently from every larger batch (and from the fused kernel).
 ``Conv2d.backward`` now always reads a C-ordered matrix;
 ``test_batched.py`` pins single-sample steps serial = fused instead.
 
+The pins encode a two-thread OpenBLAS: its GEMMs split the work by
+thread count, so the training logits of some cases round differently
+under another count.  :func:`pinned_digests` therefore computes in a
+child process with every BLAS thread variable set to
+``BLAS_THREADS``, whatever the caller's setting.
+
 ``python -m tests.nn.layout_digest_cases --only CASE… [--check]``
 rewrites the named cases in ``data/layout_digests.json`` (see
 :mod:`tests.pins`); the committed file was written by the
@@ -32,6 +38,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,8 +104,32 @@ def digests(name: str) -> dict[str, str]:
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 
+BLAS_THREADS = 2
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_CHILD = (
+    "import json, sys\n"
+    "from tests.nn.layout_digest_cases import digests\n"
+    "print(json.dumps({name: digests(name) for name in sys.argv[1:]}))"
+)
+
+
+def pinned_digests(names) -> dict[str, dict[str, str]]:
+    """:func:`digests` of each named case, computed in a child process
+    whose BLAS runs ``BLAS_THREADS`` threads (the pins' setting)."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    env.update((var, str(BLAS_THREADS)) for var in _BLAS_VARS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *names],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    if proc.returncode:
+        raise RuntimeError(f"layout digest child failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
-    compute = {name: (lambda name=name: digests(name)) for name in sorted(CASES)}
+    compute = {name: (lambda name=name: pinned_digests([name])[name]) for name in sorted(CASES)}
     return regen(
         DIGEST_PATH, compute,
         lambda pins: json.dumps(pins, indent=2, sort_keys=True) + "\n", argv,

@@ -122,7 +122,7 @@ def test_server_evaluate_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak - before < 12 * 2**20
-    convs = _convs(server._model)
+    convs = _convs(server.replica.model)
     assert convs
     for conv in convs:
         assert conv._ws_eval._cols.nbytes <= EVAL_COLS_BYTES

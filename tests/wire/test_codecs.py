@@ -12,12 +12,12 @@ The two properties everything downstream relies on:
 import numpy as np
 import pytest
 
-from repro.compression.base import densify
+from repro.compression.base import CompressedGradient, SparseDelta, densify
 from repro.compression.dgc import DGCCompressor
 from repro.compression.identity import NoCompression
 from repro.compression.qsgd import QSGDCompressor
 from repro.compression.terngrad import TernGradCompressor
-from repro.compression.topk import TopKCompressor
+from repro.compression.topk import topk_indices
 from repro.wire import (
     FRAME_OVERHEAD,
     FrameCorruptionError,
@@ -94,44 +94,50 @@ class TestEncodeLengthIsPrediction:
 class TestCompressorRoundTrips:
     """compress -> to_frame -> wire bytes -> from_frame is bit-exact."""
 
-    def _wire_trip(self, compressor, payload):
+    def _wire_trip(self, decompress, payload):
         frame = _roundtrip(payload.to_frame(model_version=5))
         assert frame.model_version == 5
         back = type(payload).from_frame(frame)
         assert back.num_bytes == payload.num_bytes
         np.testing.assert_array_equal(
-            densify(compressor.decompress(back)), densify(compressor.decompress(payload))
+            densify(decompress(back)), densify(decompress(payload))
         )
         return back
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_identity(self, dim):
         comp = NoCompression(dim)
-        self._wire_trip(comp, comp.compress(_grad(dim)))
+        self._wire_trip(comp.decompress, comp.compress(_grad(dim)))
 
     @pytest.mark.parametrize("dim", (64, 1000))
     @pytest.mark.parametrize("ratio", (1.0, 2.0, 100.0))
     def test_topk(self, dim, ratio):
-        comp = TopKCompressor(dim, ratio=ratio)
-        self._wire_trip(comp, comp.compress(_grad(dim)))
+        # Plain top-k: the d / ratio largest magnitudes on the topk codec.
+        grad = _grad(dim)
+        idx = topk_indices(grad, max(1, round(dim / ratio)))
+        data = {"indices": idx.astype(np.uint32), "values": grad[idx].astype(np.float32)}
+        payload = CompressedGradient(
+            "topk", dim, predicted_payload_nbytes("topk", dim, data), data
+        )
+        self._wire_trip(SparseDelta.of, payload)
 
     @pytest.mark.parametrize("ratio", (2.0, 20.0))
     def test_dgc(self, ratio):
         comp = DGCCompressor(dim=500)
         comp.compress(_grad(500, seed=1), ratio=ratio)  # warm the residual
-        self._wire_trip(comp, comp.compress(_grad(500, seed=2), ratio=ratio))
+        self._wire_trip(comp.decompress, comp.compress(_grad(500, seed=2), ratio=ratio))
 
     @pytest.mark.parametrize("dim", DIMS)
     @pytest.mark.parametrize("num_levels", (1, 4, 16, 255))
     def test_qsgd(self, dim, num_levels):
         comp = QSGDCompressor(dim, num_levels=num_levels,
                               rng=np.random.default_rng(8))
-        self._wire_trip(comp, comp.compress(_grad(dim)))
+        self._wire_trip(comp.decompress, comp.compress(_grad(dim)))
 
     @pytest.mark.parametrize("dim", DIMS)
     def test_terngrad(self, dim):
         comp = TernGradCompressor(dim, rng=np.random.default_rng(9))
-        self._wire_trip(comp, comp.compress(_grad(dim)))
+        self._wire_trip(comp.decompress, comp.compress(_grad(dim)))
 
 
 class TestSparseEncodingSelection:
