@@ -321,8 +321,8 @@ class Client:
         """Accuracy of ``global_params`` on an arbitrary dataset.
 
         Evaluation is chunked (``batch_size``) so no layer holds a
-        whole-dataset activation; a conv layer further streams each
-        chunk through its im2col in bit-exact blocks.  Chunking moves
+        whole-dataset activation; the model further streams each
+        chunk's conv trunk in bit-exact sample blocks.  Chunking moves
         the logits by up to ~1e-14 (the fully connected GEMMs round
         differently over few rows, as a ragged last chunk has), so
         only the argmax, and with it the accuracy, matches a single

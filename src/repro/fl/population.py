@@ -167,7 +167,6 @@ class ClientPopulation:
         self.last_seen_round = np.full(self._num, -1, dtype=np.int64)
         self._materialize_hooks: list[Callable[[Client], None]] = []
         self.stats = PopulationStats()
-        self._all_ids: list[int] | None = None
         self._all_ids_array: np.ndarray | None = None
 
     # -- registry ------------------------------------------------------
@@ -187,12 +186,6 @@ class ClientPopulation:
     def ids(self) -> range:
         """Every client id, cheapest possible iteration."""
         return range(self._num)
-
-    def all_ids(self) -> list[int]:
-        """Cached list of every id; callers must not mutate it."""
-        if self._all_ids is None:
-            self._all_ids = list(range(self._num))
-        return self._all_ids
 
     def all_ids_array(self) -> np.ndarray:
         """Cached read-only int64 array of every id.
@@ -371,20 +364,18 @@ class ClientPopulation:
     # -- snapshots -----------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Derived id caches are rebuilt on demand, never snapshotted.
-        state["_all_ids"] = None
+        # The derived id array is rebuilt on demand, never snapshotted.
         state["_all_ids_array"] = None
         if not self.always_live:
             # Snapshot cost is O(retained + live), never O(population):
             # live clients collapse to their extracted cross-round
-            # state and re-materialise lazily after resume.
+            # state and re-materialise lazily after resume, claiming
+            # the pool's replicas (pickled once with the server).
             retained = dict(state["_retained"])
             for cid, c in state["_live"].items():
                 retained[cid] = c.extract_state()
             state["_retained"] = retained
             state["_live"] = {}
-            # Scratch: rebuilt by the first client to re-materialise.
-            state["_replicas"] = []
             state["_spilled"] = set(state["_spilled"]) - set(retained)
         return state
 

@@ -86,11 +86,17 @@ def adopt(
     """``pool``'s replica of ``model_fn``'s architecture.
 
     A replica matches when it is ``own`` or was built from an equal
-    ``model_fn``; when none does, ``own`` (built from ``model_fn`` if
-    there is none yet) joins the pool.
+    ``model_fn``; else an unpickled one (its ``model_fn`` dropped) is
+    claimed, so a resumed pool keeps one replica per architecture.  When
+    none does, ``own`` (built from ``model_fn`` if there is none yet)
+    joins the pool.
     """
     for replica in pool:
         if replica is own or (model_fn is not None and replica.model_fn == model_fn):
+            return replica
+    for replica in pool:
+        if model_fn is not None and replica.model_fn is None:
+            replica.model_fn = model_fn
             return replica
     if own is None:
         own = ModelReplica(model_fn)

@@ -96,18 +96,18 @@ class SyncEngine(_EngineBase):
         self._trace.emit(RUN_END, self.sim_time_s, rounds=self.config.num_rounds)
 
     # -- who takes part -------------------------------------------------
-    def _available_ids(self, round_index: int, t0: float) -> list[int]:
+    def _available_ids(self, round_index: int, t0: float) -> range | list[int]:
         """Ids that can open this round (availability gates only).
 
-        A plan with no availability model returns the registry's cached
-        id list — O(1), never an O(population) Python loop.  Either way
-        the ids come back ascending, so a full-length list is exactly
-        ``0..n-1`` — what lets ``SyncStrategy.select`` draw from
-        ``all_ids_array()`` instead of converting this list.
+        A plan with no availability model returns the registry's id
+        ``range`` — O(1), never an O(population) Python list.  Either
+        way the ids come back ascending, so a full-length sequence is
+        exactly ``0..n-1`` — what lets ``SyncStrategy.select`` draw from
+        ``all_ids_array()`` instead of converting it.
         """
         models = self._chaos.availability
         if not models:
-            return self.clients.all_ids()
+            return self.clients.ids()
         available = []
         for cid in self.clients.ids():
             for model in models:

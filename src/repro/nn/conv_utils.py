@@ -65,11 +65,11 @@ class ConvWorkspace:
     capacity.  Buffers are sized for the largest ``N`` seen and a call
     gets their leading-``N`` prefix (still C-contiguous), so a ragged
     final batch reuses the same memory instead of reallocating.  The
-    capacity is whatever the caller asks for: ``Conv2d``'s evaluation
-    workspace stays small because its forward asks for at most one
-    ``EVAL_COLS_BYTES`` block of samples at a time, while its training
-    workspace grows to the largest training batch.  ``pad_in`` keeps
-    its zero border across calls: only the interior is rewritten.
+    capacity is whatever the caller asks for: a ``Conv2d``'s one
+    workspace grows to the larger of its largest training batch and one
+    evaluation block (a model streams evaluation through its conv trunk
+    in blocks whose widest im2col fits ``EVAL_COLS_BYTES``).  ``pad_in``
+    keeps its zero border across calls: only the interior is rewritten.
 
     A workspace is pure scratch: it pickles as an empty one.
     """

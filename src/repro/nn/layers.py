@@ -54,13 +54,12 @@ __all__ = [
     "ResidualBlock",
 ]
 
-# Byte budget of the column matrix one evaluation block of ``Conv2d``
-# expands.  A larger batch is run in blocks of whole samples, each
-# im2col'd into the eval workspace and multiplied into its rows of one
-# output.  The value is a floor, not a tuning point: every zoo conv
-# geometry's blocked logits are bit-equal to one whole-batch GEMM at
-# 2 MiB, while at 256 KiB some blocks are small enough for OpenBLAS to
-# take a different kernel and move the last bits
+# Byte budget of the widest im2col column matrix one evaluation block
+# expands: ``Sequential.forward(training=False)`` streams a model's conv
+# trunk in sample blocks sized by it.  The value is a floor, not a
+# tuning point: every zoo conv geometry's blocked logits are bit-equal
+# to one whole-batch forward at 2 MiB, while much smaller blocks reach
+# OpenBLAS kernels that round differently and move the last bits
 # (``tests/nn/test_eval_blocks.py``).
 EVAL_COLS_BYTES = 2 << 20
 
@@ -162,6 +161,10 @@ class Layer:
         """Shape (excluding batch) this layer produces for ``input_shape``."""
         raise NotImplementedError
 
+    def cols_nbytes(self, input_shape: tuple[int, ...]) -> int:
+        """Bytes of the layer's widest float64 im2col of one sample."""
+        return 0
+
     def flops(self, input_shape: tuple[int, ...]) -> int:
         """Approximate multiply-accumulate count for one forward sample.
 
@@ -262,39 +265,25 @@ class Conv2d(Layer):
         self.bias = Parameter(f"{name}.bias", initializers.zeros((out_channels,))) if bias else None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        # Separate train/eval workspaces: training forward caches the
-        # column buffer for backward, so an interleaved evaluation pass
-        # must not overwrite it.  The eval one holds one block's columns.
-        self._ws_train = ConvWorkspace()
-        self._ws_eval = ConvWorkspace()
+        self._ws = ConvWorkspace()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        n, c, h, w = x.shape
+        n, _, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         out_h = conv_output_size(h, k, s, p)
         out_w = conv_output_size(w, k, s, p)
         w_mat = self.weight.data.reshape(self.out_channels, -1)
-        if training:
-            cols = im2col(x, k, k, s, p, self._ws_train)
-            self._cols = cols
-            self._x_shape = x.shape
-            out = cols @ w_mat.T
-        else:
-            # Evaluation keeps no columns, so it streams the batch in
-            # blocks whose column matrix fits EVAL_COLS_BYTES.  The
-            # training path does not: its cached columns feed backward's
-            # weight-gradient GEMM, whose sum runs over the whole batch.
-            rows = out_h * out_w
-            block = max(1, EVAL_COLS_BYTES // (rows * c * k * k * x.itemsize))
-            out = np.empty((n * rows, self.out_channels), np.result_type(x, w_mat))
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                cols = im2col(x[start:stop], k, k, s, p, self._ws_eval)
-                np.matmul(cols, w_mat.T, out=out[start * rows : stop * rows])
+        cols = im2col(x, k, k, s, p, self._ws)
+        # Backward reads the cached columns.  Evaluation shares the one
+        # workspace and overwrites them, so it drops the cache: a
+        # backward needs a fresh training forward.
+        self._cols = cols if training else None
+        self._x_shape = x.shape if training else None
+        out = cols @ w_mat.T
         if self.bias is not None:
             out += self.bias.data
         out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
@@ -328,7 +317,7 @@ class Conv2d(Layer):
             self.kernel_size,
             self.stride,
             self.padding,
-            self._ws_train,
+            self._ws,
         )
 
     def parameters(self) -> list[Parameter]:
@@ -349,6 +338,10 @@ class Conv2d(Layer):
         _, out_h, out_w = self.output_shape(input_shape)
         per_output = self.in_channels * self.kernel_size * self.kernel_size
         return per_output * self.out_channels * out_h * out_w
+
+    def cols_nbytes(self, input_shape: tuple[int, ...]) -> int:
+        _, out_h, out_w = self.output_shape(input_shape)
+        return out_h * out_w * self.in_channels * self.kernel_size**2 * 8
 
 
 def _channels_last(x: np.ndarray) -> bool:
@@ -605,3 +598,6 @@ class ResidualBlock(Layer):
     def flops(self, input_shape: tuple[int, ...]) -> int:
         mid = self.conv1.output_shape(input_shape)
         return self.conv1.flops(input_shape) + self.conv2.flops(mid)
+
+    def cols_nbytes(self, input_shape: tuple[int, ...]) -> int:
+        return self.conv1.cols_nbytes(input_shape)  # conv2's is the same

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer, Parameter
+from repro.nn.layers import EVAL_COLS_BYTES, Layer, Linear, Parameter
 from repro.nn.subspace import ParamLayoutEntry, ParamSubspace
 
 __all__ = ["Sequential"]
@@ -47,6 +47,16 @@ class Sequential:
             self._layer_input_shapes.append(shape)
             shape = layer.output_shape(shape)
         self.output_shape = shape
+        # Evaluation streams the trunk (the layers before the first
+        # Linear) in blocks of at most ``_eval_block`` samples, the most
+        # whose widest im2col fits EVAL_COLS_BYTES; 0 (no conv) runs whole.
+        self._trunk = next(
+            (i for i, layer in enumerate(self.layers) if isinstance(layer, Linear)),
+            len(self.layers),
+        )
+        trunk = zip(self.layers[: self._trunk], self._layer_input_shapes)
+        widest = max((layer.cols_nbytes(s) for layer, s in trunk), default=0)
+        self._eval_block = max(1, EVAL_COLS_BYTES // widest) if widest else 0
 
         # Zero-copy flat-parameter engine: move every parameter into
         # one contiguous backing buffer (and its gradient into a
@@ -76,9 +86,30 @@ class Sequential:
     # Forward / backward
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Run all layers in order."""
-        out = x
-        for layer in self.layers:
+        """Run all layers in order.
+
+        Evaluation runs the trunk in ⌈n / _eval_block⌉ near-equal sample
+        blocks (a small ragged one can take an OpenBLAS kernel that
+        rounds differently), each written into its rows of one trunk
+        output, and the head on the whole batch, so its GEMMs see the
+        rows they always do.  Larger blocks come first: the first sizes
+        the conv workspaces, which the rest then fit.
+        """
+        layers, out, n = self.layers, x, x.shape[0]
+        if not training and 0 < self._eval_block < n:
+            count = -(-n // self._eval_block)
+            size, extra = divmod(n, count)
+            bounds = [i * size + min(i, extra) for i in range(count + 1)]
+            out = None
+            for start, stop in zip(bounds, bounds[1:]):
+                part = x[start:stop]
+                for layer in layers[: self._trunk]:
+                    part = layer.forward(part, False)
+                if out is None:  # in the memory order a whole batch has
+                    out = np.empty_like(part, shape=(n, *part.shape[1:]))
+                out[start:stop] = part
+            layers = layers[self._trunk :]
+        for layer in layers:
             out = layer.forward(out, training)
         return out
 
@@ -107,11 +138,11 @@ class Sequential:
     def predict(self, x: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """Class predictions (argmax over the final axis).
 
-        ``batch_size`` evaluates in chunks, bounding the activations'
-        working set (a ``Conv2d`` already caps its own im2col columns
-        at ``EVAL_COLS_BYTES`` per block, bit-exactly).  The logits are
-        not bit-equal across chunk sizes: a GEMM over few rows takes an
-        OpenBLAS kernel that rounds differently — the fully connected
+        ``batch_size`` evaluates in chunks, bounding the head's
+        activations (:meth:`forward` already streams a conv trunk in
+        bit-exact sample blocks).  The logits are not bit-equal across
+        chunk sizes: a GEMM over few rows takes an OpenBLAS kernel that
+        rounds differently — the fully connected
         head's do below ~32 rows, as a ragged last chunk has — so they
         differ in the last bits (up to ~1e-14 on ``build_mnist_cnn``),
         but the argmax agrees barring near-ties closer than that.

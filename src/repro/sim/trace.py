@@ -180,7 +180,9 @@ class TraceEvent:
 
 
 def _jsonify(value):
-    """Fallback serialiser for numpy scalars/arrays in event data."""
+    """Fallback serialiser for numpy scalars/arrays and ranges in event data."""
+    if isinstance(value, range):
+        return list(value)
     if hasattr(value, "item") and getattr(value, "ndim", None) in (None, 0):
         return value.item()
     if hasattr(value, "tolist"):

@@ -687,7 +687,6 @@ class RemoteClientPopulation:
         self.last_upload_round = np.full(num_clients, -1, dtype=np.int64)
         self.last_seen_round = np.full(num_clients, -1, dtype=np.int64)
         self._proxies: dict[int, RemoteClient] = {}
-        self._all_ids: list[int] | None = None
         self._all_ids_arr: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -695,11 +694,6 @@ class RemoteClientPopulation:
 
     def ids(self) -> range:
         return range(self._num)
-
-    def all_ids(self) -> list[int]:
-        if self._all_ids is None:
-            self._all_ids = list(range(self._num))
-        return self._all_ids
 
     def all_ids_array(self) -> np.ndarray:
         if self._all_ids_arr is None:

@@ -20,6 +20,7 @@ from repro.experiments.runner import FederationSpec, build_federation, run_sync
 from repro.experiments.scalability import SyntheticShardFactory
 from repro.fl.async_engine import AsyncEngine
 from repro.fl.baselines import FedAsync, FedAvg
+from repro.fl.persist import run_result_to_dict
 from repro.fl.population import ClientPopulation, RetentionPolicy
 from repro.fl.server import Server
 from repro.fl.snapshot import load_snapshot
@@ -40,10 +41,7 @@ def test_built_federation_server_and_clients_share_one_replica():
 
 def test_resumed_federation_still_shares_one_replica(tmp_path):
     """A snapshot pickles the server and an always-live client list in
-    one stream, so the shared replica comes back shared.  (A virtual
-    population drops its pool from a snapshot: the server's unpickled
-    replica has lost its ``model_fn``, so the first client to
-    re-materialise builds a second one.)"""
+    one stream, so the shared replica comes back shared."""
     spec = mlp_spec(num_clients=4)
     spec = dataclasses.replace(spec, scale=dataclasses.replace(spec.scale, num_rounds=2))
     snap = tmp_path / "run.snapshot"
@@ -51,6 +49,28 @@ def test_resumed_federation_still_shares_one_replica(tmp_path):
     engine = load_snapshot(snap, keep_snapshotting=False)
     replica = engine.server.replica
     assert all(engine.clients[cid].replica is replica for cid in range(4))
+
+
+def test_resumed_virtual_population_still_shares_one_replica(tmp_path):
+    """A virtual population snapshots its pool beside the server: the
+    replica they share is pickled once, and the first client to
+    re-materialise claims it although unpickling dropped its
+    ``model_fn``."""
+    server, pop = _federation(0, RetentionPolicy(mode="regenerate", max_live=2))
+    server.adopt_replica(pop.replicas)
+    snap = tmp_path / "run.snapshot"
+    live = SyncEngine(  # snapshots after round 2 of 3
+        server, pop, FedAvg(participation_rate=1.0), _sync_config(3),
+        snapshot_path=snap, snapshot_every=2,
+    ).run()
+    assert pop[0].replica is server.replica
+    engine = load_snapshot(snap, keep_snapshotting=False)
+    server, clients = engine.server, engine.clients
+    assert clients[0].replica is server.replica
+    resumed = engine.resume()
+    assert clients.replicas == [server.replica]
+    assert all(clients[cid].replica is server.replica for cid in clients.live_ids())
+    assert run_result_to_dict(resumed) == run_result_to_dict(live)
 
 
 def test_virtual_population_clients_borrow_the_server_replica():

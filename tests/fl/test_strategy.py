@@ -201,7 +201,7 @@ class TestArrayNativeSelection:
             policy=RetentionPolicy(mode="regenerate", max_live=4),
         )
         want, _ = _select([None] * 50, list(range(50)), 0.2, 9)
-        got, _ = _select(pop, pop.all_ids(), 0.2, 9)
+        got, _ = _select(pop, pop.ids(), 0.2, 9)
         assert got == want
         assert pop.stats.materializations == 0  # selection touches no client
         ids = pop.all_ids_array()

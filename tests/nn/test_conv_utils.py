@@ -313,21 +313,23 @@ class TestConvWorkspace:
             np.testing.assert_array_equal(conv_ws.weight.grad, conv_ref.weight.grad)
 
     def test_eval_forward_between_train_forward_and_backward(self, rng):
-        # An evaluation pass (same shape) must not clobber the column
-        # buffer a pending backward depends on — hence the separate
-        # train/eval workspaces in Conv2d.
+        # Conv2d has one workspace: an evaluation pass overwrites the
+        # column buffer a pending backward depends on, so that backward
+        # raises rather than read it; a fresh training forward recovers.
         from repro.nn.layers import Conv2d
 
         conv = Conv2d(2, 3, 3, np.random.default_rng(1), padding=1)
+        ref = Conv2d(2, 3, 3, np.random.default_rng(1), padding=1)
         x_train = rng.normal(size=(2, 2, 5, 5))
         grad_out = rng.normal(size=(2, 3, 5, 5))
 
         conv.forward(x_train, training=True)
         conv.forward(rng.normal(size=x_train.shape), training=False)
-        conv.backward(grad_out)
-        got = conv.weight.grad.copy()
-
-        conv.zero_grad()
+        with pytest.raises(RuntimeError, match="before forward"):
+            conv.backward(grad_out)
         conv.forward(x_train, training=True)
         conv.backward(grad_out)
-        np.testing.assert_array_equal(got, conv.weight.grad)
+
+        ref.forward(x_train, training=True)
+        ref.backward(grad_out)
+        np.testing.assert_array_equal(conv.weight.grad, ref.weight.grad)
