@@ -3,7 +3,7 @@
 
 Runs every rule family over the ``repro`` package (or the given
 paths) and exits with the linter's stable exit code, so CI can gate
-on static invariants the same way ``check_bench.py`` gates on perf:
+on static invariants:
 
 * ``0`` — clean: no violations;
 * ``1`` — violations;

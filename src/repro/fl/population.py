@@ -167,7 +167,6 @@ class ClientPopulation:
         self.last_seen_round = np.full(self._num, -1, dtype=np.int64)
         self._materialize_hooks: list[Callable[[Client], None]] = []
         self.stats = PopulationStats()
-        self._all_ids_array: np.ndarray | None = None
 
     # -- registry ------------------------------------------------------
     def __len__(self) -> int:
@@ -186,17 +185,6 @@ class ClientPopulation:
     def ids(self) -> range:
         """Every client id, cheapest possible iteration."""
         return range(self._num)
-
-    def all_ids_array(self) -> np.ndarray:
-        """Cached read-only int64 array of every id.
-
-        Full-registry uniform selection draws from this array, so a
-        round over 100k clients never converts an id list.
-        """
-        if self._all_ids_array is None:
-            self._all_ids_array = np.arange(self._num, dtype=np.int64)
-            self._all_ids_array.setflags(write=False)
-        return self._all_ids_array
 
     def initial_ids(self, limit: int | None) -> range:
         """The ids an async engine boots with (``limit`` caps the fan-out)."""
@@ -364,8 +352,6 @@ class ClientPopulation:
     # -- snapshots -----------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # The derived id array is rebuilt on demand, never snapshotted.
-        state["_all_ids_array"] = None
         if not self.always_live:
             # Snapshot cost is O(retained + live), never O(population):
             # live clients collapse to their extracted cross-round

@@ -353,22 +353,17 @@ class SyncStrategy(_ModelBroadcast):
 
         Default: uniform random sample of ``ceil(rate * num_clients)``
         clients, capped by availability — the fixed-``r_p`` scheme all
-        baselines in the paper use.  When every client is available
-        (``available`` is then ``0..n-1`` in order, by construction of
-        the registry) the draw reads the registry's cached id array, so
-        a round never converts an O(population) Python list.
+        baselines in the paper use.  The draw picks positions into
+        ``available`` (an id ``range`` or list), so a round never
+        converts an O(population) id sequence; numpy draws the same
+        positions for ``choice(n)`` as for ``choice(np.asarray(...))``.
         """
         if not available:
             return []
         want = math.ceil(self.participation_rate * len(context.clients))
         take = min(want, len(available))
-        ids_array = getattr(context.clients, "all_ids_array", None)
-        if ids_array is not None and len(available) == len(context.clients):
-            candidates = ids_array()
-        else:
-            candidates = np.asarray(available)
-        picked = rng.choice(candidates, size=take, replace=False)
-        return sorted(int(i) for i in picked)
+        picked = rng.choice(len(available), size=take, replace=False)
+        return sorted(int(available[i]) for i in picked)
 
     # -- local training config -----------------------------------------
     def local_config(self, base: LocalTrainingConfig) -> LocalTrainingConfig:

@@ -101,9 +101,7 @@ class SyncEngine(_EngineBase):
 
         A plan with no availability model returns the registry's id
         ``range`` — O(1), never an O(population) Python list.  Either
-        way the ids come back ascending, so a full-length sequence is
-        exactly ``0..n-1`` — what lets ``SyncStrategy.select`` draw from
-        ``all_ids_array()`` instead of converting it.
+        way the ids come back ascending.
         """
         models = self._chaos.availability
         if not models:

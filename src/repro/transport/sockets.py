@@ -687,19 +687,12 @@ class RemoteClientPopulation:
         self.last_upload_round = np.full(num_clients, -1, dtype=np.int64)
         self.last_seen_round = np.full(num_clients, -1, dtype=np.int64)
         self._proxies: dict[int, RemoteClient] = {}
-        self._all_ids_arr: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._num
 
     def ids(self) -> range:
         return range(self._num)
-
-    def all_ids_array(self) -> np.ndarray:
-        if self._all_ids_arr is None:
-            self._all_ids_arr = np.arange(self._num, dtype=np.int64)
-            self._all_ids_arr.setflags(write=False)
-        return self._all_ids_arr
 
     def initial_ids(self, limit: int | None) -> range:
         if limit is None:

@@ -1,5 +1,7 @@
 """Tests for strategy base classes and weighted averaging."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,22 +136,6 @@ class TestSyncStrategySelection:
         assert server.version == 0
 
 
-class _Registry:
-    """The slice of the population surface ``select`` consults."""
-
-    def __init__(self, n):
-        self._ids = np.arange(n, dtype=np.int64)
-        self._ids.setflags(write=False)
-        self.array_reads = 0
-
-    def __len__(self):
-        return self._ids.size
-
-    def all_ids_array(self):
-        self.array_reads += 1
-        return self._ids
-
-
 def _select(clients, available, rate, seed):
     ctx = RoundContext(round_index=0, sim_time_s=0.0, server=None, clients=clients)
     rng = np.random.default_rng(seed)
@@ -157,7 +143,17 @@ def _select(clients, available, rate, seed):
     return picked, rng.bit_generator.state
 
 
+def _list_path(n, available, rate, seed):
+    """The reference draw: ``rng.choice`` over the id list as an array."""
+    rng = np.random.default_rng(seed)
+    take = min(math.ceil(rate * n), len(available))
+    picked = rng.choice(np.asarray(available), size=take, replace=False)
+    return sorted(int(i) for i in picked), rng.bit_generator.state
+
+
 class TestArrayNativeSelection:
+    """``select`` draws positions, with the list path's picks and RNG state."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 400),
@@ -165,14 +161,12 @@ class TestArrayNativeSelection:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_full_registry_matches_list_path(self, n, rate, seed):
-        # A list has no all_ids_array: that is the pre-change list path.
-        want, want_state = _select([None] * n, list(range(n)), rate, seed)
-        registry = _Registry(n)
-        got, got_state = _select(registry, list(range(n)), rate, seed)
-        assert got == want
-        assert got_state == want_state  # same draws: later rounds agree too
-        assert registry.array_reads == 1
-        assert all(type(cid) is int for cid in got)
+        want, want_state = _list_path(n, list(range(n)), rate, seed)
+        for available in (range(n), list(range(n))):
+            got, got_state = _select([None] * n, available, rate, seed)
+            assert got == want
+            assert got_state == want_state  # same draws: later rounds agree too
+            assert all(type(cid) is int for cid in got)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,14 +178,13 @@ class TestArrayNativeSelection:
     def test_partial_availability_takes_list_path(self, n, rate, seed, data):
         missing = data.draw(st.integers(0, n - 1))
         available = [cid for cid in range(n) if cid != missing]
-        want, _ = _select([None] * n, available, rate, seed)
-        registry = _Registry(n)
-        got, _ = _select(registry, available, rate, seed)
+        want, want_state = _list_path(n, available, rate, seed)
+        got, got_state = _select([None] * n, available, rate, seed)
         assert got == want
+        assert got_state == want_state
         assert missing not in got
-        assert registry.array_reads == 0
 
-    def test_real_populations_expose_the_cached_array(self):
+    def test_real_population_selection_touches_no_client(self):
         from repro.experiments.scalability import SyntheticShardFactory
         from repro.fl.population import ClientPopulation, RetentionPolicy
 
@@ -200,9 +193,7 @@ class TestArrayNativeSelection:
             client_fn=SyntheticShardFactory(num_clients=50),
             policy=RetentionPolicy(mode="regenerate", max_live=4),
         )
-        want, _ = _select([None] * 50, list(range(50)), 0.2, 9)
-        got, _ = _select(pop, pop.ids(), 0.2, 9)
-        assert got == want
+        want, want_state = _list_path(50, list(range(50)), 0.2, 9)
+        got, got_state = _select(pop, pop.ids(), 0.2, 9)
+        assert (got, got_state) == (want, want_state)
         assert pop.stats.materializations == 0  # selection touches no client
-        ids = pop.all_ids_array()
-        assert ids is pop.all_ids_array() and not ids.flags.writeable

@@ -7,11 +7,16 @@ import struct
 import numpy as np
 import pytest
 
+from repro.compression.base import CompressedGradient
+from repro.compression.qsgd import QSGDCompressor
+from repro.nn.subspace import ParamLayoutEntry, ParamSubspace
 from repro.wire import (
+    Frame,
     FrameCorruptionError,
     MASKED_HEADER_BYTES,
     decode_frame,
     encode_frame,
+    encode_model_frame,
     masked_index_bytes,
     masked_payload_bytes,
     predicted_payload_nbytes,
@@ -105,11 +110,52 @@ class TestRoundTrip:
     def test_frame_bytes_round_trip(self):
         data = _masked_data(50, [1, 7, 30])
         frame = encode_frame("masked", 50, data)
-        from repro.wire import Frame
-
         revived = Frame.from_bytes(frame.to_bytes())
         _, decoded = decode_frame(revived)
         assert np.array_equal(decoded["indices"], data["indices"])
+
+
+class TestAFDUpload:
+    """One Adaptive Federated Dropout upload at the MNIST-CNN dim, end to end."""
+
+    # conv/fc weights and their biases, d = 431 080
+    SIZES = (800, 32, 51_200, 64, 368_640, 10, 10_240, 94)
+
+    def test_masked_qsgd_trip_bytes_are_pinned(self):
+        layout, offset = [], 0
+        for i, size in enumerate(self.SIZES):
+            layout.append(ParamLayoutEntry(f"p{i}", offset, size))
+            offset += size
+        dim = offset
+        assert dim == 431_080
+        rng = np.random.default_rng(0)
+        sub = ParamSubspace.sample(layout, 0.4, rng)
+        delta = rng.normal(size=dim)
+        comp = QSGDCompressor(sub.size, num_levels=16, rng=np.random.default_rng(1))
+
+        payload = comp.compress(sub.gather(delta))
+        buf = encode_frame(
+            "masked",
+            dim,
+            {
+                "indices": sub.indices.astype(np.uint32),
+                "inner_method": "qsgd",
+                "inner_data": payload.data,
+            },
+            model_version=1,
+        ).to_bytes()
+        _, decoded = decode_frame(Frame.from_bytes(buf))
+        inner = CompressedGradient(
+            method="qsgd", dim=sub.size, num_bytes=len(buf), data=decoded["inner_data"]
+        )
+        out = sub.scatter(comp.decompress(inner), np.zeros(dim))
+
+        assert len(buf) == 183_244
+        assert len(encode_model_frame(delta, 1).to_bytes()) == 1_724_344
+        off = np.ones(dim, dtype=bool)
+        off[sub.indices] = False
+        assert not out[off].any()
+        assert np.array_equal(out[sub.indices], comp.decompress(payload))
 
 
 class TestValidation:
@@ -138,8 +184,6 @@ class TestValidation:
         data = _masked_data(40, [0, 5, 11, 20])
         raw = bytearray(encode_frame("masked", 40, data).to_bytes())
         raw[-1] ^= 0xFF
-        from repro.wire import Frame
-
         with pytest.raises(FrameCorruptionError):
             Frame.from_bytes(bytes(raw))
 
