@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compression.dgc import DGCCompressor, MagnitudeScratch
+from repro.compression.dgc import DGCCompressor, DGCStateStore
 from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.core.selection import SelectionResult, select_from_scores
 from repro.core.utility import UtilityScorer
@@ -130,7 +130,7 @@ class _AdaFLBase:
     attached through a registry materialization hook — a bound method,
     so it survives snapshot pickling and keeps re-attaching state after
     resume — never by an eager loop over the full population.  They all
-    borrow the strategy's one :class:`MagnitudeScratch`.
+    keep their state in the strategy's one :class:`DGCStateStore`.
     """
 
     def __init__(self, config: AdaFLConfig):
@@ -140,12 +140,16 @@ class _AdaFLBase:
         self._dim = 0
         self._num_workers = 1
 
-    def _bind_population(self, server: Server, clients) -> None:
-        """One-time ``prepare`` body: adopt the registry, hook attach."""
+    def _bind_population(self, server: Server, clients, cap: int | None = None) -> None:
+        """One-time ``prepare`` body: adopt the registry, hook attach.
+
+        ``cap`` bounds how many compressors keep their DGC state in RAM
+        (:class:`DGCStateStore`); None keeps every one resident.
+        """
         pop = ClientPopulation.ensure(clients)
         self._pop = pop
         self._dim = server.dim
-        self._scratch = MagnitudeScratch(server.dim)
+        self._scratch = DGCStateStore(server.dim, cap)
         self._num_workers = len(pop)
         pop.on_materialize(self._attach_compressor)
 
@@ -265,7 +269,11 @@ class AdaFLSync(SyncStrategy, _AdaFLBase):
         self.last_selection: SelectionResult | None = None
 
     def prepare(self, server: Server, clients) -> None:
-        self._bind_population(server, clients)
+        # After warm-up a round selects at most this many clients, so
+        # only that many DGC states stay in RAM; the idle ones park in
+        # the store's file until their client is selected again.
+        cap = max(self.config.k_max, self.config.min_selected)
+        self._bind_population(server, clients, cap)
 
     def select(
         self,

@@ -165,8 +165,10 @@ class Client:
 
         Counts the dominant O(d)/O(data) arrays — the dataset shard and
         strategy attachments — which is what the population registry's
-        peak-RSS proxy accounts.  The borrowed replica is not the
-        client's: the registry counts it once (``ModelReplica.nbytes``).
+        peak-RSS proxy accounts.  Only bytes resident in RAM count: a
+        DGC state parked in its store's file adds nothing.  The
+        borrowed replica is not the client's: the registry counts it
+        once (``ModelReplica.nbytes``).
         """
         total = self.dataset.x.nbytes + self.dataset.y.nbytes
         for arr in (self.control_variate, self.last_delta):

@@ -93,7 +93,11 @@ class RetentionPolicy:
 
 @dataclass
 class PopulationStats:
-    """Lifecycle accounting — the bench's peak-RSS proxy."""
+    """Lifecycle accounting — the bench's peak-RSS proxy.
+
+    ``peak_live_nbytes`` is the largest :meth:`ClientPopulation.live_nbytes`
+    seen: resident bytes only (a parked DGC state is on disk).
+    """
 
     materializations: int = 0
     restores: int = 0
@@ -331,8 +335,10 @@ class ClientPopulation:
         return iter(self._live)
 
     def live_nbytes(self) -> int:
-        """Heavy bytes held for materialised clients (peak-RSS proxy):
-        what each client owns, plus the scratch replicas counted once."""
+        """Heavy bytes held in RAM for materialised clients (peak-RSS
+        proxy): what each client owns and holds resident (a DGC state
+        parked in its store's file counts nothing), plus the scratch
+        replicas counted once."""
         return sum(c.state_nbytes() for c in self._live.values()) + sum(
             r.nbytes() for r in self._replicas
         )

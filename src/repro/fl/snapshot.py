@@ -43,7 +43,9 @@ __all__ = ["SNAPSHOT_VERSION", "save_snapshot", "load_snapshot", "kernel_state"]
 # entry (no model has per-client layer state).  4: pickled DGC
 # compressors carry float32 momentum and residual.  5: the server
 # carries the scratch replica it borrows, not a model of its own.
-SNAPSHOT_VERSION = 5
+# 6: AdaFL's compressors share a ``DGCStateStore`` (its dim and cap)
+# where they shared a ``MagnitudeScratch``.
+SNAPSHOT_VERSION = 6
 
 
 def kernel_state(kernel: SimKernel) -> dict:
@@ -99,7 +101,12 @@ def load_snapshot(path, trace: EventTrace | None = None, keep_snapshotting: bool
     path = Path(path)
     # Only a sealed envelope is unpickled: a file no CRC covers (the
     # pre-envelope format included) is refused before pickle sees it.
-    state = pickle.loads(unseal(path.read_bytes()))
+    blob = unseal(path.read_bytes())
+    try:
+        state = pickle.loads(blob)
+    except AttributeError as exc:
+        # An older format can name a class this version renamed.
+        raise ValueError(f"unsupported snapshot version: {exc}") from exc
     version = state.get("snapshot_version")
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version!r}")

@@ -1,5 +1,9 @@
 """Tests for Deep Gradient Compression."""
 
+import gc
+import os
+import pickle
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -7,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.dgc import DGCCompressor, MagnitudeScratch
+from repro.compression.dgc import DGCCompressor, DGCStateStore
 from repro.compression.topk import topk_indices
+from repro.wire.frame import FrameCorruptionError
 
 
 class TestBasics:
@@ -193,7 +198,7 @@ class TestSharedScratch:
     @pytest.mark.parametrize("dim", (257, 40_000))
     def test_interleaved_cohort_matches_private_references(self, dim):
         n, rng = 4, np.random.default_rng(11)
-        scratch = MagnitudeScratch(dim)
+        scratch = DGCStateStore(dim)
         kw = dict(momentum=0.9, clip_norm=5.0, num_workers=n)
         comps = [DGCCompressor(dim, scratch=scratch, **kw) for _ in range(n)]
         refs = [_ReferenceDGC(dim, **kw) for _ in range(n)]
@@ -223,7 +228,7 @@ class TestSharedScratch:
     def test_scratch_pickles_empty_and_stays_shared(self):
         import pickle
 
-        scratch = MagnitudeScratch(5000)
+        scratch = DGCStateStore(5000)
         comps = [DGCCompressor(5000, scratch=scratch) for _ in range(3)]
         for c in comps:
             c.compress(np.random.default_rng(0).normal(size=5000))
@@ -234,7 +239,167 @@ class TestSharedScratch:
 
     def test_scratch_dim_must_match(self):
         with pytest.raises(ValueError):
-            DGCCompressor(10, scratch=MagnitudeScratch(11))
+            DGCCompressor(10, scratch=DGCStateStore(11))
+
+
+_OPS = ("compress", "restore", "evict", "reset", "pickle")
+
+
+class TestCappedStore:
+    """M compressors sharing a store capped at ``cap`` pairs — parking
+    the least recently used state to the store's file — walk the same
+    payloads and states as M private compressors, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 5),
+        cap_frac=st.floats(0.0, 1.0),
+        dim=st.sampled_from([1, 7, 257]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(_OPS),
+                st.integers(0, 4),
+                st.sampled_from([1.0, 4.0, 37.5]),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_interleavings_match_private_compressors(self, seed, m, cap_frac, dim, ops):
+        cap = 1 + int(cap_frac * (m - 1))
+        rng = np.random.default_rng(seed)
+        kw = dict(momentum=0.9, clip_norm=5.0, num_workers=m)
+        store = DGCStateStore(dim, cap=cap)
+        shared = [DGCCompressor(dim, scratch=store, **kw) for _ in range(m)]
+        private = [DGCCompressor(dim, **kw) for _ in range(m)]
+        last: dict[int, tuple] = {}
+
+        def same_state(a, b):
+            sa, sb = a.export_state(), b.export_state()
+            for key in ("velocity", "residual"):
+                assert sa[key].tobytes() == sb[key].tobytes()
+            assert a.residual_norm == b.residual_norm
+
+        for op, i, ratio in ops:
+            i %= m
+            if op == "compress":
+                grad = np.round(rng.normal(size=dim), 2)
+                ps = shared[i].compress(grad, ratio=ratio)
+                pp = private[i].compress(grad, ratio=ratio)
+                assert ps.data["indices"].tobytes() == pp.data["indices"].tobytes()
+                assert ps.data["values"].tobytes() == pp.data["values"].tobytes()
+                last[i] = (ps, pp)
+            elif op == "restore" and i in last:
+                ps, pp = last.pop(i)
+                shared[i].restore(ps)
+                private[i].restore(pp)
+            elif op == "evict":  # exported, and re-materialised fresh
+                fresh = DGCCompressor(dim, scratch=store, **kw)
+                fresh.import_state(shared[i].export_state())
+                shared[i] = fresh
+            elif op == "reset":
+                shared[i].reset()
+                private[i].reset()
+            elif op == "pickle":  # the cohort travels together, one store
+                shared = pickle.loads(pickle.dumps(shared))
+                store = shared[0]._scratch
+                assert all(c._scratch is store for c in shared)
+            same_state(shared[i], private[i])
+            assert sum(c.state_nbytes() > 0 for c in shared) <= cap
+            assert store._pairs <= cap
+        for a, b in zip(shared, private):
+            same_state(a, b)
+
+    def _parked_pair(self, dim=300):
+        """Two compressors under cap 1: ``a`` compressed, then parked."""
+        store = DGCStateStore(dim, cap=1)
+        a, b = (DGCCompressor(dim, scratch=store) for _ in range(2))
+        grad = np.random.default_rng(3).normal(size=dim)
+        a.compress(grad)
+        b.compress(grad)
+        assert a.state_nbytes() == 0 and b.state_nbytes() == 8 * dim
+        assert a._ref in store._parked
+        return store, a, b, grad
+
+    def test_lazy_state_and_lru_order(self):
+        dim = 50
+        store = DGCStateStore(dim, cap=2)
+        comps = [DGCCompressor(dim, scratch=store) for _ in range(3)]
+        assert all(c.state_nbytes() == 0 for c in comps)  # never compressed
+        # Importing a never-used state (zeros) under a cap holds nothing either.
+        comps[0].import_state(DGCCompressor(dim).export_state())
+        assert comps[0].state_nbytes() == 0 and comps[0]._ref is None
+        assert comps[0].residual_norm == 0.0 and comps[0].state_nbytes() == 0
+        comps[0].reset()
+        assert comps[0].state_nbytes() == 0
+        grad = np.random.default_rng(0).normal(size=dim)
+        payload = comps[0].compress(grad)
+        comps[1].compress(grad)
+        comps[0].restore(payload)  # comps[0] is now the most recently used
+        comps[2].compress(grad)
+        assert [c.state_nbytes() > 0 for c in comps] == [True, False, True]
+        assert (store.parks, store.reloads) == (1, 0)
+        comps[1].compress(grad)
+        assert [c.state_nbytes() > 0 for c in comps] == [False, True, True]
+        assert (store.parks, store.reloads) == (2, 1)
+
+    def test_flipped_byte_in_a_parked_slot_fails_closed(self):
+        store, a, b, grad = self._parked_pair()
+        slot, _ = store._parked[a._ref]
+        fd, offset = store._file.fileno(), slot * 8 * a.dim + 5
+        os.pwrite(fd, bytes([os.pread(fd, 1, offset)[0] ^ 0x10]), offset)
+        for _ in range(2):  # never replaced by zeros: it fails every time
+            with pytest.raises(FrameCorruptionError, match="CRC"):
+                a.compress(grad)
+        with pytest.raises(FrameCorruptionError):
+            a.export_state()
+        with pytest.raises(FrameCorruptionError):
+            a.reset()
+        assert a.state_nbytes() == 0
+        b.compress(grad)  # the pair a failed to fill went back to the pool
+        assert store._pairs == 1
+
+    def test_short_read_of_a_parked_slot_fails_closed(self):
+        store, a, b, grad = self._parked_pair()
+        del b  # frees its pair: reloading a parks nothing past the cut
+        os.ftruncate(store._file.fileno(), 8 * a.dim - 1)
+        with pytest.raises(FrameCorruptionError, match="short read"):
+            a.compress(grad)
+
+    def test_a_dead_compressor_returns_its_pair_and_slot(self):
+        store, a, b, grad = self._parked_pair()
+        parked, resident = weakref.ref(a), weakref.ref(b)
+        del a, b
+        gc.collect()
+        assert parked() is None and resident() is None
+        assert not store._resident and not store._parked
+        assert len(store._pool) == 1 and store._free_slots == [0]
+        c = DGCCompressor(store.dim, scratch=store)
+        c.compress(grad)
+        assert store._pairs == 1 and not store._pool
+
+    def test_parked_state_pickles_inline_and_readopts_under_the_cap(self):
+        store, a, b, grad = self._parked_pair()
+        want = [c.export_state() for c in (a, b)]
+        blob = pickle.dumps([a, b])
+        assert len(pickle.dumps(store)) < 200
+        a2, b2 = pickle.loads(blob)
+        assert a2._scratch is b2._scratch is not store
+        assert sum(c.state_nbytes() > 0 for c in (a2, b2)) == 1  # cap 1 holds
+        for c, state in zip((a2, b2), want):
+            got = c.export_state()
+            assert got["velocity"].tobytes() == state["velocity"].tobytes()
+            assert got["residual"].tobytes() == state["residual"].tobytes()
+
+    def test_exported_state_shares_no_buffer_with_a_live_compressor(self):
+        store, a, b, grad = self._parked_pair()
+        for comp in (a, b):
+            state = comp.export_state()
+            comp.import_state(state)
+            for c in (a, b):
+                for arr in (state["velocity"], state["residual"]):
+                    assert c._velocity is None or not np.shares_memory(arr, c._velocity)
+                    assert c._residual is None or not np.shares_memory(arr, c._residual)
 
 
 class TestExactRestore:

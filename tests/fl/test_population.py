@@ -18,12 +18,16 @@ Three layers of guarantees are pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.adafl import AdaFLConfig, AdaFLSync
+from repro.core.compression_policy import AdaptiveCompressionPolicy
 from repro.experiments.scalability import SyntheticShardFactory, run_population_smoke
 from repro.fl.baselines import FedAvg
 from repro.fl.config import FederationConfig, LocalTrainingConfig
@@ -333,6 +337,56 @@ def test_chaos_run_identical_across_policies(tmp_path):
     assert rejected > 0
     assert sum(r.rejected_uploads for r in spill.records) == rejected
     assert any(len(r.participants) < 5 for r in live.records)
+
+
+class _WatchedAdaFL(AdaFLSync):
+    """Sync AdaFL that keeps a weak reference to every compressor it
+    attaches (not picklable: for runs without snapshots)."""
+
+    def __init__(self):
+        policy = AdaptiveCompressionPolicy(warmup_rounds=1)
+        super().__init__(AdaFLConfig(k_max=2, tau=0.0, policy=policy))
+        self.attached = []
+
+    def _attach_compressor(self, client):
+        super()._attach_compressor(client)
+        self.attached.append(weakref.ref(client.compressor))
+
+
+def _watched_adafl_run(policy):
+    server, clients = _federation(30, policy)
+    strategy = _WatchedAdaFL()
+    engine = SyncEngine(server, clients, strategy, _sync_config(6), network=_jittery_net())
+    return engine.run(), strategy, engine.clients
+
+
+@pytest.mark.parametrize("mode", ["spill", "regenerate"])
+def test_parked_dgc_state_under_eviction(mode, tmp_path):
+    """Sync AdaFL with ``k_max = 2`` parks DGC states in its store while
+    the population evicts clients (``max_live = 2``).  The run walks
+    the always-live trajectory; the store keeps no evicted client's
+    compressor alive, and no exported state shares a buffer with a
+    live compressor or the store's pool."""
+    expected, _, _ = _watched_adafl_run(None)
+    policy = RetentionPolicy(
+        mode=mode, max_live=2, spill_dir=tmp_path if mode == "spill" else None
+    )
+    result, strategy, pop = _watched_adafl_run(policy)
+    assert trajectory(result) == trajectory(expected)
+    store = strategy._scratch
+    assert store.parks > 0 and pop.stats.evictions > 0
+    gc.collect()
+    live = {id(pop[cid].compressor): pop[cid] for cid in list(pop.live_ids())}
+    assert len(strategy.attached) > len(live)
+    assert all(ref() is None or id(ref()) in live for ref in strategy.attached)
+    tracked = list(store._resident) + list(store._parked)
+    assert all(id(ref()) in live for ref in tracked)
+    pairs = list(store._resident.values()) + store._pool
+    exported = [c.extract_state()["compressor"] for c in live.values()]
+    exported += [s["compressor"] for s in pop._retained.values()]
+    for state in exported:
+        for arr in (state["velocity"], state["residual"]):
+            assert not any(np.shares_memory(arr, buf) for pair in pairs for buf in pair)
 
 
 # ---------------------------------------------------------------------------

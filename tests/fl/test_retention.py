@@ -163,10 +163,11 @@ def test_adafl_async_over_sockets_retains_on_the_mirror_only():
             assert worker._clients[cid].last_delta is None
 
 
-def _adafl_sync_engine(num_clients: int):
+def _adafl_sync_engine(num_clients: int, k_max: int | None = None):
     """Sync AdaFL on an MLP wide enough (d = 29 804) that one d-vector
     dwarfs everything per client but DGC state; the warm-up round folds
-    every client's upload at ratio 4, later rounds half the cohort."""
+    every client's upload at ratio 4, later rounds ``k_max`` clients
+    (default: half the cohort)."""
     shape = (1, 12, 12)
 
     def model_fn():
@@ -186,7 +187,9 @@ def _adafl_sync_engine(num_clients: int):
         clients=[ClientNetwork(uplink=link, downlink=link) for _ in range(num_clients)]
     )
     policy = AdaptiveCompressionPolicy(warmup_rounds=1, warmup_ratio=4.0)
-    strategy = AdaFLSync(AdaFLConfig(k_max=num_clients // 2, tau=0.0, policy=policy))
+    if k_max is None:
+        k_max = num_clients // 2
+    strategy = AdaFLSync(AdaFLConfig(k_max=k_max, tau=0.0, policy=policy))
     config = FederationConfig(
         num_rounds=3, participation_rate=1.0, eval_every=10, seed=0,
         local=LocalTrainingConfig(local_epochs=1, batch_size=8, lr=0.1),
@@ -240,6 +243,36 @@ def test_adafl_sync_aggregation_holds_payloads_not_d_vectors(num_clients, monkey
         tracemalloc.stop()
     assert len(units) == 3
     assert max(units) <= 6.0, units
+
+
+@pytest.mark.parametrize("num_clients", [12, 24])
+def test_adafl_sync_keeps_only_a_cohort_of_dgc_states_in_ram(num_clients, monkeypatch):
+    """With ``k_max = 3`` no post-warm-up round selects more than 3
+    clients, so at most 3 compressors hold their DGC state (8 B a
+    coordinate) in RAM; the rest is parked in the store's file.  At
+    every ``AdaFLSync.aggregate`` entry the *whole* traced heap is the
+    constant of the test above plus those 3 states, at 12 clients as at
+    24 (measured: at most 7.1 units at both; 16.1 at 12 and 28.1 at 24
+    clients with the cap removed)."""
+    engine, clients = _adafl_sync_engine(num_clients, k_max=3)
+    resident, units = [], []
+    aggregate = AdaFLSync.aggregate
+
+    def measured(self, server, fold, context):
+        heap, _ = tracemalloc.get_traced_memory()
+        resident.append(sum(c.compressor.state_nbytes() > 0 for c in clients))
+        units.append(heap / (8 * server.dim))
+        return aggregate(self, server, fold, context)
+
+    monkeypatch.setattr(AdaFLSync, "aggregate", measured)
+    tracemalloc.start()
+    try:
+        engine.run()
+    finally:
+        tracemalloc.stop()
+    assert len(units) == 3
+    assert max(resident) <= 3, resident
+    assert max(units) <= 6.0 + 3, units
 
 
 # -- the fold reads the wire -------------------------------------------

@@ -44,6 +44,10 @@ class _Tripwire:
         return type(self.path).touch, (self.path,)
 
 
+class _Renamed:
+    """Stands for a class a later version renamed."""
+
+
 class _Killed(RuntimeError):
     """Simulated process death immediately after a snapshot landed."""
 
@@ -127,6 +131,46 @@ class TestSyncResume:
         assert joined == ref_bytes
         assert run_result_to_dict(resumed) == run_result_to_dict(reference)
 
+    def test_adafl_resume_with_parked_dgc_states(self, tmp_path):
+        """``k_max = 2`` keeps 2 of the 5 clients' DGC states in RAM and
+        parks the rest in the store's file.  A snapshot taken with
+        states parked carries them inline; the resumed run matches the
+        uninterrupted one and still keeps at most 2 states in RAM."""
+        from repro.core.adafl import AdaFLConfig, AdaFLSync
+        from repro.core.compression_policy import AdaptiveCompressionPolicy
+
+        def build(**kwargs):
+            server, clients = _federation(30)
+            policy = AdaptiveCompressionPolicy(warmup_rounds=1)
+            strategy = AdaFLSync(AdaFLConfig(k_max=2, tau=0.0, policy=policy))
+            return SyncEngine(
+                server, clients, strategy, _sync_config(6),
+                network=_jittery_net(uplink_loss=0.2), **kwargs,
+            )
+
+        def resident(engine):
+            pop = engine.clients
+            return sum(pop[c].compressor.state_nbytes() > 0 for c in pop.ids())
+
+        reference = build().run()
+        parked = []
+        kill = _kill_when("_next_round", 3)
+
+        def on_snapshot(engine):
+            parked.append(len(engine.strategy._scratch._parked))
+            kill(engine)
+
+        snap = tmp_path / "run.snapshot"
+        with pytest.raises(_Killed):
+            build(snapshot_path=snap, snapshot_every=1, on_snapshot=on_snapshot).run()
+        assert parked[-1] >= 3
+        restored = load_snapshot(snap, keep_snapshotting=False)
+        assert resident(restored) <= 2
+        resumed = restored.resume()
+        assert run_result_to_dict(resumed) == run_result_to_dict(reference)
+        assert resident(restored) <= 2
+        assert restored.strategy._scratch._pairs <= 2
+
 
 class TestAsyncResume:
     def test_resume_is_bit_identical(self, tmp_path):
@@ -200,12 +244,20 @@ class TestSnapshotFile:
         state = pickle.loads(unseal(snap.read_bytes()))
         # 1 is the format that carried ``faults``/``churn`` beside the
         # plan, 2 the one whose client state carried per-layer ``layers``,
-        # 4 the one whose server pickled a private model.
-        for version in (99, 4, 2, 1, None):
+        # 4 the one whose server pickled a private model, 5 the one whose
+        # DGC compressors shared a ``MagnitudeScratch``.
+        for version in (99, 5, 4, 2, 1, None):
             state["snapshot_version"] = version
             snap.write_bytes(seal(pickle.dumps(state)))
             with pytest.raises(ValueError, match="snapshot version"):
                 load_snapshot(snap)
+        # An older format can name a class that is gone (version 5 named
+        # ``MagnitudeScratch``): refused as a version, not a traceback.
+        state["server"] = _Renamed()
+        blob = pickle.dumps(state)
+        snap.write_bytes(seal(blob.replace(b"_Renamed", b"_Gone___")))
+        with pytest.raises(ValueError, match="snapshot version"):
+            load_snapshot(snap)
         # A bare pickle stream is the pre-envelope format, which no CRC
         # covers: it is refused before pickle sees it.
         tripped = tmp_path / "tripped"
